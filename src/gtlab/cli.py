@@ -20,7 +20,8 @@ expands to the family of the subcommand.  Exit codes: 0 all cases passed,
 
 Reports are deterministic for a fixed (config, seed): the timestamp field
 is populated from SOURCE_DATE_EPOCH when set and left null otherwise, so
-repeated runs are byte-identical.
+repeated runs are byte-identical.  The JSON form is strict: a non-finite
+number (a side a case does not evaluate) is written as null.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -212,13 +214,30 @@ def document_to_dict(report: ReportDocument) -> dict:
     }
 
 
+def _strict(obj):
+    """The JSON payload with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def _number(value) -> float:
+    """A case side read back from JSON: null stands for NaN."""
+    return math.nan if value is None else value
+
+
 def document_from_dict(raw: dict) -> ReportDocument:
     cases = []
     for c in raw.get("cases", []):
         ci = c.get("ci")
         cases.append(CaseRecord(
-            name=c["name"], equation=c["equation"], lhs=c["lhs"], rhs=c["rhs"],
-            margin=c["margin"], passed=c["passed"], status=c["status"],
+            name=c["name"], equation=c["equation"], lhs=_number(c["lhs"]),
+            rhs=_number(c["rhs"]), margin=_number(c["margin"]),
+            passed=c["passed"], status=c["status"],
             trials=c["trials"], ci=tuple(ci) if ci is not None else None,
             extra=c.get("extra", {})))
     return ReportDocument(schema_version=raw["schema_version"], seed=raw["seed"],
@@ -230,8 +249,8 @@ def emit(report: ReportDocument, fmt: str = "json") -> str:
     """Serialize the report; json round-trips losslessly, csv is one row
     per case."""
     if fmt == "json":
-        return json.dumps(document_to_dict(report), indent=2,
-                          allow_nan=True) + "\n"
+        return json.dumps(_strict(document_to_dict(report)), indent=2,
+                          allow_nan=False) + "\n"
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import hermitize, require_hermitian
-from .reports import GapReport, TailReport, binomial_ci, checked_real
+from .linalg import herm_fn, hermitize, require_hermitian, trace_of_product
+from .reports import GapReport, TailReport, binomial_ci
 from .samplers import RngStream, standard_complex
 
 __all__ = [
@@ -35,6 +35,10 @@ __all__ = [
 
 #: Exact enumeration of sign patterns is refused above this series length.
 ENUMERATE_LIMIT = 14
+
+#: Trials per stream block in the tail experiments; the block size fixes
+#: the draw order.
+_TAIL_CHUNK = 4096
 
 SIGN_KINDS = ("rademacher", "gaussian")
 
@@ -185,18 +189,13 @@ def aw_bound(exp: CovarianceExperiment, sigma2: float) -> float:
                          math.exp(-eps / 2.0))
 
 
-def _tail_counts(exp: CovarianceExperiment, stream: RngStream, trials: int,
-                 chunk: int = 4096):
+def _tail_counts(exp: CovarianceExperiment, stream: RngStream, trials: int):
     """Vectorized deviation statistics; returns counts and per-trial checks."""
     n, k, eps = exp.n_samples, exp.dim, exp.epsilon
     c = exp.c if exp.c is not None else 1.0
     two_sided = upper = lower = 0
     assumption_violations = 0
-    done = 0
-    block = 0
-    while done < trials:
-        count = min(chunk, trials - done)
-        rng = stream.offset(block).generator()
+    for _, count, rng in stream.blocks(trials, _TAIL_CHUNK):
         X = standard_complex(rng, (count, n, k))
         dev = np.einsum('tpi,tpj->tij', X.conj(), X) / n
         dev[:, np.arange(k), np.arange(k)] -= 1.0
@@ -218,8 +217,6 @@ def _tail_counts(exp: CovarianceExperiment, stream: RngStream, trials: int,
         lower += int(low.sum())
         row_sq = np.einsum('tpi,tpi->tp', X.conj(), X).real
         assumption_violations += int((row_sq > n + 1).any(axis=1).sum())
-        done += count
-        block += 1
     return two_sided, upper, lower, assumption_violations
 
 
@@ -357,8 +354,7 @@ def aw_mgf_lemma_check(exp: CovarianceExperiment, mu: float,
     rows = X.reshape(trials * n, k)
     S = np.einsum('ri,rj->rij', rows.conj(), rows) / n
     S[:, np.arange(k), np.arange(k)] -= 1.0 / n
-    ws, Vs = np.linalg.eigh(S)
-    factors = np.einsum('rik,rk,rjk->rij', Vs, np.exp(mu * ws), Vs.conj())
+    factors = herm_fn(S, lambda w: np.exp(mu * w))
     batches = np.array_split(factors, 10)
     batch_norms = [float(np.linalg.norm(b.mean(axis=0), ord=2)) for b in batches]
     factor_norm = float(np.linalg.norm(factors.mean(axis=0), ord=2))
@@ -464,17 +460,14 @@ def oliveira_recursion_profile(series: MatrixSeries) -> np.ndarray:
             D = base[None, :, :] + mu * np.einsum('sp,pij->sij', signs, terms[:j])
         else:
             D = base[None, :, :]
-        w = np.linalg.eigvalsh(hermitize_batch(D))
+        w = np.linalg.eigvalsh(hermitize(D))
         profile[j] = float(np.exp(w).sum(axis=1).mean())
     return profile
 
 
-def hermitize_batch(M: np.ndarray) -> np.ndarray:
-    return (M + np.conj(np.swapaxes(M, -1, -2))) / 2.0
-
-
 def mgf_factor_check(A, mu: float, sign_kind: str = "rademacher") -> GapReport:
-    """``|| e^(-mu^2 A^2/2) E e^(mu e A) ||_op <= 1`` for a random sign e.
+    """``|| e^(-mu^2 A^2/2) E e^(mu e A) ||_op <= 1`` for a random sign e
+    (``A`` one Hermitian matrix or a stack).
 
     The expectation is exact: ``cosh(mu A)`` for Rademacher signs,
     ``e^(mu^2 A^2/2)`` for Gaussian ones (making the factor identically 1).
@@ -488,7 +481,7 @@ def mgf_factor_check(A, mu: float, sign_kind: str = "rademacher") -> GapReport:
         factor = damp * np.cosh(mu * w)
     else:
         factor = damp * np.exp(0.5 * mu ** 2 * w ** 2)
-    lhs = float(np.abs(factor).max())
+    lhs = np.abs(factor).max(axis=-1)
     return GapReport.from_sides(lhs, 1.0, tol=1e-12,
                                 context=f"mgf_factor {sign_kind} mu={mu}")
 
@@ -553,16 +546,16 @@ def scalar_chernoff(params: ScalarChernoffParams, stream: RngStream,
 # deterministic trace step
 
 def trace_product_dominance(P, Q) -> GapReport:
-    """``Tr(PQ) <= ||Q||_op Tr P`` for positive definite P and Hermitian Q."""
+    """``Tr(PQ) <= ||Q||_op Tr P`` for positive definite P and Hermitian Q
+    (single matrices or stacks)."""
     Ph = require_hermitian(P, "trace_product_dominance first argument")
     Qh = require_hermitian(Q, "trace_product_dominance second argument")
     if Ph.shape != Qh.shape:
         raise ValueError("arguments must have equal dimension")
     wp = np.linalg.eigvalsh(Ph)
-    if wp[0] <= 0:
+    if np.any(wp[..., 0] <= 0):
         raise ValueError("first argument must be positive definite")
     wq = np.linalg.eigvalsh(Qh)
-    lhs = checked_real(np.einsum('ij,ji->', Ph, Qh),
-                       "trace in trace_product_dominance")
-    rhs = float(max(-wq[0], wq[-1]) * wp.sum())
+    lhs = trace_of_product(Ph, Qh, "trace in trace_product_dominance")
+    rhs = np.maximum(-wq[..., 0], wq[..., -1]) * wp.sum(axis=-1)
     return GapReport.from_sides(lhs, rhs, context="trace_product_dominance")

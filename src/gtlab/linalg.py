@@ -1,10 +1,15 @@
 """Dense complex linear algebra used by every checker.
 
-All routines operate on square ``complex128`` arrays.  Eigenvalue and
-singular-value factorizations are delegated to LAPACK through
-``numpy.linalg`` behind the contracts below (descending order, validated
-reconstruction); matrix exponentials, the log-metric distance and the
-Lie-Trotter product are implemented here.
+Every routine takes a single square ``complex128`` matrix of shape
+``(n, n)`` or a stack of them of shape ``(..., n, n)`` and works on each
+matrix of the stack independently: a stack call returns what the single
+calls would return, stacked along the leading axes, and a single call
+returns a plain ``float`` wherever a scalar is meant.  Validation is per
+matrix too: each member is checked against its own scale, and one
+invalid member rejects the whole stack.  Eigenvalue and singular-value
+factorizations are delegated to LAPACK through ``numpy.linalg`` behind
+the contracts below (descending order, validated reconstruction);
+non-Hermitian exponentials go to ``scipy.linalg.expm``.
 
 Conventions:
 
@@ -21,16 +26,17 @@ import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .reports import checked_real
 
 __all__ = [
     "EigenSolverError", "Spectrum",
     "as_complex_matrix", "hermitize", "is_hermitian", "require_hermitian",
-    "herm_eigen", "general_eigen", "singular_values",
+    "adjoint", "herm_eigen", "general_eigen", "singular_values",
     "herm_fn", "expm", "expm_herm", "psd_power",
     "schatten_norm", "operator_norm", "frobenius_norm", "norm",
-    "distance_delta2", "lie_trotter_product", "trace_expm",
+    "distance_delta2", "lie_trotter_product", "trace_expm", "trace_of_product",
 ]
 
 #: Tolerance on ``|M - M†|`` accepted when a Hermitian argument is required.
@@ -53,14 +59,25 @@ class Spectrum(NamedTuple):
     basis: np.ndarray | None = None
 
 
+def _scalar(value):
+    """A 0-d result as a Python float; stacked results pass through."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def adjoint(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.conj(np.swapaxes(A, -1, -2))
+
+
 def as_complex_matrix(M) -> np.ndarray:
-    """Validate and return ``M`` as a square, finite complex128 array."""
+    """Validate and return ``M`` as a square, finite complex128 matrix or
+    stack of matrices."""
     A = np.asarray(M, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] == 0:
+    if A.shape[-1] == 0:
         raise ValueError("matrix dimension must be positive")
-    if not np.all(np.isfinite(A.view(np.float64))):
+    if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     return A
 
@@ -68,26 +85,24 @@ def as_complex_matrix(M) -> np.ndarray:
 def hermitize(M) -> np.ndarray:
     """Construct a Hermitian carrier: ``(M + M†)/2`` of a square matrix."""
     A = as_complex_matrix(M)
-    return (A + A.conj().T) / 2.0
+    return (A + adjoint(A)) / 2.0
 
 
-def is_hermitian(M, atol: float = HERMITIAN_ATOL) -> bool:
+def is_hermitian(M, atol: float = HERMITIAN_ATOL):
+    """Whether ``|M - M†| <= atol * max(1, |M|)`` entrywise, each matrix at
+    its own scale: a bool for one matrix, a bool array for a stack."""
     A = np.asarray(M)
-    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
-    return bool(np.abs(A - A.conj().T).max(initial=0.0) <= atol * scale)
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0))
+    ok = np.abs(A - adjoint(A)).max(axis=(-2, -1), initial=0.0) <= atol * scale
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def require_hermitian(M, what: str = "argument") -> np.ndarray:
     """Return the symmetrized matrix, rejecting genuinely non-Hermitian input."""
     A = as_complex_matrix(M)
-    if not is_hermitian(A):
+    if not np.all(is_hermitian(A)):
         raise ValueError(f"{what} must be Hermitian")
-    return (A + A.conj().T) / 2.0
-
-
-def _sort_descending(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((-np.abs(values), -values.real))
-    return order
+    return (A + adjoint(A)) / 2.0
 
 
 def herm_eigen(M) -> Spectrum:
@@ -102,9 +117,9 @@ def herm_eigen(M) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(
             f"Hermitian eigensolver did not converge within the LAPACK "
-            f"iteration budget on a {A.shape[0]}x{A.shape[0]} matrix: {exc}",
+            f"iteration budget on a {A.shape[-1]}x{A.shape[-1]} matrix: {exc}",
             matrix=A) from exc
-    return Spectrum(values=w[::-1].copy(), basis=U[:, ::-1].copy())
+    return Spectrum(values=w[..., ::-1].copy(), basis=U[..., ::-1].copy())
 
 
 def general_eigen(M) -> Spectrum:
@@ -115,23 +130,24 @@ def general_eigen(M) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(
             f"general eigensolver did not converge within the LAPACK "
-            f"iteration budget on a {A.shape[0]}x{A.shape[0]} matrix: {exc}",
+            f"iteration budget on a {A.shape[-1]}x{A.shape[-1]} matrix: {exc}",
             matrix=A) from exc
-    return Spectrum(values=w[_sort_descending(w)], basis=None)
+    order = np.lexsort((-np.abs(w), -w.real), axis=-1)
+    return Spectrum(values=np.take_along_axis(w, order, axis=-1), basis=None)
 
 
 def singular_values(M) -> np.ndarray:
     """Singular values ``mu_1 >= ... >= mu_N >= 0`` of a square matrix,
     computed as clamped square roots of the eigenvalues of ``M†M``."""
     A = as_complex_matrix(M)
-    w = herm_eigen(A.conj().T @ A).values
+    w = herm_eigen(adjoint(A) @ A).values
     return np.sqrt(np.clip(w, 0.0, None))
 
 
 def herm_fn(M, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum."""
     w, U = herm_eigen(M)
-    return (U * fn(w)) @ U.conj().T
+    return (U * fn(w)[..., None, :]) @ adjoint(U)
 
 
 def expm_herm(M) -> np.ndarray:
@@ -139,44 +155,28 @@ def expm_herm(M) -> np.ndarray:
     return herm_fn(M, np.exp)
 
 
-def _expm_general(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Scaling-and-squaring with a truncated Taylor series on the scaled
-    matrix; the series is summed until terms fall below ``tol`` relative."""
-    n = A.shape[0]
-    norm1 = float(np.abs(A).sum(axis=0).max(initial=0.0))
-    squarings = max(0, int(np.ceil(np.log2(norm1 / 0.5))) if norm1 > 0.5 else 0)
-    T = A / (2.0 ** squarings)
-    result = np.eye(n, dtype=np.complex128)
-    term = np.eye(n, dtype=np.complex128)
-    scale = 1.0
-    for k in range(1, 40):
-        term = term @ T / k
-        result = result + term
-        scale = max(scale, float(np.abs(result).max()))
-        if float(np.abs(term).max()) <= 1e-4 * tol * scale:
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
 def expm(M) -> np.ndarray:
     """Matrix exponential.
 
-    Accepts a square complex matrix, or a real 3-vector ``a`` interpreted
-    as the traceless 2x2 Hermitian matrix ``a1*s1 + a2*s2 + a3*s3`` (then
-    the closed form ``cosh|a| I + sinh|a|/|a| A`` is used).  Hermitian
-    matrices go through the eigendecomposition route, everything else
-    through scaling-and-squaring.
+    Accepts a square complex matrix or stack, or a real 3-vector ``a``
+    interpreted as the traceless 2x2 Hermitian matrix
+    ``a1*s1 + a2*s2 + a3*s3`` (then the closed form
+    ``cosh|a| I + sinh|a|/|a| A`` is used).  Hermitian matrices go through
+    the eigendecomposition route, everything else through
+    ``scipy.linalg.expm`` (scaling and squaring with Pade approximants).
     """
     A = np.asarray(M)
     if A.ndim == 1 and A.shape == (3,) and not np.iscomplexobj(A):
         from . import pauli
         return pauli.expm_vector(A)
     A = as_complex_matrix(A)
-    if is_hermitian(A):
-        return expm_herm(A)
-    return _expm_general(A)
+    herm = np.asarray(is_hermitian(A))
+    out = np.empty_like(A)
+    if herm.any():
+        out[herm] = expm_herm(A[herm])
+    if not herm.all():
+        out[~herm] = scipy.linalg.expm(A[~herm])
+    return out
 
 
 def psd_power(M, p: float) -> np.ndarray:
@@ -185,32 +185,32 @@ def psd_power(M, p: float) -> np.ndarray:
     return herm_fn(M, lambda w: np.power(np.clip(w, 0.0, None), p))
 
 
-def trace_expm(M) -> float:
+def trace_expm(M):
     """``Tr exp(M)`` for Hermitian ``M``, summed over the spectrum."""
     A = require_hermitian(M, "trace_expm input")
-    return float(np.exp(np.linalg.eigvalsh(A)).sum())
+    return _scalar(np.exp(np.linalg.eigvalsh(A)).sum(axis=-1))
 
 
-def schatten_norm(M, p) -> float:
+def schatten_norm(M, p):
     """Schatten p-norm ``(sum mu_i^p)^(1/p)``; ``p=inf`` is the operator norm."""
     if p != np.inf and (not isinstance(p, numbers.Real) or p < 1):
         raise ValueError(f"Schatten order must satisfy p >= 1 or be inf, got {p}")
     mu = singular_values(M)
     if p == np.inf:
-        return float(mu[0])
-    return float((mu ** p).sum() ** (1.0 / p))
+        return _scalar(mu[..., 0])
+    return _scalar((mu ** p).sum(axis=-1) ** (1.0 / p))
 
 
-def operator_norm(M) -> float:
+def operator_norm(M):
     """Largest singular value."""
-    return float(singular_values(M)[0])
+    return _scalar(singular_values(M)[..., 0])
 
 
-def frobenius_norm(M) -> float:
-    return float(np.linalg.norm(as_complex_matrix(M)))
+def frobenius_norm(M):
+    return _scalar(np.linalg.norm(as_complex_matrix(M), axis=(-2, -1)))
 
 
-def norm(M, kind: str, p: float | None = None) -> float:
+def norm(M, kind: str, p: float | None = None):
     """Dispatch on a norm tag: ``schatten`` (requires ``p``), ``operator``,
     ``frobenius``, or ``log-metric`` (geodesic distance from the identity,
     positive definite Hermitian input only)."""
@@ -225,13 +225,13 @@ def norm(M, kind: str, p: float | None = None) -> float:
     if kind == "log-metric":
         Mh = require_hermitian(M, "log-metric norm input")
         lam = np.linalg.eigvalsh(Mh)
-        if lam[0] <= 0:
+        if np.any(lam[..., 0] <= 0):
             raise ValueError("log-metric norm requires positive definite input")
-        return float(np.sqrt((np.log(lam) ** 2).sum()))
+        return _scalar(np.sqrt((np.log(lam) ** 2).sum(axis=-1)))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def distance_delta2(A, B) -> float:
+def distance_delta2(A, B):
     """Geodesic distance between ``exp(A)`` and ``exp(B)`` on positive
     definite matrices: ``sqrt(sum log^2 lambda_i(e^A e^-B))``.
 
@@ -246,7 +246,7 @@ def distance_delta2(A, B) -> float:
     half = herm_fn(Bh, lambda w: np.exp(-w / 2.0))
     P = hermitize(half @ expm_herm(Ah) @ half)
     lam = np.clip(np.linalg.eigvalsh(P), 1e-300, None)
-    return float(np.sqrt((np.log(lam) ** 2).sum()))
+    return _scalar(np.sqrt((np.log(lam) ** 2).sum(axis=-1)))
 
 
 def lie_trotter_product(A, B, n: int) -> np.ndarray:
@@ -262,6 +262,7 @@ def lie_trotter_product(A, B, n: int) -> np.ndarray:
     return result
 
 
-def trace_of_product(A, B, context: str = "") -> float:
-    """``Tr(AB)`` with the imaginary-residue check applied."""
-    return checked_real(np.einsum('ij,ji->', A, B), context)
+def trace_of_product(A, B, context: str = ""):
+    """``Tr(AB)`` of a provably real product, with the imaginary-residue
+    check applied."""
+    return checked_real(np.einsum('...ij,...ji->...', A, B), context)

@@ -2,7 +2,9 @@
 
 Each inequality evaluation produces a :class:`GapReport` carrying both
 sides, the signed margin ``rhs - lhs`` and a pass verdict, so that a
-violation is always attributable to a concrete numeric instance.  Monte
+violation is always attributable to a concrete numeric instance; a
+checker evaluated on a stack of instances returns one report whose
+fields are arrays with one entry per instance.  Monte
 Carlo tail comparisons produce :class:`TailReport` and ensemble-average
 experiments a :class:`RatioEstimate`.
 """
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
 from scipy.stats import beta as _beta_dist
 
 #: Relative floating-point slack admitted for exact inequalities.  The
@@ -24,35 +27,43 @@ REL_TOL = 1e-9
 IMAG_REL_TOL = 1e-10
 
 
-def inequality_tol(lhs: float, rhs: float, rel: float = REL_TOL) -> float:
-    """Slack for an exact ``lhs <= rhs`` check: ``rel * max(1, |lhs|, |rhs|)``."""
-    return rel * max(1.0, abs(lhs), abs(rhs))
+def inequality_tol(lhs, rhs, rel: float = REL_TOL):
+    """Slack for an exact ``lhs <= rhs`` check: ``rel * max(1, |lhs|, |rhs|)``,
+    elementwise for arrays of sides."""
+    return rel * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
 @dataclass(frozen=True)
 class GapReport:
     """Two sides of one inequality instance, with ``margin = rhs - lhs``.
 
-    ``passed`` is equivalent to ``margin >= -tol``.
+    ``passed`` is equivalent to ``margin >= -tol``.  For a stack of
+    instances every field but ``context`` is an array over the stack.
     """
 
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-    tol: float
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    margin: float | np.ndarray
+    passed: bool | np.ndarray
+    tol: float | np.ndarray
     context: str = ""
 
     @classmethod
-    def from_sides(cls, lhs, rhs, context: str = "", tol: float | None = None,
+    def from_sides(cls, lhs, rhs, context: str = "", tol=None,
                    rel: float = REL_TOL) -> "GapReport":
-        lhs = float(lhs)
-        rhs = float(rhs)
-        if tol is None:
-            tol = inequality_tol(lhs, rhs, rel)
+        """Report on scalar sides (plain float fields, bool ``passed``) or on
+        arrays of sides, which broadcast against each other and ``tol``."""
+        lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=np.float64),
+                                       np.asarray(rhs, dtype=np.float64))
+        tol = inequality_tol(lhs, rhs, rel) if tol is None \
+            else np.broadcast_to(np.asarray(tol, dtype=np.float64), lhs.shape)
         margin = rhs - lhs
-        return cls(lhs=lhs, rhs=rhs, margin=margin, passed=bool(margin >= -tol),
-                   tol=tol, context=context)
+        passed = margin >= -tol
+        if lhs.ndim == 0:
+            return cls(lhs=float(lhs), rhs=float(rhs), margin=float(margin),
+                       passed=bool(passed), tol=float(tol), context=context)
+        return cls(lhs=lhs, rhs=rhs, margin=margin, passed=passed, tol=tol,
+                   context=context)
 
 
 @dataclass(frozen=True)
@@ -126,15 +137,19 @@ def binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float
     return low, high
 
 
-def checked_real(value: complex, context: str = "", rel: float = IMAG_REL_TOL) -> float:
-    """Discard the imaginary residue of a provably real quantity.
+def checked_real(value, context: str = "", rel: float = IMAG_REL_TOL):
+    """Discard the imaginary residue of a provably real quantity (a float
+    for a scalar, a float array for an array of values).
 
-    The residue must stay below ``rel * max(1, |value|)``; anything larger
-    is an implementation error rather than rounding, and raises.
+    The residue must stay below ``rel * max(1, |value|)`` for every entry;
+    anything larger is an implementation error rather than rounding, and
+    raises.
     """
-    value = complex(value)
-    if abs(value.imag) > rel * max(1.0, abs(value)):
+    value = np.asarray(value, dtype=np.complex128)
+    bad = np.abs(value.imag) > rel * np.maximum(1.0, np.abs(value))
+    if np.any(bad):
+        first = complex(value[bad][0])
         raise ValueError(
-            f"imaginary residue {value.imag:.3e} on a real quantity "
-            f"(|value| = {abs(value):.3e}){': ' + context if context else ''}")
-    return value.real
+            f"imaginary residue {first.imag:.3e} on a real quantity "
+            f"(|value| = {abs(first):.3e}){': ' + context if context else ''}")
+    return float(value.real) if value.ndim == 0 else value.real

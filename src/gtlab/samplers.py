@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pauli
+from .linalg import adjoint
 
 logger = logging.getLogger(__name__)
 
@@ -83,6 +84,12 @@ class RngStream:
         """The stream ``stream_index + index`` (mod 2^64) under the same seed."""
         return RngStream(self.master_seed, (self.stream_index + int(index)) % _UINT64)
 
+    def blocks(self, total: int, size: int):
+        """Split ``total`` draws into blocks of at most ``size``: yields
+        ``(start, count, generator)``, block ``b`` drawing from ``offset(b)``."""
+        for b, start in enumerate(range(0, total, size)):
+            yield start, min(size, total - start), self.offset(b).generator()
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -115,17 +122,29 @@ def standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
         / np.sqrt(2.0)
 
 
+def ginibre(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
+    """Complex Ginibre draws: one ``(n, n)`` matrix, or a ``(count, n, n)``
+    stack when ``count`` is given."""
+    return standard_complex(rng, (n, n) if count is None else (count, n, n))
+
+
+def gue(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
+    """GUE draws ``(X + X†)/2`` of complex Ginibre ``X``, shaped as in
+    :func:`ginibre`; exactly Hermitian."""
+    X = ginibre(rng, n, count)
+    return (X + adjoint(X)) / 2.0
+
+
 def sample_matrix(spec: EnsembleSpec, stream: RngStream) -> np.ndarray:
     """One draw from the ensemble; a pure function of (spec, stream)."""
     rng = stream.generator()
     n = spec.dim
     if spec.kind == "ginibre-complex":
-        X = standard_complex(rng, (n, n))
+        X = ginibre(rng, n)
     elif spec.kind == "ginibre-real":
         X = rng.standard_normal((n, n)).astype(np.complex128)
     elif spec.kind == "gue":
-        X = standard_complex(rng, (n, n))
-        return (X + X.conj().T) / 2.0
+        return gue(rng, n)
     elif spec.kind == "goe":
         X = rng.standard_normal((n, n))
         return ((X + X.T) / 2.0).astype(np.complex128)
@@ -178,7 +197,7 @@ def haar_unitary(n: int, method: str = "qr",
         stream = RngStream(default_master_seed())
     for attempt in range(_HAAR_MAX_RETRIES + 1):
         source = stream if attempt == 0 else stream.offset(_RETRY_OFFSET + attempt)
-        X = standard_complex(source.generator(), (n, n))
+        X = ginibre(source.generator(), n)
         U = _phase_fixed_qr(X) if method == "qr" else _polar_unitary(X)
         if U is not None:
             if attempt:

@@ -17,9 +17,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import pauli
-from .linalg import EigenSolverError
+from .linalg import EigenSolverError, expm_herm, trace_expm, trace_of_product
 from .reports import RatioEstimate
-from .samplers import RngStream, standard_complex
+from .samplers import RngStream, ginibre
 
 __all__ = [
     "RadialQuadratureResult", "pauli_ratio_mc", "pauli_ratio_quadrature",
@@ -28,6 +28,10 @@ __all__ = [
 
 #: Offset reserved for retrying trials whose eigensolve failed.
 _RETRY_BASE = 1 << 40
+
+#: Pairs per stream block in the Monte Carlo ratio; the block size fixes
+#: the draw order.
+_MC_CHUNK = 65536
 
 
 def radial_cosh_moment(scale: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -76,8 +80,8 @@ def pauli_ratio_quadrature(tol: float = 1e-10) -> RadialQuadratureResult:
                                   error_bound=2.0 * single * err1 + err2)
 
 
-def pauli_ratio_mc(trials: int, stream: RngStream, chunk: int = 65536,
-                   matrix_check: int = 0, rotation=None) -> RatioEstimate:
+def pauli_ratio_mc(trials: int, stream: RngStream, matrix_check: int = 0,
+                   rotation=None) -> RatioEstimate:
     """Monte Carlo estimate of the averaged-sides ratio on Gaussian pairs.
 
     The numerator estimator averages ``cosh|a| cosh|b|``; the angular
@@ -98,11 +102,7 @@ def pauli_ratio_mc(trials: int, stream: RngStream, chunk: int = 65536,
     sums = np.zeros(7)  # num, num^2, den, den^2, num*den, cross, cross^2
     violations = 0
     matrix_disc = 0.0
-    done = 0
-    block = 0
-    while done < trials:
-        count = min(chunk, trials - done)
-        rng = stream.offset(block).generator()
+    for done, count, rng in stream.blocks(trials, _MC_CHUNK):
         a = rng.standard_normal((count, 3))
         b = rng.standard_normal((count, 3))
         if rotation is not None:
@@ -119,12 +119,16 @@ def pauli_ratio_mc(trials: int, stream: RngStream, chunk: int = 65536,
         sums += [num.sum(), (num ** 2).sum(), den.sum(), (den ** 2).sum(),
                  (num * den).sum(), cross.sum(), (cross ** 2).sum()]
         if matrix_check > done:
+            # the same draws through batched matrix exponentials
             take = min(matrix_check - done, count)
-            disc = _matrix_route_discrepancy(a[:take], b[:take],
-                                             num[:take] + cross[:take], den[:take])
-            matrix_disc = max(matrix_disc, disc)
-        done += count
-        block += 1
+            A, B = pauli.to_matrix(a[:take]), pauli.to_matrix(b[:take])
+            full_m = 0.5 * trace_of_product(expm_herm(A), expm_herm(B),
+                                            "matrix route in pauli_ratio_mc")
+            den_m = 0.5 * trace_expm(A + B)
+            disc = np.maximum(
+                np.abs(full_m - full[:take]) / np.maximum(1.0, np.abs(full[:take])),
+                np.abs(den_m - den[:take]) / np.maximum(1.0, np.abs(den[:take])))
+            matrix_disc = max(matrix_disc, float(disc.max()))
     t = float(trials)
     num_mean = sums[0] / t
     den_mean = sums[2] / t
@@ -144,20 +148,6 @@ def pauli_ratio_mc(trials: int, stream: RngStream, chunk: int = 65536,
     return RatioEstimate.from_moments(num_mean, math.sqrt(num_var / t),
                                       den_mean, math.sqrt(den_var / t),
                                       cov, trials, extras=extras)
-
-
-def _matrix_route_discrepancy(a, b, full_vec, den_vec) -> float:
-    """Worst relative gap between the closed-form sides and the batched
-    matrix-exponential traces on the same draws."""
-    wa, Va = np.linalg.eigh(pauli.to_matrix(a))
-    wb, Vb = np.linalg.eigh(pauli.to_matrix(b))
-    eA = np.einsum('tik,tk,tjk->tij', Va, np.exp(wa), Va.conj())
-    eB = np.einsum('tik,tk,tjk->tij', Vb, np.exp(wb), Vb.conj())
-    rhs_m = 0.5 * np.einsum('tij,tji->t', eA, eB).real
-    lhs_m = 0.5 * np.exp(np.linalg.eigvalsh(pauli.to_matrix(a + b))).sum(axis=1)
-    disc = np.maximum(np.abs(rhs_m - full_vec) / np.maximum(1.0, np.abs(full_vec)),
-                      np.abs(lhs_m - den_vec) / np.maximum(1.0, np.abs(den_vec)))
-    return float(disc.max())
 
 
 def hermitization_ratio(n: int, trials: int, stream: RngStream,
@@ -189,7 +179,7 @@ def hermitization_ratio(n: int, trials: int, stream: RngStream,
                                    else _RETRY_BASE + retries)
             rng = source.generator()
             if ensemble == "complex":
-                A = entry_scale * standard_complex(rng, (n, n))
+                A = entry_scale * ginibre(rng, n)
             else:
                 A = entry_scale * rng.standard_normal((n, n)).astype(np.complex128)
             try:

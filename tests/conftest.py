@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gtlab.samplers import RngStream
+from gtlab.samplers import RngStream, ginibre, gue  # noqa: F401  (test helpers)
 
 TEST_SEED = 987654321
 
@@ -16,12 +16,29 @@ def rng():
     return RngStream(TEST_SEED).generator()
 
 
-def gue(rng: np.random.Generator, n: int) -> np.ndarray:
-    X = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
-        / np.sqrt(2.0)
-    return (X + X.conj().T) / 2.0
+def _parts(result):
+    """The comparable outputs of a checker or linear-algebra call."""
+    from gtlab.linalg import Spectrum
+    from gtlab.reports import GapReport
+    if isinstance(result, GapReport):
+        return result.lhs, result.rhs, result.passed
+    if isinstance(result, Spectrum):
+        return result.values, result.basis
+    return (result,)
 
 
-def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
-        / np.sqrt(2.0)
+def assert_stack_matches_single(fn, *stacks, rel=1e-12):
+    """``fn`` called once on stacked arguments agrees, member by member,
+    with ``fn`` called on each member alone (arguments are split along
+    their first axis)."""
+    batched = _parts(fn(*stacks))
+    for i in range(len(stacks[0])):
+        single = _parts(fn(*(s[i] for s in stacks)))
+        for stacked_part, single_part in zip(batched, single):
+            if single_part is None:
+                assert stacked_part is None
+            elif np.asarray(single_part).dtype == bool:
+                assert np.array_equal(stacked_part[i], single_part)
+            else:
+                np.testing.assert_allclose(stacked_part[i], single_part,
+                                           rtol=rel, atol=0)

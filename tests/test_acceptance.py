@@ -28,9 +28,11 @@ class TestAcceptance:
         start = time.monotonic()
         base = stream_for(1)
         for j, n in enumerate(range(2, 9)):
-            violations, worst = suites.gt_margin_sweep(
-                n, 10000, base.offset(j * 1000), rel_tol=1e-9)
-            assert violations == 0, (n, worst)
+            # 10^4 GUE pairs per dimension, in stream blocks of 8192
+            for _, count, rng in base.offset(j * 1000).blocks(10000, 8192):
+                # default tolerance: 1e-9 relative to max(1, |lhs|, |rhs|)
+                report = ineq.gt_gap(gue(rng, n, count), gue(rng, n, count))
+                assert report.passed.all(), (n, report.margin.min())
         elapsed = time.monotonic() - start
         assert elapsed < 120.0
         announce(1, f"trace-exponential sweep, 7x10^4 pairs in {elapsed:.1f}s")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gtlab import cli, suites
+from gtlab.samplers import RngStream
 
 
 BASE_CONFIG = {"suites": ["inequalities"], "trials": 40, "dims": [2, 3],
@@ -135,6 +136,43 @@ class TestRunAndEmit:
                          str(tmp_path / "re.csv")])
         assert code == 0
         assert (tmp_path / "re.csv").read_text().startswith("name,equation")
+
+    def test_json_is_strict_and_reemits_byte_for_byte(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        code, text = run_cli(tmp_path, BASE_CONFIG)
+        assert code == 0
+        cases = json.loads(text, parse_constant=reject)["cases"]
+        cosh = next(c for c in cases if c["name"] == "pauli-2x2-cosh")
+        assert cosh["lhs"] is None and cosh["rhs"] is None
+        saved = tmp_path / "saved.json"
+        saved.write_text(text)
+        assert cli.main(["report", "--config", str(saved), "--out",
+                         str(tmp_path / "re.json")]) == 0
+        assert (tmp_path / "re.json").read_text() == text
+        # a hunt that spends its budget without a witness has no sides
+        missed = suites._witness_case("hunt", "ABC.trace", None, 10)
+        json.loads(cli.emit(cli.ReportDocument.from_cases(1, [missed])),
+                   parse_constant=reject)
+
+    def test_generators_do_not_grow_with_trials(self, monkeypatch):
+        keys = []
+        generator = RngStream.generator
+
+        def recording(stream):
+            keys.append((stream.master_seed, stream.stream_index))
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", recording)
+        counts = []
+        for trials in (200, 400):
+            keys.clear()
+            suites.run_suite("inequalities",
+                             suites.SuiteParams(seed=1, trials=trials, dims=(2, 3)))
+            assert len(set(keys)) == len(keys), "a stream key was reused"
+            counts.append(len(keys))
+        assert counts[0] == counts[1]
 
     def test_report_subcommand_rejects_non_report(self, tmp_path):
         cfg = tmp_path / "c.json"

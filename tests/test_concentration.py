@@ -8,7 +8,7 @@ from gtlab import concentration as conc
 from gtlab import linalg, pauli
 from gtlab.reports import binomial_ci
 from gtlab.samplers import standard_complex
-from conftest import gue
+from conftest import assert_stack_matches_single, gue
 
 
 def series_of(*terms, mu=1.0, sign_kind="rademacher"):
@@ -265,6 +265,11 @@ class TestMgfFactor:
             for kind in conc.SIGN_KINDS:
                 assert conc.mgf_factor_check(A, mu, kind).passed
 
+    @pytest.mark.parametrize("kind", conc.SIGN_KINDS)
+    def test_stack_matches_single(self, kind, rng):
+        assert_stack_matches_single(
+            lambda A: conc.mgf_factor_check(A, 0.7, kind), gue(rng, 3, 6))
+
 
 class TestSeriesVsDirectBound:
     def test_single_term_frozen(self):
@@ -325,6 +330,11 @@ class TestTraceProductDominance:
     def test_requires_positive_definite(self, rng):
         with pytest.raises(ValueError, match="positive definite"):
             conc.trace_product_dominance(-np.eye(3), gue(rng, 3))
+
+    def test_stack_matches_single(self, rng):
+        assert_stack_matches_single(conc.trace_product_dominance,
+                                    linalg.expm_herm(gue(rng, 3, 6)),
+                                    gue(rng, 3, 6))
 
 
 class TestBinomialCi:

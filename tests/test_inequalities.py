@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtlab import inequalities as ineq
-from gtlab import linalg, pauli
-from gtlab.reports import GapReport
+from gtlab import linalg, pauli, suites
+from gtlab.reports import GapReport, checked_real
 from gtlab.samplers import RngStream, haar_unitary
-from conftest import gue, ginibre
+from conftest import assert_stack_matches_single, gue, ginibre
 
 
 class TestGoldenThompson:
@@ -51,6 +51,9 @@ class TestGoldenThompson:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ineq.gt_gap(np.eye(2), np.eye(3))
+
+    def test_stack_matches_single(self, rng):
+        assert_stack_matches_single(ineq.gt_gap, gue(rng, 3, 6), gue(rng, 3, 6))
 
 
 class TestWordBounds:
@@ -96,6 +99,15 @@ class TestWordBounds:
             k = int(rng.integers(1, 4))
             report = ineq.dyadic_power_gap(gue(rng, n), gue(rng, n), k)
             assert report.passed
+
+    def test_stack_matches_single(self, rng):
+        X, Y = ginibre(rng, 3, 6), ginibre(rng, 3, 6)
+        assert_stack_matches_single(ineq.cauchy_trace_gap, X, Y)
+        words = np.where(rng.integers(0, 2, size=(6, 4)) == 1, "X", "X*")
+        assert_stack_matches_single(ineq.word_trace_bound, X, words)
+        assert_stack_matches_single(
+            lambda A, B: ineq.dyadic_power_gap(A, B, 2), gue(rng, 3, 6),
+            gue(rng, 3, 6))
 
 
 class TestWeylKaramata:
@@ -147,6 +159,24 @@ class TestWeylKaramata:
     def test_not_descending_raises(self):
         with pytest.raises(ineq.MajorizationError):
             ineq.karamata_gap([3.0, 3.0], [0.0, 1.0])
+
+    def test_stack_matches_single(self, rng):
+        X = ginibre(rng, 4, 6)
+        k = rng.integers(1, 5, size=6)
+        assert_stack_matches_single(
+            lambda M, kk: ineq.weyl_dominance_gap(M, s=2, k=kk), X, k)
+        assert_stack_matches_single(lambda M: ineq.power_trace_gap(M, s=3), X)
+        a = np.log(linalg.singular_values(X))
+        b = np.log(np.sort(np.abs(linalg.general_eigen(X).values))[:, ::-1])
+        assert_stack_matches_single(ineq.karamata_gap, a, b)
+
+    def test_majorization_checked_row_by_row(self):
+        # the second row's first prefix sum of b exceeds that of a
+        a = np.array([[2.0, 0.0], [0.0, 0.0]])
+        b = np.array([[1.0, 1.0], [1.0, -1.0]])
+        assert ineq.karamata_gap(a[:1], b[:1]).passed.all()
+        with pytest.raises(ineq.MajorizationError):
+            ineq.validate_majorization_pair(a, b)
 
     @given(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6),
            st.lists(st.floats(0.0, 3.0), min_size=6, max_size=6))
@@ -234,6 +264,28 @@ class TestNormVariants:
         with pytest.raises(ValueError):
             ineq.norm_variant_gap(np.eye(2), np.eye(2), "nuclear")
 
+    @pytest.mark.parametrize("variant,kwargs", [
+        ("schatten", {"p": 1.0}), ("schatten", {"p": np.inf}),
+        ("symmetrized", {"p": 2.0}), ("log-metric", {}),
+        ("alt", {"r": 2.0, "s": 3.0}), ("weak-majorization", {}),
+        ("weak-majorization", {"k": 2})])
+    def test_stack_matches_single(self, variant, kwargs, rng):
+        assert_stack_matches_single(
+            lambda A, B: ineq.norm_variant_gap(A, B, variant, **kwargs),
+            gue(rng, 3, 6), gue(rng, 3, 6))
+
+    def test_spectral_functionals_stack_matches_single(self, rng):
+        k = rng.integers(1, 4, size=6)
+        assert_stack_matches_single(ineq.phi_exp_gap, gue(rng, 3, 6),
+                                    gue(rng, 3, 6), k)
+        X = ginibre(rng, 3, 6)
+        assert_stack_matches_single(
+            lambda M, kk: ineq.phi_power_premise_gap(M, s=2, k=kk), X, k)
+        assert_stack_matches_single(ineq.top_k_abs_eigensum, X, k)
+        P = linalg.expm_herm(gue(rng, 3, 6))
+        assert_stack_matches_single(
+            lambda A, B: ineq.alt_trace_gap(A, B, 3.0, 0.5), P, P[::-1])
+
 
 class TestNonHermitian:
     def test_normal_matrix_equality(self, rng):
@@ -269,6 +321,12 @@ class TestNonHermitian:
         assert with_none.lhs == pytest.approx(with_zero.lhs, rel=1e-12)
         assert with_none.rhs == pytest.approx(with_zero.rhs, rel=1e-12)
 
+    def test_stack_matches_single(self, rng):
+        A, B = ginibre(rng, 3, 6), ginibre(rng, 3, 6)
+        assert_stack_matches_single(ineq.nonhermitian_phi_gap, A, B,
+                                    rng.integers(1, 4, size=6))
+        assert_stack_matches_single(ineq.hermitian_part_dominance, A)
+
 
 class TestLiebTriple:
     def test_c_zero_reduces_to_product_trace(self, rng):
@@ -303,17 +361,29 @@ class TestLiebTriple:
             assert ineq.lieb_triple_gap(gue(rng, n), gue(rng, n),
                                         gue(rng, n)).passed
 
-    def test_cross_check_mode_runs(self, rng):
-        A, B, C = gue(rng, 3), gue(rng, 3), gue(rng, 3)
-        report = ineq.lieb_triple_gap(A, B, C, cross_check=True)
-        assert report.passed
+    @staticmethod
+    def _suite_case():
+        cases = suites.run_suite("inequalities",
+                                 suites.SuiteParams(seed=1, trials=20, dims=(3,)))
+        return next(c for c in cases if c.name == "lieb-triple")
 
-    def test_cross_check_flags_kernel_bug(self, rng, monkeypatch):
-        A, B, C = gue(rng, 3), gue(rng, 3), gue(rng, 3)
+    def test_cross_check_mode_runs(self):
+        # the suite re-evaluates its leading triples through quadrature
+        case = self._suite_case()
+        assert case.status == "pass"
+        assert case.extra["closed_vs_quadrature"] <= 1e-8
+
+    def test_stack_matches_single(self, rng):
+        stacks = gue(rng, 3, 6), gue(rng, 3, 6), gue(rng, 3, 6)
+        assert_stack_matches_single(ineq.lieb_rhs_closed, *stacks)
+        assert_stack_matches_single(ineq.lieb_triple_gap, *stacks)
+
+    def test_cross_check_flags_kernel_bug(self, monkeypatch):
         monkeypatch.setattr(ineq, "lieb_rhs_quadrature",
                             lambda *a, **k: -1.0)
-        with pytest.raises(ineq.LiebKernelMismatchError):
-            ineq.lieb_triple_gap(A, B, C, cross_check=True)
+        case = self._suite_case()
+        assert case.status == "fail" and not case.passed
+        assert case.extra["closed_vs_quadrature"] > 1e-8
 
     def test_degenerate_kernel_eigenvalues(self):
         # repeated eigenvalues of e^-C exercise the series branch
@@ -442,6 +512,10 @@ class TestOscillator:
         assert report.lhs == 0.0
         assert report.passed
 
+    def test_stack_matches_single(self):
+        assert_stack_matches_single(ineq.oscillator_bound,
+                                    np.array([1e-6, 0.5, 10.0, 700.0, 1000.0]))
+
     @given(st.floats(min_value=1e-8, max_value=700.0))
     @settings(max_examples=100, deadline=None)
     def test_holds_on_domain(self, beta):
@@ -455,3 +529,15 @@ class TestGapReportPolicy:
         report = GapReport.from_sides(lhs, rhs)
         assert report.margin == rhs - lhs
         assert report.passed == (report.margin >= -report.tol)
+
+    def test_stack_matches_single(self, rng):
+        lhs, rhs = rng.standard_normal(8) * 1e3, rng.standard_normal(8) * 1e3
+        assert_stack_matches_single(GapReport.from_sides, lhs, rhs)
+        single = GapReport.from_sides(lhs[0], rhs[0])
+        assert type(single.lhs) is float and type(single.passed) is bool
+
+    def test_checked_real_stack(self):
+        values = np.array([1.0 + 1e-13j, -2.0 + 0j])
+        np.testing.assert_array_equal(checked_real(values), [1.0, -2.0])
+        with pytest.raises(ValueError, match="imaginary residue"):
+            checked_real(np.array([1.0, 1.0 + 1e-3j]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gtlab import linalg, pauli
-from conftest import gue, ginibre
+from conftest import assert_stack_matches_single, gue, ginibre
 
 
 def charpoly_coefficients(M):
@@ -47,6 +47,9 @@ class TestHermEigen:
         with pytest.raises(ValueError, match="Hermitian"):
             linalg.herm_eigen(ginibre(rng, 3))
 
+    def test_stack_matches_single(self, rng):
+        assert_stack_matches_single(linalg.herm_eigen, gue(rng, 4, 6))
+
 
 class TestGeneralEigen:
     def test_nilpotent(self):
@@ -76,6 +79,9 @@ class TestGeneralEigen:
         hermitian = np.sort(linalg.herm_eigen(M).values)
         np.testing.assert_allclose(general, hermitian, atol=1e-8)
 
+    def test_stack_matches_single(self, rng):
+        assert_stack_matches_single(linalg.general_eigen, ginibre(rng, 4, 6))
+
 
 class TestSingularValues:
     def test_unitary_gives_ones(self, rng):
@@ -99,6 +105,9 @@ class TestSingularValues:
         mu = linalg.singular_values(X)
         gram_trace = np.trace(X.conj().T @ X).real
         assert abs((mu ** 2).sum() - gram_trace) <= 1e-10 * gram_trace
+
+    def test_stack_matches_single(self, rng):
+        assert_stack_matches_single(linalg.singular_values, ginibre(rng, 4, 6))
 
 
 class TestExpm:
@@ -152,6 +161,28 @@ class TestExpm:
         direct = np.exp(linalg.herm_eigen(M).values).sum()
         assert abs(linalg.trace_expm(M) - direct) <= 1e-10 * direct
 
+    @pytest.mark.parametrize("fn", [
+        linalg.expm_herm, linalg.trace_expm,
+        lambda M: linalg.herm_fn(M, np.cos),
+        lambda M: linalg.psd_power(linalg.expm_herm(M), 0.7)])
+    def test_hermitian_routes_stack_matches_single(self, fn, rng):
+        assert_stack_matches_single(fn, gue(rng, 3, 6))
+
+    def test_trace_of_product_stack_matches_single(self, rng):
+        A = linalg.expm_herm(gue(rng, 3, 6))
+        B = linalg.expm_herm(gue(rng, 3, 6))
+        assert_stack_matches_single(linalg.trace_of_product, A, B)
+
+    def test_trace_of_product_rejects_complex_trace(self):
+        with pytest.raises(ValueError, match="imaginary residue"):
+            linalg.trace_of_product(np.eye(2), 1j * np.eye(2))
+
+    def test_mixed_stack_takes_each_members_route(self, rng):
+        # Hermitian members go through the eigen route, the others through
+        # scaling and squaring, exactly as in single calls
+        stack = np.concatenate([gue(rng, 3, 3), ginibre(rng, 3, 3)])
+        assert_stack_matches_single(linalg.expm, stack[[0, 3, 1, 4, 2, 5]])
+
 
 class TestSinhc:
     def test_limit_at_zero(self):
@@ -197,6 +228,18 @@ class TestNorms:
         with pytest.raises(ValueError, match="positive definite"):
             linalg.norm(-np.eye(3), "log-metric")
 
+    @pytest.mark.parametrize("fn", [
+        linalg.operator_norm, linalg.frobenius_norm,
+        *(lambda X, p=p: linalg.schatten_norm(X, p)
+          for p in (1.0, 2.0, 4.0, np.inf))])
+    def test_stack_matches_single(self, fn, rng):
+        assert_stack_matches_single(fn, ginibre(rng, 4, 6))
+
+    def test_log_metric_stack_matches_single(self, rng):
+        assert_stack_matches_single(
+            lambda A: linalg.norm(linalg.expm_herm(A), "log-metric"),
+            gue(rng, 3, 6))
+
 
 class TestDelta2:
     def test_distance_to_identity_is_frobenius(self, rng):
@@ -213,6 +256,10 @@ class TestDelta2:
     def test_rejects_nonhermitian(self, rng):
         with pytest.raises(ValueError):
             linalg.distance_delta2(ginibre(rng, 3), gue(rng, 3))
+
+    def test_stack_matches_single(self, rng):
+        assert_stack_matches_single(linalg.distance_delta2, gue(rng, 3, 6),
+                                    gue(rng, 3, 6))
 
     def test_underflow_guard_keeps_value_finite(self):
         # eigenvalues of the exponential below the double range are clamped
@@ -266,3 +313,34 @@ class TestValidation:
         X = ginibre(rng, 4)
         H = linalg.hermitize(X)
         assert np.array_equal(H, H.conj().T)
+
+    @pytest.mark.parametrize("fn", [linalg.as_complex_matrix, linalg.hermitize,
+                                    linalg.adjoint])
+    def test_stack_matches_single(self, fn, rng):
+        assert_stack_matches_single(fn, ginibre(rng, 3, 4))
+
+    def test_hermitian_check_per_member(self, rng):
+        stack = np.stack([gue(rng, 3), ginibre(rng, 3), gue(rng, 3)])
+        assert linalg.is_hermitian(stack).tolist() == [True, False, True]
+        assert_stack_matches_single(linalg.require_hermitian, stack[[0, 2]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            linalg.require_hermitian(stack)
+
+    def test_stack_scale_is_per_matrix(self):
+        # the first member is off Hermitian by 1e-8 at unit scale; measured
+        # against its 1e6-norm neighbour it would pass as rounding noise
+        slightly_off = np.eye(2) + np.array([[0.0, 1e-8], [0.0, 0.0]])
+        stack = np.stack([slightly_off, 1e6 * np.eye(2)])
+        assert linalg.is_hermitian(stack).tolist() == [False, True]
+        with pytest.raises(ValueError, match="Hermitian"):
+            linalg.require_hermitian(stack)
+        with pytest.raises(ValueError, match="Hermitian"):
+            linalg.trace_expm(stack)
+
+    def test_stack_rejects_nonfinite_member(self, rng):
+        stack = gue(rng, 3, 4)
+        stack[2, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            linalg.as_complex_matrix(stack)
+        with pytest.raises(ValueError, match="finite"):
+            linalg.expm_herm(stack)

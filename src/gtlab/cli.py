@@ -247,7 +247,8 @@ def document_from_dict(raw: dict) -> ReportDocument:
 
 def emit(report: ReportDocument, fmt: str = "json") -> str:
     """Serialize the report; json round-trips losslessly, csv is one row
-    per case."""
+    per case, with empty ``ci_low``/``ci_high`` cells for a case without a
+    confidence interval."""
     if fmt == "json":
         return json.dumps(_strict(document_to_dict(report)), indent=2,
                           allow_nan=False) + "\n"
@@ -255,10 +256,12 @@ def emit(report: ReportDocument, fmt: str = "json") -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["name", "equation", "lhs", "rhs", "margin", "pass",
-                         "trials"])
+                         "trials", "status", "ci_low", "ci_high"])
         for c in report.cases:
+            ci = ("", "") if c.ci is None else (repr(c.ci[0]), repr(c.ci[1]))
             writer.writerow([c.name, c.equation, repr(c.lhs), repr(c.rhs),
-                             repr(c.margin), str(c.passed).lower(), c.trials])
+                             repr(c.margin), str(c.passed).lower(), c.trials,
+                             c.status, *ci])
         return buffer.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
 

@@ -8,15 +8,14 @@ A_p^2)``, and the scalar Chernoff baseline the matrix results generalize.
 
 Monte Carlo experiments draw all trials from one stream generator in a
 fixed, documented order (trial data is row ``i`` of the draw), so results
-are reproducible and independent of scheduling; sub-experiments use
-offset streams.
+are reproducible and independent of scheduling; sub-experiments draw from
+child streams of the experiment's stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .samplers import RngStream, standard_complex
 __all__ = [
     "ResourceGuardError", "CovarianceExperiment", "MatrixSeries",
     "ScalarChernoffParams", "covariance", "gaussian_row_sigma2",
-    "variance_proxy_mc", "aw_bound", "empirical_tail", "bernstein_tail_check",
+    "aw_bound", "empirical_tail", "bernstein_tail_check",
     "optimal_bernstein_c", "aw_mgf_lemma_check", "oliveira_mgf_check",
     "oliveira_recursion_profile", "mgf_factor_check", "oliveira_vs_aw",
     "scalar_chernoff", "trace_product_dominance",
@@ -158,24 +157,6 @@ def gaussian_row_sigma2(exp: CovarianceExperiment) -> float:
     return exp.dim / exp.n_samples
 
 
-def variance_proxy_mc(draw_summand: Callable[[np.random.Generator], np.ndarray],
-                      n_terms: int, stream: RngStream,
-                      draws: int = 10000) -> float:
-    """Monte Carlo variance proxy for iid mean-zero Hermitian summands:
-    ``n_terms * || mean over draws of S^2 ||_op``."""
-    if n_terms < 1 or draws < 1:
-        raise ValueError("n_terms and draws must be positive")
-    rng = stream.generator()
-    acc = None
-    for _ in range(draws):
-        S = require_hermitian(draw_summand(rng), "summand")
-        sq = S @ S
-        acc = sq if acc is None else acc + sq
-    mean_sq = hermitize(acc / draws)
-    w = np.linalg.eigvalsh(mean_sq)
-    return float(n_terms * max(-w[0], w[-1]))
-
-
 # ---------------------------------------------------------------------------
 # tail bound and empirical tails
 
@@ -227,14 +208,14 @@ def empirical_tail(exp: CovarianceExperiment, stream: RngStream,
 
     Pass requires the 95% upper confidence limit at or below the bound (or
     a vacuous bound >= 1).  A straddling interval escalates trials tenfold
-    once before reporting ``indeterminate``.  One-sided frequencies and the
-    summand-normalization violation rate are reported alongside.
+    once before reporting ``indeterminate``; attempt ``a`` draws from
+    ``stream.child(a)``.  One-sided frequencies and the summand-normalization
+    violation rate are reported alongside.
     """
     bound = aw_bound(exp, gaussian_row_sigma2(exp))
     trials = exp.trials
-    offset = 0
     for attempt in range(2):
-        two, up, low, assume = _tail_counts(exp, stream.offset(offset), trials)
+        two, up, low, assume = _tail_counts(exp, stream.child(attempt), trials)
         ci_low, ci_high = binomial_ci(two, trials)
         tail = two / trials
         extras = {
@@ -260,7 +241,6 @@ def empirical_tail(exp: CovarianceExperiment, stream: RngStream,
                               trials=trials, context=_exp_context(exp),
                               extras=extras)
         trials *= 10
-        offset = 1 << 32
     raise AssertionError("unreachable")
 
 
@@ -304,12 +284,14 @@ def bernstein_tail_check(exp: CovarianceExperiment, stream: RngStream,
     """Monte Carlo check of the exponentiated Chebyshev step:
     ``Pr(lambda_max(Sigma - I) > eps) <= e^(-c eps) E Tr e^(c (Sigma - I))``.
 
-    ``c`` defaults to the experiment's value or the golden-section optimum.
+    ``c`` defaults to the experiment's value or the golden-section optimum,
+    found on a pilot sample from ``stream.child(1)``; the check draws from
+    ``stream.child(0)``.
     """
     if c is None:
-        c = exp.c if exp.c is not None else optimal_bernstein_c(exp, stream.offset(1))
+        c = exp.c if exp.c is not None else optimal_bernstein_c(exp, stream.child(1))
     n, k = exp.n_samples, exp.dim
-    rng = stream.generator()
+    rng = stream.child(0).generator()
     X = standard_complex(rng, (exp.trials, n, k))
     dev = np.einsum('tpi,tpj->tij', X.conj(), X) / n
     dev[:, np.arange(k), np.arange(k)] -= 1.0

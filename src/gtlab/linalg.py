@@ -137,11 +137,16 @@ def general_eigen(M) -> Spectrum:
 
 
 def singular_values(M) -> np.ndarray:
-    """Singular values ``mu_1 >= ... >= mu_N >= 0`` of a square matrix,
-    computed as clamped square roots of the eigenvalues of ``M†M``."""
+    """Singular values ``mu_1 >= ... >= mu_N >= 0`` of a square matrix, by
+    the SVD of ``M`` itself: the eigenvalues of ``M†M`` would square its
+    condition number and lose the small singular values."""
     A = as_complex_matrix(M)
-    w = herm_eigen(adjoint(A) @ A).values
-    return np.sqrt(np.clip(w, 0.0, None))
+    try:
+        return np.linalg.svd(A, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(
+            f"singular value decomposition did not converge on a "
+            f"{A.shape[-1]}x{A.shape[-1]} matrix: {exc}", matrix=A) from exc
 
 
 def herm_fn(M, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

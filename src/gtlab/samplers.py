@@ -1,53 +1,38 @@
-"""Seeded, reproducible random-matrix ensembles.
+"""Path-keyed seeded streams and the one random-matrix sampler.
 
-Streams are value objects keyed into the counter-based Philox generator:
-the 128-bit key is ``(master_seed, stream_index)``, so distinct stream
-indices give statistically independent streams and the same pair always
-reproduces the same draws bit for bit.  Experiments derive sub-streams by
-index offsets and draw their trials in a documented fixed order, which
-keeps results independent of how work is scheduled.
+A stream is the value ``(master_seed, path)``, where ``path`` is a tuple
+of labels naming the stream's place in a tree of streams.  Its generator
+is Philox seeded by ``SeedSequence(master_seed, spawn_key=path)``, numpy's
+mechanism for hierarchical streams: distinct paths give statistically
+independent streams, and the same path replays the same draws bit for
+bit.  A caller that needs several streams names its own children with
+:meth:`RngStream.child` (``child(i)`` for trial ``i``, ``child(i, attempt)``
+for a retry of it) and never reserves index ranges, so two callers cannot
+hand out the same key.  Draws within one generator follow a documented
+fixed order, which keeps results independent of how work is scheduled.
 
-Ensemble conventions:
-
-* ``ginibre-complex``: independent entries with unit complex variance
-  (real and imaginary parts each N(0, 1/2)).
-* ``ginibre-real``: independent standard real normals.
-* ``gue`` / ``goe``: ``(X + X†)/2`` of the corresponding Ginibre draw;
-  exactly Hermitian by construction.
-* ``haar-unitary``: QR of a complex Ginibre draw with the R-diagonal
-  rephased to positive real (without that phase fix the output is not
-  Haar), or the polar form ``(X†X)^(-1/2) X``.
-* Rademacher variables are uniform on {-1, +1}.
+Ensemble conventions: ``ginibre`` draws independent entries with unit
+complex variance (real and imaginary parts each N(0, 1/2)); ``gue`` is
+``(X + X†)/2`` of a Ginibre draw, exactly Hermitian by construction.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import pauli
 from .linalg import adjoint
-
-logger = logging.getLogger(__name__)
 
 SEED_ENV_VAR = "GTLAB_SEED"
 DEFAULT_MASTER_SEED = 20650901
 
 _UINT64 = 1 << 64
-
-ENSEMBLE_KINDS = frozenset({
-    "ginibre-complex", "ginibre-real", "gue", "goe",
-    "haar-unitary", "pauli-gaussian",
-})
-HAAR_METHODS = frozenset({"qr", "polar"})
-
-#: Attempts before giving up on a numerically singular Gaussian draw.
-_HAAR_MAX_RETRIES = 4
-#: Sub-stream offset reserved for retry draws.
-_RETRY_OFFSET = 1 << 48
+#: Labels are single 32-bit words: ``SeedSequence`` spreads a larger integer
+#: over several words, so the paths ``(2**32,)`` and ``(0, 1)`` would share
+#: one key.
+_LABEL_LIMIT = 2 ** 32
 
 
 def default_master_seed() -> int:
@@ -62,58 +47,43 @@ def default_master_seed() -> int:
     return seed % _UINT64
 
 
+def _checked_int(value, limit: int, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not 0 <= value < limit:
+        raise ValueError(f"{what} must be an integer in [0, {limit:#x}), "
+                         f"got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-derived random stream: ``(master_seed, stream_index)``."""
+    """Random stream keyed by ``(master_seed, path)``."""
 
     master_seed: int
-    stream_index: int = 0
+    path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name in ("master_seed", "stream_index"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or not 0 <= value < _UINT64:
-                raise ValueError(f"{name} must be an unsigned 64-bit integer")
+        if not isinstance(self.path, tuple):
+            raise ValueError(f"path must be a tuple of labels, got {self.path!r}")
+        object.__setattr__(self, "master_seed",
+                           _checked_int(self.master_seed, _UINT64, "master_seed"))
+        object.__setattr__(self, "path", tuple(
+            _checked_int(label, _LABEL_LIMIT, "stream label") for label in self.path))
 
     def generator(self) -> np.random.Generator:
         """A fresh generator; repeated calls replay the identical sequence."""
-        key = (int(self.master_seed) << 64) | int(self.stream_index)
-        return np.random.Generator(np.random.Philox(key=key))
+        seed = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
+        return np.random.Generator(np.random.Philox(seed))
 
-    def offset(self, index: int) -> "RngStream":
-        """The stream ``stream_index + index`` (mod 2^64) under the same seed."""
-        return RngStream(self.master_seed, (self.stream_index + int(index)) % _UINT64)
+    def child(self, *labels: int) -> "RngStream":
+        """The stream at ``path + labels`` under the same seed."""
+        return RngStream(self.master_seed, self.path + labels)
 
     def blocks(self, total: int, size: int):
         """Split ``total`` draws into blocks of at most ``size``: yields
-        ``(start, count, generator)``, block ``b`` drawing from ``offset(b)``."""
+        ``(start, count, generator)``, block ``b`` drawing from ``child(b)``."""
         for b, start in enumerate(range(0, total, size)):
-            yield start, min(size, total - start), self.offset(b).generator()
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Which ensemble to draw: kind, dimension, optional leading block."""
-
-    kind: str
-    dim: int
-    block: int | None = None
-    method: str = "qr"
-
-    def __post_init__(self):
-        if self.kind not in ENSEMBLE_KINDS:
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-        if self.kind == "pauli-gaussian" and self.dim != 2:
-            raise ValueError("pauli-gaussian draws are 2x2")
-        if self.block is not None:
-            if self.kind not in ("ginibre-complex", "ginibre-real", "haar-unitary"):
-                raise ValueError("block is only meaningful for ginibre/haar kinds")
-            if not 1 <= self.block <= self.dim:
-                raise ValueError("block must satisfy 1 <= k <= N")
-        if self.kind == "haar-unitary" and self.method not in HAAR_METHODS:
-            raise ValueError(f"unknown haar method {self.method!r}")
+            yield start, min(size, total - start), self.child(b).generator()
 
 
 def standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -133,142 +103,3 @@ def gue(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarra
     :func:`ginibre`; exactly Hermitian."""
     X = ginibre(rng, n, count)
     return (X + adjoint(X)) / 2.0
-
-
-def sample_matrix(spec: EnsembleSpec, stream: RngStream) -> np.ndarray:
-    """One draw from the ensemble; a pure function of (spec, stream)."""
-    rng = stream.generator()
-    n = spec.dim
-    if spec.kind == "ginibre-complex":
-        X = ginibre(rng, n)
-    elif spec.kind == "ginibre-real":
-        X = rng.standard_normal((n, n)).astype(np.complex128)
-    elif spec.kind == "gue":
-        return gue(rng, n)
-    elif spec.kind == "goe":
-        X = rng.standard_normal((n, n))
-        return ((X + X.T) / 2.0).astype(np.complex128)
-    elif spec.kind == "haar-unitary":
-        U = haar_unitary(n, spec.method, stream)
-        # for unitaries the block of interest is the top-left corner
-        return U if spec.block is None else U[:spec.block, :spec.block]
-    elif spec.kind == "pauli-gaussian":
-        return pauli.to_matrix(sample_pauli_gaussian(stream))
-    else:  # pragma: no cover - guarded by EnsembleSpec
-        raise ValueError(spec.kind)
-    if spec.block is not None:
-        return X[:, :spec.block]
-    return X
-
-
-def _phase_fixed_qr(X: np.ndarray) -> np.ndarray | None:
-    """QR orthonormalization with the R diagonal rephased to positive real;
-    returns None when the draw is numerically rank deficient."""
-    Q, R = np.linalg.qr(X)
-    d = np.diagonal(R)
-    if np.any(np.abs(d) <= 1e-12 * max(1.0, float(np.abs(d).max(initial=0.0)))):
-        return None
-    return Q * (d / np.abs(d))
-
-
-def _polar_unitary(X: np.ndarray) -> np.ndarray | None:
-    """Unitary polar factor ``X (X†X)^(-1/2)`` through the
-    eigendecomposition of ``X†X`` (the inverse square root must multiply
-    on the side matching its Gram matrix for the result to be unitary)."""
-    w, V = np.linalg.eigh(X.conj().T @ X)
-    if w[0] <= 1e-24 * max(1.0, float(w[-1])):
-        return None
-    inv_sqrt = (V * (1.0 / np.sqrt(w))) @ V.conj().T
-    return X @ inv_sqrt
-
-
-def haar_unitary(n: int, method: str = "qr",
-                 stream: RngStream | None = None) -> np.ndarray:
-    """Haar-distributed unitary of size ``n`` by either construction.
-
-    A numerically singular Gaussian draw (a measure-zero event) is retried
-    on the next reserved sub-stream; retries are logged with their count.
-    """
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if method not in HAAR_METHODS:
-        raise ValueError(f"unknown haar method {method!r}")
-    if stream is None:
-        stream = RngStream(default_master_seed())
-    for attempt in range(_HAAR_MAX_RETRIES + 1):
-        source = stream if attempt == 0 else stream.offset(_RETRY_OFFSET + attempt)
-        X = ginibre(source.generator(), n)
-        U = _phase_fixed_qr(X) if method == "qr" else _polar_unitary(X)
-        if U is not None:
-            if attempt:
-                logger.warning("haar_unitary retried %d time(s) on stream %s",
-                               attempt, stream)
-            return U
-    raise RuntimeError(
-        f"haar_unitary drew {_HAAR_MAX_RETRIES + 1} numerically singular "
-        f"matrices in a row; stream {stream}")
-
-
-def sample_pauli_gaussian(stream: RngStream) -> np.ndarray:
-    """Three independent standard normals: a random traceless 2x2 vector."""
-    return stream.generator().standard_normal(3)
-
-
-def rademacher(stream: RngStream, size=None):
-    """Fair random signs in {-1, +1}."""
-    draws = 2 * stream.generator().integers(0, 2, size=size) - 1
-    return int(draws) if size is None else draws.astype(np.float64)
-
-
-def std_normal(stream: RngStream, size=None):
-    """Standard normal draws (ziggurat transform of the Philox stream)."""
-    draws = stream.generator().standard_normal(size=size)
-    return float(draws) if size is None else draws
-
-
-@dataclass(frozen=True)
-class BlockMomentReport:
-    """Per-entry moments of ``sqrt(N) * (top k x k block of a Haar unitary)``
-    against the complex standard Gaussian targets (mean 0, variance 1,
-    fourth absolute moment 2)."""
-
-    dim: int
-    block: int
-    trials: int
-    mean: np.ndarray
-    mean_se: np.ndarray
-    variance: np.ndarray
-    variance_se: np.ndarray
-    fourth_moment: np.ndarray
-    fourth_moment_se: np.ndarray
-    targets: tuple[float, float, float] = (0.0, 1.0, 2.0)
-
-
-def block_gaussian_moments(n: int, k: int, trials: int,
-                           stream: RngStream, method: str = "qr") -> BlockMomentReport:
-    """Moment report for the scaled top block of Haar unitaries.
-
-    Trials are drawn on consecutive stream offsets (trial i uses
-    ``stream.offset(i)``), so the report is reproducible and independent
-    of any parallel scheduling of the trials.
-    """
-    if not 1 <= k <= n:
-        raise ValueError("block must satisfy 1 <= k <= N")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    blocks = np.empty((trials, k, k), dtype=np.complex128)
-    for i in range(trials):
-        U = haar_unitary(n, method, stream.offset(i))
-        blocks[i] = np.sqrt(n) * U[:k, :k]
-    abs2 = np.abs(blocks) ** 2
-    abs4 = abs2 ** 2
-    mean = blocks.mean(axis=0)
-    mean_se = np.sqrt(abs2.mean(axis=0) / trials)
-    variance = abs2.mean(axis=0)
-    variance_se = abs2.std(axis=0, ddof=1) / np.sqrt(trials)
-    fourth = abs4.mean(axis=0)
-    fourth_se = abs4.std(axis=0, ddof=1) / np.sqrt(trials)
-    return BlockMomentReport(dim=n, block=k, trials=trials,
-                             mean=mean, mean_se=mean_se,
-                             variance=variance, variance_se=variance_se,
-                             fourth_moment=fourth, fourth_moment_se=fourth_se)

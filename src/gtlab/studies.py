@@ -6,6 +6,10 @@ radial quadrature), and the Hermitization study comparing the mean top
 eigenvalue of ``(A + A†)/2`` with the mean largest real part of the
 spectrum of a Ginibre matrix, whose ratio tends to sqrt(2) as the
 dimension grows.
+
+The Monte Carlo ratio draws its pairs in blocks, block ``b`` from child
+``b`` of its stream; the Hermitization study draws trial ``i`` from child
+``i`` and a retry of it from child ``(i, attempt)``.
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ __all__ = [
     "RadialQuadratureResult", "pauli_ratio_mc", "pauli_ratio_quadrature",
     "radial_cosh_moment", "hermitization_ratio",
 ]
-
-#: Offset reserved for retrying trials whose eigensolve failed.
-_RETRY_BASE = 1 << 40
 
 #: Pairs per stream block in the Monte Carlo ratio; the block size fixes
 #: the draw order.
@@ -80,34 +81,25 @@ def pauli_ratio_quadrature(tol: float = 1e-10) -> RadialQuadratureResult:
                                   error_bound=2.0 * single * err1 + err2)
 
 
-def pauli_ratio_mc(trials: int, stream: RngStream, matrix_check: int = 0,
-                   rotation=None) -> RatioEstimate:
+def pauli_ratio_mc(trials: int, stream: RngStream,
+                   matrix_check: int = 0) -> RatioEstimate:
     """Monte Carlo estimate of the averaged-sides ratio on Gaussian pairs.
 
     The numerator estimator averages ``cosh|a| cosh|b|``; the angular
     cross term (zero in expectation) is retained separately as a variance
     check, and the trace factor 2 cancels in the ratio.  Trials are drawn
-    chunk-wise on consecutive stream offsets.  The first ``matrix_check``
-    trials are re-evaluated through matrix exponentials and the worst
-    relative discrepancy is reported.  ``rotation`` (an orthogonal 3x3
-    matrix) is applied to every sampled vector when given; the estimator
-    distributions are rotation-invariant.
+    chunk-wise, chunk ``b`` from ``stream.child(b)``.  The first
+    ``matrix_check`` trials are re-evaluated through matrix exponentials
+    and the worst relative discrepancy is reported.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if rotation is not None:
-        rotation = np.asarray(rotation, dtype=np.float64)
-        if rotation.shape != (3, 3):
-            raise ValueError("rotation must be a 3x3 matrix")
     sums = np.zeros(7)  # num, num^2, den, den^2, num*den, cross, cross^2
     violations = 0
     matrix_disc = 0.0
     for done, count, rng in stream.blocks(trials, _MC_CHUNK):
         a = rng.standard_normal((count, 3))
         b = rng.standard_normal((count, 3))
-        if rotation is not None:
-            a = a @ rotation.T
-            b = b @ rotation.T
         ra = np.linalg.norm(a, axis=1)
         rb = np.linalg.norm(b, axis=1)
         num = np.cosh(ra) * np.cosh(rb)
@@ -150,38 +142,28 @@ def pauli_ratio_mc(trials: int, stream: RngStream, matrix_check: int = 0,
                                       cov, trials, extras=extras)
 
 
-def hermitization_ratio(n: int, trials: int, stream: RngStream,
-                        ensemble: str = "complex",
-                        entry_scale: float = 1.0) -> RatioEstimate:
+def hermitization_ratio(n: int, trials: int, stream: RngStream) -> RatioEstimate:
     """Mean top eigenvalue of the Hermitian part against the mean largest
     real eigenvalue part, over Ginibre draws of size ``n``.
 
     This is a finite-size estimate of a large-dimension limit (sqrt(2));
     the estimate is reported with its confidence interval and dimension,
-    never as the limit itself.  Trials use consecutive stream offsets; a
-    trial whose eigensolve fails is retried on a reserved offset and the
-    retry count reported.  ``entry_scale`` rescales the entries, which
-    leaves the ratio invariant.
+    never as the limit itself.  Trial ``i`` draws from ``stream.child(i)``;
+    a trial whose eigensolve fails is retried on ``stream.child(i, attempt)``
+    and the retry count reported.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if ensemble not in ("complex", "real"):
-        raise ValueError("ensemble must be 'complex' or 'real'")
     num = np.empty(trials)
     den = np.empty(trials)
     retries = 0
     for i in range(trials):
         attempt = 0
         while True:
-            source = stream.offset(i if attempt == 0
-                                   else _RETRY_BASE + retries)
-            rng = source.generator()
-            if ensemble == "complex":
-                A = entry_scale * ginibre(rng, n)
-            else:
-                A = entry_scale * rng.standard_normal((n, n)).astype(np.complex128)
+            source = stream.child(i) if attempt == 0 else stream.child(i, attempt)
+            A = ginibre(source.generator(), n)
             try:
                 num[i] = np.linalg.eigvalsh((A + A.conj().T) / 2.0)[-1]
                 den[i] = np.linalg.eigvals(A).real.max()
@@ -199,6 +181,4 @@ def hermitization_ratio(n: int, trials: int, stream: RngStream,
         if trials > 1 else 0.0
     return RatioEstimate.from_moments(num_mean, num_se, den_mean, den_se,
                                       cov, trials,
-                                      extras={"dim": n, "retries": retries,
-                                              "ensemble": ensemble,
-                                              "entry_scale": entry_scale})
+                                      extras={"dim": n, "retries": retries})

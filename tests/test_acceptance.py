@@ -16,7 +16,7 @@ SEED = 20650901
 
 
 def stream_for(criterion: int) -> RngStream:
-    return RngStream(SEED, criterion * 10_000_000)
+    return RngStream(SEED).child(criterion)
 
 
 def announce(number: int, label: str):
@@ -29,7 +29,7 @@ class TestAcceptance:
         base = stream_for(1)
         for j, n in enumerate(range(2, 9)):
             # 10^4 GUE pairs per dimension, in stream blocks of 8192
-            for _, count, rng in base.offset(j * 1000).blocks(10000, 8192):
+            for _, count, rng in base.child(j).blocks(10000, 8192):
                 # default tolerance: 1e-9 relative to max(1, |lhs|, |rhs|)
                 report = ineq.gt_gap(gue(rng, n, count), gue(rng, n, count))
                 assert report.passed.all(), (n, report.margin.min())
@@ -50,8 +50,8 @@ class TestAcceptance:
 
     def test_03_hermitization_trend(self):
         target = math.sqrt(2.0)
-        small = studies.hermitization_ratio(16, 200, stream_for(3))
-        large = studies.hermitization_ratio(256, 200, stream_for(3).offset(5000))
+        small = studies.hermitization_ratio(16, 200, stream_for(3).child(0))
+        large = studies.hermitization_ratio(256, 200, stream_for(3).child(1))
         rel = abs(large.ratio - target) / target
         assert rel <= 0.08, large.ratio
         assert abs(large.ratio - target) < abs(small.ratio - target), \
@@ -93,7 +93,7 @@ class TestAcceptance:
             for k in (1, 2, 4):
                 for eps in (0.5, 1.0, 2.0):
                     report = suites.domination_cell(n, k, eps, 10000,
-                                                    base.offset(idx * 100))
+                                                    base.child(idx))
                     idx += 1
                     if report.bound_value < 1.0:
                         informative += 1
@@ -121,10 +121,10 @@ class TestAcceptance:
         announce(6, "three-matrix kernel vs quadrature on 100 triples")
 
     def test_07_counterexample_hunts(self):
-        triple = ineq.triple_gt_scan(stream_for(7), budget=100000)
+        triple = ineq.triple_gt_scan(stream_for(7).child(0), budget=100000)
         assert triple is not None
         assert triple.lhs > triple.rhs
-        abc = ineq.abc_trace_scan(stream_for(7).offset(50), budget=100000, k=1)
+        abc = ineq.abc_trace_scan(stream_for(7).child(1), budget=100000, k=1)
         assert abc is not None
         assert abc.lhs > abc.rhs
         # both witnesses serialize with their evaluated sides
@@ -178,7 +178,7 @@ class TestAcceptance:
         for c in (0.5, 2.0):
             exp = conc.CovarianceExperiment(n_samples=12, dim=3, epsilon=0.5,
                                             c=c, trials=4000)
-            conc.empirical_tail(exp, stream_for(10).offset(int(10 * c)),
+            conc.empirical_tail(exp, stream_for(10).child(int(10 * c)),
                                 escalate=False)
 
         # trace-product dominance

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -81,7 +83,32 @@ class TestRunAndEmit:
         cases = json.loads(json_text)["cases"]
         rows = [line for line in text.splitlines() if line]
         assert len(rows) == len(cases) + 1
-        assert rows[0] == "name,equation,lhs,rhs,margin,pass,trials"
+        assert rows[0] == ("name,equation,lhs,rhs,margin,pass,trials,"
+                           "status,ci_low,ci_high")
+
+    def test_csv_tells_fail_from_indeterminate(self, tmp_path):
+        def case(name, status, ci):
+            return suites.CaseRecord(name=name, equation="Eq.RU", lhs=0.3,
+                                     rhs=0.2, margin=-0.1, passed=False,
+                                     status=status, trials=100, ci=ci)
+
+        document = cli.ReportDocument.from_cases(1, [
+            case("failed", "fail", (0.25, 0.3)),
+            case("straddling", "indeterminate", (0.1, 0.3)),
+            case("no-interval", "fail", None)])
+        text = cli.emit(document, "csv")
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [r["status"] for r in rows] == ["fail", "indeterminate", "fail"]
+        assert [r["pass"] for r in rows] == ["false"] * 3
+        assert (rows[0]["ci_low"], rows[0]["ci_high"]) == ("0.25", "0.3")
+        assert (rows[2]["ci_low"], rows[2]["ci_high"]) == ("", "")
+        # a saved JSON report re-emits with the same columns (exit 1: the
+        # report holds failures)
+        saved = tmp_path / "saved.json"
+        saved.write_text(cli.emit(document, "json"))
+        assert cli.main(["report", "--config", str(saved), "--format", "csv",
+                         "--out", str(tmp_path / "re.csv")]) == 1
+        assert (tmp_path / "re.csv").read_text() == text
 
     def test_forced_failure_exit_one(self, tmp_path):
         config = dict(BASE_CONFIG)
@@ -157,14 +184,7 @@ class TestRunAndEmit:
                    parse_constant=reject)
 
     def test_generators_do_not_grow_with_trials(self, monkeypatch):
-        keys = []
-        generator = RngStream.generator
-
-        def recording(stream):
-            keys.append((stream.master_seed, stream.stream_index))
-            return generator(stream)
-
-        monkeypatch.setattr(RngStream, "generator", recording)
+        keys = record_stream_keys(monkeypatch)
         counts = []
         for trials in (200, 400):
             keys.clear()
@@ -173,6 +193,16 @@ class TestRunAndEmit:
             assert len(set(keys)) == len(keys), "a stream key was reused"
             counts.append(len(keys))
         assert counts[0] == counts[1]
+
+    def test_no_stream_key_is_handed_out_twice(self, monkeypatch):
+        # at trials=8000 each domination-grid cell spans two 4096-trial tail
+        # blocks
+        keys = record_stream_keys(monkeypatch)
+        params = suites.SuiteParams(seed=1, trials=8000, dims=(2,))
+        for family in suites.SUITE_NAMES:
+            suites.run_suite(family, params)
+        reused = {k for k in keys if keys.count(k) > 1}
+        assert not reused, f"stream keys reused: {sorted(reused)}"
 
     def test_report_subcommand_rejects_non_report(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -184,6 +214,19 @@ class TestRunAndEmit:
                              command="verify")
         assert code == 0
         assert json.loads(text)["cases"] == []
+
+
+def record_stream_keys(monkeypatch) -> list:
+    """Record the key of every generator built from now on."""
+    keys = []
+    generator = RngStream.generator
+
+    def recording(stream):
+        keys.append((stream.master_seed, stream.path))
+        return generator(stream)
+
+    monkeypatch.setattr(RngStream, "generator", recording)
+    return keys
 
 
 def emitted_equal(document, text):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from gtlab import linalg, pauli
 from conftest import assert_stack_matches_single, gue, ginibre
@@ -108,6 +109,16 @@ class TestSingularValues:
 
     def test_stack_matches_single(self, rng):
         assert_stack_matches_single(linalg.singular_values, ginibre(rng, 4, 6))
+
+    def test_ill_conditioned_smallest_value(self, rng):
+        # cond 3e7: the eigenvalues of X†X (cond 9e14) lose the smallest
+        # singular value to rounding (13% off on these draws)
+        mu = np.array([3.0, 1.0, 1e-7])
+        U = unitary_group.rvs(3, size=100, random_state=rng)
+        V = unitary_group.rvs(3, size=100, random_state=rng)
+        got = linalg.singular_values((U * mu) @ V)
+        np.testing.assert_allclose(got, np.broadcast_to(mu, got.shape),
+                                   rtol=1e-6, atol=0)
 
 
 class TestExpm:

@@ -2,37 +2,48 @@ import numpy as np
 import pytest
 
 from gtlab import samplers
-from gtlab.samplers import EnsembleSpec, RngStream
-
-
-def draw_many(spec, stream, count):
-    return [samplers.sample_matrix(spec, stream.offset(i)) for i in range(count)]
+from gtlab.samplers import RngStream
 
 
 class TestStreams:
     def test_bit_identical_repetition(self):
-        stream = RngStream(42, 7)
-        spec = EnsembleSpec("gue", 4)
-        first = samplers.sample_matrix(spec, stream)
-        second = samplers.sample_matrix(spec, stream)
+        stream = RngStream(42, (7, 3))
+        first = samplers.gue(stream.generator(), 4, 3)
+        second = samplers.gue(RngStream(42, (7, 3)).generator(), 4, 3)
         assert np.array_equal(first, second)
 
     def test_distinct_indices_differ(self):
-        stream = RngStream(42, 7)
-        a = samplers.sample_matrix(EnsembleSpec("ginibre-complex", 3), stream)
-        b = samplers.sample_matrix(EnsembleSpec("ginibre-complex", 3),
-                                   stream.offset(1))
+        # the same labels in another order name another stream
+        stream = RngStream(42)
+        a = samplers.ginibre(stream.child(0, 1).generator(), 3)
+        b = samplers.ginibre(stream.child(1, 0).generator(), 3)
         assert not np.array_equal(a, b)
 
-    def test_offset_wraps(self):
-        s = RngStream(1, (1 << 64) - 1)
-        assert s.offset(2).stream_index == 1
+    def test_child_composes(self):
+        stream = RngStream(5, (2,))
+        assert stream.child(3).child(4) == stream.child(3, 4)
+        assert stream.child(3, 4).path == (2, 3, 4)
+        assert stream.child() == stream
+
+    def test_blocks_draw_from_children(self):
+        stream = RngStream(9, (1,))
+        for b, (start, count, rng) in enumerate(stream.blocks(10, 4)):
+            assert (start, count) == (4 * b, min(4, 10 - 4 * b))
+            expected = stream.child(b).generator().standard_normal(3)
+            assert np.array_equal(rng.standard_normal(3), expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RngStream(-1, 0)
+            RngStream(-1)
         with pytest.raises(ValueError):
-            RngStream(0, 1 << 64)
+            RngStream(1 << 64)
+        for label in (-1, 1.0, "0", True, 2 ** 32):
+            with pytest.raises(ValueError):
+                RngStream(0, (label,))
+            with pytest.raises(ValueError):
+                RngStream(0).child(label)
+        with pytest.raises(ValueError):
+            RngStream(0, 7)
 
     def test_seed_env_override(self, monkeypatch):
         monkeypatch.setenv(samplers.SEED_ENV_VAR, "12345")
@@ -44,187 +55,32 @@ class TestStreams:
         assert samplers.default_master_seed() == samplers.DEFAULT_MASTER_SEED
 
 
-class TestEnsembleSpec:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec("wishart", 4)
-
-    def test_block_rules(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec("gue", 4, block=2)
-        with pytest.raises(ValueError):
-            EnsembleSpec("ginibre-complex", 4, block=5)
-        spec = EnsembleSpec("ginibre-complex", 4, block=2)
-        X = samplers.sample_matrix(spec, RngStream(3))
-        assert X.shape == (4, 2)
-
-    def test_pauli_dim(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec("pauli-gaussian", 3)
-
-    def test_haar_block_is_top_corner(self):
-        stream = RngStream(11)
-        full = samplers.sample_matrix(EnsembleSpec("haar-unitary", 6), stream)
-        block = samplers.sample_matrix(EnsembleSpec("haar-unitary", 6, block=2),
-                                       stream)
-        assert np.array_equal(block, full[:2, :2])
-
-
 class TestMoments:
-    def test_gue_trace_square_bookkeeping(self, stream):
+    def test_gue_trace_square_bookkeeping(self, rng):
         # construction: diagonal entries have variance 1/2, off-diagonal
         # mean square 1/2, so E Tr(M^2) = N^2 / 2
         n, trials = 4, 10000
-        spec = EnsembleSpec("gue", n)
-        values = np.array([np.trace(M @ M).real
-                           for M in draw_many(spec, stream, trials)])
+        M = samplers.gue(rng, n, trials)
+        values = np.einsum('tij,tji->t', M, M).real
         target = n * n / 2.0
         se = values.std(ddof=1) / np.sqrt(trials)
         assert abs(values.mean() - target) <= 3.0 * se
 
-    def test_gue_exactly_hermitian(self, stream):
-        M = samplers.sample_matrix(EnsembleSpec("gue", 5), stream)
-        assert np.array_equal(M, M.conj().T)
+    def test_gue_exactly_hermitian(self, rng):
+        M = samplers.gue(rng, 5, 4)
+        assert np.array_equal(M, np.swapaxes(M, -1, -2).conj())
+        assert samplers.gue(rng, 5).shape == (5, 5)
 
-    def test_goe_real_symmetric(self, stream):
-        M = samplers.sample_matrix(EnsembleSpec("goe", 5), stream)
-        assert np.array_equal(M, M.T)
-        assert np.abs(M.imag).max() == 0.0
-
-    def test_ginibre_complex_centered(self, stream):
+    def test_ginibre_complex_centered(self, rng):
         n, trials = 3, 10000
-        draws = np.stack(draw_many(EnsembleSpec("ginibre-complex", n),
-                                   stream, trials))
+        draws = samplers.ginibre(rng, n, trials)
         mean = draws.mean(axis=0)
         se = 1.0 / np.sqrt(trials)  # unit complex variance per entry
         assert np.abs(mean).max() <= 4.0 * se
 
-    def test_ginibre_complex_unit_variance(self, stream):
+    def test_ginibre_complex_unit_variance(self, rng):
         trials = 10000
-        draws = np.stack(draw_many(EnsembleSpec("ginibre-complex", 2),
-                                   stream, trials))
+        draws = samplers.ginibre(rng, 2, trials)
         second = (np.abs(draws) ** 2).mean(axis=0)
         se = (np.abs(draws) ** 2).std(axis=0, ddof=1) / np.sqrt(trials)
         assert np.abs(second - 1.0).max() <= 4.0 * np.max(se)
-
-
-class TestHaar:
-    @pytest.mark.parametrize("method", ["qr", "polar"])
-    def test_unitarity_and_determinant(self, method, stream):
-        U = samplers.haar_unitary(6, method, stream)
-        assert np.linalg.norm(U.conj().T @ U - np.eye(6), 2) <= 1e-9
-        assert abs(abs(np.linalg.det(U)) - 1.0) <= 1e-9
-
-    @pytest.mark.parametrize("method", ["qr", "polar"])
-    def test_first_entry_second_moment(self, method, stream):
-        n, trials = 4, 10000
-        values = np.array([
-            abs(samplers.haar_unitary(n, method, stream.offset(i))[0, 0]) ** 2
-            for i in range(trials)])
-        se = values.std(ddof=1) / np.sqrt(trials)
-        assert abs(values.mean() - 1.0 / n) <= 4.0 * se
-
-    def test_dimension_one_uniform_phase(self, stream):
-        trials = 10000
-        values = np.array([samplers.haar_unitary(1, "qr", stream.offset(i))[0, 0]
-                           for i in range(trials)])
-        assert np.abs(np.abs(values) - 1.0).max() <= 1e-12
-        se = 1.0 / np.sqrt(2.0 * trials)  # each phase coordinate has variance 1/2
-        assert abs(values.mean()) <= 4.0 * np.sqrt(2.0) * se
-
-    def test_methods_agree_in_distribution(self, stream):
-        n, trials = 3, 10000
-        tr_qr = np.array([
-            np.trace(samplers.haar_unitary(n, "qr", stream.offset(i))).real
-            for i in range(trials)])
-        tr_polar = np.array([
-            np.trace(samplers.haar_unitary(n, "polar",
-                                           stream.offset(trials + i))).real
-            for i in range(trials)])
-        combined_se = np.sqrt(tr_qr.var(ddof=1) / trials
-                              + tr_polar.var(ddof=1) / trials)
-        assert abs(tr_qr.mean() - tr_polar.mean()) <= 4.0 * combined_se
-
-    def test_retry_on_singular_draw(self, monkeypatch, stream):
-        calls = {"count": 0}
-        real = samplers._phase_fixed_qr
-
-        def flaky(X):
-            calls["count"] += 1
-            if calls["count"] == 1:
-                return None
-            return real(X)
-
-        monkeypatch.setattr(samplers, "_phase_fixed_qr", flaky)
-        U = samplers.haar_unitary(3, "qr", stream)
-        assert calls["count"] == 2
-        assert np.linalg.norm(U.conj().T @ U - np.eye(3), 2) <= 1e-9
-
-
-class TestPauliGaussian:
-    def test_determinism(self, stream):
-        a = samplers.sample_pauli_gaussian(stream)
-        b = samplers.sample_pauli_gaussian(stream)
-        assert np.array_equal(a, b)
-
-    def test_mean_squared_norm(self, stream):
-        trials = 100000
-        draws = np.stack([samplers.sample_pauli_gaussian(stream.offset(i))
-                          for i in range(trials)])
-        sq = (draws ** 2).sum(axis=1)
-        se = sq.std(ddof=1) / np.sqrt(trials)
-        assert abs(sq.mean() - 3.0) <= 4.0 * se
-
-    def test_coordinates_uncorrelated(self, stream):
-        trials = 100000
-        draws = np.stack([samplers.sample_pauli_gaussian(stream.offset(i))
-                          for i in range(trials)])
-        cov = np.cov(draws.T)
-        off = cov[~np.eye(3, dtype=bool)]
-        assert np.abs(off).max() <= 4.0 / np.sqrt(trials)
-
-
-class TestScalars:
-    def test_rademacher_is_sign(self, stream):
-        draws = samplers.rademacher(stream, size=100000)
-        assert set(np.unique(draws)) == {-1.0, 1.0}
-        assert abs(draws.mean()) <= 4.0 / np.sqrt(draws.size)
-
-    def test_normal_unit_variance(self, stream):
-        draws = samplers.std_normal(stream, size=100000)
-        se = np.sqrt(2.0 / draws.size)  # variance of the sample variance
-        assert abs(draws.var(ddof=1) - 1.0) <= 4.0 * se
-
-    def test_scalar_modes(self, stream):
-        assert samplers.rademacher(stream) in (-1, 1)
-        assert isinstance(samplers.std_normal(stream), float)
-
-    def test_reproducible(self, stream):
-        assert np.array_equal(samplers.rademacher(stream, size=16),
-                              samplers.rademacher(stream, size=16))
-
-
-class TestBlockMoments:
-    def test_block_variance_near_unit(self, stream):
-        report = samplers.block_gaussian_moments(64, 2, 10000, stream)
-        assert report.variance.min() >= 0.9
-        assert report.variance.max() <= 1.1
-        # mean target 0 within 4 standard errors, fourth moment near 2
-        assert (np.abs(report.mean) <= 4.0 * report.mean_se).all()
-        assert np.abs(report.fourth_moment - 2.0).max() \
-            <= 6.0 * report.fourth_moment_se.max()
-
-    def test_full_matrix_unitarity_bookkeeping(self, stream):
-        report = samplers.block_gaussian_moments(8, 8, 2000, stream)
-        # rows of a unitary have unit norm, so the scaled per-entry mean
-        # square averages to exactly 1 across each row
-        assert abs(report.variance.mean() - 1.0) <= 0.05
-
-    def test_deterministic(self, stream):
-        r1 = samplers.block_gaussian_moments(16, 2, 200, stream)
-        r2 = samplers.block_gaussian_moments(16, 2, 200, stream)
-        assert np.array_equal(r1.variance, r2.variance)
-
-    def test_validation(self, stream):
-        with pytest.raises(ValueError):
-            samplers.block_gaussian_moments(4, 5, 10, stream)

@@ -55,6 +55,18 @@ class TestVarianceProxy:
         exp = conc.CovarianceExperiment(n_samples=16, dim=1, epsilon=1.0)
         assert conc.gaussian_row_sigma2(exp) == pytest.approx(1.0 / 16.0)
 
+    def test_monte_carlo_matches_closed_form(self, stream):
+        # S_p = (v v† - I)/N for standard complex rows v; the proxy is
+        # ||sum_p E S_p^2||_op = N ||E S^2||_op, estimated from the draws
+        exp = conc.CovarianceExperiment(n_samples=16, dim=2, epsilon=1.0)
+        n, k, draws = exp.n_samples, exp.dim, 10000
+        v = standard_complex(stream.generator(), (draws, k))
+        S = (np.einsum('ti,tj->tij', v, v.conj()) - np.eye(k)) / n
+        scaled_sq = n * (S @ S)
+        estimate = np.linalg.norm(scaled_sq.mean(axis=0), 2)
+        se = np.abs(scaled_sq).std(axis=0, ddof=1).max() / np.sqrt(draws)
+        assert abs(estimate - conc.gaussian_row_sigma2(exp)) <= 4.0 * se
+
 
 class TestAwBound:
     def test_frozen_value(self):

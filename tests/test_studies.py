@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import dblquad
 
 from gtlab import studies
-from gtlab.samplers import RngStream
+from gtlab.samplers import RngStream, ginibre
 
 
 class TestQuadratureRatio:
@@ -77,6 +77,14 @@ class TestHermitizationRatio:
         assert math.isfinite(est.numerator_mean)
         assert math.isfinite(est.denominator_mean)
         assert est.ratio > 1.0
+
+    def test_scale_invariance(self, monkeypatch, stream):
+        # both eigenvalue sides are homogeneous of degree one in the entries
+        base = studies.hermitization_ratio(8, 50, stream)
+        monkeypatch.setattr(studies, "ginibre",
+                            lambda rng, n: 3.0 * ginibre(rng, n))
+        scaled = studies.hermitization_ratio(8, 50, stream)
+        assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
 
     def test_reports_dimension_and_retries(self, stream):
         est = studies.hermitization_ratio(4, 20, stream)

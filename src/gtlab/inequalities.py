@@ -224,12 +224,14 @@ def phi_exp_gap(A, B, k: int = 1) -> GapReport:
 # ---------------------------------------------------------------------------
 # convex-order transfer for sequences
 
-def validate_majorization_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+def validate_majorization_pair(a, b, err=None) -> tuple[np.ndarray, np.ndarray]:
     """Check ``b`` descending with every prefix sum of ``b`` at most the
     matching prefix sum of ``a``; raises :class:`MajorizationError`.
 
     Arrays of shape ``(..., m)`` hold one sequence pair per row, each
-    checked on its own."""
+    checked on its own.  ``err``, shaped like ``a``, bounds the absolute
+    error of each computed pair ``(a_j, b_j)``; a prefix sum may fall short
+    by the sum of its entries' bounds on top of the rounding slack."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
     if av.shape != bv.shape or av.ndim == 0 or av.shape[-1] == 0:
@@ -243,15 +245,19 @@ def validate_majorization_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     cum_b = np.cumsum(bv, axis=-1)
     scale = np.maximum.accumulate(np.maximum(np.abs(av), np.abs(bv)), axis=-1)
     guard = 1e-10 * np.maximum(1.0, np.maximum(np.abs(cum_a), scale))
+    if err is not None:
+        guard = guard + np.cumsum(err, axis=-1)
     if np.any(cum_a - cum_b < -guard):
         raise MajorizationError("prefix sums of b must not exceed those of a")
     return av, bv
 
 
-def karamata_gap(a, b, omega: Callable[[np.ndarray], np.ndarray] = np.exp) -> GapReport:
+def karamata_gap(a, b, omega: Callable[[np.ndarray], np.ndarray] = np.exp,
+                 err=None) -> GapReport:
     """``sum omega(b_i) <= sum omega(a_i)`` for convex increasing ``omega``
-    whenever ``b`` is descending with dominated prefix sums."""
-    av, bv = validate_majorization_pair(a, b)
+    whenever ``b`` is descending with dominated prefix sums (``err`` as in
+    :func:`validate_majorization_pair`)."""
+    av, bv = validate_majorization_pair(a, b, err)
     lhs = np.sum(omega(bv), axis=-1)
     rhs = np.sum(omega(av), axis=-1)
     return GapReport.from_sides(lhs, rhs, context=f"karamata_gap m={av.shape[-1]}")
@@ -365,16 +371,17 @@ def hermitian_part_dominance(A) -> GapReport:
 # three-matrix bound with resolvent kernel
 
 def _lieb_kernel(gamma: np.ndarray) -> np.ndarray:
-    """``(log g_i - log g_j)/(g_i - g_j)`` with a series for nearly equal
-    eigenvalues (relative gap below 1e-8) to avoid cancellation."""
+    """``(log g_i - log g_j)/(g_i - g_j)`` as ``log1p(d/m)/d`` with
+    ``d = |g_i - g_j|`` and ``m = min(g_i, g_j)``, and ``1/m`` where they
+    are equal.  ``d`` is exact for nearly equal eigenvalues and ``log1p``
+    of a non-negative argument is well-conditioned, so every entry is
+    accurate to a few ulps with no series branch."""
     gi = gamma[..., :, None]
     gj = gamma[..., None, :]
-    x = (gi - gj) / gj
-    near = np.abs(x) < 1e-8
+    low = np.minimum(gi, gj)
+    d = np.abs(gi - gj)
     with np.errstate(divide='ignore', invalid='ignore'):
-        exact = (np.log(gi) - np.log(gj)) / (gi - gj)
-    series = (1.0 - x / 2.0 + x * x / 3.0) / gj
-    return np.where(near, series, exact)
+        return np.where(d == 0, 1.0 / low, np.log1p(d / low) / d)
 
 
 def lieb_rhs_closed(A, B, C) -> float:

@@ -10,11 +10,22 @@ dimension grows.
 The Monte Carlo ratio draws its pairs in blocks, block ``b`` from child
 ``b`` of its stream; the Hermitization study draws trial ``i`` from child
 ``i`` and a retry of it from child ``(i, attempt)``.
+
+The Hermitization trials are independent and bound by LAPACK ``zgeev``,
+which OpenBLAS does not run in parallel across threads of one process, so
+they run in forked worker processes: ``min(trials, cores // blas_threads)``
+of them, where ``cores`` is this process's CPU affinity and
+``blas_threads`` is ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
+else the CPU count (OpenBLAS's default).  With ``OPENBLAS_NUM_THREADS=1``
+every core gets a worker; left unset, the study runs in-process.  Results
+are gathered in trial order, so the report is the same bits for any
+worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +153,45 @@ def pauli_ratio_mc(trials: int, stream: RngStream,
                                       cov, trials, extras=extras)
 
 
+def _blas_threads() -> int:
+    """Threads one BLAS call may use: ``OPENBLAS_NUM_THREADS``, else
+    ``OMP_NUM_THREADS``, else the CPU count (OpenBLAS's own default)."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        raw = os.environ.get(var, "").strip()
+        if raw.isdigit() and int(raw) > 0:
+            return int(raw)
+    return os.cpu_count() or 1
+
+
+def _worker_count(trials: int) -> int:
+    """Worker processes for the Hermitization trials: the free cores
+    divided by the BLAS threads each process would run, at most one per
+    trial and at least one."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    return max(1, min(trials, cores // _blas_threads()))
+
+
+def _hermitization_trial(task: tuple[int, RngStream]) -> tuple[float, float, int]:
+    """One Hermitization trial of size ``n`` on ``stream`` (``task = (n,
+    stream)``): ``(top Hermitian eigenvalue, max real eigenvalue part,
+    retries)``.  A failed eigensolve is retried on ``stream.child(attempt)``,
+    at most three times."""
+    n, stream = task
+    attempt = 0
+    while True:
+        source = stream if attempt == 0 else stream.child(attempt)
+        A = ginibre(source.generator(), n)
+        try:
+            top = np.linalg.eigvalsh((A + A.conj().T) / 2.0)[-1]
+            return float(top), float(np.linalg.eigvals(A).real.max()), attempt
+        except (np.linalg.LinAlgError, EigenSolverError):
+            attempt += 1
+            if attempt > 3:
+                raise
+
+
 def hermitization_ratio(n: int, trials: int, stream: RngStream) -> RatioEstimate:
     """Mean top eigenvalue of the Hermitian part against the mean largest
     real eigenvalue part, over Ginibre draws of size ``n``.
@@ -150,29 +200,29 @@ def hermitization_ratio(n: int, trials: int, stream: RngStream) -> RatioEstimate
     the estimate is reported with its confidence interval and dimension,
     never as the limit itself.  Trial ``i`` draws from ``stream.child(i)``;
     a trial whose eigensolve fails is retried on ``stream.child(i, attempt)``
-    and the retry count reported.
+    and the retry count reported.  The trials run in
+    :func:`_worker_count` forked processes; the results are the same bits
+    for any worker count.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
     if trials < 1:
         raise ValueError("trials must be positive")
-    num = np.empty(trials)
-    den = np.empty(trials)
-    retries = 0
-    for i in range(trials):
-        attempt = 0
-        while True:
-            source = stream.child(i) if attempt == 0 else stream.child(i, attempt)
-            A = ginibre(source.generator(), n)
-            try:
-                num[i] = np.linalg.eigvalsh((A + A.conj().T) / 2.0)[-1]
-                den[i] = np.linalg.eigvals(A).real.max()
-                break
-            except (np.linalg.LinAlgError, EigenSolverError):
-                retries += 1
-                attempt += 1
-                if attempt > 3:
-                    raise
+    tasks = [(n, stream.child(i)) for i in range(trials)]
+    workers = _worker_count(trials)
+    if workers == 1:
+        results = list(map(_hermitization_trial, tasks))
+    else:
+        import multiprocessing
+        # fork, not spawn: two spawned workers re-import numpy and scipy in
+        # ~1.7 s, more than 200 trials at n=16 take in-process.  gtlab runs
+        # no threads of its own, and OpenBLAS parks its pool at fork.
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.map(_hermitization_trial, tasks,
+                               chunksize=math.ceil(trials / (4 * workers)))
+    num = np.array([r[0] for r in results])
+    den = np.array([r[1] for r in results])
+    retries = sum(r[2] for r in results)
     t = float(trials)
     num_mean, den_mean = float(num.mean()), float(den.mean())
     num_se = float(num.std(ddof=1) / math.sqrt(t)) if trials > 1 else 0.0

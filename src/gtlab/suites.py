@@ -330,9 +330,14 @@ def _run_alt(params, stream, tol):
 
 
 def _karamata(X, _):
-    a = np.log(np.clip(singular_values(X), 1e-300, None))
-    lam = np.sort(np.abs(general_eigen(X).values), axis=-1)[..., ::-1]
-    return ineq.karamata_gap(a, np.log(np.clip(lam, 1e-300, None)), omega=np.exp)
+    sigma = np.clip(singular_values(X), 1e-300, None)
+    lam = np.clip(np.sort(np.abs(general_eigen(X).values), axis=-1)[..., ::-1],
+                  1e-300, None)
+    # backward-stable SVD and eigensolver: each value v_j is off by at most
+    # about n eps sigma_max, so its logarithm by that over v_j
+    unit = X.shape[-1] * np.finfo(np.float64).eps * sigma[..., :1]
+    return ineq.karamata_gap(np.log(sigma), np.log(lam), omega=np.exp,
+                             err=unit / sigma + unit / lam)
 
 
 def _run_karamata(params, stream, tol):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,6 +180,31 @@ class TestWeylKaramata:
         with pytest.raises(ineq.MajorizationError):
             ineq.validate_majorization_pair(a, b)
 
+    def test_guard_admits_backward_error_of_ill_conditioned_spectra(self):
+        # cond 3e7: the log-spectra's computed determinant endpoints differ
+        # by up to 4e-9 (12 of these draws tripped the fixed 1e-10 guard)
+        rng = np.random.default_rng(0)
+        mu = np.array([3.0, 1.0, 1e-7])
+        U = unitary_group.rvs(3, size=100, random_state=rng)
+        V = unitary_group.rvs(3, size=100, random_state=rng)
+        X = (U * mu) @ V
+        for M in X:
+            assert suites._karamata(M, None).passed
+        report = suites._karamata(X, None)
+        assert report.passed.all()
+
+    def test_guard_still_catches_a_real_deficit(self):
+        mu = np.array([3.0, 1.0, 1e-7])
+        a = np.log(mu)
+        unit = 3 * np.finfo(np.float64).eps * mu[0]
+        err = 2.0 * unit / mu
+        # the widest prefix: last entry, guard ~1e-10 * 16 + 4e-8
+        ineq.validate_majorization_pair(a, a, err)
+        with pytest.raises(ineq.MajorizationError):
+            ineq.validate_majorization_pair(a, a + [0.0, 0.0, 1e-6], err)
+        with pytest.raises(ineq.MajorizationError):
+            ineq.karamata_gap(a, a + [1e-6, 0.0, 0.0], err=err)
+
     @given(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6),
            st.lists(st.floats(0.0, 3.0), min_size=6, max_size=6))
     @settings(max_examples=60, deadline=None)
@@ -347,6 +373,20 @@ class TestLiebTriple:
         prod = np.trace(linalg.expm_herm(A) @ linalg.expm_herm(B)
                         @ linalg.expm_herm(C))
         assert report.lhs <= prod.real + 1e-9 * max(1.0, abs(prod))
+
+    @given(st.floats(-6.0, 6.0), st.floats(-10.0, -5.0), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_near_equal_eigenvalues(self, log_g, log10_x, negative):
+        gj = math.exp(log_g)
+        gi = gj * (1.0 - 10.0 ** log10_x if negative else 1.0 + 10.0 ** log10_x)
+        # the exact relative gap of the two floats, then the series of
+        # log1p(x)/x to four terms (truncation below 1e-20 relative)
+        x = float((Fraction(gi) - Fraction(gj)) / Fraction(gj))
+        reference = (1.0 - x / 2.0 + x * x / 3.0 - x ** 3 / 4.0) / gj
+        K = ineq._lieb_kernel(np.array([gi, gj]))
+        assert abs(K[0, 1] - reference) <= 1e-13 * reference
+        assert K[1, 0] == K[0, 1]
+        assert K[1, 1] == 1.0 / gj
 
     def test_quadrature_agreement(self, rng):
         for _ in range(10):

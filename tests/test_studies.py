@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -71,6 +73,32 @@ class TestMonteCarloRatio:
         assert a.ratio == b.ratio
 
 
+def _cores(monkeypatch, count, blas_threads=None):
+    """Pretend this process may run on ``count`` cores with the given
+    OpenBLAS thread setting (None: unset)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if blas_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The start methods of the pools ``hermitization_ratio`` creates."""
+    methods = []
+    get_context = multiprocessing.get_context
+
+    def recording(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording)
+    return methods
+
+
 class TestHermitizationRatio:
     def test_small_dimension_sane(self, stream):
         est = studies.hermitization_ratio(2, 200, stream)
@@ -109,9 +137,59 @@ class TestHermitizationRatio:
 
         monkeypatch.setattr(RngStream, "generator", recording)
         monkeypatch.setattr(np.linalg, "eigvals", flaky)
+        # one worker: a forked worker would get its own copy of the
+        # one-shot failure and of the recorded paths
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         est = studies.hermitization_ratio(4, 3, stream.child(2))
         assert est.extras["retries"] == 1
         assert paths == [(2, 0), (2, 0, 1), (2, 1), (2, 2)]
+
+    def test_failed_eigensolve_retries_in_a_worker(self, monkeypatch, stream,
+                                                   forks):
+        # fails on the matrix child(1) draws, in whichever process draws it
+        bad = ginibre(stream.child(1).generator(), 4)
+        eigvals = np.linalg.eigvals
+
+        def flaky(A):
+            if np.array_equal(A, bad):
+                raise np.linalg.LinAlgError("no convergence")
+            return eigvals(A)
+
+        monkeypatch.setattr(np.linalg, "eigvals", flaky)
+        _cores(monkeypatch, 1, blas_threads=1)
+        in_process = studies.hermitization_ratio(4, 8, stream)
+        _cores(monkeypatch, 2, blas_threads=1)
+        pooled = studies.hermitization_ratio(4, 8, stream)
+        assert forks == ["fork"]
+        assert pooled.extras["retries"] == 1
+        assert pooled == in_process
+
+    def test_pool_matches_in_process(self, monkeypatch, stream, forks):
+        _cores(monkeypatch, 1, blas_threads=1)
+        in_process = studies.hermitization_ratio(16, 40, stream)
+        _cores(monkeypatch, 2, blas_threads=1)
+        pooled = studies.hermitization_ratio(16, 40, stream)
+        assert forks == ["fork"]
+        # means, standard errors, the covariance (through ratio_se and the
+        # interval) and the extras, bit for bit
+        assert pooled == in_process
+
+    def test_worker_rule(self, monkeypatch):
+        _cores(monkeypatch, 2)
+        assert studies._worker_count(200) == 1
+        _cores(monkeypatch, 2, blas_threads=1)
+        assert studies._worker_count(200) == 2
+        assert studies._worker_count(1) == 1
+        _cores(monkeypatch, 4, blas_threads=2)
+        assert studies._worker_count(200) == 2
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        assert studies._worker_count(200) == 1
+
+    def test_unset_blas_threads_forks_nothing(self, monkeypatch, stream, forks):
+        _cores(monkeypatch, 2)
+        studies.hermitization_ratio(4, 20, stream)
+        assert forks == []
 
     def test_validation(self, stream):
         with pytest.raises(ValueError):

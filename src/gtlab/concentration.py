@@ -39,6 +39,11 @@ ENUMERATE_LIMIT = 14
 #: the draw order.
 _TAIL_CHUNK = 4096
 
+#: Sign patterns evaluated per stack in the Monte Carlo sign series.  The
+#: chunks draw from one generator in turn, which yields the same signs as a
+#: single draw, so the chunk size bounds memory and fixes no draw.
+_SIGN_CHUNK = 65536
+
 SIGN_KINDS = ("rademacher", "gaussian")
 
 
@@ -402,13 +407,16 @@ def oliveira_mgf_check(series: MatrixSeries, mode: str = "enumerate",
         if trials < 1:
             raise ValueError("trials must be positive")
         rng = stream.generator()
-        if series.sign_kind == "rademacher":
-            signs = 2.0 * rng.integers(0, 2, size=(trials, m)) - 1.0
-        else:
-            signs = rng.standard_normal((trials, m))
-        Z = np.einsum('sp,pij->sij', signs, terms)
-        w = np.linalg.eigvalsh(Z)
-        samples = np.exp(mu * w).sum(axis=1)
+        samples = np.empty(trials)
+        for start in range(0, trials, _SIGN_CHUNK):
+            count = min(_SIGN_CHUNK, trials - start)
+            if series.sign_kind == "rademacher":
+                signs = 2.0 * rng.integers(0, 2, size=(count, m)) - 1.0
+            else:
+                signs = rng.standard_normal((count, m))
+            Z = np.einsum('sp,pij->sij', signs, terms)
+            w = np.linalg.eigvalsh(Z)
+            samples[start:start + count] = np.exp(mu * w).sum(axis=1)
         lhs = float(samples.mean())
         se = float(samples.std(ddof=1) / math.sqrt(trials))
         tol = 2.0 * se + 1e-12 * max(1.0, lhs, rhs)

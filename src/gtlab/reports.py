@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 #: Relative floating-point slack admitted for exact inequalities.  The
 #: checked statements are exact theorems, so only rounding noise is
@@ -120,7 +120,12 @@ class RatioEstimate:
 
 
 def binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Clopper-Pearson (exact) two-sided binomial confidence interval."""
+    """Clopper-Pearson (exact) two-sided binomial confidence interval.
+
+    The bounds are beta quantiles: ``betaincinv(a, b, q)``, the inverse of
+    the regularized incomplete beta function, is the ``q``-quantile of
+    Beta(a, b).
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
@@ -129,11 +134,11 @@ def binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float
     if successes == 0:
         low = 0.0
     else:
-        low = float(_beta_dist.ppf(alpha / 2, successes, trials - successes + 1))
+        low = float(betaincinv(successes, trials - successes + 1, alpha / 2))
     if successes == trials:
         high = 1.0
     else:
-        high = float(_beta_dist.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        high = float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return low, high
 
 

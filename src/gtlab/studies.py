@@ -43,7 +43,7 @@ __all__ = [
 
 #: Pairs per stream block in the Monte Carlo ratio; the block size fixes
 #: the draw order.
-_MC_CHUNK = 65536
+MC_CHUNK = 65536
 
 
 def radial_cosh_moment(scale: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -108,7 +108,7 @@ def pauli_ratio_mc(trials: int, stream: RngStream,
     sums = np.zeros(7)  # num, num^2, den, den^2, num*den, cross, cross^2
     violations = 0
     matrix_disc = 0.0
-    for done, count, rng in stream.blocks(trials, _MC_CHUNK):
+    for done, count, rng in stream.blocks(trials, MC_CHUNK):
         a = rng.standard_normal((count, 3))
         b = rng.standard_normal((count, 3))
         ra = np.linalg.norm(a, axis=1)

@@ -134,6 +134,24 @@ def _worst_case(name: str, tag: str, reports: list[GapReport], trials: int,
                       extra=jsonify({"violations": violations, **(extra or {})}))
 
 
+def _escalating(attempt, trials, stream, escalation):
+    """Run a Monte Carlo check, escalating a chance miss once.
+
+    ``attempt(trials, stream)`` returns ``(result, passed, chance)``, where
+    ``chance`` says a failed verdict may be a chance miss of a statistical
+    bound.  Such a miss reruns the check on tenfold trials, drawn from
+    ``escalation`` (a stream the first attempt never draws from), and the
+    rerun decides against the same bound.  The first attempt's draws do
+    not depend on the rule, so a check that passes keeps its values.
+    Returns ``(result, passed, trials, escalated)``.
+    """
+    result, passed, chance = attempt(trials, stream)
+    if passed or not chance:
+        return result, passed, trials, False
+    result, passed, _ = attempt(10 * trials, escalation)
+    return result, passed, 10 * trials, True
+
+
 def domination_cell(n: int, k: int, eps: float, trials: int,
                     stream: RngStream):
     """One tail-domination cell: empirical tail report at the closed-form
@@ -648,15 +666,21 @@ def _run_oliveira(params, stream, tol):
     enum_case = _worst_case("sign-series-enumerate", "Eq.OB", reports,
                             len(reports), tol if tol is not None else 1e-9)
     # the enumerated series are the children of child 0; the Monte Carlo
-    # pair draws its series from child 1 and its signs from child 2
+    # pair draws its series from child 1 and its signs from child 2, or
+    # from child 3 when escalated
     rng = stream.child(1).generator()
     gaussian = _random_series(rng, max_len=6, max_dim=3, mu=1.0,
                               sign_kind="gaussian")
-    mc = conc.oliveira_mgf_check(gaussian, mode="montecarlo",
-                                 stream=stream.child(2),
-                                 trials=max(params.trials, 10000))
-    mc_case = _gap_case("sign-series-montecarlo", "Eq.OB", mc,
-                        max(params.trials, 10000))
+
+    def attempt(trials, signs):
+        report = conc.oliveira_mgf_check(gaussian, mode="montecarlo",
+                                         stream=signs, trials=trials)
+        return report, report.passed, True
+
+    mc, _, trials, escalated = _escalating(attempt, max(params.trials, 10000),
+                                           stream.child(2), stream.child(3))
+    mc_case = _gap_case("sign-series-montecarlo", "Eq.OB", mc, trials,
+                        extra={"escalated": escalated})
     return [enum_case, mc_case]
 
 
@@ -713,22 +737,32 @@ def _run_ratio_quadrature(params, stream, tol):
 
 
 def _run_ratio_mc(params, stream, tol):
-    trials = max(params.trials, 10000)
-    est = studies.pauli_ratio_mc(trials, stream, matrix_check=min(trials, 1000))
     target = 4.0 / 3.0
-    dev = abs(est.ratio - target)
+
+    def attempt(trials, pairs):
+        est = studies.pauli_ratio_mc(trials, pairs,
+                                     matrix_check=min(trials, 1000))
+        extras = est.extras
+        within = (abs(est.ratio - target) <= 3.0 * est.ratio_se
+                  and abs(extras["cross_term_mean"]) <= 4.0 * extras["cross_term_se"])
+        exact = (extras["matrix_route_max_discrepancy"] <= 1e-10
+                 and extras["trialwise_violations"] == 0)
+        # a violated exact identity is no chance miss: it fails at once
+        return est, bool(within and exact), bool(exact)
+
+    # the first attempt draws block b from child b; the escalation takes
+    # the first child its blocks leave unused
+    trials = max(params.trials, 10000)
+    first_unused = -(-trials // studies.MC_CHUNK)
+    est, passed, trials, escalated = _escalating(attempt, trials, stream,
+                                                 stream.child(first_unused))
     allowed = 3.0 * est.ratio_se
-    passed = dev <= allowed
-    cross_se = est.extras["cross_term_se"]
-    cross_ok = abs(est.extras["cross_term_mean"]) <= 4.0 * cross_se
-    matrix_ok = est.extras["matrix_route_max_discrepancy"] <= 1e-10
-    trial_ok = est.extras["trialwise_violations"] == 0
-    all_ok = passed and cross_ok and matrix_ok and trial_ok
     return [CaseRecord(name="pauli-ratio-montecarlo", equation="Eq.R",
-                       lhs=est.ratio, rhs=target, margin=allowed - dev,
-                       passed=all_ok, status="pass" if all_ok else "fail",
+                       lhs=est.ratio, rhs=target,
+                       margin=allowed - abs(est.ratio - target),
+                       passed=passed, status="pass" if passed else "fail",
                        trials=trials, ci=(est.ci_low, est.ci_high),
-                       extra=jsonify(est.extras))]
+                       extra=jsonify({**est.extras, "escalated": escalated}))]
 
 
 def _run_hermitization(params, stream, tol):

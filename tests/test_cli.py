@@ -1,11 +1,20 @@
 import csv
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gtlab import cli, suites
+from gtlab import cli, studies, suites
+from gtlab import concentration as conc
+from gtlab.reports import GapReport
 from gtlab.samplers import RngStream
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 BASE_CONFIG = {"suites": ["inequalities"], "trials": 40, "dims": [2, 3],
@@ -283,3 +292,82 @@ class TestRegistry:
         assert report["summary"]["failed"] == statuses.count("fail")
         assert report["summary"]["indeterminate"] \
             == statuses.count("indeterminate")
+
+
+class TestStartup:
+    def test_cli_import_does_not_load_scipy_stats(self):
+        # a fresh interpreter: the test modules themselves import scipy.stats
+        probe = ("import sys, gtlab.cli; print(sorted(m for m in sys.modules "
+                 "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+
+def tag_stream(tag: str, seed: int) -> RngStream:
+    """The stream ``run_suite`` hands the runner of ``tag``."""
+    return RngStream(seed, (list(suites.REGISTRY).index(tag),))
+
+
+class TestMonteCarloEscalation:
+    """The two Monte Carlo cases rerun a miss once, on tenfold trials drawn
+    from a stream the first attempt never uses; the rerun decides."""
+
+    def test_sign_series_chance_miss_escalates_and_passes(self):
+        # a 1x1 Gaussian series, where the bound holds with equality: the
+        # first 10^4 sign draws land 2.1 se above it
+        params = suites.SuiteParams(seed=53, trials=8000)
+        _, case = suites._run_oliveira(params, tag_stream("Eq.OB", 53), None)
+        assert case.status == "pass" and case.extra["escalated"]
+        assert case.trials == 100000
+
+    def test_ratio_chance_miss_escalates_and_passes(self):
+        # the first 10^6 pairs land 3.06 se from 4/3
+        params = suites.SuiteParams(seed=2, trials=1_000_000, dims=(128,))
+        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 2), None)
+        assert case.status == "pass" and case.extra["escalated"]
+        assert case.trials == 10_000_000
+
+    def test_a_pass_keeps_the_first_attempt(self):
+        params = suites.SuiteParams(seed=1, trials=10000)
+        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 1), None)
+        est = studies.pauli_ratio_mc(10000, tag_stream("Eq.R", 1),
+                                     matrix_check=1000)
+        assert case.status == "pass" and not case.extra["escalated"]
+        assert (case.lhs, case.trials) == (est.ratio, 10000)
+
+    def test_ratio_real_violation_still_fails(self, monkeypatch):
+        estimate = studies.pauli_ratio_mc
+
+        def shifted(*args, **kwargs):
+            est = estimate(*args, **kwargs)
+            return dataclasses.replace(est, ratio=est.ratio + 10 * est.ratio_se)
+
+        monkeypatch.setattr(studies, "pauli_ratio_mc", shifted)
+        keys = record_stream_keys(monkeypatch)
+        params = suites.SuiteParams(seed=1, trials=10000)
+        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 1), None)
+        assert case.status == "fail" and case.extra["escalated"]
+        assert case.trials == 100000
+        assert len(set(keys)) == len(keys), "the escalation reused a stream key"
+
+    def test_sign_series_real_violation_still_fails(self, monkeypatch):
+        check = conc.oliveira_mgf_check
+
+        def shifted(series, mode="enumerate", **kwargs):
+            report = check(series, mode, **kwargs)
+            if mode != "montecarlo":
+                return report
+            # tol is 2 se: move the left side 10 se past the bound
+            return GapReport.from_sides(report.rhs + 5 * report.tol, report.rhs,
+                                        tol=report.tol)
+
+        monkeypatch.setattr(conc, "oliveira_mgf_check", shifted)
+        keys = record_stream_keys(monkeypatch)
+        params = suites.SuiteParams(seed=1, trials=1000)
+        _, case = suites._run_oliveira(params, tag_stream("Eq.OB", 1), None)
+        assert case.status == "fail" and case.extra["escalated"]
+        assert case.trials == 100000
+        assert len(set(keys)) == len(keys), "the escalation reused a stream key"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from gtlab import concentration as conc
 from gtlab import linalg, pauli
@@ -338,6 +338,17 @@ class TestBinomialCi:
     def test_coverage_shape(self):
         low, high = binomial_ci(50, 100)
         assert low < 0.5 < high
+
+    def test_matches_beta_quantiles_exactly(self):
+        for N in (1, 2, 10, 100, 8000, 80000, 10**6):
+            for k in sorted({k for k in (0, 1, 2, N // 2, N - 1, N) if k <= N}):
+                for level in (0.95, 0.99):
+                    alpha = 1.0 - level
+                    low, high = binomial_ci(k, N, level)
+                    assert low == (beta.ppf(alpha / 2, k, N - k + 1)
+                                   if k else 0.0), (k, N, level)
+                    assert high == (beta.ppf(1 - alpha / 2, k + 1, N - k)
+                                    if k < N else 1.0), (k, N, level)
 
     def test_validation(self):
         with pytest.raises(ValueError):

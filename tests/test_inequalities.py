@@ -13,6 +13,20 @@ from gtlab.samplers import RngStream
 from conftest import assert_stack_matches_single, gue, ginibre
 
 
+@st.composite
+def graded_products(draw):
+    """``(U diag(sigma) V, sigma)`` with Haar unitaries U, V and singular
+    values graded from 1 down to 1e-12 (the ones between drawn on a log
+    scale)."""
+    n = draw(st.integers(2, 6))
+    inner = draw(st.lists(st.floats(-12.0, 0.0), min_size=n - 2,
+                          max_size=n - 2))
+    sigma = 10.0 ** np.concatenate([[0.0], np.sort(inner)[::-1], [-12.0]])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U, V = unitary_group.rvs(n, size=2, random_state=rng)
+    return (U * sigma) @ V, sigma
+
+
 class TestGoldenThompson:
     def test_commuting_diagonal_equality(self):
         A = np.diag([0.4, -0.9, 1.2])
@@ -192,6 +206,17 @@ class TestWeylKaramata:
             assert suites._karamata(M, None).passed
         report = suites._karamata(X, None)
         assert report.passed.all()
+
+    @given(graded_products())
+    @settings(max_examples=60, deadline=None)
+    def test_graded_spectra(self, product):
+        X, sigma = product
+        # forming X and taking its SVD are backward stable: each perturbs
+        # every singular value by a small multiple of n eps sigma_1
+        bound = 4 * sigma.size * np.finfo(np.float64).eps * sigma[0] / sigma
+        got = linalg.singular_values(X)
+        assert np.all(np.abs(got - sigma) / sigma <= bound)
+        assert suites._karamata(X, None).passed
 
     def test_guard_still_catches_a_real_deficit(self):
         mu = np.array([3.0, 1.0, 1e-7])

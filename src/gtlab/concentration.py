@@ -10,6 +10,16 @@ Monte Carlo experiments draw all trials from one stream generator in a
 fixed, documented order (trial data is row ``i`` of the draw), so results
 are reproducible and independent of scheduling; sub-experiments draw from
 child streams of the experiment's stream.
+
+A :class:`MatrixSeries` holds one series or a stack of series sharing a
+length ``m`` and a dimension ``d`` (terms of shape ``(..., m, d, d)``),
+and ``mu`` is one value or an array broadcasting against the stack's
+leading axes.  The deterministic sides are computed once per call for all
+of them: an exact enumeration eigensolves ``sum_p e_p A_p`` over the
+``2^m`` sign patterns and ``sum_p A_p^2`` once, and derives every mu's
+sides from those two spectra; stacked series of one ``(m, d)`` group are
+validated and eigensolved together.  A stacked call returns, member by
+member, the bits of the single calls.
 """
 
 from __future__ import annotations
@@ -79,33 +89,46 @@ class CovarianceExperiment:
 
 @dataclass(frozen=True)
 class MatrixSeries:
-    """Fixed Hermitian terms combined with random signs: ``sum_p e_p A_p``."""
+    """Fixed Hermitian terms combined with random signs: ``sum_p e_p A_p``.
 
-    terms: tuple
+    ``terms`` is a sequence of ``m`` matrices of one dimension ``d``, or an
+    array of shape ``(..., m, d, d)`` holding a stack of such series;
+    ``mu`` is a float or an array broadcasting against the stack's leading
+    axes.  Both are stored as arrays of those shapes (``mu`` as a float
+    when scalar), and every term is validated as Hermitian.
+    """
+
+    terms: np.ndarray
     sign_kind: str = "rademacher"
-    mu: float = 1.0
+    mu: float | np.ndarray = 1.0
 
     def __post_init__(self):
         if self.sign_kind not in SIGN_KINDS:
             raise ValueError(f"sign_kind must be one of {SIGN_KINDS}")
-        stack = tuple(require_hermitian(t, "series term") for t in self.terms)
-        if len(stack) == 0:
+        try:
+            terms = np.asarray(self.terms, dtype=np.complex128)
+        except ValueError as exc:
+            raise ValueError("all series terms must share one dimension") from exc
+        if terms.ndim < 3 or terms.shape[-3] == 0:
             raise ValueError("series needs at least one term")
-        dim = stack[0].shape[0]
-        if any(t.shape[0] != dim for t in stack):
-            raise ValueError("all series terms must share one dimension")
-        object.__setattr__(self, "terms", stack)
+        terms = require_hermitian(terms, "series term")
+        mu = np.asarray(self.mu, dtype=np.float64)
+        np.broadcast_shapes(terms.shape[:-3], mu.shape)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "mu", float(mu) if mu.ndim == 0 else mu)
 
     @property
     def dim(self) -> int:
-        return self.terms[0].shape[0]
+        return self.terms.shape[-1]
 
     @property
     def length(self) -> int:
-        return len(self.terms)
+        return self.terms.shape[-3]
 
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.terms)
+    def require_single(self, what: str):
+        """Reject a stack of series or an array of mu for ``what``."""
+        if self.terms.ndim != 3 or np.ndim(self.mu) != 0:
+            raise ValueError(f"{what} takes one series and one mu")
 
 
 @dataclass(frozen=True)
@@ -369,12 +392,15 @@ def _all_sign_patterns(length: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
-def series_rhs(series: MatrixSeries) -> float:
-    """Deterministic right side ``Tr e^((mu^2/2) sum_p A_p^2)``."""
-    terms = series.stacked()
-    sq = np.einsum('pij,pjk->ik', terms, terms)
+def series_rhs(series: MatrixSeries):
+    """Deterministic right side ``Tr e^((mu^2/2) sum_p A_p^2)``: a float,
+    or an array over the series stack broadcast against ``mu``."""
+    terms = series.terms
+    sq = np.einsum('...pij,...pjk->...ik', terms, terms)
     w = np.linalg.eigvalsh(hermitize(sq))
-    return float(np.exp(0.5 * series.mu ** 2 * w).sum())
+    mu = np.asarray(series.mu)[..., None]
+    rhs = np.exp(0.5 * mu ** 2 * w).sum(axis=-1)
+    return float(rhs) if rhs.ndim == 0 else rhs
 
 
 def oliveira_mgf_check(series: MatrixSeries, mode: str = "enumerate",
@@ -384,11 +410,12 @@ def oliveira_mgf_check(series: MatrixSeries, mode: str = "enumerate",
     ``Z = sum_p e_p A_p``.
 
     ``enumerate`` averages exactly over all Rademacher sign patterns (a
-    deterministic verdict, guarded at series length 14); ``montecarlo``
-    estimates the left side for either sign kind and reports with a
-    CI-aware tolerance.
+    deterministic verdict, guarded at series length 14); it takes stacked
+    series and arrays of mu, eigensolving each series once for every mu.
+    ``montecarlo`` estimates the left side of one series at one mu for
+    either sign kind and reports with a CI-aware tolerance.
     """
-    terms = series.stacked()
+    terms = series.terms
     m, mu = series.length, series.mu
     rhs = series_rhs(series)
     if mode == "enumerate":
@@ -396,12 +423,14 @@ def oliveira_mgf_check(series: MatrixSeries, mode: str = "enumerate",
             raise ValueError("enumeration requires Rademacher signs")
         _require_enumerable(m)
         signs = _all_sign_patterns(m)
-        Z = np.einsum('sp,pij->sij', signs, terms)
+        Z = np.einsum('sp,...pij->...sij', signs, terms)
         w = np.linalg.eigvalsh(Z)
-        lhs = float(np.exp(mu * w).sum(axis=1).mean())
+        lhs = np.exp(np.asarray(mu)[..., None, None] * w).sum(axis=-1) \
+            .mean(axis=-1)
         return GapReport.from_sides(lhs, rhs,
                                     context=f"oliveira_mgf enumerate m={m} mu={mu}")
     if mode == "montecarlo":
+        series.require_single("montecarlo mode")
         if stream is None:
             raise ValueError("montecarlo mode requires a stream")
         if trials < 1:
@@ -437,8 +466,9 @@ def oliveira_recursion_profile(series: MatrixSeries) -> np.ndarray:
     """
     if series.sign_kind != "rademacher":
         raise ValueError("the recursion profile enumerates Rademacher signs")
+    series.require_single("the recursion profile")
     _require_enumerable(series.length)
-    terms = series.stacked()
+    terms = series.terms
     mu = series.mu
     sq = 0.5 * mu ** 2 * np.einsum('pij,pjk->pik', terms, terms)
     D0 = hermitize(sq.sum(axis=0))
@@ -478,14 +508,17 @@ def mgf_factor_check(A, mu: float, sign_kind: str = "rademacher") -> GapReport:
 
 def oliveira_vs_aw(series: MatrixSeries) -> GapReport:
     """The series trace bound is never weaker than the direct adaptation
-    ``d e^(mu^2 sum_p ||A_p^2||_op)`` of the covariance-lemma argument."""
-    terms = series.stacked()
-    mu = series.mu
+    ``d e^(mu^2 sum_p ||A_p^2||_op)`` of the covariance-lemma argument
+    (one series, or a stack of series with their mu)."""
     lhs = series_rhs(series)
-    norms = np.abs(np.linalg.eigvalsh(terms)).max(axis=1) ** 2
-    rhs = series.dim * math.exp(mu ** 2 * float(norms.sum()))
+    norms = (np.abs(np.linalg.eigvalsh(series.terms)).max(axis=-1) ** 2).sum(axis=-1)
+    # math.exp, member by member: numpy's vectorized exp can differ from it
+    # in the last bit, and a stacked call must give the single call's bits
+    exponent = np.square(series.mu) * norms
+    rhs = series.dim * np.vectorize(math.exp, otypes=[float])(exponent)
     return GapReport.from_sides(lhs, rhs,
-                                context=f"oliveira_vs_aw m={series.length} mu={mu}")
+                                context=f"oliveira_vs_aw m={series.length} "
+                                        f"mu={series.mu}")
 
 
 # ---------------------------------------------------------------------------

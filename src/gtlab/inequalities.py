@@ -30,14 +30,14 @@ from .samplers import RngStream
 
 __all__ = [
     "MajorizationError", "ScanConfig",
-    "OrderScanResult", "Witness", "PauliReduceReport", "PauliSweepSummary",
+    "OrderScanResult", "Witness", "PauliSweepSummary",
     "gt_gap", "cauchy_trace_gap", "word_trace_bound", "dyadic_power_gap",
     "weyl_dominance_gap", "power_trace_gap", "phi_power_premise_gap",
     "phi_exp_gap", "top_k_abs_eigensum", "karamata_gap",
     "norm_variant_gap", "alt_trace_gap", "nonhermitian_phi_gap",
     "hermitian_part_dominance", "lieb_triple_gap", "lieb_rhs_closed",
     "lieb_rhs_quadrature", "counterexample_search", "triple_gt_scan",
-    "abc_trace_scan", "pauli_reduce", "pauli_reduce_sweep",
+    "abc_trace_scan", "pauli_reduce_sweep",
     "equality_order_scan", "oscillator_bound",
 ]
 
@@ -550,45 +550,6 @@ def counterexample_search(target: str, stream: RngStream, budget: int,
 # 2x2 reduction
 
 @dataclass(frozen=True)
-class PauliReduceReport:
-    """Both reduced forms of the 2x2 case, from the vector data alone."""
-
-    cosh_gap: GapReport
-    law_of_cosines_gap: GapReport
-
-
-_PAULI_CONSISTENCY_TOL = 1e-10
-
-
-def pauli_reduce(a, b) -> PauliReduceReport:
-    """2x2 reduction of the exponential trace bound.
-
-    Checks ``cosh|a+b| <= cosh|a| cosh|b| - cos(theta) sinh|a| sinh|b|``
-    from the vector data, cross-validating both sides against the matrix
-    traces, and restates it as the hyperbolic law of cosines
-    ``|c|^2 >= |a|^2 + |b|^2 - 2|a||b| cos(theta)`` with
-    ``|c| = arccosh`` of the right side.
-    """
-    av, bv = pauli.as_vector(a), pauli.as_vector(b)
-    lhs = 0.5 * pauli.trace_exp_sum(av, bv)
-    rhs = 0.5 * pauli.trace_exp_product(av, bv)
-    Am, Bm = pauli.to_matrix(av), pauli.to_matrix(bv)
-    lhs_m = 0.5 * trace_expm(Am + Bm)
-    rhs_m = 0.5 * trace_of_product(expm_herm(Am), expm_herm(Bm),
-                                   "matrix route in pauli_reduce")
-    for vec_side, mat_side, side in ((lhs, lhs_m, "lhs"), (rhs, rhs_m, "rhs")):
-        if abs(vec_side - mat_side) > _PAULI_CONSISTENCY_TOL * max(1.0, abs(vec_side)):
-            raise RuntimeError(
-                f"vector and matrix evaluations of the {side} disagree: "
-                f"{vec_side!r} vs {mat_side!r}")
-    cosh_gap = GapReport.from_sides(lhs, rhs, context="pauli_reduce cosh form")
-    c = float(np.arccosh(max(rhs, 1.0)))
-    sq_lhs = float(np.sum((av + bv) ** 2))
-    law = GapReport.from_sides(sq_lhs, c * c, context="pauli_reduce law of cosines")
-    return PauliReduceReport(cosh_gap=cosh_gap, law_of_cosines_gap=law)
-
-
-@dataclass(frozen=True)
 class PauliSweepSummary:
     trials: int
     violations_cosh: int
@@ -599,10 +560,16 @@ class PauliSweepSummary:
 
 
 def pauli_reduce_sweep(trials: int, stream: RngStream) -> PauliSweepSummary:
-    """Vectorized sweep of :func:`pauli_reduce` over Gaussian pairs.
+    """2x2 reduction of the exponential trace bound, swept over Gaussian
+    coefficient pairs ``(a, b)``; each block draws its ``a`` rows, then
+    its ``b`` rows.
 
-    The matrix-route comparison goes through batched eigendecompositions
-    of the represented 2x2 matrices, not the closed forms.
+    Checks ``cosh|a+b| <= cosh|a| cosh|b| - cos(theta) sinh|a| sinh|b|``
+    from the vector data, and restates it as the hyperbolic law of cosines
+    ``|c|^2 >= |a|^2 + |b|^2 - 2|a||b| cos(theta)`` with ``|c| = arccosh``
+    of the right side.  Both sides are cross-validated against the matrix
+    traces, through batched eigendecompositions of the represented 2x2
+    matrices, not the closed forms.
     """
     if trials < 1:
         raise ValueError("trials must be positive")

@@ -166,8 +166,11 @@ def _blas_threads() -> int:
 def _worker_count(trials: int) -> int:
     """Worker processes for the Hermitization trials: the free cores
     divided by the BLAS threads each process would run, at most one per
-    trial and at least one."""
-    if not hasattr(os, "sched_getaffinity"):
+    trial and at least one.  A daemonic process, such as a pool worker,
+    may not start children, so it runs the trials itself."""
+    import multiprocessing
+    if not hasattr(os, "sched_getaffinity") \
+            or multiprocessing.current_process().daemon:
         return 1
     cores = len(os.sched_getaffinity(0))
     return max(1, min(trials, cores // _blas_threads()))

@@ -634,18 +634,26 @@ def _run_domination_grid(params, stream, tol):
     return cases
 
 
-def _random_series(rng: np.random.Generator, max_len: int = 10,
-                   max_dim: int = 4, mu: float = 1.0,
-                   sign_kind: str = "rademacher") -> conc.MatrixSeries:
+def _series_terms(rng: np.random.Generator, max_len: int,
+                  max_dim: int) -> np.ndarray:
+    """The terms ``(m, d, d)`` of a random GUE series: m, d, then the terms."""
     m = int(rng.integers(1, max_len + 1))
     d = int(rng.integers(1, max_dim + 1))
-    terms = tuple(gue(rng, d) for _ in range(m))
-    return conc.MatrixSeries(terms=terms, sign_kind=sign_kind, mu=mu)
+    return np.stack([gue(rng, d) for _ in range(m)])
+
+
+def _random_series(rng: np.random.Generator, max_len: int = 10,
+                   max_dim: int = 4, mu=1.0,
+                   sign_kind: str = "rademacher") -> conc.MatrixSeries:
+    return conc.MatrixSeries(terms=_series_terms(rng, max_len, max_dim),
+                             sign_kind=sign_kind, mu=mu)
+
+
+_OLIVEIRA_MUS = np.array((0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
 
 
 def _run_oliveira(params, stream, tol):
     n_series = min(max(params.trials // 20, 10), 100)
-    mus = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
     reports = []
     for i in range(n_series):
         rng = stream.child(0, i).generator()
@@ -653,18 +661,16 @@ def _run_oliveira(params, stream, tol):
         # requests hit the enumeration guard deterministically
         if i == 0:
             d = int(rng.integers(1, 5))
-            base = conc.MatrixSeries(terms=tuple(gue(rng, d) for _ in
-                                                 range(params.series_length)),
-                                     sign_kind="rademacher", mu=1.0)
+            series = conc.MatrixSeries(terms=[gue(rng, d) for _ in
+                                              range(params.series_length)],
+                                       mu=_OLIVEIRA_MUS)
         else:
-            base = _random_series(rng, max_len=min(params.series_length, 10),
-                                  max_dim=4)
-        for mu in mus:
-            series = conc.MatrixSeries(terms=base.terms, sign_kind="rademacher",
-                                       mu=mu)
-            reports.append(conc.oliveira_mgf_check(series, mode="enumerate"))
+            series = _random_series(rng, max_len=min(params.series_length, 10),
+                                    mu=_OLIVEIRA_MUS)
+        reports.append(conc.oliveira_mgf_check(series, mode="enumerate"))
     enum_case = _worst_case("sign-series-enumerate", "Eq.OB", reports,
-                            len(reports), tol if tol is not None else 1e-9)
+                            n_series * len(_OLIVEIRA_MUS),
+                            tol if tol is not None else 1e-9)
     # the enumerated series are the children of child 0; the Monte Carlo
     # pair draws its series from child 1 and its signs from child 2, or
     # from child 3 when escalated
@@ -712,14 +718,23 @@ def _run_mgf_factor(params, stream, tol):
 
 
 def _run_oliveira_vs_aw(params, stream, tol):
+    """Series ``i`` (its mu, then its terms) is drawn from ``child(i)``; the
+    series sharing a length and dimension are checked as one stack."""
     count = min(max(params.trials, 200), 1000)
-    reports = []
+    groups: dict = {}
     for i in range(count):
         rng = stream.child(i).generator()
-        series = _random_series(rng, max_len=6, max_dim=4,
-                                mu=float(rng.choice((0.5, -0.5, 2.0, -2.0))))
-        reports.append(conc.oliveira_vs_aw(series))
-    return [_worst_case("series-vs-direct-bound", "Eq.RUvsOB", reports, count,
+        mu = float(rng.choice((0.5, -0.5, 2.0, -2.0)))
+        terms = _series_terms(rng, max_len=6, max_dim=4)
+        groups.setdefault(terms.shape, []).append((i, mu, terms))
+    lhs, rhs = np.empty(count), np.empty(count)
+    for members in groups.values():
+        index, mus, terms = zip(*members)
+        report = conc.oliveira_vs_aw(conc.MatrixSeries(terms=np.stack(terms),
+                                                       mu=np.array(mus)))
+        lhs[list(index)], rhs[list(index)] = report.lhs, report.rhs
+    return [_worst_case("series-vs-direct-bound", "Eq.RUvsOB",
+                        [GapReport.from_sides(lhs, rhs)], count,
                         tol if tol is not None else 1e-9)]
 
 
@@ -818,8 +833,8 @@ def _run_hunt_abc(params, stream, tol):
 REGISTRY: dict[str, tuple[str, str, Callable]] = {
     "Eq.AB": ("inequalities", "pauli.squared_norm_identity_residual", _run_pauli_param),
     "Eq.1": ("inequalities", "inequalities.gt_gap", _run_gt),
-    "Eq.1a": ("inequalities", "inequalities.pauli_reduce", _run_pauli_reduce),
-    "Eq.1aA": ("inequalities", "inequalities.pauli_reduce", None),
+    "Eq.1a": ("inequalities", "inequalities.pauli_reduce_sweep", _run_pauli_reduce),
+    "Eq.1aA": ("inequalities", "inequalities.pauli_reduce_sweep", None),
     "Eq.1b": ("inequalities", "inequalities.oscillator_bound", _run_oscillator),
     "Eq.LT": ("inequalities", "linalg.lie_trotter_product", _run_lie_trotter),
     "Lemma.1": ("inequalities", "inequalities.cauchy_trace_gap", _run_cauchy),

@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gtlab import cli, studies, suites
 from gtlab import concentration as conc
 from gtlab.reports import GapReport
-from gtlab.samplers import RngStream
+from gtlab.samplers import RngStream, gue
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -371,3 +372,111 @@ class TestMonteCarloEscalation:
         assert case.status == "fail" and case.extra["escalated"]
         assert case.trials == 100000
         assert len(set(keys)) == len(keys), "the escalation reused a stream key"
+
+
+class TestSignSeriesRunners:
+    """Eq.OB enumerates each series once for all its mus, and Eq.RUvsOB
+    checks the series of one (length, dimension) as one stack; both give
+    what a loop over single series and single mus gives."""
+
+    @staticmethod
+    def sides_of_cases(monkeypatch) -> dict:
+        """Every instance's sides behind each sweep case, by case name."""
+        sides = {}
+        worst_case = suites._worst_case
+
+        def recording(name, tag, reports, *args, **kwargs):
+            sides[name] = [(float(lhs), float(rhs)) for r in reports
+                           for lhs, rhs in zip(np.atleast_1d(r.lhs),
+                                               np.atleast_1d(r.rhs))]
+            return worst_case(name, tag, reports, *args, **kwargs)
+
+        monkeypatch.setattr(suites, "_worst_case", recording)
+        return sides
+
+    def test_enumeration_matches_per_mu_loop(self, monkeypatch):
+        sides = self.sides_of_cases(monkeypatch)
+        params = suites.SuiteParams(seed=5, trials=400)
+        stream = tag_stream("Eq.OB", 5)
+        case, _ = suites._run_oliveira(params, stream, None)
+        expected = []
+        for i in range(20):
+            rng = stream.child(0, i).generator()
+            if i == 0:
+                m, d = params.series_length, int(rng.integers(1, 5))
+            else:
+                m = int(rng.integers(1, 11))
+                d = int(rng.integers(1, 5))
+            terms = [gue(rng, d) for _ in range(m)]
+            for mu in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
+                report = conc.oliveira_mgf_check(
+                    conc.MatrixSeries(terms=terms, mu=mu), mode="enumerate")
+                expected.append((report.lhs, report.rhs))
+        assert sides["sign-series-enumerate"] == expected
+        assert case.status == "pass" and case.trials == len(expected) == 120
+
+    def test_stacked_groups_match_per_series_loop(self, monkeypatch):
+        sides = self.sides_of_cases(monkeypatch)
+        params = suites.SuiteParams(seed=5, trials=400)
+        stream = tag_stream("Eq.RUvsOB", 5)
+        case, = suites._run_oliveira_vs_aw(params, stream, None)
+        expected = []
+        for i in range(400):
+            rng = stream.child(i).generator()
+            mu = float(rng.choice((0.5, -0.5, 2.0, -2.0)))
+            m = int(rng.integers(1, 7))
+            d = int(rng.integers(1, 5))
+            terms = [gue(rng, d) for _ in range(m)]
+            report = conc.oliveira_vs_aw(conc.MatrixSeries(terms=terms, mu=mu))
+            expected.append((report.lhs, report.rhs))
+        assert sides["series-vs-direct-bound"] == expected
+        assert case.status == "pass" and case.trials == 400
+
+    def test_non_hermitian_term_in_one_series_raises(self, monkeypatch):
+        draw = suites._series_terms
+        drawn = []
+
+        def skewed(rng, max_len, max_dim):
+            terms = draw(rng, max_len, max_dim)
+            drawn.append(terms.shape)
+            if len(drawn) == 7:
+                terms[-1, 0, -1] += 1e-3 + 1e-3j
+            return terms
+
+        monkeypatch.setattr(suites, "_series_terms", skewed)
+        params = suites.SuiteParams(seed=5, trials=200)
+        with pytest.raises(ValueError, match="Hermitian"):
+            suites._run_oliveira_vs_aw(params, tag_stream("Eq.RUvsOB", 5), None)
+        # the skewed series shares its group with others
+        assert drawn.count(drawn[6]) > 1
+
+    def test_shrunk_right_side_fails_both_cases(self, monkeypatch):
+        enumerate_check, direct_check = conc.oliveira_mgf_check, conc.oliveira_vs_aw
+
+        def shrunk(report):
+            # the left side is at least 1, so this is a relative violation
+            # of 1e-8 against the 1e-9 tolerance
+            return GapReport.from_sides(report.lhs, report.lhs * (1 - 1e-8))
+
+        def broken_enumeration(series, mode="enumerate", **kwargs):
+            report = enumerate_check(series, mode, **kwargs)
+            return shrunk(report) if mode == "enumerate" else report
+
+        monkeypatch.setattr(conc, "oliveira_mgf_check", broken_enumeration)
+        monkeypatch.setattr(conc, "oliveira_vs_aw",
+                            lambda series: shrunk(direct_check(series)))
+        params = suites.SuiteParams(seed=5, trials=200)
+        enum_case, mc_case = suites._run_oliveira(params, tag_stream("Eq.OB", 5),
+                                                  None)
+        direct_case, = suites._run_oliveira_vs_aw(
+            params, tag_stream("Eq.RUvsOB", 5), None)
+        assert mc_case.status == "pass"
+        for case in (enum_case, direct_case):
+            assert case.status == "fail"
+            assert case.extra["violations"] == case.trials
+
+    @pytest.mark.parametrize("length", [15, 16])
+    def test_enumeration_guard_fires_above_14(self, length):
+        params = suites.SuiteParams(seed=5, trials=200, series_length=length)
+        with pytest.raises(conc.ResourceGuardError):
+            suites._run_oliveira(params, tag_stream("Eq.OB", 5), None)

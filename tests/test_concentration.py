@@ -7,7 +7,7 @@ from scipy.stats import beta, binom
 from gtlab import concentration as conc
 from gtlab import linalg, pauli
 from gtlab.reports import binomial_ci
-from gtlab.samplers import standard_complex
+from gtlab.samplers import RngStream, standard_complex
 from conftest import assert_stack_matches_single, gue
 
 
@@ -232,6 +232,76 @@ class TestSignSeries:
         report = conc.oliveira_mgf_check(series)
         assert profile[0] == pytest.approx(report.rhs, rel=1e-12)
         assert profile[-1] == pytest.approx(report.lhs, rel=1e-12)
+
+
+class TestSeriesStacks:
+    """Many mu for one series, or a stack of series of one (m, d), in one
+    call: the bits of one call per series and mu."""
+
+    MUS = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
+
+    def test_multi_mu_enumeration_matches_single_mu(self, rng):
+        for m, d in ((1, 1), (1, 3), (4, 2), (7, 4), (10, 3)):
+            terms = [gue(rng, d) for _ in range(m)]
+            many = series_of(*terms, mu=np.array(self.MUS))
+            report = conc.oliveira_mgf_check(many)
+            rhs = conc.series_rhs(many)
+            assert report.lhs.shape == rhs.shape == (len(self.MUS),)
+            for j, mu in enumerate(self.MUS):
+                one = series_of(*terms, mu=mu)
+                single = conc.oliveira_mgf_check(one)
+                assert (report.lhs[j], report.rhs[j], report.passed[j]) \
+                    == (single.lhs, single.rhs, single.passed)
+                assert rhs[j] == conc.series_rhs(one)
+
+    def test_stacked_direct_bound_matches_single(self, rng):
+        def check(terms, mu):
+            return conc.oliveira_vs_aw(conc.MatrixSeries(terms=terms, mu=mu))
+
+        for m, d in ((1, 1), (3, 2), (6, 4)):
+            terms = gue(rng, d, 5 * m).reshape(5, m, d, d)
+            mus = rng.choice(self.MUS, size=5)
+            assert_stack_matches_single(check, terms, mus)
+            stacked = check(terms, mus)
+            rhs = conc.series_rhs(conc.MatrixSeries(terms=terms, mu=mus))
+            for g in range(5):
+                single = check(terms[g], mus[g])
+                assert (stacked.lhs[g], stacked.rhs[g]) \
+                    == (single.lhs, single.rhs)
+                assert rhs[g] == conc.series_rhs(
+                    conc.MatrixSeries(terms=terms[g], mu=mus[g]))
+
+    def test_stacked_direct_bound_keeps_scalar_exp(self, rng):
+        # 1x1 series [[a]]: the direct bound is e^(mu^2 a^2) from math.exp,
+        # which numpy's vectorized exp misses by an ulp on a few percent of
+        # these inputs
+        a = rng.standard_normal(200)
+        mus = rng.choice(self.MUS, size=200)
+        report = conc.oliveira_vs_aw(
+            conc.MatrixSeries(terms=a.reshape(200, 1, 1, 1), mu=mus))
+        assert report.rhs.tolist() == [math.exp(mu ** 2 * (x * x))
+                                       for mu, x in zip(mus, a)]
+
+    def test_one_non_hermitian_term_rejects_the_stack(self, rng):
+        terms = gue(rng, 3, 12).reshape(4, 3, 3, 3)
+        terms[2, 1, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="Hermitian"):
+            conc.MatrixSeries(terms=terms, mu=np.ones(4))
+
+    def test_shape_checks(self, rng):
+        terms = gue(rng, 2, 8).reshape(4, 2, 2, 2)
+        with pytest.raises(ValueError):
+            conc.MatrixSeries(terms=terms, mu=np.ones(3))
+        with pytest.raises(ValueError, match="share one dimension"):
+            series_of(gue(rng, 2), gue(rng, 3))
+        with pytest.raises(ValueError, match="at least one term"):
+            conc.MatrixSeries(terms=())
+        many = series_of(gue(rng, 2), mu=np.array(self.MUS))
+        with pytest.raises(ValueError, match="one series and one mu"):
+            conc.oliveira_mgf_check(many, mode="montecarlo",
+                                    stream=RngStream(1), trials=100)
+        with pytest.raises(ValueError, match="one series and one mu"):
+            conc.oliveira_recursion_profile(many)
 
 
 class TestMgfFactor:

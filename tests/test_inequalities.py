@@ -489,20 +489,48 @@ class TestCounterexamples:
             ineq.counterexample_search("four-matrices", stream, 10)
 
 
-class TestPauliReduce:
-    def test_opposite_vectors_equality(self):
-        a = np.array([0.3, -1.2, 0.5])
-        report = ineq.pauli_reduce(a, -a)
-        assert report.cosh_gap.lhs == pytest.approx(1.0, abs=1e-12)
-        assert report.cosh_gap.rhs == pytest.approx(1.0, abs=1e-12)
+class _PairStream:
+    """Stands in for a stream so that ``pauli_reduce_sweep(1, ...)`` sweeps
+    the one pair ``(a, b)``: its single block draws ``a``, then ``b``."""
 
-    def test_orthogonal_frozen_values(self):
-        report = ineq.pauli_reduce((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
-        assert report.cosh_gap.lhs == pytest.approx(math.cosh(math.sqrt(2.0)),
-                                                    abs=1e-12)
-        assert report.cosh_gap.rhs == pytest.approx(math.cosh(1.0) ** 2,
-                                                    abs=1e-12)
-        assert report.law_of_cosines_gap.passed
+    def __init__(self, a, b):
+        self.draws = iter((np.reshape(a, (1, 3)), np.reshape(b, (1, 3))))
+
+    def blocks(self, total, size):
+        yield 0, 1, self
+
+    def standard_normal(self, shape):
+        return next(self.draws)
+
+
+def pauli_sweep_of(monkeypatch, a, b):
+    """A one-row ``pauli_reduce_sweep`` on the pair ``(a, b)``, with the two
+    sides of its cosh form: ``(summary, lhs, rhs)``."""
+    sides = {}
+    with monkeypatch.context() as patch:
+        for name in ("trace_exp_sum", "trace_exp_product"):
+            def recording(u, v, fn=getattr(pauli, name), name=name):
+                sides[name] = fn(u, v)
+                return sides[name]
+            patch.setattr(pauli, name, recording)
+        summary = ineq.pauli_reduce_sweep(1, _PairStream(a, b))
+    return (summary, 0.5 * float(sides["trace_exp_sum"][0]),
+            0.5 * float(sides["trace_exp_product"][0]))
+
+
+class TestPauliReduce:
+    def test_opposite_vectors_equality(self, monkeypatch):
+        a = np.array([0.3, -1.2, 0.5])
+        _, lhs, rhs = pauli_sweep_of(monkeypatch, a, -a)
+        assert lhs == pytest.approx(1.0, abs=1e-12)
+        assert rhs == pytest.approx(1.0, abs=1e-12)
+
+    def test_orthogonal_frozen_values(self, monkeypatch):
+        summary, lhs, rhs = pauli_sweep_of(monkeypatch, (0.0, 0.0, 1.0),
+                                           (1.0, 0.0, 0.0))
+        assert lhs == pytest.approx(math.cosh(math.sqrt(2.0)), abs=1e-12)
+        assert rhs == pytest.approx(math.cosh(1.0) ** 2, abs=1e-12)
+        assert summary.violations_law == 0
 
     def test_sweep_vectorized(self, stream):
         summary = ineq.pauli_reduce_sweep(100000, stream)
@@ -510,12 +538,13 @@ class TestPauliReduce:
         assert summary.violations_law == 0
         assert summary.max_route_discrepancy <= 1e-10
 
-    def test_scalar_matches_sweep_semantics(self, rng):
+    def test_one_row_sweeps_pass(self, monkeypatch, rng):
         for _ in range(200):
-            report = ineq.pauli_reduce(rng.standard_normal(3),
-                                       rng.standard_normal(3))
-            assert report.cosh_gap.passed
-            assert report.law_of_cosines_gap.passed
+            summary, _, _ = pauli_sweep_of(monkeypatch, rng.standard_normal(3),
+                                           rng.standard_normal(3))
+            assert summary.violations_cosh == 0
+            assert summary.violations_law == 0
+            assert summary.max_route_discrepancy <= 1e-10
 
 
 class TestEqualityOrderScan:

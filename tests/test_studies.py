@@ -85,6 +85,10 @@ def _cores(monkeypatch, count, blas_threads=None):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
 
 
+def _ratio_in_worker(stream):
+    return studies.hermitization_ratio(16, 20, stream)
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The start methods of the pools ``hermitization_ratio`` creates."""
@@ -185,6 +189,15 @@ class TestHermitizationRatio:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
         monkeypatch.setenv("OMP_NUM_THREADS", "4")
         assert studies._worker_count(200) == 1
+
+    def test_runs_inside_a_daemonic_pool_worker(self, monkeypatch, stream):
+        # a pool worker may not start a pool of its own: the study must
+        # run its trials in the worker itself
+        _cores(monkeypatch, 2, blas_threads=1)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            in_worker = pool.map_async(_ratio_in_worker, [stream]).get(60)[0]
+        _cores(monkeypatch, 1, blas_threads=1)
+        assert in_worker == _ratio_in_worker(stream)
 
     def test_unset_blas_threads_forks_nothing(self, monkeypatch, stream, forks):
         _cores(monkeypatch, 2)

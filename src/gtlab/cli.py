@@ -7,7 +7,8 @@ Usage::
 
 The config is a single JSON document.  ``suites`` lists suite names or
 per-suite parameter objects; top-level ``trials``, ``dims``, ``seed`` and
-``tolerances`` provide defaults::
+``tolerances`` provide defaults (a tolerance is keyed by an equation tag of
+the registry)::
 
     {"suites": [{"name": "inequalities", "trials": 100, "dims": [2, 3, 4]}],
      "seed": 1}
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 from .concentration import ResourceGuardError
 from .samplers import default_master_seed
-from .suites import SUITE_NAMES, CaseRecord, SuiteParams, run_suite
+from .suites import REGISTRY, SUITE_NAMES, CaseRecord, SuiteParams, run_suite
 
 SCHEMA_VERSION = "1"
 
@@ -187,6 +188,8 @@ def _parse_tolerances(value, where: str) -> dict[str, float]:
     _expect(isinstance(value, dict), f"{where}.tolerances", "must be an object")
     out = {}
     for key, tol in value.items():
+        _expect(key in REGISTRY, f"{where}.tolerances.{key}",
+                "unknown equation tag")
         _expect(isinstance(tol, (int, float)) and not isinstance(tol, bool),
                 f"{where}.tolerances.{key}", "must be a number")
         out[str(key)] = float(tol)

@@ -9,7 +9,10 @@ A_p^2)``, and the scalar Chernoff baseline the matrix results generalize.
 Monte Carlo experiments draw all trials from one stream generator in a
 fixed, documented order (trial data is row ``i`` of the draw), so results
 are reproducible and independent of scheduling; sub-experiments draw from
-child streams of the experiment's stream.
+child streams of the experiment's stream.  A tail experiment is one
+attempt on the stream it is given, decided by
+:meth:`~gtlab.reports.TailReport.from_counts`; whether a straddling
+interval reruns is the caller's policy.
 
 A :class:`MatrixSeries` holds one series or a stack of series sharing a
 length ``m`` and a dimension ``d`` (terms of shape ``(..., m, d, d)``),
@@ -185,6 +188,17 @@ def gaussian_row_sigma2(exp: CovarianceExperiment) -> float:
     return exp.dim / exp.n_samples
 
 
+def _deviation_draw(rng: np.random.Generator, count: int,
+                    exp: CovarianceExperiment):
+    """``count`` Gaussian blocks ``X`` of ``exp`` and the ascending spectra
+    ``w`` of their deviations ``X†X/N - I``."""
+    n, k = exp.n_samples, exp.dim
+    X = standard_complex(rng, (count, n, k))
+    dev = np.einsum('tpi,tpj->tij', X.conj(), X) / n
+    dev[:, np.arange(k), np.arange(k)] -= 1.0
+    return X, np.linalg.eigvalsh(dev)
+
+
 # ---------------------------------------------------------------------------
 # tail bound and empirical tails
 
@@ -198,17 +212,14 @@ def aw_bound(exp: CovarianceExperiment, sigma2: float) -> float:
                          math.exp(-eps / 2.0))
 
 
-def _tail_counts(exp: CovarianceExperiment, stream: RngStream, trials: int):
+def _tail_counts(exp: CovarianceExperiment, stream: RngStream):
     """Vectorized deviation statistics; returns counts and per-trial checks."""
-    n, k, eps = exp.n_samples, exp.dim, exp.epsilon
+    n, eps = exp.n_samples, exp.epsilon
     c = exp.c if exp.c is not None else 1.0
     two_sided = upper = lower = 0
     assumption_violations = 0
-    for _, count, rng in stream.blocks(trials, _TAIL_CHUNK):
-        X = standard_complex(rng, (count, n, k))
-        dev = np.einsum('tpi,tpj->tij', X.conj(), X) / n
-        dev[:, np.arange(k), np.arange(k)] -= 1.0
-        w = np.linalg.eigvalsh(dev)
+    for _, count, rng in stream.blocks(exp.trials, _TAIL_CHUNK):
+        X, w = _deviation_draw(rng, count, exp)
         lam_max, lam_min = w[:, -1].real, w[:, 0].real
         up = lam_max > eps
         low = -lam_min > eps
@@ -229,47 +240,20 @@ def _tail_counts(exp: CovarianceExperiment, stream: RngStream, trials: int):
     return two_sided, upper, lower, assumption_violations
 
 
-def empirical_tail(exp: CovarianceExperiment, stream: RngStream,
-                   escalate: bool = True) -> TailReport:
-    """Monte Carlo frequency of ``||Sigma - I||_op > eps`` against the
-    analytic tail bound with the closed-form Gaussian variance proxy.
-
-    Pass requires the 95% upper confidence limit at or below the bound (or
-    a vacuous bound >= 1).  A straddling interval escalates trials tenfold
-    once before reporting ``indeterminate``; attempt ``a`` draws from
-    ``stream.child(a)``.  One-sided frequencies and the summand-normalization
-    violation rate are reported alongside.
+def empirical_tail(exp: CovarianceExperiment, stream: RngStream) -> TailReport:
+    """Monte Carlo frequency of ``||Sigma - I||_op > eps`` over
+    ``exp.trials`` draws from ``stream``, against the analytic tail bound
+    with the closed-form Gaussian variance proxy; the verdict is
+    :meth:`TailReport.from_counts`.  One-sided frequencies and the
+    summand-normalization violation rate are reported alongside.
     """
-    bound = aw_bound(exp, gaussian_row_sigma2(exp))
+    sigma2 = gaussian_row_sigma2(exp)
     trials = exp.trials
-    for attempt in range(2):
-        two, up, low, assume = _tail_counts(exp, stream.child(attempt), trials)
-        ci_low, ci_high = binomial_ci(two, trials)
-        tail = two / trials
-        extras = {
-            "upper_tail": up / trials,
-            "lower_tail": low / trials,
-            "assumption_violation_rate": assume / trials,
-            "sigma2": gaussian_row_sigma2(exp),
-            "escalated": attempt > 0,
-        }
-        if bound >= 1.0 or ci_high <= bound:
-            return TailReport(empirical_tail=tail, ci_low=ci_low, ci_high=ci_high,
-                              bound_value=bound, passed=True, status="pass",
-                              trials=trials, context=_exp_context(exp),
-                              extras=extras)
-        if ci_low > bound:
-            return TailReport(empirical_tail=tail, ci_low=ci_low, ci_high=ci_high,
-                              bound_value=bound, passed=False, status="fail",
-                              trials=trials, context=_exp_context(exp),
-                              extras=extras)
-        if not escalate or attempt == 1:
-            return TailReport(empirical_tail=tail, ci_low=ci_low, ci_high=ci_high,
-                              bound_value=bound, passed=False, status="indeterminate",
-                              trials=trials, context=_exp_context(exp),
-                              extras=extras)
-        trials *= 10
-    raise AssertionError("unreachable")
+    two, up, low, assume = _tail_counts(exp, stream)
+    extras = {"upper_tail": up / trials, "lower_tail": low / trials,
+              "assumption_violation_rate": assume / trials, "sigma2": sigma2}
+    return TailReport.from_counts(two, trials, aw_bound(exp, sigma2),
+                                  _exp_context(exp), extras)
 
 
 def _exp_context(exp: CovarianceExperiment) -> str:
@@ -280,17 +264,12 @@ def optimal_bernstein_c(exp: CovarianceExperiment, stream: RngStream,
                         pilot_trials: int = 2000) -> float:
     """Golden-section minimizer of ``e^(-c eps) E Tr e^(c (Sigma - I))``
     over ``(0, c_max]``, on a fixed pilot sample (common random numbers)."""
-    n, k = exp.n_samples, exp.dim
-    rng = stream.generator()
-    X = standard_complex(rng, (pilot_trials, n, k))
-    dev = np.einsum('tpi,tpj->tij', X.conj(), X) / n
-    dev[:, np.arange(k), np.arange(k)] -= 1.0
-    w = np.linalg.eigvalsh(dev)
+    _, w = _deviation_draw(stream.generator(), pilot_trials, exp)
 
     def objective(c: float) -> float:
         return float(np.log(np.exp(c * w).sum(axis=1).mean()) - c * exp.epsilon)
 
-    lo, hi = 1e-3, 0.9 * n
+    lo, hi = 1e-3, 0.9 * exp.n_samples
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
@@ -318,12 +297,7 @@ def bernstein_tail_check(exp: CovarianceExperiment, stream: RngStream,
     """
     if c is None:
         c = exp.c if exp.c is not None else optimal_bernstein_c(exp, stream.child(1))
-    n, k = exp.n_samples, exp.dim
-    rng = stream.child(0).generator()
-    X = standard_complex(rng, (exp.trials, n, k))
-    dev = np.einsum('tpi,tpj->tij', X.conj(), X) / n
-    dev[:, np.arange(k), np.arange(k)] -= 1.0
-    w = np.linalg.eigvalsh(dev)
+    _, w = _deviation_draw(stream.child(0).generator(), exp.trials, exp)
     exceed = int((w[:, -1] > exp.epsilon).sum())
     lhs = exceed / exp.trials
     _, lhs_ucl = binomial_ci(exceed, exp.trials)
@@ -353,11 +327,8 @@ def aw_mgf_lemma_check(exp: CovarianceExperiment, mu: float,
         raise ValueError("lemma check is restricted to k <= 3, N <= 8 so both "
                          "sides are estimable to adequate precision")
     trials = exp.trials
-    rng = stream.generator()
-    X = standard_complex(rng, (trials, n, k))
-    sigma_dev = np.einsum('tpi,tpj->tij', X.conj(), X) / n
-    sigma_dev[:, np.arange(k), np.arange(k)] -= 1.0
-    lhs_samples = np.exp(mu * np.linalg.eigvalsh(sigma_dev)).sum(axis=1)
+    X, w = _deviation_draw(stream.generator(), trials, exp)
+    lhs_samples = np.exp(mu * w).sum(axis=1)
     lhs = float(lhs_samples.mean())
     lhs_se = float(lhs_samples.std(ddof=1) / math.sqrt(trials))
 
@@ -549,20 +520,10 @@ def scalar_chernoff(params: ScalarChernoffParams, stream: RngStream,
         signs = 2.0 * rng.integers(0, 2, size=(trials, n)) - 1.0
         sums = scale * signs.sum(axis=1)
         exceed = int((sums >= eps).sum())
-    tail = exceed / trials
-    ci_low, ci_high = binomial_ci(exceed, trials)
-    if bound >= 1.0 or ci_high <= bound:
-        passed, status = True, "pass"
-    elif ci_low > bound:
-        passed, status = False, "fail"
-    else:
-        passed, status = False, "indeterminate"
-    return TailReport(empirical_tail=tail, ci_low=ci_low, ci_high=ci_high,
-                      bound_value=bound, passed=passed,
-                      status=status, trials=trials,
-                      context=f"scalar_chernoff N={n} sigma2={sigma2} eps={eps}",
-                      extras={"per_variable_value": scale,
-                              "per_variable_variance": sigma2 / n})
+    return TailReport.from_counts(
+        exceed, trials, bound,
+        f"scalar_chernoff N={n} sigma2={sigma2} eps={eps}",
+        extras={"per_variable_value": scale, "per_variable_variance": sigma2 / n})
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,14 @@ from .reports import GapReport, checked_real, inequality_tol
 from .samplers import RngStream
 
 __all__ = [
-    "MajorizationError", "ScanConfig",
+    "MajorizationError",
     "OrderScanResult", "Witness", "PauliSweepSummary",
     "gt_gap", "cauchy_trace_gap", "word_trace_bound", "dyadic_power_gap",
     "weyl_dominance_gap", "power_trace_gap", "phi_power_premise_gap",
     "phi_exp_gap", "top_k_abs_eigensum", "karamata_gap",
     "norm_variant_gap", "alt_trace_gap", "nonhermitian_phi_gap",
     "hermitian_part_dominance", "lieb_triple_gap", "lieb_rhs_closed",
-    "lieb_rhs_quadrature", "counterexample_search", "triple_gt_scan",
+    "lieb_rhs_quadrature", "triple_gt_scan",
     "abc_trace_scan", "pauli_reduce_sweep",
     "equality_order_scan", "oscillator_bound",
 ]
@@ -532,20 +532,6 @@ def abc_trace_scan(stream: RngStream, budget: int, k: int = 1) -> Witness | None
     return None
 
 
-def counterexample_search(target: str, stream: RngStream, budget: int,
-                          k: int = 1) -> Witness | None:
-    """Dispatch on the hunt target: ``"triple-gt"`` or ``"abc-trace"``.
-
-    A ``None`` result means the budget was exhausted without a witness;
-    that is a result, not an error.
-    """
-    if target == "triple-gt":
-        return triple_gt_scan(stream, budget)
-    if target == "abc-trace":
-        return abc_trace_scan(stream, budget, k=k)
-    raise ValueError(f"unknown counter-example target {target!r}")
-
-
 # ---------------------------------------------------------------------------
 # 2x2 reduction
 
@@ -609,26 +595,8 @@ def pauli_reduce_sweep(trials: int, stream: RngStream) -> PauliSweepSummary:
 # ---------------------------------------------------------------------------
 # equality order scan
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """Scale grid for the equality-order scan and the oscillator parameter."""
-
-    epsilon_grid: tuple[float, ...]
-    beta: float = 1.0
-
-    def __post_init__(self):
-        grid = tuple(float(e) for e in self.epsilon_grid)
-        if len(grid) == 0 or any(e <= 0 for e in grid):
-            raise ValueError("epsilon grid must be positive")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("epsilon grid must be strictly increasing")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        object.__setattr__(self, "epsilon_grid", grid)
-
-
-def default_scan_config() -> ScanConfig:
-    return ScanConfig(epsilon_grid=tuple(np.geomspace(1e-3, 1e-1, 13)))
+#: Scales of the equality-order scan: 13 points spanning two decades.
+_SCAN_EPSILONS = tuple(np.geomspace(1e-3, 1e-1, 13))
 
 
 @dataclass(frozen=True)
@@ -640,19 +608,15 @@ class OrderScanResult:
     coefficient: float
 
 
-def equality_order_scan(A, B, cfg: ScanConfig | None = None) -> OrderScanResult:
+def equality_order_scan(A, B) -> OrderScanResult:
     """Leading order of ``g(eps) = Tr(e^(eps A) e^(eps B)) - Tr e^(eps(A+B))``.
 
     Commuting pairs give ``g = 0`` on the whole grid; otherwise the log-log
     slope is fitted (expected 4) and ``g/eps^4`` is extrapolated to zero by
     a linear fit in ``eps^2`` over the lower half of the grid.
     """
-    cfg = cfg or default_scan_config()
     Ah, Bh = _pair(A, B, "equality_order_scan")
-    eps = np.asarray(cfg.epsilon_grid)
-    if eps.size < 4 or eps[-1] / eps[0] < 10.0:
-        raise ValueError("grid too coarse for a stable fit: need at least "
-                         "4 points spanning a decade")
+    eps = np.array(_SCAN_EPSILONS)
     E = eps[:, None, None]
     lhs = trace_of_product(expm_herm(E * Ah), expm_herm(E * Bh),
                            "product trace in equality_order_scan")

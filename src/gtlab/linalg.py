@@ -35,7 +35,7 @@ __all__ = [
     "as_complex_matrix", "hermitize", "is_hermitian", "require_hermitian",
     "adjoint", "herm_eigen", "general_eigen", "singular_values",
     "herm_fn", "expm", "expm_herm", "psd_power",
-    "schatten_norm", "operator_norm", "frobenius_norm", "norm",
+    "schatten_norm", "operator_norm", "frobenius_norm",
     "distance_delta2", "lie_trotter_product", "trace_expm", "trace_of_product",
 ]
 
@@ -161,20 +161,13 @@ def expm_herm(M) -> np.ndarray:
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential.
+    """Matrix exponential of a square complex matrix or stack.
 
-    Accepts a square complex matrix or stack, or a real 3-vector ``a``
-    interpreted as the traceless 2x2 Hermitian matrix
-    ``a1*s1 + a2*s2 + a3*s3`` (then the closed form
-    ``cosh|a| I + sinh|a|/|a| A`` is used).  Hermitian matrices go through
-    the eigendecomposition route, everything else through
-    ``scipy.linalg.expm`` (scaling and squaring with Pade approximants).
+    Hermitian matrices go through the eigendecomposition route, everything
+    else through ``scipy.linalg.expm`` (scaling and squaring with Pade
+    approximants).
     """
-    A = np.asarray(M)
-    if A.ndim == 1 and A.shape == (3,) and not np.iscomplexobj(A):
-        from . import pauli
-        return pauli.expm_vector(A)
-    A = as_complex_matrix(A)
+    A = as_complex_matrix(M)
     herm = np.asarray(is_hermitian(A))
     out = np.empty_like(A)
     if herm.any():
@@ -213,27 +206,6 @@ def operator_norm(M):
 
 def frobenius_norm(M):
     return _scalar(np.linalg.norm(as_complex_matrix(M), axis=(-2, -1)))
-
-
-def norm(M, kind: str, p: float | None = None):
-    """Dispatch on a norm tag: ``schatten`` (requires ``p``), ``operator``,
-    ``frobenius``, or ``log-metric`` (geodesic distance from the identity,
-    positive definite Hermitian input only)."""
-    if kind == "schatten":
-        if p is None:
-            raise ValueError("schatten norm requires the order p")
-        return schatten_norm(M, p)
-    if kind == "operator":
-        return operator_norm(M)
-    if kind == "frobenius":
-        return frobenius_norm(M)
-    if kind == "log-metric":
-        Mh = require_hermitian(M, "log-metric norm input")
-        lam = np.linalg.eigvalsh(Mh)
-        if np.any(lam[..., 0] <= 0):
-            raise ValueError("log-metric norm requires positive definite input")
-        return _scalar(np.sqrt((np.log(lam) ** 2).sum(axis=-1)))
-    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def distance_delta2(A, B):

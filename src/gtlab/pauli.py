@@ -44,16 +44,6 @@ def sinhc(r):
     return out if out.ndim else float(out)
 
 
-def expm_vector(a) -> np.ndarray:
-    """Closed-form exponential ``cosh|a| I + (sinh|a|/|a|) A``, batched."""
-    v = as_vector(a)
-    r = np.linalg.norm(v, axis=-1)
-    ch = np.asarray(np.cosh(r))
-    sc = np.asarray(sinhc(r))
-    eye = np.broadcast_to(np.eye(2, dtype=np.complex128), v.shape[:-1] + (2, 2))
-    return ch[..., None, None] * eye + sc[..., None, None] * to_matrix(v)
-
-
 def trace_exp_sum(a, b):
     """``Tr exp(A+B) = 2 cosh |a+b|``, batched."""
     v = as_vector(a) + as_vector(b)

@@ -5,8 +5,10 @@ sides, the signed margin ``rhs - lhs`` and a pass verdict, so that a
 violation is always attributable to a concrete numeric instance; a
 checker evaluated on a stack of instances returns one report whose
 fields are arrays with one entry per instance.  Monte
-Carlo tail comparisons produce :class:`TailReport` and ensemble-average
-experiments a :class:`RatioEstimate`.
+Carlo tail comparisons produce :class:`TailReport`, whose one verdict rule
+(:meth:`TailReport.from_counts`) turns an exact binomial interval into a
+pass/fail/indeterminate status, and ensemble-average experiments a
+:class:`RatioEstimate`.
 """
 
 from __future__ import annotations
@@ -70,10 +72,7 @@ class GapReport:
 class TailReport:
     """Empirical tail probability against an analytic bound.
 
-    ``passed`` means the 95% upper confidence limit of the empirical tail
-    does not exceed the bound, or the bound is vacuous (>= 1).  ``status``
-    refines the verdict with ``"indeterminate"`` for near-tie cases that
-    survived escalation.
+    ``passed`` means ``status == "pass"``; see :meth:`from_counts`.
     """
 
     empirical_tail: float
@@ -85,6 +84,26 @@ class TailReport:
     trials: int
     context: str = ""
     extras: dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def from_counts(cls, exceed: int, trials: int, bound: float,
+                    context: str = "", extras=None) -> "TailReport":
+        """Verdict on ``exceed`` exceedances in ``trials`` against ``bound``,
+        from the 95% Clopper-Pearson interval of the tail: ``"pass"`` when
+        the bound is vacuous (>= 1) or the interval lies at or below it,
+        ``"fail"`` when the interval lies above it, and ``"indeterminate"``
+        when it straddles the bound."""
+        ci_low, ci_high = binomial_ci(exceed, trials)
+        if bound >= 1.0 or ci_high <= bound:
+            status = "pass"
+        elif ci_low > bound:
+            status = "fail"
+        else:
+            status = "indeterminate"
+        return cls(empirical_tail=exceed / trials, ci_low=ci_low,
+                   ci_high=ci_high, bound_value=bound, passed=status == "pass",
+                   status=status, trials=trials, context=context,
+                   extras=dict(extras or {}))
 
 
 @dataclass(frozen=True)

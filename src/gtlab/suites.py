@@ -34,7 +34,7 @@ from . import pauli, studies
 from .linalg import (expm_herm, frobenius_norm, general_eigen, hermitize,
                      operator_norm, singular_values, lie_trotter_product,
                      distance_delta2, trace_of_product)
-from .reports import GapReport
+from .reports import GapReport, TailReport
 from .samplers import RngStream, ginibre, gue, standard_complex
 
 __all__ = [
@@ -98,21 +98,39 @@ def jsonify(obj):
     return obj
 
 
+def _case(name: str, tag: str, lhs, rhs, margin, passed, trials: int,
+          ci: tuple[float, float] | None = None, extra: dict | None = None,
+          status: str | None = None) -> CaseRecord:
+    """The one constructor of a case record: ``status`` is ``"pass"`` or
+    ``"fail"`` as ``passed`` says unless a three-valued verdict is given,
+    and ``extra`` is made JSON-native."""
+    passed = bool(passed)
+    return CaseRecord(name=name, equation=tag, lhs=float(lhs), rhs=float(rhs),
+                      margin=float(margin), passed=passed,
+                      status=status or ("pass" if passed else "fail"),
+                      trials=trials, ci=ci, extra=jsonify(extra or {}))
+
+
 def _gap_case(name: str, tag: str, report: GapReport, trials: int = 1,
               extra: dict | None = None) -> CaseRecord:
-    status = "pass" if report.passed else "fail"
-    return CaseRecord(name=name, equation=tag, lhs=report.lhs, rhs=report.rhs,
-                      margin=report.margin, passed=report.passed, status=status,
-                      trials=trials, extra=jsonify(extra or {}))
+    return _case(name, tag, report.lhs, report.rhs, report.margin,
+                 report.passed, trials, extra=extra)
+
+
+def _tail_case(name: str, tag: str, report: TailReport,
+               extra: dict | None = None) -> CaseRecord:
+    """Case of a tail report: the upper confidence limit against the bound,
+    with the report's three-valued verdict."""
+    return _case(name, tag, report.ci_high, report.bound_value,
+                 report.bound_value - report.ci_high, report.passed,
+                 report.trials, ci=(report.ci_low, report.ci_high),
+                 extra=extra, status=report.status)
 
 
 def _residual_case(name: str, tag: str, residual: float, threshold: float,
                    trials: int, extra: dict | None = None) -> CaseRecord:
-    passed = residual <= threshold
-    return CaseRecord(name=name, equation=tag, lhs=float(residual),
-                      rhs=float(threshold), margin=float(threshold - residual),
-                      passed=bool(passed), status="pass" if passed else "fail",
-                      trials=trials, extra=jsonify(extra or {}))
+    return _case(name, tag, residual, threshold, threshold - residual,
+                 residual <= threshold, trials, extra=extra)
 
 
 def _worst_case(name: str, tag: str, reports: list[GapReport], trials: int,
@@ -127,11 +145,8 @@ def _worst_case(name: str, tag: str, reports: list[GapReport], trials: int,
     rel = margin / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     i = int(np.argmin(rel))
     violations = int(np.count_nonzero(rel < -rel_tol))
-    passed = violations == 0
-    return CaseRecord(name=name, equation=tag, lhs=float(lhs[i]),
-                      rhs=float(rhs[i]), margin=float(margin[i]), passed=passed,
-                      status="pass" if passed else "fail", trials=trials,
-                      extra=jsonify({"violations": violations, **(extra or {})}))
+    return _case(name, tag, lhs[i], rhs[i], margin[i], violations == 0, trials,
+                 extra={"violations": violations, **(extra or {})})
 
 
 def _escalating(attempt, trials, stream, escalation):
@@ -153,12 +168,25 @@ def _escalating(attempt, trials, stream, escalation):
 
 
 def domination_cell(n: int, k: int, eps: float, trials: int,
-                    stream: RngStream):
+                    stream: RngStream) -> TailReport:
     """One tail-domination cell: empirical tail report at the closed-form
-    variance proxy (pass applies only when the bound is informative)."""
-    exp = conc.CovarianceExperiment(n_samples=n, dim=k, epsilon=eps,
-                                    trials=trials)
-    return conc.empirical_tail(exp, stream)
+    variance proxy (pass applies only when the bound is informative).
+
+    The first attempt draws from ``stream.child(0)``.  An interval that
+    straddles the bound is a chance miss: it reruns once on tenfold trials
+    from ``stream.child(1)``; a fail does not rerun.  ``extras`` ends with
+    ``escalated``.
+    """
+    def attempt(trials, s):
+        exp = conc.CovarianceExperiment(n_samples=n, dim=k, epsilon=eps,
+                                        trials=trials)
+        report = conc.empirical_tail(exp, s)
+        return report, report.passed, report.status == "indeterminate"
+
+    report, _, _, escalated = _escalating(attempt, trials, stream.child(0),
+                                          stream.child(1))
+    return dataclasses.replace(report, extras={**report.extras,
+                                               "escalated": escalated})
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +269,14 @@ def _run_gt(params, stream, tol):
 def _run_pauli_reduce(params, stream, tol):
     summary = ineq.pauli_reduce_sweep(params.trials, stream)
     consistency_ok = summary.max_route_discrepancy <= 1e-10
-    cosh = CaseRecord(
-        name="pauli-2x2-cosh", equation="Eq.1a",
-        lhs=math.nan, rhs=math.nan, margin=summary.worst_margin_cosh,
-        passed=summary.violations_cosh == 0 and consistency_ok,
-        status="pass" if summary.violations_cosh == 0 and consistency_ok else "fail",
-        trials=params.trials,
-        extra=jsonify({"violations": summary.violations_cosh,
-                       "max_route_discrepancy": summary.max_route_discrepancy}))
-    law = CaseRecord(
-        name="pauli-law-of-cosines", equation="Eq.1aA",
-        lhs=math.nan, rhs=math.nan, margin=summary.worst_margin_law,
-        passed=summary.violations_law == 0,
-        status="pass" if summary.violations_law == 0 else "fail",
-        trials=params.trials,
-        extra=jsonify({"violations": summary.violations_law}))
+    cosh = _case("pauli-2x2-cosh", "Eq.1a", math.nan, math.nan,
+                 summary.worst_margin_cosh,
+                 summary.violations_cosh == 0 and consistency_ok, params.trials,
+                 extra={"violations": summary.violations_cosh,
+                        "max_route_discrepancy": summary.max_route_discrepancy})
+    law = _case("pauli-law-of-cosines", "Eq.1aA", math.nan, math.nan,
+                summary.worst_margin_law, summary.violations_law == 0,
+                params.trials, extra={"violations": summary.violations_law})
     return [cosh, law]
 
 
@@ -510,12 +531,9 @@ def _run_covariance_identity(params, stream, tol):
     se = sigmas.std(axis=0, ddof=1) / math.sqrt(trials)
     dev_units = float((np.abs(mean - np.eye(k)) / np.maximum(se, 1e-30)).max())
     residual = max(exact_residual, 0.0)
-    passed = exact_residual <= 1e-12 and dev_units <= 4.0
-    return [CaseRecord(name="covariance-mean", equation="Eq.S",
-                       lhs=dev_units, rhs=4.0, margin=4.0 - dev_units,
-                       passed=passed, status="pass" if passed else "fail",
-                       trials=trials,
-                       extra=jsonify({"constructed_identity_residual": residual}))]
+    return [_case("covariance-mean", "Eq.S", dev_units, 4.0, 4.0 - dev_units,
+                  exact_residual <= 1e-12 and dev_units <= 4.0, trials,
+                  extra={"constructed_identity_residual": residual})]
 
 
 def _run_rank_one(params, stream, tol):
@@ -550,27 +568,19 @@ def _run_scalar_chernoff(params, stream, tol):
     vacuous = conc.scalar_chernoff(
         conc.ScalarChernoffParams(n_vars=20, sigma2=1.0, epsilon=0.0),
         stream.child(1), trials=2000)
-    return [CaseRecord(name="scalar-chernoff", equation="Eq.C",
-                       lhs=report.ci_high, rhs=report.bound_value,
-                       margin=report.bound_value - report.ci_high,
-                       passed=report.passed, status=report.status,
-                       trials=trials, ci=(report.ci_low, report.ci_high),
-                       extra=jsonify({"empirical": report.empirical_tail,
-                                      "zero_eps_bound": vacuous.bound_value,
-                                      "zero_eps_tail": vacuous.empirical_tail}))]
+    return [_tail_case("scalar-chernoff", "Eq.C", report,
+                       extra={"empirical": report.empirical_tail,
+                              "zero_eps_bound": vacuous.bound_value,
+                              "zero_eps_tail": vacuous.empirical_tail})]
 
 
 def _run_union_bound(params, stream, tol):
-    exp = conc.CovarianceExperiment(n_samples=16, dim=2, epsilon=0.5,
-                                    trials=min(params.trials, 4000))
-    report = conc.empirical_tail(exp, stream, escalate=False)
+    # the bound of this cell, 2 e^(-1/4), is vacuous: it never reruns
+    report = domination_cell(16, 2, 0.5, min(params.trials, 4000), stream)
     lhs = report.empirical_tail
     rhs = report.extras["upper_tail"] + report.extras["lower_tail"]
-    passed = lhs <= rhs + 1e-15
-    return [CaseRecord(name="tail-union-bound", equation="Eq.rf",
-                       lhs=lhs, rhs=rhs, margin=rhs - lhs, passed=passed,
-                       status="pass" if passed else "fail", trials=exp.trials,
-                       extra=jsonify(report.extras))]
+    return [_case("tail-union-bound", "Eq.rf", lhs, rhs, rhs - lhs,
+                  lhs <= rhs + 1e-15, report.trials, extra=report.extras)]
 
 
 def _run_bernstein(params, stream, tol):
@@ -584,15 +594,13 @@ def _run_trace_dominance_per_trial(params, stream, tol):
     exp = conc.CovarianceExperiment(n_samples=12, dim=3, epsilon=0.5, c=2.0,
                                     trials=min(params.trials, 4000))
     try:
-        conc.empirical_tail(exp, stream, escalate=False)
+        conc.empirical_tail(exp, stream.child(0))
         passed, message = True, ""
     except RuntimeError as err:
         passed, message = False, str(err)
-    return [CaseRecord(name="per-trial-exponential-dominance", equation="Eq.J",
-                       lhs=0.0 if passed else 1.0, rhs=0.0,
-                       margin=0.0 if passed else -1.0, passed=passed,
-                       status="pass" if passed else "fail", trials=exp.trials,
-                       extra={"error": message} if message else {})]
+    return [_case("per-trial-exponential-dominance", "Eq.J",
+                  0.0 if passed else 1.0, 0.0, 0.0 if passed else -1.0, passed,
+                  exp.trials, extra={"error": message} if message else {})]
 
 
 def _run_mgf_lemma(params, stream, tol):
@@ -622,15 +630,8 @@ def _run_domination_grid(params, stream, tol):
             for eps in (0.5, 1.0, 2.0):
                 report = domination_cell(n, k, eps, trials, stream.child(idx))
                 idx += 1
-                cases.append(CaseRecord(
-                    name=f"tail-domination-N{n}-k{k}-eps{eps:g}",
-                    equation="Eq.RU", lhs=report.ci_high,
-                    rhs=report.bound_value,
-                    margin=report.bound_value - report.ci_high,
-                    passed=report.passed, status=report.status,
-                    trials=report.trials,
-                    ci=(report.ci_low, report.ci_high),
-                    extra=jsonify(report.extras)))
+                cases.append(_tail_case(f"tail-domination-N{n}-k{k}-eps{eps:g}",
+                                        "Eq.RU", report, extra=report.extras))
     return cases
 
 
@@ -772,12 +773,10 @@ def _run_ratio_mc(params, stream, tol):
     est, passed, trials, escalated = _escalating(attempt, trials, stream,
                                                  stream.child(first_unused))
     allowed = 3.0 * est.ratio_se
-    return [CaseRecord(name="pauli-ratio-montecarlo", equation="Eq.R",
-                       lhs=est.ratio, rhs=target,
-                       margin=allowed - abs(est.ratio - target),
-                       passed=passed, status="pass" if passed else "fail",
-                       trials=trials, ci=(est.ci_low, est.ci_high),
-                       extra=jsonify({**est.extras, "escalated": escalated}))]
+    return [_case("pauli-ratio-montecarlo", "Eq.R", est.ratio, target,
+                  allowed - abs(est.ratio - target), passed, trials,
+                  ci=(est.ci_low, est.ci_high),
+                  extra={**est.extras, "escalated": escalated})]
 
 
 def _run_hermitization(params, stream, tol):
@@ -787,12 +786,9 @@ def _run_hermitization(params, stream, tol):
     target = math.sqrt(2.0)
     rel_dev = abs(est.ratio - target) / target
     threshold = tol if tol is not None else 0.10
-    passed = rel_dev <= threshold
-    return [CaseRecord(name=f"hermitization-ratio-n{n}", equation="Limit.sqrt2",
-                       lhs=est.ratio, rhs=target,
-                       margin=threshold - rel_dev, passed=passed,
-                       status="pass" if passed else "fail", trials=trials,
-                       ci=(est.ci_low, est.ci_high), extra=jsonify(est.extras))]
+    return [_case(f"hermitization-ratio-n{n}", "Limit.sqrt2", est.ratio, target,
+                  threshold - rel_dev, rel_dev <= threshold, trials,
+                  ci=(est.ci_low, est.ci_high), extra=est.extras)]
 
 
 # ---------------------------------------------------------------------------
@@ -800,18 +796,15 @@ def _run_hermitization(params, stream, tol):
 
 def _witness_case(name, tag, witness, budget) -> CaseRecord:
     if witness is None:
-        return CaseRecord(name=name, equation=tag, lhs=math.nan, rhs=math.nan,
-                          margin=math.nan, passed=False, status="fail",
-                          trials=budget, extra={"found": False})
+        return _case(name, tag, math.nan, math.nan, math.nan, False, budget,
+                     extra={"found": False})
     extra = {"found": True, "trial_index": witness.trial_index,
              "matrices": witness.matrices,
              "context": witness.context}
     if witness.vectors is not None:
         extra["vectors"] = witness.vectors
-    return CaseRecord(name=name, equation=tag, lhs=witness.lhs, rhs=witness.rhs,
-                      margin=witness.lhs - witness.rhs, passed=True,
-                      status="pass", trials=witness.trial_index + 1,
-                      extra=jsonify(extra))
+    return _case(name, tag, witness.lhs, witness.rhs, witness.lhs - witness.rhs,
+                 True, witness.trial_index + 1, extra=extra)
 
 
 def _run_hunt_triple(params, stream, tol):

@@ -178,8 +178,7 @@ class TestAcceptance:
         for c in (0.5, 2.0):
             exp = conc.CovarianceExperiment(n_samples=12, dim=3, epsilon=0.5,
                                             c=c, trials=4000)
-            conc.empirical_tail(exp, stream_for(10).child(int(10 * c)),
-                                escalate=False)
+            conc.empirical_tail(exp, stream_for(10).child(int(10 * c), 0))
 
         # trace-product dominance
         for _ in range(500):

@@ -1,8 +1,11 @@
 import csv
 import dataclasses
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gtlab
 from gtlab import cli, studies, suites
 from gtlab import concentration as conc
 from gtlab.reports import GapReport
@@ -65,6 +69,23 @@ class TestConfigParsing:
         monkeypatch.setenv("GTLAB_SEED", "777")
         config = cli.parse_config(json.dumps({"suites": []}))
         assert config.seed == 777
+
+    def test_tolerance_keys_must_name_registry_tags(self, tmp_path):
+        with pytest.raises(cli.ConfigError,
+                           match=r"top level\.tolerances\.Eq\.Typo"):
+            cli.parse_config(json.dumps({"suites": [],
+                                         "tolerances": {"Eq.Typo": 5.0}}))
+        with pytest.raises(cli.ConfigError,
+                           match=r"suites\[0\]\.tolerances\.eq\.1"):
+            cli.parse_config(json.dumps({"suites": [{
+                "name": "inequalities", "tolerances": {"eq.1": 1e-9}}]}))
+        config = cli.parse_config(json.dumps({
+            "suites": ["inequalities"], "tolerances": {"Eq.1": 1e-9}}))
+        assert config.requests[0].params.tolerances == {"Eq.1": 1e-9}
+        code, _ = run_cli(tmp_path, {
+            "suites": ["counterexamples"], "trials": 10, "seed": 1,
+            "tolerances": {"Eq.Typo": 5.0, "ABC.trace": -1}}, command="hunt")
+        assert code == 2
 
 
 class TestRunAndEmit:
@@ -372,6 +393,121 @@ class TestMonteCarloEscalation:
         assert case.status == "fail" and case.extra["escalated"]
         assert case.trials == 100000
         assert len(set(keys)) == len(keys), "the escalation reused a stream key"
+
+
+class TestTailEscalation:
+    """A domination cell whose interval straddles the bound reruns once,
+    on tenfold trials from ``child(1)``; a fail stands.  The bound is
+    placed on the intervals the two attempts draw."""
+
+    SEED, TRIALS = 7, 1000
+
+    def run_cell(self, monkeypatch, place):
+        """The cell's report, its two single attempts and the stream keys
+        it drew from, with the bound at ``place(first, rerun)``."""
+        stream = tag_stream("Eq.RU", self.SEED)
+        first, rerun = (conc.empirical_tail(
+            conc.CovarianceExperiment(n_samples=8, dim=1, epsilon=0.5,
+                                      trials=trials), source)
+            for trials, source in ((self.TRIALS, stream.child(0)),
+                                   (10 * self.TRIALS, stream.child(1))))
+        bound = place(first, rerun)
+        monkeypatch.setattr(conc, "aw_bound", lambda exp, sigma2: bound)
+        keys = record_stream_keys(monkeypatch)
+        report = suites.domination_cell(8, 1, 0.5, self.TRIALS, stream)
+        assert len(set(keys)) == len(keys), "the escalation reused a stream key"
+        return report, first, rerun, keys
+
+    def test_straddle_reruns_on_tenfold_trials_and_passes(self, monkeypatch):
+        report, first, rerun, keys = self.run_cell(
+            monkeypatch, lambda first, rerun: rerun.ci_high)
+        assert first.ci_low < rerun.ci_high < first.ci_high
+        assert report.status == "pass" and report.extras["escalated"]
+        assert report.trials == 10 * self.TRIALS
+        assert (report.empirical_tail, report.ci_low, report.ci_high) == \
+            (rerun.empirical_tail, rerun.ci_low, rerun.ci_high)
+        assert list(report.extras)[-1] == "escalated"
+        assert {path[1] for _, path in keys} == {0, 1}
+
+    def test_second_straddle_is_indeterminate(self, monkeypatch):
+        report, first, rerun, _ = self.run_cell(
+            monkeypatch, lambda first, rerun: 0.5 * (rerun.ci_low + rerun.ci_high))
+        assert first.ci_low < report.bound_value < first.ci_high
+        assert report.status == "indeterminate" and not report.passed
+        assert report.extras["escalated"]
+        assert report.trials == 10 * self.TRIALS
+
+    def test_first_attempt_fail_does_not_rerun(self, monkeypatch):
+        report, first, _, keys = self.run_cell(
+            monkeypatch, lambda first, rerun: np.nextafter(first.ci_low, 0.0))
+        assert report.status == "fail" and not report.extras["escalated"]
+        assert report.trials == self.TRIALS
+        assert report.empirical_tail == first.empirical_tail
+        assert {path[1] for _, path in keys} == {0}
+
+
+class TestReachability:
+    """Every public function and method of gtlab runs under the CLI, so
+    code that no tag or CLI path reaches shows up here."""
+
+    CONFIGS = {
+        "verify": {"suites": ["inequalities"], "trials": 50, "dims": [2],
+                   "seed": 1},
+        "tail": {"suites": ["concentration"], "trials": 50, "dims": [2],
+                 "seed": 1},
+        "ratio": {"suites": ["studies"], "trials": 50, "dims": [2], "seed": 1},
+        # no seed: the default master seed is read
+        "hunt": {"suites": ["counterexamples"], "trials": 50, "dims": [2]},
+    }
+
+    @staticmethod
+    def public_code():
+        """Code object of every public function, method and property
+        getter defined in a gtlab module, by qualified name."""
+        found = {}
+        for info in pkgutil.iter_modules(gtlab.__path__):
+            module = importlib.import_module(f"gtlab.{info.name}")
+            for name, obj in vars(module).items():
+                if name.startswith("_") \
+                        or getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                members = vars(obj).items() if inspect.isclass(obj) \
+                    else ((None, obj),)
+                for attr, member in members:
+                    if attr is not None and attr.startswith("_"):
+                        continue
+                    if isinstance(member, property):
+                        member = member.fget
+                    member = getattr(member, "__func__", member)
+                    if inspect.isfunction(member):
+                        label = name if attr is None else f"{name}.{attr}"
+                        found[f"{module.__name__}.{label}"] = member.__code__
+        return found
+
+    def test_every_public_function_is_called(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GTLAB_SEED", raising=False)
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            for command, config in self.CONFIGS.items():
+                code, text = run_cli(tmp_path, config, command=command)
+                assert code == 0, command
+                saved = tmp_path / f"{command}.json"
+                saved.write_text(text)
+                for fmt in ("json", "csv"):
+                    assert cli.main(["report", "--config", str(saved),
+                                     "--format", fmt, "--out",
+                                     str(tmp_path / "re")]) == 0
+        finally:
+            sys.setprofile(None)
+        missed = sorted(name for name, code in self.public_code().items()
+                        if code not in called)
+        assert not missed, f"never called under the CLI: {missed}"
 
 
 class TestSignSeriesRunners:

@@ -6,7 +6,7 @@ from scipy.stats import beta, binom
 
 from gtlab import concentration as conc
 from gtlab import linalg, pauli
-from gtlab.reports import binomial_ci
+from gtlab.reports import TailReport, binomial_ci
 from gtlab.samplers import RngStream, standard_complex
 from conftest import assert_stack_matches_single, gue
 
@@ -88,20 +88,20 @@ class TestEmpiricalTail:
     def test_zero_threshold_tail_one(self, stream):
         exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=0.0,
                                         trials=500)
-        report = conc.empirical_tail(exp, stream, escalate=False)
+        report = conc.empirical_tail(exp, stream.child(0))
         assert report.empirical_tail == 1.0
 
     def test_huge_threshold_tail_zero(self, stream):
         exp = conc.CovarianceExperiment(n_samples=2, dim=2, epsilon=1000.0,
                                         trials=500)
-        report = conc.empirical_tail(exp, stream, escalate=False)
+        report = conc.empirical_tail(exp, stream.child(0))
         assert report.empirical_tail == 0.0
         assert report.status != "fail"
 
     def test_union_bound_frequencies(self, stream):
         exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=0.5,
                                         trials=3000)
-        report = conc.empirical_tail(exp, stream, escalate=False)
+        report = conc.empirical_tail(exp, stream.child(0))
         assert report.empirical_tail <= (report.extras["upper_tail"]
                                          + report.extras["lower_tail"] + 1e-15)
 
@@ -111,14 +111,14 @@ class TestEmpiricalTail:
                                          (16, 2, 2.0), (32, 1, 2.0)]):
             exp = conc.CovarianceExperiment(n_samples=n, dim=k, epsilon=eps,
                                             trials=4000)
-            report = conc.empirical_tail(exp, stream.child(i))
+            report = conc.empirical_tail(exp, stream.child(i, 0))
             assert report.bound_value < 1.0
             assert report.status == "pass"
 
     def test_assumption_rate_reported(self, stream):
         exp = conc.CovarianceExperiment(n_samples=8, dim=4, epsilon=1.0,
                                         trials=1000)
-        report = conc.empirical_tail(exp, stream, escalate=False)
+        report = conc.empirical_tail(exp, stream.child(0))
         assert 0.0 <= report.extras["assumption_violation_rate"] <= 1.0
 
 
@@ -425,3 +425,35 @@ class TestBinomialCi:
             binomial_ci(5, 0)
         with pytest.raises(ValueError):
             binomial_ci(7, 5)
+
+
+class TestTailVerdict:
+    """``TailReport.from_counts`` decides every tail case from the 95%
+    Clopper-Pearson interval of the counts."""
+
+    @staticmethod
+    def verdict(exceed, trials, bound):
+        report = TailReport.from_counts(exceed, trials, bound)
+        assert report.passed == (report.status == "pass")
+        return report.status
+
+    def test_vacuous_bound_passes_with_the_interval_at_the_top(self):
+        low, high = binomial_ci(100, 100)
+        assert (low, high) == (pytest.approx(0.9638, abs=1e-4), 1.0)
+        assert self.verdict(100, 100, 1.0) == "pass"
+        assert self.verdict(100, 100, 2.0 * math.exp(-0.25)) == "pass"
+
+    def test_boundaries(self):
+        low, high = binomial_ci(30, 1000)
+        assert self.verdict(30, 1000, high) == "pass"
+        assert self.verdict(30, 1000, np.nextafter(high, 0.0)) == "indeterminate"
+        assert self.verdict(30, 1000, 0.5 * (low + high)) == "indeterminate"
+        assert self.verdict(30, 1000, low) == "indeterminate"
+        assert self.verdict(30, 1000, np.nextafter(low, 0.0)) == "fail"
+
+    def test_report_fields(self):
+        report = TailReport.from_counts(30, 1000, 0.01, "ctx", {"a": 1.0})
+        assert (report.empirical_tail, report.trials, report.bound_value) \
+            == (0.03, 1000, 0.01)
+        assert (report.ci_low, report.ci_high) == binomial_ci(30, 1000)
+        assert report.context == "ctx" and report.extras == {"a": 1.0}

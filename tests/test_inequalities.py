@@ -483,11 +483,6 @@ class TestCounterexamples:
     def test_zero_third_matrix_never_violates(self, stream):
         assert ineq.triple_gt_scan(stream, budget=10000, zero_c=True) is None
 
-    def test_dispatch(self, stream):
-        assert ineq.counterexample_search("triple-gt", stream, 50000) is not None
-        with pytest.raises(ValueError):
-            ineq.counterexample_search("four-matrices", stream, 10)
-
 
 class _PairStream:
     """Stands in for a stream so that ``pauli_reduce_sweep(1, ...)`` sweeps
@@ -575,15 +570,6 @@ class TestEqualityOrderScan:
                                                                        rel=1e-2)
         expected = float(np.linalg.norm(comm) ** 2 / 24.0)
         assert base.coefficient == pytest.approx(expected, rel=1e-2)
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError, match="grid"):
-            ineq.equality_order_scan(pauli.SIGMA3, pauli.SIGMA1,
-                                     ineq.ScanConfig((0.01, 0.02, 0.03)))
-        with pytest.raises(ValueError):
-            ineq.ScanConfig((0.1, 0.1))
-        with pytest.raises(ValueError):
-            ineq.ScanConfig((-0.1, 0.2))
 
 
 class TestOscillator:

@@ -126,20 +126,6 @@ class TestExpm:
         np.testing.assert_allclose(linalg.expm(np.zeros((3, 3))), np.eye(3),
                                    atol=1e-14)
 
-    def test_pauli_vector_diagonal(self):
-        expected = np.diag([np.e, 1.0 / np.e])
-        np.testing.assert_allclose(linalg.expm(np.array([0.0, 0.0, 1.0])),
-                                   expected, atol=1e-14)
-
-    def test_pauli_closed_form_against_eigen_route(self, rng):
-        worst = 0.0
-        for _ in range(1000):
-            a = rng.standard_normal(3)
-            closed = pauli.expm_vector(a)
-            eigen = linalg.expm_herm(pauli.to_matrix(a))
-            worst = max(worst, np.linalg.norm(closed - eigen, 2))
-        assert worst <= 1e-10
-
     def test_general_route_triangular_closed_form(self, rng):
         # exp([[a, c], [0, b]]) has the divided-difference off-diagonal
         for _ in range(25):
@@ -225,31 +211,12 @@ class TestNorms:
         with pytest.raises(ValueError):
             linalg.schatten_norm(np.eye(2), 0.5)
 
-    def test_norm_dispatch(self, rng):
-        X = ginibre(rng, 3)
-        assert linalg.norm(X, "operator") == linalg.operator_norm(X)
-        assert linalg.norm(X, "schatten", p=np.inf) == linalg.operator_norm(X)
-        with pytest.raises(ValueError):
-            linalg.norm(X, "nuclear")
-
-    def test_log_metric_norm_is_distance_from_identity(self, rng):
-        A = gue(rng, 4)
-        value = linalg.norm(linalg.expm_herm(A), "log-metric")
-        assert abs(value - linalg.frobenius_norm(A)) <= 1e-10
-        with pytest.raises(ValueError, match="positive definite"):
-            linalg.norm(-np.eye(3), "log-metric")
-
     @pytest.mark.parametrize("fn", [
         linalg.operator_norm, linalg.frobenius_norm,
         *(lambda X, p=p: linalg.schatten_norm(X, p)
           for p in (1.0, 2.0, 4.0, np.inf))])
     def test_stack_matches_single(self, fn, rng):
         assert_stack_matches_single(fn, ginibre(rng, 4, 6))
-
-    def test_log_metric_stack_matches_single(self, rng):
-        assert_stack_matches_single(
-            lambda A: linalg.norm(linalg.expm_herm(A), "log-metric"),
-            gue(rng, 3, 6))
 
 
 class TestDelta2:

@@ -7,16 +7,19 @@ Usage::
 
 The config is a single JSON document.  ``suites`` lists suite names or
 per-suite parameter objects; top-level ``trials``, ``dims``, ``seed`` and
-``tolerances`` provide defaults (a tolerance is keyed by an equation tag of
-the registry)::
+``series_length`` provide defaults::
 
     {"suites": [{"name": "inequalities", "trials": 100, "dims": [2, 3, 4]}],
      "seed": 1}
 
+No tolerance is configurable: the checked statements are exact theorems,
+and each check admits a fixed rounding slack.
+
 Each subcommand runs its own suite family (``verify`` the inequality
 checks, ``tail`` the concentration sweeps, ``ratio`` the ensemble
 studies, ``hunt`` the counter-example searches); ``all`` in the config
-expands to the family of the subcommand.  Exit codes: 0 all cases passed,
+expands to the family of the subcommand, and a config whose suites name
+none of that family is a config error.  Exit codes: 0 all cases passed,
 1 at least one violation, 2 config error, 3 resource guard tripped.
 
 Reports are deterministic for a fixed (config, seed): the timestamp field
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 
 from .concentration import ResourceGuardError
 from .samplers import default_master_seed
-from .suites import REGISTRY, SUITE_NAMES, CaseRecord, SuiteParams, run_suite
+from .suites import SUITE_NAMES, CaseRecord, SuiteParams, run_suite
 
 SCHEMA_VERSION = "1"
 
@@ -107,14 +110,13 @@ def _expect(condition: bool, where: str, message: str):
 
 def parse_config(text: str, family: str | None = None) -> SuiteConfig:
     """Parse and validate a config document, optionally restricted to one
-    suite family (the subcommand's)."""
+    suite family (the subcommand's), which its suites must then name."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _expect(isinstance(raw, dict), "top level", "config must be an object")
-    known_keys = {"suites", "trials", "dims", "seed", "tolerances",
-                  "series_length"}
+    known_keys = {"suites", "trials", "dims", "seed", "series_length"}
     for key in raw:
         _expect(key in known_keys, key, "unknown config key")
     suites_raw = raw.get("suites", [])
@@ -134,7 +136,6 @@ def parse_config(text: str, family: str | None = None) -> SuiteConfig:
     top_seed = _scalar(raw, "top level", "seed", None, int, 0)
     top_series = _scalar(raw, "top level", "series_length", 10, int, 1)
     top_dims = _parse_dims(raw.get("dims"), "top level")
-    top_tols = _parse_tolerances(raw.get("tolerances"), "top level")
     seed = top_seed if top_seed is not None else default_master_seed()
 
     requests: list[SuiteRequest] = []
@@ -144,8 +145,7 @@ def parse_config(text: str, family: str | None = None) -> SuiteConfig:
             entry = {"name": entry}
         _expect(isinstance(entry, dict), where, "must be a name or an object")
         for key in entry:
-            _expect(key in {"name", "trials", "dims", "seed", "tolerances",
-                            "series_length"},
+            _expect(key in {"name", "trials", "dims", "seed", "series_length"},
                     f"{where}.{key}", "unknown suite key")
         name = entry.get("name")
         _expect(isinstance(name, str), f"{where}.name", "must be a string")
@@ -156,16 +156,16 @@ def parse_config(text: str, family: str | None = None) -> SuiteConfig:
         entry_seed = _scalar(entry, where, "seed", None, int, 0)
         series_length = _scalar(entry, where, "series_length", top_series, int, 1)
         dims = _parse_dims(entry.get("dims"), where) or top_dims or (2, 3, 4)
-        tols = dict(top_tols)
-        tols.update(_parse_tolerances(entry.get("tolerances"), where))
         names = SUITE_NAMES if name == "all" else (name,)
         for resolved in names:
             if family is not None and resolved != family:
                 continue
             params = SuiteParams(seed=entry_seed if entry_seed is not None else seed,
-                                 trials=trials, dims=dims, tolerances=tols,
+                                 trials=trials, dims=dims,
                                  series_length=series_length)
             requests.append(SuiteRequest(name=resolved, params=params))
+    _expect(requests or not suites_raw, "suites",
+            f"none is in the {family} family of this subcommand")
     return SuiteConfig(requests=tuple(requests), seed=seed)
 
 
@@ -180,20 +180,6 @@ def _parse_dims(value, where: str) -> tuple[int, ...] | None:
                 f"{where}.dims[{j}]", "must be a positive integer")
         dims.append(n)
     return tuple(dims)
-
-
-def _parse_tolerances(value, where: str) -> dict[str, float]:
-    if value is None:
-        return {}
-    _expect(isinstance(value, dict), f"{where}.tolerances", "must be an object")
-    out = {}
-    for key, tol in value.items():
-        _expect(key in REGISTRY, f"{where}.tolerances.{key}",
-                "unknown equation tag")
-        _expect(isinstance(tol, (int, float)) and not isinstance(tol, bool),
-                f"{where}.tolerances.{key}", "must be a number")
-        out[str(key)] = float(tol)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -260,11 +260,11 @@ def _exp_context(exp: CovarianceExperiment) -> str:
     return f"N={exp.n_samples} k={exp.dim} eps={exp.epsilon}"
 
 
-def optimal_bernstein_c(exp: CovarianceExperiment, stream: RngStream,
-                        pilot_trials: int = 2000) -> float:
+def optimal_bernstein_c(exp: CovarianceExperiment, stream: RngStream) -> float:
     """Golden-section minimizer of ``e^(-c eps) E Tr e^(c (Sigma - I))``
-    over ``(0, c_max]``, on a fixed pilot sample (common random numbers)."""
-    _, w = _deviation_draw(stream.generator(), pilot_trials, exp)
+    over ``(0, c_max]``, on a fixed pilot sample of 2000 draws (common
+    random numbers)."""
+    _, w = _deviation_draw(stream.generator(), 2000, exp)
 
     def objective(c: float) -> float:
         return float(np.log(np.exp(c * w).sum(axis=1).mean()) - c * exp.epsilon)
@@ -286,17 +286,15 @@ def optimal_bernstein_c(exp: CovarianceExperiment, stream: RngStream,
     return float((lo + hi) / 2.0)
 
 
-def bernstein_tail_check(exp: CovarianceExperiment, stream: RngStream,
-                         c: float | None = None) -> GapReport:
+def bernstein_tail_check(exp: CovarianceExperiment, stream: RngStream) -> GapReport:
     """Monte Carlo check of the exponentiated Chebyshev step:
     ``Pr(lambda_max(Sigma - I) > eps) <= e^(-c eps) E Tr e^(c (Sigma - I))``.
 
-    ``c`` defaults to the experiment's value or the golden-section optimum,
+    ``c`` is the experiment's value or else the golden-section optimum,
     found on a pilot sample from ``stream.child(1)``; the check draws from
     ``stream.child(0)``.
     """
-    if c is None:
-        c = exp.c if exp.c is not None else optimal_bernstein_c(exp, stream.child(1))
+    c = exp.c if exp.c is not None else optimal_bernstein_c(exp, stream.child(1))
     _, w = _deviation_draw(stream.child(0).generator(), exp.trials, exp)
     exceed = int((w[:, -1] > exp.epsilon).sum())
     lhs = exceed / exp.trials
@@ -376,7 +374,7 @@ def series_rhs(series: MatrixSeries):
 
 def oliveira_mgf_check(series: MatrixSeries, mode: str = "enumerate",
                        stream: RngStream | None = None,
-                       trials: int = 10000) -> GapReport:
+                       trials: int | None = None) -> GapReport:
     """``E Tr e^(mu Z) <= Tr e^((mu^2/2) sum A_p^2)`` for the sign series
     ``Z = sum_p e_p A_p``.
 
@@ -384,7 +382,8 @@ def oliveira_mgf_check(series: MatrixSeries, mode: str = "enumerate",
     deterministic verdict, guarded at series length 14); it takes stacked
     series and arrays of mu, eigensolving each series once for every mu.
     ``montecarlo`` estimates the left side of one series at one mu for
-    either sign kind and reports with a CI-aware tolerance.
+    either sign kind from ``trials`` sign draws on ``stream``, and reports
+    with a CI-aware tolerance.
     """
     terms = series.terms
     m, mu = series.length, series.mu
@@ -402,8 +401,8 @@ def oliveira_mgf_check(series: MatrixSeries, mode: str = "enumerate",
                                     context=f"oliveira_mgf enumerate m={m} mu={mu}")
     if mode == "montecarlo":
         series.require_single("montecarlo mode")
-        if stream is None:
-            raise ValueError("montecarlo mode requires a stream")
+        if stream is None or trials is None:
+            raise ValueError("montecarlo mode requires a stream and trials")
         if trials < 1:
             raise ValueError("trials must be positive")
         rng = stream.generator()

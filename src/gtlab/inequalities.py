@@ -2,7 +2,7 @@
 
 Every checker evaluates both sides of one inequality instance and returns
 a :class:`~gtlab.reports.GapReport`.  The statements are exact theorems,
-so the default tolerance only admits floating-point slack; a failing
+so the tolerance only admits floating-point slack; a failing
 report on valid input is an implementation bug by definition.
 
 The matrix checkers also take stacks of shape ``(..., n, n)`` (with the
@@ -14,7 +14,7 @@ as an integer array of the stack's leading shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -74,7 +74,7 @@ def _top_k_sum(values: np.ndarray, k) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # trace inequality of exponentials
 
-def gt_gap(A, B, tol: float | None = None) -> GapReport:
+def gt_gap(A, B) -> GapReport:
     """Golden-Thompson gap: ``Tr e^(A+B) <= Tr(e^A e^B)`` for Hermitian A, B.
 
     Equality holds exactly when A and B commute.
@@ -82,8 +82,7 @@ def gt_gap(A, B, tol: float | None = None) -> GapReport:
     Ah, Bh = _pair(A, B, "gt_gap")
     lhs = trace_expm(Ah + Bh)
     rhs = trace_of_product(expm_herm(Ah), expm_herm(Bh), "product trace in gt_gap")
-    return GapReport.from_sides(lhs, rhs, context=f"gt_gap dim={Ah.shape[-1]}",
-                                tol=tol)
+    return GapReport.from_sides(lhs, rhs, context=f"gt_gap dim={Ah.shape[-1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +251,13 @@ def validate_majorization_pair(a, b, err=None) -> tuple[np.ndarray, np.ndarray]:
     return av, bv
 
 
-def karamata_gap(a, b, omega: Callable[[np.ndarray], np.ndarray] = np.exp,
-                 err=None) -> GapReport:
-    """``sum omega(b_i) <= sum omega(a_i)`` for convex increasing ``omega``
-    whenever ``b`` is descending with dominated prefix sums (``err`` as in
-    :func:`validate_majorization_pair`)."""
+def karamata_gap(a, b, err=None) -> GapReport:
+    """``sum e^(b_i) <= sum e^(a_i)`` (Karamata for the convex increasing
+    exponential) whenever ``b`` is descending with dominated prefix sums
+    (``err`` as in :func:`validate_majorization_pair`)."""
     av, bv = validate_majorization_pair(a, b, err)
-    lhs = np.sum(omega(bv), axis=-1)
-    rhs = np.sum(omega(av), axis=-1)
+    lhs = np.sum(np.exp(bv), axis=-1)
+    rhs = np.sum(np.exp(av), axis=-1)
     return GapReport.from_sides(lhs, rhs, context=f"karamata_gap m={av.shape[-1]}")
 
 
@@ -288,8 +286,7 @@ def alt_trace_gap(P, Q, r: float, s: float) -> GapReport:
 
 
 def norm_variant_gap(A, B, variant: str, p: float | None = None,
-                     r: float | None = None, s: float | None = None,
-                     k: int | None = None) -> GapReport:
+                     r: float | None = None, s: float | None = None) -> GapReport:
     """Norm-level variants of the exponential trace bound for Hermitian A, B.
 
     * ``"schatten"``: ``||e^(A+B)||_p <= ||e^A e^B||_p`` (p >= 1 or inf).
@@ -332,8 +329,7 @@ def norm_variant_gap(A, B, variant: str, p: float | None = None,
     if variant == "weak-majorization":
         lam = np.cumsum(np.exp(np.linalg.eigvalsh(Ah + Bh))[..., ::-1], axis=-1)
         mu = np.cumsum(singular_values(expm_herm(Ah) @ expm_herm(Bh)), axis=-1)
-        worst = np.argmin(mu - lam, axis=-1) if k is None \
-            else np.broadcast_to(np.asarray(k) - 1, lam.shape[:-1])
+        worst = np.argmin(mu - lam, axis=-1)
         pick = worst[..., None]
         return GapReport.from_sides(np.take_along_axis(lam, pick, -1)[..., 0],
                                     np.take_along_axis(mu, pick, -1)[..., 0],
@@ -400,11 +396,13 @@ def lieb_rhs_closed(A, B, C) -> float:
     return checked_real(value, "closed-form kernel sum in lieb_rhs_closed")
 
 
-def lieb_rhs_quadrature(A, B, C, tol: float = 1e-10) -> float:
+def lieb_rhs_quadrature(A, B, C) -> float:
     """The same integral by adaptive quadrature on ``(0, T]`` (through a
     Moebius change of variables) plus an analytic bound on the ``t > T``
-    tail; the matrix inverse is evaluated by linear solves at each node,
-    independently of the closed-form kernel."""
+    tail, to within ``tol = 1e-10`` relative to its scale; the matrix
+    inverse is evaluated by linear solves at each node, independently of
+    the closed-form kernel."""
+    tol = 1e-10
     Ah = require_hermitian(A, "lieb_rhs_quadrature A")
     Bh = require_hermitian(B, "lieb_rhs_quadrature B")
     Ch = require_hermitian(C, "lieb_rhs_quadrature C")
@@ -502,23 +500,18 @@ def triple_gt_scan(stream: RngStream, budget: int,
     return None
 
 
-def abc_trace_scan(stream: RngStream, budget: int, k: int = 1) -> Witness | None:
+def abc_trace_scan(stream: RngStream, budget: int) -> Witness | None:
     """Search Gaussian 3x3 real symmetric triples for
-    ``|Tr (ABC)^(2^k)| > Tr(A^(2^k) B^(2^k) C^(2^k))``."""
+    ``|Tr (ABC)^(2^k)| > Tr(A^(2^k) B^(2^k) C^(2^k))`` at ``k = 1``."""
     if budget < 1:
         raise ValueError("budget must be positive")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
     for done, count, rng in stream.blocks(budget, _ABC_CHUNK):
         G = rng.standard_normal((count, 3, 3, 3))
         sym = (G + np.swapaxes(G, 2, 3)) / 2.0
         A, B, C = sym[:, 0], sym[:, 1], sym[:, 2]
         P = A @ B @ C
-        for _ in range(k):
-            P = P @ P
-        Ap, Bp, Cp = A, B, C
-        for _ in range(k):
-            Ap, Bp, Cp = Ap @ Ap, Bp @ Bp, Cp @ Cp
+        P = P @ P
+        Ap, Bp, Cp = A @ A, B @ B, C @ C
         lhs = np.abs(np.einsum('tii->t', P))
         rhs = np.einsum('tij,tjk,tki->t', Ap, Bp, Cp)
         tol = 1e-9 * np.maximum(1.0, np.maximum(lhs, np.abs(rhs)))
@@ -528,7 +521,7 @@ def abc_trace_scan(stream: RngStream, budget: int, k: int = 1) -> Witness | None
             return Witness(target="abc-trace", trial_index=done + idx,
                            lhs=float(lhs[idx]), rhs=float(rhs[idx]),
                            matrices=(A[idx].copy(), B[idx].copy(), C[idx].copy()),
-                           context=f"|Tr (ABC)^(2^k)| exceeds the power bound, k={k}")
+                           context="|Tr (ABC)^(2^k)| exceeds the power bound, k=1")
     return None
 
 

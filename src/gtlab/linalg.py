@@ -88,12 +88,14 @@ def hermitize(M) -> np.ndarray:
     return (A + adjoint(A)) / 2.0
 
 
-def is_hermitian(M, atol: float = HERMITIAN_ATOL):
-    """Whether ``|M - M†| <= atol * max(1, |M|)`` entrywise, each matrix at
-    its own scale: a bool for one matrix, a bool array for a stack."""
+def is_hermitian(M):
+    """Whether ``|M - M†| <= HERMITIAN_ATOL * max(1, |M|)`` entrywise, each
+    matrix at its own scale: a bool for one matrix, a bool array for a
+    stack."""
     A = np.asarray(M)
     scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0))
-    ok = np.abs(A - adjoint(A)).max(axis=(-2, -1), initial=0.0) <= atol * scale
+    ok = np.abs(A - adjoint(A)).max(axis=(-2, -1), initial=0.0) \
+        <= HERMITIAN_ATOL * scale
     return bool(ok) if ok.ndim == 0 else ok
 
 

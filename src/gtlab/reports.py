@@ -29,10 +29,10 @@ REL_TOL = 1e-9
 IMAG_REL_TOL = 1e-10
 
 
-def inequality_tol(lhs, rhs, rel: float = REL_TOL):
-    """Slack for an exact ``lhs <= rhs`` check: ``rel * max(1, |lhs|, |rhs|)``,
-    elementwise for arrays of sides."""
-    return rel * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+def inequality_tol(lhs, rhs):
+    """Slack for an exact ``lhs <= rhs`` check: ``REL_TOL * max(1, |lhs|,
+    |rhs|)``, elementwise for arrays of sides."""
+    return REL_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,13 @@ class GapReport:
     context: str = ""
 
     @classmethod
-    def from_sides(cls, lhs, rhs, context: str = "", tol=None,
-                   rel: float = REL_TOL) -> "GapReport":
+    def from_sides(cls, lhs, rhs, context: str = "", tol=None) -> "GapReport":
         """Report on scalar sides (plain float fields, bool ``passed``) or on
-        arrays of sides, which broadcast against each other and ``tol``."""
+        arrays of sides, which broadcast against each other and ``tol``
+        (:func:`inequality_tol` when absent)."""
         lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=np.float64),
                                        np.asarray(rhs, dtype=np.float64))
-        tol = inequality_tol(lhs, rhs, rel) if tol is None \
+        tol = inequality_tol(lhs, rhs) if tol is None \
             else np.broadcast_to(np.asarray(tol, dtype=np.float64), lhs.shape)
         margin = rhs - lhs
         passed = margin >= -tol
@@ -138,8 +138,8 @@ class RatioEstimate:
                    trials=int(trials), extras=dict(extras or {}))
 
 
-def binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Clopper-Pearson (exact) two-sided binomial confidence interval.
+def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
+    """Clopper-Pearson (exact) two-sided 95% binomial confidence interval.
 
     The bounds are beta quantiles: ``betaincinv(a, b, q)``, the inverse of
     the regularized incomplete beta function, is the ``q``-quantile of
@@ -149,7 +149,7 @@ def binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes outside [0, trials]")
-    alpha = 1.0 - level
+    alpha = 1.0 - 0.95
     if successes == 0:
         low = 0.0
     else:
@@ -161,16 +161,16 @@ def binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float
     return low, high
 
 
-def checked_real(value, context: str = "", rel: float = IMAG_REL_TOL):
+def checked_real(value, context: str = ""):
     """Discard the imaginary residue of a provably real quantity (a float
     for a scalar, a float array for an array of values).
 
-    The residue must stay below ``rel * max(1, |value|)`` for every entry;
-    anything larger is an implementation error rather than rounding, and
-    raises.
+    The residue must stay below ``IMAG_REL_TOL * max(1, |value|)`` for
+    every entry; anything larger is an implementation error rather than
+    rounding, and raises.
     """
     value = np.asarray(value, dtype=np.complex128)
-    bad = np.abs(value.imag) > rel * np.maximum(1.0, np.abs(value))
+    bad = np.abs(value.imag) > IMAG_REL_TOL * np.maximum(1.0, np.abs(value))
     if np.any(bad):
         first = complex(value[bad][0])
         raise ValueError(

@@ -72,7 +72,7 @@ class RadialQuadratureResult:
     error_bound: float
 
 
-def pauli_ratio_quadrature(tol: float = 1e-10) -> RadialQuadratureResult:
+def pauli_ratio_quadrature() -> RadialQuadratureResult:
     """Ratio ``E Tr(e^A e^B) / E Tr e^(A+B)`` over independent standard
     Gaussian coefficient vectors, by radial quadrature.
 
@@ -80,12 +80,11 @@ def pauli_ratio_quadrature(tol: float = 1e-10) -> RadialQuadratureResult:
     radial ones: the numerator factorizes into the square of
     ``E cosh|a|`` (the angular cross term averages to zero) and the
     denominator is ``E cosh|a+b|`` with ``|a+b| = sqrt(2) R``, ``R``
-    chi-distributed with 3 degrees of freedom.
+    chi-distributed with 3 degrees of freedom; each is integrated to a
+    tolerance of 1e-10.
     """
-    if tol < 1e-10:
-        raise ValueError("tol must be at least 1e-10")
-    single, err1 = radial_cosh_moment(1.0, tol=tol)
-    denom, err2 = radial_cosh_moment(math.sqrt(2.0), tol=tol)
+    single, err1 = radial_cosh_moment(1.0, tol=1e-10)
+    denom, err2 = radial_cosh_moment(math.sqrt(2.0), tol=1e-10)
     numerator = single * single
     return RadialQuadratureResult(ratio=numerator / denom,
                                   numerator=numerator, denominator=denom,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gtlab
-from gtlab import cli, studies, suites
+from gtlab import cli, pauli, studies, suites
 from gtlab import concentration as conc
 from gtlab.reports import GapReport
 from gtlab.samplers import RngStream, gue
@@ -70,22 +70,21 @@ class TestConfigParsing:
         config = cli.parse_config(json.dumps({"suites": []}))
         assert config.seed == 777
 
-    def test_tolerance_keys_must_name_registry_tags(self, tmp_path):
-        with pytest.raises(cli.ConfigError,
-                           match=r"top level\.tolerances\.Eq\.Typo"):
+    def test_tolerances_key_exit_two(self, tmp_path):
+        # the checks are exact theorems: no config may loosen their slack
+        with pytest.raises(cli.ConfigError, match=r"^tolerances: unknown"):
             cli.parse_config(json.dumps({"suites": [],
-                                         "tolerances": {"Eq.Typo": 5.0}}))
+                                         "tolerances": {"Eq.1": 1e-9}}))
         with pytest.raises(cli.ConfigError,
-                           match=r"suites\[0\]\.tolerances\.eq\.1"):
+                           match=r"^suites\[0\]\.tolerances: unknown"):
             cli.parse_config(json.dumps({"suites": [{
-                "name": "inequalities", "tolerances": {"eq.1": 1e-9}}]}))
-        config = cli.parse_config(json.dumps({
-            "suites": ["inequalities"], "tolerances": {"Eq.1": 1e-9}}))
-        assert config.requests[0].params.tolerances == {"Eq.1": 1e-9}
-        code, _ = run_cli(tmp_path, {
-            "suites": ["counterexamples"], "trials": 10, "seed": 1,
-            "tolerances": {"Eq.Typo": 5.0, "ABC.trace": -1}}, command="hunt")
-        assert code == 2
+                "name": "inequalities", "tolerances": {"Eq.1": 1e-9}}]}))
+        for config in ({**BASE_CONFIG, "tolerances": {"Eq.1": float("nan")}},
+                       {**BASE_CONFIG, "suites": [{
+                           "name": "inequalities",
+                           "tolerances": {"Eq.AB": -1.0}}]}):
+            code, text = run_cli(tmp_path, config)
+            assert (code, text) == (2, None)
 
 
 class TestRunAndEmit:
@@ -141,10 +140,11 @@ class TestRunAndEmit:
                          "--out", str(tmp_path / "re.csv")]) == 1
         assert (tmp_path / "re.csv").read_text() == text
 
-    def test_forced_failure_exit_one(self, tmp_path):
-        config = dict(BASE_CONFIG)
-        config["tolerances"] = {"Eq.AB": -1.0}
-        code, text = run_cli(tmp_path, config)
+    def test_forced_failure_exit_one(self, tmp_path, monkeypatch):
+        # a parametrization residual far above its 1e-12 threshold
+        monkeypatch.setattr(pauli, "squared_norm_identity_residual",
+                            lambda a: 1.0)
+        code, text = run_cli(tmp_path, BASE_CONFIG)
         assert code == 1
         report = json.loads(text)
         assert report["summary"]["failed"] >= 1
@@ -240,11 +240,24 @@ class TestRunAndEmit:
         cfg.write_text(json.dumps(BASE_CONFIG))
         assert cli.main(["report", "--config", str(cfg)]) == 2
 
-    def test_family_restriction_yields_empty(self, tmp_path):
-        code, text = run_cli(tmp_path, {"suites": ["studies"], "seed": 1},
-                             command="verify")
-        assert code == 0
-        assert json.loads(text)["cases"] == []
+    def test_suites_outside_the_family_exit_two(self, tmp_path):
+        # a run that would check nothing must not report success
+        for config, command in (
+                ({"suites": ["studies"], "seed": 1}, "verify"),
+                ({"suites": ["concentration"], "trials": 40, "seed": 1},
+                 "verify"),
+                ({"suites": ["inequalities", {"name": "studies"}]}, "hunt")):
+            code, text = run_cli(tmp_path, config, command=command)
+            assert (code, text) == (2, None), (config, command)
+        with pytest.raises(cli.ConfigError, match=r"^suites: none is in the "
+                                                  r"studies family"):
+            cli.parse_config(json.dumps({"suites": ["inequalities"]}),
+                             family="studies")
+        # one suite of the family is enough
+        config = cli.parse_config(json.dumps({"suites": ["inequalities",
+                                                         "studies"]}),
+                                  family="studies")
+        assert [r.name for r in config.requests] == ["studies"]
 
 
 def record_stream_keys(monkeypatch) -> list:
@@ -294,6 +307,30 @@ class TestRegistry:
             assert suite in suites.SUITE_NAMES
             assert isinstance(operation, str) and "." in operation
 
+    def test_each_runner_calls_its_operation(self):
+        params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
+        called, missed = set(), []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        for tag, (_, operation, runner) in suites.REGISTRY.items():
+            if runner is None:
+                continue
+            module, name = operation.split(".")
+            target = getattr(importlib.import_module(f"gtlab.{module}"),
+                             name).__code__
+            called.clear()
+            sys.setprofile(profile)
+            try:
+                runner(params, tag_stream(tag, 1))
+            finally:
+                sys.setprofile(None)
+            if target not in called:
+                missed.append((tag, operation))
+        assert not missed, f"runners that skip their row's operation: {missed}"
+
     def test_suite_tags_cover_runners(self):
         runnable = {tag for tag, (_, _, runner) in suites.REGISTRY.items()
                     if runner is not None}
@@ -341,20 +378,20 @@ class TestMonteCarloEscalation:
         # a 1x1 Gaussian series, where the bound holds with equality: the
         # first 10^4 sign draws land 2.1 se above it
         params = suites.SuiteParams(seed=53, trials=8000)
-        _, case = suites._run_oliveira(params, tag_stream("Eq.OB", 53), None)
+        _, case = suites._run_oliveira(params, tag_stream("Eq.OB", 53))
         assert case.status == "pass" and case.extra["escalated"]
         assert case.trials == 100000
 
     def test_ratio_chance_miss_escalates_and_passes(self):
         # the first 10^6 pairs land 3.06 se from 4/3
         params = suites.SuiteParams(seed=2, trials=1_000_000, dims=(128,))
-        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 2), None)
+        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 2))
         assert case.status == "pass" and case.extra["escalated"]
         assert case.trials == 10_000_000
 
     def test_a_pass_keeps_the_first_attempt(self):
         params = suites.SuiteParams(seed=1, trials=10000)
-        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 1), None)
+        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 1))
         est = studies.pauli_ratio_mc(10000, tag_stream("Eq.R", 1),
                                      matrix_check=1000)
         assert case.status == "pass" and not case.extra["escalated"]
@@ -370,7 +407,7 @@ class TestMonteCarloEscalation:
         monkeypatch.setattr(studies, "pauli_ratio_mc", shifted)
         keys = record_stream_keys(monkeypatch)
         params = suites.SuiteParams(seed=1, trials=10000)
-        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 1), None)
+        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 1))
         assert case.status == "fail" and case.extra["escalated"]
         assert case.trials == 100000
         assert len(set(keys)) == len(keys), "the escalation reused a stream key"
@@ -389,7 +426,7 @@ class TestMonteCarloEscalation:
         monkeypatch.setattr(conc, "oliveira_mgf_check", shifted)
         keys = record_stream_keys(monkeypatch)
         params = suites.SuiteParams(seed=1, trials=1000)
-        _, case = suites._run_oliveira(params, tag_stream("Eq.OB", 1), None)
+        _, case = suites._run_oliveira(params, tag_stream("Eq.OB", 1))
         assert case.status == "fail" and case.extra["escalated"]
         assert case.trials == 100000
         assert len(set(keys)) == len(keys), "the escalation reused a stream key"
@@ -447,8 +484,10 @@ class TestTailEscalation:
 
 
 class TestReachability:
-    """Every public function and method of gtlab runs under the CLI, so
-    code that no tag or CLI path reaches shows up here."""
+    """Every public function and method of gtlab runs under the CLI, and
+    every parameter of one that has a default is set to another value
+    there, so code and settings that no tag or CLI path reaches show up
+    here."""
 
     CONFIGS = {
         "verify": {"suites": ["inequalities"], "trials": 50, "dims": [2],
@@ -460,10 +499,18 @@ class TestReachability:
         "hunt": {"suites": ["counterexamples"], "trials": 50, "dims": [2]},
     }
 
+    #: Defaulted parameters the CLI never sets, each with why it stays.
+    EXEMPT = {
+        "gtlab.inequalities.triple_gt_scan.zero_c":
+            "the negative control of the triple hunt: pinning C to zero "
+            "reduces it to the two-matrix theorem, so a witness found there "
+            "is a bug in the hunt (test_inequalities tests it)",
+    }
+
     @staticmethod
-    def public_code():
-        """Code object of every public function, method and property
-        getter defined in a gtlab module, by qualified name."""
+    def public_functions():
+        """Every public function, method and property getter defined in a
+        gtlab module, by qualified name."""
         found = {}
         for info in pkgutil.iter_modules(gtlab.__path__):
             module = importlib.import_module(f"gtlab.{info.name}")
@@ -481,33 +528,78 @@ class TestReachability:
                     member = getattr(member, "__func__", member)
                     if inspect.isfunction(member):
                         label = name if attr is None else f"{name}.{attr}"
-                        found[f"{module.__name__}.{label}"] = member.__code__
+                        found[f"{module.__name__}.{label}"] = member
         return found
 
-    def test_every_public_function_is_called(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("GTLAB_SEED", raising=False)
-        called = set()
+    @classmethod
+    def defaulted_parameters(cls) -> dict:
+        """``code -> [(qualified parameter name, parameter, default)]`` for
+        each public function with defaulted parameters."""
+        found = {}
+        for name, fn in cls.public_functions().items():
+            found[fn.__code__] = [
+                (f"{name}.{p.name}", p.name, p.default)
+                for p in inspect.signature(fn).parameters.values()
+                if p.default is not p.empty]
+        return {code: params for code, params in found.items() if params}
+
+    @staticmethod
+    def is_default(value, default) -> bool:
+        if value is default:
+            return True
+        try:
+            return bool(value == default)
+        except (TypeError, ValueError):
+            # an array is another value than a scalar default
+            return False
+
+    @pytest.fixture(scope="class")
+    def profiled(self, tmp_path_factory):
+        """The code objects called under the CLI, and the qualified names
+        of the defaulted parameters it sets to another value."""
+        tmp_path = tmp_path_factory.mktemp("reachability")
+        defaulted = self.defaulted_parameters()
+        called, changed = set(), set()
 
         def profile(frame, event, arg):
-            if event == "call":
-                called.add(frame.f_code)
+            if event != "call":
+                return
+            called.add(frame.f_code)
+            for label, param, default in defaulted.get(frame.f_code, ()):
+                if not self.is_default(frame.f_locals[param], default):
+                    changed.add(label)
 
-        sys.setprofile(profile)
-        try:
-            for command, config in self.CONFIGS.items():
-                code, text = run_cli(tmp_path, config, command=command)
-                assert code == 0, command
-                saved = tmp_path / f"{command}.json"
-                saved.write_text(text)
-                for fmt in ("json", "csv"):
-                    assert cli.main(["report", "--config", str(saved),
-                                     "--format", fmt, "--out",
-                                     str(tmp_path / "re")]) == 0
-        finally:
-            sys.setprofile(None)
-        missed = sorted(name for name, code in self.public_code().items()
-                        if code not in called)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.delenv("GTLAB_SEED", raising=False)
+            sys.setprofile(profile)
+            try:
+                for command, config in self.CONFIGS.items():
+                    code, text = run_cli(tmp_path, config, command=command)
+                    assert code == 0, command
+                    saved = tmp_path / f"{command}.json"
+                    saved.write_text(text)
+                    for fmt in ("json", "csv"):
+                        assert cli.main(["report", "--config", str(saved),
+                                         "--format", fmt, "--out",
+                                         str(tmp_path / "re")]) == 0
+            finally:
+                sys.setprofile(None)
+        return called, changed
+
+    def test_every_public_function_is_called(self, profiled):
+        called, _ = profiled
+        missed = sorted(name for name, fn in self.public_functions().items()
+                        if fn.__code__ not in called)
         assert not missed, f"never called under the CLI: {missed}"
+
+    def test_every_defaulted_parameter_is_set(self, profiled):
+        _, changed = profiled
+        labels = {label for params in self.defaulted_parameters().values()
+                  for label, _, _ in params}
+        assert set(self.EXEMPT) <= labels, "an exemption names no parameter"
+        unset = sorted(labels - changed - set(self.EXEMPT))
+        assert not unset, ("never set to a non-default value under the CLI "
+                           f"(make each a constant): {unset}")
 
 
 class TestSignSeriesRunners:
@@ -534,7 +626,7 @@ class TestSignSeriesRunners:
         sides = self.sides_of_cases(monkeypatch)
         params = suites.SuiteParams(seed=5, trials=400)
         stream = tag_stream("Eq.OB", 5)
-        case, _ = suites._run_oliveira(params, stream, None)
+        case, _ = suites._run_oliveira(params, stream)
         expected = []
         for i in range(20):
             rng = stream.child(0, i).generator()
@@ -555,7 +647,7 @@ class TestSignSeriesRunners:
         sides = self.sides_of_cases(monkeypatch)
         params = suites.SuiteParams(seed=5, trials=400)
         stream = tag_stream("Eq.RUvsOB", 5)
-        case, = suites._run_oliveira_vs_aw(params, stream, None)
+        case, = suites._run_oliveira_vs_aw(params, stream)
         expected = []
         for i in range(400):
             rng = stream.child(i).generator()
@@ -582,7 +674,7 @@ class TestSignSeriesRunners:
         monkeypatch.setattr(suites, "_series_terms", skewed)
         params = suites.SuiteParams(seed=5, trials=200)
         with pytest.raises(ValueError, match="Hermitian"):
-            suites._run_oliveira_vs_aw(params, tag_stream("Eq.RUvsOB", 5), None)
+            suites._run_oliveira_vs_aw(params, tag_stream("Eq.RUvsOB", 5))
         # the skewed series shares its group with others
         assert drawn.count(drawn[6]) > 1
 
@@ -602,10 +694,9 @@ class TestSignSeriesRunners:
         monkeypatch.setattr(conc, "oliveira_vs_aw",
                             lambda series: shrunk(direct_check(series)))
         params = suites.SuiteParams(seed=5, trials=200)
-        enum_case, mc_case = suites._run_oliveira(params, tag_stream("Eq.OB", 5),
-                                                  None)
+        enum_case, mc_case = suites._run_oliveira(params, tag_stream("Eq.OB", 5))
         direct_case, = suites._run_oliveira_vs_aw(
-            params, tag_stream("Eq.RUvsOB", 5), None)
+            params, tag_stream("Eq.RUvsOB", 5))
         assert mc_case.status == "pass"
         for case in (enum_case, direct_case):
             assert case.status == "fail"
@@ -615,4 +706,4 @@ class TestSignSeriesRunners:
     def test_enumeration_guard_fires_above_14(self, length):
         params = suites.SuiteParams(seed=5, trials=200, series_length=length)
         with pytest.raises(conc.ResourceGuardError):
-            suites._run_oliveira(params, tag_stream("Eq.OB", 5), None)
+            suites._run_oliveira(params, tag_stream("Eq.OB", 5))

@@ -12,7 +12,7 @@ from gtlab.samplers import RngStream, ginibre
 
 class TestQuadratureRatio:
     def test_ratio_is_four_thirds(self):
-        result = studies.pauli_ratio_quadrature(tol=1e-10)
+        result = studies.pauli_ratio_quadrature()
         assert abs(result.ratio - 4.0 / 3.0) <= 1e-10
 
     def test_closed_form_moments(self):
@@ -24,7 +24,7 @@ class TestQuadratureRatio:
         assert double == pytest.approx(3.0 * math.e, rel=1e-12)
 
     def test_numerator_factorizes_against_2d_quadrature(self):
-        result = studies.pauli_ratio_quadrature(tol=1e-10)
+        result = studies.pauli_ratio_quadrature()
         c = 2.0 / math.pi
 
         def integrand(rb, ra):
@@ -34,10 +34,6 @@ class TestQuadratureRatio:
         direct, err = dblquad(integrand, 0.0, 20.0, 0.0, 20.0,
                               epsabs=1e-10, epsrel=1e-10)
         assert abs(result.numerator - direct) <= 1e-8 * direct
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            studies.pauli_ratio_quadrature(tol=1e-12)
 
 
 class TestMonteCarloRatio:

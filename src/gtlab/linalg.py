@@ -9,7 +9,9 @@ matrix too: each member is checked against its own scale, and one
 invalid member rejects the whole stack.  Eigenvalue and singular-value
 factorizations are delegated to LAPACK through ``numpy.linalg`` behind
 the contracts below (descending order, validated reconstruction);
-non-Hermitian exponentials go to ``scipy.linalg.expm``.
+non-Hermitian exponentials go to ``scipy.linalg.expm``.  One scalar
+routine rides along: :func:`gauss_legendre`, the adaptive quadrature rule
+behind every integral a checker compares with a closed form.
 
 Conventions:
 
@@ -22,6 +24,8 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 from typing import Callable, NamedTuple
 
@@ -31,12 +35,13 @@ import scipy.linalg
 from .reports import checked_real
 
 __all__ = [
-    "EigenSolverError", "Spectrum",
+    "EigenSolverError", "QuadratureError", "Spectrum",
     "as_complex_matrix", "hermitize", "is_hermitian", "require_hermitian",
     "adjoint", "herm_eigen", "general_eigen", "singular_values",
     "herm_fn", "expm", "expm_herm", "psd_power",
     "schatten_norm", "operator_norm", "frobenius_norm",
     "distance_delta2", "lie_trotter_product", "trace_expm", "trace_of_product",
+    "gauss_legendre",
 ]
 
 #: Tolerance on ``|M - M†|`` accepted when a Hermitian argument is required.
@@ -49,6 +54,10 @@ class EigenSolverError(RuntimeError):
     def __init__(self, message: str, matrix=None):
         super().__init__(message)
         self.matrix = matrix
+
+
+class QuadratureError(RuntimeError):
+    """Raised when :func:`gauss_legendre` cannot meet its tolerance."""
 
 
 class Spectrum(NamedTuple):
@@ -245,3 +254,64 @@ def trace_of_product(A, B, context: str = ""):
     """``Tr(AB)`` of a provably real product, with the imaginary-residue
     check applied."""
     return checked_real(np.einsum('...ij,...ji->...', A, B), context)
+
+
+#: Panels :func:`gauss_legendre` may cut its interval into before it gives up.
+_MAX_PANELS = 512
+
+
+@functools.cache
+def _gauss_rules():
+    """The 20- and 40-point Gauss-Legendre rules on ``[-1, 1]``: all 60
+    nodes (the 20 first) and the two weight vectors."""
+    from numpy.polynomial.legendre import leggauss
+    x20, w20 = leggauss(20)
+    x40, w40 = leggauss(40)
+    return np.concatenate([x20, x40]), w20, w40
+
+
+def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+                   epsabs: float, epsrel: float) -> tuple[float, float]:
+    """``int_a^b f(x) dx`` for finite ``a`` and ``b`` by adaptive
+    Gauss-Legendre quadrature: ``(value, error estimate)``.
+
+    ``f`` takes a 1-d array of nodes and returns the integrand at each.
+    Each panel is integrated by the 20- and the 40-point rule; the value is
+    the sum of the 40-point results and the error estimate the sum of the
+    two rules' absolute differences.  While that estimate exceeds
+    ``max(epsabs, epsrel * |value|)``, the panels with the largest
+    differences are bisected, as few as leave at most half the tolerance on
+    the others, and all new panels are evaluated in one call of ``f``.
+    Raises :class:`QuadratureError` when that would take more than
+    ``_MAX_PANELS`` panels, or when ``f`` is not finite at a node.
+    """
+    x, w20, w40 = _gauss_rules()
+    # evaluated panels: ends, 40-point results, |40-point - 20-point|
+    lo, hi, fine, diff = (np.empty(0) for _ in range(4))
+    new_lo, new_hi = np.array([float(a)]), np.array([float(b)])
+    while True:
+        half = (new_hi - new_lo) / 2.0
+        nodes = ((new_hi + new_lo) / 2.0)[:, None] + half[:, None] * x
+        y = np.asarray(f(nodes.ravel()), dtype=np.float64).reshape(nodes.shape)
+        if not np.all(np.isfinite(y)):
+            raise QuadratureError(f"integrand is not finite on [{a}, {b}]")
+        panel = half * (y[:, 20:] @ w40)
+        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+        fine = np.concatenate([fine, panel])
+        diff = np.concatenate([diff, np.abs(panel - half * (y[:, :20] @ w20))])
+        value, error = math.fsum(fine), math.fsum(diff)
+        tol = max(epsabs, epsrel * abs(value))
+        if error <= tol:
+            return value, error
+        order = np.argsort(-diff, kind="stable")
+        split = np.zeros(diff.size, dtype=bool)
+        split[order[:np.count_nonzero(
+            error - np.cumsum(diff[order]) > tol / 2.0) + 1]] = True
+        if lo.size + np.count_nonzero(split) > _MAX_PANELS:
+            raise QuadratureError(
+                f"no convergence on [{a}, {b}] within {_MAX_PANELS} panels: "
+                f"error estimate {error:.3g} against tolerance {tol:.3g}")
+        mid = (lo[split] + hi[split]) / 2.0
+        new_lo, new_hi = np.concatenate([lo[split], mid]), \
+            np.concatenate([mid, hi[split]])
+        lo, hi, fine, diff = lo[~split], hi[~split], fine[~split], diff[~split]

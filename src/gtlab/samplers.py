@@ -87,9 +87,13 @@ class RngStream:
 
 
 def standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussians: unit complex variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
-        / np.sqrt(2.0)
+    """Standard complex Gaussians: unit complex variance per entry, real
+    parts drawn before imaginary parts."""
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2.0)
+    return out
 
 
 def ginibre(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:

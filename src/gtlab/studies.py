@@ -29,10 +29,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import pauli
-from .linalg import EigenSolverError, expm_herm, trace_expm, trace_of_product
+from .linalg import (EigenSolverError, expm_herm, gauss_legendre, trace_expm,
+                     trace_of_product)
 from .reports import RatioEstimate
 from .samplers import RngStream, ginibre
 
@@ -48,20 +48,24 @@ MC_CHUNK = 65536
 
 def radial_cosh_moment(scale: float, tol: float = 1e-12) -> tuple[float, float]:
     """``E cosh(scale * R)`` for ``R`` chi-distributed with 3 degrees of
-    freedom, by adaptive quadrature of the radial density
-    ``sqrt(2/pi) r^2 exp(-r^2/2)``.
+    freedom, by adaptive Gauss-Legendre quadrature
+    (:func:`~gtlab.linalg.gauss_legendre`) of the radial density
+    ``sqrt(2/pi) r^2 exp(-r^2/2)``, mapped from ``[0, inf)`` to ``[0, 1)``
+    by ``r = u/(1-u)``, to within ``tol`` absolute and relative.
 
     The integrand is written in exponential form so large radii underflow
-    to zero instead of overflowing ``cosh``.  Returns (value, error bound).
+    to zero instead of overflowing ``cosh``.  Returns (value, error
+    estimate).
     """
     c = math.sqrt(2.0 / math.pi)
 
-    def integrand(r: float) -> float:
-        return 0.5 * c * r * r * (math.exp(scale * r - r * r / 2.0)
-                                  + math.exp(-scale * r - r * r / 2.0))
+    def integrand(u: np.ndarray) -> np.ndarray:
+        r = u / (1.0 - u)
+        return 0.5 * c * r * r * (np.exp(scale * r - r * r / 2.0)
+                                  + np.exp(-scale * r - r * r / 2.0)) \
+            / (1.0 - u) ** 2
 
-    value, err = quad(integrand, 0.0, np.inf, epsabs=tol, epsrel=tol, limit=200)
-    return float(value), float(err)
+    return gauss_legendre(integrand, 0.0, 1.0, tol, tol)
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,9 @@ def pauli_ratio_quadrature() -> RadialQuadratureResult:
     radial ones: the numerator factorizes into the square of
     ``E cosh|a|`` (the angular cross term averages to zero) and the
     denominator is ``E cosh|a+b|`` with ``|a+b| = sqrt(2) R``, ``R``
-    chi-distributed with 3 degrees of freedom; each is integrated to a
-    tolerance of 1e-10.
+    chi-distributed with 3 degrees of freedom; each is integrated by
+    :func:`radial_cosh_moment` to a tolerance of 1e-10, and the error bound
+    propagates their error estimates.
     """
     single, err1 = radial_cosh_moment(1.0, tol=1e-10)
     denom, err2 = radial_cosh_moment(math.sqrt(2.0), tol=1e-10)

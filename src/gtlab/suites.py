@@ -498,8 +498,10 @@ def _run_equality_order(params, stream):
                             extra={"commuting_flag": comm.commuting})]
     worst_slope = 0.0
     details = {}
+    # a 1x1 pair always commutes and has no slope to fit
+    m = max(2, n)
     for label, A, B in (("sigma", pauli.SIGMA3, pauli.SIGMA1),
-                        ("gue", gue(rng, n), gue(rng, n))):
+                        ("gue", gue(rng, m), gue(rng, m))):
         scan = ineq.equality_order_scan(hermitize(A), hermitize(B))
         worst_slope = max(worst_slope, abs(scan.slope - 4.0))
         details[f"slope_{label}"] = scan.slope

@@ -151,6 +151,17 @@ class TestRunAndEmit:
         failed = [c for c in report["cases"] if not c["passed"]]
         assert failed and failed[0]["equation"] == "Eq.AB"
 
+    def test_one_by_one_dims_exit_zero(self, tmp_path):
+        # a 1x1 GUE pair always commutes, so the order fit draws its pair
+        # at 2x2 at least; it used to crash with exit 1
+        config = {"suites": ["inequalities"], "trials": 5, "dims": [1],
+                  "seed": 1}
+        code, text = run_cli(tmp_path, config)
+        assert code == 0
+        fit = next(c for c in json.loads(text)["cases"]
+                   if c["name"] == "equality-order-fit")
+        assert fit["status"] == "pass"
+
     def test_config_error_exit_two(self, tmp_path):
         code, _ = run_cli(tmp_path, {"suites": ["bogus"]})
         assert code == 2
@@ -362,6 +373,29 @@ class TestStartup:
             p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+    def test_cli_run_does_not_load_scipy_integrate(self, tmp_path):
+        # both quadrature routes run (Eq.4.1c under verify, Eq.R under
+        # ratio) without scipy.integrate, which would pull in scipy.optimize
+        probe = (
+            "import json, sys, gtlab.cli\n"
+            "tmp = sys.argv[1]\n"
+            "for cmd, suite in (('verify', 'inequalities'), "
+            "('ratio', 'studies')):\n"
+            "    cfg = f'{tmp}/{cmd}.json'\n"
+            "    with open(cfg, 'w') as fh:\n"
+            "        json.dump({'suites': [suite], 'trials': 5, 'dims': [2], "
+            "'seed': 1}, fh)\n"
+            "    assert gtlab.cli.main([cmd, '--config', cfg, '--out', "
+            "f'{tmp}/{cmd}.out']) == 0, cmd\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'integrate'], ['scipy', 'optimize'])))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              check=True)
         assert done.stdout.strip() == "[]"
 
 

@@ -420,6 +420,37 @@ class TestLiebTriple:
             qd = ineq.lieb_rhs_quadrature(A, B, C)
             assert abs(cf - qd) <= 1e-8 * max(1.0, abs(cf))
 
+    @pytest.mark.parametrize("scale", [2.0, 3.0])
+    def test_quadrature_agreement_on_scaled_triples(self, scale):
+        # scaled triples spread e^-C over up to ten decades: the resolvent
+        # peaks sharply near t = 0, where QUADPACK used to miss by up to 100%
+        rng = RngStream(11, (int(scale),)).generator()
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            A, B, C = (scale * gue(rng, n) for _ in range(3))
+            cf = ineq.lieb_rhs_closed(A, B, C)
+            qd = ineq.lieb_rhs_quadrature(A, B, C)
+            assert abs(cf - qd) <= 1e-8 * max(1.0, abs(cf)), (n, cf, qd)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_quadrature_against_50_digit_reference(self, n):
+        # the integral itself, in mpmath at 50 digits: exponentials, resolvent
+        # and tanh-sinh quadrature all in extended precision
+        mp = pytest.importorskip("mpmath")
+        rng = RngStream(2024, (n,)).generator()
+        A, B, C = gue(rng, n), gue(rng, n), gue(rng, n)
+        with mp.workdps(50):
+            eA, eB, emC = (mp.expm(mp.matrix(M.tolist())) for M in (A, B, -C))
+
+            def integrand(t):
+                R = mp.inverse(t * mp.eye(n) + emC)
+                P = eA * R * eB * R
+                return mp.re(sum(P[i, i] for i in range(n)))
+
+            reference = float(mp.quad(integrand, [0, 1, mp.inf]))
+        qd = ineq.lieb_rhs_quadrature(A, B, C)
+        assert abs(qd - reference) <= 1e-10 * max(1.0, abs(reference))
+
     def test_sweep(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 6))

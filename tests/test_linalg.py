@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import unitary_group
 
 from gtlab import linalg, pauli
@@ -322,3 +323,41 @@ class TestValidation:
             linalg.as_complex_matrix(stack)
         with pytest.raises(ValueError, match="finite"):
             linalg.expm_herm(stack)
+
+
+class TestGaussLegendre:
+    SMOOTH = [
+        (lambda x: np.exp(-x * x), -3.0, 2.0),
+        (lambda x: np.cos(10.0 * x) / (1.0 + x * x), 0.0, 5.0),
+        (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0),
+        (lambda x: np.log1p(x) * np.exp(-x / 3.0), 0.0, 40.0),
+        (lambda x: 1.0 / (x + 1e-3) ** 2, 0.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(SMOOTH)))
+    def test_agrees_with_quadpack(self, case):
+        f, a, b = self.SMOOTH[case]
+        sizes = []
+
+        def batched(x):
+            sizes.append(x.shape)
+            return f(x)
+
+        value, error = linalg.gauss_legendre(batched, a, b, 1e-12, 1e-12)
+        reference, _ = quad(lambda x: float(f(np.float64(x))), a, b,
+                            epsabs=1e-13, epsrel=1e-13, limit=400)
+        assert abs(value - reference) <= 1e-11 * max(1.0, abs(reference))
+        assert error <= 1e-12 * max(1.0, abs(value))
+        # every refinement round is one call on a 1-d batch of whole panels
+        assert all(len(s) == 1 and s[0] % 60 == 0 for s in sizes)
+
+    def test_non_converging_integrand_raises(self):
+        # int_0^1 dx/x diverges: each bisection of the first panel leaves
+        # the same 20/40-point difference
+        with pytest.raises(linalg.QuadratureError, match="panels"):
+            linalg.gauss_legendre(lambda x: 1.0 / x, 0.0, 1.0, 1e-10, 1e-10)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(linalg.QuadratureError, match="finite"):
+            linalg.gauss_legendre(lambda x: np.where(x > 0.5, np.nan, x),
+                                  0.0, 1.0, 1e-10, 1e-10)

@@ -55,6 +55,20 @@ class TestStreams:
         assert samplers.default_master_seed() == samplers.DEFAULT_MASTER_SEED
 
 
+class TestStandardComplex:
+    @pytest.mark.parametrize("shape", [(), (3,), (8000, 16, 2), (0, 3)])
+    def test_same_bits_as_the_sum_expression(self, shape):
+        # one complex128 array filled in place draws what the sum of two
+        # complex temporaries drew: real parts first, then imaginary parts
+        drawn = samplers.standard_complex(np.random.default_rng(5), shape)
+        rng = np.random.default_rng(5)
+        summed = np.asarray((rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape)) / np.sqrt(2.0))
+        assert drawn.shape == summed.shape == shape
+        assert drawn.dtype == summed.dtype == np.complex128
+        assert drawn.tobytes() == summed.tobytes()
+
+
 class TestMoments:
     def test_gue_trace_square_bookkeeping(self, rng):
         # construction: diagonal entries have variance 1/2, off-diagonal

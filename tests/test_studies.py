@@ -18,10 +18,10 @@ class TestQuadratureRatio:
     def test_closed_form_moments(self):
         # completing the square in the radial integrals gives
         # E cosh(sR) = (1 + s^2) exp(s^2/2) for R chi with 3 dof
-        single, _ = studies.radial_cosh_moment(1.0)
-        double, _ = studies.radial_cosh_moment(math.sqrt(2.0))
-        assert single == pytest.approx(2.0 * math.sqrt(math.e), rel=1e-12)
-        assert double == pytest.approx(3.0 * math.e, rel=1e-12)
+        for s in (0.0, 0.5, 1.0, math.sqrt(2.0), 2.0, 3.0):
+            value, _ = studies.radial_cosh_moment(s)
+            exact = (1.0 + s * s) * math.exp(s * s / 2.0)
+            assert abs(value - exact) <= 1e-12 * exact, s
 
     def test_numerator_factorizes_against_2d_quadrature(self):
         result = studies.pauli_ratio_quadrature()

@@ -40,7 +40,7 @@ class GapReport:
     """Two sides of one inequality instance, with ``margin = rhs - lhs``.
 
     ``passed`` is equivalent to ``margin >= -tol``.  For a stack of
-    instances every field but ``context`` is an array over the stack.
+    instances every field is an array over the stack.
     """
 
     lhs: float | np.ndarray
@@ -48,10 +48,9 @@ class GapReport:
     margin: float | np.ndarray
     passed: bool | np.ndarray
     tol: float | np.ndarray
-    context: str = ""
 
     @classmethod
-    def from_sides(cls, lhs, rhs, context: str = "", tol=None) -> "GapReport":
+    def from_sides(cls, lhs, rhs, tol=None) -> "GapReport":
         """Report on scalar sides (plain float fields, bool ``passed``) or on
         arrays of sides, which broadcast against each other and ``tol``
         (:func:`inequality_tol` when absent)."""
@@ -63,9 +62,8 @@ class GapReport:
         passed = margin >= -tol
         if lhs.ndim == 0:
             return cls(lhs=float(lhs), rhs=float(rhs), margin=float(margin),
-                       passed=bool(passed), tol=float(tol), context=context)
-        return cls(lhs=lhs, rhs=rhs, margin=margin, passed=passed, tol=tol,
-                   context=context)
+                       passed=bool(passed), tol=float(tol))
+        return cls(lhs=lhs, rhs=rhs, margin=margin, passed=passed, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -82,12 +80,11 @@ class TailReport:
     passed: bool
     status: str
     trials: int
-    context: str = ""
     extras: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
     def from_counts(cls, exceed: int, trials: int, bound: float,
-                    context: str = "", extras=None) -> "TailReport":
+                    extras=None) -> "TailReport":
         """Verdict on ``exceed`` exceedances in ``trials`` against ``bound``,
         from the 95% Clopper-Pearson interval of the tail: ``"pass"`` when
         the bound is vacuous (>= 1) or the interval lies at or below it,
@@ -102,8 +99,7 @@ class TailReport:
             status = "indeterminate"
         return cls(empirical_tail=exceed / trials, ci_low=ci_low,
                    ci_high=ci_high, bound_value=bound, passed=status == "pass",
-                   status=status, trials=trials, context=context,
-                   extras=dict(extras or {}))
+                   status=status, trials=trials, extras=dict(extras or {}))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import numpy as np
 from . import pauli
 from .linalg import (EigenSolverError, expm_herm, gauss_legendre, trace_expm,
                      trace_of_product)
-from .reports import RatioEstimate
+from .reports import RatioEstimate, inequality_tol
 from .samplers import RngStream, ginibre
 
 __all__ = [
@@ -121,8 +121,7 @@ def pauli_ratio_mc(trials: int, stream: RngStream,
         cross = np.sum(a * b, axis=1) * pauli.sinhc(ra) * pauli.sinhc(rb)
         den = np.cosh(np.linalg.norm(a + b, axis=1))
         full = num + cross
-        tol = 1e-9 * np.maximum(1.0, np.maximum(full, den))
-        violations += int(np.count_nonzero(full < den - tol))
+        violations += int(np.count_nonzero(full < den - inequality_tol(full, den)))
         sums += [num.sum(), (num ** 2).sum(), den.sum(), (den ** 2).sum(),
                  (num * den).sum(), cross.sum(), (cross ** 2).sum()]
         if matrix_check > done:

@@ -3,8 +3,18 @@
 Each suite is an ordered list of equation-tagged cases; a case runs one
 checker (or a Monte Carlo sweep of it) and records both sides, the margin
 and a three-valued status.  The registry below maps every equation tag to
-exactly one checker operation, and the suite lists are the exhaustive
-in-scope coverage the report document is built from.
+one row, ``(suite, checker operation, runner)``, and the suite lists are
+the exhaustive in-scope coverage the report document is built from.
+``run_suite`` calls each runner as ``runner(params, stream, tag)``, so a
+runner emits the tag it is given instead of spelling it.
+
+A fixed-shape sweep is nothing but its row: the runner is a :class:`Sweep`
+holding the case name, the draw, the checker and the cycle, and the
+operation is the checker itself, so it cannot name a function the sweep
+never calls.  Adding such a checker takes one batched function and one
+``_sweep_row``.  A sweep case counts the instances whose report fails
+(``GapReport.passed``, each against its report's ``tol``) and records the
+one with the smallest ``margin / tol``.
 
 Randomness: each tag draws from its own stream, the path ``(position,)``
 under the seed, where ``position`` is the tag's registry position; a
@@ -31,15 +41,15 @@ import numpy as np
 from . import concentration as conc
 from . import inequalities as ineq
 from . import pauli, studies
-from .linalg import (expm_herm, frobenius_norm, general_eigen, hermitize,
-                     operator_norm, singular_values, lie_trotter_product,
-                     distance_delta2, trace_of_product)
-from .reports import GapReport, TailReport
+from .linalg import (expm_herm, frobenius_norm, hermitize, operator_norm,
+                     singular_values, lie_trotter_product, distance_delta2,
+                     trace_of_product)
+from .reports import REL_TOL, GapReport, TailReport
 from .samplers import RngStream, ginibre, gue, standard_complex
 
 __all__ = [
-    "CaseRecord", "SuiteParams", "REGISTRY", "SUITE_TAGS", "SUITE_NAMES",
-    "run_suite", "jsonify",
+    "CaseRecord", "SuiteParams", "Sweep", "REGISTRY", "SUITE_TAGS",
+    "SUITE_NAMES", "run_suite", "jsonify",
 ]
 
 #: Instances drawn and checked per stack in a sweep.
@@ -133,17 +143,18 @@ def _residual_case(name: str, tag: str, residual: float, threshold: float,
 
 
 def _worst_case(name: str, tag: str, reports: list[GapReport], trials: int,
-                rel_tol: float, extra: dict | None = None) -> CaseRecord:
+                extra: dict | None = None) -> CaseRecord:
     """Aggregate sweep case over the instances of ``reports`` (single or
-    stacked): records the sides of the instance with the smallest relative
-    margin and the violation count, the instances whose relative margin is
-    below ``-rel_tol`` (pass means zero violations)."""
-    lhs = np.concatenate([np.atleast_1d(r.lhs) for r in reports])
-    rhs = np.concatenate([np.atleast_1d(r.rhs) for r in reports])
-    margin = rhs - lhs
-    rel = margin / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    i = int(np.argmin(rel))
-    violations = int(np.count_nonzero(rel < -rel_tol))
+    stacked): records the sides of the instance with the smallest
+    ``margin / tol`` and the violation count, the instances whose report
+    fails (pass means zero violations)."""
+    def joined(field):
+        return np.concatenate([np.atleast_1d(getattr(r, field)) for r in reports])
+
+    lhs, rhs, margin, tol, passed = map(joined, ("lhs", "rhs", "margin", "tol",
+                                                 "passed"))
+    i = int(np.argmin(margin / tol))
+    violations = int(np.count_nonzero(~passed))
     return _case(name, tag, lhs[i], rhs[i], margin[i], violations == 0, trials,
                  extra={"violations": violations, **(extra or {})})
 
@@ -215,12 +226,29 @@ def _stacks(params: SuiteParams, stream: RngStream, draw, cycle=(None,)):
             yield (n, c), draw(rng, n, min(_SWEEP_CHUNK, total - start), c)
 
 
-def _sweep(params, stream, tag, name, draw, check, cycle=(None,)):
-    """Sweep case over ``params.trials`` instances: ``check(*drawn)`` returns
-    the GapReport of one drawn stack; the case records the worst instance
-    and the violation count."""
-    reports = [check(*drawn) for _, drawn in _stacks(params, stream, draw, cycle)]
-    return [_worst_case(name, tag, reports, params.trials, 1e-9)]
+@dataclass(frozen=True)
+class Sweep:
+    """The runner of a fixed-shape sweep row: case ``name`` over
+    ``params.trials`` instances, each stack drawn by ``draw(rng, n, count,
+    c)`` with ``c`` from ``cycle`` and judged by ``check(*drawn)``, which
+    returns its GapReport.  The case records the worst instance and the
+    violation count."""
+
+    name: str
+    draw: Callable
+    check: Callable
+    cycle: tuple = (None,)
+
+    def __call__(self, params: SuiteParams, stream: RngStream, tag: str):
+        reports = [self.check(*drawn) for _, drawn
+                   in _stacks(params, stream, self.draw, self.cycle)]
+        return [_worst_case(self.name, tag, reports, params.trials)]
+
+
+def _sweep_row(suite: str, name: str, draw, check, cycle=(None,)):
+    """The registry row of a :class:`Sweep`; its operation is the checker."""
+    operation = f"{check.__module__.rpartition('.')[2]}.{check.__name__}"
+    return suite, operation, Sweep(name, draw, check, cycle)
 
 
 def _identity_sweep(params, stream, tag, name, trials, threshold, residual):
@@ -228,44 +256,83 @@ def _identity_sweep(params, stream, tag, name, trials, threshold, residual):
     GUE instances ``M``."""
     sweep = dataclasses.replace(params, trials=trials)
     worst = max(float(residual(M).max())
-                for _, (M, _) in _stacks(sweep, stream, _draw(gue, 1)))
+                for _, (M,) in _stacks(sweep, stream, _draw(gue, 1)))
     return [_residual_case(name, tag, worst, threshold, trials)]
 
 
 def _draw(sampler, matrices: int):
     """A sweep draw: ``matrices`` stacks from ``sampler`` (``gue`` or
-    ``ginibre``) followed by the group's cycle parameter, as the arguments
-    of the check."""
+    ``ginibre``), followed by the group's cycle parameter when the row has
+    a cycle, as the arguments of the check."""
     def draw(rng, n, count, c):
-        return (*(sampler(rng, n, count) for _ in range(matrices)), c)
+        drawn = tuple(sampler(rng, n, count) for _ in range(matrices))
+        return drawn if c is None else (*drawn, c)
     return draw
+
+
+def _word_draw(rng, n, count, half):
+    """A Ginibre stack and a random word of ``2 half`` letters per matrix."""
+    X = ginibre(rng, n, count)
+    return X, np.where(rng.integers(0, 2, size=(count, 2 * half)) == 1, "X", "X*")
+
+
+def _weyl_draw(rng, n, count, s):
+    """A Ginibre stack, the order ``s`` and a random ``k`` per matrix."""
+    X = ginibre(rng, n, count)
+    return X, s, rng.integers(1, n + 1, size=count)
+
+
+def _alt_draw(rng, n, count, rs):
+    """The exponentials of two GUE stacks, then ``r`` and ``s``."""
+    return expm_herm(gue(rng, n, count)), expm_herm(gue(rng, n, count)), *rs
+
+
+def _phi_premise_draw(rng, n, count, c):
+    """A Ginibre stack, the order ``s`` and ``k = n`` or ``k = 1``."""
+    s, full = c
+    return ginibre(rng, n, count), s, n if full else 1
+
+
+def _phi_exp_draw(rng, n, count, c):
+    """Two GUE stacks and a random ``k`` per pair."""
+    return gue(rng, n, count), gue(rng, n, count), rng.integers(1, n + 1, size=count)
+
+
+def _nonhermitian_draw(rng, n, count, full):
+    """Two Ginibre stacks and ``k = n`` or ``k = 1``."""
+    return ginibre(rng, n, count), ginibre(rng, n, count), n if full else 1
+
+
+def _trace_product_draw(rng, n, count, c):
+    """The exponential of a GUE stack and a second GUE stack."""
+    return expm_herm(gue(rng, n, count)), gue(rng, n, count)
 
 
 # ---------------------------------------------------------------------------
 # inequalities suite runners
 
-def _run_pauli_param(params, stream):
+def _run_pauli_param(params, stream, tag):
     rng = stream.generator()
     a = rng.standard_normal((params.trials, 3))
     residual = pauli.squared_norm_identity_residual(a)
-    return [_residual_case("pauli-parametrization", "Eq.AB", residual, 1e-12,
+    return [_residual_case("pauli-parametrization", tag, residual, 1e-12,
                            params.trials)]
 
 
-def _run_gt(params, stream):
+def _run_gt(params, stream, tag):
     # one case per dimension, each sweep on its own child stream
     cases = []
     for j, n in enumerate(params.dims):
-        cases += _sweep(dataclasses.replace(params, dims=(n,)),
-                        stream.child(j), "Eq.1", f"gt-sweep-n{n}",
-                        _draw(gue, 2), lambda A, B, _: ineq.gt_gap(A, B))
+        sweep = Sweep(f"gt-sweep-n{n}", _draw(gue, 2), ineq.gt_gap)
+        cases += sweep(dataclasses.replace(params, dims=(n,)), stream.child(j),
+                       tag)
     return cases
 
 
-def _run_pauli_reduce(params, stream):
+def _run_pauli_reduce(params, stream, tag):
     summary = ineq.pauli_reduce_sweep(params.trials, stream)
     consistency_ok = summary.max_route_discrepancy <= 1e-10
-    cosh = _case("pauli-2x2-cosh", "Eq.1a", math.nan, math.nan,
+    cosh = _case("pauli-2x2-cosh", tag, math.nan, math.nan,
                  summary.worst_margin_cosh,
                  summary.violations_cosh == 0 and consistency_ok, params.trials,
                  extra={"violations": summary.violations_cosh,
@@ -279,13 +346,12 @@ def _run_pauli_reduce(params, stream):
 _BETAS = (1e-6, 0.5, 1.0, 2.0, 10.0, 100.0)
 
 
-def _run_oscillator(params, stream):
-    return [_worst_case("oscillator-bound", "Eq.1b",
-                        [ineq.oscillator_bound(np.array(_BETAS))], len(_BETAS),
-                        1e-9)]
+def _run_oscillator(params, stream, tag):
+    return [_worst_case("oscillator-bound", tag,
+                        [ineq.oscillator_bound(np.array(_BETAS))], len(_BETAS))]
 
 
-def _run_lie_trotter(params, stream):
+def _run_lie_trotter(params, stream, tag):
     A = pauli.SIGMA3.copy()
     B = pauli.SIGMA1.copy()
     target = expm_herm(hermitize(A + B))
@@ -296,160 +362,29 @@ def _run_lie_trotter(params, stream):
     D1, D2 = np.diag([0.7, -0.3, 0.1]), np.diag([1.1, 0.2, -0.5])
     comm_dev = max(operator_norm(lie_trotter_product(D1, D2, n)
                                  - expm_herm(D1 + D2)) for n in (1, 3, 8))
-    return [_residual_case("lie-trotter-order", "Eq.LT", abs(slope + 1.0),
+    return [_residual_case("lie-trotter-order", tag, abs(slope + 1.0),
                            0.1, len(ns),
                            extra={"fitted_slope": float(slope),
                                   "commuting_deviation": comm_dev})]
 
 
-def _run_cauchy(params, stream):
-    return _sweep(params, stream, "Lemma.1", "cauchy-trace", _draw(ginibre, 2),
-                  lambda X, Y, _: ineq.cauchy_trace_gap(X, Y))
-
-
-def _run_word_bound(params, stream):
-    def draw(rng, n, count, half):
-        X = ginibre(rng, n, count)
-        return X, np.where(rng.integers(0, 2, size=(count, 2 * half)) == 1,
-                           "X", "X*")
-    return _sweep(params, stream, "Lemma.2", "word-trace", draw,
-                  ineq.word_trace_bound, cycle=(1, 2, 3, 4))
-
-
-def _run_dyadic(params, stream):
-    return _sweep(params, stream, "Lemma.3", "dyadic-power", _draw(gue, 2),
-                  ineq.dyadic_power_gap, cycle=(1, 2, 3))
-
-
-def _run_weyl(params, stream):
-    def draw(rng, n, count, s):
-        X = ginibre(rng, n, count)
-        return X, s, rng.integers(1, n + 1, size=count)
-    return _sweep(params, stream, "Eq.2.6", "weyl-dominance", draw,
-                  ineq.weyl_dominance_gap, cycle=(1, 2))
-
-
-def _spectral_chain(X, s):
-    """The worse, per instance, of ``sum |lambda|^(2s) <= sum mu^(2s)`` and
-    ``|Tr X^(2s)| <= sum |lambda|^(2s)``."""
-    lam_sum = (np.abs(general_eigen(X).values) ** (2 * s)).sum(axis=-1)
-    first = GapReport.from_sides(lam_sum, (singular_values(X) ** (2 * s)).sum(axis=-1))
-    power_trace = np.abs(np.trace(np.linalg.matrix_power(X, 2 * s),
-                                  axis1=-2, axis2=-1))
-    second = GapReport.from_sides(power_trace, lam_sum)
-    pick = first.margin / np.maximum(1.0, first.rhs) \
-        <= second.margin / np.maximum(1.0, second.rhs)
-    return GapReport.from_sides(np.where(pick, first.lhs, second.lhs),
-                                np.where(pick, first.rhs, second.rhs))
-
-
-def _run_spectral_chain(params, stream):
-    return _sweep(params, stream, "Eq.H", "spectral-chain", _draw(ginibre, 1),
-                  _spectral_chain, cycle=(1, 2))
-
-
-def _run_power_trace(params, stream):
-    return _sweep(params, stream, "Eq.W2", "power-trace", _draw(ginibre, 1),
-                  ineq.power_trace_gap, cycle=(1, 2, 3))
-
-
-_ALT_PARAMS = ((2.0, 1.0), (2.0, 3.0), (3.0, 0.5))
-
-
-def _run_alt(params, stream):
-    return _sweep(params, stream, "Eq.ALT", "araki-lieb-thirring", _draw(gue, 2),
-                  lambda A, B, rs: ineq.norm_variant_gap(A, B, "alt", r=rs[0],
-                                                         s=rs[1]),
-                  cycle=_ALT_PARAMS)
-
-
-def _karamata(X, _):
-    sigma = np.clip(singular_values(X), 1e-300, None)
-    lam = np.clip(np.sort(np.abs(general_eigen(X).values), axis=-1)[..., ::-1],
-                  1e-300, None)
-    # backward-stable SVD and eigensolver: each value v_j is off by at most
-    # about n eps sigma_max, so its logarithm by that over v_j
-    unit = X.shape[-1] * np.finfo(np.float64).eps * sigma[..., :1]
-    return ineq.karamata_gap(np.log(sigma), np.log(lam),
-                             err=unit / sigma + unit / lam)
-
-
-def _run_karamata(params, stream):
-    return _sweep(params, stream, "Lemma.5", "karamata", _draw(ginibre, 1),
-                  _karamata)
-
-
-def _run_phi_premise(params, stream):
-    return _sweep(params, stream, "Eq.4", "phi-power-premise", _draw(ginibre, 1),
-                  lambda X, c: ineq.phi_power_premise_gap(
-                      X, s=c[0], k=X.shape[-1] if c[1] else 1),
-                  cycle=((1, True), (2, True), (1, False), (2, False)))
-
-
-def _run_phi_functional(params, stream):
+def _run_phi_functional(params, stream, tag):
     def residual(A):
         P = expm_herm(A)
         top = ineq.top_k_abs_eigensum(P, P.shape[-1])
         s1 = singular_values(P).sum(axis=-1)
         return np.abs(top - s1) / np.maximum(1.0, s1)
-    return _identity_sweep(params, stream, "Eq.4.2",
-                           "top-k-functional-consistency",
-                           max(1, min(params.trials, 500)), 1e-9, residual)
+    return _identity_sweep(params, stream, tag, "top-k-functional-consistency",
+                           max(1, min(params.trials, 500)), REL_TOL, residual)
 
 
-def _run_phi_exp(params, stream):
-    def draw(rng, n, count, c):
-        A, B = gue(rng, n, count), gue(rng, n, count)
-        return A, B, rng.integers(1, n + 1, size=count)
-    return _sweep(params, stream, "Eq.4.1", "phi-exponential", draw,
-                  ineq.phi_exp_gap)
-
-
-def _run_weak_majorization(params, stream):
-    return _sweep(params, stream, "Eq.4.1w", "weak-majorization", _draw(gue, 2),
-                  lambda A, B, _: ineq.norm_variant_gap(A, B, "weak-majorization"))
-
-
-_SCHATTEN_PS = (1.0, 2.0, 4.0, np.inf)
-
-
-def _run_schatten(params, stream):
-    return _sweep(params, stream, "Eq.5", "schatten-norm", _draw(gue, 2),
-                  lambda A, B, p: ineq.norm_variant_gap(A, B, "schatten", p=p),
-                  cycle=_SCHATTEN_PS)
-
-
-def _run_symmetrized(params, stream):
-    return _sweep(params, stream, "Eq.5a", "symmetrized-trace", _draw(gue, 2),
-                  lambda A, B, p: ineq.norm_variant_gap(A, B, "symmetrized", p=p),
-                  cycle=(1.0, 2.0, 4.0))
-
-
-def _run_log_metric(params, stream):
-    return _sweep(params, stream, "Eq.Sn", "log-metric", _draw(gue, 2),
-                  lambda A, B, _: ineq.norm_variant_gap(A, B, "log-metric"))
-
-
-def _run_delta2_identity(params, stream):
+def _run_delta2_identity(params, stream, tag):
     def residual(A):
         d = distance_delta2(A, np.zeros_like(A))
         f = frobenius_norm(A)
         return np.abs(d - f) / np.maximum(1.0, f)
-    return _identity_sweep(params, stream, "Eq.Sn1", "delta2-identity",
+    return _identity_sweep(params, stream, tag, "delta2-identity",
                            max(1, min(params.trials, 500)), 1e-10, residual)
-
-
-def _run_nonhermitian(params, stream):
-    return _sweep(params, stream, "Eq.4.1a", "nonhermitian-phi",
-                  _draw(ginibre, 2),
-                  lambda A, B, full: ineq.nonhermitian_phi_gap(
-                      A, B, k=A.shape[-1] if full else 1),
-                  cycle=(True, False))
-
-
-def _run_hermitian_part(params, stream):
-    return _sweep(params, stream, "Eq.4.1b", "hermitian-part", _draw(ginibre, 1),
-                  lambda X, _: ineq.hermitian_part_dominance(X))
 
 
 #: Leading instances of the three-matrix sweep that are re-evaluated one by
@@ -457,14 +392,14 @@ def _run_hermitian_part(params, stream):
 _LIEB_CROSS_CHECKS = 20
 
 
-def _run_lieb(params, stream):
+def _run_lieb(params, stream, tag):
     dims = tuple(n for n in params.dims if n <= 5) or (min(params.dims),)
     reports = []
     cross = _groups(min(params.trials, _LIEB_CROSS_CHECKS), dims, (None,))
     agreement = 0.0
     reduction = 0.0
-    for key, (A, B, C, _) in _stacks(dataclasses.replace(params, dims=dims),
-                                     stream, _draw(gue, 3)):
+    for key, (A, B, C) in _stacks(dataclasses.replace(params, dims=dims),
+                                  stream, _draw(gue, 3)):
         report = ineq.lieb_triple_gap(A, B, C)
         reports.append(report)
         m = cross.pop(key, 0)
@@ -479,22 +414,21 @@ def _run_lieb(params, stream):
         reduction = max(reduction, float(
             (np.abs(reduced - direct) / np.maximum(1.0, direct)).max()))
     extra = {"closed_vs_quadrature": agreement, "c_zero_reduction": reduction}
-    case = _worst_case("lieb-triple", "Eq.4.1c", reports, params.trials, 1e-9,
-                       extra=extra)
+    case = _worst_case("lieb-triple", tag, reports, params.trials, extra=extra)
     if agreement > 1e-8 or reduction > 1e-10:
         case = dataclasses.replace(case, passed=False, status="fail")
     return [case]
 
 
-def _run_equality_order(params, stream):
+def _run_equality_order(params, stream, tag):
     rng = stream.generator()
     n = max(params.dims)
     d1 = np.diag(rng.standard_normal(n))
     d2 = np.diag(rng.standard_normal(n))
     comm = ineq.equality_order_scan(d1, d2)
     comm_residual = float(np.max(np.abs(comm.gaps)))
-    cases = [_residual_case("equality-commuting", "EqualityOrder",
-                            comm_residual, 1e-12, comm.gaps.size,
+    cases = [_residual_case("equality-commuting", tag, comm_residual, 1e-12,
+                            comm.gaps.size,
                             extra={"commuting_flag": comm.commuting})]
     worst_slope = 0.0
     details = {}
@@ -506,15 +440,15 @@ def _run_equality_order(params, stream):
         worst_slope = max(worst_slope, abs(scan.slope - 4.0))
         details[f"slope_{label}"] = scan.slope
         details[f"coefficient_{label}"] = scan.coefficient
-    cases.append(_residual_case("equality-order-fit", "EqualityOrder",
-                                worst_slope, 0.1, 2, extra=details))
+    cases.append(_residual_case("equality-order-fit", tag, worst_slope, 0.1, 2,
+                                extra=details))
     return cases
 
 
 # ---------------------------------------------------------------------------
 # concentration suite runners
 
-def _run_covariance_identity(params, stream):
+def _run_covariance_identity(params, stream, tag):
     n, k = 32, 2
     X = np.sqrt(n) * np.eye(n, k, dtype=np.complex128)
     exact = conc.covariance(X, check_rank_one=True)
@@ -527,12 +461,12 @@ def _run_covariance_identity(params, stream):
     se = sigmas.std(axis=0, ddof=1) / math.sqrt(trials)
     dev_units = float((np.abs(mean - np.eye(k)) / np.maximum(se, 1e-30)).max())
     residual = max(exact_residual, 0.0)
-    return [_case("covariance-mean", "Eq.S", dev_units, 4.0, 4.0 - dev_units,
+    return [_case("covariance-mean", tag, dev_units, 4.0, 4.0 - dev_units,
                   exact_residual <= 1e-12 and dev_units <= 4.0, trials,
                   extra={"constructed_identity_residual": residual})]
 
 
-def _run_rank_one(params, stream):
+def _run_rank_one(params, stream, tag):
     worst = 0.0
     trials = min(params.trials, 200)
     for i in range(trials):
@@ -543,50 +477,49 @@ def _run_rank_one(params, stream):
         sigma = conc.covariance(X, check_rank_one=True)
         direct = X.conj().T @ X / n
         worst = max(worst, float(np.abs(sigma - hermitize(direct)).max()))
-    return [_residual_case("rank-one-decomposition", "Eq.S3", worst, 1e-12,
-                           trials)]
+    return [_residual_case("rank-one-decomposition", tag, worst, 1e-12, trials)]
 
 
-def _run_opnorm_identity(params, stream):
+def _run_opnorm_identity(params, stream, tag):
     def residual(M):
         w = np.linalg.eigvalsh(M)
         eig_route = np.maximum(-w[..., 0], w[..., -1])
         sv_route = operator_norm(M)
         return np.abs(eig_route - sv_route) / np.maximum(1.0, sv_route)
-    return _identity_sweep(params, stream, "Eq.SP", "operator-norm-identity",
+    return _identity_sweep(params, stream, tag, "operator-norm-identity",
                            min(params.trials, 300), 1e-12, residual)
 
 
-def _run_scalar_chernoff(params, stream):
+def _run_scalar_chernoff(params, stream, tag):
     p = conc.ScalarChernoffParams(n_vars=20, sigma2=1.0, epsilon=3.0)
     trials = max(params.trials, 10000)
     report = conc.scalar_chernoff(p, stream.child(0), trials=trials)
     vacuous = conc.scalar_chernoff(
         conc.ScalarChernoffParams(n_vars=20, sigma2=1.0, epsilon=0.0),
         stream.child(1), trials=2000)
-    return [_tail_case("scalar-chernoff", "Eq.C", report,
+    return [_tail_case("scalar-chernoff", tag, report,
                        extra={"empirical": report.empirical_tail,
                               "zero_eps_bound": vacuous.bound_value,
                               "zero_eps_tail": vacuous.empirical_tail})]
 
 
-def _run_union_bound(params, stream):
+def _run_union_bound(params, stream, tag):
     # the bound of this cell, 2 e^(-1/4), is vacuous: it never reruns
     report = domination_cell(16, 2, 0.5, min(params.trials, 4000), stream)
     lhs = report.empirical_tail
     rhs = report.extras["upper_tail"] + report.extras["lower_tail"]
-    return [_case("tail-union-bound", "Eq.rf", lhs, rhs, rhs - lhs,
+    return [_case("tail-union-bound", tag, lhs, rhs, rhs - lhs,
                   lhs <= rhs + 1e-15, report.trials, extra=report.extras)]
 
 
-def _run_bernstein(params, stream):
+def _run_bernstein(params, stream, tag):
     exp = conc.CovarianceExperiment(n_samples=16, dim=2, epsilon=1.0,
                                     trials=min(max(params.trials, 2000), 20000))
     report = conc.bernstein_tail_check(exp, stream)
-    return [_gap_case("bernstein-chebyshev", "Eq.rf1", report, exp.trials)]
+    return [_gap_case("bernstein-chebyshev", tag, report, exp.trials)]
 
 
-def _run_trace_dominance_per_trial(params, stream):
+def _run_trace_dominance_per_trial(params, stream, tag):
     exp = conc.CovarianceExperiment(n_samples=12, dim=3, epsilon=0.5, c=2.0,
                                     trials=min(params.trials, 4000))
     try:
@@ -594,30 +527,23 @@ def _run_trace_dominance_per_trial(params, stream):
         passed, message = True, ""
     except RuntimeError as err:
         passed, message = False, str(err)
-    return [_case("per-trial-exponential-dominance", "Eq.J",
+    return [_case("per-trial-exponential-dominance", tag,
                   0.0 if passed else 1.0, 0.0, 0.0 if passed else -1.0, passed,
                   exp.trials, extra={"error": message} if message else {})]
 
 
-def _run_mgf_lemma(params, stream):
+def _run_mgf_lemma(params, stream, tag):
     trials = min(max(params.trials, 4000), 40000)
     cases = []
     for j, mu in enumerate((1.0, -1.0)):
         exp = conc.CovarianceExperiment(n_samples=4, dim=2, epsilon=1.0,
                                         trials=trials)
         report = conc.aw_mgf_lemma_check(exp, mu, stream.child(j))
-        cases.append(_gap_case(f"mgf-lemma-mu{mu:+g}", "Eq.GTE", report, trials))
+        cases.append(_gap_case(f"mgf-lemma-mu{mu:+g}", tag, report, trials))
     return cases
 
 
-def _run_trace_product(params, stream):
-    def draw(rng, n, count, c):
-        return expm_herm(gue(rng, n, count)), gue(rng, n, count)
-    return _sweep(params, stream, "Eq.4.29", "trace-product-dominance",
-                  draw, conc.trace_product_dominance)
-
-
-def _run_domination_grid(params, stream):
+def _run_domination_grid(params, stream, tag):
     cases = []
     trials = min(max(params.trials, 1000), 20000)
     idx = 0
@@ -627,7 +553,7 @@ def _run_domination_grid(params, stream):
                 report = domination_cell(n, k, eps, trials, stream.child(idx))
                 idx += 1
                 cases.append(_tail_case(f"tail-domination-N{n}-k{k}-eps{eps:g}",
-                                        "Eq.RU", report, extra=report.extras))
+                                        tag, report, extra=report.extras))
     return cases
 
 
@@ -649,7 +575,7 @@ def _random_series(rng: np.random.Generator, max_len: int = 10,
 _OLIVEIRA_MUS = np.array((0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
 
 
-def _run_oliveira(params, stream):
+def _run_oliveira(params, stream, tag):
     n_series = min(max(params.trials // 20, 10), 100)
     reports = []
     for i in range(n_series):
@@ -665,8 +591,8 @@ def _run_oliveira(params, stream):
             series = _random_series(rng, max_len=min(params.series_length, 10),
                                     mu=_OLIVEIRA_MUS)
         reports.append(conc.oliveira_mgf_check(series, mode="enumerate"))
-    enum_case = _worst_case("sign-series-enumerate", "Eq.OB", reports,
-                            n_series * len(_OLIVEIRA_MUS), 1e-9)
+    enum_case = _worst_case("sign-series-enumerate", tag, reports,
+                            n_series * len(_OLIVEIRA_MUS))
     # the enumerated series are the children of child 0; the Monte Carlo
     # pair draws its series from child 1 and its signs from child 2, or
     # from child 3 when escalated
@@ -681,12 +607,12 @@ def _run_oliveira(params, stream):
 
     mc, _, trials, escalated = _escalating(attempt, max(params.trials, 10000),
                                            stream.child(2), stream.child(3))
-    mc_case = _gap_case("sign-series-montecarlo", "Eq.OB", mc, trials,
+    mc_case = _gap_case("sign-series-montecarlo", tag, mc, trials,
                         extra={"escalated": escalated})
     return [enum_case, mc_case]
 
 
-def _run_recursion_profile(params, stream):
+def _run_recursion_profile(params, stream, tag):
     worst_increase = -math.inf
     profiles = min(20, max(params.trials // 100, 5))
     for i in range(profiles):
@@ -696,23 +622,23 @@ def _run_recursion_profile(params, stream):
         profile = conc.oliveira_recursion_profile(series)
         increases = np.diff(profile) / np.maximum(1.0, profile[:-1])
         worst_increase = max(worst_increase, float(increases.max()))
-    return [_residual_case("recursion-non-increasing", "Eq.DDN",
+    return [_residual_case("recursion-non-increasing", tag,
                            worst_increase, 1e-12, profiles)]
 
 
 _MGF_FACTOR_MUS = (0.0, 0.5, -0.5, 2.0)
 
 
-def _run_mgf_factor(params, stream):
+def _run_mgf_factor(params, stream, tag):
     sweep = dataclasses.replace(params, trials=min(params.trials, 300))
     reports = [conc.mgf_factor_check(A, mu, kind)
-               for _, (A, _) in _stacks(sweep, stream, _draw(gue, 1))
+               for _, (A,) in _stacks(sweep, stream, _draw(gue, 1))
                for mu in _MGF_FACTOR_MUS for kind in conc.SIGN_KINDS]
     count = sweep.trials * len(_MGF_FACTOR_MUS) * len(conc.SIGN_KINDS)
-    return [_worst_case("mgf-factor-bound", "Eq.DD1", reports, count, 1e-15)]
+    return [_worst_case("mgf-factor-bound", tag, reports, count)]
 
 
-def _run_oliveira_vs_aw(params, stream):
+def _run_oliveira_vs_aw(params, stream, tag):
     """Series ``i`` (its mu, then its terms) is drawn from ``child(i)``; the
     series sharing a length and dimension are checked as one stack."""
     count = min(max(params.trials, 200), 1000)
@@ -728,23 +654,23 @@ def _run_oliveira_vs_aw(params, stream):
         report = conc.oliveira_vs_aw(conc.MatrixSeries(terms=np.stack(terms),
                                                        mu=np.array(mus)))
         lhs[list(index)], rhs[list(index)] = report.lhs, report.rhs
-    return [_worst_case("series-vs-direct-bound", "Eq.RUvsOB",
-                        [GapReport.from_sides(lhs, rhs)], count, 1e-9)]
+    return [_worst_case("series-vs-direct-bound", tag,
+                        [GapReport.from_sides(lhs, rhs)], count)]
 
 
 # ---------------------------------------------------------------------------
 # studies suite runners
 
-def _run_ratio_quadrature(params, stream):
+def _run_ratio_quadrature(params, stream, tag):
     result = studies.pauli_ratio_quadrature()
     residual = abs(result.ratio - 4.0 / 3.0)
-    return [_residual_case("pauli-ratio-quadrature", "Eq.R", residual, 1e-8, 1,
+    return [_residual_case("pauli-ratio-quadrature", tag, residual, 1e-8, 1,
                            extra={"ratio": result.ratio,
                                   "numerator": result.numerator,
                                   "denominator": result.denominator})]
 
 
-def _run_ratio_mc(params, stream):
+def _run_ratio_mc(params, stream, tag):
     target = 4.0 / 3.0
 
     def attempt(trials, pairs):
@@ -765,20 +691,20 @@ def _run_ratio_mc(params, stream):
     est, passed, trials, escalated = _escalating(attempt, trials, stream,
                                                  stream.child(first_unused))
     allowed = 3.0 * est.ratio_se
-    return [_case("pauli-ratio-montecarlo", "Eq.R", est.ratio, target,
+    return [_case("pauli-ratio-montecarlo", tag, est.ratio, target,
                   allowed - abs(est.ratio - target), passed, trials,
                   ci=(est.ci_low, est.ci_high),
                   extra={**est.extras, "escalated": escalated})]
 
 
-def _run_hermitization(params, stream):
+def _run_hermitization(params, stream, tag):
     n = max(16, max(params.dims))
     trials = min(max(params.trials // 10, 20), 200)
     est = studies.hermitization_ratio(n, trials, stream)
     target = math.sqrt(2.0)
     rel_dev = abs(est.ratio - target) / target
     threshold = 0.10
-    return [_case(f"hermitization-ratio-n{n}", "Limit.sqrt2", est.ratio, target,
+    return [_case(f"hermitization-ratio-n{n}", tag, est.ratio, target,
                   threshold - rel_dev, rel_dev <= threshold, trials,
                   ci=(est.ci_low, est.ci_high), extra=est.extras)]
 
@@ -799,49 +725,67 @@ def _witness_case(name, tag, witness, budget) -> CaseRecord:
                  True, witness.trial_index + 1, extra=extra)
 
 
-def _run_hunt_triple(params, stream):
+def _run_hunt_triple(params, stream, tag):
     budget = max(params.trials, 100000)
     witness = ineq.triple_gt_scan(stream, budget)
-    return [_witness_case("hunt-triple-exponential", "Eq.4.1d", witness, budget)]
+    return [_witness_case("hunt-triple-exponential", tag, witness, budget)]
 
 
-def _run_hunt_abc(params, stream):
+def _run_hunt_abc(params, stream, tag):
     budget = max(params.trials, 100000)
     witness = ineq.abc_trace_scan(stream, budget)
-    return [_witness_case("hunt-abc-trace", "ABC.trace", witness, budget)]
+    return [_witness_case("hunt-abc-trace", tag, witness, budget)]
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 #: equation tag -> (suite, checker operation, runner); ``runner(params,
-#: stream)`` returns the tag's cases, each judged against a fixed slack.
-REGISTRY: dict[str, tuple[str, str, Callable]] = {
+#: stream, tag)`` returns the tag's cases, each judged against a fixed
+#: slack.  A row without a runner names a tag another row's runner emits.
+REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
     "Eq.AB": ("inequalities", "pauli.squared_norm_identity_residual", _run_pauli_param),
     "Eq.1": ("inequalities", "inequalities.gt_gap", _run_gt),
     "Eq.1a": ("inequalities", "inequalities.pauli_reduce_sweep", _run_pauli_reduce),
     "Eq.1aA": ("inequalities", "inequalities.pauli_reduce_sweep", None),
     "Eq.1b": ("inequalities", "inequalities.oscillator_bound", _run_oscillator),
     "Eq.LT": ("inequalities", "linalg.lie_trotter_product", _run_lie_trotter),
-    "Lemma.1": ("inequalities", "inequalities.cauchy_trace_gap", _run_cauchy),
-    "Lemma.2": ("inequalities", "inequalities.word_trace_bound", _run_word_bound),
-    "Lemma.3": ("inequalities", "inequalities.dyadic_power_gap", _run_dyadic),
-    "Eq.2.6": ("inequalities", "inequalities.weyl_dominance_gap", _run_weyl),
-    "Eq.H": ("inequalities", "linalg.general_eigen", _run_spectral_chain),
-    "Eq.W2": ("inequalities", "inequalities.power_trace_gap", _run_power_trace),
-    "Eq.ALT": ("inequalities", "inequalities.alt_trace_gap", _run_alt),
-    "Lemma.5": ("inequalities", "inequalities.karamata_gap", _run_karamata),
-    "Eq.4": ("inequalities", "inequalities.phi_power_premise_gap", _run_phi_premise),
+    "Lemma.1": _sweep_row("inequalities", "cauchy-trace", _draw(ginibre, 2),
+                          ineq.cauchy_trace_gap),
+    "Lemma.2": _sweep_row("inequalities", "word-trace", _word_draw,
+                          ineq.word_trace_bound, (1, 2, 3, 4)),
+    "Lemma.3": _sweep_row("inequalities", "dyadic-power", _draw(gue, 2),
+                          ineq.dyadic_power_gap, (1, 2, 3)),
+    "Eq.2.6": _sweep_row("inequalities", "weyl-dominance", _weyl_draw,
+                         ineq.weyl_dominance_gap, (1, 2)),
+    "Eq.H": _sweep_row("inequalities", "spectral-chain", _draw(ginibre, 1),
+                       ineq.spectral_chain_gap, (1, 2)),
+    "Eq.W2": _sweep_row("inequalities", "power-trace", _draw(ginibre, 1),
+                        ineq.power_trace_gap, (1, 2, 3)),
+    "Eq.ALT": _sweep_row("inequalities", "araki-lieb-thirring", _alt_draw,
+                         ineq.alt_trace_gap,
+                         ((2.0, 1.0), (2.0, 3.0), (3.0, 0.5))),
+    "Lemma.5": _sweep_row("inequalities", "karamata", _draw(ginibre, 1),
+                          ineq.karamata_spectral_gap),
+    "Eq.4": _sweep_row("inequalities", "phi-power-premise", _phi_premise_draw,
+                       ineq.phi_power_premise_gap,
+                       ((1, True), (2, True), (1, False), (2, False))),
     "Eq.4.2": ("inequalities", "inequalities.top_k_abs_eigensum", _run_phi_functional),
-    "Eq.4.1": ("inequalities", "inequalities.phi_exp_gap", _run_phi_exp),
-    "Eq.4.1w": ("inequalities", "inequalities.norm_variant_gap", _run_weak_majorization),
-    "Eq.5": ("inequalities", "inequalities.norm_variant_gap", _run_schatten),
-    "Eq.5a": ("inequalities", "inequalities.norm_variant_gap", _run_symmetrized),
-    "Eq.Sn": ("inequalities", "inequalities.norm_variant_gap", _run_log_metric),
+    "Eq.4.1": _sweep_row("inequalities", "phi-exponential", _phi_exp_draw,
+                         ineq.phi_exp_gap),
+    "Eq.4.1w": _sweep_row("inequalities", "weak-majorization", _draw(gue, 2),
+                          ineq.weak_majorization_gap),
+    "Eq.5": _sweep_row("inequalities", "schatten-norm", _draw(gue, 2),
+                       ineq.schatten_gap, (1.0, 2.0, 4.0, np.inf)),
+    "Eq.5a": _sweep_row("inequalities", "symmetrized-trace", _draw(gue, 2),
+                        ineq.symmetrized_gap, (1.0, 2.0, 4.0)),
+    "Eq.Sn": _sweep_row("inequalities", "log-metric", _draw(gue, 2),
+                        ineq.log_metric_gap),
     "Eq.Sn1": ("inequalities", "linalg.distance_delta2", _run_delta2_identity),
-    "Eq.4.1a": ("inequalities", "inequalities.nonhermitian_phi_gap", _run_nonhermitian),
-    "Eq.4.1b": ("inequalities", "inequalities.hermitian_part_dominance",
-                _run_hermitian_part),
+    "Eq.4.1a": _sweep_row("inequalities", "nonhermitian-phi", _nonhermitian_draw,
+                          ineq.nonhermitian_phi_gap, (True, False)),
+    "Eq.4.1b": _sweep_row("inequalities", "hermitian-part", _draw(ginibre, 1),
+                          ineq.hermitian_part_dominance),
     "Eq.4.1c": ("inequalities", "inequalities.lieb_triple_gap", _run_lieb),
     "EqualityOrder": ("inequalities", "inequalities.equality_order_scan",
                       _run_equality_order),
@@ -854,8 +798,8 @@ REGISTRY: dict[str, tuple[str, str, Callable]] = {
     "Eq.J": ("concentration", "concentration.empirical_tail",
              _run_trace_dominance_per_trial),
     "Eq.GTE": ("concentration", "concentration.aw_mgf_lemma_check", _run_mgf_lemma),
-    "Eq.4.29": ("concentration", "concentration.trace_product_dominance",
-                _run_trace_product),
+    "Eq.4.29": _sweep_row("concentration", "trace-product-dominance",
+                          _trace_product_draw, conc.trace_product_dominance),
     "Eq.RU": ("concentration", "concentration.aw_bound", _run_domination_grid),
     "Eq.OB": ("concentration", "concentration.oliveira_mgf_check", _run_oliveira),
     "Eq.DDN": ("concentration", "concentration.oliveira_recursion_profile",
@@ -881,8 +825,9 @@ SUITE_TAGS: dict[str, tuple[str, ...]] = {
 
 
 def run_suite(name: str, params: SuiteParams) -> list[CaseRecord]:
-    """Execute one named suite; each tag draws from the stream at its
-    registry position under the seed, making the output deterministic."""
+    """Execute one named suite; each tag's runner draws from the stream at
+    the tag's registry position under the seed, making the output
+    deterministic, and is handed the tag."""
     if name not in SUITE_TAGS:
         raise ValueError(f"unknown suite {name!r}")
     cases: list[CaseRecord] = []
@@ -890,5 +835,5 @@ def run_suite(name: str, params: SuiteParams) -> list[CaseRecord]:
     for tag in SUITE_TAGS[name]:
         _, _, runner = REGISTRY[tag]
         stream = RngStream(params.seed, (positions[tag],))
-        cases.extend(runner(params, stream))
+        cases.extend(runner(params, stream, tag))
     return cases

@@ -318,29 +318,64 @@ class TestRegistry:
             assert suite in suites.SUITE_NAMES
             assert isinstance(operation, str) and "." in operation
 
-    def test_each_runner_calls_its_operation(self):
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """Per runnable tag, the code objects its runner calls at trials=20
+        and the cases it returns."""
         params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
-        called, missed = set(), []
+        found = {}
 
         def profile(frame, event, arg):
             if event == "call":
                 called.add(frame.f_code)
 
+        for tag, (_, _, runner) in suites.REGISTRY.items():
+            if runner is None:
+                continue
+            called = set()
+            sys.setprofile(profile)
+            try:
+                cases = runner(params, tag_stream(tag, 1), tag)
+            finally:
+                sys.setprofile(None)
+            found[tag] = called, cases
+        return found
+
+    def test_each_runner_calls_its_operation(self, runs):
+        missed = []
         for tag, (_, operation, runner) in suites.REGISTRY.items():
             if runner is None:
                 continue
-            module, name = operation.split(".")
-            target = getattr(importlib.import_module(f"gtlab.{module}"),
-                             name).__code__
-            called.clear()
-            sys.setprofile(profile)
-            try:
-                runner(params, tag_stream(tag, 1))
-            finally:
-                sys.setprofile(None)
-            if target not in called:
+            called, _ = runs[tag]
+            if operation_of(tag).__code__ not in called:
                 missed.append((tag, operation))
         assert not missed, f"runners that skip their row's operation: {missed}"
+
+    def test_each_runner_emits_its_tag(self, runs):
+        emitted = {(tag, case.equation) for tag, (_, cases) in runs.items()
+                   for case in cases}
+        # the Eq.1a runner emits the law-of-cosines restatement as well
+        assert emitted - {(tag, tag) for tag in runs} == {("Eq.1a", "Eq.1aA")}
+
+    @pytest.mark.parametrize("tag", [
+        tag for tag, (_, _, runner) in suites.REGISTRY.items()
+        if isinstance(runner, suites.Sweep)
+        or tag in ("Eq.1", "Eq.1b", "Eq.4.1c", "Eq.OB", "Eq.DD1", "Eq.RUvsOB")])
+    def test_a_broken_checker_fails_its_sweep_case(self, tag, monkeypatch):
+        # every case judged by _worst_case: a Sweep row runs the checker it
+        # holds, the other runners call their row's operation
+        _, operation, runner = suites.REGISTRY[tag]
+        if isinstance(runner, suites.Sweep):
+            runner = dataclasses.replace(runner, check=broken(runner.check))
+        else:
+            module, name = operation.split(".")
+            monkeypatch.setattr(importlib.import_module(f"gtlab.{module}"),
+                                name, broken(operation_of(tag)))
+        params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
+        cases = runner(params, tag_stream(tag, 1), tag)
+        failed = [(c.status, c.extra.get("violations")) for c in cases
+                  if c.status != "pass"]
+        assert failed == [("fail", 1)]
 
     def test_suite_tags_cover_runners(self):
         runnable = {tag for tag, (_, _, runner) in suites.REGISTRY.items()
@@ -399,6 +434,29 @@ class TestStartup:
         assert done.stdout.strip() == "[]"
 
 
+def operation_of(tag: str):
+    """The function a registry row's operation names."""
+    module, name = suites.REGISTRY[tag][1].split(".")
+    return getattr(importlib.import_module(f"gtlab.{module}"), name)
+
+
+def broken(check):
+    """``check`` whose first call reports its first instance with the left
+    side 10 tol past the right side; every other instance is left as is."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        report = check(*args, **kwargs)
+        calls.append(None)
+        if len(calls) > 1:
+            return report
+        lhs = np.array(report.lhs, dtype=np.float64)
+        lhs.flat[0] = np.ravel(report.rhs)[0] + 10 * np.ravel(report.tol)[0]
+        return GapReport.from_sides(lhs, report.rhs, tol=report.tol)
+
+    return wrapped
+
+
 def tag_stream(tag: str, seed: int) -> RngStream:
     """The stream ``run_suite`` hands the runner of ``tag``."""
     return RngStream(seed, (list(suites.REGISTRY).index(tag),))
@@ -412,20 +470,20 @@ class TestMonteCarloEscalation:
         # a 1x1 Gaussian series, where the bound holds with equality: the
         # first 10^4 sign draws land 2.1 se above it
         params = suites.SuiteParams(seed=53, trials=8000)
-        _, case = suites._run_oliveira(params, tag_stream("Eq.OB", 53))
+        _, case = suites._run_oliveira(params, tag_stream("Eq.OB", 53), "Eq.OB")
         assert case.status == "pass" and case.extra["escalated"]
         assert case.trials == 100000
 
     def test_ratio_chance_miss_escalates_and_passes(self):
         # the first 10^6 pairs land 3.06 se from 4/3
         params = suites.SuiteParams(seed=2, trials=1_000_000, dims=(128,))
-        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 2))
+        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 2), "Eq.R")
         assert case.status == "pass" and case.extra["escalated"]
         assert case.trials == 10_000_000
 
     def test_a_pass_keeps_the_first_attempt(self):
         params = suites.SuiteParams(seed=1, trials=10000)
-        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 1))
+        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 1), "Eq.R")
         est = studies.pauli_ratio_mc(10000, tag_stream("Eq.R", 1),
                                      matrix_check=1000)
         assert case.status == "pass" and not case.extra["escalated"]
@@ -441,7 +499,7 @@ class TestMonteCarloEscalation:
         monkeypatch.setattr(studies, "pauli_ratio_mc", shifted)
         keys = record_stream_keys(monkeypatch)
         params = suites.SuiteParams(seed=1, trials=10000)
-        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 1))
+        case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 1), "Eq.R")
         assert case.status == "fail" and case.extra["escalated"]
         assert case.trials == 100000
         assert len(set(keys)) == len(keys), "the escalation reused a stream key"
@@ -460,7 +518,7 @@ class TestMonteCarloEscalation:
         monkeypatch.setattr(conc, "oliveira_mgf_check", shifted)
         keys = record_stream_keys(monkeypatch)
         params = suites.SuiteParams(seed=1, trials=1000)
-        _, case = suites._run_oliveira(params, tag_stream("Eq.OB", 1))
+        _, case = suites._run_oliveira(params, tag_stream("Eq.OB", 1), "Eq.OB")
         assert case.status == "fail" and case.extra["escalated"]
         assert case.trials == 100000
         assert len(set(keys)) == len(keys), "the escalation reused a stream key"
@@ -660,7 +718,7 @@ class TestSignSeriesRunners:
         sides = self.sides_of_cases(monkeypatch)
         params = suites.SuiteParams(seed=5, trials=400)
         stream = tag_stream("Eq.OB", 5)
-        case, _ = suites._run_oliveira(params, stream)
+        case, _ = suites._run_oliveira(params, stream, "Eq.OB")
         expected = []
         for i in range(20):
             rng = stream.child(0, i).generator()
@@ -681,7 +739,7 @@ class TestSignSeriesRunners:
         sides = self.sides_of_cases(monkeypatch)
         params = suites.SuiteParams(seed=5, trials=400)
         stream = tag_stream("Eq.RUvsOB", 5)
-        case, = suites._run_oliveira_vs_aw(params, stream)
+        case, = suites._run_oliveira_vs_aw(params, stream, "Eq.RUvsOB")
         expected = []
         for i in range(400):
             rng = stream.child(i).generator()
@@ -708,7 +766,8 @@ class TestSignSeriesRunners:
         monkeypatch.setattr(suites, "_series_terms", skewed)
         params = suites.SuiteParams(seed=5, trials=200)
         with pytest.raises(ValueError, match="Hermitian"):
-            suites._run_oliveira_vs_aw(params, tag_stream("Eq.RUvsOB", 5))
+            suites._run_oliveira_vs_aw(params, tag_stream("Eq.RUvsOB", 5),
+                                       "Eq.RUvsOB")
         # the skewed series shares its group with others
         assert drawn.count(drawn[6]) > 1
 
@@ -728,9 +787,10 @@ class TestSignSeriesRunners:
         monkeypatch.setattr(conc, "oliveira_vs_aw",
                             lambda series: shrunk(direct_check(series)))
         params = suites.SuiteParams(seed=5, trials=200)
-        enum_case, mc_case = suites._run_oliveira(params, tag_stream("Eq.OB", 5))
+        enum_case, mc_case = suites._run_oliveira(
+            params, tag_stream("Eq.OB", 5), "Eq.OB")
         direct_case, = suites._run_oliveira_vs_aw(
-            params, tag_stream("Eq.RUvsOB", 5))
+            params, tag_stream("Eq.RUvsOB", 5), "Eq.RUvsOB")
         assert mc_case.status == "pass"
         for case in (enum_case, direct_case):
             assert case.status == "fail"
@@ -740,4 +800,4 @@ class TestSignSeriesRunners:
     def test_enumeration_guard_fires_above_14(self, length):
         params = suites.SuiteParams(seed=5, trials=200, series_length=length)
         with pytest.raises(conc.ResourceGuardError):
-            suites._run_oliveira(params, tag_stream("Eq.OB", 5))
+            suites._run_oliveira(params, tag_stream("Eq.OB", 5), "Eq.OB")

@@ -451,8 +451,8 @@ class TestTailVerdict:
         assert self.verdict(30, 1000, np.nextafter(low, 0.0)) == "fail"
 
     def test_report_fields(self):
-        report = TailReport.from_counts(30, 1000, 0.01, "ctx", {"a": 1.0})
+        report = TailReport.from_counts(30, 1000, 0.01, {"a": 1.0})
         assert (report.empirical_tail, report.trials, report.bound_value) \
             == (0.03, 1000, 0.01)
         assert (report.ci_low, report.ci_high) == binomial_ci(30, 1000)
-        assert report.context == "ctx" and report.extras == {"a": 1.0}
+        assert report.extras == {"a": 1.0}

@@ -108,9 +108,10 @@ def _expect(condition: bool, where: str, message: str):
         raise ConfigError(f"{where}: {message}")
 
 
-def parse_config(text: str, family: str | None = None) -> SuiteConfig:
-    """Parse and validate a config document, optionally restricted to one
-    suite family (the subcommand's), which its suites must then name."""
+def parse_config(text: str, family: str) -> SuiteConfig:
+    """Parse and validate a config document, restricted to one suite family
+    (the subcommand's), which its suites must then name; omitted settings
+    take :class:`SuiteParams`'s defaults."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -132,9 +133,10 @@ def parse_config(text: str, family: str | None = None) -> SuiteConfig:
             _expect(value >= minimum, f"{where}.{key}", f"must be >= {minimum}")
         return value
 
-    top_trials = _scalar(raw, "top level", "trials", 1000, int, 1)
+    top_trials = _scalar(raw, "top level", "trials", SuiteParams.trials, int, 1)
     top_seed = _scalar(raw, "top level", "seed", None, int, 0)
-    top_series = _scalar(raw, "top level", "series_length", 10, int, 1)
+    top_series = _scalar(raw, "top level", "series_length",
+                         SuiteParams.series_length, int, 1)
     top_dims = _parse_dims(raw.get("dims"), "top level")
     seed = top_seed if top_seed is not None else default_master_seed()
 
@@ -155,15 +157,13 @@ def parse_config(text: str, family: str | None = None) -> SuiteConfig:
         trials = _scalar(entry, where, "trials", top_trials, int, 1)
         entry_seed = _scalar(entry, where, "seed", None, int, 0)
         series_length = _scalar(entry, where, "series_length", top_series, int, 1)
-        dims = _parse_dims(entry.get("dims"), where) or top_dims or (2, 3, 4)
-        names = SUITE_NAMES if name == "all" else (name,)
-        for resolved in names:
-            if family is not None and resolved != family:
-                continue
+        dims = _parse_dims(entry.get("dims"), where) or top_dims \
+            or SuiteParams.dims
+        if name in (family, "all"):
             params = SuiteParams(seed=entry_seed if entry_seed is not None else seed,
                                  trials=trials, dims=dims,
                                  series_length=series_length)
-            requests.append(SuiteRequest(name=resolved, params=params))
+            requests.append(SuiteRequest(name=family, params=params))
     _expect(requests or not suites_raw, "suites",
             f"none is in the {family} family of this subcommand")
     return SuiteConfig(requests=tuple(requests), seed=seed)

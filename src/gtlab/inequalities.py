@@ -164,7 +164,7 @@ def _abs_eigen_desc(X) -> np.ndarray:
     return np.sort(lam, axis=-1)[..., ::-1]
 
 
-def weyl_dominance_gap(X, s: int = 1, k: int | None = None) -> GapReport:
+def weyl_dominance_gap(X, s: int, k) -> GapReport:
     """``sum_{i<=k} mu_i^(2s) >= sum_{i<=k} |lambda_i|^(2s)``.
 
     Singular values dominate absolute eigenvalues under any increasing
@@ -173,7 +173,6 @@ def weyl_dominance_gap(X, s: int = 1, k: int | None = None) -> GapReport:
     if s < 1 or int(s) != s:
         raise ValueError("the built-in dominance family requires integer s >= 1")
     Xm = as_complex_matrix(X)
-    k = Xm.shape[-1] if k is None else k
     lhs = _top_k_sum(_abs_eigen_desc(Xm) ** (2 * s), k)
     rhs = _top_k_sum(singular_values(Xm) ** (2 * s), k)
     return GapReport.from_sides(lhs, rhs)
@@ -227,7 +226,7 @@ def phi_power_premise_gap(X, s: int = 1, k: int = 1) -> GapReport:
     return GapReport.from_sides(lhs, rhs)
 
 
-def phi_exp_gap(A, B, k: int = 1) -> GapReport:
+def phi_exp_gap(A, B, k) -> GapReport:
     """``phi(e^(A+B)) <= phi(e^A e^B)`` for the top-k absolute eigenvalue sum
     and Hermitian A, B."""
     Ah, Bh = _pair(A, B, "phi_exp_gap")
@@ -240,7 +239,7 @@ def phi_exp_gap(A, B, k: int = 1) -> GapReport:
 # ---------------------------------------------------------------------------
 # convex-order transfer for sequences
 
-def validate_majorization_pair(a, b, err=None) -> tuple[np.ndarray, np.ndarray]:
+def validate_majorization_pair(a, b, err) -> tuple[np.ndarray, np.ndarray]:
     """Check ``b`` descending with every prefix sum of ``b`` at most the
     matching prefix sum of ``a``; raises :class:`MajorizationError`.
 
@@ -260,15 +259,14 @@ def validate_majorization_pair(a, b, err=None) -> tuple[np.ndarray, np.ndarray]:
     cum_a = np.cumsum(av, axis=-1)
     cum_b = np.cumsum(bv, axis=-1)
     scale = np.maximum.accumulate(np.maximum(np.abs(av), np.abs(bv)), axis=-1)
-    guard = 1e-10 * np.maximum(1.0, np.maximum(np.abs(cum_a), scale))
-    if err is not None:
-        guard = guard + np.cumsum(err, axis=-1)
+    guard = 1e-10 * np.maximum(1.0, np.maximum(np.abs(cum_a), scale)) \
+        + np.cumsum(err, axis=-1)
     if np.any(cum_a - cum_b < -guard):
         raise MajorizationError("prefix sums of b must not exceed those of a")
     return av, bv
 
 
-def karamata_gap(a, b, err=None) -> GapReport:
+def karamata_gap(a, b, err) -> GapReport:
     """``sum e^(b_i) <= sum e^(a_i)`` (Karamata for the convex increasing
     exponential) whenever ``b`` is descending with dominated prefix sums
     (``err`` as in :func:`validate_majorization_pair`)."""
@@ -363,11 +361,10 @@ def weak_majorization_gap(A, B) -> GapReport:
 # ---------------------------------------------------------------------------
 # non-Hermitian extension
 
-def nonhermitian_phi_gap(A, B=None, k: int = 1) -> GapReport:
+def nonhermitian_phi_gap(A, B, k: int = 1) -> GapReport:
     """``|phi(e^(A+B))| <= phi(e^((A+A†)/2) e^((B+B†)/2))`` for the top-k
-    absolute eigenvalue sum; A, B need not be Hermitian (B may be None)."""
-    Am = as_complex_matrix(A)
-    Bm = np.zeros_like(Am) if B is None else as_complex_matrix(B)
+    absolute eigenvalue sum; A, B need not be Hermitian."""
+    Am, Bm = as_complex_matrix(A), as_complex_matrix(B)
     if Am.shape != Bm.shape:
         raise ValueError("nonhermitian_phi_gap arguments must have equal dimension")
     lhs = top_k_abs_eigensum(expm(Am + Bm), k)

@@ -108,7 +108,7 @@ def is_hermitian(M):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def require_hermitian(M, what: str = "argument") -> np.ndarray:
+def require_hermitian(M, what: str) -> np.ndarray:
     """Return the symmetrized matrix, rejecting genuinely non-Hermitian input."""
     A = as_complex_matrix(M)
     if not np.all(is_hermitian(A)):
@@ -250,7 +250,7 @@ def lie_trotter_product(A, B, n: int) -> np.ndarray:
     return result
 
 
-def trace_of_product(A, B, context: str = ""):
+def trace_of_product(A, B, context: str):
     """``Tr(AB)`` of a provably real product, with the imaginary-residue
     check applied."""
     return checked_real(np.einsum('...ij,...ji->...', A, B), context)

@@ -84,7 +84,7 @@ class TailReport:
 
     @classmethod
     def from_counts(cls, exceed: int, trials: int, bound: float,
-                    extras=None) -> "TailReport":
+                    extras: dict) -> "TailReport":
         """Verdict on ``exceed`` exceedances in ``trials`` against ``bound``,
         from the 95% Clopper-Pearson interval of the tail: ``"pass"`` when
         the bound is vacuous (>= 1) or the interval lies at or below it,
@@ -99,7 +99,7 @@ class TailReport:
             status = "indeterminate"
         return cls(empirical_tail=exceed / trials, ci_low=ci_low,
                    ci_high=ci_high, bound_value=bound, passed=status == "pass",
-                   status=status, trials=trials, extras=dict(extras or {}))
+                   status=status, trials=trials, extras=dict(extras))
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class RatioEstimate:
 
     @classmethod
     def from_moments(cls, num_mean, num_se, den_mean, den_se, cov, trials,
-                     extras=None) -> "RatioEstimate":
+                     extras: dict) -> "RatioEstimate":
         """Build the estimate from means, standard errors and the covariance
         of the two mean estimators (not of the per-trial values)."""
         ratio = num_mean / den_mean
@@ -131,7 +131,7 @@ class RatioEstimate:
                    denominator_mean=float(den_mean), denominator_se=float(den_se),
                    ratio=float(ratio), ratio_se=float(se),
                    ci_low=float(ratio - 1.96 * se), ci_high=float(ratio + 1.96 * se),
-                   trials=int(trials), extras=dict(extras or {}))
+                   trials=int(trials), extras=dict(extras))
 
 
 def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
@@ -157,13 +157,13 @@ def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
-def checked_real(value, context: str = ""):
+def checked_real(value, context: str):
     """Discard the imaginary residue of a provably real quantity (a float
     for a scalar, a float array for an array of values).
 
     The residue must stay below ``IMAG_REL_TOL * max(1, |value|)`` for
     every entry; anything larger is an implementation error rather than
-    rounding, and raises.
+    rounding, and raises a ``ValueError`` that names ``context``.
     """
     value = np.asarray(value, dtype=np.complex128)
     bad = np.abs(value.imag) > IMAG_REL_TOL * np.maximum(1.0, np.abs(value))
@@ -171,5 +171,5 @@ def checked_real(value, context: str = ""):
         first = complex(value[bad][0])
         raise ValueError(
             f"imaginary residue {first.imag:.3e} on a real quantity "
-            f"(|value| = {abs(first):.3e}){': ' + context if context else ''}")
+            f"(|value| = {abs(first):.3e}): {context}")
     return float(value.real) if value.ndim == 0 else value.real

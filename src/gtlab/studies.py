@@ -45,13 +45,17 @@ __all__ = [
 #: the draw order.
 MC_CHUNK = 65536
 
+#: Leading pairs of the Monte Carlo ratio re-evaluated through matrix
+#: exponentials.
+MATRIX_CHECK = 1000
 
-def radial_cosh_moment(scale: float, tol: float = 1e-12) -> tuple[float, float]:
+
+def radial_cosh_moment(scale: float) -> tuple[float, float]:
     """``E cosh(scale * R)`` for ``R`` chi-distributed with 3 degrees of
     freedom, by adaptive Gauss-Legendre quadrature
     (:func:`~gtlab.linalg.gauss_legendre`) of the radial density
     ``sqrt(2/pi) r^2 exp(-r^2/2)``, mapped from ``[0, inf)`` to ``[0, 1)``
-    by ``r = u/(1-u)``, to within ``tol`` absolute and relative.
+    by ``r = u/(1-u)``, to within 1e-10 absolute and relative.
 
     The integrand is written in exponential form so large radii underflow
     to zero instead of overflowing ``cosh``.  Returns (value, error
@@ -65,7 +69,7 @@ def radial_cosh_moment(scale: float, tol: float = 1e-12) -> tuple[float, float]:
                                   + np.exp(-scale * r - r * r / 2.0)) \
             / (1.0 - u) ** 2
 
-    return gauss_legendre(integrand, 0.0, 1.0, tol, tol)
+    return gauss_legendre(integrand, 0.0, 1.0, 1e-10, 1e-10)
 
 
 @dataclass(frozen=True)
@@ -85,26 +89,25 @@ def pauli_ratio_quadrature() -> RadialQuadratureResult:
     ``E cosh|a|`` (the angular cross term averages to zero) and the
     denominator is ``E cosh|a+b|`` with ``|a+b| = sqrt(2) R``, ``R``
     chi-distributed with 3 degrees of freedom; each is integrated by
-    :func:`radial_cosh_moment` to a tolerance of 1e-10, and the error bound
-    propagates their error estimates.
+    :func:`radial_cosh_moment`, and the error bound propagates their error
+    estimates.
     """
-    single, err1 = radial_cosh_moment(1.0, tol=1e-10)
-    denom, err2 = radial_cosh_moment(math.sqrt(2.0), tol=1e-10)
+    single, err1 = radial_cosh_moment(1.0)
+    denom, err2 = radial_cosh_moment(math.sqrt(2.0))
     numerator = single * single
     return RadialQuadratureResult(ratio=numerator / denom,
                                   numerator=numerator, denominator=denom,
                                   error_bound=2.0 * single * err1 + err2)
 
 
-def pauli_ratio_mc(trials: int, stream: RngStream,
-                   matrix_check: int = 0) -> RatioEstimate:
+def pauli_ratio_mc(trials: int, stream: RngStream) -> RatioEstimate:
     """Monte Carlo estimate of the averaged-sides ratio on Gaussian pairs.
 
     The numerator estimator averages ``cosh|a| cosh|b|``; the angular
     cross term (zero in expectation) is retained separately as a variance
     check, and the trace factor 2 cancels in the ratio.  Trials are drawn
     chunk-wise, chunk ``b`` from ``stream.child(b)``.  The first
-    ``matrix_check`` trials are re-evaluated through matrix exponentials
+    ``MATRIX_CHECK`` trials are re-evaluated through matrix exponentials
     and the worst relative discrepancy is reported.
     """
     if trials < 1:
@@ -124,9 +127,9 @@ def pauli_ratio_mc(trials: int, stream: RngStream,
         violations += int(np.count_nonzero(full < den - inequality_tol(full, den)))
         sums += [num.sum(), (num ** 2).sum(), den.sum(), (den ** 2).sum(),
                  (num * den).sum(), cross.sum(), (cross ** 2).sum()]
-        if matrix_check > done:
+        if done < MATRIX_CHECK:
             # the same draws through batched matrix exponentials
-            take = min(matrix_check - done, count)
+            take = min(MATRIX_CHECK - done, count)
             A, B = pauli.to_matrix(a[:take]), pauli.to_matrix(b[:take])
             full_m = 0.5 * trace_of_product(expm_herm(A), expm_herm(B),
                                             "matrix route in pauli_ratio_mc")
@@ -147,10 +150,9 @@ def pauli_ratio_mc(trials: int, stream: RngStream,
         "cross_term_mean": cross_mean,
         "cross_term_se": math.sqrt(cross_var / t),
         "trialwise_violations": violations,
+        "matrix_route_max_discrepancy": matrix_disc,
+        "matrix_route_trials": min(MATRIX_CHECK, trials),
     }
-    if matrix_check:
-        extras["matrix_route_max_discrepancy"] = matrix_disc
-        extras["matrix_route_trials"] = min(matrix_check, trials)
     return RatioEstimate.from_moments(num_mean, math.sqrt(num_var / t),
                                       den_mean, math.sqrt(den_var / t),
                                       cov, trials, extras=extras)

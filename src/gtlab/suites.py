@@ -362,10 +362,11 @@ def _run_lie_trotter(params, stream, tag):
     D1, D2 = np.diag([0.7, -0.3, 0.1]), np.diag([1.1, 0.2, -0.5])
     comm_dev = max(operator_norm(lie_trotter_product(D1, D2, n)
                                  - expm_herm(D1 + D2)) for n in (1, 3, 8))
-    return [_residual_case("lie-trotter-order", tag, abs(slope + 1.0),
-                           0.1, len(ns),
-                           extra={"fitted_slope": float(slope),
-                                  "commuting_deviation": comm_dev})]
+    residual = abs(slope + 1.0)
+    return [_case("lie-trotter-order", tag, residual, 0.1, 0.1 - residual,
+                  residual <= 0.1 and comm_dev <= 1e-12, len(ns),
+                  extra={"fitted_slope": float(slope),
+                         "commuting_deviation": comm_dev})]
 
 
 def _run_phi_functional(params, stream, tag):
@@ -375,7 +376,7 @@ def _run_phi_functional(params, stream, tag):
         s1 = singular_values(P).sum(axis=-1)
         return np.abs(top - s1) / np.maximum(1.0, s1)
     return _identity_sweep(params, stream, tag, "top-k-functional-consistency",
-                           max(1, min(params.trials, 500)), REL_TOL, residual)
+                           min(params.trials, 500), REL_TOL, residual)
 
 
 def _run_delta2_identity(params, stream, tag):
@@ -384,7 +385,7 @@ def _run_delta2_identity(params, stream, tag):
         f = frobenius_norm(A)
         return np.abs(d - f) / np.maximum(1.0, f)
     return _identity_sweep(params, stream, tag, "delta2-identity",
-                           max(1, min(params.trials, 500)), 1e-10, residual)
+                           min(params.trials, 500), 1e-10, residual)
 
 
 #: Leading instances of the three-matrix sweep that are re-evaluated one by
@@ -451,8 +452,7 @@ def _run_equality_order(params, stream, tag):
 def _run_covariance_identity(params, stream, tag):
     n, k = 32, 2
     X = np.sqrt(n) * np.eye(n, k, dtype=np.complex128)
-    exact = conc.covariance(X, check_rank_one=True)
-    exact_residual = float(np.abs(exact - np.eye(k)).max())
+    exact_residual = float(np.abs(conc.covariance(X) - np.eye(k)).max())
     trials = max(params.trials, 2000)
     rng = stream.generator()
     draws = standard_complex(rng, (trials, n, k))
@@ -460,13 +460,14 @@ def _run_covariance_identity(params, stream, tag):
     mean = sigmas.mean(axis=0)
     se = sigmas.std(axis=0, ddof=1) / math.sqrt(trials)
     dev_units = float((np.abs(mean - np.eye(k)) / np.maximum(se, 1e-30)).max())
-    residual = max(exact_residual, 0.0)
     return [_case("covariance-mean", tag, dev_units, 4.0, 4.0 - dev_units,
                   exact_residual <= 1e-12 and dev_units <= 4.0, trials,
-                  extra={"constructed_identity_residual": residual})]
+                  extra={"constructed_identity_residual": exact_residual})]
 
 
 def _run_rank_one(params, stream, tag):
+    """The average of the rank-one row contributions against the Gram
+    product of :func:`~gtlab.concentration.covariance`."""
     worst = 0.0
     trials = min(params.trials, 200)
     for i in range(trials):
@@ -474,9 +475,8 @@ def _run_rank_one(params, stream, tag):
         n = int(rng.integers(4, 24))
         k = int(rng.integers(1, min(n, 5) + 1))
         X = standard_complex(rng, (n, k))
-        sigma = conc.covariance(X, check_rank_one=True)
-        direct = X.conj().T @ X / n
-        worst = max(worst, float(np.abs(sigma - hermitize(direct)).max()))
+        rank_one = np.einsum('pi,pj->ij', X.conj(), X) / n
+        worst = max(worst, float(np.abs(rank_one - conc.covariance(X)).max()))
     return [_residual_case("rank-one-decomposition", tag, worst, 1e-12, trials)]
 
 
@@ -674,8 +674,7 @@ def _run_ratio_mc(params, stream, tag):
     target = 4.0 / 3.0
 
     def attempt(trials, pairs):
-        est = studies.pauli_ratio_mc(trials, pairs,
-                                     matrix_check=min(trials, 1000))
+        est = studies.pauli_ratio_mc(trials, pairs)
         extras = est.extras
         within = (abs(est.ratio - target) <= 3.0 * est.ratio_se
                   and abs(extras["cross_term_mean"]) <= 4.0 * extras["cross_term_se"])

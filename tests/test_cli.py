@@ -38,9 +38,9 @@ def run_cli(tmp_path, config, command="verify", fmt="json", out_name="report"):
 class TestConfigParsing:
     def test_shorthand_and_object_forms(self):
         config = cli.parse_config(json.dumps({
-            "suites": [{"name": "studies", "trials": 7}, "counterexamples"],
-            "trials": 5, "seed": 2}))
-        assert [r.name for r in config.requests] == ["studies", "counterexamples"]
+            "suites": [{"name": "studies", "trials": 7}, "studies"],
+            "trials": 5, "seed": 2}), "studies")
+        assert [r.name for r in config.requests] == ["studies", "studies"]
         assert config.requests[0].params.trials == 7
         assert config.requests[1].params.trials == 5
 
@@ -51,34 +51,38 @@ class TestConfigParsing:
 
     def test_unknown_suite_position_annotated(self):
         with pytest.raises(cli.ConfigError, match=r"suites\[1\].name"):
-            cli.parse_config(json.dumps({"suites": ["studies", "bogus"]}))
+            cli.parse_config(json.dumps({"suites": ["studies", "bogus"]}),
+                             "studies")
 
     def test_malformed_json_has_position(self):
         with pytest.raises(cli.ConfigError, match="line 1"):
-            cli.parse_config("{not json")
+            cli.parse_config("{not json", "studies")
 
     def test_bad_types_rejected(self):
         with pytest.raises(cli.ConfigError, match="trials"):
-            cli.parse_config(json.dumps({"suites": [], "trials": "many"}))
+            cli.parse_config(json.dumps({"suites": [], "trials": "many"}),
+                             "studies")
         with pytest.raises(cli.ConfigError, match="dims"):
-            cli.parse_config(json.dumps({"suites": [], "dims": [0]}))
+            cli.parse_config(json.dumps({"suites": [], "dims": [0]}), "studies")
         with pytest.raises(cli.ConfigError, match="unknown"):
-            cli.parse_config(json.dumps({"suites": [], "extra": 1}))
+            cli.parse_config(json.dumps({"suites": [], "extra": 1}), "studies")
 
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("GTLAB_SEED", "777")
-        config = cli.parse_config(json.dumps({"suites": []}))
+        config = cli.parse_config(json.dumps({"suites": []}), "studies")
         assert config.seed == 777
 
     def test_tolerances_key_exit_two(self, tmp_path):
         # the checks are exact theorems: no config may loosen their slack
         with pytest.raises(cli.ConfigError, match=r"^tolerances: unknown"):
             cli.parse_config(json.dumps({"suites": [],
-                                         "tolerances": {"Eq.1": 1e-9}}))
+                                         "tolerances": {"Eq.1": 1e-9}}),
+                             "inequalities")
         with pytest.raises(cli.ConfigError,
                            match=r"^suites\[0\]\.tolerances: unknown"):
             cli.parse_config(json.dumps({"suites": [{
-                "name": "inequalities", "tolerances": {"Eq.1": 1e-9}}]}))
+                "name": "inequalities", "tolerances": {"Eq.1": 1e-9}}]}),
+                "inequalities")
         for config in ({**BASE_CONFIG, "tolerances": {"Eq.1": float("nan")}},
                        {**BASE_CONFIG, "suites": [{
                            "name": "inequalities",
@@ -377,6 +381,30 @@ class TestRegistry:
                   if c.status != "pass"]
         assert failed == [("fail", 1)]
 
+    def test_a_covariance_off_its_rank_one_sum_fails_eq_s3(self, monkeypatch):
+        covariance = conc.covariance
+        monkeypatch.setattr(conc, "covariance",
+                            lambda X: covariance(X) * (1 + 1e-9))
+        params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
+        case, = suites._run_rank_one(params, tag_stream("Eq.S3", 1), "Eq.S3")
+        assert case.status == "fail" and case.lhs > case.rhs
+
+    def test_a_commuting_pair_off_its_exponential_fails_eq_lt(self,
+                                                              monkeypatch):
+        product = suites.lie_trotter_product
+
+        def perturbed(A, B, n):
+            # the commuting pair is the 3x3 diagonal one
+            P = product(A, B, n)
+            return P + 1e-9 * np.eye(3) if P.shape == (3, 3) else P
+
+        monkeypatch.setattr(suites, "lie_trotter_product", perturbed)
+        params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
+        case, = suites._run_lie_trotter(params, tag_stream("Eq.LT", 1), "Eq.LT")
+        # the fitted order still passes; the commuting deviation fails
+        assert case.status == "fail" and case.lhs <= case.rhs
+        assert case.extra["commuting_deviation"] > 1e-12
+
     def test_suite_tags_cover_runners(self):
         runnable = {tag for tag, (_, _, runner) in suites.REGISTRY.items()
                     if runner is not None}
@@ -484,8 +512,7 @@ class TestMonteCarloEscalation:
     def test_a_pass_keeps_the_first_attempt(self):
         params = suites.SuiteParams(seed=1, trials=10000)
         case, = suites._run_ratio_mc(params, tag_stream("Eq.R", 1), "Eq.R")
-        est = studies.pauli_ratio_mc(10000, tag_stream("Eq.R", 1),
-                                     matrix_check=1000)
+        est = studies.pauli_ratio_mc(10000, tag_stream("Eq.R", 1))
         assert case.status == "pass" and not case.extra["escalated"]
         assert (case.lhs, case.trials) == (est.ratio, 10000)
 
@@ -577,9 +604,9 @@ class TestTailEscalation:
 
 class TestReachability:
     """Every public function and method of gtlab runs under the CLI, and
-    every parameter of one that has a default is set to another value
-    there, so code and settings that no tag or CLI path reaches show up
-    here."""
+    every parameter of one that has a default is both set to another value
+    and left at its default there, so code, settings and branches that no
+    tag or CLI path reaches show up here."""
 
     CONFIGS = {
         "verify": {"suites": ["inequalities"], "trials": 50, "dims": [2],
@@ -648,17 +675,20 @@ class TestReachability:
     @pytest.fixture(scope="class")
     def profiled(self, tmp_path_factory):
         """The code objects called under the CLI, and the qualified names
-        of the defaulted parameters it sets to another value."""
+        of the defaulted parameters it sets to another value and of those
+        it leaves at their default."""
         tmp_path = tmp_path_factory.mktemp("reachability")
         defaulted = self.defaulted_parameters()
-        called, changed = set(), set()
+        called, changed, taken = set(), set(), set()
 
         def profile(frame, event, arg):
             if event != "call":
                 return
             called.add(frame.f_code)
             for label, param, default in defaulted.get(frame.f_code, ()):
-                if not self.is_default(frame.f_locals[param], default):
+                if self.is_default(frame.f_locals[param], default):
+                    taken.add(label)
+                else:
                     changed.add(label)
 
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -666,32 +696,51 @@ class TestReachability:
             sys.setprofile(profile)
             try:
                 for command, config in self.CONFIGS.items():
-                    code, text = run_cli(tmp_path, config, command=command)
-                    assert code == 0, command
+                    cfg = tmp_path / "config.json"
+                    cfg.write_text(json.dumps(config))
                     saved = tmp_path / f"{command}.json"
-                    saved.write_text(text)
+                    args = [command, "--config", str(cfg), "--out", str(saved)]
+                    if command == "hunt":
+                        # the way the gtlab console script calls it
+                        monkeypatch.setattr(sys, "argv", ["gtlab", *args])
+                        args = None
+                    assert cli.main(args) == 0, command
                     for fmt in ("json", "csv"):
                         assert cli.main(["report", "--config", str(saved),
                                          "--format", fmt, "--out",
                                          str(tmp_path / "re")]) == 0
             finally:
                 sys.setprofile(None)
-        return called, changed
+        return called, changed, taken
+
+    @classmethod
+    def assert_reached(cls, reached: set, exempt: dict, message: str):
+        """Every defaulted parameter is in ``reached`` or exempt, and no
+        exemption is stale: each names a parameter the CLI does not reach."""
+        labels = {label for params in cls.defaulted_parameters().values()
+                  for label, _, _ in params}
+        assert set(exempt) <= labels, "an exemption names no parameter"
+        stale = sorted(set(exempt) & reached)
+        assert not stale, f"exempt, but reached under the CLI: {stale}"
+        missed = sorted(labels - reached - set(exempt))
+        assert not missed, f"{message}: {missed}"
 
     def test_every_public_function_is_called(self, profiled):
-        called, _ = profiled
+        called, _, _ = profiled
         missed = sorted(name for name, fn in self.public_functions().items()
                         if fn.__code__ not in called)
         assert not missed, f"never called under the CLI: {missed}"
 
     def test_every_defaulted_parameter_is_set(self, profiled):
-        _, changed = profiled
-        labels = {label for params in self.defaulted_parameters().values()
-                  for label, _, _ in params}
-        assert set(self.EXEMPT) <= labels, "an exemption names no parameter"
-        unset = sorted(labels - changed - set(self.EXEMPT))
-        assert not unset, ("never set to a non-default value under the CLI "
-                           f"(make each a constant): {unset}")
+        _, changed, _ = profiled
+        self.assert_reached(changed, self.EXEMPT,
+                            "never set to a non-default value under the CLI "
+                            "(make each a constant)")
+
+    def test_every_default_is_taken(self, profiled):
+        _, _, taken = profiled
+        self.assert_reached(taken, {}, "never left at its default under the "
+                            "CLI (make each required)")
 
 
 class TestSignSeriesRunners:

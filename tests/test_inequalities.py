@@ -130,7 +130,7 @@ class TestWeylKaramata:
     def test_shift_matrix_by_hand(self):
         # singular values (1, 0) and eigenvalues (0, 0): 1 >= 0
         X = np.array([[0.0, 1.0], [0.0, 0.0]])
-        report = ineq.weyl_dominance_gap(X, s=1)
+        report = ineq.weyl_dominance_gap(X, s=1, k=2)
         assert report.lhs == pytest.approx(0.0, abs=1e-12)
         assert report.rhs == pytest.approx(1.0, abs=1e-12)
 
@@ -157,7 +157,7 @@ class TestWeylKaramata:
 
     def test_karamata_identical_sequences(self):
         a = np.array([2.0, 0.5, -1.0])
-        report = ineq.karamata_gap(a, np.sort(a)[::-1])
+        report = ineq.karamata_gap(a, np.sort(a)[::-1], np.zeros_like(a))
         assert abs(report.margin) <= report.tol
 
     def test_karamata_from_spectra(self, rng):
@@ -166,15 +166,15 @@ class TestWeylKaramata:
             a = np.log(np.clip(linalg.singular_values(X), 1e-300, None))
             lam = np.sort(np.abs(linalg.general_eigen(X).values))[::-1]
             b = np.log(np.clip(lam, 1e-300, None))
-            assert ineq.karamata_gap(a, b).passed
+            assert ineq.karamata_gap(a, b, np.zeros_like(a)).passed
 
     def test_prefix_violation_raises(self):
         with pytest.raises(ineq.MajorizationError):
-            ineq.karamata_gap([0.0, 0.0], [1.0, -1.0])
+            ineq.karamata_gap([0.0, 0.0], [1.0, -1.0], np.zeros(2))
 
     def test_not_descending_raises(self):
         with pytest.raises(ineq.MajorizationError):
-            ineq.karamata_gap([3.0, 3.0], [0.0, 1.0])
+            ineq.karamata_gap([3.0, 3.0], [0.0, 1.0], np.zeros(2))
 
     def test_stack_matches_single(self, rng):
         X = ginibre(rng, 4, 6)
@@ -184,15 +184,15 @@ class TestWeylKaramata:
         assert_stack_matches_single(lambda M: ineq.power_trace_gap(M, s=3), X)
         a = np.log(linalg.singular_values(X))
         b = np.log(np.sort(np.abs(linalg.general_eigen(X).values))[:, ::-1])
-        assert_stack_matches_single(ineq.karamata_gap, a, b)
+        assert_stack_matches_single(ineq.karamata_gap, a, b, np.zeros_like(a))
 
     def test_majorization_checked_row_by_row(self):
         # the second row's first prefix sum of b exceeds that of a
         a = np.array([[2.0, 0.0], [0.0, 0.0]])
         b = np.array([[1.0, 1.0], [1.0, -1.0]])
-        assert ineq.karamata_gap(a[:1], b[:1]).passed.all()
+        assert ineq.karamata_gap(a[:1], b[:1], np.zeros((1, 2))).passed.all()
         with pytest.raises(ineq.MajorizationError):
-            ineq.validate_majorization_pair(a, b)
+            ineq.validate_majorization_pair(a, b, np.zeros_like(a))
 
     def test_guard_admits_backward_error_of_ill_conditioned_spectra(self):
         # cond 3e7: the log-spectra's computed determinant endpoints differ
@@ -239,7 +239,7 @@ class TestWeylKaramata:
         prefix_b = np.cumsum(b)
         prefix_a = prefix_b + np.asarray(slack[:m])
         a = np.diff(np.concatenate([[0.0], prefix_a]))
-        assert ineq.karamata_gap(a, b).passed
+        assert ineq.karamata_gap(a, b, np.zeros_like(a)).passed
 
 
 def alt_of_exponentials(A, B, r, s):
@@ -366,13 +366,6 @@ class TestNonHermitian:
         for _ in range(300):
             n = int(rng.integers(2, 6))
             assert ineq.hermitian_part_dominance(ginibre(rng, n)).passed
-
-    def test_b_none_matches_zero(self, rng):
-        A = ginibre(rng, 3)
-        with_none = ineq.nonhermitian_phi_gap(A, None, k=1)
-        with_zero = ineq.nonhermitian_phi_gap(A, np.zeros((3, 3)), k=1)
-        assert with_none.lhs == pytest.approx(with_zero.lhs, rel=1e-12)
-        assert with_none.rhs == pytest.approx(with_zero.rhs, rel=1e-12)
 
     def test_stack_matches_single(self, rng):
         A, B = ginibre(rng, 3, 6), ginibre(rng, 3, 6)
@@ -651,6 +644,7 @@ class TestGapReportPolicy:
 
     def test_checked_real_stack(self):
         values = np.array([1.0 + 1e-13j, -2.0 + 0j])
-        np.testing.assert_array_equal(checked_real(values), [1.0, -2.0])
+        np.testing.assert_array_equal(checked_real(values, "values"),
+                                      [1.0, -2.0])
         with pytest.raises(ValueError, match="imaginary residue"):
-            checked_real(np.array([1.0, 1.0 + 1e-3j]))
+            checked_real(np.array([1.0, 1.0 + 1e-3j]), "values")

@@ -169,11 +169,12 @@ class TestExpm:
     def test_trace_of_product_stack_matches_single(self, rng):
         A = linalg.expm_herm(gue(rng, 3, 6))
         B = linalg.expm_herm(gue(rng, 3, 6))
-        assert_stack_matches_single(linalg.trace_of_product, A, B)
+        assert_stack_matches_single(
+            lambda a, b: linalg.trace_of_product(a, b, "trace"), A, B)
 
     def test_trace_of_product_rejects_complex_trace(self):
         with pytest.raises(ValueError, match="imaginary residue"):
-            linalg.trace_of_product(np.eye(2), 1j * np.eye(2))
+            linalg.trace_of_product(np.eye(2), 1j * np.eye(2), "trace")
 
     def test_mixed_stack_takes_each_members_route(self, rng):
         # Hermitian members go through the eigen route, the others through
@@ -301,9 +302,10 @@ class TestValidation:
     def test_hermitian_check_per_member(self, rng):
         stack = np.stack([gue(rng, 3), ginibre(rng, 3), gue(rng, 3)])
         assert linalg.is_hermitian(stack).tolist() == [True, False, True]
-        assert_stack_matches_single(linalg.require_hermitian, stack[[0, 2]])
+        assert_stack_matches_single(
+            lambda M: linalg.require_hermitian(M, "stack"), stack[[0, 2]])
         with pytest.raises(ValueError, match="Hermitian"):
-            linalg.require_hermitian(stack)
+            linalg.require_hermitian(stack, "stack")
 
     def test_stack_scale_is_per_matrix(self):
         # the first member is off Hermitian by 1e-8 at unit scale; measured
@@ -312,7 +314,7 @@ class TestValidation:
         stack = np.stack([slightly_off, 1e6 * np.eye(2)])
         assert linalg.is_hermitian(stack).tolist() == [False, True]
         with pytest.raises(ValueError, match="Hermitian"):
-            linalg.require_hermitian(stack)
+            linalg.require_hermitian(stack, "stack")
         with pytest.raises(ValueError, match="Hermitian"):
             linalg.trace_expm(stack)
 

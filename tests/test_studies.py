@@ -55,7 +55,7 @@ class TestMonteCarloRatio:
         assert est.ratio >= 1.0 - 3.0 * est.ratio_se
 
     def test_matrix_route_cross_check(self, stream):
-        est = studies.pauli_ratio_mc(5000, stream, matrix_check=1000)
+        est = studies.pauli_ratio_mc(5000, stream)
         assert est.extras["matrix_route_max_discrepancy"] <= 1e-10
 
     def test_agrees_with_quadrature(self, stream):

@@ -12,20 +12,27 @@ per-suite parameter objects; top-level ``trials``, ``dims``, ``seed`` and
     {"suites": [{"name": "inequalities", "trials": 100, "dims": [2, 3, 4]}],
      "seed": 1}
 
-No tolerance is configurable: the checked statements are exact theorems,
-and each check admits a fixed rounding slack.
+Every setting given is an integer (``dims`` a non-empty list of them),
+so ``null`` is a config error.  No tolerance is configurable: the checked
+statements are exact theorems, and each check admits a fixed rounding
+slack.
 
 Each subcommand runs its own suite family (``verify`` the inequality
 checks, ``tail`` the concentration sweeps, ``ratio`` the ensemble
 studies, ``hunt`` the counter-example searches); ``all`` in the config
 expands to the family of the subcommand, and a config whose suites name
 none of that family is a config error.  Exit codes: 0 all cases passed,
-1 at least one violation, 2 config error, 3 resource guard tripped.
+1 at least one violation, 2 config error (a bad config, ``GTLAB_SEED``
+or saved report), 3 resource guard tripped.
 
+This module owns the report document: :func:`run` builds it as one
+strict JSON-native dict (``schema_version``, ``seed``, ``timestamp``,
+``cases``, ``summary``), :func:`emit` writes it, and ``report`` re-emits
+a saved one once each of its cases has every :class:`CaseRecord` field.
 Reports are deterministic for a fixed (config, seed): the timestamp field
 is populated from SOURCE_DATE_EPOCH when set and left null otherwise, so
-repeated runs are byte-identical.  The JSON form is strict: a non-finite
-number (a side a case does not evaluate) is written as null.
+repeated runs are byte-identical.  A non-finite number (a side a case does
+not evaluate) is written as null in JSON and as ``nan`` in CSV.
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .concentration import ResourceGuardError
 from .samplers import default_master_seed
@@ -53,42 +62,23 @@ _SUBCOMMAND_FAMILY = {
     "hunt": "counterexamples",
 }
 
+#: The config settings, the fields of :class:`SuiteParams`, each with the
+#: least value it admits.
+_SETTINGS = {"trials": 1, "dims": 1, "seed": 0, "series_length": 1}
+
 
 class ConfigError(ValueError):
     """Invalid config document; the message carries the offending position."""
 
 
 @dataclass(frozen=True)
-class SuiteRequest:
-    name: str
-    params: SuiteParams
-
-
-@dataclass(frozen=True)
 class SuiteConfig:
-    requests: tuple[SuiteRequest, ...]
+    """The suites of one subcommand's ``family``, one :class:`SuiteParams`
+    per config entry, under the master ``seed``."""
+
+    family: str
     seed: int
-
-
-@dataclass
-class ReportDocument:
-    schema_version: str
-    seed: int
-    timestamp: str | None
-    cases: list[CaseRecord]
-    summary: dict[str, int]
-
-    @classmethod
-    def from_cases(cls, seed: int, cases: list[CaseRecord]) -> "ReportDocument":
-        summary = {
-            "total": len(cases),
-            "passed": sum(1 for c in cases if c.status == "pass"),
-            "failed": sum(1 for c in cases if c.status == "fail"),
-            "indeterminate": sum(1 for c in cases if c.status == "indeterminate"),
-        }
-        return cls(schema_version=SCHEMA_VERSION, seed=seed,
-                   timestamp=_deterministic_timestamp(), cases=cases,
-                   summary=summary)
+    suites: tuple[SuiteParams, ...]
 
 
 def _deterministic_timestamp() -> str | None:
@@ -108,149 +98,152 @@ def _expect(condition: bool, where: str, message: str):
         raise ConfigError(f"{where}: {message}")
 
 
+def _settings(entry: dict, where: str, defaults: dict) -> dict:
+    """``defaults`` overridden by the settings of one config object, the
+    top level or a suite entry, whose keys sit at ``where`` + key.  Each
+    setting is an integer at or above its least value, ``dims`` a
+    non-empty list of them."""
+    settings = dict(defaults)
+    for key, value in entry.items():
+        at = f"{where}{key}"
+        _expect(key in _SETTINGS, at, "unknown config key")
+        if key == "dims":
+            _expect(isinstance(value, list) and value, at,
+                    "must be a non-empty list of dimensions")
+            for j, n in enumerate(value):
+                _expect_integer(n, f"{at}[{j}]", _SETTINGS[key])
+            value = tuple(value)
+        else:
+            _expect_integer(value, at, _SETTINGS[key])
+        settings[key] = value
+    return settings
+
+
+def _expect_integer(value, where: str, least: int):
+    _expect(isinstance(value, int) and not isinstance(value, bool)
+            and value >= least, where, f"must be an integer >= {least}")
+
+
 def parse_config(text: str, family: str) -> SuiteConfig:
     """Parse and validate a config document, restricted to one suite family
-    (the subcommand's), which its suites must then name; omitted settings
-    take :class:`SuiteParams`'s defaults."""
+    (the subcommand's), which its suites must then name.  Top-level
+    settings are the defaults of the suite entries; omitted ones take
+    :class:`SuiteParams`'s defaults, and an omitted seed the default
+    master seed."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _expect(isinstance(raw, dict), "top level", "config must be an object")
-    known_keys = {"suites", "trials", "dims", "seed", "series_length"}
-    for key in raw:
-        _expect(key in known_keys, key, "unknown config key")
-    suites_raw = raw.get("suites", [])
+    suites_raw = raw.pop("suites", [])
     _expect(isinstance(suites_raw, list), "suites", "must be a list")
+    top = _settings(raw, "", {f.name: f.default
+                              for f in dataclasses.fields(SuiteParams)
+                              if f.default is not dataclasses.MISSING})
+    if "seed" not in top:
+        try:
+            top["seed"] = default_master_seed()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
-    def _scalar(entry: dict, where: str, key: str, default, kind, minimum=None):
-        value = entry.get(key, default)
-        if value is None:
-            return None
-        _expect(isinstance(value, kind) and not isinstance(value, bool),
-                f"{where}.{key}", f"must be of type {kind.__name__}")
-        if minimum is not None:
-            _expect(value >= minimum, f"{where}.{key}", f"must be >= {minimum}")
-        return value
-
-    top_trials = _scalar(raw, "top level", "trials", SuiteParams.trials, int, 1)
-    top_seed = _scalar(raw, "top level", "seed", None, int, 0)
-    top_series = _scalar(raw, "top level", "series_length",
-                         SuiteParams.series_length, int, 1)
-    top_dims = _parse_dims(raw.get("dims"), "top level")
-    seed = top_seed if top_seed is not None else default_master_seed()
-
-    requests: list[SuiteRequest] = []
+    suites: list[SuiteParams] = []
     for i, entry in enumerate(suites_raw):
         where = f"suites[{i}]"
         if isinstance(entry, str):
             entry = {"name": entry}
         _expect(isinstance(entry, dict), where, "must be a name or an object")
-        for key in entry:
-            _expect(key in {"name", "trials", "dims", "seed", "series_length"},
-                    f"{where}.{key}", "unknown suite key")
-        name = entry.get("name")
+        name = entry.pop("name", None)
         _expect(isinstance(name, str), f"{where}.name", "must be a string")
         _expect(name in SUITE_NAMES or name == "all", f"{where}.name",
                 f"unknown suite {name!r} (expected one of "
                 f"{', '.join(SUITE_NAMES + ('all',))})")
-        trials = _scalar(entry, where, "trials", top_trials, int, 1)
-        entry_seed = _scalar(entry, where, "seed", None, int, 0)
-        series_length = _scalar(entry, where, "series_length", top_series, int, 1)
-        dims = _parse_dims(entry.get("dims"), where) or top_dims \
-            or SuiteParams.dims
+        settings = _settings(entry, f"{where}.", top)
         if name in (family, "all"):
-            params = SuiteParams(seed=entry_seed if entry_seed is not None else seed,
-                                 trials=trials, dims=dims,
-                                 series_length=series_length)
-            requests.append(SuiteRequest(name=family, params=params))
-    _expect(requests or not suites_raw, "suites",
+            suites.append(SuiteParams(**settings))
+    _expect(suites or not suites_raw, "suites",
             f"none is in the {family} family of this subcommand")
-    return SuiteConfig(requests=tuple(requests), seed=seed)
-
-
-def _parse_dims(value, where: str) -> tuple[int, ...] | None:
-    if value is None:
-        return None
-    _expect(isinstance(value, list) and value, f"{where}.dims",
-            "must be a non-empty list of dimensions")
-    dims = []
-    for j, n in enumerate(value):
-        _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-                f"{where}.dims[{j}]", "must be a positive integer")
-        dims.append(n)
-    return tuple(dims)
+    return SuiteConfig(family=family, seed=top["seed"], suites=tuple(suites))
 
 
 # ---------------------------------------------------------------------------
-# running and emitting
+# the report document
 
-def run(config: SuiteConfig) -> ReportDocument:
-    """Execute the configured suites in order and assemble the report."""
-    cases: list[CaseRecord] = []
-    for request in config.requests:
-        cases.extend(run_suite(request.name, request.params))
-    return ReportDocument.from_cases(config.seed, cases)
-
-
-def document_to_dict(report: ReportDocument) -> dict:
-    return {
-        "schema_version": report.schema_version,
-        "seed": report.seed,
-        "timestamp": report.timestamp,
-        "cases": [dataclasses.asdict(c) for c in report.cases],
-        "summary": dict(report.summary),
-    }
-
-
-def _strict(obj):
-    """The JSON payload with every non-finite float replaced by None."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
+def _json(obj):
+    """``obj`` as a strict JSON-native value: numpy arrays and scalars as
+    lists and Python numbers, complex numbers as ``[real, imag]`` pairs,
+    tuples as lists and every non-finite number as None."""
     if isinstance(obj, dict):
-        return {k: _strict(v) for k, v in obj.items()}
+        return {str(k): _json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_strict(v) for v in obj]
+        return [_json(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _json(obj.tolist())
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _json([obj.real, obj.imag])
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     return obj
 
 
-def _number(value) -> float:
-    """A case side read back from JSON: null stands for NaN."""
-    return math.nan if value is None else value
+def run(config: SuiteConfig) -> dict:
+    """Execute the configured suites in order; returns the report document
+    as a strict JSON-native dict."""
+    cases = [case for params in config.suites
+             for case in run_suite(config.family, params)]
+    statuses = [case.status for case in cases]
+    return _json({
+        "schema_version": SCHEMA_VERSION,
+        "seed": config.seed,
+        "timestamp": _deterministic_timestamp(),
+        "cases": [dataclasses.asdict(case) for case in cases],
+        "summary": {"total": len(cases), "passed": statuses.count("pass"),
+                    "failed": statuses.count("fail"),
+                    "indeterminate": statuses.count("indeterminate")},
+    })
 
 
-def document_from_dict(raw: dict) -> ReportDocument:
-    cases = []
-    for c in raw.get("cases", []):
-        ci = c.get("ci")
-        cases.append(CaseRecord(
-            name=c["name"], equation=c["equation"], lhs=_number(c["lhs"]),
-            rhs=_number(c["rhs"]), margin=_number(c["margin"]),
-            passed=c["passed"], status=c["status"],
-            trials=c["trials"], ci=tuple(ci) if ci is not None else None,
-            extra=c.get("extra", {})))
-    return ReportDocument(schema_version=raw["schema_version"], seed=raw["seed"],
-                          timestamp=raw.get("timestamp"), cases=cases,
-                          summary=dict(raw["summary"]))
+def _load_report(text: str, path: str) -> dict:
+    """A saved report document, checked before it is re-emitted: it has a
+    schema version, a seed and ``summary.failed``, and each case exactly
+    the fields of a :class:`CaseRecord`, with a null or two-sided ``ci``."""
+    try:
+        report = _json(json.loads(text))
+        if not isinstance(report["summary"]["failed"], int) \
+                or not {"schema_version", "seed"} <= report.keys():
+            raise KeyError("schema_version, seed or summary.failed")
+        for case in report["cases"]:
+            if CaseRecord(**case).ci is not None and len(case["ci"]) != 2:
+                raise TypeError("ci is not a pair")
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"--config {path}: not a report document "
+                          f"({type(exc).__name__}: {exc})") from exc
+    return report
 
 
-def emit(report: ReportDocument, fmt: str = "json") -> str:
-    """Serialize the report; json round-trips losslessly, csv is one row
-    per case, with empty ``ci_low``/``ci_high`` cells for a case without a
-    confidence interval."""
+def _cell(value) -> str:
+    """A CSV cell of a number; a null side reads ``nan``."""
+    return "nan" if value is None else repr(value)
+
+
+def emit(report: dict, fmt: str = "json") -> str:
+    """Serialize the report document; json round-trips losslessly, csv is
+    one row per case, with empty ``ci_low``/``ci_high`` cells for a case
+    without a confidence interval."""
     if fmt == "json":
-        return json.dumps(_strict(document_to_dict(report)), indent=2,
-                          allow_nan=False) + "\n"
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["name", "equation", "lhs", "rhs", "margin", "pass",
                          "trials", "status", "ci_low", "ci_high"])
-        for c in report.cases:
-            ci = ("", "") if c.ci is None else (repr(c.ci[0]), repr(c.ci[1]))
-            writer.writerow([c.name, c.equation, repr(c.lhs), repr(c.rhs),
-                             repr(c.margin), str(c.passed).lower(), c.trials,
-                             c.status, *ci])
+        for c in report["cases"]:
+            ci = ("", "") if c["ci"] is None else map(_cell, c["ci"])
+            writer.writerow([c["name"], c["equation"], _cell(c["lhs"]),
+                             _cell(c["rhs"]), _cell(c["margin"]),
+                             str(c["passed"]).lower(), c["trials"],
+                             c["status"], *ci])
         return buffer.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -293,11 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigError(f"--config {args.config}: {exc}") from exc
         if args.command == "report":
-            try:
-                report = document_from_dict(json.loads(text))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ConfigError(f"--config {args.config}: not a report "
-                                  f"document ({exc})") from exc
+            report = _load_report(text, args.config)
         else:
             config = parse_config(text, family=_SUBCOMMAND_FAMILY[args.command])
             report = run(config)
@@ -308,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceGuardError as exc:
         print(f"gtlab: resource guard: {exc}", file=sys.stderr)
         return 3
-    return 0 if report.summary["failed"] == 0 else 1
+    return 0 if report["summary"]["failed"] == 0 else 1
 
 
 if __name__ == "__main__":

@@ -76,8 +76,8 @@ class CovarianceExperiment:
     n_samples: int
     dim: int
     epsilon: float
+    trials: int
     c: float | None = None
-    trials: int = 10000
 
     def __post_init__(self):
         if not 1 <= self.dim <= self.n_samples:

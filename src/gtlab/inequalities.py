@@ -496,24 +496,20 @@ class Witness:
     lhs: float
     rhs: float
     matrices: tuple
+    context: str
     vectors: tuple | None = None
-    context: str = ""
 
 
-def triple_gt_scan(stream: RngStream, budget: int,
-                   zero_c: bool = False) -> Witness | None:
+def triple_gt_scan(stream: RngStream, budget: int) -> Witness | None:
     """Search Gaussian 2x2 traceless triples for
     ``Tr e^(A+B+C) > |Tr(e^A e^B e^C)|``; None when the budget is spent.
-
-    With ``zero_c`` the third matrix is pinned to zero, which reduces the
-    statement to the two-matrix theorem, so no witness can exist.
-    """
+    Each block draws ``a``, ``b``, then ``c``."""
     if budget < 1:
         raise ValueError("budget must be positive")
     for done, count, rng in stream.blocks(budget, _TRIPLE_CHUNK):
         a = rng.standard_normal((count, 3))
         b = rng.standard_normal((count, 3))
-        c = np.zeros((count, 3)) if zero_c else rng.standard_normal((count, 3))
+        c = rng.standard_normal((count, 3))
         lhs = pauli.trace_exp_sum(a, b + c)
         rhs = np.abs(pauli.trace_exp_triple(a, b, c))
         hits = np.nonzero(lhs > rhs + inequality_tol(lhs, rhs))[0]

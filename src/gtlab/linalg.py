@@ -9,7 +9,7 @@ matrix too: each member is checked against its own scale, and one
 invalid member rejects the whole stack.  Eigenvalue and singular-value
 factorizations are delegated to LAPACK through ``numpy.linalg`` behind
 the contracts below (descending order, validated reconstruction);
-non-Hermitian exponentials go to ``scipy.linalg.expm``.  One scalar
+general (non-Hermitian) exponentials go to ``scipy.linalg.expm``.  One scalar
 routine rides along: :func:`gauss_legendre`, the adaptive quadrature rule
 behind every integral a checker compares with a closed form.
 
@@ -172,20 +172,10 @@ def expm_herm(M) -> np.ndarray:
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential of a square complex matrix or stack.
-
-    Hermitian matrices go through the eigendecomposition route, everything
-    else through ``scipy.linalg.expm`` (scaling and squaring with Pade
-    approximants).
-    """
-    A = as_complex_matrix(M)
-    herm = np.asarray(is_hermitian(A))
-    out = np.empty_like(A)
-    if herm.any():
-        out[herm] = expm_herm(A[herm])
-    if not herm.all():
-        out[~herm] = scipy.linalg.expm(A[~herm])
-    return out
+    """Matrix exponential of a square complex matrix or stack, by
+    ``scipy.linalg.expm`` (scaling and squaring with Pade approximants).
+    Hermitian input has :func:`expm_herm`, through its eigendecomposition."""
+    return scipy.linalg.expm(as_complex_matrix(M))
 
 
 def psd_power(M, p: float) -> np.ndarray:

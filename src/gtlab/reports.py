@@ -14,7 +14,7 @@ pass/fail/indeterminate status, and ensemble-average experiments a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -80,7 +80,7 @@ class TailReport:
     passed: bool
     status: str
     trials: int
-    extras: dict[str, Any] = field(default_factory=dict)
+    extras: dict[str, Any]
 
     @classmethod
     def from_counts(cls, exceed: int, trials: int, bound: float,
@@ -115,7 +115,7 @@ class RatioEstimate:
     ci_low: float
     ci_high: float
     trials: int
-    extras: dict[str, Any] = field(default_factory=dict)
+    extras: dict[str, Any]
 
     @classmethod
     def from_moments(cls, num_mean, num_se, den_mean, den_se, cov, trials,

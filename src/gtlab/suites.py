@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -49,7 +49,7 @@ from .samplers import RngStream, ginibre, gue, standard_complex
 
 __all__ = [
     "CaseRecord", "SuiteParams", "Sweep", "REGISTRY", "SUITE_TAGS",
-    "SUITE_NAMES", "run_suite", "jsonify",
+    "SUITE_NAMES", "run_suite",
 ]
 
 #: Instances drawn and checked per stack in a sweep.
@@ -58,7 +58,9 @@ _SWEEP_CHUNK = 4096
 
 @dataclass(frozen=True)
 class CaseRecord:
-    """One suite case: an equation tag, both sides, margin and verdict."""
+    """One suite case: an equation tag, both sides, margin and verdict.
+    ``extra`` may hold numpy values; the report document makes them
+    JSON-native."""
 
     name: str
     equation: str
@@ -68,8 +70,8 @@ class CaseRecord:
     passed: bool
     status: str
     trials: int
-    ci: tuple[float, float] | None = None
-    extra: dict[str, Any] = field(default_factory=dict)
+    ci: tuple[float, float] | None
+    extra: dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -86,48 +88,26 @@ class SuiteParams:
     series_length: int = 10
 
 
-def jsonify(obj):
-    """Recursively convert numpy/complex payloads to JSON-native values;
-    complex numbers become [real, imag] pairs."""
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return jsonify(obj.tolist())
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _case(name: str, tag: str, lhs, rhs, margin, passed, trials: int,
           ci: tuple[float, float] | None = None, extra: dict | None = None,
           status: str | None = None) -> CaseRecord:
     """The one constructor of a case record: ``status`` is ``"pass"`` or
     ``"fail"`` as ``passed`` says unless a three-valued verdict is given,
-    and ``extra`` is made JSON-native."""
+    and ``extra`` is copied."""
     passed = bool(passed)
     return CaseRecord(name=name, equation=tag, lhs=float(lhs), rhs=float(rhs),
                       margin=float(margin), passed=passed,
                       status=status or ("pass" if passed else "fail"),
-                      trials=trials, ci=ci, extra=jsonify(extra or {}))
+                      trials=trials, ci=ci, extra=dict(extra or {}))
 
 
-def _gap_case(name: str, tag: str, report: GapReport, trials: int = 1,
+def _gap_case(name: str, tag: str, report: GapReport, trials: int,
               extra: dict | None = None) -> CaseRecord:
     return _case(name, tag, report.lhs, report.rhs, report.margin,
                  report.passed, trials, extra=extra)
 
 
-def _tail_case(name: str, tag: str, report: TailReport,
-               extra: dict | None = None) -> CaseRecord:
+def _tail_case(name: str, tag: str, report: TailReport, extra: dict) -> CaseRecord:
     """Case of a tail report: the upper confidence limit against the bound,
     with the report's three-valued verdict."""
     return _case(name, tag, report.ci_high, report.bound_value,

@@ -40,14 +40,14 @@ class TestConfigParsing:
         config = cli.parse_config(json.dumps({
             "suites": [{"name": "studies", "trials": 7}, "studies"],
             "trials": 5, "seed": 2}), "studies")
-        assert [r.name for r in config.requests] == ["studies", "studies"]
-        assert config.requests[0].params.trials == 7
-        assert config.requests[1].params.trials == 5
+        assert config.family == "studies" and len(config.suites) == 2
+        assert config.suites[0].trials == 7
+        assert config.suites[1].trials == 5
 
     def test_family_filter(self):
         config = cli.parse_config(json.dumps({"suites": ["all"], "seed": 0}),
                                   family="studies")
-        assert [r.name for r in config.requests] == ["studies"]
+        assert config.family == "studies" and len(config.suites) == 1
 
     def test_unknown_suite_position_annotated(self):
         with pytest.raises(cli.ConfigError, match=r"suites\[1\].name"):
@@ -71,6 +71,24 @@ class TestConfigParsing:
         monkeypatch.setenv("GTLAB_SEED", "777")
         config = cli.parse_config(json.dumps({"suites": []}), "studies")
         assert config.seed == 777
+
+    @pytest.mark.parametrize("level", ["top", "entry"])
+    @pytest.mark.parametrize("key", ["trials", "dims", "seed", "series_length"])
+    def test_null_setting_exit_two(self, tmp_path, capsys, key, level):
+        # null is no value: it reached a runner as None (trials,
+        # series_length) or stood for an absent key (seed, dims)
+        entry = {"name": "inequalities"}
+        config = {"suites": [entry], "seed": 1}
+        (config if level == "top" else entry)[key] = None
+        assert run_cli(tmp_path, config) == (2, None)
+        assert key in config_error(capsys)
+
+    def test_bad_seed_variable_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GTLAB_SEED", "abc")
+        assert run_cli(tmp_path, {"suites": []}) == (2, None)
+        assert "GTLAB_SEED" in config_error(capsys)
+        # a config that pins its seed does not read the variable
+        assert run_cli(tmp_path, {"suites": [], "seed": 1})[0] == 0
 
     def test_tolerances_key_exit_two(self, tmp_path):
         # the checks are exact theorems: no config may loosen their slack
@@ -107,8 +125,7 @@ class TestRunAndEmit:
 
     def test_json_round_trip(self, tmp_path):
         _, text = run_cli(tmp_path, BASE_CONFIG)
-        document = cli.document_from_dict(json.loads(text))
-        assert emitted_equal(document, text)
+        assert cli.emit(json.loads(text), "json") == text
 
     def test_csv_row_count(self, tmp_path):
         _, text = run_cli(tmp_path, BASE_CONFIG, fmt="csv")
@@ -120,13 +137,14 @@ class TestRunAndEmit:
         assert rows[0] == ("name,equation,lhs,rhs,margin,pass,trials,"
                            "status,ci_low,ci_high")
 
-    def test_csv_tells_fail_from_indeterminate(self, tmp_path):
+    def test_csv_tells_fail_from_indeterminate(self, tmp_path, monkeypatch):
         def case(name, status, ci):
             return suites.CaseRecord(name=name, equation="Eq.RU", lhs=0.3,
                                      rhs=0.2, margin=-0.1, passed=False,
-                                     status=status, trials=100, ci=ci)
+                                     status=status, trials=100, ci=ci,
+                                     extra={})
 
-        document = cli.ReportDocument.from_cases(1, [
+        document = document_of(monkeypatch, [
             case("failed", "fail", (0.25, 0.3)),
             case("straddling", "indeterminate", (0.1, 0.3)),
             case("no-interval", "fail", None)])
@@ -210,7 +228,8 @@ class TestRunAndEmit:
         assert code == 0
         assert (tmp_path / "re.csv").read_text().startswith("name,equation")
 
-    def test_json_is_strict_and_reemits_byte_for_byte(self, tmp_path):
+    def test_json_is_strict_and_reemits_byte_for_byte(self, tmp_path,
+                                                      monkeypatch):
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
@@ -226,7 +245,7 @@ class TestRunAndEmit:
         assert (tmp_path / "re.json").read_text() == text
         # a hunt that spends its budget without a witness has no sides
         missed = suites._witness_case("hunt", "ABC.trace", None, 10)
-        json.loads(cli.emit(cli.ReportDocument.from_cases(1, [missed])),
+        json.loads(cli.emit(document_of(monkeypatch, [missed])),
                    parse_constant=reject)
 
     def test_generators_do_not_grow_with_trials(self, monkeypatch):
@@ -272,7 +291,64 @@ class TestRunAndEmit:
         config = cli.parse_config(json.dumps({"suites": ["inequalities",
                                                          "studies"]}),
                                   family="studies")
-        assert [r.name for r in config.requests] == ["studies"]
+        assert config.family == "studies" and len(config.suites) == 1
+
+
+class TestReportSubcommand:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory) -> dict:
+        """A small verify report, as loaded from its JSON."""
+        tmp_path = tmp_path_factory.mktemp("saved")
+        _, text = run_cli(tmp_path, {**BASE_CONFIG, "dims": [2], "trials": 5})
+        return json.loads(text)
+
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMAND_FAMILY))
+    def test_reemits_fresh_json_and_csv(self, tmp_path, command):
+        config = {"suites": [cli._SUBCOMMAND_FAMILY[command]], "trials": 50,
+                  "dims": [2], "seed": 1}
+        code, _ = run_cli(tmp_path, config, command, out_name="r.json")
+        assert run_cli(tmp_path, config, command, "csv")[0] == code
+        for fmt, out in (("json", "r.json"), ("csv", "report")):
+            assert cli.main(["report", "--config", str(tmp_path / "r.json"),
+                             "--format", fmt, "--out",
+                             str(tmp_path / "re")]) == code
+            assert (tmp_path / "re").read_text() == \
+                (tmp_path / out).read_text()
+
+    DAMAGE = {
+        "no-schema-version": lambda d: d.pop("schema_version"),
+        "no-seed": lambda d: d.pop("seed"),
+        "no-summary-failed": lambda d: d["summary"].pop("failed"),
+        "null-summary-failed": lambda d: d["summary"].update(failed=None),
+        "case-without-ci": lambda d: d["cases"][0].pop("ci"),
+        "case-without-extra": lambda d: d["cases"][0].pop("extra"),
+        "case-with-unknown-field": lambda d: d["cases"][0].update(note=1),
+        "ci-not-a-pair": lambda d: d["cases"][0].update(ci=[0.5]),
+        "case-not-an-object": lambda d: d["cases"].append("case"),
+        "empty-object": lambda d: d.clear(),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_incomplete_document_exit_two(self, tmp_path, capsys, saved,
+                                          damage, fmt):
+        document = json.loads(json.dumps(saved))
+        self.DAMAGE[damage](document)
+        path = tmp_path / "saved.json"
+        path.write_text(json.dumps(document))
+        out = tmp_path / "re"
+        assert cli.main(["report", "--config", str(path), "--format", fmt,
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "not a report document" in config_error(capsys)
+
+
+def config_error(capsys) -> str:
+    """The one line written to stderr, which reports a config error."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gtlab: config error: "), \
+        lines
+    return lines[0]
 
 
 def record_stream_keys(monkeypatch) -> list:
@@ -288,8 +364,11 @@ def record_stream_keys(monkeypatch) -> list:
     return keys
 
 
-def emitted_equal(document, text):
-    return cli.emit(document, "json") == text
+def document_of(monkeypatch, cases) -> dict:
+    """The report document of a run whose one suite yields ``cases``."""
+    monkeypatch.setattr(cli, "run_suite", lambda family, params: cases)
+    return cli.run(cli.SuiteConfig(family="studies", seed=1,
+                                   suites=(suites.SuiteParams(seed=1),)))
 
 
 class TestRegistry:
@@ -618,14 +697,6 @@ class TestReachability:
         "hunt": {"suites": ["counterexamples"], "trials": 50, "dims": [2]},
     }
 
-    #: Defaulted parameters the CLI never sets, each with why it stays.
-    EXEMPT = {
-        "gtlab.inequalities.triple_gt_scan.zero_c":
-            "the negative control of the triple hunt: pinning C to zero "
-            "reduces it to the two-matrix theorem, so a witness found there "
-            "is a bug in the hunt (test_inequalities tests it)",
-    }
-
     @staticmethod
     def public_functions():
         """Every public function, method and property getter defined in a
@@ -714,15 +785,11 @@ class TestReachability:
         return called, changed, taken
 
     @classmethod
-    def assert_reached(cls, reached: set, exempt: dict, message: str):
-        """Every defaulted parameter is in ``reached`` or exempt, and no
-        exemption is stale: each names a parameter the CLI does not reach."""
+    def assert_reached(cls, reached: set, message: str):
+        """Every defaulted parameter is in ``reached``."""
         labels = {label for params in cls.defaulted_parameters().values()
                   for label, _, _ in params}
-        assert set(exempt) <= labels, "an exemption names no parameter"
-        stale = sorted(set(exempt) & reached)
-        assert not stale, f"exempt, but reached under the CLI: {stale}"
-        missed = sorted(labels - reached - set(exempt))
+        missed = sorted(labels - reached)
         assert not missed, f"{message}: {missed}"
 
     def test_every_public_function_is_called(self, profiled):
@@ -733,13 +800,12 @@ class TestReachability:
 
     def test_every_defaulted_parameter_is_set(self, profiled):
         _, changed, _ = profiled
-        self.assert_reached(changed, self.EXEMPT,
-                            "never set to a non-default value under the CLI "
-                            "(make each a constant)")
+        self.assert_reached(changed, "never set to a non-default value "
+                            "under the CLI (make each a constant)")
 
     def test_every_default_is_taken(self, profiled):
         _, _, taken = profiled
-        self.assert_reached(taken, {}, "never left at its default under the "
+        self.assert_reached(taken, "never left at its default under the "
                             "CLI (make each required)")
 
 

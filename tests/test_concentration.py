@@ -46,19 +46,22 @@ class TestCovariance:
 
 class TestVarianceProxy:
     def test_closed_form_k_over_n(self):
-        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=1.0)
+        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=1.0,
+                                        trials=10000)
         assert conc.gaussian_row_sigma2(exp) == 2.0 / 8.0
 
     def test_scalar_closed_form_one_over_n(self):
         # k=1: S = (|x|^2 - 1)/N with E|x|^4 = 2, so E S^2 = 1/N^2 and the
         # sum over N terms is 1/N
-        exp = conc.CovarianceExperiment(n_samples=16, dim=1, epsilon=1.0)
+        exp = conc.CovarianceExperiment(n_samples=16, dim=1, epsilon=1.0,
+                                        trials=10000)
         assert conc.gaussian_row_sigma2(exp) == pytest.approx(1.0 / 16.0)
 
     def test_monte_carlo_matches_closed_form(self, stream):
         # S_p = (v v† - I)/N for standard complex rows v; the proxy is
         # ||sum_p E S_p^2||_op = N ||E S^2||_op, estimated from the draws
-        exp = conc.CovarianceExperiment(n_samples=16, dim=2, epsilon=1.0)
+        exp = conc.CovarianceExperiment(n_samples=16, dim=2, epsilon=1.0,
+                                        trials=10000)
         n, k, draws = exp.n_samples, exp.dim, 10000
         v = standard_complex(stream.generator(), (draws, k))
         S = (np.einsum('ti,tj->tij', v, v.conj()) - np.eye(k)) / n
@@ -70,16 +73,19 @@ class TestVarianceProxy:
 
 class TestAwBound:
     def test_frozen_value(self):
-        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=2.0)
+        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=2.0,
+                                        trials=10000)
         assert conc.aw_bound(exp, sigma2=1.0) == pytest.approx(2.0 * math.exp(-1.0),
                                                                abs=1e-12)
 
     def test_zero_epsilon_vacuous(self):
-        exp = conc.CovarianceExperiment(n_samples=8, dim=3, epsilon=0.0)
+        exp = conc.CovarianceExperiment(n_samples=8, dim=3, epsilon=0.0,
+                                        trials=10000)
         assert conc.aw_bound(exp, sigma2=0.5) == pytest.approx(3.0)
 
     def test_nonpositive_sigma2(self):
-        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=1.0)
+        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=1.0,
+                                        trials=10000)
         with pytest.raises(ValueError):
             conc.aw_bound(exp, sigma2=0.0)
 

@@ -506,7 +506,10 @@ class TestCounterexamples:
         assert lhs > rhs
 
     def test_zero_third_matrix_never_violates(self, stream):
-        assert ineq.triple_gt_scan(stream, budget=10000, zero_c=True) is None
+        # pinning C to zero reduces the hunt to the two-matrix theorem, so a
+        # witness found there is a bug in the hunt
+        assert ineq.triple_gt_scan(_ZeroThirdStream(stream), budget=10000) \
+            is None
 
 
 class _PairStream:
@@ -521,6 +524,25 @@ class _PairStream:
 
     def standard_normal(self, shape):
         return next(self.draws)
+
+
+class _ZeroThirdStream:
+    """Stands in for a stream so that ``triple_gt_scan`` draws ``a`` and
+    ``b`` from ``stream`` and a zero ``c``: the third draw of each block
+    is zeros."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def blocks(self, total, size):
+        for start, count, rng in self.stream.blocks(total, size):
+            self.rng, self.draws = rng, 0
+            yield start, count, self
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        return np.zeros(shape) if self.draws == 3 \
+            else self.rng.standard_normal(shape)
 
 
 def pauli_sweep_of(monkeypatch, a, b):

@@ -65,6 +65,8 @@ _SUBCOMMAND_FAMILY = {
 #: The config settings, the fields of :class:`SuiteParams`, each with the
 #: least value it admits.
 _SETTINGS = {"trials": 1, "dims": 1, "seed": 0, "series_length": 1}
+#: Master seeds are 64-bit (:class:`~gtlab.samplers.RngStream`).
+_SEED_LIMIT = 2 ** 64
 
 
 class ConfigError(ValueError):
@@ -115,6 +117,8 @@ def _settings(entry: dict, where: str, defaults: dict) -> dict:
             value = tuple(value)
         else:
             _expect_integer(value, at, _SETTINGS[key])
+            _expect(key != "seed" or value < _SEED_LIMIT, at,
+                    "must be below 2**64")
         settings[key] = value
     return settings
 

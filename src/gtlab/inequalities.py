@@ -8,7 +8,11 @@ report on valid input is an implementation bug by definition.
 The matrix checkers also take stacks of shape ``(..., n, n)`` (with the
 conventions of :mod:`gtlab.linalg`) and then return one report whose
 sides are arrays over the stack; top-k parameters may be given per matrix
-as an integer array of the stack's leading shape.
+as an integer array of the stack's leading shape.  The 2x2 reduction
+checkers take the Pauli coefficient vectors of :mod:`gtlab.pauli`, one
+pair or a ``(..., 3)`` stack of pairs.  The counter-example hunts and the
+equality-order scan are searches and fits, not checkers: they return a
+witness (or None) and a fitted order.
 """
 
 from __future__ import annotations
@@ -22,15 +26,14 @@ import numpy as np
 from . import pauli
 from .linalg import (adjoint, as_complex_matrix, distance_delta2, expm_herm,
                      frobenius_norm, gauss_legendre, general_eigen, herm_fn,
-                     hermitize, operator_norm, psd_power, require_hermitian,
-                     schatten_norm, singular_values, trace_expm,
-                     trace_of_product)
+                     hermitize, psd_power, require_hermitian, schatten_norm,
+                     singular_values, trace_expm, trace_of_product)
 from .reports import GapReport, checked_real, inequality_tol
 from .samplers import RngStream
 
 __all__ = [
     "MajorizationError",
-    "OrderScanResult", "Witness", "PauliSweepSummary",
+    "OrderScanResult", "Witness",
     "gt_gap", "cauchy_trace_gap", "word_trace_bound", "dyadic_power_gap",
     "weyl_dominance_gap", "power_trace_gap", "phi_power_premise_gap",
     "spectral_chain_gap", "phi_exp_gap", "top_k_abs_eigensum",
@@ -39,7 +42,7 @@ __all__ = [
     "alt_trace_gap", "nonhermitian_phi_gap",
     "hermitian_part_dominance", "lieb_triple_gap", "lieb_rhs_closed",
     "lieb_rhs_quadrature", "triple_gt_scan",
-    "abc_trace_scan", "pauli_reduce_sweep",
+    "abc_trace_scan", "pauli_reduce_gap", "pauli_law_gap",
     "equality_order_scan", "oscillator_bound",
 ]
 
@@ -482,11 +485,10 @@ def lieb_triple_gap(A, B, C) -> GapReport:
 # ---------------------------------------------------------------------------
 # counter-example hunts
 
-#: Draws per stream block in the hunts and the 2x2 reduction sweep; the
-#: block size fixes the draw order, so changing it changes the witnesses.
+#: Draws per stream block in the hunts; the block size fixes the draw
+#: order, so changing it changes the witnesses.
 _TRIPLE_CHUNK = 8192
 _ABC_CHUNK = 4096
-_PAULI_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -555,60 +557,23 @@ def abc_trace_scan(stream: RngStream, budget: int) -> Witness | None:
 # ---------------------------------------------------------------------------
 # 2x2 reduction
 
-@dataclass(frozen=True)
-class PauliSweepSummary:
-    trials: int
-    violations_cosh: int
-    violations_law: int
-    worst_margin_cosh: float
-    worst_margin_law: float
-    max_route_discrepancy: float
+def pauli_reduce_gap(a, b) -> GapReport:
+    """2x2 reduction of the exponential trace bound for the traceless
+    Hermitian pair represented by the coefficient vectors ``a`` and ``b``
+    (each ``(..., 3)``): ``cosh|a+b| <= cosh|a| cosh|b| - cos(theta) sinh|a|
+    sinh|b|``, both sides half the closed-form traces of
+    :mod:`gtlab.pauli`."""
+    return GapReport.from_sides(0.5 * pauli.trace_exp_sum(a, b),
+                                0.5 * pauli.trace_exp_product(a, b))
 
 
-def pauli_reduce_sweep(trials: int, stream: RngStream) -> PauliSweepSummary:
-    """2x2 reduction of the exponential trace bound, swept over Gaussian
-    coefficient pairs ``(a, b)``; each block draws its ``a`` rows, then
-    its ``b`` rows.
-
-    Checks ``cosh|a+b| <= cosh|a| cosh|b| - cos(theta) sinh|a| sinh|b|``
-    from the vector data, and restates it as the hyperbolic law of cosines
-    ``|c|^2 >= |a|^2 + |b|^2 - 2|a||b| cos(theta)`` with ``|c| = arccosh``
-    of the right side.  Both sides are cross-validated against the matrix
-    traces, through batched eigendecompositions of the represented 2x2
-    matrices, not the closed forms.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    viol_cosh = viol_law = 0
-    worst_cosh = worst_law = np.inf
-    max_disc = 0.0
-    for _, count, rng in stream.blocks(trials, _PAULI_CHUNK):
-        a = rng.standard_normal((count, 3))
-        b = rng.standard_normal((count, 3))
-        lhs = 0.5 * pauli.trace_exp_sum(a, b)
-        rhs = 0.5 * pauli.trace_exp_product(a, b)
-        margins = rhs - lhs
-        viol_cosh += int(np.count_nonzero(margins < -inequality_tol(lhs, rhs)))
-        worst_cosh = min(worst_cosh, float(margins.min()))
-        c = np.arccosh(np.maximum(rhs, 1.0))
-        sq_lhs = np.sum((a + b) ** 2, axis=-1)
-        law_margins = c * c - sq_lhs
-        viol_law += int(np.count_nonzero(
-            law_margins < -inequality_tol(sq_lhs, c * c)))
-        worst_law = min(worst_law, float(law_margins.min()))
-        # independent matrix route, batched through LAPACK
-        lhs_m = 0.5 * trace_expm(pauli.to_matrix(a + b))
-        rhs_m = 0.5 * trace_of_product(expm_herm(pauli.to_matrix(a)),
-                                       expm_herm(pauli.to_matrix(b)),
-                                       "product trace in pauli_reduce_sweep")
-        disc = np.maximum(np.abs(lhs - lhs_m) / np.maximum(1.0, np.abs(lhs)),
-                          np.abs(rhs - rhs_m) / np.maximum(1.0, np.abs(rhs)))
-        max_disc = max(max_disc, float(disc.max()))
-    return PauliSweepSummary(trials=trials, violations_cosh=viol_cosh,
-                             violations_law=viol_law,
-                             worst_margin_cosh=worst_cosh,
-                             worst_margin_law=worst_law,
-                             max_route_discrepancy=max_disc)
+def pauli_law_gap(a, b) -> GapReport:
+    """:func:`pauli_reduce_gap` restated as the hyperbolic law of cosines:
+    ``|a+b|^2 <= |c|^2``, where ``|c|`` is the arccosh of the reduction's
+    right side, so that ``|c|^2 >= |a|^2 + |b|^2 - 2|a||b| cos(theta)``."""
+    v = pauli.as_vector(a) + pauli.as_vector(b)
+    c = np.arccosh(np.maximum(0.5 * pauli.trace_exp_product(a, b), 1.0))
+    return GapReport.from_sides(np.sum(v ** 2, axis=-1), c * c)
 
 
 # ---------------------------------------------------------------------------

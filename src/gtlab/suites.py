@@ -14,7 +14,10 @@ operation is the checker itself, so it cannot name a function the sweep
 never calls.  Adding such a checker takes one batched function and one
 ``_sweep_row``.  A sweep case counts the instances whose report fails
 (``GapReport.passed``, each against its report's ``tol``) and records the
-one with the smallest ``margin / tol``.
+one with the smallest ``margin / tol``.  A runner with a second route
+(the matrix traces behind the 2x2 reduction, quadrature behind the
+three-matrix kernel) judges its checker's reports the same way and also
+fails the case when the routes disagree beyond a fixed bound.
 
 Randomness: each tag draws from its own stream, the path ``(position,)``
 under the seed, where ``position`` is the tag's registry position; a
@@ -43,7 +46,7 @@ from . import inequalities as ineq
 from . import pauli, studies
 from .linalg import (expm_herm, frobenius_norm, hermitize, operator_norm,
                      singular_values, lie_trotter_product, distance_delta2,
-                     trace_of_product)
+                     trace_expm, trace_of_product)
 from .reports import REL_TOL, GapReport, TailReport
 from .samplers import RngStream, ginibre, gue, standard_complex
 
@@ -283,6 +286,13 @@ def _nonhermitian_draw(rng, n, count, full):
     return ginibre(rng, n, count), ginibre(rng, n, count), n if full else 1
 
 
+def _deviation_draw(rng, n, count, c):
+    """The deviations ``X†X/12 - I`` of 12 x 3 complex Gaussian blocks
+    ``X`` (the schedule's dimension is not used), then the exponent ``c``."""
+    _, deviations = conc.covariance_deviations(rng, count, 12, 3)
+    return deviations, c
+
+
 def _trace_product_draw(rng, n, count, c):
     """The exponential of a GUE stack and a second GUE stack."""
     return expm_herm(gue(rng, n, count)), gue(rng, n, count)
@@ -309,18 +319,39 @@ def _run_gt(params, stream, tag):
     return cases
 
 
+#: Coefficient pairs per stream block in the 2x2 reduction; the block size
+#: fixes the draw order.
+_PAULI_CHUNK = 65536
+
+
 def _run_pauli_reduce(params, stream, tag):
-    summary = ineq.pauli_reduce_sweep(params.trials, stream)
-    consistency_ok = summary.max_route_discrepancy <= 1e-10
-    cosh = _case("pauli-2x2-cosh", tag, math.nan, math.nan,
-                 summary.worst_margin_cosh,
-                 summary.violations_cosh == 0 and consistency_ok, params.trials,
-                 extra={"violations": summary.violations_cosh,
-                        "max_route_discrepancy": summary.max_route_discrepancy})
-    law = _case("pauli-law-of-cosines", "Eq.1aA", math.nan, math.nan,
-                summary.worst_margin_law, summary.violations_law == 0,
-                params.trials, extra={"violations": summary.violations_law})
-    return [cosh, law]
+    """Both forms of the 2x2 reduction over Gaussian coefficient pairs, each
+    block drawing its ``a`` rows, then its ``b`` rows.  The cosh form's
+    sides are checked against the matrix traces, computed from batched
+    eigendecompositions of the represented matrices; a relative
+    discrepancy above 1e-10 fails its case."""
+    cosh, law = [], []
+    discrepancy = 0.0
+    for _, count, rng in stream.blocks(params.trials, _PAULI_CHUNK):
+        a = rng.standard_normal((count, 3))
+        b = rng.standard_normal((count, 3))
+        report = ineq.pauli_reduce_gap(a, b)
+        cosh.append(report)
+        law.append(ineq.pauli_law_gap(a, b))
+        sides = np.stack([report.lhs, report.rhs])
+        matrix_sides = 0.5 * np.stack([
+            trace_expm(pauli.to_matrix(a + b)),
+            trace_of_product(expm_herm(pauli.to_matrix(a)),
+                             expm_herm(pauli.to_matrix(b)),
+                             "product trace in the 2x2 reduction")])
+        discrepancy = max(discrepancy, float(np.max(
+            np.abs(sides - matrix_sides) / np.maximum(1.0, np.abs(sides)))))
+    case = _worst_case("pauli-2x2-cosh", tag, cosh, params.trials,
+                       extra={"max_route_discrepancy": discrepancy})
+    if discrepancy > 1e-10:
+        case = dataclasses.replace(case, passed=False, status="fail")
+    return [case, _worst_case("pauli-law-of-cosines", "Eq.1aA", law,
+                              params.trials)]
 
 
 _BETAS = (1e-6, 0.5, 1.0, 2.0, 10.0, 100.0)
@@ -499,19 +530,6 @@ def _run_bernstein(params, stream, tag):
     return [_gap_case("bernstein-chebyshev", tag, report, exp.trials)]
 
 
-def _run_trace_dominance_per_trial(params, stream, tag):
-    exp = conc.CovarianceExperiment(n_samples=12, dim=3, epsilon=0.5, c=2.0,
-                                    trials=min(params.trials, 4000))
-    try:
-        conc.empirical_tail(exp, stream.child(0))
-        passed, message = True, ""
-    except RuntimeError as err:
-        passed, message = False, str(err)
-    return [_case("per-trial-exponential-dominance", tag,
-                  0.0 if passed else 1.0, 0.0, 0.0 if passed else -1.0, passed,
-                  exp.trials, extra={"error": message} if message else {})]
-
-
 def _run_mgf_lemma(params, stream, tag):
     trials = min(max(params.trials, 4000), 40000)
     cases = []
@@ -570,7 +588,7 @@ def _run_oliveira(params, stream, tag):
         else:
             series = _random_series(rng, max_len=min(params.series_length, 10),
                                     mu=_OLIVEIRA_MUS)
-        reports.append(conc.oliveira_mgf_check(series, mode="enumerate"))
+        reports.append(conc.oliveira_mgf_check(series))
     enum_case = _worst_case("sign-series-enumerate", tag, reports,
                             n_series * len(_OLIVEIRA_MUS))
     # the enumerated series are the children of child 0; the Monte Carlo
@@ -581,8 +599,7 @@ def _run_oliveira(params, stream, tag):
                               sign_kind="gaussian")
 
     def attempt(trials, signs):
-        report = conc.oliveira_mgf_check(gaussian, mode="montecarlo",
-                                         stream=signs, trials=trials)
+        report = conc.oliveira_mgf_montecarlo(gaussian, signs, trials)
         return report, report.passed, True
 
     mc, _, trials, escalated = _escalating(attempt, max(params.trials, 10000),
@@ -725,8 +742,8 @@ def _run_hunt_abc(params, stream, tag):
 REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
     "Eq.AB": ("inequalities", "pauli.squared_norm_identity_residual", _run_pauli_param),
     "Eq.1": ("inequalities", "inequalities.gt_gap", _run_gt),
-    "Eq.1a": ("inequalities", "inequalities.pauli_reduce_sweep", _run_pauli_reduce),
-    "Eq.1aA": ("inequalities", "inequalities.pauli_reduce_sweep", None),
+    "Eq.1a": ("inequalities", "inequalities.pauli_reduce_gap", _run_pauli_reduce),
+    "Eq.1aA": ("inequalities", "inequalities.pauli_law_gap", None),
     "Eq.1b": ("inequalities", "inequalities.oscillator_bound", _run_oscillator),
     "Eq.LT": ("inequalities", "linalg.lie_trotter_product", _run_lie_trotter),
     "Lemma.1": _sweep_row("inequalities", "cauchy-trace", _draw(ginibre, 2),
@@ -774,8 +791,8 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
     "Eq.C": ("concentration", "concentration.scalar_chernoff", _run_scalar_chernoff),
     "Eq.rf": ("concentration", "concentration.empirical_tail", _run_union_bound),
     "Eq.rf1": ("concentration", "concentration.bernstein_tail_check", _run_bernstein),
-    "Eq.J": ("concentration", "concentration.empirical_tail",
-             _run_trace_dominance_per_trial),
+    "Eq.J": _sweep_row("concentration", "per-trial-exponential-dominance",
+                       _deviation_draw, conc.exp_trace_dominance, (2.0,)),
     "Eq.GTE": ("concentration", "concentration.aw_mgf_lemma_check", _run_mgf_lemma),
     "Eq.4.29": _sweep_row("concentration", "trace-product-dominance",
                           _trace_product_draw, conc.trace_product_dominance),

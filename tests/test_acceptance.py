@@ -71,7 +71,7 @@ class TestAcceptance:
             for mu in mus:
                 series = conc.MatrixSeries(terms=terms, sign_kind="rademacher",
                                            mu=mu)
-                report = conc.oliveira_mgf_check(series, mode="enumerate")
+                report = conc.oliveira_mgf_check(series)
                 assert report.passed, (m, d, mu, report)
                 checked += 1
         # exact enumeration: the verdict is deterministic
@@ -137,12 +137,13 @@ class TestAcceptance:
                     f"{abc.trial_index}")
 
     def test_08_reduction_consistency(self):
-        summary = ineq.pauli_reduce_sweep(100000, stream_for(8))
-        assert summary.max_route_discrepancy <= 1e-10
-        assert summary.violations_cosh == 0
-        assert summary.violations_law == 0
-        announce(8, f"10^5 pairs, route discrepancy "
-                    f"{summary.max_route_discrepancy:.2e}")
+        params = suites.SuiteParams(seed=SEED, trials=100000)
+        cosh, law = suites._run_pauli_reduce(params, stream_for(8), "Eq.1a")
+        discrepancy = cosh.extra["max_route_discrepancy"]
+        assert discrepancy <= 1e-10
+        assert cosh.extra["violations"] == 0 and cosh.status == "pass"
+        assert law.extra["violations"] == 0 and law.status == "pass"
+        announce(8, f"10^5 pairs, route discrepancy {discrepancy:.2e}")
 
     def test_09_equality_condition(self):
         rng = stream_for(9).generator()
@@ -174,11 +175,11 @@ class TestAcceptance:
         slope, _ = np.polyfit(np.log(ns), np.log(devs), 1)
         assert abs(slope + 1.0) <= 0.1
 
-        # per-trial exponential dominance inside the tail experiment
+        # per-trial exponential dominance on covariance deviations
         for c in (0.5, 2.0):
-            exp = conc.CovarianceExperiment(n_samples=12, dim=3, epsilon=0.5,
-                                            c=c, trials=4000)
-            conc.empirical_tail(exp, stream_for(10).child(int(10 * c), 0))
+            _, deviations = conc.covariance_deviations(
+                stream_for(10).child(int(10 * c), 0).generator(), 4000, 12, 3)
+            assert conc.exp_trace_dominance(deviations, c).passed.all()
 
         # trace-product dominance
         for _ in range(500):

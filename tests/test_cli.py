@@ -16,7 +16,8 @@ import pytest
 import gtlab
 from gtlab import cli, pauli, studies, suites
 from gtlab import concentration as conc
-from gtlab.reports import GapReport
+from gtlab import inequalities as ineq
+from gtlab.reports import GapReport, TailReport
 from gtlab.samplers import RngStream, gue
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -248,9 +249,7 @@ class TestRunAndEmit:
 
         code, text = run_cli(tmp_path, BASE_CONFIG)
         assert code == 0
-        cases = json.loads(text, parse_constant=reject)["cases"]
-        cosh = next(c for c in cases if c["name"] == "pauli-2x2-cosh")
-        assert cosh["lhs"] is None and cosh["rhs"] is None
+        json.loads(text, parse_constant=reject)
         saved = tmp_path / "saved.json"
         saved.write_text(text)
         assert cli.main(["report", "--config", str(saved), "--out",
@@ -258,8 +257,9 @@ class TestRunAndEmit:
         assert (tmp_path / "re.json").read_text() == text
         # a hunt that spends its budget without a witness has no sides
         missed = suites._witness_case("hunt", "ABC.trace", None, 10)
-        json.loads(cli.emit(document_of(monkeypatch, [missed])),
-                   parse_constant=reject)
+        case, = json.loads(cli.emit(document_of(monkeypatch, [missed])),
+                           parse_constant=reject)["cases"]
+        assert case["lhs"] is None and case["rhs"] is None
 
     def test_generators_do_not_grow_with_trials(self, monkeypatch):
         keys = record_stream_keys(monkeypatch)
@@ -384,7 +384,91 @@ def document_of(monkeypatch, cases) -> dict:
                                    suites=(suites.SuiteParams(seed=1),)))
 
 
+#: Tags whose cases are all judged by ``_worst_case``: the Sweep rows, and
+#: the runners that call their row's operation for the GapReports.
+SWEEP_CASE_TAGS = [
+    tag for tag, (_, _, runner) in suites.REGISTRY.items()
+    if isinstance(runner, suites.Sweep)
+    or tag in ("Eq.1", "Eq.1a", "Eq.1b", "Eq.4.1c", "Eq.OB", "Eq.DD1",
+               "Eq.RUvsOB")]
+
+
+def raised_last_step(profile):
+    """A recursion profile whose last step rises by 1e-11 relative."""
+    profile = profile.copy()
+    profile[-1] = profile[-2] + 1e-11 * max(1.0, profile[-2])
+    return profile
+
+
+#: Residual cases: ``(tag, case name, perturbation)``, where the
+#: perturbation of the result of the tag's operation puts the case's
+#: residual at 10x its threshold.
+RESIDUAL_INJECTIONS = [
+    ("Eq.AB", "pauli-parametrization", lambda residual: residual + 1e-11),
+    ("Eq.4.2", "top-k-functional-consistency",
+     lambda top: top + 1e-8 * np.maximum(1.0, top)),
+    ("Eq.Sn1", "delta2-identity", lambda d: d + 1e-9 * np.maximum(1.0, d)),
+    ("Eq.SP", "operator-norm-identity",
+     lambda norm: norm + 1e-11 * np.maximum(1.0, norm)),
+    ("Eq.DDN", "recursion-non-increasing", raised_last_step),
+    ("Eq.R.quadrature", "pauli-ratio-quadrature",
+     lambda result: dataclasses.replace(result, ratio=result.ratio + 1e-7)),
+    ("EqualityOrder", "equality-commuting",
+     lambda scan: dataclasses.replace(scan, gaps=scan.gaps + 1e-11)
+     if scan.commuting else scan),
+    ("EqualityOrder", "equality-order-fit",
+     lambda scan: scan if scan.commuting
+     else dataclasses.replace(scan, slope=scan.slope + 1.0)),
+]
+
+
+def bound_below_interval(report: TailReport) -> TailReport:
+    """``report``'s counts judged against a bound just below their
+    interval."""
+    exceed = round(report.empirical_tail * report.trials)
+    return TailReport.from_counts(exceed, report.trials,
+                                  np.nextafter(report.ci_low, -1.0),
+                                  report.extras)
+
+
+def without_one_sided_tails(report: TailReport) -> TailReport:
+    """``report`` with both one-sided tail frequencies read as 0."""
+    return dataclasses.replace(report, extras={**report.extras,
+                                               "upper_tail": 0.0,
+                                               "lower_tail": 0.0})
+
+
+#: Tail and hunt tags: ``tag -> wrap``, where ``wrap(operation)`` replaces
+#: the tag's operation so that every case of the tag must fail.
+VERDICT_INJECTIONS = {
+    # a hunt that finds no witness
+    "Eq.4.1d": lambda scan: lambda stream, budget: None,
+    "ABC.trace": lambda scan: lambda stream, budget: None,
+    # a tail bound below the interval; each interval starts at 0 or above
+    "Eq.C": lambda chernoff: lambda *args, **kwargs: bound_below_interval(
+        chernoff(*args, **kwargs)),
+    "Eq.RU": lambda bound: lambda exp, sigma2: np.nextafter(0.0, -1.0),
+    # one-sided tails that miss every two-sided exceedance
+    "Eq.rf": lambda tail: lambda exp, stream: without_one_sided_tails(
+        tail(exp, stream)),
+}
+
+#: Tags covered by a test of their own: ``tag -> (class, test)``.
+OWN_INJECTION_TESTS = {
+    "Eq.S3": ("TestRegistry",
+              "test_a_covariance_off_its_rank_one_sum_fails_eq_s3"),
+    "Eq.LT": ("TestRegistry",
+              "test_a_commuting_pair_off_its_exponential_fails_eq_lt"),
+    "Eq.R": ("TestMonteCarloEscalation",
+             "test_ratio_real_violation_still_fails"),
+}
+
+
 class TestRegistry:
+    #: Runnable tags no injection test covers: statistical verdicts that
+    #: wait for one declared decision rule.
+    UNINJECTED = {"Eq.S", "Eq.rf1", "Eq.GTE", "Limit.sqrt2"}
+
     EXPECTED_TAGS = {
         # 2x2 reduction, hyperbolic forms, scalar bound
         "Eq.AB", "Eq.1", "Eq.1a", "Eq.1aA", "Eq.1b",
@@ -453,20 +537,15 @@ class TestRegistry:
         # the Eq.1a runner emits the law-of-cosines restatement as well
         assert emitted - {(tag, tag) for tag in runs} == {("Eq.1a", "Eq.1aA")}
 
-    @pytest.mark.parametrize("tag", [
-        tag for tag, (_, _, runner) in suites.REGISTRY.items()
-        if isinstance(runner, suites.Sweep)
-        or tag in ("Eq.1", "Eq.1b", "Eq.4.1c", "Eq.OB", "Eq.DD1", "Eq.RUvsOB")])
+    @pytest.mark.parametrize("tag", SWEEP_CASE_TAGS)
     def test_a_broken_checker_fails_its_sweep_case(self, tag, monkeypatch):
-        # every case judged by _worst_case: a Sweep row runs the checker it
-        # holds, the other runners call their row's operation
-        _, operation, runner = suites.REGISTRY[tag]
+        # a Sweep row runs the checker it holds, the other runners call
+        # their row's operation
+        _, _, runner = suites.REGISTRY[tag]
         if isinstance(runner, suites.Sweep):
             runner = dataclasses.replace(runner, check=broken(runner.check))
         else:
-            module, name = operation.split(".")
-            monkeypatch.setattr(importlib.import_module(f"gtlab.{module}"),
-                                name, broken(operation_of(tag)))
+            patch_operation(monkeypatch, tag, broken)
         params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
         cases = runner(params, tag_stream(tag, 1), tag)
         failed = [(c.status, c.extra.get("violations")) for c in cases
@@ -496,6 +575,61 @@ class TestRegistry:
         # the fitted order still passes; the commuting deviation fails
         assert case.status == "fail" and case.lhs <= case.rhs
         assert case.extra["commuting_deviation"] > 1e-12
+
+    def test_a_broken_law_of_cosines_fails_eq_1aa(self, monkeypatch):
+        monkeypatch.setattr(ineq, "pauli_law_gap", broken(ineq.pauli_law_gap))
+        params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
+        cosh, law = suites._run_pauli_reduce(params, tag_stream("Eq.1a", 1),
+                                             "Eq.1a")
+        assert cosh.status == "pass"
+        assert (law.name, law.status, law.extra["violations"]) \
+            == ("pauli-law-of-cosines", "fail", 1)
+
+    def test_a_matrix_route_off_the_closed_form_fails_eq_1a(self,
+                                                           monkeypatch):
+        trace_expm = suites.trace_expm
+        monkeypatch.setattr(suites, "trace_expm",
+                            lambda M: trace_expm(M) * (1 + 1e-9))
+        params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
+        cosh, law = suites._run_pauli_reduce(params, tag_stream("Eq.1a", 1),
+                                             "Eq.1a")
+        # the closed forms still pass; the second route disagrees
+        assert (cosh.status, cosh.extra["violations"]) == ("fail", 0)
+        assert cosh.extra["max_route_discrepancy"] > 1e-10
+        assert law.status == "pass"
+
+    @pytest.mark.parametrize("tag, name, perturb", RESIDUAL_INJECTIONS,
+                             ids=[name for _, name, _ in RESIDUAL_INJECTIONS])
+    def test_a_residual_at_ten_thresholds_fails_its_case(self, tag, name,
+                                                         perturb, monkeypatch):
+        patch_operation(monkeypatch, tag,
+                        lambda fn: lambda *args: perturb(fn(*args)))
+        _, _, runner = suites.REGISTRY[tag]
+        params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
+        cases = {c.name: c for c in runner(params, tag_stream(tag, 1), tag)}
+        case = cases.pop(name)
+        assert case.status == "fail"
+        assert case.lhs == pytest.approx(10 * case.rhs, rel=0.02)
+        assert all(c.status == "pass" for c in cases.values())
+
+    @pytest.mark.parametrize("tag", VERDICT_INJECTIONS)
+    def test_a_broken_tail_or_hunt_fails_every_case(self, tag, monkeypatch):
+        patch_operation(monkeypatch, tag, VERDICT_INJECTIONS[tag])
+        _, _, runner = suites.REGISTRY[tag]
+        params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
+        cases = runner(params, tag_stream(tag, 1), tag)
+        assert cases and all(c.status == "fail" for c in cases)
+
+    def test_every_runnable_tag_has_an_injection_test(self):
+        for cls, test in OWN_INJECTION_TESTS.values():
+            assert callable(getattr(globals()[cls], test, None)), (cls, test)
+        covered = {*SWEEP_CASE_TAGS, *VERDICT_INJECTIONS, *OWN_INJECTION_TESTS,
+                   *(tag for tag, _, _ in RESIDUAL_INJECTIONS)}
+        runnable = {tag for tags in suites.SUITE_TAGS.values() for tag in tags}
+        stale = self.UNINJECTED & covered | self.UNINJECTED - runnable
+        assert not stale, f"stale exemptions: {sorted(stale)}"
+        missed = runnable - covered - self.UNINJECTED
+        assert not missed, f"tags without an injection test: {sorted(missed)}"
 
     def test_suite_tags_cover_runners(self):
         runnable = {tag for tag, (_, _, runner) in suites.REGISTRY.items()
@@ -584,6 +718,18 @@ def operation_of(tag: str):
     return getattr(importlib.import_module(f"gtlab.{module}"), name)
 
 
+def patch_operation(monkeypatch, tag: str, wrap):
+    """Replace the function a registry row's operation names by
+    ``wrap(function)``, in its module and where ``suites`` binds it."""
+    fn = operation_of(tag)
+    wrapped = wrap(fn)
+    module, name = suites.REGISTRY[tag][1].split(".")
+    monkeypatch.setattr(importlib.import_module(f"gtlab.{module}"), name,
+                        wrapped)
+    if getattr(suites, name, None) is fn:
+        monkeypatch.setattr(suites, name, wrapped)
+
+
 def broken(check):
     """``check`` whose first call reports its first instance with the left
     side 10 tol past the right side; every other instance is left as is."""
@@ -648,17 +794,15 @@ class TestMonteCarloEscalation:
         assert len(set(keys)) == len(keys), "the escalation reused a stream key"
 
     def test_sign_series_real_violation_still_fails(self, monkeypatch):
-        check = conc.oliveira_mgf_check
+        check = conc.oliveira_mgf_montecarlo
 
-        def shifted(series, mode="enumerate", **kwargs):
-            report = check(series, mode, **kwargs)
-            if mode != "montecarlo":
-                return report
+        def shifted(*args):
+            report = check(*args)
             # tol is 2 se: move the left side 10 se past the bound
             return GapReport.from_sides(report.rhs + 5 * report.tol, report.rhs,
                                         tol=report.tol)
 
-        monkeypatch.setattr(conc, "oliveira_mgf_check", shifted)
+        monkeypatch.setattr(conc, "oliveira_mgf_montecarlo", shifted)
         keys = record_stream_keys(monkeypatch)
         params = suites.SuiteParams(seed=1, trials=1000)
         _, case = suites._run_oliveira(params, tag_stream("Eq.OB", 1), "Eq.OB")
@@ -882,7 +1026,7 @@ class TestSignSeriesRunners:
             terms = [gue(rng, d) for _ in range(m)]
             for mu in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
                 report = conc.oliveira_mgf_check(
-                    conc.MatrixSeries(terms=terms, mu=mu), mode="enumerate")
+                    conc.MatrixSeries(terms=terms, mu=mu))
                 expected.append((report.lhs, report.rhs))
         assert sides["sign-series-enumerate"] == expected
         assert case.status == "pass" and case.trials == len(expected) == 120
@@ -931,11 +1075,8 @@ class TestSignSeriesRunners:
             # of 1e-8 against the 1e-9 tolerance
             return GapReport.from_sides(report.lhs, report.lhs * (1 - 1e-8))
 
-        def broken_enumeration(series, mode="enumerate", **kwargs):
-            report = enumerate_check(series, mode, **kwargs)
-            return shrunk(report) if mode == "enumerate" else report
-
-        monkeypatch.setattr(conc, "oliveira_mgf_check", broken_enumeration)
+        monkeypatch.setattr(conc, "oliveira_mgf_check",
+                            lambda series: shrunk(enumerate_check(series)))
         monkeypatch.setattr(conc, "oliveira_vs_aw",
                             lambda series: shrunk(direct_check(series)))
         params = suites.SuiteParams(seed=5, trials=200)

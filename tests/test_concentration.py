@@ -128,17 +128,36 @@ class TestEmpiricalTail:
         assert 0.0 <= report.extras["assumption_violation_rate"] <= 1.0
 
 
+class TestExpTraceDominance:
+    def test_one_by_one_stack_is_an_equality(self, rng):
+        # the left side is the right side's only term
+        M = rng.standard_normal((50, 1, 1))
+        for c in (0.5, 2.0, -1.0):
+            report = conc.exp_trace_dominance(M, c)
+            assert np.array_equal(report.lhs, report.rhs)
+            assert report.passed.all()
+
+    def test_stack_matches_single(self, rng):
+        assert_stack_matches_single(lambda M: conc.exp_trace_dominance(M, 2.0),
+                                    gue(rng, 3, 20))
+
+    def test_frozen_values(self):
+        report = conc.exp_trace_dominance(np.diag([1.0, -1.0]), 2.0)
+        assert report.lhs == pytest.approx(math.exp(2.0), rel=1e-15)
+        assert report.rhs == pytest.approx(2.0 * math.cosh(2.0), rel=1e-15)
+        assert report.tol == 1e-12 * report.rhs
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            conc.exp_trace_dominance(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
 class TestBernsteinStep:
     def test_tail_check_passes(self, stream):
         exp = conc.CovarianceExperiment(n_samples=16, dim=2, epsilon=1.0,
                                         trials=5000)
         report = conc.bernstein_tail_check(exp, stream)
         assert report.passed
-
-    def test_fixed_exponent(self, stream):
-        exp = conc.CovarianceExperiment(n_samples=16, dim=2, epsilon=1.0,
-                                        c=3.0, trials=3000)
-        assert conc.bernstein_tail_check(exp, stream).passed
 
     def test_optimizer_returns_interior_point(self, stream):
         exp = conc.CovarianceExperiment(n_samples=16, dim=2, epsilon=1.0,
@@ -210,8 +229,7 @@ class TestSignSeries:
     def test_montecarlo_mode(self, sign_kind, stream, rng):
         series = series_of(*(gue(rng, 3) for _ in range(5)), mu=0.7,
                            sign_kind=sign_kind)
-        report = conc.oliveira_mgf_check(series, mode="montecarlo",
-                                         stream=stream, trials=20000)
+        report = conc.oliveira_mgf_montecarlo(series, stream, 20000)
         assert report.passed
 
     def test_random_enumerated_sweep(self, rng):
@@ -304,8 +322,7 @@ class TestSeriesStacks:
             conc.MatrixSeries(terms=())
         many = series_of(gue(rng, 2), mu=np.array(self.MUS))
         with pytest.raises(ValueError, match="one series and one mu"):
-            conc.oliveira_mgf_check(many, mode="montecarlo",
-                                    stream=RngStream(1), trials=100)
+            conc.oliveira_mgf_montecarlo(many, RngStream(1), 100)
         with pytest.raises(ValueError, match="one series and one mu"):
             conc.oliveira_recursion_profile(many)
 

@@ -552,20 +552,6 @@ class TestCounterexamples:
             is None
 
 
-class _PairStream:
-    """Stands in for a stream so that ``pauli_reduce_sweep(1, ...)`` sweeps
-    the one pair ``(a, b)``: its single block draws ``a``, then ``b``."""
-
-    def __init__(self, a, b):
-        self.draws = iter((np.reshape(a, (1, 3)), np.reshape(b, (1, 3))))
-
-    def blocks(self, total, size):
-        yield 0, 1, self
-
-    def standard_normal(self, shape):
-        return next(self.draws)
-
-
 class _ZeroThirdStream:
     """Stands in for a stream so that ``triple_gt_scan`` draws ``a`` and
     ``b`` from ``stream`` and a zero ``c``: the third draw of each block
@@ -585,48 +571,36 @@ class _ZeroThirdStream:
             else self.rng.standard_normal(shape)
 
 
-def pauli_sweep_of(monkeypatch, a, b):
-    """A one-row ``pauli_reduce_sweep`` on the pair ``(a, b)``, with the two
-    sides of its cosh form: ``(summary, lhs, rhs)``."""
-    sides = {}
-    with monkeypatch.context() as patch:
-        for name in ("trace_exp_sum", "trace_exp_product"):
-            def recording(u, v, fn=getattr(pauli, name), name=name):
-                sides[name] = fn(u, v)
-                return sides[name]
-            patch.setattr(pauli, name, recording)
-        summary = ineq.pauli_reduce_sweep(1, _PairStream(a, b))
-    return (summary, 0.5 * float(sides["trace_exp_sum"][0]),
-            0.5 * float(sides["trace_exp_product"][0]))
-
-
 class TestPauliReduce:
-    def test_opposite_vectors_equality(self, monkeypatch):
+    def test_opposite_vectors_equality(self):
         a = np.array([0.3, -1.2, 0.5])
-        _, lhs, rhs = pauli_sweep_of(monkeypatch, a, -a)
-        assert lhs == pytest.approx(1.0, abs=1e-12)
-        assert rhs == pytest.approx(1.0, abs=1e-12)
+        cosh, law = ineq.pauli_reduce_gap(a, -a), ineq.pauli_law_gap(a, -a)
+        assert cosh.lhs == pytest.approx(1.0, abs=1e-12)
+        assert cosh.rhs == pytest.approx(1.0, abs=1e-12)
+        assert cosh.passed and law.passed and law.lhs == 0.0
 
-    def test_orthogonal_frozen_values(self, monkeypatch):
-        summary, lhs, rhs = pauli_sweep_of(monkeypatch, (0.0, 0.0, 1.0),
-                                           (1.0, 0.0, 0.0))
-        assert lhs == pytest.approx(math.cosh(math.sqrt(2.0)), abs=1e-12)
-        assert rhs == pytest.approx(math.cosh(1.0) ** 2, abs=1e-12)
-        assert summary.violations_law == 0
+    def test_orthogonal_frozen_values(self):
+        a, b = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
+        cosh, law = ineq.pauli_reduce_gap(a, b), ineq.pauli_law_gap(a, b)
+        assert cosh.lhs == pytest.approx(math.cosh(math.sqrt(2.0)), abs=1e-12)
+        assert cosh.rhs == pytest.approx(math.cosh(1.0) ** 2, abs=1e-12)
+        assert law.lhs == pytest.approx(2.0, abs=1e-12)
+        assert law.rhs == pytest.approx(math.acosh(math.cosh(1.0) ** 2) ** 2,
+                                        abs=1e-12)
+        assert cosh.passed and law.passed
 
-    def test_sweep_vectorized(self, stream):
-        summary = ineq.pauli_reduce_sweep(100000, stream)
-        assert summary.violations_cosh == 0
-        assert summary.violations_law == 0
-        assert summary.max_route_discrepancy <= 1e-10
+    def test_sweep_vectorized(self, rng):
+        a = rng.standard_normal((100000, 3))
+        b = rng.standard_normal((100000, 3))
+        for check in (ineq.pauli_reduce_gap, ineq.pauli_law_gap):
+            assert check(a, b).passed.all()
 
-    def test_one_row_sweeps_pass(self, monkeypatch, rng):
-        for _ in range(200):
-            summary, _, _ = pauli_sweep_of(monkeypatch, rng.standard_normal(3),
-                                           rng.standard_normal(3))
-            assert summary.violations_cosh == 0
-            assert summary.violations_law == 0
-            assert summary.max_route_discrepancy <= 1e-10
+    def test_one_row_sweeps_pass(self, rng):
+        # one pair at a time agrees with the stacked call, and passes
+        a, b = rng.standard_normal((2, 200, 3))
+        for check in (ineq.pauli_reduce_gap, ineq.pauli_law_gap):
+            assert_stack_matches_single(check, a, b)
+            assert check(a, b).passed.all()
 
 
 class TestEqualityOrderScan:

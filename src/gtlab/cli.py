@@ -5,25 +5,25 @@ Usage::
     gtlab <verify|tail|ratio|hunt> --config cfg.json [--format json|csv] [--out path]
     gtlab report --config report.json [--format json|csv] [--out path]
 
-The config is a single JSON document.  ``suites`` lists suite names or
-per-suite parameter objects; top-level ``trials``, ``dims``, ``seed`` and
-``series_length`` provide defaults::
+The config is a single JSON document.  ``suites`` lists suite names;
+``trials``, ``dims`` and ``seed`` are set once, at the top level, for the
+whole run::
 
-    {"suites": [{"name": "inequalities", "trials": 100, "dims": [2, 3, 4]}],
+    {"suites": ["inequalities"], "trials": 100, "dims": [2, 3, 4],
      "seed": 1}
 
-Every setting given is an integer (``dims`` a non-empty list of them),
-so ``null`` is a config error.  No tolerance is configurable: the checked
-statements are exact theorems, and each check admits a fixed rounding
-slack.
+Every setting given is an integer (``dims`` a non-empty list of distinct
+ones), so ``null`` is a config error; an omitted seed is
+:data:`~gtlab.samplers.DEFAULT_MASTER_SEED`.  No tolerance is
+configurable: the checked statements are exact theorems, and each check
+admits a fixed rounding slack.
 
 Each subcommand runs its own suite family (``verify`` the inequality
 checks, ``tail`` the concentration sweeps, ``ratio`` the ensemble
-studies, ``hunt`` the counter-example searches); ``all`` in the config
-expands to the family of the subcommand, and a config whose suites name
-none of that family is a config error.  Exit codes: 0 all cases passed,
-1 at least one violation, 2 config error (a bad config, ``GTLAB_SEED``
-or saved report), 3 resource guard tripped.
+studies, ``hunt`` the counter-example searches), once, when ``suites``
+names it or ``all``; a config whose suites name none of that family is a
+config error.  Exit codes: 0 all cases passed, 1 at least one violation,
+2 config error (a bad config or saved report).
 
 This module owns the report document: :func:`run` builds it as one
 strict JSON-native dict (``schema_version``, ``seed``, ``timestamp``,
@@ -49,8 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import ResourceGuardError
-from .samplers import default_master_seed
+from .samplers import DEFAULT_MASTER_SEED
 from .suites import SUITE_NAMES, CaseRecord, SuiteParams, run_suite
 
 SCHEMA_VERSION = "1"
@@ -64,7 +63,7 @@ _SUBCOMMAND_FAMILY = {
 
 #: The config settings, the fields of :class:`SuiteParams`, each with the
 #: least value it admits.
-_SETTINGS = {"trials": 1, "dims": 1, "seed": 0, "series_length": 1}
+_SETTINGS = {"trials": 1, "dims": 1, "seed": 0}
 #: Master seeds are 64-bit (:class:`~gtlab.samplers.RngStream`).
 _SEED_LIMIT = 2 ** 64
 
@@ -75,12 +74,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """The suites of one subcommand's ``family``, one :class:`SuiteParams`
-    per config entry, under the master ``seed``."""
+    """One subcommand's suite ``family``, run under ``params`` when the
+    config's suites name it (``selected``)."""
 
     family: str
-    seed: int
-    suites: tuple[SuiteParams, ...]
+    params: SuiteParams
+    selected: bool
 
 
 def _deterministic_timestamp() -> str | None:
@@ -100,73 +99,54 @@ def _expect(condition: bool, where: str, message: str):
         raise ConfigError(f"{where}: {message}")
 
 
-def _settings(entry: dict, where: str, defaults: dict) -> dict:
-    """``defaults`` overridden by the settings of one config object, the
-    top level or a suite entry, whose keys sit at ``where`` + key.  Each
-    setting is an integer at or above its least value, ``dims`` a
-    non-empty list of them."""
-    settings = dict(defaults)
-    for key, value in entry.items():
-        at = f"{where}{key}"
-        _expect(key in _SETTINGS, at, "unknown config key")
-        if key == "dims":
-            _expect(isinstance(value, list) and value, at,
-                    "must be a non-empty list of dimensions")
-            for j, n in enumerate(value):
-                _expect_integer(n, f"{at}[{j}]", _SETTINGS[key])
-            value = tuple(value)
-        else:
-            _expect_integer(value, at, _SETTINGS[key])
-            _expect(key != "seed" or value < _SEED_LIMIT, at,
-                    "must be below 2**64")
-        settings[key] = value
-    return settings
-
-
 def _expect_integer(value, where: str, least: int):
     _expect(isinstance(value, int) and not isinstance(value, bool)
             and value >= least, where, f"must be an integer >= {least}")
 
 
+def _setting(key: str, value):
+    """A top-level setting, checked: an integer at or above its least
+    value, ``dims`` a non-empty list of distinct ones."""
+    _expect(key in _SETTINGS, key, "unknown config key")
+    if key != "dims":
+        _expect_integer(value, key, _SETTINGS[key])
+        _expect(key != "seed" or value < _SEED_LIMIT, key,
+                "must be below 2**64")
+        return value
+    _expect(isinstance(value, list) and value, key,
+            "must be a non-empty list of dimensions")
+    for j, n in enumerate(value):
+        _expect_integer(n, f"{key}[{j}]", _SETTINGS[key])
+    # each dimension names its own cases (gt-sweep-n2)
+    _expect(len(set(value)) == len(value), key, "must not repeat a dimension")
+    return tuple(value)
+
+
 def parse_config(text: str, family: str) -> SuiteConfig:
-    """Parse and validate a config document, restricted to one suite family
-    (the subcommand's), which its suites must then name.  Top-level
-    settings are the defaults of the suite entries; omitted ones take
-    :class:`SuiteParams`'s defaults, and an omitted seed the default
+    """Parse and validate a config document for one suite family (the
+    subcommand's), which its suites must then name.  Omitted settings
+    take :class:`SuiteParams`'s defaults, and an omitted seed the default
     master seed."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _expect(isinstance(raw, dict), "top level", "config must be an object")
-    suites_raw = raw.pop("suites", [])
-    _expect(isinstance(suites_raw, list), "suites", "must be a list")
-    top = _settings(raw, "", {f.name: f.default
-                              for f in dataclasses.fields(SuiteParams)
-                              if f.default is not dataclasses.MISSING})
-    if "seed" not in top:
-        try:
-            top["seed"] = default_master_seed()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    suites: list[SuiteParams] = []
-    for i, entry in enumerate(suites_raw):
-        where = f"suites[{i}]"
-        if isinstance(entry, str):
-            entry = {"name": entry}
-        _expect(isinstance(entry, dict), where, "must be a name or an object")
-        name = entry.pop("name", None)
-        _expect(isinstance(name, str), f"{where}.name", "must be a string")
-        _expect(name in SUITE_NAMES or name == "all", f"{where}.name",
-                f"unknown suite {name!r} (expected one of "
-                f"{', '.join(SUITE_NAMES + ('all',))})")
-        settings = _settings(entry, f"{where}.", top)
-        if name in (family, "all"):
-            suites.append(SuiteParams(**settings))
-    _expect(suites or not suites_raw, "suites",
+    names = raw.pop("suites", [])
+    _expect(isinstance(names, list), "suites", "must be a list")
+    settings = {"seed": DEFAULT_MASTER_SEED}
+    settings.update((key, _setting(key, value)) for key, value in raw.items())
+    choices = SUITE_NAMES + ("all",)
+    for i, name in enumerate(names):
+        _expect(not isinstance(name, dict), f"suites[{i}]", "a suite entry is "
+                "a name; move its settings to the top level of the config")
+        _expect(name in choices, f"suites[{i}]", f"unknown suite {name!r} "
+                f"(expected one of {', '.join(choices)})")
+    selected = family in names or "all" in names
+    _expect(selected or not names, "suites",
             f"none is in the {family} family of this subcommand")
-    return SuiteConfig(family=family, seed=top["seed"], suites=tuple(suites))
+    return SuiteConfig(family=family, params=SuiteParams(**settings),
+                       selected=selected)
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +172,13 @@ def _json(obj):
 
 
 def run(config: SuiteConfig) -> dict:
-    """Execute the configured suites in order; returns the report document
-    as a strict JSON-native dict."""
-    cases = [case for params in config.suites
-             for case in run_suite(config.family, params)]
+    """Execute the family's suite once if the config selects it; returns
+    the report document as a strict JSON-native dict."""
+    cases = run_suite(config.family, config.params) if config.selected else []
     statuses = [case.status for case in cases]
     return _json({
         "schema_version": SCHEMA_VERSION,
-        "seed": config.seed,
+        "seed": config.params.seed,
         "timestamp": _deterministic_timestamp(),
         "cases": [dataclasses.asdict(case) for case in cases],
         "summary": {"total": len(cases), "passed": statuses.count("pass"),
@@ -298,9 +277,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"gtlab: config error: {exc}", file=sys.stderr)
         return 2
-    except ResourceGuardError as exc:
-        print(f"gtlab: resource guard: {exc}", file=sys.stderr)
-        return 3
     return 0 if report["summary"]["failed"] == 0 else 1
 
 

@@ -39,7 +39,7 @@ from .reports import GapReport, TailReport, binomial_ci
 from .samplers import RngStream, standard_complex
 
 __all__ = [
-    "ResourceGuardError", "CovarianceExperiment", "MatrixSeries",
+    "CovarianceExperiment", "MatrixSeries",
     "ScalarChernoffParams", "covariance", "covariance_deviations",
     "gaussian_row_sigma2",
     "aw_bound", "empirical_tail", "bernstein_tail_check",
@@ -48,9 +48,6 @@ __all__ = [
     "mgf_factor_check", "oliveira_vs_aw", "scalar_chernoff",
     "exp_trace_dominance", "trace_product_dominance",
 ]
-
-#: Exact enumeration of sign patterns is refused above this series length.
-ENUMERATE_LIMIT = 14
 
 #: Trials per stream block in the tail experiments; the block size fixes
 #: the draw order.
@@ -62,10 +59,6 @@ _TAIL_CHUNK = 4096
 _SIGN_CHUNK = 65536
 
 SIGN_KINDS = ("rademacher", "gaussian")
-
-
-class ResourceGuardError(RuntimeError):
-    """A request exceeded a hard cost guard (e.g. enumeration length)."""
 
 
 @dataclass(frozen=True)
@@ -327,13 +320,6 @@ def aw_mgf_lemma_check(exp: CovarianceExperiment, mu: float,
 # ---------------------------------------------------------------------------
 # sign-series trace bound
 
-def _require_enumerable(length: int):
-    if length > ENUMERATE_LIMIT:
-        raise ResourceGuardError(
-            f"exact enumeration over 2^{length} sign patterns exceeds the "
-            f"guard (max length {ENUMERATE_LIMIT})")
-
-
 def _all_sign_patterns(length: int) -> np.ndarray:
     bits = (np.arange(1 << length)[:, None] >> np.arange(length)[None, :]) & 1
     return 2.0 * bits - 1.0
@@ -353,12 +339,10 @@ def series_rhs(series: MatrixSeries):
 def oliveira_mgf_check(series: MatrixSeries) -> GapReport:
     """``E Tr e^(mu Z) <= Tr e^((mu^2/2) sum A_p^2)`` for the sign series
     ``Z = sum_p e_p A_p``, the left side averaged exactly over all
-    Rademacher sign patterns (a deterministic verdict, guarded at series
-    length 14).  Takes stacked series and arrays of mu, eigensolving each
-    series once for every mu."""
+    Rademacher sign patterns (a deterministic verdict).  Takes stacked
+    series and arrays of mu, eigensolving each series once for every mu."""
     if series.sign_kind != "rademacher":
         raise ValueError("enumeration requires Rademacher signs")
-    _require_enumerable(series.length)
     signs = _all_sign_patterns(series.length)
     w = np.linalg.eigvalsh(np.einsum('sp,...pij->...sij', signs, series.terms))
     lhs = np.exp(np.asarray(series.mu)[..., None, None] * w).sum(axis=-1) \
@@ -405,7 +389,6 @@ def oliveira_recursion_profile(series: MatrixSeries) -> np.ndarray:
     if series.sign_kind != "rademacher":
         raise ValueError("the recursion profile enumerates Rademacher signs")
     series.require_single("the recursion profile")
-    _require_enumerable(series.length)
     terms = series.terms
     mu = series.mu
     sq = 0.5 * mu ** 2 * np.einsum('pij,pjk->pik', terms, terms)

@@ -595,9 +595,10 @@ class OrderScanResult:
 def equality_order_scan(A, B) -> OrderScanResult:
     """Leading order of ``g(eps) = Tr(e^(eps A) e^(eps B)) - Tr e^(eps(A+B))``.
 
-    Commuting pairs give ``g = 0`` on the whole grid; otherwise the log-log
-    slope is fitted (expected 4) and ``g/eps^4`` is extrapolated to zero by
-    a linear fit in ``eps^2`` over the lower half of the grid.
+    Commuting pairs give ``g = 0`` on the whole grid; otherwise the slope
+    ``s`` (expected 4) of ``log g = s log eps + log c + kappa eps^2`` is
+    fitted over the gaps above rounding level, and ``g/eps^4`` is
+    extrapolated to zero by a linear fit in ``eps^2`` over their lower half.
     """
     Ah, Bh = _pair(A, B, "equality_order_scan")
     eps = np.array(_SCAN_EPSILONS)
@@ -610,11 +611,15 @@ def equality_order_scan(A, B) -> OrderScanResult:
     if np.max(np.abs(gaps)) <= 1e-12 * scale:
         return OrderScanResult(epsilons=eps, gaps=gaps, commuting=True,
                                slope=None, coefficient=0.0)
-    usable = gaps > 0
+    # a 2x2 pair's gaps at the smallest eps are at rounding level and
+    # carry no slope; the eps^2 column takes up the next order of g
+    usable = gaps > 1e-13 * scale
     if np.count_nonzero(usable) < 4:
         raise ValueError("grid too coarse for a stable fit: fewer than 4 "
-                         "positive gap values")
-    slope, _ = np.polyfit(np.log(eps[usable]), np.log(gaps[usable]), 1)
+                         "gap values above rounding level")
+    e = eps[usable]
+    design = np.stack([np.log(e), np.ones_like(e), e ** 2], axis=1)
+    slope = np.linalg.lstsq(design, np.log(gaps[usable]), rcond=None)[0][0]
     low = usable & (eps <= eps[usable][np.count_nonzero(usable) // 2])
     y = gaps[low] / eps[low] ** 4
     x = eps[low] ** 2

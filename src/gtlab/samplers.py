@@ -18,14 +18,12 @@ complex variance (real and imaginary parts each N(0, 1/2)); ``gue`` is
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import adjoint
 
-SEED_ENV_VAR = "GTLAB_SEED"
 DEFAULT_MASTER_SEED = 20650901
 
 _UINT64 = 1 << 64
@@ -33,18 +31,6 @@ _UINT64 = 1 << 64
 #: over several words, so the paths ``(2**32,)`` and ``(0, 1)`` would share
 #: one key.
 _LABEL_LIMIT = 2 ** 32
-
-
-def default_master_seed() -> int:
-    """Master seed, overridable through the GTLAB_SEED environment variable."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_MASTER_SEED
-    try:
-        seed = int(raw, 0)
-    except ValueError as exc:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return seed % _UINT64
 
 
 def _checked_int(value, limit: int, what: str) -> int:

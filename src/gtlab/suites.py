@@ -79,16 +79,13 @@ class CaseRecord:
 
 @dataclass(frozen=True)
 class SuiteParams:
-    """Per-suite execution parameters (config-level overrides applied).
-
-    ``series_length`` caps the random sign-series length; values above the
-    enumeration guard trip the resource-guard error by design.
-    """
+    """The settings of one run, the config's top-level keys: the master
+    ``seed``, and the ``trials`` and distinct ``dims`` of a sweep; each
+    runner derives its own counts from them."""
 
     seed: int
     trials: int = 1000
     dims: tuple[int, ...] = (2, 3, 4)
-    series_length: int = 10
 
 
 def _case(name: str, tag: str, lhs, rhs, margin, passed, trials: int,
@@ -563,7 +560,7 @@ def _series_terms(rng: np.random.Generator, max_len: int,
     return np.stack([gue(rng, d) for _ in range(m)])
 
 
-def _random_series(rng: np.random.Generator, max_len: int = 10,
+def _random_series(rng: np.random.Generator, max_len: int,
                    max_dim: int = 4, mu=1.0,
                    sign_kind: str = "rademacher") -> conc.MatrixSeries:
     return conc.MatrixSeries(terms=_series_terms(rng, max_len, max_dim),
@@ -578,16 +575,7 @@ def _run_oliveira(params, stream, tag):
     reports = []
     for i in range(n_series):
         rng = stream.child(0, i).generator()
-        # the first series is pinned at the configured length so oversized
-        # requests hit the enumeration guard deterministically
-        if i == 0:
-            d = int(rng.integers(1, 5))
-            series = conc.MatrixSeries(terms=[gue(rng, d) for _ in
-                                              range(params.series_length)],
-                                       mu=_OLIVEIRA_MUS)
-        else:
-            series = _random_series(rng, max_len=min(params.series_length, 10),
-                                    mu=_OLIVEIRA_MUS)
+        series = _random_series(rng, max_len=10, mu=_OLIVEIRA_MUS)
         reports.append(conc.oliveira_mgf_check(series))
     enum_case = _worst_case("sign-series-enumerate", tag, reports,
                             n_series * len(_OLIVEIRA_MUS))

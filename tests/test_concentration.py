@@ -215,11 +215,6 @@ class TestSignSeries:
         assert report.passed
         assert report.margin >= 0.0
 
-    def test_enumeration_guard(self, rng):
-        terms = [np.eye(2) for _ in range(15)]
-        with pytest.raises(conc.ResourceGuardError):
-            conc.oliveira_mgf_check(series_of(*terms))
-
     def test_enumeration_needs_rademacher(self):
         with pytest.raises(ValueError, match="Rademacher"):
             conc.oliveira_mgf_check(series_of(pauli.SIGMA3,

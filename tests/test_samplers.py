@@ -45,15 +45,6 @@ class TestStreams:
         with pytest.raises(ValueError):
             RngStream(0, 7)
 
-    def test_seed_env_override(self, monkeypatch):
-        monkeypatch.setenv(samplers.SEED_ENV_VAR, "12345")
-        assert samplers.default_master_seed() == 12345
-        monkeypatch.setenv(samplers.SEED_ENV_VAR, "zzz")
-        with pytest.raises(ValueError):
-            samplers.default_master_seed()
-        monkeypatch.delenv(samplers.SEED_ENV_VAR)
-        assert samplers.default_master_seed() == samplers.DEFAULT_MASTER_SEED
-
 
 class TestStandardComplex:
     @pytest.mark.parametrize("shape", [(), (3,), (8000, 16, 2), (0, 3)])

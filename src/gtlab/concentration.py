@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import herm_fn, hermitize, require_hermitian, trace_of_product
+from .linalg import adjoint, hermitize, require_hermitian, trace_of_product
 from .reports import GapReport, TailReport, binomial_ci
 from .samplers import RngStream, standard_complex
 
@@ -175,17 +175,43 @@ def covariance_deviations(rng: np.random.Generator, count: int, n: int,
     """``count`` standard complex Gaussian ``n x k`` blocks ``X`` and their
     deviations ``X†X/n - I``."""
     X = standard_complex(rng, (count, n, k))
-    dev = np.einsum('tpi,tpj->tij', X.conj(), X) / n
+    dev = adjoint(X) @ X / n
     dev[:, np.arange(k), np.arange(k)] -= 1.0
     return X, dev
+
+
+def _row_norms_sq(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms ``|x_p|^2`` of the rows of each block."""
+    return (X.real ** 2 + X.imag ** 2).sum(axis=-1)
+
+
+def _ascending_spectra(dev: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of Hermitian ``k x k`` matrices,
+    read from the lower triangle as LAPACK reads it: in closed form for
+    ``k <= 2`` (see :func:`_deviation_draw`), by ``eigvalsh`` above."""
+    k = dev.shape[-1]
+    if k == 1:
+        return dev[..., 0].real
+    if k == 2:
+        a, d = dev[..., 0, 0].real, dev[..., 1, 1].real
+        mean = (a + d) / 2.0
+        radius = np.hypot((a - d) / 2.0, np.abs(dev[..., 1, 0]))
+        return np.stack((mean - radius, mean + radius), axis=-1)
+    return np.linalg.eigvalsh(dev)
 
 
 def _deviation_draw(rng: np.random.Generator, count: int,
                     exp: CovarianceExperiment):
     """``count`` Gaussian blocks ``X`` of ``exp`` and the ascending spectra
-    ``w`` of their deviations ``X†X/N - I``."""
+    ``w`` of their deviations ``X†X/N - I``.
+
+    The spectra are in closed form for the dimensions the runners use: a
+    1 x 1 deviation ``[[a]]`` is its own eigenvalue ``a``, and
+    ``[[a, b*], [b, d]]`` has the eigenvalues
+    ``(a + d)/2 -+ hypot((a - d)/2, |b|)``; larger dimensions go to LAPACK.
+    """
     X, dev = covariance_deviations(rng, count, exp.n_samples, exp.dim)
-    return X, np.linalg.eigvalsh(dev)
+    return X, _ascending_spectra(dev)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +235,15 @@ def _tail_counts(exp: CovarianceExperiment, stream: RngStream):
     assumption_violations = 0
     for _, count, rng in stream.blocks(exp.trials, _TAIL_CHUNK):
         X, w = _deviation_draw(rng, count, exp)
-        lam_max, lam_min = w[:, -1].real, w[:, 0].real
+        lam_max, lam_min = w[:, -1], w[:, 0]
         up = lam_max > eps
         low = -lam_min > eps
         two = np.maximum(lam_max, -lam_min) > eps
         two_sided += int(two.sum())
         upper += int(up.sum())
         lower += int(low.sum())
-        row_sq = np.einsum('tpi,tpi->tp', X.conj(), X).real
-        assumption_violations += int((row_sq > n + 1).any(axis=1).sum())
+        outside = (_row_norms_sq(X) > n + 1).any(axis=1)
+        assumption_violations += int(outside.sum())
     return two_sided, upper, lower, assumption_violations
 
 
@@ -284,11 +310,33 @@ def bernstein_tail_check(exp: CovarianceExperiment, stream: RngStream) -> GapRep
 # ---------------------------------------------------------------------------
 # moment-generating-function lemma for the covariance experiment
 
+def _rank_one_factor_means(rows: np.ndarray, mu: float, n: int,
+                           batches: int) -> list[np.ndarray]:
+    """Means of ``e^(mu S_p)``, ``S_p = (x_p† x_p - I)/n``, over the rows
+    ``x_p`` of each of ``batches`` ``array_split`` parts of ``rows``, by
+    the closed form of :func:`aw_mgf_lemma_check`: a part's mean is
+    ``e^(-mu/n) (I + rows† (c · rows)/len)`` with
+    ``c = expm1(mu |x|^2/n)/|x|^2`` (any finite value at ``x = 0``, where
+    ``x† x`` vanishes)."""
+    sq = _row_norms_sq(rows)
+    c = np.divide(np.expm1(mu * sq / n), sq, out=np.zeros_like(sq),
+                  where=sq > 0)
+    scale, eye = math.exp(-mu / n), np.eye(rows.shape[-1])
+    return [scale * (eye + adjoint(part) @ (cp[:, None] * part) / len(part))
+            for part, cp in zip(np.array_split(rows, batches),
+                                np.array_split(c, batches))]
+
+
 def aw_mgf_lemma_check(exp: CovarianceExperiment, mu: float,
                        stream: RngStream) -> GapReport:
     """``E Tr e^(mu (Sigma - I)) <= k ||E e^(mu S)||_op^N`` with both sides
     estimated by Monte Carlo on small instances (k <= 3, N <= 8).
 
+    Each row ``x`` of a draw gives the summand ``S = (x† x - I)/N``; since
+    ``x† x`` has the one nonzero eigenvalue ``|x|^2``, its exponential is
+    ``e^(mu S) = e^(-mu/N) (I + expm1(mu |x|^2/N)/|x|^2 · x† x)``.  The
+    right side's expectation is the mean of those over all rows, and its
+    standard error comes from the means of 10 ``array_split`` batches.
     The report's tolerance carries the combined confidence radius, so
     ``passed`` is CI-aware; the per-term expectations reuse the identical
     row draws, which tightens the comparison near equality.
@@ -304,12 +352,10 @@ def aw_mgf_lemma_check(exp: CovarianceExperiment, mu: float,
     lhs_se = float(lhs_samples.std(ddof=1) / math.sqrt(trials))
 
     rows = X.reshape(trials * n, k)
-    S = np.einsum('ri,rj->rij', rows.conj(), rows) / n
-    S[:, np.arange(k), np.arange(k)] -= 1.0 / n
-    factors = herm_fn(S, lambda w: np.exp(mu * w))
-    batches = np.array_split(factors, 10)
-    batch_norms = [float(np.linalg.norm(b.mean(axis=0), ord=2)) for b in batches]
-    factor_norm = float(np.linalg.norm(factors.mean(axis=0), ord=2))
+    batch_norms = [float(np.linalg.norm(m, ord=2))
+                   for m in _rank_one_factor_means(rows, mu, n, 10)]
+    mean, = _rank_one_factor_means(rows, mu, n, 1)
+    factor_norm = float(np.linalg.norm(mean, ord=2))
     factor_se = float(np.std(batch_norms, ddof=1) / math.sqrt(len(batch_norms)))
     rhs = k * factor_norm ** n
     rhs_se = k * n * factor_norm ** (n - 1) * factor_se

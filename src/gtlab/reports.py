@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.special import betaincinv
 
 #: Relative floating-point slack admitted for exact inequalities.  The
 #: checked statements are exact theorems, so only rounding noise is
@@ -137,10 +136,16 @@ class RatioEstimate:
 def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
     """Clopper-Pearson (exact) two-sided 95% binomial confidence interval.
 
-    The bounds are beta quantiles: ``betaincinv(a, b, q)``, the inverse of
+    The bounds are beta quantiles: for ``x`` successes in ``n`` trials,
+    ``low = B^-1(alpha/2; x, n-x+1)`` and ``high = B^-1(1-alpha/2; x+1,
+    n-x)``, where ``B^-1(q; a, b) = betaincinv(a, b, q)``, the inverse of
     the regularized incomplete beta function, is the ``q``-quantile of
     Beta(a, b).
     """
+    # imported here: scipy.special is most of the package's import time,
+    # and only the tail cases reach this function
+    from scipy.special import betaincinv
+
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:

@@ -21,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads its random module on first use; every subcommand draws, so
+# it is loaded with the package rather than inside the first draw
+import numpy.random  # noqa: F401
 
 from .linalg import adjoint
 

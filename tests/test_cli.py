@@ -495,13 +495,15 @@ OWN_INJECTION_TESTS = {
               "test_a_commuting_pair_off_its_exponential_fails_eq_lt"),
     "Eq.R": ("TestMonteCarloEscalation",
              "test_ratio_real_violation_still_fails"),
+    "Eq.GTE": ("TestRegistry",
+               "test_a_right_side_below_the_left_fails_eq_gte"),
 }
 
 
 class TestRegistry:
     #: Runnable tags no injection test covers: statistical verdicts that
     #: wait for one declared decision rule.
-    UNINJECTED = {"Eq.S", "Eq.rf1", "Eq.GTE", "Limit.sqrt2"}
+    UNINJECTED = {"Eq.S", "Eq.rf1", "Limit.sqrt2"}
 
     EXPECTED_TAGS = {
         # 2x2 reduction, hyperbolic forms, scalar bound
@@ -610,6 +612,20 @@ class TestRegistry:
         assert case.status == "fail" and case.lhs <= case.rhs
         assert case.extra["commuting_deviation"] > 1e-12
 
+    def test_a_right_side_below_the_left_fails_eq_gte(self, monkeypatch):
+        def below(check):
+            def wrapped(exp, mu, stream):
+                report = check(exp, mu, stream)
+                return GapReport.from_sides(
+                    report.lhs, report.lhs - 10 * report.tol, tol=report.tol)
+            return wrapped
+
+        patch_operation(monkeypatch, "Eq.GTE", below)
+        params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
+        cases = suites._run_mgf_lemma(params, tag_stream("Eq.GTE", 1), "Eq.GTE")
+        assert [(c.name, c.status) for c in cases] \
+            == [("mgf-lemma-mu+1", "fail"), ("mgf-lemma-mu-1", "fail")]
+
     def test_a_broken_law_of_cosines_fails_eq_1aa(self, monkeypatch):
         monkeypatch.setattr(ineq, "pauli_law_gap", broken(ineq.pauli_law_gap))
         params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
@@ -687,63 +703,51 @@ class TestRegistry:
             == statuses.count("indeterminate")
 
 
+#: The scipy modules a probe has loaded.
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 class TestStartup:
-    def test_cli_import_does_not_load_scipy_stats(self):
-        # a fresh interpreter: the test modules themselves import scipy.stats
-        probe = ("import sys, gtlab.cli; print(sorted(m for m in sys.modules "
-                 "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
-
-    def test_cli_run_does_not_load_scipy_integrate(self, tmp_path):
-        # both quadrature routes run (Eq.4.1c under verify, Eq.R under
-        # ratio) without scipy.integrate, which would pull in scipy.optimize
-        probe = (
+    @staticmethod
+    def probe(tmp_path, commands, report: str) -> str:
+        """What ``report`` evaluates to in a fresh interpreter (the test
+        modules themselves import scipy) after ``import gtlab.cli`` and a
+        small config of each ``(subcommand, suite)`` of ``commands``."""
+        code = (
             "import json, sys, gtlab.cli\n"
             "tmp = sys.argv[1]\n"
-            "for cmd, suite in (('verify', 'inequalities'), "
-            "('ratio', 'studies')):\n"
-            "    cfg = f'{tmp}/{cmd}.json'\n"
-            "    with open(cfg, 'w') as fh:\n"
-            "        json.dump({'suites': [suite], 'trials': 5, 'dims': [2], "
-            "'seed': 1}, fh)\n"
-            "    assert gtlab.cli.main([cmd, '--config', cfg, '--out', "
-            "f'{tmp}/{cmd}.out']) == 0, cmd\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'integrate'], ['scipy', 'optimize'])))\n")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
-                              env=env, capture_output=True, text=True,
-                              check=True)
-        assert done.stdout.strip() == "[]"
-
-    def test_no_subcommand_loads_scipy_beyond_special(self, tmp_path):
-        # all four subcommands in one interpreter: numpy and scipy.special
-        # (the binomial intervals' betaincinv) are the whole start-up
-        probe = (
-            "import json, sys, gtlab.cli\n"
-            "tmp = sys.argv[1]\n"
-            "for cmd, suite in (('verify', 'inequalities'), "
-            "('tail', 'concentration'), ('ratio', 'studies'), "
-            "('hunt', 'counterexamples')):\n"
+            f"for cmd, suite in {commands!r}:\n"
             "    cfg = f'{tmp}/{cmd}.json'\n"
             "    with open(cfg, 'w') as fh:\n"
             "        json.dump({'suites': [suite], 'trials': 5, 'seed': 1}, fh)\n"
             "    assert gtlab.cli.main([cmd, '--config', cfg, '--out', "
             "f'{tmp}/{cmd}.out']) == 0, cmd\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "[['scipy', p] for p in ('linalg', 'stats', 'integrate', "
-            "'optimize', 'sparse')]))\n")
+            f"print({report})\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                               env=env, capture_output=True, text=True,
                               check=True)
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        assert self.probe(tmp_path, (), SCIPY_MODULES) == "[]"
+
+    def test_verify_ratio_and_hunt_load_no_scipy(self, tmp_path):
+        # both quadrature routes run (Eq.4.1c under verify, Eq.R under
+        # ratio), and only tail reaches a binomial interval
+        commands = (("verify", "inequalities"), ("ratio", "studies"),
+                    ("hunt", "counterexamples"))
+        assert self.probe(tmp_path, commands, SCIPY_MODULES) == "[]"
+
+    def test_no_subcommand_loads_scipy_beyond_special(self, tmp_path):
+        # all four subcommands in one interpreter: tail's binomial intervals
+        # (betaincinv) load scipy.special and no other scipy subpackage
+        commands = (("verify", "inequalities"), ("tail", "concentration"),
+                    ("ratio", "studies"), ("hunt", "counterexamples"))
+        loaded = ("sorted(p for p in sys.modules['scipy'].submodules "
+                  "if f'scipy.{p}' in sys.modules)")
+        assert self.probe(tmp_path, commands, loaded) == "['special']"
 
 
 def operation_of(tag: str):

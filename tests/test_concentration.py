@@ -196,6 +196,59 @@ class TestMgfLemma:
             conc.aw_mgf_lemma_check(exp, 1.0, stream)
 
 
+class TestClosedFormKernels:
+    """The closed forms behind the covariance spectra and the lemma's right
+    side, against LAPACK."""
+
+    @staticmethod
+    def assert_spectra_match_lapack(dev):
+        w = conc._ascending_spectra(dev)
+        ref = np.linalg.eigvalsh(dev)
+        scale = np.maximum(1.0, np.abs(ref).max(axis=-1, keepdims=True))
+        assert w.shape == ref.shape
+        assert (np.abs(w - ref) <= 1e-14 * scale).all()
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (16, 2), (8, 1), (16, 1)])
+    def test_drawn_deviations(self, n, k, stream):
+        _, dev = conc.covariance_deviations(stream.generator(), 4096, n, k)
+        self.assert_spectra_match_lapack(dev)
+
+    def test_crafted_2x2(self):
+        def dev(a, d, b):
+            return np.array([[a, np.conj(b)], [b, d]], dtype=complex)
+
+        crafted = [
+            # diagonal, in either order and at several scales
+            dev(0.5, -0.25, 0), dev(-0.25, 0.5, 0), dev(3e5, -2e5, 0),
+            dev(1e-9, 2e-9, 0),
+            # a = d with b = 0: a double eigenvalue
+            dev(0.75, 0.75, 0), dev(-1.0, -1.0, 0), dev(0.0, 0.0, 0),
+            # |b| >> |a - d|: the off-diagonal sets the spread
+            dev(0.3, 0.3 + 1e-12, 2.0 - 1.5j), dev(-0.5, -0.5, 1e6j),
+            dev(1e-3, 2e-3, 7.0 + 1e-4j), dev(0.0, 1e-15, 1e-3 - 1e-3j),
+        ]
+        self.assert_spectra_match_lapack(np.stack(crafted))
+
+    @pytest.mark.parametrize("mu, top", [(-1.0, 1e2), (1.0, 1e1)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_factor_means_match_the_matrix_exponential(self, mu, top, k, rng):
+        # rows of lengths 1e-8 to ``top``, and two zero rows; at |x| = 1e2
+        # and mu = 1, e^(|x|^2/4) is beyond double range for either route
+        n = 4
+        lengths = np.concatenate([np.geomspace(1e-8, top, 398), [0.0, 0.0]])
+        rows = standard_complex(rng, (400, k))
+        rows *= (lengths / np.linalg.norm(rows, axis=1))[:, None]
+        rows = rows[rng.permutation(400)]
+        S = np.einsum('ri,rj->rij', rows.conj(), rows) / n
+        S[:, np.arange(k), np.arange(k)] -= 1.0 / n
+        factors = linalg.herm_fn(S, lambda w: np.exp(mu * w))
+        means = conc._rank_one_factor_means(rows, mu, n, 10)
+        for mean, part in zip(means, np.array_split(factors, 10)):
+            ref = part.mean(axis=0)
+            assert np.linalg.norm(mean - ref, ord=2) \
+                <= 1e-13 * np.linalg.norm(ref, ord=2)
+
+
 class TestSignSeries:
     def test_single_pauli_term_frozen(self):
         report = conc.oliveira_mgf_check(series_of(pauli.SIGMA3, mu=1.0))

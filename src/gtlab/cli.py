@@ -23,7 +23,7 @@ checks, ``tail`` the concentration sweeps, ``ratio`` the ensemble
 studies, ``hunt`` the counter-example searches), once, when ``suites``
 names it or ``all``; a config whose suites name none of that family is a
 config error.  Exit codes: 0 all cases passed, 1 at least one violation,
-2 config error (a bad config or saved report).
+2 config error (a bad config, saved report or SOURCE_DATE_EPOCH).
 
 This module owns the report document: :func:`run` builds it as one
 strict JSON-native dict (``schema_version``, ``seed``, ``timestamp``,
@@ -31,8 +31,10 @@ strict JSON-native dict (``schema_version``, ``seed``, ``timestamp``,
 a saved one once each of its cases has every :class:`CaseRecord` field.
 Reports are deterministic for a fixed (config, seed): the timestamp field
 is populated from SOURCE_DATE_EPOCH when set and left null otherwise, so
-repeated runs are byte-identical.  A non-finite number (a side of a hunt
-that finds no witness) is written as null in JSON and as ``nan`` in CSV.
+repeated runs are byte-identical; a malformed SOURCE_DATE_EPOCH is a
+config error, raised before any suite runs.  A non-finite number (a side
+of a hunt that finds no witness) is written as null in JSON and as
+``nan`` in CSV.
 """
 
 from __future__ import annotations
@@ -83,12 +85,18 @@ class SuiteConfig:
 
 
 def _deterministic_timestamp() -> str | None:
+    """SOURCE_DATE_EPOCH as an ISO 8601 UTC time, None when unset; a value
+    that is not an integer count of seconds in range is a config error."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return None
     import datetime
-    return datetime.datetime.fromtimestamp(
-        int(epoch), tz=datetime.timezone.utc).isoformat()
+    try:
+        return datetime.datetime.fromtimestamp(
+            int(epoch), tz=datetime.timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ConfigError(f"SOURCE_DATE_EPOCH: {epoch!r} is not an integer "
+                          f"count of seconds in range ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +181,16 @@ def _json(obj):
 
 def run(config: SuiteConfig) -> dict:
     """Execute the family's suite once if the config selects it; returns
-    the report document as a strict JSON-native dict."""
+    the report document as a strict JSON-native dict.  The timestamp is
+    read first, so a malformed SOURCE_DATE_EPOCH fails before any suite
+    runs."""
+    timestamp = _deterministic_timestamp()
     cases = run_suite(config.family, config.params) if config.selected else []
     statuses = [case.status for case in cases]
     return _json({
         "schema_version": SCHEMA_VERSION,
         "seed": config.params.seed,
-        "timestamp": _deterministic_timestamp(),
+        "timestamp": timestamp,
         "cases": [dataclasses.asdict(case) for case in cases],
         "summary": {"total": len(cases), "passed": statuses.count("pass"),
                     "failed": statuses.count("fail"),

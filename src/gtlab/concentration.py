@@ -39,9 +39,8 @@ from .reports import GapReport, TailReport, binomial_ci
 from .samplers import RngStream, standard_complex
 
 __all__ = [
-    "CovarianceExperiment", "MatrixSeries",
-    "ScalarChernoffParams", "covariance", "covariance_deviations",
-    "gaussian_row_sigma2",
+    "CovarianceExperiment", "MatrixSeries", "covariance",
+    "covariance_deviations", "gaussian_row_sigma2",
     "aw_bound", "empirical_tail", "bernstein_tail_check",
     "optimal_bernstein_c", "aw_mgf_lemma_check", "oliveira_mgf_check",
     "oliveira_mgf_montecarlo", "oliveira_recursion_profile",
@@ -59,6 +58,10 @@ _TAIL_CHUNK = 4096
 _SIGN_CHUNK = 65536
 
 SIGN_KINDS = ("rademacher", "gaussian")
+
+#: The scalar baseline sums N two-point variables of total variance sigma^2.
+_CHERNOFF_VARS = 20
+_CHERNOFF_SIGMA2 = 1.0
 
 
 @dataclass(frozen=True)
@@ -125,24 +128,6 @@ class MatrixSeries:
         """Reject a stack of series or an array of mu for ``what``."""
         if self.terms.ndim != 3 or np.ndim(self.mu) != 0:
             raise ValueError(f"{what} takes one series and one mu")
-
-
-@dataclass(frozen=True)
-class ScalarChernoffParams:
-    """Sum of iid mean-zero variables confined to [-1, 1]; the built-in
-    generator uses symmetric two-point variables of variance sigma2/N."""
-
-    n_vars: int
-    sigma2: float
-    epsilon: float
-
-    def __post_init__(self):
-        if self.n_vars < 1:
-            raise ValueError("n_vars must be positive")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +426,10 @@ def oliveira_recursion_profile(series: MatrixSeries) -> np.ndarray:
     D0 = hermitize(sq.sum(axis=0))
     profile = np.empty(series.length + 1)
     for j in range(series.length + 1):
-        base = D0 - sq[:j].sum(axis=0) if j else D0
+        # at j = 0 both sums are empty, hence zero
         signs = _all_sign_patterns(j)
-        if j:
-            D = base[None, :, :] + mu * np.einsum('sp,pij->sij', signs, terms[:j])
-        else:
-            D = base[None, :, :]
+        D = D0 - sq[:j].sum(axis=0) \
+            + mu * np.einsum('sp,pij->sij', signs, terms[:j])
         w = np.linalg.eigvalsh(hermitize(D))
         profile[j] = float(np.exp(w).sum(axis=1).mean())
     return profile
@@ -489,29 +472,22 @@ def oliveira_vs_aw(series: MatrixSeries) -> GapReport:
 # ---------------------------------------------------------------------------
 # scalar baseline
 
-def scalar_chernoff(params: ScalarChernoffParams, stream: RngStream,
-                    trials: int) -> TailReport:
-    """Monte Carlo tail of a sum of symmetric two-point variables against
-    ``max(e^(-eps^2/4), e^(-eps sigma/2))``.
-
-    Each variable takes values ``+-sqrt(sigma2/N)`` with equal probability,
-    hence mean zero and per-variable variance ``sigma2/N``; the scale must
-    fit in [-1, 1] for the parameters to be realizable.
+def scalar_chernoff(eps: float, stream: RngStream, trials: int) -> TailReport:
+    """Monte Carlo tail ``Pr(S >= eps)`` over ``trials`` draws against
+    ``max(e^(-eps^2/4), e^(-eps sigma/2))``, where ``S`` sums ``N = 20``
+    symmetric two-point variables ``+-sqrt(sigma^2/N)``, ``sigma^2 = 1``:
+    each is mean zero and confined to [-1, 1], and ``S`` has variance
+    ``sigma^2``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    n, sigma2, eps = params.n_vars, params.sigma2, params.epsilon
+    n, sigma2 = _CHERNOFF_VARS, _CHERNOFF_SIGMA2
     scale = math.sqrt(sigma2 / n)
-    if scale > 1.0:
-        raise ValueError(f"per-variable variance {sigma2}/{n} is not realizable "
-                         "with values confined to [-1, 1]")
-    sigma = math.sqrt(sigma2)
-    bound = max(math.exp(-eps * eps / 4.0), math.exp(-eps * sigma / 2.0))
+    bound = max(math.exp(-eps * eps / 4.0),
+                math.exp(-eps * math.sqrt(sigma2) / 2.0))
     signs = 2.0 * stream.generator().integers(0, 2, size=(trials, n)) - 1.0
     exceed = int((scale * signs.sum(axis=1) >= eps).sum())
-    return TailReport.from_counts(
-        exceed, trials, bound,
-        extras={"per_variable_value": scale, "per_variable_variance": sigma2 / n})
+    return TailReport.from_counts(exceed, trials, bound, extras={})
 
 
 # ---------------------------------------------------------------------------

@@ -464,22 +464,17 @@ def lieb_rhs_quadrature(A, B, C) -> float:
         t = s0 * u / (1.0 - u)
         return integrand(t) * s0 / (1.0 - u) ** 2
 
-    value, _ = gauss_legendre(transformed, 0.0, u_max,
-                              0.25 * tol * scale, 0.25 * tol)
+    value, _ = gauss_legendre(transformed, u_max, 0.25 * tol * scale,
+                              0.25 * tol)
     return value
 
 
 def lieb_triple_gap(A, B, C) -> GapReport:
     """``Tr e^(A+B+C)`` against the resolvent-kernel upper bound for three
-    Hermitian matrices; reduces to the two-matrix bound at ``C = 0``."""
-    Ah = require_hermitian(A, "lieb_triple_gap A")
-    Bh = require_hermitian(B, "lieb_triple_gap B")
-    Ch = require_hermitian(C, "lieb_triple_gap C")
-    if not Ah.shape == Bh.shape == Ch.shape:
-        raise ValueError("lieb_triple_gap arguments must have equal dimension")
-    rhs = lieb_rhs_closed(Ah, Bh, Ch)
-    lhs = trace_expm(Ah + Bh + Ch)
-    return GapReport.from_sides(lhs, rhs)
+    Hermitian matrices; reduces to the two-matrix bound at ``C = 0``.
+    :func:`lieb_rhs_closed` validates the three."""
+    rhs = lieb_rhs_closed(A, B, C)
+    return GapReport.from_sides(trace_expm(np.add(A, B) + C), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +490,6 @@ _ABC_CHUNK = 4096
 class Witness:
     """A found counter-example: both sides evaluated on concrete matrices."""
 
-    target: str
     trial_index: int
     lhs: float
     rhs: float
@@ -523,8 +517,8 @@ def triple_gt_scan(stream: RngStream, budget: int) -> Witness | None:
             lhs_m = trace_expm(Am + Bm + Cm)
             rhs_m = abs(np.trace(expm_herm(Am) @ expm_herm(Bm) @ expm_herm(Cm)))
             if lhs_m > rhs_m + inequality_tol(lhs_m, rhs_m):
-                return Witness(target="triple-gt", trial_index=done + int(idx),
-                               lhs=lhs_m, rhs=rhs_m, matrices=(Am, Bm, Cm),
+                return Witness(trial_index=done + int(idx), lhs=lhs_m,
+                               rhs=rhs_m, matrices=(Am, Bm, Cm),
                                vectors=(av, bv, cv),
                                context="Tr e^(A+B+C) exceeds |Tr(e^A e^B e^C)|")
     return None
@@ -547,7 +541,7 @@ def abc_trace_scan(stream: RngStream, budget: int) -> Witness | None:
         hits = np.nonzero(lhs > rhs + inequality_tol(lhs, rhs))[0]
         if hits.size:
             idx = int(hits[0])
-            return Witness(target="abc-trace", trial_index=done + idx,
+            return Witness(trial_index=done + idx,
                            lhs=float(lhs[idx]), rhs=float(rhs[idx]),
                            matrices=(A[idx].copy(), B[idx].copy(), C[idx].copy()),
                            context="|Tr (ABC)^(2^k)| exceeds the power bound, k=1")
@@ -585,7 +579,6 @@ _SCAN_EPSILONS = tuple(np.geomspace(1e-3, 1e-1, 13))
 
 @dataclass(frozen=True)
 class OrderScanResult:
-    epsilons: np.ndarray
     gaps: np.ndarray
     commuting: bool
     slope: float | None
@@ -609,7 +602,7 @@ def equality_order_scan(A, B) -> OrderScanResult:
     gaps = lhs - rhs
     scale = max(1.0, np.abs(lhs).max(), np.abs(rhs).max())
     if np.max(np.abs(gaps)) <= 1e-12 * scale:
-        return OrderScanResult(epsilons=eps, gaps=gaps, commuting=True,
+        return OrderScanResult(gaps=gaps, commuting=True,
                                slope=None, coefficient=0.0)
     # a 2x2 pair's gaps at the smallest eps are at rounding level and
     # carry no slope; the eps^2 column takes up the next order of g
@@ -627,8 +620,8 @@ def equality_order_scan(A, B) -> OrderScanResult:
         _, intercept = np.polyfit(x, y, 1)
     else:
         intercept = float(y[0])
-    return OrderScanResult(epsilons=eps, gaps=gaps, commuting=False,
-                           slope=float(slope), coefficient=float(intercept))
+    return OrderScanResult(gaps=gaps, commuting=False, slope=float(slope),
+                           coefficient=float(intercept))
 
 
 # ---------------------------------------------------------------------------

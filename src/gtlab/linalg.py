@@ -252,10 +252,11 @@ def _gauss_rules():
     return np.concatenate([x20, x40]), w20, w40
 
 
-def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], b: float,
                    epsabs: float, epsrel: float) -> tuple[float, float]:
-    """``int_a^b f(x) dx`` for finite ``a`` and ``b`` by adaptive
-    Gauss-Legendre quadrature: ``(value, error estimate)``.
+    """``int_0^b f(x) dx`` for finite ``b`` by adaptive Gauss-Legendre
+    quadrature: ``(value, error estimate)``.  Both callers map their
+    integral onto ``[0, b]``, so the lower end is fixed.
 
     ``f`` takes a 1-d array of nodes and returns the integrand at each.
     Each panel is integrated by the 20- and the 40-point rule; the value is
@@ -270,13 +271,13 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     x, w20, w40 = _gauss_rules()
     # evaluated panels: ends, 40-point results, |40-point - 20-point|
     lo, hi, fine, diff = (np.empty(0) for _ in range(4))
-    new_lo, new_hi = np.array([float(a)]), np.array([float(b)])
+    new_lo, new_hi = np.zeros(1), np.array([float(b)])
     while True:
         half = (new_hi - new_lo) / 2.0
         nodes = ((new_hi + new_lo) / 2.0)[:, None] + half[:, None] * x
         y = np.asarray(f(nodes.ravel()), dtype=np.float64).reshape(nodes.shape)
         if not np.all(np.isfinite(y)):
-            raise QuadratureError(f"integrand is not finite on [{a}, {b}]")
+            raise QuadratureError(f"integrand is not finite on [0, {b}]")
         panel = half * (y[:, 20:] @ w40)
         lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
         fine = np.concatenate([fine, panel])
@@ -291,7 +292,7 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             error - np.cumsum(diff[order]) > tol / 2.0) + 1]] = True
         if lo.size + np.count_nonzero(split) > _MAX_PANELS:
             raise QuadratureError(
-                f"no convergence on [{a}, {b}] within {_MAX_PANELS} panels: "
+                f"no convergence on [0, {b}] within {_MAX_PANELS} panels: "
                 f"error estimate {error:.3g} against tolerance {tol:.3g}")
         mid = (lo[split] + hi[split]) / 2.0
         new_lo, new_hi = np.concatenate([lo[split], mid]), \

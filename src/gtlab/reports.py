@@ -105,19 +105,14 @@ class TailReport:
 class RatioEstimate:
     """Ratio of two ensemble means with delta-method error propagation."""
 
-    numerator_mean: float
-    numerator_se: float
-    denominator_mean: float
-    denominator_se: float
     ratio: float
     ratio_se: float
     ci_low: float
     ci_high: float
-    trials: int
     extras: dict[str, Any]
 
     @classmethod
-    def from_moments(cls, num_mean, num_se, den_mean, den_se, cov, trials,
+    def from_moments(cls, num_mean, num_se, den_mean, den_se, cov,
                      extras: dict) -> "RatioEstimate":
         """Build the estimate from means, standard errors and the covariance
         of the two mean estimators (not of the per-trial values)."""
@@ -126,11 +121,9 @@ class RatioEstimate:
             + (num_mean * den_se / den_mean**2) ** 2 \
             - 2.0 * num_mean * cov / den_mean**3
         se = math.sqrt(max(var, 0.0))
-        return cls(numerator_mean=float(num_mean), numerator_se=float(num_se),
-                   denominator_mean=float(den_mean), denominator_se=float(den_se),
-                   ratio=float(ratio), ratio_se=float(se),
+        return cls(ratio=float(ratio), ratio_se=float(se),
                    ci_low=float(ratio - 1.96 * se), ci_high=float(ratio + 1.96 * se),
-                   trials=int(trials), extras=dict(extras))
+                   extras=dict(extras))
 
 
 def binomial_ci(successes: int, trials: int) -> tuple[float, float]:

@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,27 @@ class TestRunAndEmit:
         report = json.loads(text)
         assert report["cases"] == []
         assert report["summary"]["total"] == 0
+
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
+    def test_malformed_source_date_epoch_exit_two_before_the_run(
+            self, epoch, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        ran = []
+        monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
+        code, text = run_cli(tmp_path, BASE_CONFIG)
+        assert (code, text, ran) == (2, None, [])
+        err = capsys.readouterr().err
+        assert err.startswith("gtlab: config error: SOURCE_DATE_EPOCH: ")
+        assert err.count("\n") == 1
+
+    def test_source_date_epoch_zero_is_written_byte_identically(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        code1, text1 = run_cli(tmp_path, BASE_CONFIG, out_name="r1.json")
+        code2, text2 = run_cli(tmp_path, BASE_CONFIG, out_name="r2.json")
+        assert code1 == code2 == 0
+        assert json.loads(text1)["timestamp"] == "1970-01-01T00:00:00+00:00"
+        assert text1 == text2
 
     def test_deterministic_reports_byte_identical(self, tmp_path):
         code1, text1 = run_cli(tmp_path, BASE_CONFIG, out_name="r1.json")
@@ -662,6 +684,14 @@ class TestRegistry:
         assert case.lhs == pytest.approx(10 * case.rhs, rel=0.02)
         assert all(c.status == "pass" for c in cases.values())
 
+    def test_delta2_identity_passes_at_dimension_64(self):
+        # the worst residual is rounding of about cond(e^A) ulps, above the
+        # bare 1e-10 floor and below the derived bound
+        params = suites.SuiteParams(seed=1, trials=60, dims=(64,))
+        case, = suites._run_delta2_identity(params, tag_stream("Eq.Sn1", 1),
+                                            "Eq.Sn1")
+        assert case.status == "pass" and case.lhs > 1e-10
+
     @pytest.mark.parametrize("tag", VERDICT_INJECTIONS)
     def test_a_broken_tail_or_hunt_fails_every_case(self, tag, monkeypatch):
         patch_operation(monkeypatch, tag, VERDICT_INJECTIONS[tag])
@@ -903,8 +933,9 @@ class TestTailEscalation:
 class TestReachability:
     """Every public function and method of gtlab runs under the CLI, and
     every parameter of one that has a default is both set to another value
-    and left at its default there, so code, settings and branches that no
-    tag or CLI path reaches show up here."""
+    and left at its default there; every parameter takes two values, and
+    every dataclass field is read.  Code, settings, branches and results
+    that no tag or CLI path reaches or reads show up here."""
 
     CONFIGS = {
         "verify": {"suites": ["inequalities"], "trials": 50, "dims": [2],
@@ -915,14 +946,31 @@ class TestReachability:
         # no seed: the default master seed is read
         "hunt": {"suites": ["counterexamples"], "trials": 50, "dims": [2]},
     }
+    #: A second run of each subcommand, so that the values a runner takes
+    #: from the config (a trial count floored at 10000, a dimension floored
+    #: at 16) take a second value too.
+    SECOND_CONFIGS = {
+        "verify": {"suites": ["inequalities"], "trials": 60, "dims": [2, 3],
+                   "seed": 2},
+        "tail": {"suites": ["concentration"], "trials": 12000, "seed": 2},
+        "ratio": {"suites": ["studies"], "trials": 12000, "dims": [20],
+                  "seed": 2},
+        "hunt": {"suites": ["counterexamples"], "trials": 120000, "seed": 2},
+    }
+    #: ``cli.run`` writes every field of a case through ``asdict``.
+    UNREAD_EXEMPT = {"gtlab.suites.CaseRecord"}
 
     @staticmethod
-    def public_functions():
+    def modules():
+        return [importlib.import_module(f"gtlab.{info.name}")
+                for info in pkgutil.iter_modules(gtlab.__path__)]
+
+    @classmethod
+    def public_functions(cls):
         """Every public function, method and property getter defined in a
         gtlab module, by qualified name."""
         found = {}
-        for info in pkgutil.iter_modules(gtlab.__path__):
-            module = importlib.import_module(f"gtlab.{info.name}")
+        for module in cls.modules():
             for name, obj in vars(module).items():
                 if name.startswith("_") \
                         or getattr(obj, "__module__", None) != module.__name__:
@@ -939,6 +987,28 @@ class TestReachability:
                         label = name if attr is None else f"{name}.{attr}"
                         found[f"{module.__name__}.{label}"] = member
         return found
+
+    @classmethod
+    def gtlab_dataclasses(cls) -> dict:
+        """Every dataclass defined in a gtlab module, by qualified name."""
+        return {f"{module.__name__}.{name}": obj
+                for module in cls.modules() for name, obj in vars(module).items()
+                if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                and obj.__module__ == module.__name__}
+
+    @classmethod
+    def parameters(cls) -> dict:
+        """``code -> [(qualified parameter name, parameter)]`` for each
+        public function and for the constructor of each parameter record,
+        a dataclass that validates its fields in ``__post_init__`` (result
+        records are built from computed values, not settings)."""
+        functions = dict(cls.public_functions())
+        functions.update((name, klass.__init__)
+                         for name, klass in cls.gtlab_dataclasses().items()
+                         if "__post_init__" in vars(klass))
+        return {fn.__code__: [(f"{name}.{p}", p)
+                              for p in inspect.signature(fn).parameters]
+                for name, fn in functions.items()}
 
     @classmethod
     def defaulted_parameters(cls) -> dict:
@@ -962,14 +1032,54 @@ class TestReachability:
             # an array is another value than a scalar default
             return False
 
+    @classmethod
+    def scalar_like(cls, value) -> bool:
+        """None, a bool, an int, a float, a str or a tuple of those."""
+        if isinstance(value, tuple):
+            return all(map(cls.scalar_like, value))
+        return value is None or type(value) in (bool, int, float, str)
+
+    #: The methods of a dataclass that ``dataclasses`` generates or calls;
+    #: their reads of a field neither use nor report it.
+    DATACLASS_DUNDERS = ("__init__", "__post_init__", "__repr__", "__eq__",
+                         "__hash__")
+
+    @classmethod
+    def field_reader(cls, klass, read: set):
+        """A ``__getattribute__`` for ``klass`` that adds the qualified name
+        of each field it reads to ``read``, unless the reader is
+        ``dataclasses`` (``replace``, ``asdict``) or one of the class's own
+        :data:`DATACLASS_DUNDERS`."""
+        fields = {f.name for f in dataclasses.fields(klass)}
+        # __repr__ is wrapped against recursion; the reads are the wrapped
+        # function's
+        own = {getattr(fn, "__code__", None) for name in cls.DATACLASS_DUNDERS
+               if name in vars(klass)
+               for fn in (vars(klass)[name], inspect.unwrap(vars(klass)[name]))}
+        base = klass.__getattribute__
+        label = f"{klass.__module__}.{klass.__qualname__}"
+
+        def __getattribute__(self, name):
+            if name in fields:
+                caller = sys._getframe(1).f_code
+                if caller not in own \
+                        and caller.co_filename != dataclasses.__file__:
+                    read.add(f"{label}.{name}")
+            return base(self, name)
+        return __getattribute__
+
     @pytest.fixture(scope="class")
     def profiled(self, tmp_path_factory):
-        """The code objects called under the CLI, and the qualified names
-        of the defaulted parameters it sets to another value and of those
-        it leaves at their default."""
+        """What the CLI does at two configs per subcommand: the code objects
+        it calls, the qualified names of the defaulted parameters it sets
+        to another value and of those it leaves at their default, the
+        values each parameter takes (``None`` once one is not scalar-like),
+        and the dataclass fields it reads."""
         tmp_path = tmp_path_factory.mktemp("reachability")
         defaulted = self.defaulted_parameters()
-        called, changed, taken = set(), set(), set()
+        parameters = self.parameters()
+        called, changed, taken, read = set(), set(), set(), set()
+        values: dict = {}
 
         def profile(frame, event, arg):
             if event != "call":
@@ -980,27 +1090,41 @@ class TestReachability:
                     taken.add(label)
                 else:
                     changed.add(label)
+            for label, param in parameters.get(frame.f_code, ()):
+                value = frame.f_locals[param]
+                seen = values.setdefault(label, set())
+                if seen is not None and self.scalar_like(value):
+                    seen.add(value)
+                else:
+                    values[label] = None
 
         with pytest.MonkeyPatch.context() as monkeypatch:
+            for klass in self.gtlab_dataclasses().values():
+                monkeypatch.setattr(klass, "__getattribute__",
+                                    self.field_reader(klass, read))
             sys.setprofile(profile)
             try:
-                for command, config in self.CONFIGS.items():
-                    cfg = tmp_path / "config.json"
-                    cfg.write_text(json.dumps(config))
-                    saved = tmp_path / f"{command}.json"
-                    args = [command, "--config", str(cfg), "--out", str(saved)]
-                    if command == "hunt":
-                        # the way the gtlab console script calls it
-                        monkeypatch.setattr(sys, "argv", ["gtlab", *args])
-                        args = None
-                    assert cli.main(args) == 0, command
-                    for fmt in ("json", "csv"):
-                        assert cli.main(["report", "--config", str(saved),
-                                         "--format", fmt, "--out",
-                                         str(tmp_path / "re")]) == 0
+                for command in self.CONFIGS:
+                    for config in (self.CONFIGS[command],
+                                   self.SECOND_CONFIGS[command]):
+                        cfg = tmp_path / "config.json"
+                        cfg.write_text(json.dumps(config))
+                        saved = tmp_path / f"{command}.json"
+                        args = [command, "--config", str(cfg), "--out",
+                                str(saved)]
+                        if command == "hunt":
+                            # the way the gtlab console script calls it
+                            monkeypatch.setattr(sys, "argv", ["gtlab", *args])
+                            args = None
+                        assert cli.main(args) == 0, command
+                        for fmt in ("json", "csv"):
+                            assert cli.main(["report", "--config", str(saved),
+                                             "--format", fmt, "--out",
+                                             str(tmp_path / "re")]) == 0
             finally:
                 sys.setprofile(None)
-        return called, changed, taken
+        return types.SimpleNamespace(called=called, changed=changed,
+                                     taken=taken, values=values, read=read)
 
     @classmethod
     def assert_reached(cls, reached: set, message: str):
@@ -1011,20 +1135,35 @@ class TestReachability:
         assert not missed, f"{message}: {missed}"
 
     def test_every_public_function_is_called(self, profiled):
-        called, _, _ = profiled
         missed = sorted(name for name, fn in self.public_functions().items()
-                        if fn.__code__ not in called)
+                        if fn.__code__ not in profiled.called)
         assert not missed, f"never called under the CLI: {missed}"
 
     def test_every_defaulted_parameter_is_set(self, profiled):
-        _, changed, _ = profiled
-        self.assert_reached(changed, "never set to a non-default value "
-                            "under the CLI (make each a constant)")
+        self.assert_reached(profiled.changed, "never set to a non-default "
+                            "value under the CLI (make each a constant)")
 
     def test_every_default_is_taken(self, profiled):
-        _, _, taken = profiled
-        self.assert_reached(taken, "never left at its default under the "
-                            "CLI (make each required)")
+        self.assert_reached(profiled.taken, "never left at its default under "
+                            "the CLI (make each required)")
+
+    def test_every_parameter_takes_two_values(self, profiled):
+        single = sorted(f"{label}={next(iter(seen))!r}"
+                        for label, seen in profiled.values.items()
+                        if seen is not None and len(seen) == 1)
+        assert not single, ("only ever one value under the CLI (make each a "
+                            f"constant): {single}")
+
+    def test_every_field_is_read(self, profiled):
+        unread = {name: {f"{name}.{f.name}" for f in dataclasses.fields(klass)}
+                  - profiled.read
+                  for name, klass in self.gtlab_dataclasses().items()}
+        missed = sorted(field for name, fields in unread.items()
+                        if name not in self.UNREAD_EXEMPT for field in fields)
+        assert not missed, f"never read under the CLI (delete each): {missed}"
+        stale = sorted(name for name in self.UNREAD_EXEMPT
+                       if not unread.get(name))
+        assert not stale, f"stale exemptions: {stale}"
 
 
 class TestSignSeriesRunners:

@@ -426,30 +426,18 @@ class TestSeriesVsDirectBound:
 
 class TestScalarChernoff:
     def test_zero_threshold_vacuous(self, stream):
-        params = conc.ScalarChernoffParams(n_vars=20, sigma2=1.0, epsilon=0.0)
-        report = conc.scalar_chernoff(params, stream, trials=20000)
+        report = conc.scalar_chernoff(0.0, stream, trials=20000)
         assert report.bound_value == 1.0
         assert 0.3 <= report.empirical_tail <= 0.8
 
     def test_exact_binomial_oracle(self, stream):
         # sum >= 3 with 20 steps of size 1/sqrt(20) means at least 17 heads
-        params = conc.ScalarChernoffParams(n_vars=20, sigma2=1.0, epsilon=3.0)
         trials = 100000
-        report = conc.scalar_chernoff(params, stream, trials=trials)
+        report = conc.scalar_chernoff(3.0, stream, trials=trials)
         exact = float(1.0 - binom.cdf(16, 20, 0.5))
         assert report.ci_low <= exact <= report.ci_high
         assert report.ci_high <= math.exp(-1.5)
         assert report.passed
-
-    def test_degenerate_zero_variance(self, stream):
-        params = conc.ScalarChernoffParams(n_vars=10, sigma2=0.0, epsilon=0.5)
-        report = conc.scalar_chernoff(params, stream, trials=1000)
-        assert report.empirical_tail == 0.0
-
-    def test_unrealizable_variance(self, stream):
-        params = conc.ScalarChernoffParams(n_vars=20, sigma2=50.0, epsilon=1.0)
-        with pytest.raises(ValueError, match="realizable"):
-            conc.scalar_chernoff(params, stream, trials=1000)
 
 
 class TestTraceProductDominance:

@@ -93,13 +93,13 @@ class MatrixSeries:
     ``terms`` is a sequence of ``m`` matrices of one dimension ``d``, or an
     array of shape ``(..., m, d, d)`` holding a stack of such series;
     ``mu`` is a float or an array broadcasting against the stack's leading
-    axes.  Both are stored as arrays of those shapes (``mu`` as a float
-    when scalar), and every term is validated as Hermitian.
+    axes.  Both are stored as arrays of those shapes (``mu`` 0-d when
+    scalar), and every term is validated as Hermitian.
     """
 
     terms: np.ndarray
     sign_kind: str = "rademacher"
-    mu: float | np.ndarray = 1.0
+    mu: np.ndarray = 1.0
 
     def __post_init__(self):
         if self.sign_kind not in SIGN_KINDS:
@@ -114,7 +114,7 @@ class MatrixSeries:
         mu = np.asarray(self.mu, dtype=np.float64)
         np.broadcast_shapes(terms.shape[:-3], mu.shape)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "mu", float(mu) if mu.ndim == 0 else mu)
+        object.__setattr__(self, "mu", mu)
 
     @property
     def dim(self) -> int:
@@ -126,7 +126,7 @@ class MatrixSeries:
 
     def require_single(self, what: str):
         """Reject a stack of series or an array of mu for ``what``."""
-        if self.terms.ndim != 3 or np.ndim(self.mu) != 0:
+        if self.terms.ndim != 3 or self.mu.ndim != 0:
             raise ValueError(f"{what} takes one series and one mu")
 
 
@@ -357,14 +357,13 @@ def _all_sign_patterns(length: int) -> np.ndarray:
 
 
 def series_rhs(series: MatrixSeries):
-    """Deterministic right side ``Tr e^((mu^2/2) sum_p A_p^2)``: a float,
-    or an array over the series stack broadcast against ``mu``."""
+    """Deterministic right side ``Tr e^((mu^2/2) sum_p A_p^2)``: an array
+    over the series stack broadcast against ``mu`` (0-d for one series at
+    one mu)."""
     terms = series.terms
     sq = np.einsum('...pij,...pjk->...ik', terms, terms)
     w = np.linalg.eigvalsh(hermitize(sq))
-    mu = np.asarray(series.mu)[..., None]
-    rhs = np.exp(0.5 * mu ** 2 * w).sum(axis=-1)
-    return float(rhs) if rhs.ndim == 0 else rhs
+    return np.exp(0.5 * series.mu[..., None] ** 2 * w).sum(axis=-1)
 
 
 def oliveira_mgf_check(series: MatrixSeries) -> GapReport:
@@ -376,8 +375,7 @@ def oliveira_mgf_check(series: MatrixSeries) -> GapReport:
         raise ValueError("enumeration requires Rademacher signs")
     signs = _all_sign_patterns(series.length)
     w = np.linalg.eigvalsh(np.einsum('sp,...pij->...sij', signs, series.terms))
-    lhs = np.exp(np.asarray(series.mu)[..., None, None] * w).sum(axis=-1) \
-        .mean(axis=-1)
+    lhs = np.exp(series.mu[..., None, None] * w).sum(axis=-1).mean(axis=-1)
     return GapReport.from_sides(lhs, series_rhs(series))
 
 

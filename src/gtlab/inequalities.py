@@ -163,7 +163,7 @@ def dyadic_power_gap(A, B, k: int) -> GapReport:
 # singular values against eigenvalues
 
 def _abs_eigen_desc(X) -> np.ndarray:
-    lam = np.abs(general_eigen(X).values)
+    lam = np.abs(general_eigen(X))
     return np.sort(lam, axis=-1)[..., ::-1]
 
 
@@ -199,7 +199,7 @@ def spectral_chain_gap(X, s: int) -> GapReport:
     ``|Tr X^(2s)| <= sum |lambda|^(2s)``: the chain from the power trace
     through the absolute eigenvalues to the singular values."""
     Xm = as_complex_matrix(X)
-    lam_sum = (np.abs(general_eigen(Xm).values) ** (2 * s)).sum(axis=-1)
+    lam_sum = (np.abs(general_eigen(Xm)) ** (2 * s)).sum(axis=-1)
     first = GapReport.from_sides(lam_sum,
                                  (singular_values(Xm) ** (2 * s)).sum(axis=-1))
     power_trace = np.abs(np.trace(np.linalg.matrix_power(Xm, 2 * s),
@@ -213,8 +213,7 @@ def spectral_chain_gap(X, s: int) -> GapReport:
 
 def top_k_abs_eigensum(X, k):
     """``sum of the k largest |eigenvalues|`` of a square matrix."""
-    total = _top_k_sum(_abs_eigen_desc(as_complex_matrix(X)), k)
-    return float(total) if total.ndim == 0 else total
+    return _top_k_sum(_abs_eigen_desc(as_complex_matrix(X)), k)
 
 
 def phi_power_premise_gap(X, s: int = 1, k: int = 1) -> GapReport:
@@ -372,7 +371,7 @@ def nonhermitian_phi_gap(A, B, k: int = 1) -> GapReport:
     Am, Bm = as_complex_matrix(A), as_complex_matrix(B)
     if Am.shape != Bm.shape:
         raise ValueError("nonhermitian_phi_gap arguments must have equal dimension")
-    lhs = _top_k_sum(np.exp(general_eigen(Am + Bm).values.real), k)
+    lhs = _top_k_sum(np.exp(general_eigen(Am + Bm).real), k)
     half = herm_fn(hermitize(Bm), lambda w: np.exp(w / 2.0))
     prod_eigs = np.linalg.eigvalsh(hermitize(half @ expm_herm(hermitize(Am)) @ half))
     rhs = _top_k_sum(prod_eigs[..., ::-1], k)
@@ -382,7 +381,7 @@ def nonhermitian_phi_gap(A, B, k: int = 1) -> GapReport:
 def hermitian_part_dominance(A) -> GapReport:
     """``lambda_1((A+A†)/2) >= Re lambda_1(A)`` for any square A."""
     Am = as_complex_matrix(A)
-    lhs = general_eigen(Am).values.real.max(axis=-1)
+    lhs = general_eigen(Am).real.max(axis=-1)
     rhs = np.linalg.eigvalsh(hermitize(Am))[..., -1]
     return GapReport.from_sides(lhs, rhs)
 
@@ -404,7 +403,7 @@ def _lieb_kernel(gamma: np.ndarray) -> np.ndarray:
         return np.where(d == 0, 1.0 / low, np.log1p(d / low) / d)
 
 
-def lieb_rhs_closed(A, B, C) -> float:
+def lieb_rhs_closed(A, B, C) -> np.ndarray:
     """Closed form of ``int_0^inf Tr(e^A (t+e^-C)^-1 e^B (t+e^-C)^-1) dt``
     through the eigendecomposition of ``e^-C``."""
     Ah = require_hermitian(A, "lieb_rhs_closed A")
@@ -464,9 +463,7 @@ def lieb_rhs_quadrature(A, B, C) -> float:
         t = s0 * u / (1.0 - u)
         return integrand(t) * s0 / (1.0 - u) ** 2
 
-    value, _ = gauss_legendre(transformed, u_max, 0.25 * tol * scale,
-                              0.25 * tol)
-    return value
+    return gauss_legendre(transformed, u_max, 0.25 * tol * scale, 0.25 * tol)
 
 
 def lieb_triple_gap(A, B, C) -> GapReport:
@@ -613,13 +610,9 @@ def equality_order_scan(A, B) -> OrderScanResult:
     e = eps[usable]
     design = np.stack([np.log(e), np.ones_like(e), e ** 2], axis=1)
     slope = np.linalg.lstsq(design, np.log(gaps[usable]), rcond=None)[0][0]
+    # the usable points up to the median one: at least 3 of the 4 or more
     low = usable & (eps <= eps[usable][np.count_nonzero(usable) // 2])
-    y = gaps[low] / eps[low] ** 4
-    x = eps[low] ** 2
-    if np.count_nonzero(low) >= 2:
-        _, intercept = np.polyfit(x, y, 1)
-    else:
-        intercept = float(y[0])
+    _, intercept = np.polyfit(eps[low] ** 2, gaps[low] / eps[low] ** 4, 1)
     return OrderScanResult(gaps=gaps, commuting=False, slope=float(slope),
                            coefficient=float(intercept))
 

@@ -3,8 +3,8 @@
 Every routine takes a single square ``complex128`` matrix of shape
 ``(n, n)`` or a stack of them of shape ``(..., n, n)`` and works on each
 matrix of the stack independently: a stack call returns what the single
-calls would return, stacked along the leading axes, and a single call
-returns a plain ``float`` wherever a scalar is meant.  Validation is per
+calls would return, stacked along the leading axes, so a single call
+returns a 0-d value wherever a scalar is meant.  Validation is per
 matrix too: each member is checked against its own scale, and one
 invalid member rejects the whole stack.  Eigenvalue and singular-value
 factorizations are delegated to LAPACK through ``numpy.linalg`` behind
@@ -27,14 +27,14 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .reports import checked_real
 
 __all__ = [
-    "EigenSolverError", "QuadratureError", "Spectrum",
+    "EigenSolverError", "QuadratureError",
     "as_complex_matrix", "hermitize", "is_hermitian", "require_hermitian",
     "adjoint", "herm_eigen", "general_eigen", "singular_values",
     "herm_fn", "expm_herm", "psd_power",
@@ -57,19 +57,6 @@ class EigenSolverError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """Raised when :func:`gauss_legendre` cannot meet its tolerance."""
-
-
-class Spectrum(NamedTuple):
-    """Eigenvalues sorted descending (by real part, then absolute value),
-    with the unitary eigenvector basis when one is available."""
-
-    values: np.ndarray
-    basis: np.ndarray | None = None
-
-
-def _scalar(value):
-    """A 0-d result as a Python float; stacked results pass through."""
-    return float(value) if np.ndim(value) == 0 else value
 
 
 def adjoint(A: np.ndarray) -> np.ndarray:
@@ -98,13 +85,11 @@ def hermitize(M) -> np.ndarray:
 
 def is_hermitian(M):
     """Whether ``|M - M†| <= HERMITIAN_ATOL * max(1, |M|)`` entrywise, each
-    matrix at its own scale: a bool for one matrix, a bool array for a
-    stack."""
+    matrix at its own scale: a bool array over the stack."""
     A = np.asarray(M)
     scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0))
-    ok = np.abs(A - adjoint(A)).max(axis=(-2, -1), initial=0.0) \
+    return np.abs(A - adjoint(A)).max(axis=(-2, -1), initial=0.0) \
         <= HERMITIAN_ATOL * scale
-    return bool(ok) if ok.ndim == 0 else ok
 
 
 def require_hermitian(M, what: str) -> np.ndarray:
@@ -115,11 +100,12 @@ def require_hermitian(M, what: str) -> np.ndarray:
     return (A + adjoint(A)) / 2.0
 
 
-def herm_eigen(M) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, values descending.
+def herm_eigen(M) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(values, U)`` of a Hermitian matrix, values
+    descending.
 
-    The returned basis ``U`` satisfies ``U diag(values) U† = M`` up to
-    rounding (columns are eigenvectors in the same order as ``values``).
+    The basis ``U`` satisfies ``U diag(values) U† = M`` up to rounding
+    (columns are eigenvectors in the same order as ``values``).
     """
     A = require_hermitian(M, "herm_eigen input")
     try:
@@ -129,11 +115,13 @@ def herm_eigen(M) -> Spectrum:
             f"Hermitian eigensolver did not converge within the LAPACK "
             f"iteration budget on a {A.shape[-1]}x{A.shape[-1]} matrix: {exc}",
             matrix=A) from exc
-    return Spectrum(values=w[..., ::-1].copy(), basis=U[..., ::-1].copy())
+    # eigh's ascending order flipped: herm_fn's products sum in this order
+    return w[..., ::-1].copy(), U[..., ::-1].copy()
 
 
-def general_eigen(M) -> Spectrum:
-    """All complex eigenvalues of a square matrix (no eigenvectors)."""
+def general_eigen(M) -> np.ndarray:
+    """All complex eigenvalues of a square matrix (no eigenvectors), sorted
+    descending by real part, then by absolute value."""
     A = as_complex_matrix(M)
     try:
         w = np.linalg.eigvals(A)
@@ -143,7 +131,7 @@ def general_eigen(M) -> Spectrum:
             f"iteration budget on a {A.shape[-1]}x{A.shape[-1]} matrix: {exc}",
             matrix=A) from exc
     order = np.lexsort((-np.abs(w), -w.real), axis=-1)
-    return Spectrum(values=np.take_along_axis(w, order, axis=-1), basis=None)
+    return np.take_along_axis(w, order, axis=-1)
 
 
 def singular_values(M) -> np.ndarray:
@@ -179,7 +167,7 @@ def psd_power(M, p: float) -> np.ndarray:
 def trace_expm(M):
     """``Tr exp(M)`` for Hermitian ``M``, summed over the spectrum."""
     A = require_hermitian(M, "trace_expm input")
-    return _scalar(np.exp(np.linalg.eigvalsh(A)).sum(axis=-1))
+    return np.exp(np.linalg.eigvalsh(A)).sum(axis=-1)
 
 
 def schatten_norm(M, p):
@@ -188,17 +176,17 @@ def schatten_norm(M, p):
         raise ValueError(f"Schatten order must satisfy p >= 1 or be inf, got {p}")
     mu = singular_values(M)
     if p == np.inf:
-        return _scalar(mu[..., 0])
-    return _scalar((mu ** p).sum(axis=-1) ** (1.0 / p))
+        return mu[..., 0]
+    return (mu ** p).sum(axis=-1) ** (1.0 / p)
 
 
 def operator_norm(M):
     """Largest singular value."""
-    return _scalar(singular_values(M)[..., 0])
+    return singular_values(M)[..., 0]
 
 
 def frobenius_norm(M):
-    return _scalar(np.linalg.norm(as_complex_matrix(M), axis=(-2, -1)))
+    return np.linalg.norm(as_complex_matrix(M), axis=(-2, -1))
 
 
 def distance_delta2(A, B):
@@ -216,7 +204,7 @@ def distance_delta2(A, B):
     half = herm_fn(Bh, lambda w: np.exp(-w / 2.0))
     P = hermitize(half @ expm_herm(Ah) @ half)
     lam = np.clip(np.linalg.eigvalsh(P), 1e-300, None)
-    return _scalar(np.sqrt((np.log(lam) ** 2).sum(axis=-1)))
+    return np.sqrt((np.log(lam) ** 2).sum(axis=-1))
 
 
 def lie_trotter_product(A, B, n: int) -> np.ndarray:
@@ -253,10 +241,10 @@ def _gauss_rules():
 
 
 def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], b: float,
-                   epsabs: float, epsrel: float) -> tuple[float, float]:
+                   epsabs: float, epsrel: float) -> float:
     """``int_0^b f(x) dx`` for finite ``b`` by adaptive Gauss-Legendre
-    quadrature: ``(value, error estimate)``.  Both callers map their
-    integral onto ``[0, b]``, so the lower end is fixed.
+    quadrature.  Both callers map their integral onto ``[0, b]``, so the
+    lower end is fixed.
 
     ``f`` takes a 1-d array of nodes and returns the integrand at each.
     Each panel is integrated by the 20- and the 40-point rule; the value is
@@ -285,7 +273,7 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], b: float,
         value, error = math.fsum(fine), math.fsum(diff)
         tol = max(epsabs, epsrel * abs(value))
         if error <= tol:
-            return value, error
+            return value
         order = np.argsort(-diff, kind="stable")
         split = np.zeros(diff.size, dtype=bool)
         split[order[:np.count_nonzero(

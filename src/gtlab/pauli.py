@@ -3,7 +3,8 @@
 A vector ``a = (a1, a2, a3)`` represents ``A = a1*s1 + a2*s2 + a3*s3`` in
 the standard Pauli basis.  Because ``A^2 = |a|^2 I``, exponentials and
 trace products have closed forms in the vector data; every function here
-accepts batched input of shape ``(..., 3)``.
+accepts batched input of shape ``(..., 3)`` and returns one value per
+vector (0-d for a single vector).
 """
 
 from __future__ import annotations
@@ -40,15 +41,13 @@ def sinhc(r):
     r = np.asarray(r, dtype=np.float64)
     small = np.abs(r) < _SINHC_SERIES_CUTOFF
     safe = np.where(small, 1.0, r)
-    out = np.where(small, 1.0 + r * r / 6.0 + r**4 / 120.0, np.sinh(safe) / safe)
-    return out if out.ndim else float(out)
+    return np.where(small, 1.0 + r * r / 6.0 + r**4 / 120.0, np.sinh(safe) / safe)
 
 
 def trace_exp_sum(a, b):
     """``Tr exp(A+B) = 2 cosh |a+b|``, batched."""
     v = as_vector(a) + as_vector(b)
-    out = 2.0 * np.cosh(np.linalg.norm(v, axis=-1))
-    return out if np.ndim(out) else float(out)
+    return 2.0 * np.cosh(np.linalg.norm(v, axis=-1))
 
 
 def trace_exp_product(a, b):
@@ -62,8 +61,7 @@ def trace_exp_product(a, b):
     ra = np.linalg.norm(va, axis=-1)
     rb = np.linalg.norm(vb, axis=-1)
     dot = np.sum(va * vb, axis=-1)
-    out = 2.0 * (np.cosh(ra) * np.cosh(rb) + dot * sinhc(ra) * sinhc(rb))
-    return out if np.ndim(out) else float(out)
+    return 2.0 * (np.cosh(ra) * np.cosh(rb) + dot * sinhc(ra) * sinhc(rb))
 
 
 def trace_exp_triple(a, b, c):
@@ -83,8 +81,7 @@ def trace_exp_triple(a, b, c):
         + chb * np.sum(va * vc, axis=-1) * sha * shc \
         + chc * np.sum(va * vb, axis=-1) * sha * shb
     im = np.sum(np.cross(va, vb) * vc, axis=-1) * sha * shb * shc
-    out = 2.0 * (re + 1j * im)
-    return out if np.ndim(out) else complex(out)
+    return 2.0 * (re + 1j * im)
 
 
 def squared_norm_identity_residual(a) -> float:

@@ -36,33 +36,30 @@ def inequality_tol(lhs, rhs):
 
 @dataclass(frozen=True)
 class GapReport:
-    """Two sides of one inequality instance, with ``margin = rhs - lhs``.
+    """Two sides of inequality instances, with ``margin = rhs - lhs``.
 
-    ``passed`` is equivalent to ``margin >= -tol``.  For a stack of
-    instances every field is an array over the stack.
+    ``passed`` is equivalent to ``margin >= -tol``.  Every field is an
+    array over the stack of instances, 0-d for one instance.
     """
 
-    lhs: float | np.ndarray
-    rhs: float | np.ndarray
-    margin: float | np.ndarray
-    passed: bool | np.ndarray
-    tol: float | np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    passed: np.ndarray
+    tol: np.ndarray
 
     @classmethod
     def from_sides(cls, lhs, rhs, tol=None) -> "GapReport":
-        """Report on scalar sides (plain float fields, bool ``passed``) or on
-        arrays of sides, which broadcast against each other and ``tol``
-        (:func:`inequality_tol` when absent)."""
+        """Report on sides that broadcast against each other and ``tol``
+        (:func:`inequality_tol` when absent); scalar sides give 0-d
+        fields."""
         lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=np.float64),
                                        np.asarray(rhs, dtype=np.float64))
         tol = inequality_tol(lhs, rhs) if tol is None \
             else np.broadcast_to(np.asarray(tol, dtype=np.float64), lhs.shape)
         margin = rhs - lhs
-        passed = margin >= -tol
-        if lhs.ndim == 0:
-            return cls(lhs=float(lhs), rhs=float(rhs), margin=float(margin),
-                       passed=bool(passed), tol=float(tol))
-        return cls(lhs=lhs, rhs=rhs, margin=margin, passed=passed, tol=tol)
+        return cls(lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -tol,
+                   tol=tol)
 
 
 @dataclass(frozen=True)
@@ -156,8 +153,8 @@ def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
 
 
 def checked_real(value, context: str):
-    """Discard the imaginary residue of a provably real quantity (a float
-    for a scalar, a float array for an array of values).
+    """Discard the imaginary residue of a provably real quantity: a float
+    array shaped like ``value``.
 
     The residue must stay below ``IMAG_REL_TOL * max(1, |value|)`` for
     every entry; anything larger is an implementation error rather than
@@ -170,4 +167,4 @@ def checked_real(value, context: str):
         raise ValueError(
             f"imaginary residue {first.imag:.3e} on a real quantity "
             f"(|value| = {abs(first):.3e}): {context}")
-    return float(value.real) if value.ndim == 0 else value.real
+    return value.real

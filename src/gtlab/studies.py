@@ -67,8 +67,7 @@ def radial_cosh_moment(scale: float) -> float:
                                   + np.exp(-scale * r - r * r / 2.0)) \
             / (1.0 - u) ** 2
 
-    value, _ = gauss_legendre(integrand, 1.0, 1e-10, 1e-10)
-    return value
+    return gauss_legendre(integrand, 1.0, 1e-10, 1e-10)
 
 
 @dataclass(frozen=True)

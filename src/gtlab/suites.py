@@ -26,10 +26,10 @@ runner that needs several streams takes children of it.  A sweep over
 ``dims[i % len(dims)]`` and the parameter ``cycle[i % len(cycle)]`` of its
 check (an order ``s``, ``k`` or ``p``, a pair ``(r, s)``, a word length).
 Instances sharing a (dimension, parameter) group are drawn and checked
-together, one stack per chunk of at most ``_SWEEP_CHUNK``; each (group,
-chunk) stack comes from one generator, the ``b``-th in group-then-chunk
-order from child ``b`` of the tag's path.  A report is therefore a pure
-function of (config, seed).
+together, one stack per chunk of at most ``_SWEEP_ENTRIES // n^2``
+instances (at least one); each (group, chunk) stack comes from one
+generator, the ``b``-th in group-then-chunk order from child ``b`` of the
+tag's path.  A report is therefore a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ __all__ = [
     "SUITE_NAMES", "run_suite",
 ]
 
-#: Instances drawn and checked per stack in a sweep.
-_SWEEP_CHUNK = 4096
+#: Matrix entries per stack in a sweep: a group of ``n x n`` instances is
+#: drawn and checked in stacks of ``max(1, _SWEEP_ENTRIES // n^2)``, so a
+#: sweep's memory does not grow with its trial count.
+_SWEEP_ENTRIES = 4096 * 16
 
 
 @dataclass(frozen=True)
@@ -200,10 +202,11 @@ def _stacks(params: SuiteParams, stream: RngStream, draw, cycle=(None,)):
     from one generator on ``stream.child(b)``."""
     block = 0
     for (n, c), total in _groups(params.trials, params.dims, cycle).items():
-        for start in range(0, total, _SWEEP_CHUNK):
+        chunk = max(1, _SWEEP_ENTRIES // n ** 2)
+        for start in range(0, total, chunk):
             rng = stream.child(block).generator()
             block += 1
-            yield (n, c), draw(rng, n, min(_SWEEP_CHUNK, total - start), c)
+            yield (n, c), draw(rng, n, min(chunk, total - start), c)
 
 
 @dataclass(frozen=True)

@@ -692,6 +692,15 @@ class TestRegistry:
                                             "Eq.Sn1")
         assert case.status == "pass" and case.lhs > 1e-10
 
+    def test_sweep_stacks_are_bounded_in_matrix_entries(self):
+        # a sweep's memory is set by the entries of one stack, not by the
+        # trial count: at n = 48, 3000 instances come in stacks of 28
+        params = suites.SuiteParams(seed=1, trials=3000, dims=(48,))
+        counts = [count for _, (count,) in suites._stacks(
+            params, RngStream(1), lambda rng, n, count, c: (count,))]
+        assert sum(counts) == params.trials
+        assert max(counts) * 48 ** 2 <= suites._SWEEP_ENTRIES
+
     @pytest.mark.parametrize("tag", VERDICT_INJECTIONS)
     def test_a_broken_tail_or_hunt_fails_every_case(self, tag, monkeypatch):
         patch_operation(monkeypatch, tag, VERDICT_INJECTIONS[tag])

@@ -164,7 +164,7 @@ class TestWeylKaramata:
         for _ in range(100):
             X = ginibre(rng, 4)
             a = np.log(np.clip(linalg.singular_values(X), 1e-300, None))
-            lam = np.sort(np.abs(linalg.general_eigen(X).values))[::-1]
+            lam = np.sort(np.abs(linalg.general_eigen(X)))[::-1]
             b = np.log(np.clip(lam, 1e-300, None))
             assert ineq.karamata_gap(a, b, np.zeros_like(a)).passed
 
@@ -183,7 +183,7 @@ class TestWeylKaramata:
             lambda M, kk: ineq.weyl_dominance_gap(M, s=2, k=kk), X, k)
         assert_stack_matches_single(lambda M: ineq.power_trace_gap(M, s=3), X)
         a = np.log(linalg.singular_values(X))
-        b = np.log(np.sort(np.abs(linalg.general_eigen(X).values))[:, ::-1])
+        b = np.log(np.sort(np.abs(linalg.general_eigen(X)))[:, ::-1])
         assert_stack_matches_single(ineq.karamata_gap, a, b, np.zeros_like(a))
 
     def test_majorization_checked_row_by_row(self):
@@ -675,8 +675,17 @@ class TestGapReportPolicy:
     def test_stack_matches_single(self, rng):
         lhs, rhs = rng.standard_normal(8) * 1e3, rng.standard_normal(8) * 1e3
         assert_stack_matches_single(GapReport.from_sides, lhs, rhs)
+        # one instance gives 0-d fields, equal to the stack's member; the
+        # case record alone makes Python numbers
+        stack = GapReport.from_sides(lhs, rhs)
         single = GapReport.from_sides(lhs[0], rhs[0])
-        assert type(single.lhs) is float and type(single.passed) is bool
+        for field in ("lhs", "rhs", "margin", "passed", "tol"):
+            value = getattr(single, field)
+            assert np.ndim(value) == 0
+            assert value == getattr(stack, field)[0]
+        case = suites._gap_case("case", "Eq.1", single, 1)
+        assert type(case.lhs) is float and type(case.rhs) is float
+        assert type(case.margin) is float and type(case.passed) is bool
 
     def test_checked_real_stack(self):
         values = np.array([1.0 + 1e-13j, -2.0 + 0j])

@@ -34,7 +34,7 @@ class TestHermEigen:
 
     def test_matches_characteristic_polynomial_roots(self, rng):
         M = gue(rng, 5)
-        values = linalg.herm_eigen(M).values
+        values, _ = linalg.herm_eigen(M)
         roots = np.roots(charpoly_coefficients(M))
         np.testing.assert_allclose(values, np.sort(roots.real)[::-1], atol=1e-8)
 
@@ -56,7 +56,7 @@ class TestHermEigen:
 
 class TestGeneralEigen:
     def test_nilpotent(self):
-        values = linalg.general_eigen(np.array([[0.0, 1.0], [0.0, 0.0]])).values
+        values = linalg.general_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
         np.testing.assert_allclose(values, [0.0, 0.0], atol=1e-12)
 
     def test_two_by_two_quadratic_formula(self, rng):
@@ -66,20 +66,20 @@ class TestGeneralEigen:
             disc = np.sqrt(tr * tr - 4.0 * det)
             expected = sorted([(tr + disc) / 2.0, (tr - disc) / 2.0],
                               key=lambda z: (-z.real, -abs(z)))
-            got = linalg.general_eigen(M).values
+            got = linalg.general_eigen(M)
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_trace_and_determinant_identities(self, rng):
         M = ginibre(rng, 6)
-        values = linalg.general_eigen(M).values
+        values = linalg.general_eigen(M)
         assert abs(values.sum() - np.trace(M)) <= 1e-9 * abs(np.trace(M))
         det = np.linalg.det(M)
         assert abs(np.prod(values) - det) <= 1e-8 * abs(det)
 
     def test_agrees_with_hermitian_route(self, rng):
         M = gue(rng, 5)
-        general = np.sort(linalg.general_eigen(M).values.real)
-        hermitian = np.sort(linalg.herm_eigen(M).values)
+        general = np.sort(linalg.general_eigen(M).real)
+        hermitian = np.sort(linalg.herm_eigen(M)[0])
         np.testing.assert_allclose(general, hermitian, atol=1e-8)
 
     def test_stack_matches_single(self, rng):
@@ -100,7 +100,7 @@ class TestSingularValues:
     def test_hermitian_case_absolute_eigenvalues(self, rng):
         M = gue(rng, 5)
         mu = linalg.singular_values(M)
-        lam = np.sort(np.abs(linalg.herm_eigen(M).values))[::-1]
+        lam = np.sort(np.abs(linalg.herm_eigen(M)[0]))[::-1]
         np.testing.assert_allclose(mu, lam, atol=1e-10)
 
     def test_frobenius_consistency(self, rng):
@@ -155,7 +155,7 @@ class TestExpm:
 
     def test_trace_expm_spectrum_sum(self, rng):
         M = gue(rng, 6)
-        direct = np.exp(linalg.herm_eigen(M).values).sum()
+        direct = np.exp(linalg.herm_eigen(M)[0]).sum()
         assert abs(linalg.trace_expm(M) - direct) <= 1e-10 * direct
 
     @pytest.mark.parametrize("fn", [
@@ -198,7 +198,7 @@ class TestNorms:
 
     def test_operator_norm_hermitian_extremes(self, rng):
         M = gue(rng, 5)
-        w = linalg.herm_eigen(M).values
+        w, _ = linalg.herm_eigen(M)
         expected = max(-w[-1], w[0])
         assert abs(linalg.operator_norm(M) - expected) <= 1e-12 * expected
 
@@ -339,11 +339,10 @@ class TestGaussLegendre:
             sizes.append(x.shape)
             return f(x)
 
-        value, error = linalg.gauss_legendre(batched, b, 1e-12, 1e-12)
+        value = linalg.gauss_legendre(batched, b, 1e-12, 1e-12)
         reference, _ = quad(lambda x: float(f(np.float64(x))), 0.0, b,
                             epsabs=1e-13, epsrel=1e-13, limit=400)
         assert abs(value - reference) <= 1e-11 * max(1.0, abs(reference))
-        assert error <= 1e-12 * max(1.0, abs(value))
         # every refinement round is one call on a 1-d batch of whole panels
         assert all(len(s) == 1 and s[0] % 60 == 0 for s in sizes)
 

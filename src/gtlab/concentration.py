@@ -4,9 +4,9 @@ Covers the empirical covariance deviation experiment, the exponential
 moment (Bernstein-Chebyshev) pipeline, the Ahlswede-Winter tail bound
 with its per-trial exponential step and its moment-generating-function
 lemma, the sign-series trace bound in its self-consistent corrected form
-``E Tr e^(mu Z) <= Tr e^((mu^2/2) sum A_p^2)`` (enumerated exactly over
-Rademacher signs, or estimated by Monte Carlo for either sign kind), and
-the scalar Chernoff baseline the matrix results generalize.
+``E Tr e^(mu Z) <= Tr e^((mu^2/2) sum A_p^2)`` (checked exactly for
+Rademacher signs, by enumeration, and for Gaussian signs by Monte Carlo),
+and the scalar Chernoff baseline the matrix results generalize.
 
 Monte Carlo experiments draw all trials from one stream generator in a
 fixed, documented order (trial data is row ``i`` of the draw), so results
@@ -16,15 +16,16 @@ attempt on the stream it is given, decided by
 :meth:`~gtlab.reports.TailReport.from_counts`; whether a straddling
 interval reruns is the caller's policy.
 
-A :class:`MatrixSeries` holds one series or a stack of series sharing a
-length ``m`` and a dimension ``d`` (terms of shape ``(..., m, d, d)``),
-and ``mu`` is one value or an array broadcasting against the stack's
-leading axes.  The deterministic sides are computed once per call for all
-of them: an exact enumeration eigensolves ``sum_p e_p A_p`` over the
-``2^m`` sign patterns and ``sum_p A_p^2`` once, and derives every mu's
-sides from those two spectra; stacked series of one ``(m, d)`` group are
-validated and eigensolved together.  A stacked call returns, member by
-member, the bits of the single calls.
+A sign series is given by its Hermitian terms: an array of shape
+``(m, d, d)``, or ``(..., m, d, d)`` for a stack of series sharing a
+length ``m`` and a dimension ``d``; ``mu`` is one value or an array
+broadcasting against the stack's leading axes.  The deterministic sides
+are computed once per call for all of them: an exact enumeration
+eigensolves ``sum_p e_p A_p`` over the ``2^m`` sign patterns and
+``sum_p A_p^2`` once, and derives every mu's sides from those two
+spectra; stacked series of one ``(m, d)`` group are validated and
+eigensolved together.  A stacked call returns, member by member, the bits
+of the single calls.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .reports import GapReport, TailReport, binomial_ci
 from .samplers import RngStream, standard_complex
 
 __all__ = [
-    "CovarianceExperiment", "MatrixSeries", "covariance",
+    "CovarianceExperiment", "covariance",
     "covariance_deviations", "gaussian_row_sigma2",
     "aw_bound", "empirical_tail", "bernstein_tail_check",
     "optimal_bernstein_c", "aw_mgf_lemma_check", "oliveira_mgf_check",
@@ -84,50 +85,6 @@ class CovarianceExperiment:
             raise ValueError("epsilon must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-
-
-@dataclass(frozen=True)
-class MatrixSeries:
-    """Fixed Hermitian terms combined with random signs: ``sum_p e_p A_p``.
-
-    ``terms`` is a sequence of ``m`` matrices of one dimension ``d``, or an
-    array of shape ``(..., m, d, d)`` holding a stack of such series;
-    ``mu`` is a float or an array broadcasting against the stack's leading
-    axes.  Both are stored as arrays of those shapes (``mu`` 0-d when
-    scalar), and every term is validated as Hermitian.
-    """
-
-    terms: np.ndarray
-    sign_kind: str = "rademacher"
-    mu: np.ndarray = 1.0
-
-    def __post_init__(self):
-        if self.sign_kind not in SIGN_KINDS:
-            raise ValueError(f"sign_kind must be one of {SIGN_KINDS}")
-        try:
-            terms = np.asarray(self.terms, dtype=np.complex128)
-        except ValueError as exc:
-            raise ValueError("all series terms must share one dimension") from exc
-        if terms.ndim < 3 or terms.shape[-3] == 0:
-            raise ValueError("series needs at least one term")
-        terms = require_hermitian(terms, "series term")
-        mu = np.asarray(self.mu, dtype=np.float64)
-        np.broadcast_shapes(terms.shape[:-3], mu.shape)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "mu", mu)
-
-    @property
-    def dim(self) -> int:
-        return self.terms.shape[-1]
-
-    @property
-    def length(self) -> int:
-        return self.terms.shape[-3]
-
-    def require_single(self, what: str):
-        """Reject a stack of series or an array of mu for ``what``."""
-        if self.terms.ndim != 3 or self.mu.ndim != 0:
-            raise ValueError(f"{what} takes one series and one mu")
 
 
 # ---------------------------------------------------------------------------
@@ -356,58 +313,69 @@ def _all_sign_patterns(length: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
-def series_rhs(series: MatrixSeries):
+def _checked_terms(terms) -> np.ndarray:
+    """The terms of one series ``(m, d, d)`` or a stack ``(..., m, d, d)``
+    as a complex array, symmetrized; rejects terms of unequal dimension, a
+    series without terms and non-Hermitian terms."""
+    try:
+        terms = np.asarray(terms, dtype=np.complex128)
+    except ValueError as exc:
+        raise ValueError("all series terms must share one dimension") from exc
+    if terms.ndim < 3 or terms.shape[-3] == 0:
+        raise ValueError("series needs at least one term")
+    return require_hermitian(terms, "series term")
+
+
+def series_rhs(terms, mu) -> np.ndarray:
     """Deterministic right side ``Tr e^((mu^2/2) sum_p A_p^2)``: an array
     over the series stack broadcast against ``mu`` (0-d for one series at
     one mu)."""
-    terms = series.terms
+    terms = _checked_terms(terms)
     sq = np.einsum('...pij,...pjk->...ik', terms, terms)
     w = np.linalg.eigvalsh(hermitize(sq))
-    return np.exp(0.5 * series.mu[..., None] ** 2 * w).sum(axis=-1)
+    return np.exp(0.5 * np.asarray(mu)[..., None] ** 2 * w).sum(axis=-1)
 
 
-def oliveira_mgf_check(series: MatrixSeries) -> GapReport:
+def oliveira_mgf_check(terms, mu) -> GapReport:
     """``E Tr e^(mu Z) <= Tr e^((mu^2/2) sum A_p^2)`` for the sign series
     ``Z = sum_p e_p A_p``, the left side averaged exactly over all
     Rademacher sign patterns (a deterministic verdict).  Takes stacked
     series and arrays of mu, eigensolving each series once for every mu."""
-    if series.sign_kind != "rademacher":
-        raise ValueError("enumeration requires Rademacher signs")
-    signs = _all_sign_patterns(series.length)
-    w = np.linalg.eigvalsh(np.einsum('sp,...pij->...sij', signs, series.terms))
-    lhs = np.exp(series.mu[..., None, None] * w).sum(axis=-1).mean(axis=-1)
-    return GapReport.from_sides(lhs, series_rhs(series))
+    terms = _checked_terms(terms)
+    signs = _all_sign_patterns(terms.shape[-3])
+    w = np.linalg.eigvalsh(np.einsum('sp,...pij->...sij', signs, terms))
+    mu = np.asarray(mu, dtype=np.float64)
+    lhs = np.exp(mu[..., None, None] * w).sum(axis=-1).mean(axis=-1)
+    return GapReport.from_sides(lhs, series_rhs(terms, mu))
 
 
-def oliveira_mgf_montecarlo(series: MatrixSeries, stream: RngStream,
+def oliveira_mgf_montecarlo(terms, stream: RngStream,
                             trials: int) -> GapReport:
-    """The bound of :func:`oliveira_mgf_check` for one series at one mu,
-    with signs of either kind: the left side is estimated from ``trials``
-    sign draws on ``stream``, and the tolerance is two standard errors
-    (plus rounding slack)."""
-    series.require_single("the Monte Carlo sign series")
+    """The bound of :func:`oliveira_mgf_check` at mu = 1 for one series
+    with Gaussian signs (a series at mu is the series of the terms
+    ``mu A_p`` at 1): the left side is estimated from ``trials`` sign
+    draws on ``stream``, and the tolerance is two standard errors (plus
+    rounding slack)."""
+    terms = _checked_terms(terms)
     if trials < 1:
         raise ValueError("trials must be positive")
-    m, mu = series.length, series.mu
     rng = stream.generator()
     samples = np.empty(trials)
     for start in range(0, trials, _SIGN_CHUNK):
         count = min(_SIGN_CHUNK, trials - start)
-        if series.sign_kind == "rademacher":
-            signs = 2.0 * rng.integers(0, 2, size=(count, m)) - 1.0
-        else:
-            signs = rng.standard_normal((count, m))
-        w = np.linalg.eigvalsh(np.einsum('sp,pij->sij', signs, series.terms))
-        samples[start:start + count] = np.exp(mu * w).sum(axis=1)
+        signs = rng.standard_normal((count, terms.shape[0]))
+        w = np.linalg.eigvalsh(np.einsum('sp,pij->sij', signs, terms))
+        samples[start:start + count] = np.exp(w).sum(axis=1)
     lhs = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(trials))
-    rhs = series_rhs(series)
+    rhs = series_rhs(terms, 1.0)
     tol = 2.0 * se + 1e-12 * max(1.0, lhs, rhs)
     return GapReport.from_sides(lhs, rhs, tol=tol)
 
 
-def oliveira_recursion_profile(series: MatrixSeries) -> np.ndarray:
-    """Exactly enumerated ``E Tr e^(D_j)`` for the interpolating family
+def oliveira_recursion_profile(terms, mu: float) -> np.ndarray:
+    """Exactly enumerated ``E Tr e^(D_j)`` for one series and the
+    interpolating family
 
     ``D_j = D_0 + sum_{p<=j} (mu e_p A_p - (mu^2/2) A_p^2)``,
     ``D_0 = (mu^2/2) sum_p A_p^2``,
@@ -415,15 +383,12 @@ def oliveira_recursion_profile(series: MatrixSeries) -> np.ndarray:
     which starts at the deterministic right side and ends at ``mu Z``.
     The sequence is non-increasing in ``j``.
     """
-    if series.sign_kind != "rademacher":
-        raise ValueError("the recursion profile enumerates Rademacher signs")
-    series.require_single("the recursion profile")
-    terms = series.terms
-    mu = series.mu
+    terms = _checked_terms(terms)
+    length = terms.shape[0]
     sq = 0.5 * mu ** 2 * np.einsum('pij,pjk->pik', terms, terms)
     D0 = hermitize(sq.sum(axis=0))
-    profile = np.empty(series.length + 1)
-    for j in range(series.length + 1):
+    profile = np.empty(length + 1)
+    for j in range(length + 1):
         # at j = 0 both sums are empty, hence zero
         signs = _all_sign_patterns(j)
         D = D0 - sq[:j].sum(axis=0) \
@@ -454,16 +419,17 @@ def mgf_factor_check(A, mu: float, sign_kind: str = "rademacher") -> GapReport:
     return GapReport.from_sides(lhs, 1.0, tol=1e-15 * np.maximum(1.0, lhs))
 
 
-def oliveira_vs_aw(series: MatrixSeries) -> GapReport:
+def oliveira_vs_aw(terms, mu) -> GapReport:
     """The series trace bound is never weaker than the direct adaptation
     ``d e^(mu^2 sum_p ||A_p^2||_op)`` of the covariance-lemma argument
     (one series, or a stack of series with their mu)."""
-    lhs = series_rhs(series)
-    norms = (np.abs(np.linalg.eigvalsh(series.terms)).max(axis=-1) ** 2).sum(axis=-1)
+    terms = _checked_terms(terms)
+    lhs = series_rhs(terms, mu)
+    norms = (np.abs(np.linalg.eigvalsh(terms)).max(axis=-1) ** 2).sum(axis=-1)
     # math.exp, member by member: numpy's vectorized exp can differ from it
     # in the last bit, and a stacked call must give the single call's bits
-    exponent = np.square(series.mu) * norms
-    rhs = series.dim * np.vectorize(math.exp, otypes=[float])(exponent)
+    exponent = np.square(mu) * norms
+    rhs = terms.shape[-1] * np.vectorize(math.exp, otypes=[float])(exponent)
     return GapReport.from_sides(lhs, rhs)
 
 

@@ -299,10 +299,7 @@ def alt_trace_gap(P, Q, r: float, s: float) -> GapReport:
     positive definite P, Q and ``r >= 1, s > 0``."""
     if r < 1 or s <= 0:
         raise ValueError("requires r >= 1 and s > 0")
-    Ph = require_hermitian(P, "alt_trace_gap first argument")
-    Qh = require_hermitian(Q, "alt_trace_gap second argument")
-    if Ph.shape != Qh.shape:
-        raise ValueError("alt_trace_gap arguments must have equal dimension")
+    Ph, Qh = _pair(P, Q, "alt_trace_gap")
     for name, M in (("P", Ph), ("Q", Qh)):
         if np.any(np.linalg.eigvalsh(M)[..., 0] <= 0):
             raise ValueError(f"alt_trace_gap requires positive definite input ({name})")

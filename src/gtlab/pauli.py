@@ -84,10 +84,10 @@ def trace_exp_triple(a, b, c):
     return 2.0 * (re + 1j * im)
 
 
-def squared_norm_identity_residual(a) -> float:
+def squared_norm_identity_residual(a) -> np.ndarray:
     """``| |a|^2 - Tr(A^2)/2 |`` for the represented matrix; zero in exact
     arithmetic, used to validate the parametrization."""
     v = as_vector(a)
     A = to_matrix(v)
     tr = np.einsum('...ij,...ji->...', A, A).real / 2.0
-    return float(np.max(np.abs(tr - np.sum(v * v, axis=-1))))
+    return np.abs(tr - np.sum(v * v, axis=-1))

@@ -307,7 +307,7 @@ def _trace_product_draw(rng, n, count, c):
 def _run_pauli_param(params, stream, tag):
     rng = stream.generator()
     a = rng.standard_normal((params.trials, 3))
-    residual = pauli.squared_norm_identity_residual(a)
+    residual = np.max(pauli.squared_norm_identity_residual(a))
     return [_residual_case("pauli-parametrization", tag, residual, 1e-12,
                            params.trials)]
 
@@ -571,13 +571,6 @@ def _series_terms(rng: np.random.Generator, max_len: int,
     return np.stack([gue(rng, d) for _ in range(m)])
 
 
-def _random_series(rng: np.random.Generator, max_len: int,
-                   max_dim: int = 4, mu=1.0,
-                   sign_kind: str = "rademacher") -> conc.MatrixSeries:
-    return conc.MatrixSeries(terms=_series_terms(rng, max_len, max_dim),
-                             sign_kind=sign_kind, mu=mu)
-
-
 _OLIVEIRA_MUS = np.array((0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
 
 
@@ -586,16 +579,14 @@ def _run_oliveira(params, stream, tag):
     reports = []
     for i in range(n_series):
         rng = stream.child(0, i).generator()
-        series = _random_series(rng, max_len=10, mu=_OLIVEIRA_MUS)
-        reports.append(conc.oliveira_mgf_check(series))
+        terms = _series_terms(rng, max_len=10, max_dim=4)
+        reports.append(conc.oliveira_mgf_check(terms, _OLIVEIRA_MUS))
     enum_case = _worst_case("sign-series-enumerate", tag, reports,
                             n_series * len(_OLIVEIRA_MUS))
     # the enumerated series are the children of child 0; the Monte Carlo
     # pair draws its series from child 1 and its signs from child 2, or
     # from child 3 when escalated
-    rng = stream.child(1).generator()
-    gaussian = _random_series(rng, max_len=6, max_dim=3, mu=1.0,
-                              sign_kind="gaussian")
+    gaussian = _series_terms(stream.child(1).generator(), max_len=6, max_dim=3)
 
     def attempt(trials, signs):
         report = conc.oliveira_mgf_montecarlo(gaussian, signs, trials)
@@ -609,13 +600,14 @@ def _run_oliveira(params, stream, tag):
 
 
 def _run_recursion_profile(params, stream, tag):
+    """Profile ``i`` (its mu, then its terms) is drawn from ``child(i)``."""
     worst_increase = -math.inf
     profiles = min(20, max(params.trials // 100, 5))
     for i in range(profiles):
         rng = stream.child(i).generator()
-        series = _random_series(rng, max_len=8, max_dim=4,
-                                mu=float(rng.choice((0.5, 1.0, 2.0))))
-        profile = conc.oliveira_recursion_profile(series)
+        mu = float(rng.choice((0.5, 1.0, 2.0)))
+        terms = _series_terms(rng, max_len=8, max_dim=4)
+        profile = conc.oliveira_recursion_profile(terms, mu)
         increases = np.diff(profile) / np.maximum(1.0, profile[:-1])
         worst_increase = max(worst_increase, float(increases.max()))
     return [_residual_case("recursion-non-increasing", tag,
@@ -647,8 +639,7 @@ def _run_oliveira_vs_aw(params, stream, tag):
     lhs, rhs = np.empty(count), np.empty(count)
     for members in groups.values():
         index, mus, terms = zip(*members)
-        report = conc.oliveira_vs_aw(conc.MatrixSeries(terms=np.stack(terms),
-                                                       mu=np.array(mus)))
+        report = conc.oliveira_vs_aw(np.stack(terms), np.array(mus))
         lhs[list(index)], rhs[list(index)] = report.lhs, report.rhs
     return [_worst_case("series-vs-direct-bound", tag,
                         [GapReport.from_sides(lhs, rhs)], count)]

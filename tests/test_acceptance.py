@@ -69,16 +69,12 @@ class TestAcceptance:
             d = int(rng.integers(1, 5))
             terms = tuple(gue(rng, d) for _ in range(m))
             for mu in mus:
-                series = conc.MatrixSeries(terms=terms, sign_kind="rademacher",
-                                           mu=mu)
-                report = conc.oliveira_mgf_check(series)
+                report = conc.oliveira_mgf_check(terms, mu)
                 assert report.passed, (m, d, mu, report)
                 checked += 1
         # exact enumeration: the verdict is deterministic
-        repeat = conc.oliveira_mgf_check(
-            conc.MatrixSeries(terms=terms, sign_kind="rademacher", mu=2.0))
-        again = conc.oliveira_mgf_check(
-            conc.MatrixSeries(terms=terms, sign_kind="rademacher", mu=2.0))
+        repeat = conc.oliveira_mgf_check(terms, 2.0)
+        again = conc.oliveira_mgf_check(terms, 2.0)
         assert repeat == again
         elapsed = time.monotonic() - start
         assert elapsed < 60.0
@@ -191,10 +187,9 @@ class TestAcceptance:
         for _ in range(20):
             m = int(rng.integers(1, 11))
             d = int(rng.integers(1, 5))
-            series = conc.MatrixSeries(
-                terms=tuple(gue(rng, d) for _ in range(m)),
-                sign_kind="rademacher", mu=float(rng.choice([0.5, 1.0, 2.0])))
-            profile = conc.oliveira_recursion_profile(series)
+            terms = tuple(gue(rng, d) for _ in range(m))
+            mu = float(rng.choice([0.5, 1.0, 2.0]))
+            profile = conc.oliveira_recursion_profile(terms, mu)
             assert (np.diff(profile)
                     <= 1e-12 * np.maximum(1.0, profile[:-1])).all()
 

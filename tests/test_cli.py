@@ -1207,8 +1207,7 @@ class TestSignSeriesRunners:
             d = int(rng.integers(1, 5))
             terms = [gue(rng, d) for _ in range(m)]
             for mu in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
-                report = conc.oliveira_mgf_check(
-                    conc.MatrixSeries(terms=terms, mu=mu))
+                report = conc.oliveira_mgf_check(terms, mu)
                 expected.append((report.lhs, report.rhs))
         assert sides["sign-series-enumerate"] == expected
         assert case.status == "pass" and case.trials == len(expected) == 120
@@ -1225,10 +1224,29 @@ class TestSignSeriesRunners:
             m = int(rng.integers(1, 7))
             d = int(rng.integers(1, 5))
             terms = [gue(rng, d) for _ in range(m)]
-            report = conc.oliveira_vs_aw(conc.MatrixSeries(terms=terms, mu=mu))
+            report = conc.oliveira_vs_aw(terms, mu)
             expected.append((report.lhs, report.rhs))
         assert sides["series-vs-direct-bound"] == expected
         assert case.status == "pass" and case.trials == 400
+
+    def test_recursion_profiles_match_their_streams(self):
+        # profile i draws its mu, then its length, dimension and terms,
+        # from child(i)
+        params = suites.SuiteParams(seed=5, trials=1000)
+        stream = tag_stream("Eq.DDN", 5)
+        case, = suites._run_recursion_profile(params, stream, "Eq.DDN")
+        worst = -np.inf
+        for i in range(10):
+            rng = stream.child(i).generator()
+            mu = float(rng.choice((0.5, 1.0, 2.0)))
+            m = int(rng.integers(1, 9))
+            d = int(rng.integers(1, 5))
+            terms = [gue(rng, d) for _ in range(m)]
+            profile = conc.oliveira_recursion_profile(terms, mu)
+            increases = np.diff(profile) / np.maximum(1.0, profile[:-1])
+            worst = max(worst, float(increases.max()))
+        assert case.lhs == worst
+        assert case.status == "pass" and case.trials == 10
 
     def test_non_hermitian_term_in_one_series_raises(self, monkeypatch):
         draw = suites._series_terms
@@ -1258,9 +1276,9 @@ class TestSignSeriesRunners:
             return GapReport.from_sides(report.lhs, report.lhs * (1 - 1e-8))
 
         monkeypatch.setattr(conc, "oliveira_mgf_check",
-                            lambda series: shrunk(enumerate_check(series)))
+                            lambda terms, mu: shrunk(enumerate_check(terms, mu)))
         monkeypatch.setattr(conc, "oliveira_vs_aw",
-                            lambda series: shrunk(direct_check(series)))
+                            lambda terms, mu: shrunk(direct_check(terms, mu)))
         params = suites.SuiteParams(seed=5, trials=200)
         enum_case, mc_case = suites._run_oliveira(
             params, tag_stream("Eq.OB", 5), "Eq.OB")

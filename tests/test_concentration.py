@@ -11,12 +11,6 @@ from gtlab.samplers import RngStream, standard_complex
 from conftest import assert_stack_matches_single, gue
 
 
-def series_of(*terms, mu=1.0, sign_kind="rademacher"):
-    return conc.MatrixSeries(terms=tuple(np.asarray(t, dtype=complex)
-                                         for t in terms),
-                             sign_kind=sign_kind, mu=mu)
-
-
 class TestCovariance:
     def test_scaled_orthonormal_columns_identity(self):
         n, k = 16, 3
@@ -251,33 +245,26 @@ class TestClosedFormKernels:
 
 class TestSignSeries:
     def test_single_pauli_term_frozen(self):
-        report = conc.oliveira_mgf_check(series_of(pauli.SIGMA3, mu=1.0))
+        report = conc.oliveira_mgf_check([pauli.SIGMA3], 1.0)
         assert report.lhs == pytest.approx(2.0 * math.cosh(1.0), abs=1e-12)
         assert report.rhs == pytest.approx(2.0 * math.exp(0.5), abs=1e-12)
         assert report.passed
 
     def test_zero_terms_equal_dimension(self):
-        report = conc.oliveira_mgf_check(series_of(np.zeros((3, 3)),
-                                                   np.zeros((3, 3))))
+        report = conc.oliveira_mgf_check(np.zeros((2, 3, 3)), 1.0)
         assert report.lhs == pytest.approx(3.0)
         assert report.rhs == pytest.approx(3.0)
 
     def test_commuting_diagonal_enumeration(self, rng):
         terms = [np.diag(rng.standard_normal(3)) for _ in range(10)]
-        report = conc.oliveira_mgf_check(series_of(*terms, mu=1.0))
+        report = conc.oliveira_mgf_check(terms, 1.0)
         assert report.passed
         assert report.margin >= 0.0
 
-    def test_enumeration_needs_rademacher(self):
-        with pytest.raises(ValueError, match="Rademacher"):
-            conc.oliveira_mgf_check(series_of(pauli.SIGMA3,
-                                              sign_kind="gaussian"))
-
-    @pytest.mark.parametrize("sign_kind", ["rademacher", "gaussian"])
-    def test_montecarlo_mode(self, sign_kind, stream, rng):
-        series = series_of(*(gue(rng, 3) for _ in range(5)), mu=0.7,
-                           sign_kind=sign_kind)
-        report = conc.oliveira_mgf_montecarlo(series, stream, 20000)
+    def test_gaussian_montecarlo(self, stream, rng):
+        # the series at mu = 0.7 is the series of the terms 0.7 A_p at 1
+        terms = 0.7 * np.stack([gue(rng, 3) for _ in range(5)])
+        report = conc.oliveira_mgf_montecarlo(terms, stream, 20000)
         assert report.passed
 
     def test_random_enumerated_sweep(self, rng):
@@ -285,23 +272,23 @@ class TestSignSeries:
             m = int(rng.integers(1, 9))
             d = int(rng.integers(1, 5))
             mu = float(rng.choice([0.5, -0.5, 1.0, 2.0]))
-            series = series_of(*(gue(rng, d) for _ in range(m)), mu=mu)
-            assert conc.oliveira_mgf_check(series).passed
+            terms = [gue(rng, d) for _ in range(m)]
+            assert conc.oliveira_mgf_check(terms, mu).passed
 
     def test_recursion_profile_non_increasing(self, rng):
         for _ in range(10):
             m = int(rng.integers(1, 9))
-            series = series_of(*(gue(rng, 3) for _ in range(m)),
-                               mu=float(rng.choice([0.5, 1.0, 2.0])))
-            profile = conc.oliveira_recursion_profile(series)
+            terms = [gue(rng, 3) for _ in range(m)]
+            mu = float(rng.choice([0.5, 1.0, 2.0]))
+            profile = conc.oliveira_recursion_profile(terms, mu)
             assert profile.size == m + 1
             increases = np.diff(profile) / np.maximum(1.0, profile[:-1])
             assert increases.max() <= 1e-12
 
     def test_recursion_endpoints_match_bound_sides(self, rng):
-        series = series_of(*(gue(rng, 2) for _ in range(6)), mu=1.3)
-        profile = conc.oliveira_recursion_profile(series)
-        report = conc.oliveira_mgf_check(series)
+        terms = [gue(rng, 2) for _ in range(6)]
+        profile = conc.oliveira_recursion_profile(terms, 1.3)
+        report = conc.oliveira_mgf_check(terms, 1.3)
         assert profile[0] == pytest.approx(report.rhs, rel=1e-12)
         assert profile[-1] == pytest.approx(report.lhs, rel=1e-12)
 
@@ -315,33 +302,27 @@ class TestSeriesStacks:
     def test_multi_mu_enumeration_matches_single_mu(self, rng):
         for m, d in ((1, 1), (1, 3), (4, 2), (7, 4), (10, 3)):
             terms = [gue(rng, d) for _ in range(m)]
-            many = series_of(*terms, mu=np.array(self.MUS))
-            report = conc.oliveira_mgf_check(many)
-            rhs = conc.series_rhs(many)
+            report = conc.oliveira_mgf_check(terms, np.array(self.MUS))
+            rhs = conc.series_rhs(terms, np.array(self.MUS))
             assert report.lhs.shape == rhs.shape == (len(self.MUS),)
             for j, mu in enumerate(self.MUS):
-                one = series_of(*terms, mu=mu)
-                single = conc.oliveira_mgf_check(one)
+                single = conc.oliveira_mgf_check(terms, mu)
                 assert (report.lhs[j], report.rhs[j], report.passed[j]) \
                     == (single.lhs, single.rhs, single.passed)
-                assert rhs[j] == conc.series_rhs(one)
+                assert rhs[j] == conc.series_rhs(terms, mu)
 
     def test_stacked_direct_bound_matches_single(self, rng):
-        def check(terms, mu):
-            return conc.oliveira_vs_aw(conc.MatrixSeries(terms=terms, mu=mu))
-
         for m, d in ((1, 1), (3, 2), (6, 4)):
             terms = gue(rng, d, 5 * m).reshape(5, m, d, d)
             mus = rng.choice(self.MUS, size=5)
-            assert_stack_matches_single(check, terms, mus)
-            stacked = check(terms, mus)
-            rhs = conc.series_rhs(conc.MatrixSeries(terms=terms, mu=mus))
+            assert_stack_matches_single(conc.oliveira_vs_aw, terms, mus)
+            stacked = conc.oliveira_vs_aw(terms, mus)
+            rhs = conc.series_rhs(terms, mus)
             for g in range(5):
-                single = check(terms[g], mus[g])
+                single = conc.oliveira_vs_aw(terms[g], mus[g])
                 assert (stacked.lhs[g], stacked.rhs[g]) \
                     == (single.lhs, single.rhs)
-                assert rhs[g] == conc.series_rhs(
-                    conc.MatrixSeries(terms=terms[g], mu=mus[g]))
+                assert rhs[g] == conc.series_rhs(terms[g], mus[g])
 
     def test_stacked_direct_bound_keeps_scalar_exp(self, rng):
         # 1x1 series [[a]]: the direct bound is e^(mu^2 a^2) from math.exp,
@@ -349,30 +330,33 @@ class TestSeriesStacks:
         # these inputs
         a = rng.standard_normal(200)
         mus = rng.choice(self.MUS, size=200)
-        report = conc.oliveira_vs_aw(
-            conc.MatrixSeries(terms=a.reshape(200, 1, 1, 1), mu=mus))
+        report = conc.oliveira_vs_aw(a.reshape(200, 1, 1, 1), mus)
         assert report.rhs.tolist() == [math.exp(mu ** 2 * (x * x))
                                        for mu, x in zip(mus, a)]
 
     def test_one_non_hermitian_term_rejects_the_stack(self, rng):
         terms = gue(rng, 3, 12).reshape(4, 3, 3, 3)
         terms[2, 1, 0, 1] += 1e-3
-        with pytest.raises(ValueError, match="Hermitian"):
-            conc.MatrixSeries(terms=terms, mu=np.ones(4))
+        for check in (conc.series_rhs, conc.oliveira_mgf_check,
+                      conc.oliveira_vs_aw):
+            with pytest.raises(ValueError, match="Hermitian"):
+                check(terms, np.ones(4))
 
     def test_shape_checks(self, rng):
         terms = gue(rng, 2, 8).reshape(4, 2, 2, 2)
+        for check in (conc.series_rhs, conc.oliveira_mgf_check,
+                      conc.oliveira_vs_aw):
+            with pytest.raises(ValueError):
+                check(terms, np.ones(3))
+            with pytest.raises(ValueError, match="share one dimension"):
+                check([gue(rng, 2), gue(rng, 3)], 1.0)
+            with pytest.raises(ValueError, match="at least one term"):
+                check((), 1.0)
+        # the Monte Carlo series and the recursion profile take one series
         with pytest.raises(ValueError):
-            conc.MatrixSeries(terms=terms, mu=np.ones(3))
-        with pytest.raises(ValueError, match="share one dimension"):
-            series_of(gue(rng, 2), gue(rng, 3))
-        with pytest.raises(ValueError, match="at least one term"):
-            conc.MatrixSeries(terms=())
-        many = series_of(gue(rng, 2), mu=np.array(self.MUS))
-        with pytest.raises(ValueError, match="one series and one mu"):
-            conc.oliveira_mgf_montecarlo(many, RngStream(1), 100)
-        with pytest.raises(ValueError, match="one series and one mu"):
-            conc.oliveira_recursion_profile(many)
+            conc.oliveira_mgf_montecarlo(terms, RngStream(1), 100)
+        with pytest.raises(ValueError):
+            conc.oliveira_recursion_profile(terms, 1.0)
 
 
 class TestMgfFactor:
@@ -405,13 +389,13 @@ class TestMgfFactor:
 
 class TestSeriesVsDirectBound:
     def test_single_term_frozen(self):
-        report = conc.oliveira_vs_aw(series_of(pauli.SIGMA3, mu=1.0))
+        report = conc.oliveira_vs_aw([pauli.SIGMA3], 1.0)
         assert report.lhs == pytest.approx(2.0 * math.exp(0.5), abs=1e-12)
         assert report.rhs == pytest.approx(2.0 * math.e, abs=1e-12)
         assert report.passed
 
     def test_zero_series_equality(self):
-        report = conc.oliveira_vs_aw(series_of(np.zeros((4, 4))))
+        report = conc.oliveira_vs_aw(np.zeros((1, 4, 4)), 1.0)
         assert report.lhs == pytest.approx(4.0)
         assert report.rhs == pytest.approx(4.0)
 
@@ -420,8 +404,8 @@ class TestSeriesVsDirectBound:
             m = int(rng.integers(1, 7))
             d = int(rng.integers(1, 5))
             mu = float(rng.choice([0.5, -0.5, 2.0, -2.0]))
-            series = series_of(*(gue(rng, d) for _ in range(m)), mu=mu)
-            assert conc.oliveira_vs_aw(series).passed
+            terms = [gue(rng, d) for _ in range(m)]
+            assert conc.oliveira_vs_aw(terms, mu).passed
 
 
 class TestScalarChernoff:

@@ -186,6 +186,20 @@ class TestSinhc:
             assert abs(pauli.sinhc(r) - direct) <= 1e-13
 
 
+class TestPauliClosedForms:
+    """One value per vector, 0-d for one vector."""
+
+    def test_stack_matches_single(self, rng):
+        a, b, c = rng.standard_normal((3, 6, 3))
+        for fn, args in ((pauli.squared_norm_identity_residual, (a,)),
+                         (pauli.trace_exp_sum, (a, b)),
+                         (pauli.trace_exp_product, (a, b)),
+                         (pauli.trace_exp_triple, (a, b, c))):
+            assert_stack_matches_single(fn, *args)
+            assert fn(*args).shape == (6,)
+            assert np.ndim(fn(*(x[0] for x in args))) == 0
+
+
 class TestNorms:
     def test_schatten_one_of_diagonal(self):
         assert abs(linalg.schatten_norm(np.diag([3.0, -4.0]), 1) - 7.0) <= 1e-12

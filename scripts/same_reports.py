@@ -12,8 +12,9 @@ directory.  Both trees then write the same 48 reports: ``verify``,
 written fresh as JSON and as CSV and its JSON re-emitted by ``report`` as
 JSON and as CSV.  Every run has ``OPENBLAS_NUM_THREADS=1`` and no
 ``SOURCE_DATE_EPOCH``.  The script lists each report whose bytes or exit
-code differ and exits 0 only when none does.  It writes nothing inside
-the checkout.
+code differ, and for a JSON report the names of the cases whose records
+differ, and exits 0 only when none does.  It writes nothing inside the
+checkout.
 """
 
 from __future__ import annotations
@@ -85,6 +86,15 @@ def reports(src: Path, work: Path) -> dict:
     return found
 
 
+def differing_cases(old: bytes, new: bytes) -> list[str]:
+    """Names of the cases whose records differ between two JSON reports."""
+    old_cases, new_cases = ({case["name"]: case for case in
+                             json.loads(report)["cases"]}
+                            for report in (old, new))
+    return sorted(name for name in old_cases.keys() | new_cases.keys()
+                  if old_cases.get(name) != new_cases.get(name))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -99,6 +109,9 @@ def main(argv: list[str]) -> int:
     differ = sorted(name for name in old if old[name] != new[name])
     for name in differ:
         print(f"differs: {name}")
+        if name.endswith(".json"):
+            for case in differing_cases(old[name][1], new[name][1]):
+                print(f"  case: {case}")
     print(f"{len(old) - len(differ)} of {len(old)} reports identical")
     return 1 if differ else 0
 

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, hermitize, require_hermitian, trace_of_product
+from .linalg import (adjoint, hermitian_args, hermitize, require_hermitian,
+                     trace_of_product)
 from .reports import GapReport, TailReport, binomial_ci
 from .samplers import RngStream, standard_complex
 
@@ -470,13 +471,10 @@ def exp_trace_dominance(M, c: float) -> GapReport:
 def trace_product_dominance(P, Q) -> GapReport:
     """``Tr(PQ) <= ||Q||_op Tr P`` for positive definite P and Hermitian Q
     (single matrices or stacks)."""
-    Ph = require_hermitian(P, "trace_product_dominance first argument")
-    Qh = require_hermitian(Q, "trace_product_dominance second argument")
-    if Ph.shape != Qh.shape:
-        raise ValueError("arguments must have equal dimension")
+    Ph, Qh = hermitian_args("trace_product_dominance", P, Q)
     wp = np.linalg.eigvalsh(Ph)
     if np.any(wp[..., 0] <= 0):
-        raise ValueError("first argument must be positive definite")
+        raise ValueError("trace_product_dominance requires positive definite P")
     wq = np.linalg.eigvalsh(Qh)
     lhs = trace_of_product(Ph, Qh, "trace in trace_product_dominance")
     rhs = np.maximum(-wq[..., 0], wq[..., -1]) * wp.sum(axis=-1)

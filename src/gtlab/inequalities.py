@@ -26,7 +26,7 @@ import numpy as np
 from . import pauli
 from .linalg import (adjoint, as_complex_matrix, distance_delta2, expm_herm,
                      frobenius_norm, gauss_legendre, general_eigen, herm_fn,
-                     hermitize, psd_power, require_hermitian, schatten_norm,
+                     hermitian_args, hermitize, psd_power, schatten_norm,
                      singular_values, trace_expm, trace_of_product)
 from .reports import GapReport, checked_real, inequality_tol
 from .samplers import RngStream
@@ -54,14 +54,6 @@ class MajorizationError(ValueError):
     distinct from an inequality violation."""
 
 
-def _pair(A, B, what: str):
-    Ah = require_hermitian(A, f"{what} first argument")
-    Bh = require_hermitian(B, f"{what} second argument")
-    if Ah.shape != Bh.shape:
-        raise ValueError(f"{what} arguments must have equal dimension")
-    return Ah, Bh
-
-
 def _trace(P: np.ndarray) -> np.ndarray:
     return np.einsum('...ii->...', P)
 
@@ -84,7 +76,7 @@ def gt_gap(A, B) -> GapReport:
 
     Equality holds exactly when A and B commute.
     """
-    Ah, Bh = _pair(A, B, "gt_gap")
+    Ah, Bh = hermitian_args("gt_gap", A, B)
     lhs = trace_expm(Ah + Bh)
     rhs = trace_of_product(expm_herm(Ah), expm_herm(Bh), "product trace in gt_gap")
     return GapReport.from_sides(lhs, rhs)
@@ -146,7 +138,7 @@ def dyadic_power_gap(A, B, k: int) -> GapReport:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    Ah, Bh = _pair(A, B, "dyadic_power_gap")
+    Ah, Bh = hermitian_args("dyadic_power_gap", A, B)
     M = Ah @ Bh
     P = M
     for _ in range(k):
@@ -231,7 +223,7 @@ def phi_power_premise_gap(X, s: int = 1, k: int = 1) -> GapReport:
 def phi_exp_gap(A, B, k) -> GapReport:
     """``phi(e^(A+B)) <= phi(e^A e^B)`` for the top-k absolute eigenvalue sum
     and Hermitian A, B."""
-    Ah, Bh = _pair(A, B, "phi_exp_gap")
+    Ah, Bh = hermitian_args("phi_exp_gap", A, B)
     lam_sum = np.exp(np.linalg.eigvalsh(Ah + Bh))[..., ::-1]
     half = herm_fn(Bh, lambda w: np.exp(w / 2.0))
     prod_eigs = np.linalg.eigvalsh(hermitize(half @ expm_herm(Ah) @ half))[..., ::-1]
@@ -299,7 +291,7 @@ def alt_trace_gap(P, Q, r: float, s: float) -> GapReport:
     positive definite P, Q and ``r >= 1, s > 0``."""
     if r < 1 or s <= 0:
         raise ValueError("requires r >= 1 and s > 0")
-    Ph, Qh = _pair(P, Q, "alt_trace_gap")
+    Ph, Qh = hermitian_args("alt_trace_gap", P, Q)
     for name, M in (("P", Ph), ("Q", Qh)):
         if np.any(np.linalg.eigvalsh(M)[..., 0] <= 0):
             raise ValueError(f"alt_trace_gap requires positive definite input ({name})")
@@ -320,7 +312,7 @@ def schatten_gap(A, B, p: float) -> GapReport:
     ``e^(B/2) e^A e^(B/2)``, whose spectrum is the eigenvalue moduli of
     ``e^A e^B``; at p=1 this reduces exactly to the trace check.
     """
-    Ah, Bh = _pair(A, B, "schatten_gap")
+    Ah, Bh = hermitian_args("schatten_gap", A, B)
     lhs = schatten_norm(expm_herm(Ah + Bh), p)
     half = herm_fn(Bh, lambda w: np.exp(w / 2.0))
     rhs = schatten_norm(hermitize(half @ expm_herm(Ah) @ half), p)
@@ -332,7 +324,7 @@ def symmetrized_gap(A, B, p: float) -> GapReport:
     A, B and finite p >= 1."""
     if p == np.inf or p < 1:
         raise ValueError("symmetrized_gap requires finite p >= 1")
-    Ah, Bh = _pair(A, B, "symmetrized_gap")
+    Ah, Bh = hermitian_args("symmetrized_gap", A, B)
     lhs = trace_expm(Ah + Bh)
     half = herm_fn(Bh, lambda w: np.exp(p * w / 2.0))
     inner = hermitize(half @ expm_herm(p * Ah) @ half)
@@ -342,14 +334,14 @@ def symmetrized_gap(A, B, p: float) -> GapReport:
 
 def log_metric_gap(A, B) -> GapReport:
     """``||A - B||_2 <= delta_2(e^A, e^B)`` for Hermitian A, B."""
-    Ah, Bh = _pair(A, B, "log_metric_gap")
+    Ah, Bh = hermitian_args("log_metric_gap", A, B)
     return GapReport.from_sides(frobenius_norm(Ah - Bh), distance_delta2(Ah, Bh))
 
 
 def weak_majorization_gap(A, B) -> GapReport:
     """Worst partial-sum margin of the eigenvalues of ``e^(A+B)`` against
     the singular values of ``e^A e^B`` for Hermitian A, B."""
-    Ah, Bh = _pair(A, B, "weak_majorization_gap")
+    Ah, Bh = hermitian_args("weak_majorization_gap", A, B)
     lam = np.cumsum(np.exp(np.linalg.eigvalsh(Ah + Bh))[..., ::-1], axis=-1)
     mu = np.cumsum(singular_values(expm_herm(Ah) @ expm_herm(Bh)), axis=-1)
     pick = np.argmin(mu - lam, axis=-1)[..., None]
@@ -403,11 +395,7 @@ def _lieb_kernel(gamma: np.ndarray) -> np.ndarray:
 def lieb_rhs_closed(A, B, C) -> np.ndarray:
     """Closed form of ``int_0^inf Tr(e^A (t+e^-C)^-1 e^B (t+e^-C)^-1) dt``
     through the eigendecomposition of ``e^-C``."""
-    Ah = require_hermitian(A, "lieb_rhs_closed A")
-    Bh = require_hermitian(B, "lieb_rhs_closed B")
-    Ch = require_hermitian(C, "lieb_rhs_closed C")
-    if not Ah.shape == Bh.shape == Ch.shape:
-        raise ValueError("lieb_rhs_closed arguments must have equal dimension")
+    Ah, Bh, Ch = hermitian_args("lieb_rhs_closed", A, B, C)
     w, W = np.linalg.eigh(-Ch)
     gamma = np.exp(w)
     M = adjoint(W) @ expm_herm(Ah) @ W
@@ -424,9 +412,7 @@ def lieb_rhs_quadrature(A, B, C) -> float:
     evaluated by one batched linear solve over all nodes of a refinement
     round, independently of the closed-form kernel."""
     tol = 1e-10
-    Ah = require_hermitian(A, "lieb_rhs_quadrature A")
-    Bh = require_hermitian(B, "lieb_rhs_quadrature B")
-    Ch = require_hermitian(C, "lieb_rhs_quadrature C")
+    Ah, Bh, Ch = hermitian_args("lieb_rhs_quadrature", A, B, C)
     n = Ah.shape[0]
     eA, eB, emC, eC = (expm_herm(M) for M in (Ah, Bh, -Ch, Ch))
     eye = np.eye(n)
@@ -587,7 +573,7 @@ def equality_order_scan(A, B) -> OrderScanResult:
     fitted over the gaps above rounding level, and ``g/eps^4`` is
     extrapolated to zero by a linear fit in ``eps^2`` over their lower half.
     """
-    Ah, Bh = _pair(A, B, "equality_order_scan")
+    Ah, Bh = hermitian_args("equality_order_scan", A, B)
     eps = np.array(_SCAN_EPSILONS)
     E = eps[:, None, None]
     lhs = trace_of_product(expm_herm(E * Ah), expm_herm(E * Bh),

@@ -6,10 +6,18 @@ matrix of the stack independently: a stack call returns what the single
 calls would return, stacked along the leading axes, so a single call
 returns a 0-d value wherever a scalar is meant.  Validation is per
 matrix too: each member is checked against its own scale, and one
-invalid member rejects the whole stack.  Eigenvalue and singular-value
-factorizations are delegated to LAPACK through ``numpy.linalg`` behind
-the contracts below (descending order, validated reconstruction);
-exponentials are taken of Hermitian matrices only, by eigendecomposition.
+invalid member rejects the whole stack.  Exponentials are taken of
+Hermitian matrices only, by eigendecomposition.
+
+Matrix arguments are admitted by one rule.  A single matrix or stack is
+square, non-empty and finite (:func:`as_complex_matrix`); a Hermitian one
+is within ``HERMITIAN_ATOL`` of its adjoint and is used symmetrized
+(:func:`require_hermitian`); the Hermitian arguments of one call all have
+one shape, with no broadcasting (:func:`hermitian_args`, which names the
+call in its messages).  Factorizations are ``numpy.linalg`` calls, here
+and in the checkers, and a factorization that does not converge raises
+numpy's ``LinAlgError`` unchanged.
+
 One scalar routine rides along: :func:`gauss_legendre`, the adaptive
 quadrature rule behind every integral a checker compares with a closed form.
 
@@ -18,8 +26,7 @@ Conventions:
 * Hermitian carriers are produced by :func:`hermitize`, which symmetrizes
   ``(M + M†)/2`` so downstream code never sees drift-generated asymmetry.
 * Spectra are sorted descending by real part, then by absolute value.
-* Singular values are the square roots of the eigenvalues of ``X†X``,
-  clamped at zero.
+* Singular values come from the SVD of the matrix itself, descending.
 """
 
 from __future__ import annotations
@@ -34,8 +41,9 @@ import numpy as np
 from .reports import checked_real
 
 __all__ = [
-    "EigenSolverError", "QuadratureError",
+    "QuadratureError",
     "as_complex_matrix", "hermitize", "is_hermitian", "require_hermitian",
+    "hermitian_args",
     "adjoint", "herm_eigen", "general_eigen", "singular_values",
     "herm_fn", "expm_herm", "psd_power",
     "schatten_norm", "operator_norm", "frobenius_norm",
@@ -45,14 +53,6 @@ __all__ = [
 
 #: Tolerance on ``|M - M†|`` accepted when a Hermitian argument is required.
 HERMITIAN_ATOL = 1e-12
-
-
-class EigenSolverError(RuntimeError):
-    """Raised when a factorization does not converge within LAPACK's budget."""
-
-    def __init__(self, message: str, matrix=None):
-        super().__init__(message)
-        self.matrix = matrix
 
 
 class QuadratureError(RuntimeError):
@@ -100,6 +100,17 @@ def require_hermitian(M, what: str) -> np.ndarray:
     return (A + adjoint(A)) / 2.0
 
 
+def hermitian_args(what: str, *matrices) -> tuple[np.ndarray, ...]:
+    """The Hermitian arguments of the call ``what``, each as
+    :func:`require_hermitian` returns it; rejects a non-Hermitian argument
+    and arguments whose shapes differ."""
+    args = tuple(require_hermitian(M, f"{what} argument {i}")
+                 for i, M in enumerate(matrices, 1))
+    if len({A.shape for A in args}) > 1:
+        raise ValueError(f"{what} arguments must have equal dimension")
+    return args
+
+
 def herm_eigen(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``(values, U)`` of a Hermitian matrix, values
     descending.
@@ -107,14 +118,7 @@ def herm_eigen(M) -> tuple[np.ndarray, np.ndarray]:
     The basis ``U`` satisfies ``U diag(values) U† = M`` up to rounding
     (columns are eigenvectors in the same order as ``values``).
     """
-    A = require_hermitian(M, "herm_eigen input")
-    try:
-        w, U = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(
-            f"Hermitian eigensolver did not converge within the LAPACK "
-            f"iteration budget on a {A.shape[-1]}x{A.shape[-1]} matrix: {exc}",
-            matrix=A) from exc
+    w, U = np.linalg.eigh(require_hermitian(M, "herm_eigen input"))
     # eigh's ascending order flipped: herm_fn's products sum in this order
     return w[..., ::-1].copy(), U[..., ::-1].copy()
 
@@ -122,14 +126,7 @@ def herm_eigen(M) -> tuple[np.ndarray, np.ndarray]:
 def general_eigen(M) -> np.ndarray:
     """All complex eigenvalues of a square matrix (no eigenvectors), sorted
     descending by real part, then by absolute value."""
-    A = as_complex_matrix(M)
-    try:
-        w = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(
-            f"general eigensolver did not converge within the LAPACK "
-            f"iteration budget on a {A.shape[-1]}x{A.shape[-1]} matrix: {exc}",
-            matrix=A) from exc
+    w = np.linalg.eigvals(as_complex_matrix(M))
     order = np.lexsort((-np.abs(w), -w.real), axis=-1)
     return np.take_along_axis(w, order, axis=-1)
 
@@ -138,13 +135,7 @@ def singular_values(M) -> np.ndarray:
     """Singular values ``mu_1 >= ... >= mu_N >= 0`` of a square matrix, by
     the SVD of ``M`` itself: the eigenvalues of ``M†M`` would square its
     condition number and lose the small singular values."""
-    A = as_complex_matrix(M)
-    try:
-        return np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(
-            f"singular value decomposition did not converge on a "
-            f"{A.shape[-1]}x{A.shape[-1]} matrix: {exc}", matrix=A) from exc
+    return np.linalg.svd(as_complex_matrix(M), compute_uv=False)
 
 
 def herm_fn(M, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -197,10 +188,7 @@ def distance_delta2(A, B):
     definite matrix ``e^(-B/2) e^A e^(-B/2)``; they are clamped at 1e-300
     before the log as a guard against underflow, not a semantics change.
     """
-    Ah = require_hermitian(A, "distance_delta2 first argument")
-    Bh = require_hermitian(B, "distance_delta2 second argument")
-    if Ah.shape != Bh.shape:
-        raise ValueError("distance_delta2 arguments must have equal dimension")
+    Ah, Bh = hermitian_args("distance_delta2", A, B)
     half = herm_fn(Bh, lambda w: np.exp(-w / 2.0))
     P = hermitize(half @ expm_herm(Ah) @ half)
     lam = np.clip(np.linalg.eigvalsh(P), 1e-300, None)
@@ -211,8 +199,7 @@ def lie_trotter_product(A, B, n: int) -> np.ndarray:
     """``(e^(A/n) e^(B/n))^n`` by explicit repeated multiplication."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    Ah = require_hermitian(A, "lie_trotter_product first argument")
-    Bh = require_hermitian(B, "lie_trotter_product second argument")
+    Ah, Bh = hermitian_args("lie_trotter_product", A, B)
     step = expm_herm(Ah / n) @ expm_herm(Bh / n)
     result = step
     for _ in range(n - 1):

@@ -1,8 +1,14 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import unitary_group
 
+import gtlab
+from gtlab import concentration as conc
 from gtlab import inequalities as ineq
 from gtlab import linalg, pauli
 from conftest import assert_stack_matches_single, gue, ginibre
@@ -332,6 +338,64 @@ class TestValidation:
             linalg.as_complex_matrix(stack)
         with pytest.raises(ValueError, match="finite"):
             linalg.expm_herm(stack)
+
+
+#: Every caller of ``linalg.hermitian_args``, the number of Hermitian
+#: arguments it takes and the other arguments it is called with.
+HERMITIAN_ARG_CALLERS = [
+    (ineq.gt_gap, 2, ()),
+    (ineq.dyadic_power_gap, 2, (1,)),
+    (ineq.phi_exp_gap, 2, (1,)),
+    (ineq.alt_trace_gap, 2, (2.0, 1.0)),
+    (ineq.schatten_gap, 2, (2.0,)),
+    (ineq.symmetrized_gap, 2, (2.0,)),
+    (ineq.log_metric_gap, 2, ()),
+    (ineq.weak_majorization_gap, 2, ()),
+    (ineq.equality_order_scan, 2, ()),
+    (ineq.lieb_rhs_closed, 3, ()),
+    (ineq.lieb_rhs_quadrature, 3, ()),
+    (linalg.distance_delta2, 2, ()),
+    (linalg.lie_trotter_product, 2, (2,)),
+    (conc.trace_product_dominance, 2, ()),
+]
+
+
+class TestHermitianArgs:
+    """Every function that takes a tuple of Hermitian matrices admits it by
+    ``hermitian_args``: a non-Hermitian argument and unequal shapes raise a
+    ``ValueError`` naming the function, before any arithmetic."""
+
+    def test_every_caller_is_listed(self):
+        callers = {
+            fn.__qualname__
+            for info in pkgutil.iter_modules(gtlab.__path__)
+            for fn in vars(importlib.import_module(f"gtlab.{info.name}")).values()
+            if inspect.isfunction(fn) and fn is not linalg.hermitian_args
+            and "hermitian_args" in fn.__code__.co_names}
+        assert callers == {fn.__name__ for fn, _, _ in HERMITIAN_ARG_CALLERS}
+
+    @pytest.mark.parametrize("fn, count, extra", HERMITIAN_ARG_CALLERS,
+                             ids=[fn.__name__ for fn, _, _ in HERMITIAN_ARG_CALLERS])
+    def test_non_hermitian_argument_names_the_function(self, fn, count, extra):
+        for i in range(count):
+            args = [np.eye(2)] * count
+            args[i] = np.array([[1.0, 1.0], [0.0, 1.0]])
+            with pytest.raises(ValueError,
+                               match=f"{fn.__name__} argument {i + 1} must "
+                                     f"be Hermitian"):
+                fn(*args, *extra)
+
+    @pytest.mark.parametrize("fn, count, extra", HERMITIAN_ARG_CALLERS,
+                             ids=[fn.__name__ for fn, _, _ in HERMITIAN_ARG_CALLERS])
+    @pytest.mark.parametrize("odd", [np.eye(3), np.stack([np.eye(2)] * 5)],
+                             ids=["3x3", "stack"])
+    def test_unequal_shapes_are_rejected(self, fn, count, extra, odd):
+        for i in range(count):
+            args = [np.eye(2)] * count
+            args[i] = odd
+            with pytest.raises(ValueError, match=f"{fn.__name__} arguments "
+                                                 f"must have equal dimension"):
+                fn(*args, *extra)
 
 
 class TestGaussLegendre:

@@ -59,8 +59,6 @@ _TAIL_CHUNK = 4096
 #: single draw, so the chunk size bounds memory and fixes no draw.
 _SIGN_CHUNK = 65536
 
-SIGN_KINDS = ("rademacher", "gaussian")
-
 #: The scalar baseline sums N two-point variables of total variance sigma^2.
 _CHERNOFF_VARS = 20
 _CHERNOFF_SIGMA2 = 1.0
@@ -399,23 +397,18 @@ def oliveira_recursion_profile(terms, mu: float) -> np.ndarray:
     return profile
 
 
-def mgf_factor_check(A, mu: float, sign_kind: str = "rademacher") -> GapReport:
-    """``|| e^(-mu^2 A^2/2) E e^(mu e A) ||_op <= 1`` for a random sign e
+def mgf_factor_check(A, mu: float) -> GapReport:
+    """``|| e^(-mu^2 A^2/2) E e^(mu e A) ||_op <= 1`` for a Rademacher sign e
     (``A`` one Hermitian matrix or a stack).
 
-    The expectation is exact: ``cosh(mu A)`` for Rademacher signs,
-    ``e^(mu^2 A^2/2)`` for Gaussian ones (making the factor identically 1),
-    so the only slack is rounding: ``1e-15`` relative to ``max(1, lhs)``.
+    The expectation is exact, ``cosh(mu A)``, so the check is
+    ``cosh(mu A) e^(-mu^2 A^2/2) <= 1`` on the spectrum of ``A``, and the
+    only slack is rounding: ``1e-15`` relative to ``max(1, lhs)``.  For a
+    Gaussian sign the expectation is ``e^(mu^2 A^2/2)`` and the factor is
+    identically 1, so there is nothing to check.
     """
-    if sign_kind not in SIGN_KINDS:
-        raise ValueError(f"sign_kind must be one of {SIGN_KINDS}")
-    Ah = require_hermitian(A, "mgf_factor_check input")
-    w = np.linalg.eigvalsh(Ah)
-    damp = np.exp(-0.5 * mu ** 2 * w ** 2)
-    if sign_kind == "rademacher":
-        factor = damp * np.cosh(mu * w)
-    else:
-        factor = damp * np.exp(0.5 * mu ** 2 * w ** 2)
+    w = np.linalg.eigvalsh(require_hermitian(A, "mgf_factor_check input"))
+    factor = np.exp(-0.5 * mu ** 2 * w ** 2) * np.cosh(mu * w)
     lhs = np.abs(factor).max(axis=-1)
     return GapReport.from_sides(lhs, 1.0, tol=1e-15 * np.maximum(1.0, lhs))
 

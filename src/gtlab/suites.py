@@ -619,10 +619,10 @@ _MGF_FACTOR_MUS = (0.0, 0.5, -0.5, 2.0)
 
 def _run_mgf_factor(params, stream, tag):
     sweep = dataclasses.replace(params, trials=min(params.trials, 300))
-    reports = [conc.mgf_factor_check(A, mu, kind)
+    reports = [conc.mgf_factor_check(A, mu)
                for _, (A,) in _stacks(sweep, stream, _draw(gue, 1))
-               for mu in _MGF_FACTOR_MUS for kind in conc.SIGN_KINDS]
-    count = sweep.trials * len(_MGF_FACTOR_MUS) * len(conc.SIGN_KINDS)
+               for mu in _MGF_FACTOR_MUS]
+    count = sweep.trials * len(_MGF_FACTOR_MUS)
     return [_worst_case("mgf-factor-bound", tag, reports, count)]
 
 

@@ -360,31 +360,25 @@ class TestSeriesStacks:
 
 
 class TestMgfFactor:
-    def test_gaussian_factor_is_one(self, rng):
-        report = conc.mgf_factor_check(gue(rng, 3), 1.7, "gaussian")
-        assert abs(report.lhs - 1.0) <= 1e-12
-
     def test_rademacher_frozen_value(self):
-        report = conc.mgf_factor_check(pauli.SIGMA3, 2.0, "rademacher")
+        report = conc.mgf_factor_check(pauli.SIGMA3, 2.0)
         assert report.lhs == pytest.approx(math.exp(-2.0) * math.cosh(2.0),
                                            abs=1e-12)
         assert report.passed
 
     def test_mu_zero(self, rng):
-        report = conc.mgf_factor_check(gue(rng, 4), 0.0, "rademacher")
+        report = conc.mgf_factor_check(gue(rng, 4), 0.0)
         assert report.lhs == pytest.approx(1.0, abs=1e-15)
 
     def test_sweep_bounded_by_one(self, rng):
         for _ in range(100):
             A = gue(rng, int(rng.integers(1, 5)))
             mu = float(rng.standard_normal())
-            for kind in conc.SIGN_KINDS:
-                assert conc.mgf_factor_check(A, mu, kind).passed
+            assert conc.mgf_factor_check(A, mu).passed
 
-    @pytest.mark.parametrize("kind", conc.SIGN_KINDS)
-    def test_stack_matches_single(self, kind, rng):
+    def test_stack_matches_single(self, rng):
         assert_stack_matches_single(
-            lambda A: conc.mgf_factor_check(A, 0.7, kind), gue(rng, 3, 6))
+            lambda A: conc.mgf_factor_check(A, 0.7), gue(rng, 3, 6))
 
 
 class TestSeriesVsDirectBound:

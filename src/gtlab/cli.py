@@ -221,7 +221,7 @@ def _cell(value) -> str:
     return "nan" if value is None else repr(value)
 
 
-def emit(report: dict, fmt: str = "json") -> str:
+def emit(report: dict, fmt: str) -> str:
     """Serialize the report document; json round-trips losslessly, csv is
     one row per case, with empty ``ci_low``/``ci_high`` cells for a case
     without a confidence interval."""

@@ -401,11 +401,9 @@ def mgf_factor_check(A, mu: float) -> GapReport:
     """``|| e^(-mu^2 A^2/2) E e^(mu e A) ||_op <= 1`` for a Rademacher sign e
     (``A`` one Hermitian matrix or a stack).
 
-    The expectation is exact, ``cosh(mu A)``, so the check is
-    ``cosh(mu A) e^(-mu^2 A^2/2) <= 1`` on the spectrum of ``A``, and the
-    only slack is rounding: ``1e-15`` relative to ``max(1, lhs)``.  For a
-    Gaussian sign the expectation is ``e^(mu^2 A^2/2)`` and the factor is
-    identically 1, so there is nothing to check.
+    The expectation ``cosh(mu A)`` is exact, so the only slack is rounding:
+    ``1e-15`` relative to ``max(1, lhs)``.  A Gaussian sign's expectation
+    ``e^(mu^2 A^2/2)`` makes the factor identically 1: nothing to check.
     """
     w = np.linalg.eigvalsh(require_hermitian(A, "mgf_factor_check input"))
     factor = np.exp(-0.5 * mu ** 2 * w ** 2) * np.cosh(mu * w)

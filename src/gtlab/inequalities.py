@@ -173,7 +173,7 @@ def weyl_dominance_gap(X, s: int, k) -> GapReport:
     return GapReport.from_sides(lhs, rhs)
 
 
-def power_trace_gap(X, s: int = 1) -> GapReport:
+def power_trace_gap(X, s: int) -> GapReport:
     """``Tr (X†X)^s >= |Tr X^(2s)|``: the full-trace power specialization
     combined with the triangle inequality over the spectrum."""
     if s < 1 or int(s) != s:
@@ -208,7 +208,7 @@ def top_k_abs_eigensum(X, k):
     return _top_k_sum(_abs_eigen_desc(as_complex_matrix(X)), k)
 
 
-def phi_power_premise_gap(X, s: int = 1, k: int = 1) -> GapReport:
+def phi_power_premise_gap(X, s: int, k: int) -> GapReport:
     """``phi((X†X)^s) >= |phi(X^(2s))|`` for the top-k absolute eigenvalue
     sum, evaluated on the powered matrices themselves."""
     if s < 1 or int(s) != s:
@@ -352,7 +352,7 @@ def weak_majorization_gap(A, B) -> GapReport:
 # ---------------------------------------------------------------------------
 # non-Hermitian extension
 
-def nonhermitian_phi_gap(A, B, k: int = 1) -> GapReport:
+def nonhermitian_phi_gap(A, B, k: int) -> GapReport:
     """``|phi(e^(A+B))| <= phi(e^((A+A†)/2) e^((B+B†)/2))`` for the top-k
     absolute eigenvalue sum; A, B need not be Hermitian.  The left side is
     evaluated by spectral mapping, ``|lambda(e^M)| = e^(Re lambda(M))``,

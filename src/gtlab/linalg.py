@@ -6,18 +6,12 @@ matrix of the stack independently: a stack call returns what the single
 calls would return, stacked along the leading axes, so a single call
 returns a 0-d value wherever a scalar is meant.  Validation is per
 matrix too: each member is checked against its own scale, and one
-invalid member rejects the whole stack.  Exponentials are taken of
-Hermitian matrices only, by eigendecomposition.
-
-Matrix arguments are admitted by one rule.  A single matrix or stack is
-square, non-empty and finite (:func:`as_complex_matrix`); a Hermitian one
-is within ``HERMITIAN_ATOL`` of its adjoint and is used symmetrized
-(:func:`require_hermitian`); the Hermitian arguments of one call all have
-one shape, with no broadcasting (:func:`hermitian_args`, which names the
-call in its messages).  Factorizations are ``numpy.linalg`` calls, here
-and in the checkers, and a factorization that does not converge raises
-numpy's ``LinAlgError`` unchanged.
-
+invalid member rejects the whole stack.  A Hermitian argument is within
+``HERMITIAN_ATOL`` of its adjoint and is used symmetrized
+(:func:`require_hermitian`); the Hermitian arguments of one call also
+share one shape, unbroadcast (:func:`hermitian_args`).  Exponentials are
+taken of Hermitian matrices only, by eigendecomposition.  A
+factorization that does not converge raises numpy's ``LinAlgError``.
 One scalar routine rides along: :func:`gauss_legendre`, the adaptive
 quadrature rule behind every integral a checker compares with a closed form.
 
@@ -101,9 +95,8 @@ def require_hermitian(M, what: str) -> np.ndarray:
 
 
 def hermitian_args(what: str, *matrices) -> tuple[np.ndarray, ...]:
-    """The Hermitian arguments of the call ``what``, each as
-    :func:`require_hermitian` returns it; rejects a non-Hermitian argument
-    and arguments whose shapes differ."""
+    """Each Hermitian argument of the call ``what`` as
+    :func:`require_hermitian` returns it; all must have one shape."""
     args = tuple(require_hermitian(M, f"{what} argument {i}")
                  for i, M in enumerate(matrices, 1))
     if len({A.shape for A in args}) > 1:

@@ -304,7 +304,8 @@ class TestRunAndEmit:
         assert (tmp_path / "re.json").read_text() == text
         # a hunt that spends its budget without a witness has no sides
         missed = suites._witness_case("hunt", "ABC.trace", None, 10)
-        case, = json.loads(cli.emit(document_of(monkeypatch, [missed])),
+        document = document_of(monkeypatch, [missed])
+        case, = json.loads(cli.emit(document, "json"),
                            parse_constant=reject)["cases"]
         assert case["lhs"] is None and case["rhs"] is None
 
@@ -942,7 +943,7 @@ class TestTailEscalation:
 class TestReachability:
     """Every public function and method of gtlab runs under the CLI, and
     every parameter of one that has a default is both set to another value
-    and left at its default there; every parameter takes two values, and
+    and omitted by some call there; every parameter takes two values, and
     every dataclass field is read.  Code, settings, branches and results
     that no tag or CLI path reaches or reads show up here."""
 
@@ -1041,6 +1042,16 @@ class TestReachability:
             # an array is another value than a scalar default
             return False
 
+    @staticmethod
+    def marked(default):
+        """A stand-in for ``default`` that equals it but is not it, an
+        instance of a subclass of its type, so that ``is`` tells an omitted
+        argument from one passed equal to the default.  None and bools have
+        no such stand-in and stay."""
+        if default is None or isinstance(default, bool):
+            return default
+        return type("Default", (type(default),), {})(default)
+
     @classmethod
     def scalar_like(cls, value) -> bool:
         """None, a bool, an int, a float, a str or a tuple of those."""
@@ -1081,26 +1092,31 @@ class TestReachability:
     def profiled(self, tmp_path_factory):
         """What the CLI does at two configs per subcommand: the code objects
         it calls, the qualified names of the defaulted parameters it sets
-        to another value and of those it leaves at their default, the
-        values each parameter takes (``None`` once one is not scalar-like),
-        and the dataclass fields it reads."""
+        to another value and of those some call omits, the values each
+        parameter takes (``None`` once one is not scalar-like), and the
+        dataclass fields it reads.  Each default is replaced by its
+        :meth:`marked` stand-in for the run, so an argument passed equal to
+        its default counts as neither."""
         tmp_path = tmp_path_factory.mktemp("reachability")
-        defaulted = self.defaulted_parameters()
         parameters = self.parameters()
         called, changed, taken, read = set(), set(), set(), set()
         values: dict = {}
+        # id of each stand-in -> the default it stands in for
+        originals: dict = {}
 
         def profile(frame, event, arg):
             if event != "call":
                 return
             called.add(frame.f_code)
             for label, param, default in defaulted.get(frame.f_code, ()):
-                if self.is_default(frame.f_locals[param], default):
+                value = frame.f_locals[param]
+                if value is default:
                     taken.add(label)
-                else:
+                elif not self.is_default(value, default):
                     changed.add(label)
             for label, param in parameters.get(frame.f_code, ()):
                 value = frame.f_locals[param]
+                value = originals.get(id(value), value)
                 seen = values.setdefault(label, set())
                 if seen is not None and self.scalar_like(value):
                     seen.add(value)
@@ -1111,6 +1127,14 @@ class TestReachability:
             for klass in self.gtlab_dataclasses().values():
                 monkeypatch.setattr(klass, "__getattribute__",
                                     self.field_reader(klass, read))
+            for fn in self.public_functions().values():
+                if fn.__defaults__:
+                    marked = tuple(map(self.marked, fn.__defaults__))
+                    originals.update((id(m), d) for m, d
+                                     in zip(marked, fn.__defaults__))
+                    monkeypatch.setattr(fn, "__defaults__", marked)
+            # read after marking: the defaults are the stand-ins
+            defaulted = self.defaulted_parameters()
             sys.setprofile(profile)
             try:
                 for command in self.CONFIGS:
@@ -1153,7 +1177,7 @@ class TestReachability:
                             "value under the CLI (make each a constant)")
 
     def test_every_default_is_taken(self, profiled):
-        self.assert_reached(profiled.taken, "never left at its default under "
+        self.assert_reached(profiled.taken, "never omitted by a call under "
                             "the CLI (make each required)")
 
     def test_every_parameter_takes_two_values(self, profiled):

@@ -358,12 +358,13 @@ HERMITIAN_ARG_CALLERS = [
     (linalg.lie_trotter_product, 2, (2,)),
     (conc.trace_product_dominance, 2, ()),
 ]
+CALLER_IDS = [fn.__name__ for fn, _, _ in HERMITIAN_ARG_CALLERS]
 
 
 class TestHermitianArgs:
     """Every function that takes a tuple of Hermitian matrices admits it by
     ``hermitian_args``: a non-Hermitian argument and unequal shapes raise a
-    ``ValueError`` naming the function, before any arithmetic."""
+    ``ValueError`` naming the function."""
 
     def test_every_caller_is_listed(self):
         callers = {
@@ -372,10 +373,10 @@ class TestHermitianArgs:
             for fn in vars(importlib.import_module(f"gtlab.{info.name}")).values()
             if inspect.isfunction(fn) and fn is not linalg.hermitian_args
             and "hermitian_args" in fn.__code__.co_names}
-        assert callers == {fn.__name__ for fn, _, _ in HERMITIAN_ARG_CALLERS}
+        assert callers == set(CALLER_IDS)
 
     @pytest.mark.parametrize("fn, count, extra", HERMITIAN_ARG_CALLERS,
-                             ids=[fn.__name__ for fn, _, _ in HERMITIAN_ARG_CALLERS])
+                             ids=CALLER_IDS)
     def test_non_hermitian_argument_names_the_function(self, fn, count, extra):
         for i in range(count):
             args = [np.eye(2)] * count
@@ -386,7 +387,7 @@ class TestHermitianArgs:
                 fn(*args, *extra)
 
     @pytest.mark.parametrize("fn, count, extra", HERMITIAN_ARG_CALLERS,
-                             ids=[fn.__name__ for fn, _, _ in HERMITIAN_ARG_CALLERS])
+                             ids=CALLER_IDS)
     @pytest.mark.parametrize("odd", [np.eye(3), np.stack([np.eye(2)] * 5)],
                              ids=["3x3", "stack"])
     def test_unequal_shapes_are_rejected(self, fn, count, extra, odd):

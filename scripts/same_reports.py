@@ -12,9 +12,10 @@ directory.  Both trees then write the same 48 reports: ``verify``,
 written fresh as JSON and as CSV and its JSON re-emitted by ``report`` as
 JSON and as CSV.  Every run has ``OPENBLAS_NUM_THREADS=1`` and no
 ``SOURCE_DATE_EPOCH``.  The script lists each report whose bytes or exit
-code differ, and for a JSON report the names of the cases whose records
-differ, and exits 0 only when none does.  It writes nothing inside the
-checkout.
+code differ, and for a JSON report the name of each case whose record
+differs with its old and new ``status`` (``absent`` where a report has
+no such case), so a verdict that moved shows at a glance.  It exits 0
+only when no report differs, and writes nothing inside the checkout.
 """
 
 from __future__ import annotations
@@ -86,13 +87,16 @@ def reports(src: Path, work: Path) -> dict:
     return found
 
 
-def differing_cases(old: bytes, new: bytes) -> list[str]:
-    """Names of the cases whose records differ between two JSON reports."""
+def differing_cases(old: bytes, new: bytes) -> list[tuple[str, str, str]]:
+    """``(name, old status, new status)`` of each case whose record differs
+    between two JSON reports."""
     old_cases, new_cases = ({case["name"]: case for case in
                              json.loads(report)["cases"]}
                             for report in (old, new))
-    return sorted(name for name in old_cases.keys() | new_cases.keys()
-                  if old_cases.get(name) != new_cases.get(name))
+    return [(name, *(cases[name]["status"] if name in cases else "absent"
+                     for cases in (old_cases, new_cases)))
+            for name in sorted(old_cases.keys() | new_cases.keys())
+            if old_cases.get(name) != new_cases.get(name)]
 
 
 def main(argv: list[str]) -> int:
@@ -110,8 +114,8 @@ def main(argv: list[str]) -> int:
     for name in differ:
         print(f"differs: {name}")
         if name.endswith(".json"):
-            for case in differing_cases(old[name][1], new[name][1]):
-                print(f"  case: {case}")
+            for case, was, now in differing_cases(old[name][1], new[name][1]):
+                print(f"  case: {case}  status: {was} -> {now}")
     print(f"{len(old) - len(differ)} of {len(old)} reports identical")
     return 1 if differ else 0
 

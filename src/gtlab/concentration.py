@@ -19,13 +19,13 @@ interval reruns is the caller's policy.
 A sign series is given by its Hermitian terms: an array of shape
 ``(m, d, d)``, or ``(..., m, d, d)`` for a stack of series sharing a
 length ``m`` and a dimension ``d``; ``mu`` is one value or an array
-broadcasting against the stack's leading axes.  The deterministic sides
-are computed once per call for all of them: an exact enumeration
-eigensolves ``sum_p e_p A_p`` over the ``2^m`` sign patterns and
-``sum_p A_p^2`` once, and derives every mu's sides from those two
-spectra; stacked series of one ``(m, d)`` group are validated and
-eigensolved together.  A stacked call returns, member by member, the bits
-of the single calls.
+broadcasting against the stack's leading axes.  Only the Monte Carlo
+check takes one series.  The deterministic sides are computed once per
+call for all of them: an exact enumeration eigensolves ``sum_p e_p A_p``
+over the ``2^m`` sign patterns and ``sum_p A_p^2`` once, and derives
+every mu's sides from those two spectra; stacked series of one ``(m, d)``
+group are validated and eigensolved together.  A stacked call returns,
+member by member, the bits of the single calls.
 """
 
 from __future__ import annotations
@@ -372,29 +372,30 @@ def oliveira_mgf_montecarlo(terms, stream: RngStream,
     return GapReport.from_sides(lhs, rhs, tol=tol)
 
 
-def oliveira_recursion_profile(terms, mu: float) -> np.ndarray:
-    """Exactly enumerated ``E Tr e^(D_j)`` for one series and the
+def oliveira_recursion_profile(terms, mu) -> np.ndarray:
+    """Exactly enumerated ``E Tr e^(D_j)``, ``j = 0..m``, for the
     interpolating family
 
     ``D_j = D_0 + sum_{p<=j} (mu e_p A_p - (mu^2/2) A_p^2)``,
     ``D_0 = (mu^2/2) sum_p A_p^2``,
 
-    which starts at the deterministic right side and ends at ``mu Z``.
-    The sequence is non-increasing in ``j``.
+    which starts at the deterministic right side and ends at ``mu Z``:
+    shape ``(..., m + 1)`` over the series stack broadcast against
+    ``mu``.  The sequence is non-increasing in ``j``.
     """
     terms = _checked_terms(terms)
-    length = terms.shape[0]
-    sq = 0.5 * mu ** 2 * np.einsum('pij,pjk->pik', terms, terms)
-    D0 = hermitize(sq.sum(axis=0))
-    profile = np.empty(length + 1)
-    for j in range(length + 1):
+    mu = np.asarray(mu, dtype=np.float64)[..., None, None, None]
+    sq = 0.5 * mu ** 2 * np.einsum('...pij,...pjk->...pik', terms, terms)
+    D0 = hermitize(sq.sum(axis=-3))
+    profile = []
+    for j in range(terms.shape[-3] + 1):
         # at j = 0 both sums are empty, hence zero
         signs = _all_sign_patterns(j)
-        D = D0 - sq[:j].sum(axis=0) \
-            + mu * np.einsum('sp,pij->sij', signs, terms[:j])
+        D = (D0 - sq[..., :j, :, :].sum(axis=-3))[..., None, :, :] \
+            + mu * np.einsum('sp,...pij->...sij', signs, terms[..., :j, :, :])
         w = np.linalg.eigvalsh(hermitize(D))
-        profile[j] = float(np.exp(w).sum(axis=1).mean())
-    return profile
+        profile.append(np.exp(w).sum(axis=-1).mean(axis=-1))
+    return np.stack(profile, axis=-1)
 
 
 def mgf_factor_check(A, mu: float) -> GapReport:

@@ -87,7 +87,8 @@ def gt_gap(A, B) -> GapReport:
 
 def cauchy_trace_gap(X, Y) -> GapReport:
     """``|Tr(XY)|^2 <= Tr(X†X) Tr(Y†Y)`` for any square X, Y."""
-    Xm, Ym = as_complex_matrix(X), as_complex_matrix(Y)
+    Xm = as_complex_matrix(X, "cauchy_trace_gap argument 1")
+    Ym = as_complex_matrix(Y, "cauchy_trace_gap argument 2")
     if Xm.shape != Ym.shape:
         raise ValueError("cauchy_trace_gap arguments must have equal dimension")
     lhs = np.abs(np.einsum('...ij,...ji->...', Xm, Ym)) ** 2
@@ -115,7 +116,7 @@ def word_trace_bound(X, word: Sequence[str]) -> GapReport:
     for a stack of matrices it may also be an array of shape ``(..., 2n)``
     holding one word per matrix.
     """
-    Xm = as_complex_matrix(X)
+    Xm = as_complex_matrix(X, "word_trace_bound argument 1")
     is_x = _validate_word(word) == "X"
     n = is_x.shape[-1] // 2
     Xh = adjoint(Xm)
@@ -167,7 +168,7 @@ def weyl_dominance_gap(X, s: int, k) -> GapReport:
     """
     if s < 1 or int(s) != s:
         raise ValueError("the built-in dominance family requires integer s >= 1")
-    Xm = as_complex_matrix(X)
+    Xm = as_complex_matrix(X, "weyl_dominance_gap argument 1")
     lhs = _top_k_sum(_abs_eigen_desc(Xm) ** (2 * s), k)
     rhs = _top_k_sum(singular_values(Xm) ** (2 * s), k)
     return GapReport.from_sides(lhs, rhs)
@@ -178,7 +179,7 @@ def power_trace_gap(X, s: int) -> GapReport:
     combined with the triangle inequality over the spectrum."""
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
-    Xm = as_complex_matrix(X)
+    Xm = as_complex_matrix(X, "power_trace_gap argument 1")
     P = np.linalg.matrix_power(Xm, 2 * s)
     G = np.linalg.matrix_power(adjoint(Xm) @ Xm, s)
     lhs = np.abs(_trace(P))
@@ -190,7 +191,7 @@ def spectral_chain_gap(X, s: int) -> GapReport:
     """The worse, per instance, of ``sum |lambda|^(2s) <= sum mu^(2s)`` and
     ``|Tr X^(2s)| <= sum |lambda|^(2s)``: the chain from the power trace
     through the absolute eigenvalues to the singular values."""
-    Xm = as_complex_matrix(X)
+    Xm = as_complex_matrix(X, "spectral_chain_gap argument 1")
     lam_sum = (np.abs(general_eigen(Xm)) ** (2 * s)).sum(axis=-1)
     first = GapReport.from_sides(lam_sum,
                                  (singular_values(Xm) ** (2 * s)).sum(axis=-1))
@@ -205,7 +206,8 @@ def spectral_chain_gap(X, s: int) -> GapReport:
 
 def top_k_abs_eigensum(X, k):
     """``sum of the k largest |eigenvalues|`` of a square matrix."""
-    return _top_k_sum(_abs_eigen_desc(as_complex_matrix(X)), k)
+    Xm = as_complex_matrix(X, "top_k_abs_eigensum argument 1")
+    return _top_k_sum(_abs_eigen_desc(Xm), k)
 
 
 def phi_power_premise_gap(X, s: int, k: int) -> GapReport:
@@ -213,7 +215,7 @@ def phi_power_premise_gap(X, s: int, k: int) -> GapReport:
     sum, evaluated on the powered matrices themselves."""
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
-    Xm = as_complex_matrix(X)
+    Xm = as_complex_matrix(X, "phi_power_premise_gap argument 1")
     lhs = top_k_abs_eigensum(np.linalg.matrix_power(Xm, 2 * s), k)
     gram = np.linalg.matrix_power(hermitize(adjoint(Xm) @ Xm), s)
     rhs = top_k_abs_eigensum(gram, k)
@@ -357,7 +359,8 @@ def nonhermitian_phi_gap(A, B, k: int) -> GapReport:
     absolute eigenvalue sum; A, B need not be Hermitian.  The left side is
     evaluated by spectral mapping, ``|lambda(e^M)| = e^(Re lambda(M))``,
     without forming ``e^(A+B)``."""
-    Am, Bm = as_complex_matrix(A), as_complex_matrix(B)
+    Am = as_complex_matrix(A, "nonhermitian_phi_gap argument 1")
+    Bm = as_complex_matrix(B, "nonhermitian_phi_gap argument 2")
     if Am.shape != Bm.shape:
         raise ValueError("nonhermitian_phi_gap arguments must have equal dimension")
     lhs = _top_k_sum(np.exp(general_eigen(Am + Bm).real), k)
@@ -369,7 +372,7 @@ def nonhermitian_phi_gap(A, B, k: int) -> GapReport:
 
 def hermitian_part_dominance(A) -> GapReport:
     """``lambda_1((A+A†)/2) >= Re lambda_1(A)`` for any square A."""
-    Am = as_complex_matrix(A)
+    Am = as_complex_matrix(A, "hermitian_part_dominance argument 1")
     lhs = general_eigen(Am).real.max(axis=-1)
     rhs = np.linalg.eigvalsh(hermitize(Am))[..., -1]
     return GapReport.from_sides(lhs, rhs)

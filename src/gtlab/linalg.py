@@ -6,7 +6,8 @@ matrix of the stack independently: a stack call returns what the single
 calls would return, stacked along the leading axes, so a single call
 returns a 0-d value wherever a scalar is meant.  Validation is per
 matrix too: each member is checked against its own scale, and one
-invalid member rejects the whole stack.  A Hermitian argument is within
+invalid member rejects the whole stack with a message naming the
+argument, such as ``gt_gap argument 1``.  A Hermitian argument is within
 ``HERMITIAN_ATOL`` of its adjoint and is used symmetrized
 (:func:`require_hermitian`); the Hermitian arguments of one call also
 share one shape, unbroadcast (:func:`hermitian_args`).  Exponentials are
@@ -58,22 +59,22 @@ def adjoint(A: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(A, -1, -2))
 
 
-def as_complex_matrix(M) -> np.ndarray:
+def as_complex_matrix(M, what: str) -> np.ndarray:
     """Validate and return ``M`` as a square, finite complex128 matrix or
-    stack of matrices."""
+    stack of matrices; the messages name ``M`` as ``what``."""
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        raise ValueError(f"{what} must be a square matrix, got shape {A.shape}")
     if A.shape[-1] == 0:
-        raise ValueError("matrix dimension must be positive")
+        raise ValueError(f"{what} must have positive dimension")
     if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{what} must have finite entries")
     return A
 
 
 def hermitize(M) -> np.ndarray:
     """Construct a Hermitian carrier: ``(M + M†)/2`` of a square matrix."""
-    A = as_complex_matrix(M)
+    A = as_complex_matrix(M, "hermitize input")
     return (A + adjoint(A)) / 2.0
 
 
@@ -88,7 +89,7 @@ def is_hermitian(M):
 
 def require_hermitian(M, what: str) -> np.ndarray:
     """Return the symmetrized matrix, rejecting genuinely non-Hermitian input."""
-    A = as_complex_matrix(M)
+    A = as_complex_matrix(M, what)
     if not np.all(is_hermitian(A)):
         raise ValueError(f"{what} must be Hermitian")
     return (A + adjoint(A)) / 2.0
@@ -119,7 +120,7 @@ def herm_eigen(M) -> tuple[np.ndarray, np.ndarray]:
 def general_eigen(M) -> np.ndarray:
     """All complex eigenvalues of a square matrix (no eigenvectors), sorted
     descending by real part, then by absolute value."""
-    w = np.linalg.eigvals(as_complex_matrix(M))
+    w = np.linalg.eigvals(as_complex_matrix(M, "general_eigen input"))
     order = np.lexsort((-np.abs(w), -w.real), axis=-1)
     return np.take_along_axis(w, order, axis=-1)
 
@@ -128,7 +129,8 @@ def singular_values(M) -> np.ndarray:
     """Singular values ``mu_1 >= ... >= mu_N >= 0`` of a square matrix, by
     the SVD of ``M`` itself: the eigenvalues of ``M†M`` would square its
     condition number and lose the small singular values."""
-    return np.linalg.svd(as_complex_matrix(M), compute_uv=False)
+    return np.linalg.svd(as_complex_matrix(M, "singular_values input"),
+                         compute_uv=False)
 
 
 def herm_fn(M, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -170,7 +172,8 @@ def operator_norm(M):
 
 
 def frobenius_norm(M):
-    return np.linalg.norm(as_complex_matrix(M), axis=(-2, -1))
+    A = as_complex_matrix(M, "frobenius_norm input")
+    return np.linalg.norm(A, axis=(-2, -1))
 
 
 def distance_delta2(A, B):

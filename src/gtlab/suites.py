@@ -30,6 +30,11 @@ together, one stack per chunk of at most ``_SWEEP_ENTRIES // n^2``
 instances (at least one); each (group, chunk) stack comes from one
 generator, the ``b``-th in group-then-chunk order from child ``b`` of the
 tag's path.  A report is therefore a pure function of (config, seed).
+
+The random sign series of Eq.OB's enumeration, Eq.DDN and Eq.RUvsOB take
+this path too, one stack per shape ``(m, d)`` of a fixed cycle of shapes
+(:func:`_series_stacks`): its terms, then its mus.  Only Eq.OB's Monte
+Carlo series is drawn alone.
 """
 
 from __future__ import annotations
@@ -124,21 +129,21 @@ def _residual_case(name: str, tag: str, residual: float, threshold: float,
                  residual <= threshold, trials, extra=extra)
 
 
-def _worst_case(name: str, tag: str, reports: list[GapReport], trials: int,
+def _worst_case(name: str, tag: str, reports: list[GapReport],
                 extra: dict | None = None) -> CaseRecord:
     """Aggregate sweep case over the instances of ``reports`` (single or
-    stacked): records the sides of the instance with the smallest
-    ``margin / tol`` and the violation count, the instances whose report
-    fails (pass means zero violations)."""
+    stacked, raveled), its trials: records the sides of the instance with
+    the smallest ``margin / tol`` and the violation count, the instances
+    whose report fails (pass means zero violations)."""
     def joined(field):
-        return np.concatenate([np.atleast_1d(getattr(r, field)) for r in reports])
+        return np.concatenate([np.ravel(getattr(r, field)) for r in reports])
 
     lhs, rhs, margin, tol, passed = map(joined, ("lhs", "rhs", "margin", "tol",
                                                  "passed"))
     i = int(np.argmin(margin / tol))
     violations = int(np.count_nonzero(~passed))
-    return _case(name, tag, lhs[i], rhs[i], margin[i], violations == 0, trials,
-                 extra={"violations": violations, **(extra or {})})
+    return _case(name, tag, lhs[i], rhs[i], margin[i], violations == 0,
+                 lhs.size, extra={"violations": violations, **(extra or {})})
 
 
 def _escalating(attempt, trials, stream, escalation):
@@ -225,7 +230,7 @@ class Sweep:
     def __call__(self, params: SuiteParams, stream: RngStream, tag: str):
         reports = [self.check(*drawn) for _, drawn
                    in _stacks(params, stream, self.draw, self.cycle)]
-        return [_worst_case(self.name, tag, reports, params.trials)]
+        return [_worst_case(self.name, tag, reports)]
 
 
 def _sweep_row(suite: str, name: str, draw, check, cycle=(None,)):
@@ -349,12 +354,11 @@ def _run_pauli_reduce(params, stream, tag):
                              "product trace in the 2x2 reduction")])
         discrepancy = max(discrepancy, float(np.max(
             np.abs(sides - matrix_sides) / np.maximum(1.0, np.abs(sides)))))
-    case = _worst_case("pauli-2x2-cosh", tag, cosh, params.trials,
+    case = _worst_case("pauli-2x2-cosh", tag, cosh,
                        extra={"max_route_discrepancy": discrepancy})
     if discrepancy > 1e-10:
         case = dataclasses.replace(case, passed=False, status="fail")
-    return [case, _worst_case("pauli-law-of-cosines", "Eq.1aA", law,
-                              params.trials)]
+    return [case, _worst_case("pauli-law-of-cosines", "Eq.1aA", law)]
 
 
 _BETAS = (1e-6, 0.5, 1.0, 2.0, 10.0, 100.0)
@@ -362,7 +366,7 @@ _BETAS = (1e-6, 0.5, 1.0, 2.0, 10.0, 100.0)
 
 def _run_oscillator(params, stream, tag):
     return [_worst_case("oscillator-bound", tag,
-                        [ineq.oscillator_bound(np.array(_BETAS))], len(_BETAS))]
+                        [ineq.oscillator_bound(np.array(_BETAS))])]
 
 
 def _run_lie_trotter(params, stream, tag):
@@ -437,7 +441,7 @@ def _run_lieb(params, stream, tag):
         reduction = max(reduction, float(
             (np.abs(reduced - direct) / np.maximum(1.0, direct)).max()))
     extra = {"closed_vs_quadrature": agreement, "c_zero_reduction": reduction}
-    case = _worst_case("lieb-triple", tag, reports, params.trials, extra=extra)
+    case = _worst_case("lieb-triple", tag, reports, extra=extra)
     if agreement > 1e-8 or reduction > 1e-10:
         case = dataclasses.replace(case, passed=False, status="fail")
     return [case]
@@ -563,30 +567,35 @@ def _run_domination_grid(params, stream, tag):
     return cases
 
 
-def _series_terms(rng: np.random.Generator, max_len: int,
-                  max_dim: int) -> np.ndarray:
-    """The terms ``(m, d, d)`` of a random GUE series: m, d, then the terms."""
-    m = int(rng.integers(1, max_len + 1))
-    d = int(rng.integers(1, max_dim + 1))
-    return np.stack([gue(rng, d) for _ in range(m)])
+def _series_stacks(params, stream, count: int, max_len: int, draw_mus):
+    """The stacks of ``count`` random GUE series.  Series ``i`` has the
+    ``i``-th shape ``(m, d)`` of a diagonal cycle, ``m <= max_len`` (even),
+    ``d <= 4``, whose first ``max_len`` take every length and dimension and
+    all ``4 max_len`` every pair; the schedule's one dimension is unused, so
+    stacks group by shape alone.  A stack draws its terms as one GUE stack,
+    then ``draw_mus(rng, count)``, the mus its series are checked at."""
+    def draw(rng, n, count, shape):
+        m, d = shape
+        terms = gue(rng, d, count * m).reshape(count, m, d, d)
+        return terms, draw_mus(rng, count)
 
-
-_OLIVEIRA_MUS = np.array((0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
+    shapes = tuple((i % max_len + 1, (i // max_len + i) % 4 + 1)
+                   for i in range(4 * max_len))
+    series = dataclasses.replace(params, trials=count, dims=(1,))
+    return _stacks(series, stream, draw, shapes)
 
 
 def _run_oliveira(params, stream, tag):
-    n_series = min(max(params.trials // 20, 10), 100)
-    reports = []
-    for i in range(n_series):
-        rng = stream.child(0, i).generator()
-        terms = _series_terms(rng, max_len=10, max_dim=4)
-        reports.append(conc.oliveira_mgf_check(terms, _OLIVEIRA_MUS))
-    enum_case = _worst_case("sign-series-enumerate", tag, reports,
-                            n_series * len(_OLIVEIRA_MUS))
-    # the enumerated series are the children of child 0; the Monte Carlo
-    # pair draws its series from child 1 and its signs from child 2, or
-    # from child 3 when escalated
-    gaussian = _series_terms(stream.child(1).generator(), max_len=6, max_dim=3)
+    """The enumerated series are the stacks of child 0, each at every mu;
+    the Monte Carlo pair draws its series (length, dimension, terms) from
+    child 1 and its signs from child 2, or from child 3 when escalated."""
+    reports = [conc.oliveira_mgf_check(*drawn) for _, drawn in _series_stacks(
+        params, stream.child(0), min(max(params.trials // 20, 10), 100), 10,
+        lambda rng, count: np.array((0.5, -0.5, 1.0, -1.0, 2.0, -2.0))[:, None])]
+    enum_case = _worst_case("sign-series-enumerate", tag, reports)
+    rng = stream.child(1).generator()
+    m, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    gaussian = np.stack([gue(rng, d) for _ in range(m)])
 
     def attempt(trials, signs):
         report = conc.oliveira_mgf_montecarlo(gaussian, signs, trials)
@@ -600,49 +609,31 @@ def _run_oliveira(params, stream, tag):
 
 
 def _run_recursion_profile(params, stream, tag):
-    """Profile ``i`` (its mu, then its terms) is drawn from ``child(i)``."""
-    worst_increase = -math.inf
     profiles = min(20, max(params.trials // 100, 5))
-    for i in range(profiles):
-        rng = stream.child(i).generator()
-        mu = float(rng.choice((0.5, 1.0, 2.0)))
-        terms = _series_terms(rng, max_len=8, max_dim=4)
-        profile = conc.oliveira_recursion_profile(terms, mu)
-        increases = np.diff(profile) / np.maximum(1.0, profile[:-1])
+    worst_increase = -math.inf
+    for _, drawn in _series_stacks(
+            params, stream, profiles, 8,
+            lambda rng, count: rng.choice((0.5, 1.0, 2.0), size=count)):
+        profile = conc.oliveira_recursion_profile(*drawn)
+        increases = np.diff(profile) / np.maximum(1.0, profile[..., :-1])
         worst_increase = max(worst_increase, float(increases.max()))
     return [_residual_case("recursion-non-increasing", tag,
                            worst_increase, 1e-12, profiles)]
 
 
-_MGF_FACTOR_MUS = (0.0, 0.5, -0.5, 2.0)
-
-
 def _run_mgf_factor(params, stream, tag):
-    sweep = dataclasses.replace(params, trials=min(params.trials, 300))
-    reports = [conc.mgf_factor_check(A, mu)
-               for _, (A,) in _stacks(sweep, stream, _draw(gue, 1))
-               for mu in _MGF_FACTOR_MUS]
-    count = sweep.trials * len(_MGF_FACTOR_MUS)
-    return [_worst_case("mgf-factor-bound", tag, reports, count)]
+    mus = np.array((0.0, 0.5, -0.5, 2.0))[:, None, None]
+    sweep = Sweep("mgf-factor-bound", _draw(gue, 1),
+                  lambda A: conc.mgf_factor_check(A, mus))
+    return sweep(dataclasses.replace(params, trials=min(params.trials, 300)),
+                 stream, tag)
 
 
 def _run_oliveira_vs_aw(params, stream, tag):
-    """Series ``i`` (its mu, then its terms) is drawn from ``child(i)``; the
-    series sharing a length and dimension are checked as one stack."""
-    count = min(max(params.trials, 200), 1000)
-    groups: dict = {}
-    for i in range(count):
-        rng = stream.child(i).generator()
-        mu = float(rng.choice((0.5, -0.5, 2.0, -2.0)))
-        terms = _series_terms(rng, max_len=6, max_dim=4)
-        groups.setdefault(terms.shape, []).append((i, mu, terms))
-    lhs, rhs = np.empty(count), np.empty(count)
-    for members in groups.values():
-        index, mus, terms = zip(*members)
-        report = conc.oliveira_vs_aw(np.stack(terms), np.array(mus))
-        lhs[list(index)], rhs[list(index)] = report.lhs, report.rhs
-    return [_worst_case("series-vs-direct-bound", tag,
-                        [GapReport.from_sides(lhs, rhs)], count)]
+    reports = [conc.oliveira_vs_aw(*drawn) for _, drawn in _series_stacks(
+        params, stream, min(max(params.trials, 200), 1000), 6,
+        lambda rng, count: rng.choice((0.5, -0.5, 2.0, -2.0), size=count))]
+    return [_worst_case("series-vs-direct-bound", tag, reports)]
 
 
 # ---------------------------------------------------------------------------

@@ -450,11 +450,13 @@ SWEEP_CASE_TAGS = [
                "Eq.RUvsOB")]
 
 
-def raised_last_step(profile):
-    """A recursion profile whose last step rises by 1e-11 relative."""
-    profile = profile.copy()
-    profile[-1] = profile[-2] + 1e-11 * max(1.0, profile[-2])
-    return profile
+def raised_last_step(profiles):
+    """Recursion profiles ``(..., m + 1)`` whose first profile's last step
+    rises by 1e-11 relative; the others are left as they are."""
+    profiles = profiles.copy()
+    first = profiles.reshape(-1, profiles.shape[-1])[0]
+    first[-1] = first[-2] + 1e-11 * max(1.0, first[-2])
+    return profiles
 
 
 #: Residual cases: ``(tag, case name, perturbation)``, where the
@@ -1200,9 +1202,19 @@ class TestReachability:
 
 
 class TestSignSeriesRunners:
-    """Eq.OB enumerates each series once for all its mus, and Eq.RUvsOB
-    checks the series of one (length, dimension) as one stack; both give
-    what a loop over single series and single mus gives."""
+    """Eq.OB's enumeration, Eq.DDN and Eq.RUvsOB draw their series in
+    stacks of one shape ``(m, d)``, the shapes cycling in diagonal order;
+    stack ``b`` draws its terms as one GUE stack from ``child(b)``, then
+    its mus.  Each instance gives what the single-series call gives on the
+    series its stack holds."""
+
+    MUS = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
+
+    @staticmethod
+    def shapes(max_len):
+        """The cycle of series shapes ``(m, d)``, ``d <= 4``."""
+        return [(i % max_len + 1, (i // max_len + i) % 4 + 1)
+                for i in range(4 * max_len)]
 
     @staticmethod
     def sides_of_cases(monkeypatch) -> dict:
@@ -1212,12 +1224,27 @@ class TestSignSeriesRunners:
 
         def recording(name, tag, reports, *args, **kwargs):
             sides[name] = [(float(lhs), float(rhs)) for r in reports
-                           for lhs, rhs in zip(np.atleast_1d(r.lhs),
-                                               np.atleast_1d(r.rhs))]
+                           for lhs, rhs in zip(np.ravel(r.lhs),
+                                               np.ravel(r.rhs))]
             return worst_case(name, tag, reports, *args, **kwargs)
 
         monkeypatch.setattr(suites, "_worst_case", recording)
         return sides
+
+    @classmethod
+    def series_stacks(cls, stream, count, max_len, mus):
+        """``(terms, mus)`` of each stack of ``count`` series, rebuilt from
+        the streams: one stack per shape at these counts, stack ``b`` from
+        ``stream.child(b)``, its mus drawn after its terms (none when
+        ``mus`` is None)."""
+        groups = suites._groups(count, (1,), cls.shapes(max_len))
+        stacks = []
+        for b, ((_, (m, d)), k) in enumerate(groups.items()):
+            rng = stream.child(b).generator()
+            terms = gue(rng, d, k * m).reshape(k, m, d, d)
+            stacks.append((terms, None if mus is None
+                           else rng.choice(mus, size=k)))
+        return stacks
 
     def test_enumeration_matches_per_mu_loop(self, monkeypatch):
         sides = self.sides_of_cases(monkeypatch)
@@ -1225,14 +1252,11 @@ class TestSignSeriesRunners:
         stream = tag_stream("Eq.OB", 5)
         case, _ = suites._run_oliveira(params, stream, "Eq.OB")
         expected = []
-        for i in range(20):
-            rng = stream.child(0, i).generator()
-            m = int(rng.integers(1, 11))
-            d = int(rng.integers(1, 5))
-            terms = [gue(rng, d) for _ in range(m)]
-            for mu in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
-                report = conc.oliveira_mgf_check(terms, mu)
-                expected.append((report.lhs, report.rhs))
+        for terms, _ in self.series_stacks(stream.child(0), 20, 10, None):
+            for mu in self.MUS:
+                for series in terms:
+                    report = conc.oliveira_mgf_check(series, mu)
+                    expected.append((report.lhs, report.rhs))
         assert sides["sign-series-enumerate"] == expected
         assert case.status == "pass" and case.trials == len(expected) == 120
 
@@ -1242,54 +1266,83 @@ class TestSignSeriesRunners:
         stream = tag_stream("Eq.RUvsOB", 5)
         case, = suites._run_oliveira_vs_aw(params, stream, "Eq.RUvsOB")
         expected = []
-        for i in range(400):
-            rng = stream.child(i).generator()
-            mu = float(rng.choice((0.5, -0.5, 2.0, -2.0)))
-            m = int(rng.integers(1, 7))
-            d = int(rng.integers(1, 5))
-            terms = [gue(rng, d) for _ in range(m)]
-            report = conc.oliveira_vs_aw(terms, mu)
-            expected.append((report.lhs, report.rhs))
+        for terms, mus in self.series_stacks(stream, 400, 6,
+                                             (0.5, -0.5, 2.0, -2.0)):
+            for series, mu in zip(terms, mus):
+                report = conc.oliveira_vs_aw(series, mu)
+                expected.append((report.lhs, report.rhs))
         assert sides["series-vs-direct-bound"] == expected
         assert case.status == "pass" and case.trials == 400
 
     def test_recursion_profiles_match_their_streams(self):
-        # profile i draws its mu, then its length, dimension and terms,
-        # from child(i)
         params = suites.SuiteParams(seed=5, trials=1000)
         stream = tag_stream("Eq.DDN", 5)
         case, = suites._run_recursion_profile(params, stream, "Eq.DDN")
         worst = -np.inf
-        for i in range(10):
-            rng = stream.child(i).generator()
-            mu = float(rng.choice((0.5, 1.0, 2.0)))
-            m = int(rng.integers(1, 9))
-            d = int(rng.integers(1, 5))
-            terms = [gue(rng, d) for _ in range(m)]
-            profile = conc.oliveira_recursion_profile(terms, mu)
-            increases = np.diff(profile) / np.maximum(1.0, profile[:-1])
-            worst = max(worst, float(increases.max()))
+        for terms, mus in self.series_stacks(stream, 10, 8, (0.5, 1.0, 2.0)):
+            for series, mu in zip(terms, mus):
+                profile = conc.oliveira_recursion_profile(series, mu)
+                increases = np.diff(profile) / np.maximum(1.0, profile[:-1])
+                worst = max(worst, float(increases.max()))
         assert case.lhs == worst
         assert case.status == "pass" and case.trials == 10
 
     def test_non_hermitian_term_in_one_series_raises(self, monkeypatch):
-        draw = suites._series_terms
+        draw = suites.gue
         drawn = []
 
-        def skewed(rng, max_len, max_dim):
-            terms = draw(rng, max_len, max_dim)
-            drawn.append(terms.shape)
+        def skewed(rng, n, count):
+            terms = draw(rng, n, count)
+            drawn.append(count)
             if len(drawn) == 7:
                 terms[-1, 0, -1] += 1e-3 + 1e-3j
             return terms
 
-        monkeypatch.setattr(suites, "_series_terms", skewed)
+        monkeypatch.setattr(suites, "gue", skewed)
         params = suites.SuiteParams(seed=5, trials=200)
         with pytest.raises(ValueError, match="Hermitian"):
             suites._run_oliveira_vs_aw(params, tag_stream("Eq.RUvsOB", 5),
                                        "Eq.RUvsOB")
-        # the skewed series shares its group with others
-        assert drawn.count(drawn[6]) > 1
+        # the skewed term's stack holds more than one series
+        m, _ = self.shapes(6)[6]
+        assert drawn[6] > m
+
+    #: Per series runner: its tag, the check its stacks reach, the longest
+    #: series, and its series counts at trials 8000 and at trials 1.
+    RUNNERS = [
+        ("Eq.OB", "oliveira_mgf_check", 10, 100, 10),
+        ("Eq.DDN", "oliveira_recursion_profile", 8, 20, 5),
+        ("Eq.RUvsOB", "oliveira_vs_aw", 6, 1000, 200),
+    ]
+
+    @pytest.mark.parametrize("tag, check, max_len, many, few", RUNNERS,
+                             ids=[tag for tag, *_ in RUNNERS])
+    def test_one_generator_per_shape(self, tag, check, max_len, many, few,
+                                     monkeypatch):
+        shapes = []
+        checker = getattr(conc, check)
+
+        def recording(terms, mu):
+            m, d = terms.shape[-3], terms.shape[-1]
+            shapes.extend([(m, d)] * (terms.size // (m * d * d)))
+            return checker(terms, mu)
+
+        monkeypatch.setattr(conc, check, recording)
+        keys = record_stream_keys(monkeypatch)
+        # Eq.OB's enumerated series are the stacks of child 0
+        prefix = tag_stream(tag, 5).path + ((0,) if tag == "Eq.OB" else ())
+        _, _, runner = suites.REGISTRY[tag]
+        for trials, count in ((8000, many), (1, few)):
+            shapes.clear()
+            keys.clear()
+            runner(suites.SuiteParams(seed=5, trials=trials),
+                   tag_stream(tag, 5), tag)
+            stacks = [path for _, path in keys if path[:-1] == prefix]
+            assert len(shapes) == count
+            assert len(stacks) == len(set(shapes)) <= 4 * max_len
+            lengths, dims = map(set, zip(*shapes))
+            assert lengths == set(range(1, min(count, max_len) + 1))
+            assert dims == {1, 2, 3, 4}
 
     def test_shrunk_right_side_fails_both_cases(self, monkeypatch):
         enumerate_check, direct_check = conc.oliveira_mgf_check, conc.oliveira_vs_aw

@@ -338,25 +338,32 @@ class TestSeriesStacks:
         terms = gue(rng, 3, 12).reshape(4, 3, 3, 3)
         terms[2, 1, 0, 1] += 1e-3
         for check in (conc.series_rhs, conc.oliveira_mgf_check,
-                      conc.oliveira_vs_aw):
+                      conc.oliveira_vs_aw, conc.oliveira_recursion_profile):
             with pytest.raises(ValueError, match="Hermitian"):
                 check(terms, np.ones(4))
+
+    def test_stacked_recursion_profile_matches_single(self, rng):
+        for m, d in ((1, 1), (3, 2), (8, 4)):
+            terms = gue(rng, d, 5 * m).reshape(5, m, d, d)
+            mus = rng.choice((0.5, 1.0, 2.0), size=5)
+            profiles = conc.oliveira_recursion_profile(terms, mus)
+            assert profiles.shape == (5, m + 1)
+            assert_stack_matches_single(conc.oliveira_recursion_profile,
+                                        terms, mus)
 
     def test_shape_checks(self, rng):
         terms = gue(rng, 2, 8).reshape(4, 2, 2, 2)
         for check in (conc.series_rhs, conc.oliveira_mgf_check,
-                      conc.oliveira_vs_aw):
+                      conc.oliveira_vs_aw, conc.oliveira_recursion_profile):
             with pytest.raises(ValueError):
                 check(terms, np.ones(3))
             with pytest.raises(ValueError, match="share one dimension"):
                 check([gue(rng, 2), gue(rng, 3)], 1.0)
             with pytest.raises(ValueError, match="at least one term"):
                 check((), 1.0)
-        # the Monte Carlo series and the recursion profile take one series
+        # only the Monte Carlo series takes one series
         with pytest.raises(ValueError):
             conc.oliveira_mgf_montecarlo(terms, RngStream(1), 100)
-        with pytest.raises(ValueError):
-            conc.oliveira_recursion_profile(terms, 1.0)
 
 
 class TestMgfFactor:

@@ -293,22 +293,25 @@ class TestLieTrotter:
 
 class TestValidation:
     def test_rejects_rectangular(self):
-        with pytest.raises(ValueError):
-            linalg.as_complex_matrix(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"^M must be a square matrix, "
+                                             r"got shape \(2, 3\)$"):
+            linalg.as_complex_matrix(np.ones((2, 3)), "M")
 
     def test_rejects_nonfinite(self):
         M = np.eye(2, dtype=complex)
         M[0, 1] = np.nan
-        with pytest.raises(ValueError):
-            linalg.as_complex_matrix(M)
+        with pytest.raises(ValueError, match="^M must have finite entries$"):
+            linalg.as_complex_matrix(M, "M")
 
     def test_hermitize_symmetrizes(self, rng):
         X = ginibre(rng, 4)
         H = linalg.hermitize(X)
         assert np.array_equal(H, H.conj().T)
 
-    @pytest.mark.parametrize("fn", [linalg.as_complex_matrix, linalg.hermitize,
-                                    linalg.adjoint])
+    @pytest.mark.parametrize(
+        "fn", [lambda M: linalg.as_complex_matrix(M, "M"), linalg.hermitize,
+               linalg.adjoint],
+        ids=["as_complex_matrix", "hermitize", "adjoint"])
     def test_stack_matches_single(self, fn, rng):
         assert_stack_matches_single(fn, ginibre(rng, 3, 4))
 
@@ -335,7 +338,7 @@ class TestValidation:
         stack = gue(rng, 3, 4)
         stack[2, 0, 1] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            linalg.as_complex_matrix(stack)
+            linalg.as_complex_matrix(stack, "stack")
         with pytest.raises(ValueError, match="finite"):
             linalg.expm_herm(stack)
 
@@ -396,6 +399,49 @@ class TestHermitianArgs:
             args[i] = odd
             with pytest.raises(ValueError, match=f"{fn.__name__} arguments "
                                                  f"must have equal dimension"):
+                fn(*args, *extra)
+
+
+#: Functions that validate their general square matrices themselves, with
+#: the number of such arguments and the other arguments they take.
+MATRIX_ARG_CALLERS = [
+    (ineq.cauchy_trace_gap, 2, ()),
+    (ineq.word_trace_bound, 1, (("X", "X*"),)),
+    (ineq.weyl_dominance_gap, 1, (1, 1)),
+    (ineq.power_trace_gap, 1, (1,)),
+    (ineq.spectral_chain_gap, 1, (1,)),
+    (ineq.top_k_abs_eigensum, 1, (1,)),
+    (ineq.phi_power_premise_gap, 1, (1, 1)),
+    (ineq.nonhermitian_phi_gap, 2, (1,)),
+    (ineq.hermitian_part_dominance, 1, ()),
+]
+
+
+def with_nan(M):
+    M = np.array(M, dtype=complex)
+    M[0, 1] = np.nan
+    return M
+
+
+class TestArgumentNames:
+    """A matrix argument that is not square or not finite raises a message
+    naming the function and the argument's position, whether the function
+    validates it through ``hermitian_args`` or by itself."""
+
+    @pytest.mark.parametrize(
+        "fn, count, extra", HERMITIAN_ARG_CALLERS + MATRIX_ARG_CALLERS,
+        ids=CALLER_IDS + [fn.__name__ for fn, _, _ in MATRIX_ARG_CALLERS])
+    @pytest.mark.parametrize("bad, message", [
+        (with_nan(np.eye(2)), "must have finite entries"),
+        (np.ones((2, 3)), r"must be a square matrix, got shape \(2, 3\)")],
+        ids=["nan", "2x3"])
+    def test_invalid_matrix_names_the_argument(self, fn, count, extra, bad,
+                                               message):
+        for i in range(count):
+            args = [np.eye(2)] * count
+            args[i] = bad
+            with pytest.raises(ValueError, match=f"^{fn.__name__} argument "
+                                                 f"{i + 1} {message}$"):
                 fn(*args, *extra)
 
 

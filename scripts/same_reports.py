@@ -14,7 +14,10 @@ JSON and as CSV.  Every run has ``OPENBLAS_NUM_THREADS=1`` and no
 ``SOURCE_DATE_EPOCH``.  The script lists each report whose bytes or exit
 code differ, and for a JSON report the name of each case whose record
 differs with its old and new ``status`` (``absent`` where a report has
-no such case), so a verdict that moved shows at a glance.  It exits 0
+no such case), so a verdict that moved shows at a glance.  It ends with
+one line per differing case: its name, the number of JSON reports it
+differs in and its status changes, as in
+``rank-one-decomposition: 6 JSON reports, pass -> pass``.  It exits 0
 only when no report differs, and writes nothing inside the checkout.
 """
 
@@ -111,12 +114,17 @@ def main(argv: list[str]) -> int:
         old = reports(old_src, tmp / "old")
         new = reports(ROOT / "src", tmp / "new")
     differ = sorted(name for name in old if old[name] != new[name])
+    moved: dict[str, list[str]] = {}
     for name in differ:
         print(f"differs: {name}")
         if name.endswith(".json"):
             for case, was, now in differing_cases(old[name][1], new[name][1]):
                 print(f"  case: {case}  status: {was} -> {now}")
+                moved.setdefault(case, []).append(f"{was} -> {now}")
     print(f"{len(old) - len(differ)} of {len(old)} reports identical")
+    for case, changes in sorted(moved.items()):
+        print(f"{case}: {len(changes)} JSON reports, "
+              f"{', '.join(sorted(set(changes)))}")
     return 1 if differ else 0
 
 

@@ -1,9 +1,11 @@
 """Concentration machinery for sums of random matrices.
 
-Covers the empirical covariance deviation experiment, the exponential
-moment (Bernstein-Chebyshev) pipeline, the Ahlswede-Winter tail bound
-with its per-trial exponential step and its moment-generating-function
-lemma, the sign-series trace bound in its self-consistent corrected form
+Covers the scaled Gram matrix :func:`covariance` of an ``N x k`` block or
+a stack ``(..., N, k)`` (Hermitian up to rounding) and its deviation
+experiment, the exponential moment (Bernstein-Chebyshev) pipeline, the
+Ahlswede-Winter tail bound with its per-trial exponential step and its
+moment-generating-function lemma, the sign-series trace bound in its
+self-consistent corrected form
 ``E Tr e^(mu Z) <= Tr e^((mu^2/2) sum A_p^2)`` (checked exactly for
 Rademacher signs, by enumeration, and for Gaussian signs by Monte Carlo),
 and the scalar Chernoff baseline the matrix results generalize.
@@ -89,15 +91,13 @@ class CovarianceExperiment:
 # ---------------------------------------------------------------------------
 # covariance construction
 
-def covariance(X_block) -> np.ndarray:
-    """Scaled Gram matrix ``(1/N) X†X`` of an ``N x k`` block, ``N >= k``."""
-    X = np.asarray(X_block, dtype=np.complex128)
-    if X.ndim != 2:
-        raise ValueError("expected a 2-d block")
-    n, k = X.shape
-    if not 1 <= k <= n:
-        raise ValueError("requires N >= k >= 1")
-    return hermitize(X.conj().T @ X / n)
+def covariance(X) -> np.ndarray:
+    """Scaled Gram matrices ``(1/N) X†X`` of an ``N x k`` block or a stack
+    ``(..., N, k)`` of them, ``N >= k >= 1``; Hermitian up to rounding."""
+    X = np.asarray(X, dtype=np.complex128)
+    if X.ndim < 2 or not 1 <= X.shape[-1] <= X.shape[-2]:
+        raise ValueError("requires N x k blocks, N >= k >= 1")
+    return adjoint(X) @ X / X.shape[-2]
 
 
 def gaussian_row_sigma2(exp: CovarianceExperiment) -> float:
@@ -114,11 +114,9 @@ def gaussian_row_sigma2(exp: CovarianceExperiment) -> float:
 def covariance_deviations(rng: np.random.Generator, count: int, n: int,
                           k: int):
     """``count`` standard complex Gaussian ``n x k`` blocks ``X`` and their
-    deviations ``X†X/n - I``."""
+    deviations ``covariance(X) - I``."""
     X = standard_complex(rng, (count, n, k))
-    dev = adjoint(X) @ X / n
-    dev[:, np.arange(k), np.arange(k)] -= 1.0
-    return X, dev
+    return X, covariance(X) - np.eye(k)
 
 
 def _row_norms_sq(X: np.ndarray) -> np.ndarray:

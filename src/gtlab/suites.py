@@ -17,7 +17,8 @@ never calls.  Adding such a checker takes one batched function and one
 one with the smallest ``margin / tol``.  A runner with a second route
 (the matrix traces behind the 2x2 reduction, quadrature behind the
 three-matrix kernel) judges its checker's reports the same way and also
-fails the case when the routes disagree beyond a fixed bound.
+fails the case when the routes disagree beyond a fixed bound.  A residual
+case (:func:`_identity_sweep`) judges the instances of any stacks.
 
 Randomness: each tag draws from its own stream, the path ``(position,)``
 under the seed, where ``position`` is the tag's registry position; a
@@ -31,10 +32,12 @@ instances (at least one); each (group, chunk) stack comes from one
 generator, the ``b``-th in group-then-chunk order from child ``b`` of the
 tag's path.  A report is therefore a pure function of (config, seed).
 
-The random sign series of Eq.OB's enumeration, Eq.DDN and Eq.RUvsOB take
-this path too, one stack per shape ``(m, d)`` of a fixed cycle of shapes
-(:func:`_series_stacks`): its terms, then its mus.  Only Eq.OB's Monte
-Carlo series is drawn alone.
+Rows whose instances differ in shape run on the one dimension ``1`` with
+the shapes as the cycle: the sign series ``(m, d)`` of Eq.OB's
+enumeration, Eq.DDN and Eq.RUvsOB (:func:`_series_stacks`), and Eq.S3's
+``N x k`` blocks, every N in 4..23 with k cycling through 1..min(N, 5).
+Only Eq.OB's Monte Carlo series is drawn alone.  Eq.S draws its blocks in
+chunks of ``_SWEEP_ENTRIES`` entries; Eq.J's blocks are ``4n x n``.
 """
 
 from __future__ import annotations
@@ -239,16 +242,20 @@ def _sweep_row(suite: str, name: str, draw, check, cycle=(None,)):
     return suite, operation, Sweep(name, draw, check, cycle)
 
 
-def _identity_sweep(params, stream, tag, name, trials, residual):
-    """Residual case over ``trials`` GUE instances ``M``: ``residual(M)``
-    gives each instance's residual and the threshold it is judged against,
+def _identity_sweep(name, tag, stacks, residual):
+    """Residual case over the instances of :func:`_stacks` pairs ``(key,
+    drawn)``: ``residual(*drawn)`` gives each one's residual and threshold,
     and the case records the instance with the largest ratio of the two."""
-    sweep = dataclasses.replace(params, trials=trials)
-    sides = [np.broadcast_arrays(*residual(M))
-             for _, (M,) in _stacks(sweep, stream, _draw(gue, 1))]
+    sides = [np.broadcast_arrays(*residual(*drawn)) for _, drawn in stacks]
     res, thr = (np.concatenate(side) for side in zip(*sides))
     i = int(np.argmax(res / thr))
-    return [_residual_case(name, tag, res[i], thr[i], trials)]
+    return [_residual_case(name, tag, res[i], thr[i], res.size)]
+
+
+def _gue_stacks(params, stream, cap: int):
+    """The stacks of ``min(params.trials, cap)`` GUE instances."""
+    sweep = dataclasses.replace(params, trials=min(params.trials, cap))
+    return _stacks(sweep, stream, _draw(gue, 1))
 
 
 def _draw(sampler, matrices: int):
@@ -295,10 +302,9 @@ def _nonhermitian_draw(rng, n, count, full):
 
 
 def _deviation_draw(rng, n, count, c):
-    """The deviations ``X†X/12 - I`` of 12 x 3 complex Gaussian blocks
-    ``X`` (the schedule's dimension is not used), then the exponent ``c``."""
-    _, deviations = conc.covariance_deviations(rng, count, 12, 3)
-    return deviations, c
+    """The deviations ``X†X/(4n) - I`` of ``4n x n`` complex Gaussian
+    blocks ``X``, then the exponent ``c``."""
+    return conc.covariance_deviations(rng, count, 4 * n, n)[1], c
 
 
 def _trace_product_draw(rng, n, count, c):
@@ -393,8 +399,8 @@ def _run_phi_functional(params, stream, tag):
         top = ineq.top_k_abs_eigensum(P, P.shape[-1])
         s1 = singular_values(P).sum(axis=-1)
         return np.abs(top - s1) / np.maximum(1.0, s1), REL_TOL
-    return _identity_sweep(params, stream, tag, "top-k-functional-consistency",
-                           min(params.trials, 500), residual)
+    return _identity_sweep("top-k-functional-consistency", tag,
+                           _gue_stacks(params, stream, 500), residual)
 
 
 def _run_delta2_identity(params, stream, tag):
@@ -410,8 +416,8 @@ def _run_delta2_identity(params, stream, tag):
         unit = A.shape[-1] * np.finfo(np.float64).eps * np.exp(w[..., -1:] - w)
         scale = np.maximum(1.0, f)
         return np.abs(d - f) / scale, 1e-10 + np.linalg.norm(unit, axis=-1) / scale
-    return _identity_sweep(params, stream, tag, "delta2-identity",
-                           min(params.trials, 500), residual)
+    return _identity_sweep("delta2-identity", tag,
+                           _gue_stacks(params, stream, 500), residual)
 
 
 #: Leading instances of the three-matrix sweep that are re-evaluated one by
@@ -480,9 +486,9 @@ def _run_covariance_identity(params, stream, tag):
     X = np.sqrt(n) * np.eye(n, k, dtype=np.complex128)
     exact_residual = float(np.abs(conc.covariance(X) - np.eye(k)).max())
     trials = max(params.trials, 2000)
-    rng = stream.generator()
-    draws = standard_complex(rng, (trials, n, k))
-    sigmas = np.einsum('tpi,tpj->tij', draws.conj(), draws) / n
+    sigmas = np.concatenate([
+        conc.covariance(standard_complex(rng, (count, n, k)))
+        for _, count, rng in stream.blocks(trials, _SWEEP_ENTRIES // (n * k))])
     mean = sigmas.mean(axis=0)
     se = sigmas.std(axis=0, ddof=1) / math.sqrt(trials)
     dev_units = float((np.abs(mean - np.eye(k)) / np.maximum(se, 1e-30)).max())
@@ -494,16 +500,15 @@ def _run_covariance_identity(params, stream, tag):
 def _run_rank_one(params, stream, tag):
     """The average of the rank-one row contributions against the Gram
     product of :func:`~gtlab.concentration.covariance`."""
-    worst = 0.0
-    trials = min(params.trials, 200)
-    for i in range(trials):
-        rng = stream.child(i).generator()
-        n = int(rng.integers(4, 24))
-        k = int(rng.integers(1, min(n, 5) + 1))
-        X = standard_complex(rng, (n, k))
-        rank_one = np.einsum('pi,pj->ij', X.conj(), X) / n
-        worst = max(worst, float(np.abs(rank_one - conc.covariance(X)).max()))
-    return [_residual_case("rank-one-decomposition", tag, worst, 1e-12, trials)]
+    def residual(X):
+        rank_one = np.einsum('...pi,...pj->...ij', X.conj(), X) / X.shape[-2]
+        return np.abs(rank_one - conc.covariance(X)).max(axis=(-2, -1)), 1e-12
+    shapes = tuple((n, (n - 4) % min(n, 5) + 1) for n in range(4, 24))
+    blocks = dataclasses.replace(params, trials=min(params.trials, 200),
+                                 dims=(1,))
+    return _identity_sweep("rank-one-decomposition", tag, _stacks(
+        blocks, stream, lambda rng, n, count, shape: (
+            standard_complex(rng, (count, *shape)),), shapes), residual)
 
 
 def _run_opnorm_identity(params, stream, tag):
@@ -512,8 +517,8 @@ def _run_opnorm_identity(params, stream, tag):
         eig_route = np.maximum(-w[..., 0], w[..., -1])
         sv_route = operator_norm(M)
         return np.abs(eig_route - sv_route) / np.maximum(1.0, sv_route), 1e-12
-    return _identity_sweep(params, stream, tag, "operator-norm-identity",
-                           min(params.trials, 300), residual)
+    return _identity_sweep("operator-norm-identity", tag,
+                           _gue_stacks(params, stream, 300), residual)
 
 
 def _run_scalar_chernoff(params, stream, tag):
@@ -571,8 +576,7 @@ def _series_stacks(params, stream, count: int, max_len: int, draw_mus):
     """The stacks of ``count`` random GUE series.  Series ``i`` has the
     ``i``-th shape ``(m, d)`` of a diagonal cycle, ``m <= max_len`` (even),
     ``d <= 4``, whose first ``max_len`` take every length and dimension and
-    all ``4 max_len`` every pair; the schedule's one dimension is unused, so
-    stacks group by shape alone.  A stack draws its terms as one GUE stack,
+    all ``4 max_len`` every pair.  A stack draws its terms as one GUE stack,
     then ``draw_mus(rng, count)``, the mus its series are checked at."""
     def draw(rng, n, count, shape):
         m, d = shape
@@ -591,7 +595,7 @@ def _run_oliveira(params, stream, tag):
     child 1 and its signs from child 2, or from child 3 when escalated."""
     reports = [conc.oliveira_mgf_check(*drawn) for _, drawn in _series_stacks(
         params, stream.child(0), min(max(params.trials // 20, 10), 100), 10,
-        lambda rng, count: np.array((0.5, -0.5, 1.0, -1.0, 2.0, -2.0))[:, None])]
+        lambda rng, count: np.array((0.5, 1.0, 2.0))[:, None])]
     enum_case = _worst_case("sign-series-enumerate", tag, reports)
     rng = stream.child(1).generator()
     m, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
@@ -609,20 +613,17 @@ def _run_oliveira(params, stream, tag):
 
 
 def _run_recursion_profile(params, stream, tag):
-    profiles = min(20, max(params.trials // 100, 5))
-    worst_increase = -math.inf
-    for _, drawn in _series_stacks(
-            params, stream, profiles, 8,
-            lambda rng, count: rng.choice((0.5, 1.0, 2.0), size=count)):
-        profile = conc.oliveira_recursion_profile(*drawn)
+    def residual(terms, mus):
+        profile = conc.oliveira_recursion_profile(terms, mus)
         increases = np.diff(profile) / np.maximum(1.0, profile[..., :-1])
-        worst_increase = max(worst_increase, float(increases.max()))
-    return [_residual_case("recursion-non-increasing", tag,
-                           worst_increase, 1e-12, profiles)]
+        return increases.max(axis=-1), 1e-12
+    return _identity_sweep("recursion-non-increasing", tag, _series_stacks(
+        params, stream, min(20, max(params.trials // 100, 5)), 8,
+        lambda rng, count: rng.choice((0.5, 1.0, 2.0), size=count)), residual)
 
 
 def _run_mgf_factor(params, stream, tag):
-    mus = np.array((0.0, 0.5, -0.5, 2.0))[:, None, None]
+    mus = np.array((0.5, 2.0))[:, None, None]
     sweep = Sweep("mgf-factor-bound", _draw(gue, 1),
                   lambda A: conc.mgf_factor_check(A, mus))
     return sweep(dataclasses.replace(params, trials=min(params.trials, 300)),
@@ -632,7 +633,7 @@ def _run_mgf_factor(params, stream, tag):
 def _run_oliveira_vs_aw(params, stream, tag):
     reports = [conc.oliveira_vs_aw(*drawn) for _, drawn in _series_stacks(
         params, stream, min(max(params.trials, 200), 1000), 6,
-        lambda rng, count: rng.choice((0.5, -0.5, 2.0, -2.0), size=count))]
+        lambda rng, count: rng.choice((0.5, 2.0), size=count))]
     return [_worst_case("series-vs-direct-bound", tag, reports)]
 
 

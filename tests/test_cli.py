@@ -514,6 +514,7 @@ VERDICT_INJECTIONS = {
 
 #: Tags covered by a test of their own: ``tag -> (class, test)``.
 OWN_INJECTION_TESTS = {
+    "Eq.S": ("TestRegistry", "test_a_biased_stacked_covariance_fails_eq_s"),
     "Eq.S3": ("TestRegistry",
               "test_a_covariance_off_its_rank_one_sum_fails_eq_s3"),
     "Eq.LT": ("TestRegistry",
@@ -528,7 +529,7 @@ OWN_INJECTION_TESTS = {
 class TestRegistry:
     #: Runnable tags no injection test covers: statistical verdicts that
     #: wait for one declared decision rule.
-    UNINJECTED = {"Eq.S", "Eq.rf1", "Limit.sqrt2"}
+    UNINJECTED = {"Eq.rf1", "Limit.sqrt2"}
 
     EXPECTED_TAGS = {
         # 2x2 reduction, hyperbolic forms, scalar bound
@@ -620,6 +621,18 @@ class TestRegistry:
         params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
         case, = suites._run_rank_one(params, tag_stream("Eq.S3", 1), "Eq.S3")
         assert case.status == "fail" and case.lhs > case.rhs
+
+    def test_a_biased_stacked_covariance_fails_eq_s(self, monkeypatch):
+        # only the Monte Carlo half passes stacks: the constructed identity
+        # block is 2-d and keeps its exact residual
+        covariance = conc.covariance
+        monkeypatch.setattr(conc, "covariance", lambda X: covariance(X) + (
+            5e-2 * np.eye(X.shape[-1]) if X.ndim > 2 else 0.0))
+        params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
+        case, = suites._run_covariance_identity(params, tag_stream("Eq.S", 1),
+                                                "Eq.S")
+        assert case.status == "fail" and case.lhs > case.rhs
+        assert case.extra["constructed_identity_residual"] <= 1e-12
 
     def test_a_commuting_pair_off_its_exponential_fails_eq_lt(self,
                                                               monkeypatch):
@@ -1201,6 +1214,71 @@ class TestReachability:
         assert not stale, f"stale exemptions: {stale}"
 
 
+class TestCovarianceRunners:
+    """Eq.S and Eq.S3 compute their Gram matrices with ``covariance`` on
+    stacks: Eq.S in chunks of at most ``_SWEEP_ENTRIES`` entries, Eq.S3 one
+    stack per block shape of its cycle."""
+
+    @staticmethod
+    def recorded_covariance(monkeypatch) -> list:
+        """The argument of every ``covariance`` call from now on."""
+        blocks = []
+        covariance = conc.covariance
+
+        def recording(X):
+            blocks.append(X)
+            return covariance(X)
+
+        monkeypatch.setattr(conc, "covariance", recording)
+        return blocks
+
+    def test_eq_s_chunks_are_bounded_in_entries(self, monkeypatch):
+        blocks = self.recorded_covariance(monkeypatch)
+        params = suites.SuiteParams(seed=1, trials=5000)
+        case, = suites._run_covariance_identity(params, tag_stream("Eq.S", 1),
+                                                "Eq.S")
+        stacked = [X for X in blocks if X.ndim == 3]
+        assert case.status == "pass" and case.trials == 5000
+        assert sum(len(X) for X in stacked) == 5000 and len(stacked) == 5
+        assert all(X.size <= suites._SWEEP_ENTRIES for X in stacked)
+
+    def test_eq_s3_stacks_each_shape_from_one_generator(self, monkeypatch):
+        blocks = self.recorded_covariance(monkeypatch)
+        keys = record_stream_keys(monkeypatch)
+        stream = tag_stream("Eq.S3", 5)
+        params = suites.SuiteParams(seed=5, trials=8000)
+        case, = suites._run_rank_one(params, stream, "Eq.S3")
+        shapes = [X.shape[-2:] for X in blocks]
+        assert case.status == "pass" and case.trials == 200
+        assert len(keys) == len(blocks) == len(set(shapes)) == 20
+        assert {path[:-1] for _, path in keys} == {stream.path}
+        assert sum(len(X) for X in blocks) == 200
+        assert {n for n, _ in shapes} == set(range(4, 24))
+        assert {k for _, k in shapes} == {1, 2, 3, 4, 5}
+
+    def test_eq_s3_residuals_match_one_block_at_a_time(self, monkeypatch):
+        residuals = []
+        identity_sweep = suites._identity_sweep
+
+        def recording(name, tag, stacks, residual):
+            def recorded(X):
+                res, thr = residual(X)
+                residuals.extend(zip(X, res))
+                return res, thr
+            return identity_sweep(name, tag, stacks, recorded)
+
+        monkeypatch.setattr(suites, "_identity_sweep", recording)
+        params = suites.SuiteParams(seed=5, trials=200)
+        case, = suites._run_rank_one(params, tag_stream("Eq.S3", 5), "Eq.S3")
+        single = []
+        for X, res in residuals:
+            rank_one = np.einsum('pi,pj->ij', X.conj(), X) / len(X)
+            single.append(np.abs(rank_one - conc.covariance(X)).max())
+            assert res == single[-1]
+        assert len(single) == case.trials == 200
+        assert case.lhs == max(single)
+
+
 class TestSignSeriesRunners:
     """Eq.OB's enumeration, Eq.DDN and Eq.RUvsOB draw their series in
     stacks of one shape ``(m, d)``, the shapes cycling in diagonal order;
@@ -1208,7 +1286,7 @@ class TestSignSeriesRunners:
     its mus.  Each instance gives what the single-series call gives on the
     series its stack holds."""
 
-    MUS = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
+    MUS = (0.5, 1.0, 2.0)
 
     @staticmethod
     def shapes(max_len):
@@ -1258,7 +1336,7 @@ class TestSignSeriesRunners:
                     report = conc.oliveira_mgf_check(series, mu)
                     expected.append((report.lhs, report.rhs))
         assert sides["sign-series-enumerate"] == expected
-        assert case.status == "pass" and case.trials == len(expected) == 120
+        assert case.status == "pass" and case.trials == len(expected) == 60
 
     def test_stacked_groups_match_per_series_loop(self, monkeypatch):
         sides = self.sides_of_cases(monkeypatch)
@@ -1266,8 +1344,7 @@ class TestSignSeriesRunners:
         stream = tag_stream("Eq.RUvsOB", 5)
         case, = suites._run_oliveira_vs_aw(params, stream, "Eq.RUvsOB")
         expected = []
-        for terms, mus in self.series_stacks(stream, 400, 6,
-                                             (0.5, -0.5, 2.0, -2.0)):
+        for terms, mus in self.series_stacks(stream, 400, 6, (0.5, 2.0)):
             for series, mu in zip(terms, mus):
                 report = conc.oliveira_vs_aw(series, mu)
                 expected.append((report.lhs, report.rhs))
@@ -1343,6 +1420,14 @@ class TestSignSeriesRunners:
             lengths, dims = map(set, zip(*shapes))
             assert lengths == set(range(1, min(count, max_len) + 1))
             assert dims == {1, 2, 3, 4}
+
+    def test_mgf_factor_records_a_factor_below_one(self):
+        # no mu is 0, whose column would compare exactly 1 with 1
+        params = suites.SuiteParams(seed=1001, trials=8000)
+        case, = suites._run_mgf_factor(params, tag_stream("Eq.DD1", 1001),
+                                       "Eq.DD1")
+        assert case.status == "pass" and case.trials == 600
+        assert case.lhs < 1.0
 
     def test_shrunk_right_side_fails_both_cases(self, monkeypatch):
         enumerate_check, direct_check = conc.oliveira_mgf_check, conc.oliveira_vs_aw

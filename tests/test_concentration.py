@@ -21,8 +21,7 @@ class TestCovariance:
     def test_mean_is_identity(self, stream):
         n, k, trials = 32, 2, 10000
         rng = stream.generator()
-        draws = standard_complex(rng, (trials, n, k))
-        sigmas = np.einsum('tpi,tpj->tij', draws.conj(), draws) / n
+        sigmas = conc.covariance(standard_complex(rng, (trials, n, k)))
         mean = sigmas.mean(axis=0)
         se = sigmas.std(axis=0, ddof=1) / math.sqrt(trials)
         assert (np.abs(mean - np.eye(k)) <= 4.0 * np.maximum(se, 1e-12)).all()
@@ -33,9 +32,25 @@ class TestCovariance:
         rank_one = np.einsum('pi,pj->ij', X.conj(), X) / 10
         assert np.abs(sigma - rank_one).max() <= 1e-12
 
+    def test_stack_matches_each_block(self, rng):
+        assert_stack_matches_single(conc.covariance,
+                                    standard_complex(rng, (6, 10, 3)))
+
     def test_dimension_validation(self, rng):
         with pytest.raises(ValueError):
             conc.covariance(standard_complex(rng, (2, 5)))
+
+    @pytest.mark.parametrize("shape", [(4, 2, 5), (3, 0), (5,)])
+    def test_stack_validation(self, rng, shape):
+        with pytest.raises(ValueError, match="N >= k >= 1"):
+            conc.covariance(standard_complex(rng, shape))
+
+    def test_deviations_keep_the_bits_of_the_gram_product(self, stream):
+        # the tail experiments' spectra are computed from these bits
+        X, dev = conc.covariance_deviations(stream.generator(), 512, 12, 3)
+        gram = linalg.adjoint(X) @ X / 12
+        gram[:, np.arange(3), np.arange(3)] -= 1.0
+        assert dev.tobytes() == gram.tobytes()
 
 
 class TestVarianceProxy:

@@ -23,7 +23,8 @@ checks, ``tail`` the concentration sweeps, ``ratio`` the ensemble
 studies, ``hunt`` the counter-example searches), once, when ``suites``
 names it or ``all``; a config whose suites name none of that family is a
 config error.  Exit codes: 0 all cases passed, 1 at least one violation,
-2 config error (a bad config, saved report or SOURCE_DATE_EPOCH).
+2 config error (a bad config, saved report or SOURCE_DATE_EPOCH), 3 a
+runner raised (one line on stderr names its tag; no report is written).
 
 This module owns the report document: :func:`run` builds it as one
 strict JSON-native dict (``schema_version``, ``seed``, ``timestamp``,
@@ -52,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .samplers import DEFAULT_MASTER_SEED
-from .suites import SUITE_NAMES, CaseRecord, SuiteParams, run_suite
+from .suites import (SUITE_NAMES, CaseRecord, RunnerError, SuiteParams,
+                     run_suite)
 
 SCHEMA_VERSION = "1"
 
@@ -288,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"gtlab: config error: {exc}", file=sys.stderr)
         return 2
+    except RunnerError as exc:
+        print(f"gtlab: error: {exc}", file=sys.stderr)
+        return 3
     return 0 if report["summary"]["failed"] == 0 else 1
 
 

@@ -396,9 +396,10 @@ def oliveira_recursion_profile(terms, mu) -> np.ndarray:
     return np.stack(profile, axis=-1)
 
 
-def mgf_factor_check(A, mu: float) -> GapReport:
+def mgf_factor_check(A, mu) -> GapReport:
     """``|| e^(-mu^2 A^2/2) E e^(mu e A) ||_op <= 1`` for a Rademacher sign e
-    (``A`` one Hermitian matrix or a stack).
+    (``A`` one Hermitian matrix or a stack; ``mu`` one value or an array
+    broadcasting against the stack's leading axes).
 
     The expectation ``cosh(mu A)`` is exact, so the only slack is rounding:
     ``1e-15`` relative to ``max(1, lhs)``.  A Gaussian sign's expectation

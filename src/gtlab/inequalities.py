@@ -276,11 +276,12 @@ def karamata_spectral_gap(X) -> GapReport:
     """:func:`karamata_gap` on the log singular values ``a`` and the log
     absolute eigenvalues ``b`` of a square matrix, whose prefix sums
     ``a`` dominates (Weyl)."""
-    sigma = np.clip(singular_values(X), 1e-300, None)
-    lam = np.clip(_abs_eigen_desc(X), 1e-300, None)
+    Xm = as_complex_matrix(X, "karamata_spectral_gap argument 1")
+    sigma = np.clip(singular_values(Xm), 1e-300, None)
+    lam = np.clip(_abs_eigen_desc(Xm), 1e-300, None)
     # backward-stable SVD and eigensolver: each value v_j is off by at most
     # about n eps sigma_max, so its logarithm by that over v_j
-    unit = X.shape[-1] * np.finfo(np.float64).eps * sigma[..., :1]
+    unit = Xm.shape[-1] * np.finfo(np.float64).eps * sigma[..., :1]
     return karamata_gap(np.log(sigma), np.log(lam),
                         err=unit / sigma + unit / lam)
 

@@ -8,17 +8,15 @@ the exhaustive in-scope coverage the report document is built from.
 ``run_suite`` calls each runner as ``runner(params, stream, tag)``, so a
 runner emits the tag it is given instead of spelling it.
 
-A fixed-shape sweep is nothing but its row: the runner is a :class:`Sweep`
-holding the case name, the draw, the checker and the cycle, and the
-operation is the checker itself, so it cannot name a function the sweep
-never calls.  Adding such a checker takes one batched function and one
-``_sweep_row``.  A sweep case counts the instances whose report fails
-(``GapReport.passed``, each against its report's ``tol``) and records the
-one with the smallest ``margin / tol``.  A runner with a second route
-(the matrix traces behind the 2x2 reduction, quadrature behind the
-three-matrix kernel) judges its checker's reports the same way and also
-fails the case when the routes disagree beyond a fixed bound.  A residual
-case (:func:`_identity_sweep`) judges the instances of any stacks.
+Most rows are their own runner, of one of three kinds.  A :class:`Sweep`
+case counts the instances whose GapReport fails (each against its
+report's ``tol``) and records the one with the smallest ``margin / tol``;
+a :class:`Residual` case records the instance with the largest ratio of
+residual to threshold; a :class:`Hunt` passes when its scan finds a
+witness.  Adding such a checker takes one batched function and one row.
+A hand-written runner remains where a tag has a second route (the matrix
+traces behind the 2x2 reduction, quadrature behind the three-matrix
+kernel), several cases, or a statistical verdict.
 
 Randomness: each tag draws from its own stream, the path ``(position,)``
 under the seed, where ``position`` is the tag's registry position; a
@@ -34,7 +32,7 @@ tag's path.  A report is therefore a pure function of (config, seed).
 
 Rows whose instances differ in shape run on the one dimension ``1`` with
 the shapes as the cycle: the sign series ``(m, d)`` of Eq.OB's
-enumeration, Eq.DDN and Eq.RUvsOB (:func:`_series_stacks`), and Eq.S3's
+enumeration, Eq.DDN and Eq.RUvsOB (:func:`_series_shapes`), and Eq.S3's
 ``N x k`` blocks, every N in 4..23 with k cycling through 1..min(N, 5).
 Only Eq.OB's Monte Carlo series is drawn alone.  Eq.S draws its blocks in
 chunks of ``_SWEEP_ENTRIES`` entries; Eq.J's blocks are ``4n x n``.
@@ -45,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -59,8 +58,8 @@ from .reports import REL_TOL, GapReport, TailReport
 from .samplers import RngStream, ginibre, gue, standard_complex
 
 __all__ = [
-    "CaseRecord", "SuiteParams", "Sweep", "REGISTRY", "SUITE_TAGS",
-    "SUITE_NAMES", "run_suite",
+    "CaseRecord", "SuiteParams", "Sweep", "Residual", "Hunt", "RunnerError",
+    "REGISTRY", "SUITE_TAGS", "SUITE_NAMES", "run_suite",
 ]
 
 #: Matrix entries per stack in a sweep: a group of ``n x n`` instances is
@@ -96,6 +95,10 @@ class SuiteParams:
     seed: int
     trials: int = 1000
     dims: tuple[int, ...] = (2, 3, 4)
+
+
+class RunnerError(RuntimeError):
+    """A tag's runner raised: the message names the tag and the exception."""
 
 
 def _case(name: str, tag: str, lhs, rhs, margin, passed, trials: int,
@@ -204,12 +207,12 @@ def _groups(trials: int, dims: tuple, cycle: tuple) -> dict:
     return counts
 
 
-def _stacks(params: SuiteParams, stream: RngStream, draw, cycle=(None,)):
+def _stacks(trials: int, dims: tuple, stream: RngStream, draw, cycle=(None,)):
     """Yield ``((n, c), draw(rng, n, count, c))`` for each chunk of each
-    group of ``params.trials`` instances; the b-th stack overall is drawn
-    from one generator on ``stream.child(b)``."""
+    group of ``trials`` instances; the b-th stack overall is drawn from one
+    generator on ``stream.child(b)``."""
     block = 0
-    for (n, c), total in _groups(params.trials, params.dims, cycle).items():
+    for (n, c), total in _groups(trials, dims, cycle).items():
         chunk = max(1, _SWEEP_ENTRIES // n ** 2)
         for start in range(0, total, chunk):
             rng = stream.child(block).generator()
@@ -219,43 +222,70 @@ def _stacks(params: SuiteParams, stream: RngStream, draw, cycle=(None,)):
 
 @dataclass(frozen=True)
 class Sweep:
-    """The runner of a fixed-shape sweep row: case ``name`` over
-    ``params.trials`` instances, each stack drawn by ``draw(rng, n, count,
-    c)`` with ``c`` from ``cycle`` and judged by ``check(*drawn)``, which
-    returns its GapReport.  The case records the worst instance and the
-    violation count."""
+    """The runner of a sweep row: case ``name`` over ``size(trials)``
+    instances (default all) of the dimensions ``dims`` (default the
+    config's), each stack drawn by ``draw(rng, n, count, c)`` with ``c`` from
+    ``cycle`` and judged by ``check(*drawn)``, which returns its GapReport.
+    The case records the worst instance and the violation count."""
 
     name: str
     draw: Callable
     check: Callable
     cycle: tuple = (None,)
+    size: Callable | None = None
+    dims: tuple | None = None
+
+    def _results(self, params: SuiteParams, stream: RngStream) -> list:
+        """``check(*drawn)`` of each stack of the row's instances."""
+        trials = params.trials if self.size is None else self.size(params.trials)
+        return [self.check(*drawn) for _, drawn in _stacks(
+            trials, self.dims or params.dims, stream, self.draw, self.cycle)]
 
     def __call__(self, params: SuiteParams, stream: RngStream, tag: str):
-        reports = [self.check(*drawn) for _, drawn
-                   in _stacks(params, stream, self.draw, self.cycle)]
-        return [_worst_case(self.name, tag, reports)]
+        return [_worst_case(self.name, tag, self._results(params, stream))]
 
 
-def _sweep_row(suite: str, name: str, draw, check, cycle=(None,)):
+@dataclass(frozen=True)
+class Residual(Sweep):
+    """The runner of a residual row: a :class:`Sweep` whose ``check(*drawn)``
+    returns each instance's residual and threshold; the case records the
+    instance with the largest ratio of the two."""
+
+    def __call__(self, params: SuiteParams, stream: RngStream, tag: str):
+        sides = [np.broadcast_arrays(*r) for r in self._results(params, stream)]
+        res, thr = (np.concatenate(side) for side in zip(*sides))
+        i = int(np.argmax(res / thr))
+        return [_residual_case(self.name, tag, res[i], thr[i], res.size)]
+
+
+@dataclass(frozen=True)
+class Hunt:
+    """The runner of a counter-example hunt: case ``name`` runs ``scan(stream,
+    budget)`` on ``max(trials, 100000)`` trials and passes when the scan
+    returns a witness, whose sides and matrices the case records."""
+
+    name: str
+    scan: Callable
+
+    def __call__(self, params: SuiteParams, stream: RngStream, tag: str):
+        budget = max(params.trials, 100000)
+        witness = self.scan(stream, budget)
+        if witness is None:
+            return [_case(self.name, tag, math.nan, math.nan, math.nan, False,
+                          budget, extra={"found": False})]
+        extra = {"found": True, "trial_index": witness.trial_index,
+                 "matrices": witness.matrices, "context": witness.context}
+        if witness.vectors is not None:
+            extra["vectors"] = witness.vectors
+        return [_case(self.name, tag, witness.lhs, witness.rhs,
+                      witness.lhs - witness.rhs, True, witness.trial_index + 1,
+                      extra=extra)]
+
+
+def _sweep_row(suite: str, name: str, draw, check, cycle=(None,), **extent):
     """The registry row of a :class:`Sweep`; its operation is the checker."""
     operation = f"{check.__module__.rpartition('.')[2]}.{check.__name__}"
-    return suite, operation, Sweep(name, draw, check, cycle)
-
-
-def _identity_sweep(name, tag, stacks, residual):
-    """Residual case over the instances of :func:`_stacks` pairs ``(key,
-    drawn)``: ``residual(*drawn)`` gives each one's residual and threshold,
-    and the case records the instance with the largest ratio of the two."""
-    sides = [np.broadcast_arrays(*residual(*drawn)) for _, drawn in stacks]
-    res, thr = (np.concatenate(side) for side in zip(*sides))
-    i = int(np.argmax(res / thr))
-    return [_residual_case(name, tag, res[i], thr[i], res.size)]
-
-
-def _gue_stacks(params, stream, cap: int):
-    """The stacks of ``min(params.trials, cap)`` GUE instances."""
-    sweep = dataclasses.replace(params, trials=min(params.trials, cap))
-    return _stacks(sweep, stream, _draw(gue, 1))
+    return suite, operation, Sweep(name, draw, check, cycle, **extent)
 
 
 def _draw(sampler, matrices: int):
@@ -312,6 +342,29 @@ def _trace_product_draw(rng, n, count, c):
     return expm_herm(gue(rng, n, count)), gue(rng, n, count)
 
 
+def _mgf_factor_draw(rng, n, count, c):
+    """A GUE stack and the mus ``(0.5, 2.0)`` as a column against it."""
+    return gue(rng, n, count), np.array((0.5, 2.0))[:, None, None]
+
+
+def _series_shapes(max_len: int) -> tuple:
+    """A diagonal cycle of series shapes ``(m, d)``, ``m <= max_len``,
+    ``d <= 4``, whose first ``max_len`` take every length and dimension and
+    all ``4 max_len`` every pair."""
+    return tuple((i % max_len + 1, (i // max_len + i) % 4 + 1)
+                 for i in range(4 * max_len))
+
+
+def _series_draw(draw_mus):
+    """A draw of GUE series of the cycle's shape ``(m, d)``: the terms as one
+    GUE stack, then ``draw_mus(rng, count)``, the mus they are checked at."""
+    def draw(rng, n, count, shape):
+        m, d = shape
+        terms = gue(rng, d, count * m).reshape(count, m, d, d)
+        return terms, draw_mus(rng, count)
+    return draw
+
+
 # ---------------------------------------------------------------------------
 # inequalities suite runners
 
@@ -327,9 +380,8 @@ def _run_gt(params, stream, tag):
     # one case per dimension, each sweep on its own child stream
     cases = []
     for j, n in enumerate(params.dims):
-        sweep = Sweep(f"gt-sweep-n{n}", _draw(gue, 2), ineq.gt_gap)
-        cases += sweep(dataclasses.replace(params, dims=(n,)), stream.child(j),
-                       tag)
+        sweep = Sweep(f"gt-sweep-n{n}", _draw(gue, 2), ineq.gt_gap, dims=(n,))
+        cases += sweep(params, stream.child(j), tag)
     return cases
 
 
@@ -393,31 +445,26 @@ def _run_lie_trotter(params, stream, tag):
                          "commuting_deviation": comm_dev})]
 
 
-def _run_phi_functional(params, stream, tag):
-    def residual(A):
-        P = expm_herm(A)
-        top = ineq.top_k_abs_eigensum(P, P.shape[-1])
-        s1 = singular_values(P).sum(axis=-1)
-        return np.abs(top - s1) / np.maximum(1.0, s1), REL_TOL
-    return _identity_sweep("top-k-functional-consistency", tag,
-                           _gue_stacks(params, stream, 500), residual)
+def _top_k_residual(A):
+    """The top-``n`` absolute eigensum of ``e^A`` against its trace norm."""
+    P = expm_herm(A)
+    top = ineq.top_k_abs_eigensum(P, P.shape[-1])
+    s1 = singular_values(P).sum(axis=-1)
+    return np.abs(top - s1) / np.maximum(1.0, s1), REL_TOL
 
 
-def _run_delta2_identity(params, stream, tag):
+def _delta2_residual(A):
     """``delta_2(e^A, I) = ||A||_F``, each instance judged against
     ``1e-10 + err``.  The eigenvalues ``mu_j`` of the computed ``e^A`` are
     backward stable: each is off by about ``n eps mu_max``, so its
     logarithm by that over ``mu_j``; ``err`` combines those in l2, relative
     to ``max(1, ||A||_F)`` as the residual is.  It grows like cond(e^A)."""
-    def residual(A):
-        d = distance_delta2(A, np.zeros_like(A))
-        f = frobenius_norm(A)
-        w = np.linalg.eigvalsh(A)
-        unit = A.shape[-1] * np.finfo(np.float64).eps * np.exp(w[..., -1:] - w)
-        scale = np.maximum(1.0, f)
-        return np.abs(d - f) / scale, 1e-10 + np.linalg.norm(unit, axis=-1) / scale
-    return _identity_sweep("delta2-identity", tag,
-                           _gue_stacks(params, stream, 500), residual)
+    d = distance_delta2(A, np.zeros_like(A))
+    f = frobenius_norm(A)
+    w = np.linalg.eigvalsh(A)
+    unit = A.shape[-1] * np.finfo(np.float64).eps * np.exp(w[..., -1:] - w)
+    scale = np.maximum(1.0, f)
+    return np.abs(d - f) / scale, 1e-10 + np.linalg.norm(unit, axis=-1) / scale
 
 
 #: Leading instances of the three-matrix sweep that are re-evaluated one by
@@ -431,8 +478,7 @@ def _run_lieb(params, stream, tag):
     cross = _groups(min(params.trials, _LIEB_CROSS_CHECKS), dims, (None,))
     agreement = 0.0
     reduction = 0.0
-    for key, (A, B, C) in _stacks(dataclasses.replace(params, dims=dims),
-                                  stream, _draw(gue, 3)):
+    for key, (A, B, C) in _stacks(params.trials, dims, stream, _draw(gue, 3)):
         report = ineq.lieb_triple_gap(A, B, C)
         reports.append(report)
         m = cross.pop(key, 0)
@@ -497,28 +543,19 @@ def _run_covariance_identity(params, stream, tag):
                   extra={"constructed_identity_residual": exact_residual})]
 
 
-def _run_rank_one(params, stream, tag):
+def _rank_one_residual(X):
     """The average of the rank-one row contributions against the Gram
     product of :func:`~gtlab.concentration.covariance`."""
-    def residual(X):
-        rank_one = np.einsum('...pi,...pj->...ij', X.conj(), X) / X.shape[-2]
-        return np.abs(rank_one - conc.covariance(X)).max(axis=(-2, -1)), 1e-12
-    shapes = tuple((n, (n - 4) % min(n, 5) + 1) for n in range(4, 24))
-    blocks = dataclasses.replace(params, trials=min(params.trials, 200),
-                                 dims=(1,))
-    return _identity_sweep("rank-one-decomposition", tag, _stacks(
-        blocks, stream, lambda rng, n, count, shape: (
-            standard_complex(rng, (count, *shape)),), shapes), residual)
+    rank_one = np.einsum('...pi,...pj->...ij', X.conj(), X) / X.shape[-2]
+    return np.abs(rank_one - conc.covariance(X)).max(axis=(-2, -1)), 1e-12
 
 
-def _run_opnorm_identity(params, stream, tag):
-    def residual(M):
-        w = np.linalg.eigvalsh(M)
-        eig_route = np.maximum(-w[..., 0], w[..., -1])
-        sv_route = operator_norm(M)
-        return np.abs(eig_route - sv_route) / np.maximum(1.0, sv_route), 1e-12
-    return _identity_sweep("operator-norm-identity", tag,
-                           _gue_stacks(params, stream, 300), residual)
+def _opnorm_residual(M):
+    """The operator norm from the extreme eigenvalues and from the SVD."""
+    w = np.linalg.eigvalsh(M)
+    eig_route = np.maximum(-w[..., 0], w[..., -1])
+    sv_route = operator_norm(M)
+    return np.abs(eig_route - sv_route) / np.maximum(1.0, sv_route), 1e-12
 
 
 def _run_scalar_chernoff(params, stream, tag):
@@ -572,31 +609,15 @@ def _run_domination_grid(params, stream, tag):
     return cases
 
 
-def _series_stacks(params, stream, count: int, max_len: int, draw_mus):
-    """The stacks of ``count`` random GUE series.  Series ``i`` has the
-    ``i``-th shape ``(m, d)`` of a diagonal cycle, ``m <= max_len`` (even),
-    ``d <= 4``, whose first ``max_len`` take every length and dimension and
-    all ``4 max_len`` every pair.  A stack draws its terms as one GUE stack,
-    then ``draw_mus(rng, count)``, the mus its series are checked at."""
-    def draw(rng, n, count, shape):
-        m, d = shape
-        terms = gue(rng, d, count * m).reshape(count, m, d, d)
-        return terms, draw_mus(rng, count)
-
-    shapes = tuple((i % max_len + 1, (i // max_len + i) % 4 + 1)
-                   for i in range(4 * max_len))
-    series = dataclasses.replace(params, trials=count, dims=(1,))
-    return _stacks(series, stream, draw, shapes)
-
-
 def _run_oliveira(params, stream, tag):
     """The enumerated series are the stacks of child 0, each at every mu;
     the Monte Carlo pair draws its series (length, dimension, terms) from
     child 1 and its signs from child 2, or from child 3 when escalated."""
-    reports = [conc.oliveira_mgf_check(*drawn) for _, drawn in _series_stacks(
-        params, stream.child(0), min(max(params.trials // 20, 10), 100), 10,
-        lambda rng, count: np.array((0.5, 1.0, 2.0))[:, None])]
-    enum_case = _worst_case("sign-series-enumerate", tag, reports)
+    enumeration = Sweep("sign-series-enumerate", _series_draw(
+        lambda rng, count: np.array((0.5, 1.0, 2.0))[:, None]),
+        conc.oliveira_mgf_check, _series_shapes(10),
+        lambda trials: min(max(trials // 20, 10), 100), (1,))
+    enum_case, = enumeration(params, stream.child(0), tag)
     rng = stream.child(1).generator()
     m, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
     gaussian = np.stack([gue(rng, d) for _ in range(m)])
@@ -612,29 +633,11 @@ def _run_oliveira(params, stream, tag):
     return [enum_case, mc_case]
 
 
-def _run_recursion_profile(params, stream, tag):
-    def residual(terms, mus):
-        profile = conc.oliveira_recursion_profile(terms, mus)
-        increases = np.diff(profile) / np.maximum(1.0, profile[..., :-1])
-        return increases.max(axis=-1), 1e-12
-    return _identity_sweep("recursion-non-increasing", tag, _series_stacks(
-        params, stream, min(20, max(params.trials // 100, 5)), 8,
-        lambda rng, count: rng.choice((0.5, 1.0, 2.0), size=count)), residual)
-
-
-def _run_mgf_factor(params, stream, tag):
-    mus = np.array((0.5, 2.0))[:, None, None]
-    sweep = Sweep("mgf-factor-bound", _draw(gue, 1),
-                  lambda A: conc.mgf_factor_check(A, mus))
-    return sweep(dataclasses.replace(params, trials=min(params.trials, 300)),
-                 stream, tag)
-
-
-def _run_oliveira_vs_aw(params, stream, tag):
-    reports = [conc.oliveira_vs_aw(*drawn) for _, drawn in _series_stacks(
-        params, stream, min(max(params.trials, 200), 1000), 6,
-        lambda rng, count: rng.choice((0.5, 2.0), size=count))]
-    return [_worst_case("series-vs-direct-bound", tag, reports)]
+def _recursion_residual(terms, mus):
+    """The largest relative rise along each series' recursion profile."""
+    profile = conc.oliveira_recursion_profile(terms, mus)
+    increases = np.diff(profile) / np.maximum(1.0, profile[..., :-1])
+    return increases.max(axis=-1), 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -688,34 +691,6 @@ def _run_hermitization(params, stream, tag):
 
 
 # ---------------------------------------------------------------------------
-# counter-example suite runners
-
-def _witness_case(name, tag, witness, budget) -> CaseRecord:
-    if witness is None:
-        return _case(name, tag, math.nan, math.nan, math.nan, False, budget,
-                     extra={"found": False})
-    extra = {"found": True, "trial_index": witness.trial_index,
-             "matrices": witness.matrices,
-             "context": witness.context}
-    if witness.vectors is not None:
-        extra["vectors"] = witness.vectors
-    return _case(name, tag, witness.lhs, witness.rhs, witness.lhs - witness.rhs,
-                 True, witness.trial_index + 1, extra=extra)
-
-
-def _run_hunt_triple(params, stream, tag):
-    budget = max(params.trials, 100000)
-    witness = ineq.triple_gt_scan(stream, budget)
-    return [_witness_case("hunt-triple-exponential", tag, witness, budget)]
-
-
-def _run_hunt_abc(params, stream, tag):
-    budget = max(params.trials, 100000)
-    witness = ineq.abc_trace_scan(stream, budget)
-    return [_witness_case("hunt-abc-trace", tag, witness, budget)]
-
-
-# ---------------------------------------------------------------------------
 # registry
 
 #: equation tag -> (suite, checker operation, runner); ``runner(params,
@@ -748,7 +723,9 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
     "Eq.4": _sweep_row("inequalities", "phi-power-premise", _phi_premise_draw,
                        ineq.phi_power_premise_gap,
                        ((1, True), (2, True), (1, False), (2, False))),
-    "Eq.4.2": ("inequalities", "inequalities.top_k_abs_eigensum", _run_phi_functional),
+    "Eq.4.2": ("inequalities", "inequalities.top_k_abs_eigensum", Residual(
+        "top-k-functional-consistency", _draw(gue, 1), _top_k_residual,
+        size=partial(min, 500))),
     "Eq.4.1": _sweep_row("inequalities", "phi-exponential", _phi_exp_draw,
                          ineq.phi_exp_gap),
     "Eq.4.1w": _sweep_row("inequalities", "weak-majorization", _draw(gue, 2),
@@ -759,7 +736,9 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
                         ineq.symmetrized_gap, (1.0, 2.0, 4.0)),
     "Eq.Sn": _sweep_row("inequalities", "log-metric", _draw(gue, 2),
                         ineq.log_metric_gap),
-    "Eq.Sn1": ("inequalities", "linalg.distance_delta2", _run_delta2_identity),
+    "Eq.Sn1": ("inequalities", "linalg.distance_delta2", Residual(
+        "delta2-identity", _draw(gue, 1), _delta2_residual,
+        size=partial(min, 500))),
     "Eq.4.1a": _sweep_row("inequalities", "nonhermitian-phi", _nonhermitian_draw,
                           ineq.nonhermitian_phi_gap, (True, False)),
     "Eq.4.1b": _sweep_row("inequalities", "hermitian-part", _draw(ginibre, 1),
@@ -768,8 +747,14 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
     "EqualityOrder": ("inequalities", "inequalities.equality_order_scan",
                       _run_equality_order),
     "Eq.S": ("concentration", "concentration.covariance", _run_covariance_identity),
-    "Eq.S3": ("concentration", "concentration.covariance", _run_rank_one),
-    "Eq.SP": ("concentration", "linalg.operator_norm", _run_opnorm_identity),
+    "Eq.S3": ("concentration", "concentration.covariance", Residual(
+        "rank-one-decomposition", lambda rng, n, count, shape: (
+            standard_complex(rng, (count, *shape)),), _rank_one_residual,
+        tuple((n, (n - 4) % min(n, 5) + 1) for n in range(4, 24)),
+        partial(min, 200), (1,))),
+    "Eq.SP": ("concentration", "linalg.operator_norm", Residual(
+        "operator-norm-identity", _draw(gue, 1), _opnorm_residual,
+        size=partial(min, 300))),
     "Eq.C": ("concentration", "concentration.scalar_chernoff", _run_scalar_chernoff),
     "Eq.rf": ("concentration", "concentration.empirical_tail", _run_union_bound),
     "Eq.rf1": ("concentration", "concentration.bernstein_tail_check", _run_bernstein),
@@ -781,16 +766,25 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
     "Eq.RU": ("concentration", "concentration.aw_bound", _run_domination_grid),
     "Eq.OB": ("concentration", "concentration.oliveira_mgf_check", _run_oliveira),
     "Eq.DDN": ("concentration", "concentration.oliveira_recursion_profile",
-               _run_recursion_profile),
-    "Eq.DD1": ("concentration", "concentration.mgf_factor_check", _run_mgf_factor),
-    "Eq.RUvsOB": ("concentration", "concentration.oliveira_vs_aw",
-                  _run_oliveira_vs_aw),
+               Residual("recursion-non-increasing", _series_draw(
+                   lambda rng, count: rng.choice((0.5, 1.0, 2.0), size=count)),
+                   _recursion_residual, _series_shapes(8),
+                   lambda trials: min(20, max(trials // 100, 5)), (1,))),
+    "Eq.DD1": _sweep_row("concentration", "mgf-factor-bound", _mgf_factor_draw,
+                         conc.mgf_factor_check, size=partial(min, 300)),
+    "Eq.RUvsOB": _sweep_row(
+        "concentration", "series-vs-direct-bound", _series_draw(
+            lambda rng, count: rng.choice((0.5, 2.0), size=count)),
+        conc.oliveira_vs_aw, _series_shapes(6),
+        size=lambda trials: min(max(trials, 200), 1000), dims=(1,)),
     "Eq.R": ("studies", "studies.pauli_ratio_mc", _run_ratio_mc),
     "Eq.R.quadrature": ("studies", "studies.pauli_ratio_quadrature",
                         _run_ratio_quadrature),
     "Limit.sqrt2": ("studies", "studies.hermitization_ratio", _run_hermitization),
-    "Eq.4.1d": ("counterexamples", "inequalities.triple_gt_scan", _run_hunt_triple),
-    "ABC.trace": ("counterexamples", "inequalities.abc_trace_scan", _run_hunt_abc),
+    "Eq.4.1d": ("counterexamples", "inequalities.triple_gt_scan",
+                Hunt("hunt-triple-exponential", ineq.triple_gt_scan)),
+    "ABC.trace": ("counterexamples", "inequalities.abc_trace_scan",
+                  Hunt("hunt-abc-trace", ineq.abc_trace_scan)),
 }
 
 SUITE_NAMES = ("inequalities", "concentration", "studies", "counterexamples")
@@ -805,7 +799,8 @@ SUITE_TAGS: dict[str, tuple[str, ...]] = {
 def run_suite(name: str, params: SuiteParams) -> list[CaseRecord]:
     """Execute one named suite; each tag's runner draws from the stream at
     the tag's registry position under the seed, making the output
-    deterministic, and is handed the tag."""
+    deterministic, and is handed the tag.  A runner that raises ends the
+    run with a :class:`RunnerError`."""
     if name not in SUITE_TAGS:
         raise ValueError(f"unknown suite {name!r}")
     cases: list[CaseRecord] = []
@@ -813,5 +808,8 @@ def run_suite(name: str, params: SuiteParams) -> list[CaseRecord]:
     for tag in SUITE_TAGS[name]:
         _, _, runner = REGISTRY[tag]
         stream = RngStream(params.seed, (positions[tag],))
-        cases.extend(runner(params, stream, tag))
+        try:
+            cases.extend(runner(params, stream, tag))
+        except Exception as exc:
+            raise RunnerError(f"{tag}: {type(exc).__name__}: {exc}") from exc
     return cases

@@ -117,20 +117,17 @@ class TestAcceptance:
         announce(6, "three-matrix kernel vs quadrature on 100 triples")
 
     def test_07_counterexample_hunts(self):
-        triple = ineq.triple_gt_scan(stream_for(7).child(0), budget=100000)
-        assert triple is not None
-        assert triple.lhs > triple.rhs
-        abc = ineq.abc_trace_scan(stream_for(7).child(1), budget=100000)
-        assert abc is not None
-        assert abc.lhs > abc.rhs
-        # both witnesses serialize with their evaluated sides
-        for witness, tag in ((triple, "Eq.4.1d"), (abc, "ABC.trace")):
-            case = suites._witness_case("hunt", tag, witness, 100000)
+        # each hunt row scans a budget of 100000 trials; its witness
+        # serializes with its evaluated sides
+        params = suites.SuiteParams(seed=SEED, trials=1)
+        found = []
+        for j, tag in enumerate(("Eq.4.1d", "ABC.trace")):
+            case, = suites.REGISTRY[tag][2](params, stream_for(7).child(j), tag)
             assert case.extra["found"] is True
             assert case.lhs > case.rhs
             assert case.extra["matrices"]
-        announce(7, f"witnesses at trials {triple.trial_index} and "
-                    f"{abc.trial_index}")
+            found.append(case.extra["trial_index"])
+        announce(7, f"witnesses at trials {found[0]} and {found[1]}")
 
     def test_08_reduction_consistency(self):
         params = suites.SuiteParams(seed=SEED, trials=100000)

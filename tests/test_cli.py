@@ -231,6 +231,19 @@ class TestRunAndEmit:
         failed = [c for c in report["cases"] if not c["passed"]]
         assert failed and failed[0]["equation"] == "Eq.AB"
 
+    def test_runner_exception_exit_three(self, tmp_path, monkeypatch, capsys):
+        # a runner that raises has found no violation: exit 3 with one line
+        # naming the tag and the exception, and no report
+        def raising(params, stream, tag):
+            raise ValueError("no convergence")
+
+        suite, operation, _ = suites.REGISTRY["Eq.1b"]
+        monkeypatch.setitem(suites.REGISTRY, "Eq.1b",
+                            (suite, operation, raising))
+        assert run_cli(tmp_path, BASE_CONFIG) == (3, None)
+        assert capsys.readouterr().err.splitlines() == [
+            "gtlab: error: Eq.1b: ValueError: no convergence"]
+
     def test_one_by_one_dims_exit_zero(self, tmp_path):
         # a 1x1 GUE pair always commutes, so the order fit draws its pair
         # at 2x2 at least; it used to crash with exit 1
@@ -303,7 +316,10 @@ class TestRunAndEmit:
                          str(tmp_path / "re.json")]) == 0
         assert (tmp_path / "re.json").read_text() == text
         # a hunt that spends its budget without a witness has no sides
-        missed = suites._witness_case("hunt", "ABC.trace", None, 10)
+        hunt = dataclasses.replace(suites.REGISTRY["ABC.trace"][2],
+                                   scan=lambda stream, budget: None)
+        missed, = hunt(suites.SuiteParams(seed=1, trials=10),
+                       tag_stream("ABC.trace", 1), "ABC.trace")
         document = document_of(monkeypatch, [missed])
         case, = json.loads(cli.emit(document, "json"),
                            parse_constant=reject)["cases"]
@@ -441,13 +457,13 @@ def document_of(monkeypatch, cases) -> dict:
                                    selected=True))
 
 
-#: Tags whose cases are all judged by ``_worst_case``: the Sweep rows, and
-#: the runners that call their row's operation for the GapReports.
+#: Tags whose cases are all judged by ``_worst_case``: the Sweep rows (a
+#: Residual row judges residuals, not GapReports), and the runners that
+#: call their row's operation for the GapReports.
 SWEEP_CASE_TAGS = [
     tag for tag, (_, _, runner) in suites.REGISTRY.items()
-    if isinstance(runner, suites.Sweep)
-    or tag in ("Eq.1", "Eq.1a", "Eq.1b", "Eq.4.1c", "Eq.OB", "Eq.DD1",
-               "Eq.RUvsOB")]
+    if type(runner) is suites.Sweep
+    or tag in ("Eq.1", "Eq.1a", "Eq.1b", "Eq.4.1c", "Eq.OB")]
 
 
 def raised_last_step(profiles):
@@ -601,13 +617,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("tag", SWEEP_CASE_TAGS)
     def test_a_broken_checker_fails_its_sweep_case(self, tag, monkeypatch):
-        # a Sweep row runs the checker it holds, the other runners call
-        # their row's operation
-        _, _, runner = suites.REGISTRY[tag]
-        if isinstance(runner, suites.Sweep):
-            runner = dataclasses.replace(runner, check=broken(runner.check))
-        else:
-            patch_operation(monkeypatch, tag, broken)
+        runner = injected(monkeypatch, tag, broken)
         params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
         cases = runner(params, tag_stream(tag, 1), tag)
         failed = [(c.status, c.extra.get("violations")) for c in cases
@@ -619,7 +629,8 @@ class TestRegistry:
         monkeypatch.setattr(conc, "covariance",
                             lambda X: covariance(X) * (1 + 1e-9))
         params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
-        case, = suites._run_rank_one(params, tag_stream("Eq.S3", 1), "Eq.S3")
+        case, = suites.REGISTRY["Eq.S3"][2](params, tag_stream("Eq.S3", 1),
+                                            "Eq.S3")
         assert case.status == "fail" and case.lhs > case.rhs
 
     def test_a_biased_stacked_covariance_fails_eq_s(self, monkeypatch):
@@ -704,8 +715,8 @@ class TestRegistry:
         # the worst residual is rounding of about cond(e^A) ulps, above the
         # bare 1e-10 floor and below the derived bound
         params = suites.SuiteParams(seed=1, trials=60, dims=(64,))
-        case, = suites._run_delta2_identity(params, tag_stream("Eq.Sn1", 1),
-                                            "Eq.Sn1")
+        case, = suites.REGISTRY["Eq.Sn1"][2](params, tag_stream("Eq.Sn1", 1),
+                                             "Eq.Sn1")
         assert case.status == "pass" and case.lhs > 1e-10
 
     def test_sweep_stacks_are_bounded_in_matrix_entries(self):
@@ -713,14 +724,14 @@ class TestRegistry:
         # trial count: at n = 48, 3000 instances come in stacks of 28
         params = suites.SuiteParams(seed=1, trials=3000, dims=(48,))
         counts = [count for _, (count,) in suites._stacks(
-            params, RngStream(1), lambda rng, n, count, c: (count,))]
+            params.trials, params.dims, RngStream(1),
+            lambda rng, n, count, c: (count,))]
         assert sum(counts) == params.trials
         assert max(counts) * 48 ** 2 <= suites._SWEEP_ENTRIES
 
     @pytest.mark.parametrize("tag", VERDICT_INJECTIONS)
     def test_a_broken_tail_or_hunt_fails_every_case(self, tag, monkeypatch):
-        patch_operation(monkeypatch, tag, VERDICT_INJECTIONS[tag])
-        _, _, runner = suites.REGISTRY[tag]
+        runner = injected(monkeypatch, tag, VERDICT_INJECTIONS[tag])
         params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
         cases = runner(params, tag_stream(tag, 1), tag)
         assert cases and all(c.status == "fail" for c in cases)
@@ -821,6 +832,19 @@ def patch_operation(monkeypatch, tag: str, wrap):
                         wrapped)
     if getattr(suites, name, None) is fn:
         monkeypatch.setattr(suites, name, wrapped)
+
+
+def injected(monkeypatch, tag: str, wrap):
+    """The runner of ``tag`` with its row's operation replaced by
+    ``wrap(operation)``: in the row, for a Sweep or a Hunt, which holds its
+    operation; where :func:`patch_operation` puts it, for the others."""
+    _, _, runner = suites.REGISTRY[tag]
+    if type(runner) is suites.Sweep:
+        return dataclasses.replace(runner, check=wrap(runner.check))
+    if isinstance(runner, suites.Hunt):
+        return dataclasses.replace(runner, scan=wrap(runner.scan))
+    patch_operation(monkeypatch, tag, wrap)
+    return runner
 
 
 def broken(check):
@@ -1247,7 +1271,7 @@ class TestCovarianceRunners:
         keys = record_stream_keys(monkeypatch)
         stream = tag_stream("Eq.S3", 5)
         params = suites.SuiteParams(seed=5, trials=8000)
-        case, = suites._run_rank_one(params, stream, "Eq.S3")
+        case, = suites.REGISTRY["Eq.S3"][2](params, stream, "Eq.S3")
         shapes = [X.shape[-2:] for X in blocks]
         assert case.status == "pass" and case.trials == 200
         assert len(keys) == len(blocks) == len(set(shapes)) == 20
@@ -1256,20 +1280,18 @@ class TestCovarianceRunners:
         assert {n for n, _ in shapes} == set(range(4, 24))
         assert {k for _, k in shapes} == {1, 2, 3, 4, 5}
 
-    def test_eq_s3_residuals_match_one_block_at_a_time(self, monkeypatch):
+    def test_eq_s3_residuals_match_one_block_at_a_time(self):
         residuals = []
-        identity_sweep = suites._identity_sweep
+        row = suites.REGISTRY["Eq.S3"][2]
 
-        def recording(name, tag, stacks, residual):
-            def recorded(X):
-                res, thr = residual(X)
-                residuals.extend(zip(X, res))
-                return res, thr
-            return identity_sweep(name, tag, stacks, recorded)
+        def recorded(X):
+            res, thr = row.check(X)
+            residuals.extend(zip(X, res))
+            return res, thr
 
-        monkeypatch.setattr(suites, "_identity_sweep", recording)
         params = suites.SuiteParams(seed=5, trials=200)
-        case, = suites._run_rank_one(params, tag_stream("Eq.S3", 5), "Eq.S3")
+        case, = dataclasses.replace(row, check=recorded)(
+            params, tag_stream("Eq.S3", 5), "Eq.S3")
         single = []
         for X, res in residuals:
             rank_one = np.einsum('pi,pj->ij', X.conj(), X) / len(X)
@@ -1342,7 +1364,7 @@ class TestSignSeriesRunners:
         sides = self.sides_of_cases(monkeypatch)
         params = suites.SuiteParams(seed=5, trials=400)
         stream = tag_stream("Eq.RUvsOB", 5)
-        case, = suites._run_oliveira_vs_aw(params, stream, "Eq.RUvsOB")
+        case, = suites.REGISTRY["Eq.RUvsOB"][2](params, stream, "Eq.RUvsOB")
         expected = []
         for terms, mus in self.series_stacks(stream, 400, 6, (0.5, 2.0)):
             for series, mu in zip(terms, mus):
@@ -1354,7 +1376,7 @@ class TestSignSeriesRunners:
     def test_recursion_profiles_match_their_streams(self):
         params = suites.SuiteParams(seed=5, trials=1000)
         stream = tag_stream("Eq.DDN", 5)
-        case, = suites._run_recursion_profile(params, stream, "Eq.DDN")
+        case, = suites.REGISTRY["Eq.DDN"][2](params, stream, "Eq.DDN")
         worst = -np.inf
         for terms, mus in self.series_stacks(stream, 10, 8, (0.5, 1.0, 2.0)):
             for series, mu in zip(terms, mus):
@@ -1378,8 +1400,8 @@ class TestSignSeriesRunners:
         monkeypatch.setattr(suites, "gue", skewed)
         params = suites.SuiteParams(seed=5, trials=200)
         with pytest.raises(ValueError, match="Hermitian"):
-            suites._run_oliveira_vs_aw(params, tag_stream("Eq.RUvsOB", 5),
-                                       "Eq.RUvsOB")
+            suites.REGISTRY["Eq.RUvsOB"][2](params, tag_stream("Eq.RUvsOB", 5),
+                                            "Eq.RUvsOB")
         # the skewed term's stack holds more than one series
         m, _ = self.shapes(6)[6]
         assert drawn[6] > m
@@ -1397,18 +1419,19 @@ class TestSignSeriesRunners:
     def test_one_generator_per_shape(self, tag, check, max_len, many, few,
                                      monkeypatch):
         shapes = []
-        checker = getattr(conc, check)
+        assert suites.REGISTRY[tag][1] == f"concentration.{check}"
 
-        def recording(terms, mu):
-            m, d = terms.shape[-3], terms.shape[-1]
-            shapes.extend([(m, d)] * (terms.size // (m * d * d)))
-            return checker(terms, mu)
+        def recording(checker):
+            def recorded(terms, mu):
+                m, d = terms.shape[-3], terms.shape[-1]
+                shapes.extend([(m, d)] * (terms.size // (m * d * d)))
+                return checker(terms, mu)
+            return recorded
 
-        monkeypatch.setattr(conc, check, recording)
+        runner = injected(monkeypatch, tag, recording)
         keys = record_stream_keys(monkeypatch)
         # Eq.OB's enumerated series are the stacks of child 0
         prefix = tag_stream(tag, 5).path + ((0,) if tag == "Eq.OB" else ())
-        _, _, runner = suites.REGISTRY[tag]
         for trials, count in ((8000, many), (1, few)):
             shapes.clear()
             keys.clear()
@@ -1424,27 +1447,25 @@ class TestSignSeriesRunners:
     def test_mgf_factor_records_a_factor_below_one(self):
         # no mu is 0, whose column would compare exactly 1 with 1
         params = suites.SuiteParams(seed=1001, trials=8000)
-        case, = suites._run_mgf_factor(params, tag_stream("Eq.DD1", 1001),
-                                       "Eq.DD1")
+        case, = suites.REGISTRY["Eq.DD1"][2](params, tag_stream("Eq.DD1", 1001),
+                                             "Eq.DD1")
         assert case.status == "pass" and case.trials == 600
         assert case.lhs < 1.0
 
     def test_shrunk_right_side_fails_both_cases(self, monkeypatch):
-        enumerate_check, direct_check = conc.oliveira_mgf_check, conc.oliveira_vs_aw
-
-        def shrunk(report):
+        def shrunk(check):
             # the left side is at least 1, so this is a relative violation
             # of 1e-8 against the 1e-9 tolerance
-            return GapReport.from_sides(report.lhs, report.lhs * (1 - 1e-8))
+            def wrapped(terms, mu):
+                report = check(terms, mu)
+                return GapReport.from_sides(report.lhs,
+                                            report.lhs * (1 - 1e-8))
+            return wrapped
 
-        monkeypatch.setattr(conc, "oliveira_mgf_check",
-                            lambda terms, mu: shrunk(enumerate_check(terms, mu)))
-        monkeypatch.setattr(conc, "oliveira_vs_aw",
-                            lambda terms, mu: shrunk(direct_check(terms, mu)))
         params = suites.SuiteParams(seed=5, trials=200)
-        enum_case, mc_case = suites._run_oliveira(
+        enum_case, mc_case = injected(monkeypatch, "Eq.OB", shrunk)(
             params, tag_stream("Eq.OB", 5), "Eq.OB")
-        direct_case, = suites._run_oliveira_vs_aw(
+        direct_case, = injected(monkeypatch, "Eq.RUvsOB", shrunk)(
             params, tag_stream("Eq.RUvsOB", 5), "Eq.RUvsOB")
         assert mc_case.status == "pass"
         for case in (enum_case, direct_case):

@@ -134,6 +134,12 @@ class TestWeylKaramata:
         assert report.lhs == pytest.approx(0.0, abs=1e-12)
         assert report.rhs == pytest.approx(1.0, abs=1e-12)
 
+    def test_karamata_spectral_gap_takes_a_nested_list(self):
+        # a normal matrix: singular values equal absolute eigenvalues
+        report = ineq.karamata_spectral_gap([[1, 0], [0, 2]])
+        assert report.passed
+        assert report.margin == pytest.approx(0.0, abs=1e-12)
+
     def test_hermitian_equality_every_k(self, rng):
         M = gue(rng, 5)
         for k in range(1, 6):

@@ -414,6 +414,7 @@ MATRIX_ARG_CALLERS = [
     (ineq.phi_power_premise_gap, 1, (1, 1)),
     (ineq.nonhermitian_phi_gap, 2, (1,)),
     (ineq.hermitian_part_dominance, 1, ()),
+    (ineq.karamata_spectral_gap, 1, ()),
 ]
 
 

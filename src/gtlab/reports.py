@@ -126,30 +126,145 @@ class RatioEstimate:
 def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
     """Clopper-Pearson (exact) two-sided 95% binomial confidence interval.
 
-    The bounds are beta quantiles: for ``x`` successes in ``n`` trials,
-    ``low = B^-1(alpha/2; x, n-x+1)`` and ``high = B^-1(1-alpha/2; x+1,
-    n-x)``, where ``B^-1(q; a, b) = betaincinv(a, b, q)``, the inverse of
-    the regularized incomplete beta function, is the ``q``-quantile of
-    Beta(a, b).
+    For ``k`` successes in ``N`` trials and ``X ~ Bin(N, p)``, ``high`` is
+    the ``p`` at which ``P(X <= k) = alpha/2`` and ``low`` the ``p`` at
+    which ``P(X >= k) = alpha/2`` (the beta quantiles ``B^-1(1-alpha/2;
+    k+1, N-k)`` and ``B^-1(alpha/2; k, N-k+1)``).  ``k = 0`` and ``k = N``
+    have closed forms; otherwise :func:`_tail_root` solves the equation by
+    Newton steps inside a bisection bracket, on binomial tails summed from
+    C. Loader's saddle-point point probabilities ("Fast and accurate
+    computation of binomial probabilities", 2000).  Each bound lies within
+    ``8 * 2**-52`` of the exact quantile, relative (tested up to ``N =
+    10**6``).
     """
-    # imported here: scipy.special is most of the package's import time,
-    # and only the tail cases reach this function
-    from scipy.special import betaincinv
-
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes outside [0, trials]")
     alpha = 1.0 - 0.95
+    log_target = math.log(alpha / 2)
     if successes == 0:
         low = 0.0
+    elif successes == trials:
+        low = math.exp(log_target / trials)
     else:
-        low = float(betaincinv(successes, trials - successes + 1, alpha / 2))
+        low = _tail_root(successes, trials, False, log_target)
     if successes == trials:
         high = 1.0
+    elif successes == 0:
+        high = -math.expm1(log_target / trials)
     else:
-        high = float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
+        high = _tail_root(successes, trials, True, log_target)
     return low, high
+
+
+#: ``log(n!) - log(sqrt(2 pi n) (n/e)^n)`` for ``n = 1..15`` (entry 0 is
+#: unused), rounded from 40-digit mpmath values.
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+
+
+def _stirlerr(n: int) -> float:
+    """Error of Stirling's formula for ``log(n!)``, ``n >= 1``: the table
+    up to 15, then Loader's truncations of the asymptotic series."""
+    if n < len(_STIRLERR):
+        return _STIRLERR[n]
+    nn = float(n) * n
+    if n > 500:
+        return (1 / 12 - 1 / 360 / nn) / n
+    if n > 80:
+        return (1 / 12 - (1 / 360 - 1 / 1260 / nn) / nn) / n
+    if n > 35:
+        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / 1680 / nn) / nn) / nn) / n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn)
+                                 / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """Loader's deviance term ``x log(x/m) + m - x``, by its series in
+    ``(x - m)/(x + m)`` when ``x`` is near ``m``, where the closed form
+    cancels."""
+    d = x - m
+    if abs(d) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = d / (x + m)
+    s = d * v
+    term = 2.0 * x * v
+    v *= v
+    j = 1
+    while True:
+        term *= v
+        j += 2
+        s_next = s + term / j
+        if s_next == s:
+            return s
+        s = s_next
+
+
+def _log_cdf(k: int, n: int, p: float, q: float) -> tuple[float, float]:
+    """``(log P(X <= k), S)`` for ``X ~ Bin(n, p)`` and ``0 < k < n``,
+    where ``S`` is ``P(X <= k)`` over ``P(X = k)``.
+
+    ``q = 1 - p`` comes separately, so that ``P(X >= k)``, which is
+    ``_log_cdf(n - k, n, q, p)``, rounds no ``1 - q``.  ``P(X = k)`` is
+    Loader's saddle-point form.  The tail is summed from ``k`` down by the
+    ratio of successive terms, until a term falls below ``2**-60`` of the
+    sum.  The ratio is below 1 and falls away from ``k`` when ``p >=
+    k/n``: the only points where :func:`_tail_root` evaluates it.
+    """
+    s = t = 1.0
+    r = q / p
+    for j in range(k, 0, -1):
+        t *= j * r / (n - j + 1)
+        s += t
+        if t <= s * 2**-60:
+            break
+    log_pmf = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+               - _bd0(k, n * p) - _bd0(n - k, n * q)
+               + 0.5 * math.log(n / (2.0 * math.pi * k * (n - k))))
+    return log_pmf + math.log(s), s
+
+
+def _tail_root(k: int, n: int, below: bool, log_target: float) -> float:
+    """The ``p`` at which ``log P(X <= k)`` (``below``; ``p > k/n``) or
+    ``log P(X >= k)`` (``p < k/n``) equals ``log_target``, for ``X ~
+    Bin(n, p)`` and ``0 < k < n``.
+
+    Newton steps on the log of the tail start at ``k/n`` and are taken in
+    ``log(1-p)`` (``below``) or ``log p``, where the tail is close to a
+    power of the variable.  Their slopes are exact: ``dF/dp = -(n-k)/(1-p)
+    P(X = k)`` below and ``k/p P(X = k)`` above give ``(n-k)/S`` and
+    ``k/S`` with :func:`_log_cdf`'s ``S``.  A step that leaves the bracket
+    of points known to lie on either side of the root bisects it instead.
+    The iteration ends on a Newton step shorter than ``2**-40 p``, whose
+    error is of the order of its square, below rounding.
+    """
+    lo, hi = (k / n, 1.0) if below else (0.0, k / n)
+    p = k / n
+    for _ in range(100):
+        q = 1.0 - p
+        log_tail, s = _log_cdf(k, n, p, q) if below \
+            else _log_cdf(n - k, n, q, p)
+        g = log_tail - log_target
+        if (g > 0) == below:
+            lo = p
+        else:
+            hi = p
+        if below:
+            new = p - q * math.expm1(-g * s / (n - k))
+        else:
+            new = p * math.exp(-g * s / k)
+        if abs(new - p) <= 2**-40 * new:
+            return new
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        p = new
+    raise ArithmeticError(f"no Clopper-Pearson bound for {k} of {n}")
 
 
 def checked_real(value, context: str):

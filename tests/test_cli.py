@@ -799,21 +799,13 @@ class TestStartup:
     def test_cli_import_loads_no_scipy(self, tmp_path):
         assert self.probe(tmp_path, (), SCIPY_MODULES) == "[]"
 
-    def test_verify_ratio_and_hunt_load_no_scipy(self, tmp_path):
-        # both quadrature routes run (Eq.4.1c under verify, Eq.R under
-        # ratio), and only tail reaches a binomial interval
-        commands = (("verify", "inequalities"), ("ratio", "studies"),
-                    ("hunt", "counterexamples"))
-        assert self.probe(tmp_path, commands, SCIPY_MODULES) == "[]"
-
-    def test_no_subcommand_loads_scipy_beyond_special(self, tmp_path):
-        # all four subcommands in one interpreter: tail's binomial intervals
-        # (betaincinv) load scipy.special and no other scipy subpackage
+    def test_no_subcommand_loads_scipy(self, tmp_path):
+        # all four subcommands in one interpreter: both quadrature routes
+        # (Eq.4.1c under verify, Eq.R under ratio) and tail's binomial
+        # intervals run
         commands = (("verify", "inequalities"), ("tail", "concentration"),
                     ("ratio", "studies"), ("hunt", "counterexamples"))
-        loaded = ("sorted(p for p in sys.modules['scipy'].submodules "
-                  "if f'scipy.{p}' in sys.modules)")
-        assert self.probe(tmp_path, commands, loaded) == "['special']"
+        assert self.probe(tmp_path, commands, SCIPY_MODULES) == "[]"
 
 
 def operation_of(tag: str):

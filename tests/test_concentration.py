@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import beta, binom
+from hypothesis import given, settings, strategies as st
+from scipy.stats import binom
 
 from gtlab import concentration as conc
 from gtlab import linalg, pauli
@@ -457,6 +458,33 @@ class TestTraceProductDominance:
                                     gue(rng, 3, 6))
 
 
+#: The (exceedances, trials) pairs of the binomial intervals of one
+#: ``tail`` run on ``{"suites": ["concentration"], "trials": 8000,
+#: "seed": 1001}``.
+TAIL_BULK_COUNTS = (
+    (7, 10000), (1131, 2000), (1133, 4000), (61, 8000), (1163, 8000),
+    (81, 8000), (1, 8000), (4901, 8000), (542, 8000), (7, 8000), (324, 8000),
+    (7, 8000), (0, 8000), (2107, 8000), (48, 8000), (0, 8000))
+
+
+def exact_binomial_tail(mp, k, N, p, below):
+    """``P(X <= k)`` (``below``) or ``P(X >= k)`` for ``X ~ Bin(N, p)`` at
+    mpmath's working precision, summed from ``k`` outward by the ratio of
+    successive terms (``mpmath.betainc`` does not converge at ``N =
+    10**6``, ``k = N/2``)."""
+    q = 1 - p
+    term = total = mp.binomial(N, k) * p**k * q**(N - k)
+    cutoff = mp.mpf(10) ** -40
+    js = range(k, 0, -1) if below else range(k, N)
+    for j in js:
+        term *= j * q / ((N - j + 1) * p) if below \
+            else (N - j) * p / ((j + 1) * q)
+        total += term
+        if term < total * cutoff:
+            break
+    return total
+
+
 class TestBinomialCi:
     def test_edge_cases(self):
         low, high = binomial_ci(0, 100)
@@ -468,15 +496,44 @@ class TestBinomialCi:
         low, high = binomial_ci(50, 100)
         assert low < 0.5 < high
 
-    def test_matches_beta_quantiles_exactly(self):
+    def test_closed_forms_at_the_edges(self):
+        log_target = math.log((1.0 - 0.95) / 2)
         for N in (1, 2, 10, 100, 8000, 80000, 10**6):
-            for k in sorted({k for k in (0, 1, 2, N // 2, N - 1, N) if k <= N}):
-                alpha = 1.0 - 0.95
+            assert binomial_ci(0, N) == (0.0, -math.expm1(log_target / N))
+            assert binomial_ci(N, N) == (math.exp(log_target / N), 1.0)
+
+    def test_bounds_bracket_the_exact_quantiles(self):
+        # each bound v is within 8 * 2**-52 * v of the exact quantile: the
+        # 50-digit tail at v * (1 -+ 8 * 2**-52) lies on both sides of
+        # alpha/2
+        mp = pytest.importorskip("mpmath")
+        grid = {(k, N) for N in (1, 2, 10, 100, 8000, 80000, 10**6)
+                for k in (0, 1, 2, N // 2, N - 1, N) if k <= N}
+        with mp.workdps(50):
+            target = mp.mpf((1.0 - 0.95) / 2)
+            for k, N in sorted(grid | set(TAIL_BULK_COUNTS)):
                 low, high = binomial_ci(k, N)
-                assert low == (beta.ppf(alpha / 2, k, N - k + 1)
-                               if k else 0.0), (k, N)
-                assert high == (beta.ppf(1 - alpha / 2, k + 1, N - k)
-                                if k < N else 1.0), (k, N)
+                # P(X >= k) rises with p through alpha/2 at low, and
+                # P(X <= k) falls through it at high
+                for v, below, sign in ((low, False, 1), (high, True, -1)):
+                    if v in (0.0, 1.0):
+                        continue
+                    for side in (-1, 1):
+                        p = mp.mpf(v) * (1 + side * 8 * mp.mpf(2) ** -52)
+                        tail = exact_binomial_tail(mp, k, N, p, below)
+                        assert sign * side * (tail - target) > 0, \
+                            (k, N, "high" if below else "low", side)
+
+    @given(st.integers(1, 10**5).flatmap(
+        lambda N: st.tuples(st.integers(0, N - 1), st.just(N))))
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_hold_the_estimate_and_rise_with_successes(self, case):
+        k, N = case
+        low, high = binomial_ci(k, N)
+        next_low, next_high = binomial_ci(k + 1, N)
+        assert low <= k / N <= high
+        assert next_low <= (k + 1) / N <= next_high
+        assert low <= next_low and high <= next_high
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,11 @@ differs with its old and new ``status`` (``absent`` where a report has
 no such case), so a verdict that moved shows at a glance.  It ends with
 one line per differing case: its name, the number of JSON reports it
 differs in and its status changes, as in
-``rank-one-decomposition: 6 JSON reports, pass -> pass``.  It exits 0
-only when no report differs, and writes nothing inside the checkout.
+``rank-one-decomposition: 6 JSON reports, pass -> pass``, followed by one
+line per seed at which it differs with its old and new ``lhs`` and
+``margin``, as in ``  seed 1001: lhs 0.0125 -> 0.0104, margin 0.594 ->
+0.596``, so how far a case moved shows too.  It exits 0 only when no
+report differs, and writes nothing inside the checkout.
 """
 
 from __future__ import annotations
@@ -90,16 +93,26 @@ def reports(src: Path, work: Path) -> dict:
     return found
 
 
-def differing_cases(old: bytes, new: bytes) -> list[tuple[str, str, str]]:
-    """``(name, old status, new status)`` of each case whose record differs
-    between two JSON reports."""
+def differing_cases(old: bytes, new: bytes) -> list[tuple[str, dict | None,
+                                                          dict | None]]:
+    """``(name, old record, new record)`` of each case whose record differs
+    between two JSON reports, ``None`` for a report without the case."""
     old_cases, new_cases = ({case["name"]: case for case in
                              json.loads(report)["cases"]}
                             for report in (old, new))
-    return [(name, *(cases[name]["status"] if name in cases else "absent"
-                     for cases in (old_cases, new_cases)))
+    return [(name, old_cases.get(name), new_cases.get(name))
             for name in sorted(old_cases.keys() | new_cases.keys())
             if old_cases.get(name) != new_cases.get(name)]
+
+
+def status(case: dict | None) -> str:
+    return "absent" if case is None else case["status"]
+
+
+def moved(was: dict | None, now: dict | None, field: str) -> str:
+    """``field`` of a case's old and new record, ``old -> new``."""
+    return " -> ".join("absent" if case is None else repr(case[field])
+                       for case in (was, now))
 
 
 def main(argv: list[str]) -> int:
@@ -114,17 +127,27 @@ def main(argv: list[str]) -> int:
         old = reports(old_src, tmp / "old")
         new = reports(ROOT / "src", tmp / "new")
     differ = sorted(name for name in old if old[name] != new[name])
-    moved: dict[str, list[str]] = {}
+    changes: dict[str, list[str]] = {}
+    # case -> seed -> its lhs and margin line; a JSON report and its
+    # re-emission carry the same records
+    values: dict[str, dict[str, str]] = {}
     for name in differ:
         print(f"differs: {name}")
         if name.endswith(".json"):
+            seed = name.split(".")[0].rsplit("-", 1)[1]
             for case, was, now in differing_cases(old[name][1], new[name][1]):
-                print(f"  case: {case}  status: {was} -> {now}")
-                moved.setdefault(case, []).append(f"{was} -> {now}")
+                change = f"{status(was)} -> {status(now)}"
+                print(f"  case: {case}  status: {change}")
+                changes.setdefault(case, []).append(change)
+                values.setdefault(case, {})[seed] = (
+                    f"lhs {moved(was, now, 'lhs')}, "
+                    f"margin {moved(was, now, 'margin')}")
     print(f"{len(old) - len(differ)} of {len(old)} reports identical")
-    for case, changes in sorted(moved.items()):
-        print(f"{case}: {len(changes)} JSON reports, "
-              f"{', '.join(sorted(set(changes)))}")
+    for case, found in sorted(changes.items()):
+        print(f"{case}: {len(found)} JSON reports, "
+              f"{', '.join(sorted(set(found)))}")
+        for seed, line in sorted(values[case].items()):
+            print(f"  seed {seed}: {line}")
     return 1 if differ else 0
 
 

@@ -14,7 +14,9 @@ Monte Carlo experiments draw all trials from one stream generator in a
 fixed, documented order (trial data is row ``i`` of the draw), so results
 are reproducible and independent of scheduling; sub-experiments draw from
 child streams of the experiment's stream.  A tail experiment is one
-attempt on the stream it is given, decided by
+attempt on the stream it is given: one sample of Gaussian blocks, whose
+deviation spectra are counted against every threshold of a group of
+experiments at once, each count decided by
 :meth:`~gtlab.reports.TailReport.from_counts`; whether a straddling
 interval reruns is the caller's policy.
 
@@ -166,39 +168,49 @@ def aw_bound(exp: CovarianceExperiment, sigma2: float) -> float:
                          math.exp(-eps / 2.0))
 
 
-def _tail_counts(exp: CovarianceExperiment, stream: RngStream):
-    """Two-sided, upper and lower exceedance counts and the count of
+def _tail_counts(exps, stream: RngStream):
+    """Two-sided, upper and lower exceedance counts, one per experiment of
+    ``exps`` (its threshold against the shared spectra), and the count of
     trials with a row outside the summand normalization."""
-    n, eps = exp.n_samples, exp.epsilon
-    two_sided = upper = lower = 0
+    exp = exps[0]
+    eps = np.array([e.epsilon for e in exps])
+    two_sided = np.zeros(len(eps), dtype=np.int64)
+    upper = np.zeros_like(two_sided)
+    lower = np.zeros_like(two_sided)
     assumption_violations = 0
     for _, count, rng in stream.blocks(exp.trials, _TAIL_CHUNK):
         X, w = _deviation_draw(rng, count, exp)
-        lam_max, lam_min = w[:, -1], w[:, 0]
-        up = lam_max > eps
-        low = -lam_min > eps
-        two = np.maximum(lam_max, -lam_min) > eps
-        two_sided += int(two.sum())
-        upper += int(up.sum())
-        lower += int(low.sum())
-        outside = (_row_norms_sq(X) > n + 1).any(axis=1)
+        lam_max, lam_min = w[:, -1:], w[:, :1]
+        two_sided += (np.maximum(lam_max, -lam_min) > eps).sum(axis=0)
+        upper += (lam_max > eps).sum(axis=0)
+        lower += (-lam_min > eps).sum(axis=0)
+        outside = (_row_norms_sq(X) > exp.n_samples + 1).any(axis=1)
         assumption_violations += int(outside.sum())
     return two_sided, upper, lower, assumption_violations
 
 
-def empirical_tail(exp: CovarianceExperiment, stream: RngStream) -> TailReport:
-    """Monte Carlo frequency of ``||Sigma - I||_op > eps`` over
-    ``exp.trials`` draws from ``stream``, against the analytic tail bound
-    with the closed-form Gaussian variance proxy; the verdict is
-    :meth:`TailReport.from_counts`.  One-sided frequencies and the
-    summand-normalization violation rate are reported alongside.
+def empirical_tail(exps, stream: RngStream) -> list[TailReport]:
+    """Monte Carlo frequencies of ``||Sigma - I||_op > eps``, one report per
+    experiment of ``exps``: experiments that differ in ``epsilon`` alone,
+    read from the same ``trials`` draws from ``stream``.  Each is judged
+    against the analytic tail bound at its threshold with the closed-form
+    Gaussian variance proxy by :meth:`TailReport.from_counts`; one-sided
+    frequencies and the summand-normalization violation rate are reported
+    alongside.  A report depends only on its own threshold, so it has the
+    bits of the one-experiment call on the same stream.
     """
+    exp = exps[0]
+    if any((e.n_samples, e.dim, e.trials) != (exp.n_samples, exp.dim, exp.trials)
+           for e in exps):
+        raise ValueError("experiments of one sample must differ in epsilon only")
     sigma2 = gaussian_row_sigma2(exp)
     trials = exp.trials
-    two, up, low, assume = _tail_counts(exp, stream)
-    extras = {"upper_tail": up / trials, "lower_tail": low / trials,
-              "assumption_violation_rate": assume / trials, "sigma2": sigma2}
-    return TailReport.from_counts(two, trials, aw_bound(exp, sigma2), extras)
+    two, up, low, assume = _tail_counts(exps, stream)
+    return [TailReport.from_counts(
+        int(two[j]), trials, aw_bound(e, sigma2),
+        {"upper_tail": int(up[j]) / trials, "lower_tail": int(low[j]) / trials,
+         "assumption_violation_rate": assume / trials, "sigma2": sigma2})
+        for j, e in enumerate(exps)]
 
 
 def optimal_bernstein_c(exp: CovarianceExperiment, stream: RngStream) -> float:

@@ -28,7 +28,11 @@ Instances sharing a (dimension, parameter) group are drawn and checked
 together, one stack per chunk of at most ``_SWEEP_ENTRIES // n^2``
 instances (at least one); each (group, chunk) stack comes from one
 generator, the ``b``-th in group-then-chunk order from child ``b`` of the
-tag's path.  A report is therefore a pure function of (config, seed).
+tag's path.  Eq.RU draws one sample per (N, k) experiment and reads all
+its thresholds from it (:func:`domination_cells`); group ``g`` draws from
+child ``3 g``, and its straddling cells rerun together on one sample from
+that child's ``child(1)``.  A report is therefore a pure function of
+(config, seed).
 
 Rows whose instances differ in shape run on the one dimension ``1`` with
 the shapes as the cycle: the sign series ``(m, d)`` of Eq.OB's
@@ -170,26 +174,35 @@ def _escalating(attempt, trials, stream, escalation):
     return result, passed, 10 * trials, True
 
 
-def domination_cell(n: int, k: int, eps: float, trials: int,
-                    stream: RngStream) -> TailReport:
-    """One tail-domination cell: empirical tail report at the closed-form
-    variance proxy (pass applies only when the bound is informative).
+def domination_cells(n: int, k: int, epsilons: tuple[float, ...], trials: int,
+                     stream: RngStream) -> list[TailReport]:
+    """The tail-domination cells of one ``N x k`` experiment, one per
+    threshold of ``epsilons``: empirical tail reports at the closed-form
+    variance proxy (pass applies only when the bound is informative), all
+    read from one sample.
 
     The first attempt draws from ``stream.child(0)``.  An interval that
-    straddles the bound is a chance miss: it reruns once on tenfold trials
-    from ``stream.child(1)``; a fail does not rerun.  ``extras`` ends with
-    ``escalated``.
+    straddles its bound is a chance miss: the straddling cells rerun once,
+    together, on one sample of tenfold trials from ``stream.child(1)``; a
+    fail does not rerun, and the other cells keep their first attempt.
+    Each report is the one the 1-tuple call at its threshold gives on the
+    same stream.  ``extras`` ends with ``escalated``.
     """
-    def attempt(trials, s):
-        exp = conc.CovarianceExperiment(n_samples=n, dim=k, epsilon=eps,
-                                        trials=trials)
-        report = conc.empirical_tail(exp, s)
-        return report, report.passed, report.status == "indeterminate"
+    def attempt(trials, s, thresholds):
+        return conc.empirical_tail(
+            [conc.CovarianceExperiment(n_samples=n, dim=k, epsilon=eps,
+                                       trials=trials) for eps in thresholds], s)
 
-    report, _, _, escalated = _escalating(attempt, trials, stream.child(0),
-                                          stream.child(1))
-    return dataclasses.replace(report, extras={**report.extras,
-                                               "escalated": escalated})
+    reports = attempt(trials, stream.child(0), epsilons)
+    straddling = [j for j, r in enumerate(reports) if r.status == "indeterminate"]
+    if straddling:
+        reruns = attempt(10 * trials, stream.child(1),
+                         [epsilons[j] for j in straddling])
+        for j, rerun in zip(straddling, reruns):
+            reports[j] = rerun
+    return [dataclasses.replace(r, extras={**r.extras,
+                                           "escalated": j in straddling})
+            for j, r in enumerate(reports)]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +583,7 @@ def _run_scalar_chernoff(params, stream, tag):
 
 def _run_union_bound(params, stream, tag):
     # the bound of this cell, 2 e^(-1/4), is vacuous: it never reruns
-    report = domination_cell(16, 2, 0.5, min(params.trials, 4000), stream)
+    report, = domination_cells(16, 2, (0.5,), min(params.trials, 4000), stream)
     lhs = report.empirical_tail
     rhs = report.extras["upper_tail"] + report.extras["lower_tail"]
     return [_case("tail-union-bound", tag, lhs, rhs, rhs - lhs,
@@ -596,16 +609,18 @@ def _run_mgf_lemma(params, stream, tag):
 
 
 def _run_domination_grid(params, stream, tag):
+    """One sample per (N, k) experiment, read at every threshold.  Group
+    ``g`` draws from child ``3 g``: the labels of a layout with one stream
+    per cell, kept so that the eps = 0.5 cells keep their bytes until the
+    tags' streams are re-keyed."""
     cases = []
     trials = min(max(params.trials, 1000), 20000)
-    idx = 0
-    for n in (8, 16):
-        for k in (1, 2):
-            for eps in (0.5, 1.0, 2.0):
-                report = domination_cell(n, k, eps, trials, stream.child(idx))
-                idx += 1
-                cases.append(_tail_case(f"tail-domination-N{n}-k{k}-eps{eps:g}",
-                                        tag, report, extra=report.extras))
+    epsilons = (0.5, 1.0, 2.0)
+    for g, (n, k) in enumerate(((8, 1), (8, 2), (16, 1), (16, 2))):
+        reports = domination_cells(n, k, epsilons, trials, stream.child(3 * g))
+        cases.extend(_tail_case(f"tail-domination-N{n}-k{k}-eps{eps:g}", tag,
+                                report, extra=report.extras)
+                     for eps, report in zip(epsilons, reports))
     return cases
 
 

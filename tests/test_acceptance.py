@@ -84,17 +84,17 @@ class TestAcceptance:
         start = time.monotonic()
         base = stream_for(5)
         informative = 0
-        idx = 0
-        for n in (8, 16, 32):
-            for k in (1, 2, 4):
-                for eps in (0.5, 1.0, 2.0):
-                    report = suites.domination_cell(n, k, eps, 10000,
-                                                    base.child(idx))
-                    idx += 1
-                    if report.bound_value < 1.0:
-                        informative += 1
-                        assert report.ci_high <= report.bound_value, \
-                            (n, k, eps, report)
+        epsilons = (0.5, 1.0, 2.0)
+        # one sample per (n, k), read at every eps
+        for g, (n, k) in enumerate((n, k) for n in (8, 16, 32)
+                                   for k in (1, 2, 4)):
+            reports = suites.domination_cells(n, k, epsilons, 10000,
+                                              base.child(g))
+            for eps, report in zip(epsilons, reports):
+                if report.bound_value < 1.0:
+                    informative += 1
+                    assert report.ci_high <= report.bound_value, \
+                        (n, k, eps, report)
         elapsed = time.monotonic() - start
         assert elapsed < 300.0
         assert informative >= 9

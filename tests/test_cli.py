@@ -4,6 +4,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import pkgutil
 import re
@@ -337,8 +338,8 @@ class TestRunAndEmit:
         assert counts[0] == counts[1]
 
     def test_no_stream_key_is_handed_out_twice(self, monkeypatch):
-        # at trials=8000 each domination-grid cell spans two 4096-trial tail
-        # blocks
+        # at trials=8000 the sample of each domination group spans two
+        # 4096-trial tail blocks
         keys = record_stream_keys(monkeypatch)
         params = suites.SuiteParams(seed=1, trials=8000, dims=(2,))
         for family in suites.SUITE_NAMES:
@@ -524,8 +525,8 @@ VERDICT_INJECTIONS = {
         chernoff(*args, **kwargs)),
     "Eq.RU": lambda bound: lambda exp, sigma2: np.nextafter(0.0, -1.0),
     # one-sided tails that miss every two-sided exceedance
-    "Eq.rf": lambda tail: lambda exp, stream: without_one_sided_tails(
-        tail(exp, stream)),
+    "Eq.rf": lambda tail: lambda exps, stream: [
+        without_one_sided_tails(report) for report in tail(exps, stream)],
 }
 
 #: Tags covered by a test of their own: ``tag -> (class, test)``.
@@ -928,54 +929,162 @@ class TestMonteCarloEscalation:
 
 
 class TestTailEscalation:
-    """A domination cell whose interval straddles the bound reruns once,
-    on tenfold trials from ``child(1)``; a fail stands.  The bound is
-    placed on the intervals the two attempts draw."""
+    """The cells of one domination group whose intervals straddle their
+    bounds rerun once, together, on one sample of tenfold trials from
+    ``child(1)``; a fail stands, and the other cells keep their first
+    attempt.  The bounds of the cells under test are placed on the
+    intervals the two attempts draw; the other cells' bounds are vacuous."""
 
     SEED, TRIALS = 7, 1000
+    EPSILONS = (0.5, 1.0, 2.0)
 
-    def run_cell(self, monkeypatch, place):
-        """The cell's report, its two single attempts and the stream keys
-        it drew from, with the bound at ``place(first, rerun)``."""
-        stream = tag_stream("Eq.RU", self.SEED)
-        first, rerun = (conc.empirical_tail(
-            conc.CovarianceExperiment(n_samples=8, dim=1, epsilon=0.5,
-                                      trials=trials), source)
+    def attempts(self, stream):
+        """The group's reports from the first sample and from the tenfold
+        one, every cell read from each."""
+        return [conc.empirical_tail(
+            [conc.CovarianceExperiment(n_samples=8, dim=1, epsilon=eps,
+                                       trials=trials) for eps in self.EPSILONS],
+            source)
             for trials, source in ((self.TRIALS, stream.child(0)),
-                                   (10 * self.TRIALS, stream.child(1))))
-        bound = place(first, rerun)
-        monkeypatch.setattr(conc, "aw_bound", lambda exp, sigma2: bound)
+                                   (10 * self.TRIALS, stream.child(1)))]
+
+    def run_group(self, monkeypatch, place, placed=(0,)):
+        """The group's reports, its two attempts and the stream keys it drew
+        from, with the bound of each cell ``j`` in ``placed`` at
+        ``place(first[j], rerun[j])`` and the other cells' at 1."""
+        stream = tag_stream("Eq.RU", self.SEED)
+        first, rerun = self.attempts(stream)
+        bounds = {self.EPSILONS[j]: place(first[j], rerun[j]) for j in placed}
+        monkeypatch.setattr(conc, "aw_bound",
+                            lambda exp, sigma2: bounds.get(exp.epsilon, 1.0))
         keys = record_stream_keys(monkeypatch)
-        report = suites.domination_cell(8, 1, 0.5, self.TRIALS, stream)
+        reports = suites.domination_cells(8, 1, self.EPSILONS, self.TRIALS,
+                                          stream)
         assert len(set(keys)) == len(keys), "the escalation reused a stream key"
-        return report, first, rerun, keys
+        assert all(list(r.extras)[-1] == "escalated" for r in reports)
+        return reports, first, rerun, keys
+
+    @staticmethod
+    def values(report: TailReport):
+        return (report.empirical_tail, report.ci_low, report.ci_high,
+                report.trials)
+
+    def assert_first_attempt_kept(self, reports, first, placed=(0,)):
+        for j, report in enumerate(reports):
+            if j not in placed:
+                assert report.status == "pass"
+                assert self.values(report) == self.values(first[j])
+                assert report.extras == {**first[j].extras, "escalated": False}
 
     def test_straddle_reruns_on_tenfold_trials_and_passes(self, monkeypatch):
-        report, first, rerun, keys = self.run_cell(
+        reports, first, rerun, keys = self.run_group(
             monkeypatch, lambda first, rerun: rerun.ci_high)
-        assert first.ci_low < rerun.ci_high < first.ci_high
+        assert first[0].ci_low < rerun[0].ci_high < first[0].ci_high
+        report = reports[0]
         assert report.status == "pass" and report.extras["escalated"]
+        assert self.values(report) == self.values(rerun[0])
         assert report.trials == 10 * self.TRIALS
-        assert (report.empirical_tail, report.ci_low, report.ci_high) == \
-            (rerun.empirical_tail, rerun.ci_low, rerun.ci_high)
-        assert list(report.extras)[-1] == "escalated"
+        self.assert_first_attempt_kept(reports, first)
         assert {path[1] for _, path in keys} == {0, 1}
 
+    def test_straddles_of_one_group_share_one_rerun(self, monkeypatch):
+        reports, first, rerun, keys = self.run_group(
+            monkeypatch, lambda first, rerun: rerun.ci_high, placed=(0, 2))
+        for j in (0, 2):
+            assert first[j].ci_low < rerun[j].ci_high < first[j].ci_high
+            assert reports[j].status == "pass" and reports[j].extras["escalated"]
+            assert self.values(reports[j]) == self.values(rerun[j])
+        self.assert_first_attempt_kept(reports, first, placed=(0, 2))
+        # one tenfold sample, in 4096-trial blocks, decides both cells
+        rerun_keys = [path for _, path in keys if path[1] == 1]
+        assert len(rerun_keys) == math.ceil(10 * self.TRIALS / 4096)
+
     def test_second_straddle_is_indeterminate(self, monkeypatch):
-        report, first, rerun, _ = self.run_cell(
+        reports, first, rerun, _ = self.run_group(
             monkeypatch, lambda first, rerun: 0.5 * (rerun.ci_low + rerun.ci_high))
-        assert first.ci_low < report.bound_value < first.ci_high
+        report = reports[0]
+        assert first[0].ci_low < report.bound_value < first[0].ci_high
         assert report.status == "indeterminate" and not report.passed
         assert report.extras["escalated"]
         assert report.trials == 10 * self.TRIALS
+        self.assert_first_attempt_kept(reports, first)
 
     def test_first_attempt_fail_does_not_rerun(self, monkeypatch):
-        report, first, _, keys = self.run_cell(
+        reports, first, _, keys = self.run_group(
             monkeypatch, lambda first, rerun: np.nextafter(first.ci_low, 0.0))
+        report = reports[0]
         assert report.status == "fail" and not report.extras["escalated"]
-        assert report.trials == self.TRIALS
-        assert report.empirical_tail == first.empirical_tail
+        assert self.values(report) == self.values(first[0])
+        self.assert_first_attempt_kept(reports, first)
         assert {path[1] for _, path in keys} == {0}
+
+
+class TestDominationGroups:
+    """Eq.RU reads each (N, k) experiment's thresholds from one sample."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_grouped_reports_match_single_threshold_runs(self, seed):
+        stream = tag_stream("Eq.RU", seed).child(3)
+        epsilons = (0.5, 1.0, 2.0)
+        grouped = suites.domination_cells(8, 2, epsilons, 2000, stream)
+        for eps, report in zip(epsilons, grouped):
+            single, = suites.domination_cells(8, 2, (eps,), 2000, stream)
+            assert round(report.empirical_tail * report.trials) \
+                == round(single.empirical_tail * single.trials)
+            assert (report.ci_low, report.ci_high, report.bound_value,
+                    report.extras, report.status, report.trials) \
+                == (single.ci_low, single.ci_high, single.bound_value,
+                    single.extras, single.status, single.trials)
+
+    def test_grid_draws_one_sample_per_experiment(self, monkeypatch):
+        keys = record_stream_keys(monkeypatch)
+        params = suites.SuiteParams(seed=1001, trials=8000)
+        cases = suites.REGISTRY["Eq.RU"][2](params, tag_stream("Eq.RU", 1001),
+                                            "Eq.RU")
+        assert len(cases) == 12
+        assert not any(case.extra["escalated"] for case in cases)
+        # groups 0-3 at children 0, 3, 6 and 9, two 4096-trial blocks each
+        assert sorted(path[1:] for _, path in keys) == \
+            [(g, 0, b) for g in (0, 3, 6, 9) for b in (0, 1)]
+
+    #: The eps = 0.5 cells and the union-bound case at seed 1001 and
+    #: trials 8000, as they were when every cell drew its own sample: their
+    #: streams did not move, so neither did their values.
+    PINNED = {
+        "tail-domination-N8-k1-eps0.5": (
+            0.15329047479309912, 0.7788007830714049,
+            (0.13771882029790322, 0.15329047479309912),
+            (0.091625, 0.05375, 0.0005, 0.125)),
+        "tail-domination-N8-k2-eps0.5": (
+            0.6233198139431992, 1.5576015661428098,
+            (0.601848076756733, 0.6233198139431992),
+            (0.35775, 0.3385, 0.01025, 0.25)),
+        "tail-domination-N16-k1-eps0.5": (
+            0.0450527988440052, 0.7788007830714049,
+            (0.036285954911977246, 0.0450527988440052),
+            (0.0315, 0.009, 0.0, 0.0625)),
+        "tail-domination-N16-k2-eps0.5": (
+            0.2731744863902999, 1.5576015661428098,
+            (0.25374816516122545, 0.2731744863902999),
+            (0.180625, 0.09075, 0.0, 0.125)),
+        "tail-union-bound": (0.28325, 0.29200000000000004, None,
+                             (0.20175, 0.09025, 0.0, 0.125)),
+    }
+
+    def test_cells_on_unmoved_streams_keep_their_values(self):
+        params = suites.SuiteParams(seed=1001, trials=8000)
+        found = {}
+        for tag in ("Eq.RU", "Eq.rf"):
+            for case in suites.REGISTRY[tag][2](params, tag_stream(tag, 1001),
+                                                tag):
+                found[case.name] = (case.lhs, case.rhs, case.ci, tuple(
+                    case.extra[key] for key in ("upper_tail", "lower_tail",
+                                                "assumption_violation_rate",
+                                                "sigma2")))
+                assert list(case.extra) == ["upper_tail", "lower_tail",
+                                            "assumption_violation_rate",
+                                            "sigma2", "escalated"]
+        assert {name: found[name] for name in self.PINNED} == self.PINNED
 
 
 class TestReachability:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -101,41 +102,55 @@ class TestAwBound:
 
 
 class TestEmpiricalTail:
+    @staticmethod
+    def tail(n, k, eps, trials, stream):
+        """The report of one experiment."""
+        report, = conc.empirical_tail([conc.CovarianceExperiment(
+            n_samples=n, dim=k, epsilon=eps, trials=trials)], stream)
+        return report
+
     def test_zero_threshold_tail_one(self, stream):
-        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=0.0,
-                                        trials=500)
-        report = conc.empirical_tail(exp, stream.child(0))
+        report = self.tail(8, 2, 0.0, 500, stream.child(0))
         assert report.empirical_tail == 1.0
 
     def test_huge_threshold_tail_zero(self, stream):
-        exp = conc.CovarianceExperiment(n_samples=2, dim=2, epsilon=1000.0,
-                                        trials=500)
-        report = conc.empirical_tail(exp, stream.child(0))
+        report = self.tail(2, 2, 1000.0, 500, stream.child(0))
         assert report.empirical_tail == 0.0
         assert report.status != "fail"
 
     def test_union_bound_frequencies(self, stream):
-        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=0.5,
-                                        trials=3000)
-        report = conc.empirical_tail(exp, stream.child(0))
+        report = self.tail(8, 2, 0.5, 3000, stream.child(0))
         assert report.empirical_tail <= (report.extras["upper_tail"]
                                          + report.extras["lower_tail"] + 1e-15)
 
     def test_domination_small_grid(self, stream):
-        # informative-bound cells must dominate the empirical upper limit
-        for i, (n, k, eps) in enumerate([(8, 1, 0.5), (16, 1, 1.0),
-                                         (16, 2, 2.0), (32, 1, 2.0)]):
-            exp = conc.CovarianceExperiment(n_samples=n, dim=k, epsilon=eps,
-                                            trials=4000)
-            report = conc.empirical_tail(exp, stream.child(i, 0))
-            assert report.bound_value < 1.0
-            assert report.status == "pass"
+        # informative-bound cells must dominate the empirical upper limit;
+        # the (16, 1) experiment is one sample read at two thresholds
+        groups = [(8, 1, (0.5,)), (16, 1, (1.0, 2.0)), (16, 2, (2.0,)),
+                  (32, 1, (2.0,))]
+        for i, (n, k, epsilons) in enumerate(groups):
+            reports = conc.empirical_tail(
+                [conc.CovarianceExperiment(n_samples=n, dim=k, epsilon=eps,
+                                           trials=4000) for eps in epsilons],
+                stream.child(i, 0))
+            assert len(reports) == len(epsilons)
+            for report in reports:
+                assert report.bound_value < 1.0
+                assert report.status == "pass"
 
     def test_assumption_rate_reported(self, stream):
-        exp = conc.CovarianceExperiment(n_samples=8, dim=4, epsilon=1.0,
-                                        trials=1000)
-        report = conc.empirical_tail(exp, stream.child(0))
+        report = self.tail(8, 4, 1.0, 1000, stream.child(0))
         assert 0.0 <= report.extras["assumption_violation_rate"] <= 1.0
+
+    @pytest.mark.parametrize("changed", [{"n_samples": 16}, {"dim": 1},
+                                         {"trials": 500}])
+    def test_experiments_of_one_sample_differ_in_epsilon_only(self, stream,
+                                                              changed):
+        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=0.5,
+                                        trials=1000)
+        other = dataclasses.replace(exp, epsilon=1.0, **changed)
+        with pytest.raises(ValueError, match="differ in epsilon only"):
+            conc.empirical_tail([exp, other], stream)
 
 
 class TestExpTraceDominance:

@@ -33,9 +33,10 @@ a saved one once each of its cases has every :class:`CaseRecord` field.
 Reports are deterministic for a fixed (config, seed): the timestamp field
 is populated from SOURCE_DATE_EPOCH when set and left null otherwise, so
 repeated runs are byte-identical; a malformed SOURCE_DATE_EPOCH is a
-config error, raised before any suite runs.  A non-finite number (a side
-of a hunt that finds no witness) is written as null in JSON and as
-``nan`` in CSV.
+config error, raised before any suite runs.  :func:`main`, not import,
+pins BLAS to one thread (:func:`~gtlab.linalg.pin_blas_to_one_thread`).
+A non-finite number (a side of a hunt that finds no witness) is written
+as null in JSON and as ``nan`` in CSV.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import pin_blas_to_one_thread
 from .samplers import DEFAULT_MASTER_SEED
 from .suites import (SUITE_NAMES, CaseRecord, RunnerError, SuiteParams,
                      run_suite)
@@ -274,6 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default=None, help="output path (stdout "
                        "when omitted)")
     args = parser.parse_args(argv)
+    pin_blas_to_one_thread()
 
     try:
         try:

@@ -43,7 +43,7 @@ __all__ = [
     "herm_fn", "expm_herm", "psd_power",
     "schatten_norm", "operator_norm", "frobenius_norm",
     "distance_delta2", "lie_trotter_product", "trace_expm", "trace_of_product",
-    "gauss_legendre",
+    "gauss_legendre", "pin_blas_to_one_thread",
 ]
 
 #: Tolerance on ``|M - M†|`` accepted when a Hermitian argument is required.
@@ -269,3 +269,22 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], b: float,
         new_lo, new_hi = np.concatenate([lo[split], mid]), \
             np.concatenate([mid, hi[split]])
         lo, hi, fine, diff = lo[~split], hi[~split], fine[~split], diff[~split]
+
+
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS, which importing numpy loaded, as a
+    ``ctypes`` library; None when numpy carries none."""
+    import ctypes
+    from pathlib import Path
+    libs = sorted(Path(np.__file__).parents[1].glob(
+        "numpy.libs/libscipy_openblas64_*"))
+    return ctypes.CDLL(str(libs[0])) if libs else None
+
+
+def pin_blas_to_one_thread():
+    """Run numpy's bundled OpenBLAS on one thread in this process: more
+    threads change the rounding of some LAPACK calls (``eigvals`` from
+    n = 128).  Without that library or its setter, it does nothing."""
+    lib = _bundled_openblas()
+    if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        lib.scipy_openblas_set_num_threads64_(1)

@@ -6,10 +6,10 @@ is Philox seeded by ``SeedSequence(master_seed, spawn_key=path)``, numpy's
 mechanism for hierarchical streams: distinct paths give statistically
 independent streams, and the same path replays the same draws bit for
 bit.  A caller that needs several streams names its own children with
-:meth:`RngStream.child` (``child(i)`` for trial ``i``, ``child(i, attempt)``
-for a retry of it) and never reserves index ranges, so two callers cannot
-hand out the same key.  Draws within one generator follow a documented
-fixed order, which keeps results independent of how work is scheduled.
+:meth:`RngStream.child` (``child(i)`` for trial ``i``) and never
+reserves index ranges, so two callers cannot hand out the same key.
+Draws within one generator follow a documented fixed order, which keeps
+results independent of how work is scheduled.
 
 Ensemble conventions: ``ginibre`` draws independent entries with unit
 complex variance (real and imaginary parts each N(0, 1/2)); ``gue`` is

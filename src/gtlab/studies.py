@@ -9,17 +9,14 @@ dimension grows.
 
 The Monte Carlo ratio draws its pairs in blocks, block ``b`` from child
 ``b`` of its stream; the Hermitization study draws trial ``i`` from child
-``i`` and a retry of it from child ``(i, attempt)``.
+``i``, and a failed eigensolve raises.
 
 The Hermitization trials are independent and bound by LAPACK ``zgeev``,
 which OpenBLAS does not run in parallel across threads of one process, so
-they run in forked worker processes: ``min(trials, cores // blas_threads)``
-of them, where ``cores`` is this process's CPU affinity and
-``blas_threads`` is ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
-else the CPU count (OpenBLAS's default).  With ``OPENBLAS_NUM_THREADS=1``
-every core gets a worker; left unset, the study runs in-process.  Results
-are gathered in trial order, so the report is the same bits for any
-worker count.
+they run in ``min(trials, cores)`` forked worker processes, ``cores``
+being this process's CPU affinity, each with BLAS pinned to one thread
+(:func:`~gtlab.linalg.pin_blas_to_one_thread`).  Results are gathered in
+trial order, so the report is the same bits for any worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pauli
-from .linalg import expm_herm, gauss_legendre, trace_expm, trace_of_product
+from .linalg import (expm_herm, gauss_legendre, pin_blas_to_one_thread,
+                     trace_expm, trace_of_product)
 from .reports import RatioEstimate, inequality_tol
 from .samplers import RngStream, ginibre
 
@@ -153,46 +151,25 @@ def pauli_ratio_mc(trials: int, stream: RngStream) -> RatioEstimate:
                                       cov, extras=extras)
 
 
-def _blas_threads() -> int:
-    """Threads one BLAS call may use: ``OPENBLAS_NUM_THREADS``, else
-    ``OMP_NUM_THREADS``, else the CPU count (OpenBLAS's own default)."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        raw = os.environ.get(var, "").strip()
-        if raw.isdigit() and int(raw) > 0:
-            return int(raw)
-    return os.cpu_count() or 1
-
-
 def _worker_count(trials: int) -> int:
-    """Worker processes for the Hermitization trials: the free cores
-    divided by the BLAS threads each process would run, at most one per
-    trial and at least one.  A daemonic process, such as a pool worker,
-    may not start children, so it runs the trials itself."""
+    """Worker processes for the Hermitization trials: one per core this
+    process may run on, at most one per trial.  A daemonic process, such
+    as a pool worker, may not start children, so it runs the trials
+    itself."""
     import multiprocessing
     if not hasattr(os, "sched_getaffinity") \
             or multiprocessing.current_process().daemon:
         return 1
-    cores = len(os.sched_getaffinity(0))
-    return max(1, min(trials, cores // _blas_threads()))
+    return min(trials, len(os.sched_getaffinity(0)))
 
 
-def _hermitization_trial(task: tuple[int, RngStream]) -> tuple[float, float, int]:
+def _hermitization_trial(task: tuple[int, RngStream]) -> tuple[float, float]:
     """One Hermitization trial of size ``n`` on ``stream`` (``task = (n,
-    stream)``): ``(top Hermitian eigenvalue, max real eigenvalue part,
-    retries)``.  A failed eigensolve is retried on ``stream.child(attempt)``,
-    at most three times."""
+    stream)``): ``(top Hermitian eigenvalue, max real eigenvalue part)``."""
     n, stream = task
-    attempt = 0
-    while True:
-        source = stream if attempt == 0 else stream.child(attempt)
-        A = ginibre(source.generator(), n)
-        try:
-            top = np.linalg.eigvalsh((A + A.conj().T) / 2.0)[-1]
-            return float(top), float(np.linalg.eigvals(A).real.max()), attempt
-        except np.linalg.LinAlgError:
-            attempt += 1
-            if attempt > 3:
-                raise
+    A = ginibre(stream.generator(), n)
+    top = np.linalg.eigvalsh((A + A.conj().T) / 2.0)[-1]
+    return float(top), float(np.linalg.eigvals(A).real.max())
 
 
 def hermitization_ratio(n: int, trials: int, stream: RngStream) -> RatioEstimate:
@@ -202,10 +179,9 @@ def hermitization_ratio(n: int, trials: int, stream: RngStream) -> RatioEstimate
     This is a finite-size estimate of a large-dimension limit (sqrt(2));
     the estimate is reported with its confidence interval and dimension,
     never as the limit itself.  Trial ``i`` draws from ``stream.child(i)``;
-    a trial whose eigensolve fails is retried on ``stream.child(i, attempt)``
-    and the retry count reported.  The trials run in
-    :func:`_worker_count` forked processes; the results are the same bits
-    for any worker count.
+    an eigensolve that fails raises numpy's ``LinAlgError``.  The trials
+    run in :func:`_worker_count` forked processes, each with one BLAS
+    thread; the results are the same bits for any worker count.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
@@ -219,18 +195,20 @@ def hermitization_ratio(n: int, trials: int, stream: RngStream) -> RatioEstimate
         import multiprocessing
         # fork, not spawn: two spawned workers re-import numpy and scipy in
         # ~1.7 s, more than 200 trials at n=16 take in-process.  gtlab runs
-        # no threads of its own, and OpenBLAS parks its pool at fork.
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        # no threads of its own, and OpenBLAS parks its pool at fork.  Two
+        # workers at two BLAS threads each would oversubscribe the cores.
+        with multiprocessing.get_context("fork").Pool(
+                workers, initializer=pin_blas_to_one_thread) as pool:
             results = pool.map(_hermitization_trial, tasks,
                                chunksize=math.ceil(trials / (4 * workers)))
     num = np.array([r[0] for r in results])
     den = np.array([r[1] for r in results])
-    retries = sum(r[2] for r in results)
     t = float(trials)
     num_mean, den_mean = float(num.mean()), float(den.mean())
     num_se = float(num.std(ddof=1) / math.sqrt(t)) if trials > 1 else 0.0
     den_se = float(den.std(ddof=1) / math.sqrt(t)) if trials > 1 else 0.0
     cov = float(((num - num_mean) * (den - den_mean)).sum() / (t - 1) / t) \
         if trials > 1 else 0.0
+    # a failed eigensolve raises; "retries" leaves in the next report schema
     return RatioEstimate.from_moments(num_mean, num_se, den_mean, den_se,
-                                      cov, extras={"dim": n, "retries": retries})
+                                      cov, extras={"dim": n, "retries": 0})

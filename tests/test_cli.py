@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import gtlab
-from gtlab import cli, pauli, studies, suites
+from gtlab import cli, linalg, pauli, studies, suites
 from gtlab import concentration as conc
 from gtlab import inequalities as ineq
 from gtlab.reports import GapReport, TailReport
@@ -770,6 +770,12 @@ class TestRegistry:
             == statuses.count("indeterminate")
 
 
+def subprocess_env(**variables) -> dict:
+    """This environment with ``src/`` on the path and ``variables`` set."""
+    return {**os.environ, **variables, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+
+
 #: The scipy modules a probe has loaded.
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
@@ -790,11 +796,9 @@ class TestStartup:
             "    assert gtlab.cli.main([cmd, '--config', cfg, '--out', "
             "f'{tmp}/{cmd}.out']) == 0, cmd\n"
             f"print({report})\n")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
         done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                              env=env, capture_output=True, text=True,
-                              check=True)
+                              env=subprocess_env(), capture_output=True,
+                              text=True, check=True)
         return done.stdout.strip()
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
@@ -814,6 +818,36 @@ class TestStartup:
         commands = (("verify", "inequalities"), ("tail", "concentration"),
                     ("ratio", "studies"), ("hunt", "counterexamples"))
         assert self.probe(tmp_path, commands, SCIPY_MODULES) == "[]"
+
+
+class TestBlasPin:
+    def test_main_pins_blas_and_import_does_not(self, tmp_path):
+        # eigvals at n = 128 differs between one and two BLAS threads
+        if not hasattr(linalg._bundled_openblas(),
+                       "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy carries no bundled OpenBLAS to pin")
+        cfg = tmp_path / "ratio.json"
+        cfg.write_text(json.dumps({"suites": ["studies"], "dims": [128],
+                                   "trials": 200, "seed": 7}))
+        code = ("import sys, gtlab.cli\n"
+                "threads = gtlab.linalg._bundled_openblas()"
+                ".scipy_openblas_get_num_threads64_\n"
+                "print(threads())\n"
+                "gtlab.cli.main(sys.argv[1:])\n"
+                "print(threads())\n")
+        reports = []
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", code, "ratio", "--config", str(cfg),
+                 "--out", str(tmp_path / threads)],
+                env=subprocess_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, check=True)
+            reports.append((tmp_path / threads).read_bytes())
+        # the import left the two-thread setting (OpenBLAS runs at most one
+        # thread per core), and main pinned it to one
+        assert done.stdout.split() \
+            == [str(min(2, len(os.sched_getaffinity(0)))), "1"]
+        assert reports[0] == reports[1]
 
 
 def operation_of(tag: str):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from gtlab import studies
-from gtlab.samplers import RngStream, ginibre
+from gtlab import linalg, studies
+from gtlab.samplers import ginibre
 
 
 class TestQuadratureRatio:
@@ -69,20 +69,18 @@ class TestMonteCarloRatio:
         assert a.ratio == b.ratio
 
 
-def _cores(monkeypatch, count, blas_threads=None):
-    """Pretend this process may run on ``count`` cores with the given
-    OpenBLAS thread setting (None: unset)."""
+def _cores(monkeypatch, count):
+    """Pretend this process may run on ``count`` cores."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    if blas_threads is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
 
 
 def _ratio_in_worker(stream):
     return studies.hermitization_ratio(16, 20, stream)
+
+
+def _thread_count_trial(task):
+    """A Hermitization trial that returns its process's BLAS thread count."""
+    return linalg._bundled_openblas().scipy_openblas_get_num_threads64_(), 1
 
 
 @pytest.fixture
@@ -118,55 +116,10 @@ class TestHermitizationRatio:
         assert est.extras["dim"] == 4
         assert est.extras["retries"] == 0
 
-    def test_failed_eigensolve_retries_on_child_stream(self, monkeypatch,
-                                                        stream):
-        paths = []
-        generator = RngStream.generator
-        eigvals = np.linalg.eigvals
-        failures = iter([True])
-
-        def recording(s):
-            paths.append(s.path)
-            return generator(s)
-
-        def flaky(A):
-            if next(failures, False):
-                raise np.linalg.LinAlgError("no convergence")
-            return eigvals(A)
-
-        monkeypatch.setattr(RngStream, "generator", recording)
-        monkeypatch.setattr(np.linalg, "eigvals", flaky)
-        # one worker: a forked worker would get its own copy of the
-        # one-shot failure and of the recorded paths
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        est = studies.hermitization_ratio(4, 3, stream.child(2))
-        assert est.extras["retries"] == 1
-        assert paths == [(2, 0), (2, 0, 1), (2, 1), (2, 2)]
-
-    def test_failed_eigensolve_retries_in_a_worker(self, monkeypatch, stream,
-                                                   forks):
-        # fails on the matrix child(1) draws, in whichever process draws it
-        bad = ginibre(stream.child(1).generator(), 4)
-        eigvals = np.linalg.eigvals
-
-        def flaky(A):
-            if np.array_equal(A, bad):
-                raise np.linalg.LinAlgError("no convergence")
-            return eigvals(A)
-
-        monkeypatch.setattr(np.linalg, "eigvals", flaky)
-        _cores(monkeypatch, 1, blas_threads=1)
-        in_process = studies.hermitization_ratio(4, 8, stream)
-        _cores(monkeypatch, 2, blas_threads=1)
-        pooled = studies.hermitization_ratio(4, 8, stream)
-        assert forks == ["fork"]
-        assert pooled.extras["retries"] == 1
-        assert pooled == in_process
-
     def test_pool_matches_in_process(self, monkeypatch, stream, forks):
-        _cores(monkeypatch, 1, blas_threads=1)
+        _cores(monkeypatch, 1)
         in_process = studies.hermitization_ratio(16, 40, stream)
-        _cores(monkeypatch, 2, blas_threads=1)
+        _cores(monkeypatch, 2)
         pooled = studies.hermitization_ratio(16, 40, stream)
         assert forks == ["fork"]
         # means, standard errors, the covariance (through ratio_se and the
@@ -174,30 +127,40 @@ class TestHermitizationRatio:
         assert pooled == in_process
 
     def test_worker_rule(self, monkeypatch):
+        # one worker per core, whatever the BLAS thread setting, and at
+        # most one per trial
+        _cores(monkeypatch, 4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert (studies._worker_count(200), studies._worker_count(3),
+                studies._worker_count(1)) == (4, 3, 1)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(studies._worker_count,
+                                    (200,)).get(60) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert studies._worker_count(200) == 1
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch, stream):
+        lib = linalg._bundled_openblas()
+        if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy carries no bundled OpenBLAS")
+        monkeypatch.setattr(studies, "_hermitization_trial",
+                            _thread_count_trial)
         _cores(monkeypatch, 2)
-        assert studies._worker_count(200) == 1
-        _cores(monkeypatch, 2, blas_threads=1)
-        assert studies._worker_count(200) == 2
-        assert studies._worker_count(1) == 1
-        _cores(monkeypatch, 4, blas_threads=2)
-        assert studies._worker_count(200) == 2
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-        monkeypatch.setenv("OMP_NUM_THREADS", "4")
-        assert studies._worker_count(200) == 1
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)  # a caller that never pinned
+        try:
+            assert studies.hermitization_ratio(4, 8, stream).ratio == 1.0
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
 
     def test_runs_inside_a_daemonic_pool_worker(self, monkeypatch, stream):
         # a pool worker may not start a pool of its own: the study must
         # run its trials in the worker itself
-        _cores(monkeypatch, 2, blas_threads=1)
+        _cores(monkeypatch, 2)
         with multiprocessing.get_context("fork").Pool(1) as pool:
             in_worker = pool.map_async(_ratio_in_worker, [stream]).get(60)[0]
-        _cores(monkeypatch, 1, blas_threads=1)
+        _cores(monkeypatch, 1)
         assert in_worker == _ratio_in_worker(stream)
-
-    def test_unset_blas_threads_forks_nothing(self, monkeypatch, stream, forks):
-        _cores(monkeypatch, 2)
-        studies.hermitization_ratio(4, 20, stream)
-        assert forks == []
 
     def test_validation(self, stream):
         with pytest.raises(ValueError):

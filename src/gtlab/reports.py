@@ -64,16 +64,13 @@ class GapReport:
 
 @dataclass(frozen=True)
 class TailReport:
-    """Empirical tail probability against an analytic bound.
-
-    ``passed`` means ``status == "pass"``; see :meth:`from_counts`.
-    """
+    """Empirical tail probability against an analytic bound, with the
+    three-valued ``status`` of :meth:`from_counts`."""
 
     empirical_tail: float
     ci_low: float
     ci_high: float
     bound_value: float
-    passed: bool
     status: str
     trials: int
     extras: dict[str, Any]
@@ -94,8 +91,8 @@ class TailReport:
         else:
             status = "indeterminate"
         return cls(empirical_tail=exceed / trials, ci_low=ci_low,
-                   ci_high=ci_high, bound_value=bound, passed=status == "pass",
-                   status=status, trials=trials, extras=dict(extras))
+                   ci_high=ci_high, bound_value=bound, status=status,
+                   trials=trials, extras=dict(extras))
 
 
 @dataclass(frozen=True)

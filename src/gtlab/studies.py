@@ -40,7 +40,7 @@ __all__ = [
 
 #: Pairs per stream block in the Monte Carlo ratio; the block size fixes
 #: the draw order.
-MC_CHUNK = 65536
+_MC_CHUNK = 65536
 
 #: Leading pairs of the Monte Carlo ratio re-evaluated through matrix
 #: exponentials.
@@ -108,7 +108,7 @@ def pauli_ratio_mc(trials: int, stream: RngStream) -> RatioEstimate:
     sums = np.zeros(7)  # num, num^2, den, den^2, num*den, cross, cross^2
     violations = 0
     matrix_disc = 0.0
-    for done, count, rng in stream.blocks(trials, MC_CHUNK):
+    for done, count, rng in stream.blocks(trials, _MC_CHUNK):
         a = rng.standard_normal((count, 3))
         b = rng.standard_normal((count, 3))
         ra = np.linalg.norm(a, axis=1)
@@ -209,6 +209,5 @@ def hermitization_ratio(n: int, trials: int, stream: RngStream) -> RatioEstimate
     den_se = float(den.std(ddof=1) / math.sqrt(t)) if trials > 1 else 0.0
     cov = float(((num - num_mean) * (den - den_mean)).sum() / (t - 1) / t) \
         if trials > 1 else 0.0
-    # a failed eigensolve raises; "retries" leaves in the next report schema
     return RatioEstimate.from_moments(num_mean, num_se, den_mean, den_se,
-                                      cov, extras={"dim": n, "retries": 0})
+                                      cov, extras={"dim": n})

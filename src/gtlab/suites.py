@@ -18,10 +18,13 @@ A hand-written runner remains where a tag has a second route (the matrix
 traces behind the 2x2 reduction, quadrature behind the three-matrix
 kernel), several cases, or a statistical verdict.
 
-Randomness: each tag draws from its own stream, the path ``(position,)``
-under the seed, where ``position`` is the tag's registry position; a
-runner that needs several streams takes children of it.  A sweep over
-``trials`` instances gives instance ``i`` the dimension
+Randomness: each tag draws from its own stream, the path ``(label,)``
+under the seed, where ``label`` is the CRC-32 of the tag's name
+(:func:`_tag_stream`), so adding, removing or reordering rows moves no
+other tag's draws; a runner that needs several streams takes children of
+it.  A Monte Carlo check that reruns a chance miss draws its first attempt
+from ``child(0)`` of its stream and the rerun from ``child(1)``.  A sweep
+over ``trials`` instances gives instance ``i`` the dimension
 ``dims[i % len(dims)]`` and the parameter ``cycle[i % len(cycle)]`` of its
 check (an order ``s``, ``k`` or ``p``, a pair ``(r, s)``, a word length).
 Instances sharing a (dimension, parameter) group are drawn and checked
@@ -30,22 +33,22 @@ instances (at least one); each (group, chunk) stack comes from one
 generator, the ``b``-th in group-then-chunk order from child ``b`` of the
 tag's path.  Eq.RU draws one sample per (N, k) experiment and reads all
 its thresholds from it (:func:`domination_cells`); group ``g`` draws from
-child ``3 g``, and its straddling cells rerun together on one sample from
-that child's ``child(1)``.  A report is therefore a pure function of
-(config, seed).
+child ``g``.  A report is therefore a pure function of (config, seed).
 
 Rows whose instances differ in shape run on the one dimension ``1`` with
 the shapes as the cycle: the sign series ``(m, d)`` of Eq.OB's
 enumeration, Eq.DDN and Eq.RUvsOB (:func:`_series_shapes`), and Eq.S3's
 ``N x k`` blocks, every N in 4..23 with k cycling through 1..min(N, 5).
-Only Eq.OB's Monte Carlo series is drawn alone.  Eq.S draws its blocks in
-chunks of ``_SWEEP_ENTRIES`` entries; Eq.J's blocks are ``4n x n``.
+Eq.AB's coefficient vectors run on dimension ``1`` too.  Only Eq.OB's
+Monte Carlo series is drawn alone.  Eq.S draws its blocks in chunks of
+``_SWEEP_ENTRIES`` entries; Eq.J's blocks are ``4n x n``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import zlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
@@ -128,9 +131,10 @@ def _tail_case(name: str, tag: str, report: TailReport, extra: dict) -> CaseReco
     """Case of a tail report: the upper confidence limit against the bound,
     with the report's three-valued verdict."""
     return _case(name, tag, report.ci_high, report.bound_value,
-                 report.bound_value - report.ci_high, report.passed,
-                 report.trials, ci=(report.ci_low, report.ci_high),
-                 extra=extra, status=report.status)
+                 report.bound_value - report.ci_high,
+                 report.status == "pass", report.trials,
+                 ci=(report.ci_low, report.ci_high), extra=extra,
+                 status=report.status)
 
 
 def _residual_case(name: str, tag: str, residual: float, threshold: float,
@@ -156,21 +160,20 @@ def _worst_case(name: str, tag: str, reports: list[GapReport],
                  lhs.size, extra={"violations": violations, **(extra or {})})
 
 
-def _escalating(attempt, trials, stream, escalation):
+def _escalating(attempt, trials, stream):
     """Run a Monte Carlo check, escalating a chance miss once.
 
     ``attempt(trials, stream)`` returns ``(result, passed, chance)``, where
     ``chance`` says a failed verdict may be a chance miss of a statistical
-    bound.  Such a miss reruns the check on tenfold trials, drawn from
-    ``escalation`` (a stream the first attempt never draws from), and the
-    rerun decides against the same bound.  The first attempt's draws do
-    not depend on the rule, so a check that passes keeps its values.
-    Returns ``(result, passed, trials, escalated)``.
+    bound.  The first attempt draws from ``stream.child(0)``; such a miss
+    reruns the check on tenfold trials drawn from ``stream.child(1)``, and
+    the rerun decides against the same bound.  Returns ``(result, passed,
+    trials, escalated)``.
     """
-    result, passed, chance = attempt(trials, stream)
+    result, passed, chance = attempt(trials, stream.child(0))
     if passed or not chance:
         return result, passed, trials, False
-    result, passed, _ = attempt(10 * trials, escalation)
+    result, passed, _ = attempt(10 * trials, stream.child(1))
     return result, passed, 10 * trials, True
 
 
@@ -380,14 +383,6 @@ def _series_draw(draw_mus):
 
 # ---------------------------------------------------------------------------
 # inequalities suite runners
-
-def _run_pauli_param(params, stream, tag):
-    rng = stream.generator()
-    a = rng.standard_normal((params.trials, 3))
-    residual = np.max(pauli.squared_norm_identity_residual(a))
-    return [_residual_case("pauli-parametrization", tag, residual, 1e-12,
-                           params.trials)]
-
 
 def _run_gt(params, stream, tag):
     # one case per dimension, each sweep on its own child stream
@@ -609,15 +604,13 @@ def _run_mgf_lemma(params, stream, tag):
 
 
 def _run_domination_grid(params, stream, tag):
-    """One sample per (N, k) experiment, read at every threshold.  Group
-    ``g`` draws from child ``3 g``: the labels of a layout with one stream
-    per cell, kept so that the eps = 0.5 cells keep their bytes until the
-    tags' streams are re-keyed."""
+    """One sample per (N, k) experiment, read at every threshold; group
+    ``g`` draws from child ``g``."""
     cases = []
     trials = min(max(params.trials, 1000), 20000)
     epsilons = (0.5, 1.0, 2.0)
     for g, (n, k) in enumerate(((8, 1), (8, 2), (16, 1), (16, 2))):
-        reports = domination_cells(n, k, epsilons, trials, stream.child(3 * g))
+        reports = domination_cells(n, k, epsilons, trials, stream.child(g))
         cases.extend(_tail_case(f"tail-domination-N{n}-k{k}-eps{eps:g}", tag,
                                 report, extra=report.extras)
                      for eps, report in zip(epsilons, reports))
@@ -627,7 +620,7 @@ def _run_domination_grid(params, stream, tag):
 def _run_oliveira(params, stream, tag):
     """The enumerated series are the stacks of child 0, each at every mu;
     the Monte Carlo pair draws its series (length, dimension, terms) from
-    child 1 and its signs from child 2, or from child 3 when escalated."""
+    child 1 and its signs through :func:`_escalating` on child 2."""
     enumeration = Sweep("sign-series-enumerate", _series_draw(
         lambda rng, count: np.array((0.5, 1.0, 2.0))[:, None]),
         conc.oliveira_mgf_check, _series_shapes(10),
@@ -642,7 +635,7 @@ def _run_oliveira(params, stream, tag):
         return report, report.passed, True
 
     mc, _, trials, escalated = _escalating(attempt, max(params.trials, 10000),
-                                           stream.child(2), stream.child(3))
+                                           stream.child(2))
     mc_case = _gap_case("sign-series-montecarlo", tag, mc, trials,
                         extra={"escalated": escalated})
     return [enum_case, mc_case]
@@ -680,12 +673,8 @@ def _run_ratio_mc(params, stream, tag):
         # a violated exact identity is no chance miss: it fails at once
         return est, bool(within and exact), bool(exact)
 
-    # the first attempt draws block b from child b; the escalation takes
-    # the first child its blocks leave unused
-    trials = max(params.trials, 10000)
-    first_unused = -(-trials // studies.MC_CHUNK)
-    est, passed, trials, escalated = _escalating(attempt, trials, stream,
-                                                 stream.child(first_unused))
+    est, passed, trials, escalated = _escalating(
+        attempt, max(params.trials, 10000), stream)
     allowed = 3.0 * est.ratio_se
     return [_case("pauli-ratio-montecarlo", tag, est.ratio, target,
                   allowed - abs(est.ratio - target), passed, trials,
@@ -712,7 +701,10 @@ def _run_hermitization(params, stream, tag):
 #: stream, tag)`` returns the tag's cases, each judged against a fixed
 #: slack.  A row without a runner names a tag another row's runner emits.
 REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
-    "Eq.AB": ("inequalities", "pauli.squared_norm_identity_residual", _run_pauli_param),
+    "Eq.AB": ("inequalities", "pauli.squared_norm_identity_residual", Residual(
+        "pauli-parametrization", lambda rng, n, count, c: (
+            rng.standard_normal((count, 3)),),
+        lambda a: (pauli.squared_norm_identity_residual(a), 1e-12), dims=(1,))),
     "Eq.1": ("inequalities", "inequalities.gt_gap", _run_gt),
     "Eq.1a": ("inequalities", "inequalities.pauli_reduce_gap", _run_pauli_reduce),
     "Eq.1aA": ("inequalities", "inequalities.pauli_law_gap", None),
@@ -811,18 +803,23 @@ SUITE_TAGS: dict[str, tuple[str, ...]] = {
 }
 
 
+def _tag_stream(seed: int, tag: str) -> RngStream:
+    """The stream of ``tag`` under ``seed``: its one label is the CRC-32 of
+    the tag's name, so it does not depend on the registry's order."""
+    return RngStream(seed, (zlib.crc32(tag.encode()),))
+
+
 def run_suite(name: str, params: SuiteParams) -> list[CaseRecord]:
-    """Execute one named suite; each tag's runner draws from the stream at
-    the tag's registry position under the seed, making the output
-    deterministic, and is handed the tag.  A runner that raises ends the
-    run with a :class:`RunnerError`."""
+    """Execute one named suite; each tag's runner draws from
+    :func:`_tag_stream` under the seed, making the output deterministic,
+    and is handed the tag.  A runner that raises ends the run with a
+    :class:`RunnerError`."""
     if name not in SUITE_TAGS:
         raise ValueError(f"unknown suite {name!r}")
     cases: list[CaseRecord] = []
-    positions = {tag: j for j, tag in enumerate(REGISTRY)}
     for tag in SUITE_TAGS[name]:
         _, _, runner = REGISTRY[tag]
-        stream = RngStream(params.seed, (positions[tag],))
+        stream = _tag_stream(params.seed, tag)
         try:
             cases.extend(runner(params, stream, tag))
         except Exception as exc:

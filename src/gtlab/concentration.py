@@ -26,7 +26,9 @@ length ``m`` and a dimension ``d``; ``mu`` is one value or an array
 broadcasting against the stack's leading axes.  Only the Monte Carlo
 check takes one series.  The deterministic sides are computed once per
 call for all of them: an exact enumeration eigensolves ``sum_p e_p A_p``
-over the ``2^m`` sign patterns and ``sum_p A_p^2`` once, and derives
+over the half of the ``2^m`` sign patterns with ``e_m = -1`` (the other
+half negates them, so the mean of ``Tr cosh(mu Z)`` over the half is the
+full average of ``Tr e^(mu Z)``) and ``sum_p A_p^2`` once, and derives
 every mu's sides from those two spectra; stacked series of one ``(m, d)``
 group are validated and eigensolved together.  A stacked call returns,
 member by member, the bits of the single calls.
@@ -351,10 +353,13 @@ def oliveira_mgf_check(terms, mu) -> GapReport:
     Rademacher sign patterns (a deterministic verdict).  Takes stacked
     series and arrays of mu, eigensolving each series once for every mu."""
     terms = _checked_terms(terms)
-    signs = _all_sign_patterns(terms.shape[-3])
+    m = terms.shape[-3]
+    # pattern i and pattern 2^m - 1 - i give Z and -Z, so the first half
+    # of the patterns averages Tr (e^(mu Z) + e^(-mu Z))/2 = Tr cosh(mu Z)
+    signs = _all_sign_patterns(m)[:1 << (m - 1)]
     w = np.linalg.eigvalsh(np.einsum('sp,...pij->...sij', signs, terms))
     mu = np.asarray(mu, dtype=np.float64)
-    lhs = np.exp(mu[..., None, None] * w).sum(axis=-1).mean(axis=-1)
+    lhs = np.cosh(mu[..., None, None] * w).sum(axis=-1).mean(axis=-1)
     return GapReport.from_sides(lhs, series_rhs(terms, mu))
 
 
@@ -473,12 +478,17 @@ def exp_trace_dominance(M, c: float) -> GapReport:
 
 def trace_product_dominance(P, Q) -> GapReport:
     """``Tr(PQ) <= ||Q||_op Tr P`` for positive definite P and Hermitian Q
-    (single matrices or stacks)."""
+    (single matrices or stacks).  A Cholesky factorization confirms that P
+    is positive definite, and ``Tr P`` is its real diagonal sum; only Q is
+    eigensolved."""
     Ph, Qh = hermitian_args("trace_product_dominance", P, Q)
-    wp = np.linalg.eigvalsh(Ph)
-    if np.any(wp[..., 0] <= 0):
-        raise ValueError("trace_product_dominance requires positive definite P")
+    try:
+        np.linalg.cholesky(Ph)
+    except np.linalg.LinAlgError:
+        raise ValueError("trace_product_dominance requires positive "
+                         "definite P") from None
     wq = np.linalg.eigvalsh(Qh)
     lhs = trace_of_product(Ph, Qh, "trace in trace_product_dominance")
-    rhs = np.maximum(-wq[..., 0], wq[..., -1]) * wp.sum(axis=-1)
+    trace_p = np.einsum('...ii->...', Ph).real
+    rhs = np.maximum(-wq[..., 0], wq[..., -1]) * trace_p
     return GapReport.from_sides(lhs, rhs)

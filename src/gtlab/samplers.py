@@ -2,7 +2,7 @@
 
 A stream is the value ``(master_seed, path)``, where ``path`` is a tuple
 of labels naming the stream's place in a tree of streams.  Its generator
-is Philox seeded by ``SeedSequence(master_seed, spawn_key=path)``, numpy's
+is SFC64 seeded by ``SeedSequence(master_seed, spawn_key=path)``, numpy's
 mechanism for hierarchical streams: distinct paths give statistically
 independent streams, and the same path replays the same draws bit for
 bit.  A caller that needs several streams names its own children with
@@ -12,7 +12,8 @@ Draws within one generator follow a documented fixed order, which keeps
 results independent of how work is scheduled.
 
 Ensemble conventions: ``ginibre`` draws independent entries with unit
-complex variance (real and imaginary parts each N(0, 1/2)); ``gue`` is
+complex variance (real and imaginary parts each N(0, 1/2), drawn
+interleaved: each entry's real part, then its imaginary part); ``gue`` is
 ``(X + X†)/2`` of a Ginibre draw, exactly Hermitian by construction.
 """
 
@@ -62,7 +63,7 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """A fresh generator; repeated calls replay the identical sequence."""
         seed = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(seed))
+        return np.random.Generator(np.random.SFC64(seed))
 
     def child(self, *labels: int) -> "RngStream":
         """The stream at ``path + labels`` under the same seed."""
@@ -76,13 +77,14 @@ class RngStream:
 
 
 def standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussians: unit complex variance per entry, real
-    parts drawn before imaginary parts."""
-    out = np.empty(shape, dtype=np.complex128)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
-    out /= np.sqrt(2.0)
-    return out
+    """Standard complex Gaussians: unit complex variance per entry.
+
+    One ``(*shape, 2)`` block of standard normals, scaled in place by
+    ``sqrt(1/2)`` and returned as its ``complex128`` view, so each entry's
+    real and imaginary parts are consecutive draws."""
+    parts = rng.standard_normal((*shape, 2))
+    parts *= np.sqrt(0.5)
+    return parts.view(np.complex128)[..., 0]
 
 
 def ginibre(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:

@@ -306,6 +306,19 @@ class TestSignSeries:
             terms = [gue(rng, d) for _ in range(m)]
             assert conc.oliveira_mgf_check(terms, mu).passed
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_half_enumeration_matches_all_patterns(self, m, rng):
+        # the check eigensolves half of the 2^m patterns; every pattern
+        # solved directly gives the same average of Tr e^(mu Z)
+        mus = np.array([0.5, -0.5, 2.0, -2.0])
+        patterns = conc._all_sign_patterns(m)
+        for d in range(1, 5):
+            terms = gue(rng, d, m)
+            w = np.linalg.eigvalsh(np.einsum('sp,pij->sij', patterns, terms))
+            brute = np.exp(mus[:, None, None] * w).sum(axis=-1).mean(axis=-1)
+            report = conc.oliveira_mgf_check(terms, mus)
+            np.testing.assert_allclose(report.lhs, brute, rtol=1e-13, atol=0)
+
     def test_recursion_profile_non_increasing(self, rng):
         for _ in range(10):
             m = int(rng.integers(1, 9))
@@ -466,6 +479,11 @@ class TestTraceProductDominance:
     def test_requires_positive_definite(self, rng):
         with pytest.raises(ValueError, match="positive definite"):
             conc.trace_product_dominance(-np.eye(3), gue(rng, 3))
+
+    def test_one_indefinite_member_rejects_the_stack(self, rng):
+        P = np.stack([np.eye(3), np.diag([1.0, 1.0, -1e-3]), np.eye(3)])
+        with pytest.raises(ValueError, match="positive definite"):
+            conc.trace_product_dominance(P, gue(rng, 3, 3))
 
     def test_stack_matches_single(self, rng):
         assert_stack_matches_single(conc.trace_product_dominance,

@@ -46,18 +46,38 @@ class TestStreams:
             RngStream(0, 7)
 
 
+class TestStreamSeparation:
+    """Streams are SFC64 seeded by ``SeedSequence`` spawn keys: a path
+    replays its bits, and distinct paths share no raw output."""
+
+    def test_sfc64_replays_its_path(self):
+        first, again = (RngStream(42, (7, 3)).generator().bit_generator
+                        for _ in range(2))
+        assert isinstance(first, np.random.SFC64)
+        assert np.array_equal(first.random_raw(1024), again.random_raw(1024))
+
+    def test_siblings_and_swapped_paths_share_no_output(self):
+        stream = RngStream(1001, (5,))
+        paths = [(i,) for i in range(2048)] + [(0, 1), (1, 0), (2, 7), (7, 2)]
+        raw = np.concatenate([
+            stream.child(*path).generator().bit_generator.random_raw(1024)
+            for path in paths])
+        assert np.unique(raw).size == raw.size == 1024 * len(paths)
+
+
 class TestStandardComplex:
     @pytest.mark.parametrize("shape", [(), (3,), (8000, 16, 2), (0, 3)])
-    def test_same_bits_as_the_sum_expression(self, shape):
-        # one complex128 array filled in place draws what the sum of two
-        # complex temporaries drew: real parts first, then imaginary parts
+    def test_interleaved_normals_scaled_by_root_half(self, shape):
+        # one (*shape, 2) block of normals scaled by sqrt(1/2): each
+        # entry's real part, then its imaginary part
         drawn = samplers.standard_complex(np.random.default_rng(5), shape)
-        rng = np.random.default_rng(5)
-        summed = np.asarray((rng.standard_normal(shape)
-                             + 1j * rng.standard_normal(shape)) / np.sqrt(2.0))
-        assert drawn.shape == summed.shape == shape
-        assert drawn.dtype == summed.dtype == np.complex128
-        assert drawn.tobytes() == summed.tobytes()
+        parts = np.random.default_rng(5).standard_normal((*shape, 2))
+        parts *= np.sqrt(0.5)
+        expected = np.empty(shape, dtype=np.complex128)
+        expected.real, expected.imag = parts[..., 0], parts[..., 1]
+        assert drawn.shape == shape
+        assert drawn.dtype == np.complex128
+        assert drawn.tobytes() == expected.tobytes()
 
 
 class TestMoments:

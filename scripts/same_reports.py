@@ -6,13 +6,15 @@ Usage, from the root of a checkout::
     python3 scripts/same_reports.py REV
 
 ``src/`` at REV is extracted with ``git archive`` into a temporary
-directory.  Both trees then write the same 48 reports: ``verify``,
+directory.  Both trees then write the same 56 reports: ``verify``,
 ``tail`` and ``ratio`` at the sizes of ``perfbench/workloads.py`` and
-``hunt`` on ``{"suites": ["counterexamples"]}``, at seeds 1001-1003, each
-written fresh as JSON and as CSV and its JSON re-emitted by ``report`` as
-JSON and as CSV.  Every run has ``OPENBLAS_NUM_THREADS=1`` and no
-``SOURCE_DATE_EPOCH``.  The script lists each report whose bytes or exit
-code differ, and for a JSON report the name of each case whose record
+``hunt`` on ``{"suites": ["counterexamples"]}``, at seeds 1001-1003, and
+the two :data:`RERUNS` configs, at which a Monte Carlo case reruns a
+chance miss; each is written fresh as JSON and as CSV and its JSON
+re-emitted by ``report`` as JSON and as CSV.  Every run has
+``OPENBLAS_NUM_THREADS=1`` and no ``SOURCE_DATE_EPOCH``.  The script
+lists each report whose bytes or exit code differ, and for a JSON
+report the name of each case whose record
 differs with its old and new ``status`` (``absent`` where a report has
 no such case), so a verdict that moved shows at a glance.  It ends with
 one line per differing case: its name, the number of JSON reports it
@@ -39,6 +41,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1001, 1002, 1003)
 FORMATS = ("json", "csv")
+#: ``name -> (subcommand, config)``: the configs whose reports record
+#: ``"escalated": true``, the sign-series Monte Carlo case (Eq.OB) of
+#: ``tail`` and the Eq.R case of ``ratio``; none at seeds 1001-1003 reruns.
+RERUNS = {
+    "tail-rerun": ("tail", {"suites": ["concentration"], "trials": 8000,
+                            "seed": 154}),
+    "ratio-rerun": ("ratio", {"suites": ["studies"], "dims": [16],
+                              "trials": 10000, "seed": 193}),
+}
 
 
 def configs() -> dict:
@@ -72,24 +83,33 @@ def gtlab(src: Path, work: Path, *args: str) -> int:
     return code
 
 
+def runs() -> list[tuple[str, str, dict]]:
+    """``(name, subcommand, config)`` of each run; a name ends in the
+    config's seed."""
+    found = [(f"{command}-{seed}", command, {**config, "seed": seed})
+             for command, config in configs().items() for seed in SEEDS]
+    found += [(f"{name}-{config['seed']}", command, config)
+              for name, (command, config) in RERUNS.items()]
+    return found
+
+
 def reports(src: Path, work: Path) -> dict:
-    """``report name -> (exit code, bytes)`` for the 48 reports of ``src``."""
+    """``report name -> (exit code, bytes)`` for the 56 reports of ``src``."""
     found = {}
-    for command, config in configs().items():
-        for seed in SEEDS:
-            cfg = work / f"{command}-{seed}.config.json"
-            cfg.write_text(json.dumps({**config, "seed": seed}))
-            for fmt in FORMATS:
-                out = work / f"{command}-{seed}.{fmt}"
-                code = gtlab(src, work, command, "--config", str(cfg),
-                             "--format", fmt, "--out", str(out))
-                found[out.name] = code, out.read_bytes()
-            saved = work / f"{command}-{seed}.json"
-            for fmt in FORMATS:
-                out = work / f"{command}-{seed}.report.{fmt}"
-                code = gtlab(src, work, "report", "--config", str(saved),
-                             "--format", fmt, "--out", str(out))
-                found[out.name] = code, out.read_bytes()
+    for name, command, config in runs():
+        cfg = work / f"{name}.config.json"
+        cfg.write_text(json.dumps(config))
+        for fmt in FORMATS:
+            out = work / f"{name}.{fmt}"
+            code = gtlab(src, work, command, "--config", str(cfg),
+                         "--format", fmt, "--out", str(out))
+            found[out.name] = code, out.read_bytes()
+        saved = work / f"{name}.json"
+        for fmt in FORMATS:
+            out = work / f"{name}.report.{fmt}"
+            code = gtlab(src, work, "report", "--config", str(saved),
+                         "--format", fmt, "--out", str(out))
+            found[out.name] = code, out.read_bytes()
     return found
 
 

@@ -14,11 +14,12 @@ Monte Carlo experiments draw all trials from one stream generator in a
 fixed, documented order (trial data is row ``i`` of the draw), so results
 are reproducible and independent of scheduling; sub-experiments draw from
 child streams of the experiment's stream.  A tail experiment is one
-attempt on the stream it is given: one sample of Gaussian blocks, whose
-deviation spectra are counted against every threshold of a group of
-experiments at once, each count decided by
+attempt on the stream it is given: one sample of ``N x k`` Gaussian
+blocks, whose deviation spectra are counted against each of its
+thresholds, each count decided by
 :meth:`~gtlab.reports.TailReport.from_counts`; whether a straddling
-interval reruns is the caller's policy.
+interval reruns is the caller's policy.  The Chebyshev step and the
+moment-generating-function lemma each run on one fixed block shape.
 
 A sign series is given by its Hermitian terms: an array of shape
 ``(m, d, d)``, or ``(..., m, d, d)`` for a stack of series sharing a
@@ -37,7 +38,6 @@ member by member, the bits of the single calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .reports import GapReport, TailReport, binomial_ci
 from .samplers import RngStream, standard_complex
 
 __all__ = [
-    "CovarianceExperiment", "covariance",
+    "covariance",
     "covariance_deviations", "gaussian_row_sigma2",
     "aw_bound", "empirical_tail", "bernstein_tail_check",
     "optimal_bernstein_c", "aw_mgf_lemma_check", "oliveira_mgf_check",
@@ -69,27 +69,11 @@ _SIGN_CHUNK = 65536
 _CHERNOFF_VARS = 20
 _CHERNOFF_SIGMA2 = 1.0
 
-
-@dataclass(frozen=True)
-class CovarianceExperiment:
-    """Deviation experiment for the scaled Gram matrix of a Gaussian block.
-
-    ``n_samples`` rows by ``dim`` columns; ``epsilon`` is the deviation
-    threshold.
-    """
-
-    n_samples: int
-    dim: int
-    epsilon: float
-    trials: int
-
-    def __post_init__(self):
-        if not 1 <= self.dim <= self.n_samples:
-            raise ValueError("requires 1 <= dim <= n_samples")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+#: The Chebyshev step is checked on ``N x k`` blocks at one threshold; the
+#: moment-generating-function lemma on blocks small enough that both its
+#: sides are estimable to adequate precision.
+_BERNSTEIN_SHAPE, _BERNSTEIN_EPS = (16, 2), 1.0
+_MGF_SHAPE = (4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +88,7 @@ def covariance(X) -> np.ndarray:
     return adjoint(X) @ X / X.shape[-2]
 
 
-def gaussian_row_sigma2(exp: CovarianceExperiment) -> float:
+def gaussian_row_sigma2(n: int, k: int) -> float:
     """Variance proxy ``sum_p ||E (S_p)^2||_op`` for standard complex
     Gaussian rows, in closed form.
 
@@ -112,7 +96,7 @@ def gaussian_row_sigma2(exp: CovarianceExperiment) -> float:
     ``E[(v v†)^2] = (k+1) I``, so ``E S^2 = k I / N^2`` and the sum over
     the N rows is ``k/N``.
     """
-    return exp.dim / exp.n_samples
+    return k / n
 
 
 def covariance_deviations(rng: np.random.Generator, count: int, n: int,
@@ -143,9 +127,8 @@ def _ascending_spectra(dev: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(dev)
 
 
-def _deviation_draw(rng: np.random.Generator, count: int,
-                    exp: CovarianceExperiment):
-    """``count`` Gaussian blocks ``X`` of ``exp`` and the ascending spectra
+def _deviation_draw(rng: np.random.Generator, count: int, n: int, k: int):
+    """``count`` Gaussian ``n x k`` blocks ``X`` and the ascending spectra
     ``w`` of their deviations ``X†X/N - I``.
 
     The spectra are in closed form for the dimensions the runners use: a
@@ -153,78 +136,63 @@ def _deviation_draw(rng: np.random.Generator, count: int,
     ``[[a, b*], [b, d]]`` has the eigenvalues
     ``(a + d)/2 -+ hypot((a - d)/2, |b|)``; larger dimensions go to LAPACK.
     """
-    X, dev = covariance_deviations(rng, count, exp.n_samples, exp.dim)
+    X, dev = covariance_deviations(rng, count, n, k)
     return X, _ascending_spectra(dev)
 
 
 # ---------------------------------------------------------------------------
 # tail bound and empirical tails
 
-def aw_bound(exp: CovarianceExperiment, sigma2: float) -> float:
+def aw_bound(k: int, eps: float, sigma2: float) -> float:
     """``k max(e^(-eps^2/(4 sigma^2)), e^(-eps/2))``; requires the summand
     normalization ``||S_p|| <= 1`` for the guarantee to apply."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    eps = exp.epsilon
-    return exp.dim * max(math.exp(-eps * eps / (4.0 * sigma2)),
-                         math.exp(-eps / 2.0))
+    return k * max(math.exp(-eps * eps / (4.0 * sigma2)), math.exp(-eps / 2.0))
 
 
-def _tail_counts(exps, stream: RngStream):
-    """Two-sided, upper and lower exceedance counts, one per experiment of
-    ``exps`` (its threshold against the shared spectra), and the count of
-    trials with a row outside the summand normalization."""
-    exp = exps[0]
-    eps = np.array([e.epsilon for e in exps])
+def empirical_tail(n: int, k: int, epsilons, trials: int,
+                   stream: RngStream) -> list[TailReport]:
+    """Monte Carlo frequencies of ``||Sigma - I||_op > eps`` for ``n x k``
+    Gaussian blocks, one report per threshold of ``epsilons``, all read
+    from the same ``trials`` draws from ``stream``.  Each is judged against
+    the analytic tail bound at its threshold with the closed-form Gaussian
+    variance proxy by :meth:`TailReport.from_counts`; one-sided frequencies
+    and the rate of trials with a row outside the summand normalization
+    are reported alongside.  A report depends only on its own threshold,
+    so it has the bits of the one-threshold call on the same stream.
+    """
+    eps = np.array(epsilons, dtype=np.float64)
     two_sided = np.zeros(len(eps), dtype=np.int64)
     upper = np.zeros_like(two_sided)
     lower = np.zeros_like(two_sided)
-    assumption_violations = 0
-    for _, count, rng in stream.blocks(exp.trials, _TAIL_CHUNK):
-        X, w = _deviation_draw(rng, count, exp)
+    assume = 0
+    for _, count, rng in stream.blocks(trials, _TAIL_CHUNK):
+        X, w = _deviation_draw(rng, count, n, k)
         lam_max, lam_min = w[:, -1:], w[:, :1]
         two_sided += (np.maximum(lam_max, -lam_min) > eps).sum(axis=0)
         upper += (lam_max > eps).sum(axis=0)
         lower += (-lam_min > eps).sum(axis=0)
-        outside = (_row_norms_sq(X) > exp.n_samples + 1).any(axis=1)
-        assumption_violations += int(outside.sum())
-    return two_sided, upper, lower, assumption_violations
-
-
-def empirical_tail(exps, stream: RngStream) -> list[TailReport]:
-    """Monte Carlo frequencies of ``||Sigma - I||_op > eps``, one report per
-    experiment of ``exps``: experiments that differ in ``epsilon`` alone,
-    read from the same ``trials`` draws from ``stream``.  Each is judged
-    against the analytic tail bound at its threshold with the closed-form
-    Gaussian variance proxy by :meth:`TailReport.from_counts`; one-sided
-    frequencies and the summand-normalization violation rate are reported
-    alongside.  A report depends only on its own threshold, so it has the
-    bits of the one-experiment call on the same stream.
-    """
-    exp = exps[0]
-    if any((e.n_samples, e.dim, e.trials) != (exp.n_samples, exp.dim, exp.trials)
-           for e in exps):
-        raise ValueError("experiments of one sample must differ in epsilon only")
-    sigma2 = gaussian_row_sigma2(exp)
-    trials = exp.trials
-    two, up, low, assume = _tail_counts(exps, stream)
+        assume += int((_row_norms_sq(X) > n + 1).any(axis=1).sum())
+    sigma2 = gaussian_row_sigma2(n, k)
     return [TailReport.from_counts(
-        int(two[j]), trials, aw_bound(e, sigma2),
-        {"upper_tail": int(up[j]) / trials, "lower_tail": int(low[j]) / trials,
+        int(two_sided[j]), trials, aw_bound(k, e, sigma2),
+        {"upper_tail": int(upper[j]) / trials, "lower_tail": int(lower[j]) / trials,
          "assumption_violation_rate": assume / trials, "sigma2": sigma2})
-        for j, e in enumerate(exps)]
+        for j, e in enumerate(epsilons)]
 
 
-def optimal_bernstein_c(exp: CovarianceExperiment, stream: RngStream) -> float:
+def optimal_bernstein_c(stream: RngStream) -> float:
     """Golden-section minimizer of ``e^(-c eps) E Tr e^(c (Sigma - I))``
-    over ``(0, c_max]``, on a fixed pilot sample of 2000 draws (common
-    random numbers)."""
-    _, w = _deviation_draw(stream.generator(), 2000, exp)
+    over ``(0, c_max]`` for the Chebyshev step's blocks and threshold, on a
+    fixed pilot sample of 2000 draws (common random numbers)."""
+    n, k = _BERNSTEIN_SHAPE
+    _, w = _deviation_draw(stream.generator(), 2000, n, k)
 
     def objective(c: float) -> float:
-        return float(np.log(np.exp(c * w).sum(axis=1).mean()) - c * exp.epsilon)
+        return float(np.log(np.exp(c * w).sum(axis=1).mean()) - c * _BERNSTEIN_EPS)
 
-    lo, hi = 1e-3, 0.9 * exp.n_samples
+    lo, hi = 1e-3, 0.9 * n
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
@@ -241,21 +209,23 @@ def optimal_bernstein_c(exp: CovarianceExperiment, stream: RngStream) -> float:
     return float((lo + hi) / 2.0)
 
 
-def bernstein_tail_check(exp: CovarianceExperiment, stream: RngStream) -> GapReport:
+def bernstein_tail_check(trials: int, stream: RngStream) -> GapReport:
     """Monte Carlo check of the exponentiated Chebyshev step:
-    ``Pr(lambda_max(Sigma - I) > eps) <= e^(-c eps) E Tr e^(c (Sigma - I))``.
+    ``Pr(lambda_max(Sigma - I) > eps) <= e^(-c eps) E Tr e^(c (Sigma - I))``
+    over ``trials`` draws of ``16 x 2`` blocks at ``eps = 1``.
 
     ``c`` is the golden-section optimum, found on a pilot sample from
     ``stream.child(1)``; the check draws from ``stream.child(0)``.
     """
-    c = optimal_bernstein_c(exp, stream.child(1))
-    _, w = _deviation_draw(stream.child(0).generator(), exp.trials, exp)
-    exceed = int((w[:, -1] > exp.epsilon).sum())
-    lhs = exceed / exp.trials
-    _, lhs_ucl = binomial_ci(exceed, exp.trials)
-    values = math.exp(-c * exp.epsilon) * np.exp(c * w).sum(axis=1)
+    eps = _BERNSTEIN_EPS
+    c = optimal_bernstein_c(stream.child(1))
+    _, w = _deviation_draw(stream.child(0).generator(), trials, *_BERNSTEIN_SHAPE)
+    exceed = int((w[:, -1] > eps).sum())
+    lhs = exceed / trials
+    _, lhs_ucl = binomial_ci(exceed, trials)
+    values = math.exp(-c * eps) * np.exp(c * w).sum(axis=1)
     rhs = float(values.mean())
-    rhs_se = float(values.std(ddof=1) / math.sqrt(exp.trials))
+    rhs_se = float(values.std(ddof=1) / math.sqrt(trials))
     tol = (lhs_ucl - lhs) + 2.0 * rhs_se + 1e-12
     return GapReport.from_sides(lhs, rhs, tol=tol)
 
@@ -280,10 +250,10 @@ def _rank_one_factor_means(rows: np.ndarray, mu: float, n: int,
                                 np.array_split(c, batches))]
 
 
-def aw_mgf_lemma_check(exp: CovarianceExperiment, mu: float,
+def aw_mgf_lemma_check(mu: float, trials: int,
                        stream: RngStream) -> GapReport:
     """``E Tr e^(mu (Sigma - I)) <= k ||E e^(mu S)||_op^N`` with both sides
-    estimated by Monte Carlo on small instances (k <= 3, N <= 8).
+    estimated by Monte Carlo over ``trials`` draws of ``4 x 2`` blocks.
 
     Each row ``x`` of a draw gives the summand ``S = (x† x - I)/N``; since
     ``x† x`` has the one nonzero eigenvalue ``|x|^2``, its exponential is
@@ -294,12 +264,8 @@ def aw_mgf_lemma_check(exp: CovarianceExperiment, mu: float,
     ``passed`` is CI-aware; the per-term expectations reuse the identical
     row draws, which tightens the comparison near equality.
     """
-    n, k = exp.n_samples, exp.dim
-    if k > 3 or n > 8:
-        raise ValueError("lemma check is restricted to k <= 3, N <= 8 so both "
-                         "sides are estimable to adequate precision")
-    trials = exp.trials
-    X, w = _deviation_draw(stream.generator(), trials, exp)
+    n, k = _MGF_SHAPE
+    X, w = _deviation_draw(stream.generator(), trials, n, k)
     lhs_samples = np.exp(mu * w).sum(axis=1)
     lhs = float(lhs_samples.mean())
     lhs_se = float(lhs_samples.std(ddof=1) / math.sqrt(trials))

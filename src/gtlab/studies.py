@@ -185,8 +185,8 @@ def hermitization_ratio(n: int, trials: int, stream: RngStream) -> RatioEstimate
     """
     if n < 1:
         raise ValueError("dimension must be positive")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if trials < 2:
+        raise ValueError("a standard error needs at least two trials")
     tasks = [(n, stream.child(i)) for i in range(trials)]
     workers = _worker_count(trials)
     if workers == 1:
@@ -205,9 +205,8 @@ def hermitization_ratio(n: int, trials: int, stream: RngStream) -> RatioEstimate
     den = np.array([r[1] for r in results])
     t = float(trials)
     num_mean, den_mean = float(num.mean()), float(den.mean())
-    num_se = float(num.std(ddof=1) / math.sqrt(t)) if trials > 1 else 0.0
-    den_se = float(den.std(ddof=1) / math.sqrt(t)) if trials > 1 else 0.0
-    cov = float(((num - num_mean) * (den - den_mean)).sum() / (t - 1) / t) \
-        if trials > 1 else 0.0
+    num_se = float(num.std(ddof=1) / math.sqrt(t))
+    den_se = float(den.std(ddof=1) / math.sqrt(t))
+    cov = float(((num - num_mean) * (den - den_mean)).sum() / (t - 1) / t)
     return RatioEstimate.from_moments(num_mean, num_se, den_mean, den_se,
                                       cov, extras={"dim": n})

@@ -32,8 +32,9 @@ together, one stack per chunk of at most ``_SWEEP_ENTRIES // n^2``
 instances (at least one); each (group, chunk) stack comes from one
 generator, the ``b``-th in group-then-chunk order from child ``b`` of the
 tag's path.  Eq.RU draws one sample per (N, k) experiment and reads all
-its thresholds from it (:func:`domination_cells`); group ``g`` draws from
-child ``g``.  A report is therefore a pure function of (config, seed).
+its thresholds from it; group ``g`` draws from child ``g``, through
+:func:`_escalating`.  A report is therefore a pure function of (config,
+seed).
 
 Rows whose instances differ in shape run on the one dimension ``1`` with
 the shapes as the cycle: the sign series ``(m, d)`` of Eq.OB's
@@ -160,52 +161,26 @@ def _worst_case(name: str, tag: str, reports: list[GapReport],
                  lhs.size, extra={"violations": violations, **(extra or {})})
 
 
-def _escalating(attempt, trials, stream):
-    """Run a Monte Carlo check, escalating a chance miss once.
+def _escalating(attempt, trials, stream, cells):
+    """Run a Monte Carlo check on ``cells``, rerunning its chance misses
+    once.
 
-    ``attempt(trials, stream)`` returns ``(result, passed, chance)``, where
-    ``chance`` says a failed verdict may be a chance miss of a statistical
-    bound.  The first attempt draws from ``stream.child(0)``; such a miss
-    reruns the check on tenfold trials drawn from ``stream.child(1)``, and
-    the rerun decides against the same bound.  Returns ``(result, passed,
-    trials, escalated)``.
+    ``attempt(trials, stream, cells)`` returns one ``(result, verdict)``
+    per cell, the verdict ``"pass"``, ``"fail"`` or ``"chance"``, a miss
+    that may be a chance miss of a statistical bound.  The first attempt
+    draws from ``stream.child(0)``.  The chance cells rerun together on
+    tenfold trials drawn from ``stream.child(1)``, and the rerun decides;
+    the other cells keep their first attempt.  Returns one ``(result,
+    verdict, escalated)`` per cell.
     """
-    result, passed, chance = attempt(trials, stream.child(0))
-    if passed or not chance:
-        return result, passed, trials, False
-    result, passed, _ = attempt(10 * trials, stream.child(1))
-    return result, passed, 10 * trials, True
-
-
-def domination_cells(n: int, k: int, epsilons: tuple[float, ...], trials: int,
-                     stream: RngStream) -> list[TailReport]:
-    """The tail-domination cells of one ``N x k`` experiment, one per
-    threshold of ``epsilons``: empirical tail reports at the closed-form
-    variance proxy (pass applies only when the bound is informative), all
-    read from one sample.
-
-    The first attempt draws from ``stream.child(0)``.  An interval that
-    straddles its bound is a chance miss: the straddling cells rerun once,
-    together, on one sample of tenfold trials from ``stream.child(1)``; a
-    fail does not rerun, and the other cells keep their first attempt.
-    Each report is the one the 1-tuple call at its threshold gives on the
-    same stream.  ``extras`` ends with ``escalated``.
-    """
-    def attempt(trials, s, thresholds):
-        return conc.empirical_tail(
-            [conc.CovarianceExperiment(n_samples=n, dim=k, epsilon=eps,
-                                       trials=trials) for eps in thresholds], s)
-
-    reports = attempt(trials, stream.child(0), epsilons)
-    straddling = [j for j, r in enumerate(reports) if r.status == "indeterminate"]
-    if straddling:
-        reruns = attempt(10 * trials, stream.child(1),
-                         [epsilons[j] for j in straddling])
-        for j, rerun in zip(straddling, reruns):
-            reports[j] = rerun
-    return [dataclasses.replace(r, extras={**r.extras,
-                                           "escalated": j in straddling})
-            for j, r in enumerate(reports)]
+    results = attempt(trials, stream.child(0), cells)
+    chance = [j for j, (_, verdict) in enumerate(results) if verdict == "chance"]
+    if chance:
+        reruns = attempt(10 * trials, stream.child(1), [cells[j] for j in chance])
+        for j, rerun in zip(chance, reruns):
+            results[j] = rerun
+    return [(result, verdict, j in chance)
+            for j, (result, verdict) in enumerate(results)]
 
 
 # ---------------------------------------------------------------------------
@@ -578,42 +553,49 @@ def _run_scalar_chernoff(params, stream, tag):
 
 def _run_union_bound(params, stream, tag):
     # the bound of this cell, 2 e^(-1/4), is vacuous: it never reruns
-    report, = domination_cells(16, 2, (0.5,), min(params.trials, 4000), stream)
+    report, = conc.empirical_tail(16, 2, (0.5,), min(params.trials, 4000),
+                                  stream.child(0))
     lhs = report.empirical_tail
     rhs = report.extras["upper_tail"] + report.extras["lower_tail"]
     return [_case("tail-union-bound", tag, lhs, rhs, rhs - lhs,
-                  lhs <= rhs + 1e-15, report.trials, extra=report.extras)]
+                  lhs <= rhs + 1e-15, report.trials,
+                  extra={**report.extras, "escalated": False})]
 
 
 def _run_bernstein(params, stream, tag):
-    exp = conc.CovarianceExperiment(n_samples=16, dim=2, epsilon=1.0,
-                                    trials=min(max(params.trials, 2000), 20000))
-    report = conc.bernstein_tail_check(exp, stream)
-    return [_gap_case("bernstein-chebyshev", tag, report, exp.trials)]
+    trials = min(max(params.trials, 2000), 20000)
+    report = conc.bernstein_tail_check(trials, stream)
+    return [_gap_case("bernstein-chebyshev", tag, report, trials)]
 
 
 def _run_mgf_lemma(params, stream, tag):
     trials = min(max(params.trials, 4000), 40000)
-    cases = []
-    for j, mu in enumerate((1.0, -1.0)):
-        exp = conc.CovarianceExperiment(n_samples=4, dim=2, epsilon=1.0,
-                                        trials=trials)
-        report = conc.aw_mgf_lemma_check(exp, mu, stream.child(j))
-        cases.append(_gap_case(f"mgf-lemma-mu{mu:+g}", tag, report, trials))
-    return cases
+    return [_gap_case(f"mgf-lemma-mu{mu:+g}", tag,
+                      conc.aw_mgf_lemma_check(mu, trials, stream.child(j)), trials)
+            for j, mu in enumerate((1.0, -1.0))]
+
+
+def _tail_cells(n, k, trials, stream, epsilons):
+    """The tail reports of one ``N x k`` experiment at ``epsilons``, each
+    with its verdict: an interval that straddles its bound is a chance
+    miss."""
+    return [(r, "chance" if r.status == "indeterminate" else r.status)
+            for r in conc.empirical_tail(n, k, epsilons, trials, stream)]
 
 
 def _run_domination_grid(params, stream, tag):
     """One sample per (N, k) experiment, read at every threshold; group
-    ``g`` draws from child ``g``."""
+    ``g`` draws from child ``g``, and its straddling cells rerun together
+    on one tenfold sample."""
     cases = []
     trials = min(max(params.trials, 1000), 20000)
     epsilons = (0.5, 1.0, 2.0)
     for g, (n, k) in enumerate(((8, 1), (8, 2), (16, 1), (16, 2))):
-        reports = domination_cells(n, k, epsilons, trials, stream.child(g))
+        cells = _escalating(partial(_tail_cells, n, k), trials, stream.child(g),
+                            epsilons)
         cases.extend(_tail_case(f"tail-domination-N{n}-k{k}-eps{eps:g}", tag,
-                                report, extra=report.extras)
-                     for eps, report in zip(epsilons, reports))
+                                report, {**report.extras, "escalated": escalated})
+                     for eps, (report, _, escalated) in zip(epsilons, cells))
     return cases
 
 
@@ -630,13 +612,14 @@ def _run_oliveira(params, stream, tag):
     m, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
     gaussian = np.stack([gue(rng, d) for _ in range(m)])
 
-    def attempt(trials, signs):
+    def attempt(trials, signs, cells):
         report = conc.oliveira_mgf_montecarlo(gaussian, signs, trials)
-        return report, report.passed, True
+        return [(report, "pass" if report.passed else "chance")]
 
-    mc, _, trials, escalated = _escalating(attempt, max(params.trials, 10000),
-                                           stream.child(2))
-    mc_case = _gap_case("sign-series-montecarlo", tag, mc, trials,
+    trials = max(params.trials, 10000)
+    (mc, _, escalated), = _escalating(attempt, trials, stream.child(2), (None,))
+    mc_case = _gap_case("sign-series-montecarlo", tag, mc,
+                        10 * trials if escalated else trials,
                         extra={"escalated": escalated})
     return [enum_case, mc_case]
 
@@ -663,7 +646,7 @@ def _run_ratio_quadrature(params, stream, tag):
 def _run_ratio_mc(params, stream, tag):
     target = 4.0 / 3.0
 
-    def attempt(trials, pairs):
+    def attempt(trials, pairs, cells):
         est = studies.pauli_ratio_mc(trials, pairs)
         extras = est.extras
         within = (abs(est.ratio - target) <= 3.0 * est.ratio_se
@@ -671,13 +654,14 @@ def _run_ratio_mc(params, stream, tag):
         exact = (extras["matrix_route_max_discrepancy"] <= 1e-10
                  and extras["trialwise_violations"] == 0)
         # a violated exact identity is no chance miss: it fails at once
-        return est, bool(within and exact), bool(exact)
+        return [(est, "fail" if not exact else "pass" if within else "chance")]
 
-    est, passed, trials, escalated = _escalating(
-        attempt, max(params.trials, 10000), stream)
+    trials = max(params.trials, 10000)
+    (est, verdict, escalated), = _escalating(attempt, trials, stream, (None,))
     allowed = 3.0 * est.ratio_se
     return [_case("pauli-ratio-montecarlo", tag, est.ratio, target,
-                  allowed - abs(est.ratio - target), passed, trials,
+                  allowed - abs(est.ratio - target), verdict == "pass",
+                  10 * trials if escalated else trials,
                   ci=(est.ci_low, est.ci_high),
                   extra={**est.extras, "escalated": escalated})]
 

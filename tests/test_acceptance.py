@@ -88,8 +88,8 @@ class TestAcceptance:
         # one sample per (n, k), read at every eps
         for g, (n, k) in enumerate((n, k) for n in (8, 16, 32)
                                    for k in (1, 2, 4)):
-            reports = suites.domination_cells(n, k, epsilons, 10000,
-                                              base.child(g))
+            reports = conc.empirical_tail(n, k, epsilons, 10000,
+                                          base.child(g, 0))
             for eps, report in zip(epsilons, reports):
                 if report.bound_value < 1.0:
                     informative += 1

@@ -526,10 +526,10 @@ VERDICT_INJECTIONS = {
     # a tail bound below the interval; each interval starts at 0 or above
     "Eq.C": lambda chernoff: lambda *args, **kwargs: bound_below_interval(
         chernoff(*args, **kwargs)),
-    "Eq.RU": lambda bound: lambda exp, sigma2: np.nextafter(0.0, -1.0),
+    "Eq.RU": lambda bound: lambda k, eps, sigma2: np.nextafter(0.0, -1.0),
     # one-sided tails that miss every two-sided exceedance
-    "Eq.rf": lambda tail: lambda exps, stream: [
-        without_one_sided_tails(report) for report in tail(exps, stream)],
+    "Eq.rf": lambda tail: lambda *args: [
+        without_one_sided_tails(report) for report in tail(*args)],
 }
 
 #: Tags covered by a test of their own: ``tag -> (class, test)``.
@@ -997,6 +997,21 @@ class TestMonteCarloEscalation:
         assert case.trials == 100000
         assert len(set(keys)) == len(keys), "the escalation reused a stream key"
 
+    def test_ratio_exact_identity_violation_fails_without_rerun(self,
+                                                                monkeypatch):
+        # a violated exact identity is no chance miss: no rerun is drawn
+        monkeypatch.setattr(studies, "pauli_ratio_mc", shifted(
+            studies.pauli_ratio_mc, lambda est: dataclasses.replace(
+                est, extras={**est.extras, "trialwise_violations": 1})))
+        keys = record_stream_keys(monkeypatch)
+        params = suites.SuiteParams(seed=1, trials=10000)
+        stream = _tag_stream(1, "Eq.R")
+        case, = suites._run_ratio_mc(params, stream, "Eq.R")
+        assert case.status == "fail" and not case.extra["escalated"]
+        assert case.trials == 10000
+        assert keys and all(path[:2] == stream.child(0).path
+                            for _, path in keys)
+
     def test_sign_series_real_violation_still_fails(self, monkeypatch):
         monkeypatch.setattr(conc, "oliveira_mgf_montecarlo", shifted(
             conc.oliveira_mgf_montecarlo, past_the_bound))
@@ -1010,94 +1025,98 @@ class TestMonteCarloEscalation:
 
 
 class TestTailEscalation:
-    """The cells of one domination group whose intervals straddle their
-    bounds rerun once, together, on one sample of tenfold trials from
-    ``child(1)``; a fail stands, and the other cells keep their first
-    attempt.  The bounds of the cells under test are placed on the
-    intervals the two attempts draw; the other cells' bounds are vacuous."""
+    """The Eq.RU cells of one (N, k) experiment whose intervals straddle
+    their bounds rerun once, together, on one sample of tenfold trials from
+    ``child(1)`` of the experiment's stream; a fail stands, and the other
+    cells keep their first attempt.  The bounds of the (8, 1) cells under
+    test are placed on the intervals the two attempts draw; every other
+    cell's bound is vacuous."""
 
     SEED, TRIALS = 7, 1000
     EPSILONS = (0.5, 1.0, 2.0)
 
     def attempts(self, stream):
-        """The group's reports from the first sample and from the tenfold
-        one, every cell read from each."""
-        return [conc.empirical_tail(
-            [conc.CovarianceExperiment(n_samples=8, dim=1, epsilon=eps,
-                                       trials=trials) for eps in self.EPSILONS],
-            source)
-            for trials, source in ((self.TRIALS, stream.child(0)),
-                                   (10 * self.TRIALS, stream.child(1)))]
+        """The (8, 1) experiment's reports from the first sample and from
+        the tenfold one, every cell read from each."""
+        return [conc.empirical_tail(8, 1, self.EPSILONS, trials, source)
+                for trials, source in ((self.TRIALS, stream.child(0)),
+                                       (10 * self.TRIALS, stream.child(1)))]
 
     def run_group(self, monkeypatch, place, placed=(0,)):
-        """The group's reports, its two attempts and the stream keys it drew
-        from, with the bound of each cell ``j`` in ``placed`` at
-        ``place(first[j], rerun[j])`` and the other cells' at 1."""
+        """The (8, 1) cases of the grid, the experiment's two attempts and
+        the stream keys the grid drew from, with the bound of each cell
+        ``j`` in ``placed`` at ``place(first[j], rerun[j])``."""
         stream = _tag_stream(self.SEED, "Eq.RU")
-        first, rerun = self.attempts(stream)
-        bounds = {self.EPSILONS[j]: place(first[j], rerun[j]) for j in placed}
+        first, rerun = self.attempts(stream.child(0))
+        sigma2 = conc.gaussian_row_sigma2(8, 1)
+        bounds = {(1, self.EPSILONS[j], sigma2): place(first[j], rerun[j])
+                  for j in placed}
         monkeypatch.setattr(conc, "aw_bound",
-                            lambda exp, sigma2: bounds.get(exp.epsilon, 1.0))
+                            lambda k, eps, sigma2: bounds.get((k, eps, sigma2),
+                                                              1.0))
         keys = record_stream_keys(monkeypatch)
-        reports = suites.domination_cells(8, 1, self.EPSILONS, self.TRIALS,
-                                          stream)
+        params = suites.SuiteParams(seed=self.SEED, trials=self.TRIALS)
+        cases = suites._run_domination_grid(params, stream, "Eq.RU")
         assert len(set(keys)) == len(keys), "the escalation reused a stream key"
-        assert all(list(r.extras)[-1] == "escalated" for r in reports)
-        return reports, first, rerun, keys
+        assert all(list(case.extra)[-1] == "escalated" for case in cases)
+        assert all(case.status == "pass" for case in cases[3:])
+        # the (8, 1) experiment is group 0: its keys lie under child(0)
+        keys = [path[2:] for _, path in keys if path[1] == 0]
+        return cases[:3], first, rerun, keys
 
     @staticmethod
-    def values(report: TailReport):
-        return (report.empirical_tail, report.ci_low, report.ci_high,
-                report.trials)
+    def assert_from(case, report: TailReport, escalated: bool):
+        """``case`` reads the sample of ``report``."""
+        assert (case.lhs, case.ci, case.trials) \
+            == (report.ci_high, (report.ci_low, report.ci_high), report.trials)
+        assert case.extra == {**report.extras, "escalated": escalated}
 
-    def assert_first_attempt_kept(self, reports, first, placed=(0,)):
-        for j, report in enumerate(reports):
+    def assert_first_attempt_kept(self, cases, first, placed=(0,)):
+        for j, case in enumerate(cases):
             if j not in placed:
-                assert report.status == "pass"
-                assert self.values(report) == self.values(first[j])
-                assert report.extras == {**first[j].extras, "escalated": False}
+                assert case.status == "pass"
+                self.assert_from(case, first[j], escalated=False)
 
     def test_straddle_reruns_on_tenfold_trials_and_passes(self, monkeypatch):
-        reports, first, rerun, keys = self.run_group(
+        cases, first, rerun, keys = self.run_group(
             monkeypatch, lambda first, rerun: rerun.ci_high)
         assert first[0].ci_low < rerun[0].ci_high < first[0].ci_high
-        report = reports[0]
-        assert report.status == "pass" and report.extras["escalated"]
-        assert self.values(report) == self.values(rerun[0])
-        assert report.trials == 10 * self.TRIALS
-        self.assert_first_attempt_kept(reports, first)
-        assert {path[1] for _, path in keys} == {0, 1}
+        assert cases[0].status == "pass"
+        self.assert_from(cases[0], rerun[0], escalated=True)
+        assert cases[0].trials == 10 * self.TRIALS
+        self.assert_first_attempt_kept(cases, first)
+        assert {path[0] for path in keys} == {0, 1}
 
     def test_straddles_of_one_group_share_one_rerun(self, monkeypatch):
-        reports, first, rerun, keys = self.run_group(
+        cases, first, rerun, keys = self.run_group(
             monkeypatch, lambda first, rerun: rerun.ci_high, placed=(0, 2))
         for j in (0, 2):
             assert first[j].ci_low < rerun[j].ci_high < first[j].ci_high
-            assert reports[j].status == "pass" and reports[j].extras["escalated"]
-            assert self.values(reports[j]) == self.values(rerun[j])
-        self.assert_first_attempt_kept(reports, first, placed=(0, 2))
+            assert cases[j].status == "pass"
+            self.assert_from(cases[j], rerun[j], escalated=True)
+        self.assert_first_attempt_kept(cases, first, placed=(0, 2))
         # one tenfold sample, in 4096-trial blocks, decides both cells
-        rerun_keys = [path for _, path in keys if path[1] == 1]
+        rerun_keys = [path for path in keys if path[0] == 1]
         assert len(rerun_keys) == math.ceil(10 * self.TRIALS / 4096)
 
     def test_second_straddle_is_indeterminate(self, monkeypatch):
-        reports, first, rerun, _ = self.run_group(
+        cases, first, rerun, _ = self.run_group(
             monkeypatch, lambda first, rerun: 0.5 * (rerun.ci_low + rerun.ci_high))
-        report = reports[0]
-        assert first[0].ci_low < report.bound_value < first[0].ci_high
-        assert report.status == "indeterminate"
-        assert report.extras["escalated"]
-        assert report.trials == 10 * self.TRIALS
-        self.assert_first_attempt_kept(reports, first)
+        case = cases[0]
+        assert first[0].ci_low < case.rhs < first[0].ci_high
+        assert case.status == "indeterminate"
+        self.assert_from(case, rerun[0], escalated=True)
+        assert case.trials == 10 * self.TRIALS
+        self.assert_first_attempt_kept(cases, first)
 
     def test_first_attempt_fail_does_not_rerun(self, monkeypatch):
-        reports, first, _, keys = self.run_group(
+        cases, first, _, keys = self.run_group(
             monkeypatch, lambda first, rerun: np.nextafter(first.ci_low, 0.0))
-        report = reports[0]
-        assert report.status == "fail" and not report.extras["escalated"]
-        assert self.values(report) == self.values(first[0])
-        self.assert_first_attempt_kept(reports, first)
-        assert {path[1] for _, path in keys} == {0}
+        case = cases[0]
+        assert case.status == "fail"
+        self.assert_from(case, first[0], escalated=False)
+        self.assert_first_attempt_kept(cases, first)
+        assert {path[0] for path in keys} == {0}
 
 
 class TestDominationGroups:
@@ -1105,11 +1124,11 @@ class TestDominationGroups:
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_grouped_reports_match_single_threshold_runs(self, seed):
-        stream = _tag_stream(seed, "Eq.RU").child(1)
+        stream = _tag_stream(seed, "Eq.RU").child(1, 0)
         epsilons = (0.5, 1.0, 2.0)
-        grouped = suites.domination_cells(8, 2, epsilons, 2000, stream)
+        grouped = conc.empirical_tail(8, 2, epsilons, 2000, stream)
         for eps, report in zip(epsilons, grouped):
-            single, = suites.domination_cells(8, 2, (eps,), 2000, stream)
+            single, = conc.empirical_tail(8, 2, (eps,), 2000, stream)
             assert round(report.empirical_tail * report.trials) \
                 == round(single.empirical_tail * single.trials)
             assert (report.ci_low, report.ci_high, report.bound_value,

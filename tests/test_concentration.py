@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -57,56 +56,43 @@ class TestCovariance:
 
 class TestVarianceProxy:
     def test_closed_form_k_over_n(self):
-        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=1.0,
-                                        trials=10000)
-        assert conc.gaussian_row_sigma2(exp) == 2.0 / 8.0
+        assert conc.gaussian_row_sigma2(8, 2) == 2.0 / 8.0
 
     def test_scalar_closed_form_one_over_n(self):
         # k=1: S = (|x|^2 - 1)/N with E|x|^4 = 2, so E S^2 = 1/N^2 and the
         # sum over N terms is 1/N
-        exp = conc.CovarianceExperiment(n_samples=16, dim=1, epsilon=1.0,
-                                        trials=10000)
-        assert conc.gaussian_row_sigma2(exp) == pytest.approx(1.0 / 16.0)
+        assert conc.gaussian_row_sigma2(16, 1) == pytest.approx(1.0 / 16.0)
 
     def test_monte_carlo_matches_closed_form(self, stream):
         # S_p = (v v† - I)/N for standard complex rows v; the proxy is
         # ||sum_p E S_p^2||_op = N ||E S^2||_op, estimated from the draws
-        exp = conc.CovarianceExperiment(n_samples=16, dim=2, epsilon=1.0,
-                                        trials=10000)
-        n, k, draws = exp.n_samples, exp.dim, 10000
+        n, k, draws = 16, 2, 10000
         v = standard_complex(stream.generator(), (draws, k))
         S = (np.einsum('ti,tj->tij', v, v.conj()) - np.eye(k)) / n
         scaled_sq = n * (S @ S)
         estimate = np.linalg.norm(scaled_sq.mean(axis=0), 2)
         se = np.abs(scaled_sq).std(axis=0, ddof=1).max() / np.sqrt(draws)
-        assert abs(estimate - conc.gaussian_row_sigma2(exp)) <= 4.0 * se
+        assert abs(estimate - conc.gaussian_row_sigma2(n, k)) <= 4.0 * se
 
 
 class TestAwBound:
     def test_frozen_value(self):
-        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=2.0,
-                                        trials=10000)
-        assert conc.aw_bound(exp, sigma2=1.0) == pytest.approx(2.0 * math.exp(-1.0),
-                                                               abs=1e-12)
+        assert conc.aw_bound(2, 2.0, sigma2=1.0) == pytest.approx(
+            2.0 * math.exp(-1.0), abs=1e-12)
 
     def test_zero_epsilon_vacuous(self):
-        exp = conc.CovarianceExperiment(n_samples=8, dim=3, epsilon=0.0,
-                                        trials=10000)
-        assert conc.aw_bound(exp, sigma2=0.5) == pytest.approx(3.0)
+        assert conc.aw_bound(3, 0.0, sigma2=0.5) == pytest.approx(3.0)
 
     def test_nonpositive_sigma2(self):
-        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=1.0,
-                                        trials=10000)
         with pytest.raises(ValueError):
-            conc.aw_bound(exp, sigma2=0.0)
+            conc.aw_bound(2, 1.0, sigma2=0.0)
 
 
 class TestEmpiricalTail:
     @staticmethod
     def tail(n, k, eps, trials, stream):
         """The report of one experiment."""
-        report, = conc.empirical_tail([conc.CovarianceExperiment(
-            n_samples=n, dim=k, epsilon=eps, trials=trials)], stream)
+        report, = conc.empirical_tail(n, k, (eps,), trials, stream)
         return report
 
     def test_zero_threshold_tail_one(self, stream):
@@ -129,10 +115,8 @@ class TestEmpiricalTail:
         groups = [(8, 1, (0.5,)), (16, 1, (1.0, 2.0)), (16, 2, (2.0,)),
                   (32, 1, (2.0,))]
         for i, (n, k, epsilons) in enumerate(groups):
-            reports = conc.empirical_tail(
-                [conc.CovarianceExperiment(n_samples=n, dim=k, epsilon=eps,
-                                           trials=4000) for eps in epsilons],
-                stream.child(i, 0))
+            reports = conc.empirical_tail(n, k, epsilons, 4000,
+                                          stream.child(i, 0))
             assert len(reports) == len(epsilons)
             for report in reports:
                 assert report.bound_value < 1.0
@@ -141,16 +125,6 @@ class TestEmpiricalTail:
     def test_assumption_rate_reported(self, stream):
         report = self.tail(8, 4, 1.0, 1000, stream.child(0))
         assert 0.0 <= report.extras["assumption_violation_rate"] <= 1.0
-
-    @pytest.mark.parametrize("changed", [{"n_samples": 16}, {"dim": 1},
-                                         {"trials": 500}])
-    def test_experiments_of_one_sample_differ_in_epsilon_only(self, stream,
-                                                              changed):
-        exp = conc.CovarianceExperiment(n_samples=8, dim=2, epsilon=0.5,
-                                        trials=1000)
-        other = dataclasses.replace(exp, epsilon=1.0, **changed)
-        with pytest.raises(ValueError, match="differ in epsilon only"):
-            conc.empirical_tail([exp, other], stream)
 
 
 class TestExpTraceDominance:
@@ -179,46 +153,31 @@ class TestExpTraceDominance:
 
 class TestBernsteinStep:
     def test_tail_check_passes(self, stream):
-        exp = conc.CovarianceExperiment(n_samples=16, dim=2, epsilon=1.0,
-                                        trials=5000)
-        report = conc.bernstein_tail_check(exp, stream)
+        report = conc.bernstein_tail_check(5000, stream)
         assert report.passed
 
     def test_optimizer_returns_interior_point(self, stream):
-        exp = conc.CovarianceExperiment(n_samples=16, dim=2, epsilon=1.0,
-                                        trials=2000)
-        c = conc.optimal_bernstein_c(exp, stream)
+        c = conc.optimal_bernstein_c(stream)
         assert 0.0 < c < 16.0
 
 
 class TestMgfLemma:
     def test_mu_zero_exact_equality(self, stream):
-        exp = conc.CovarianceExperiment(n_samples=4, dim=2, epsilon=1.0,
-                                        trials=200)
-        report = conc.aw_mgf_lemma_check(exp, 0.0, stream)
+        report = conc.aw_mgf_lemma_check(0.0, 200, stream)
         assert report.lhs == pytest.approx(2.0, abs=1e-12)
         assert report.rhs == pytest.approx(2.0, abs=1e-12)
         assert report.passed
 
-    def test_scalar_case_equality_within_error(self, stream):
-        exp = conc.CovarianceExperiment(n_samples=6, dim=1, epsilon=1.0,
-                                        trials=20000)
-        report = conc.aw_mgf_lemma_check(exp, 0.8, stream)
+    def test_scalar_case_equality_within_error(self, monkeypatch, stream):
+        monkeypatch.setattr(conc, "_MGF_SHAPE", (6, 1))
+        report = conc.aw_mgf_lemma_check(0.8, 20000, stream)
         assert report.passed
         # iid factorization makes the two sides equal in expectation
         assert abs(report.margin) <= 2.0 * report.tol
 
     @pytest.mark.parametrize("mu", [1.0, -1.0])
     def test_small_instance_passes(self, mu, stream):
-        exp = conc.CovarianceExperiment(n_samples=4, dim=2, epsilon=1.0,
-                                        trials=20000)
-        assert conc.aw_mgf_lemma_check(exp, mu, stream).passed
-
-    def test_size_guard(self, stream):
-        exp = conc.CovarianceExperiment(n_samples=12, dim=2, epsilon=1.0,
-                                        trials=100)
-        with pytest.raises(ValueError, match="restricted"):
-            conc.aw_mgf_lemma_check(exp, 1.0, stream)
+        assert conc.aw_mgf_lemma_check(mu, 20000, stream).passed
 
 
 class TestClosedFormKernels:

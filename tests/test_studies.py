@@ -166,3 +166,7 @@ class TestHermitizationRatio:
             studies.hermitization_ratio(0, 10, stream)
         with pytest.raises(ValueError):
             studies.hermitization_ratio(4, 0, stream)
+
+    def test_one_trial_has_no_standard_error(self, stream):
+        with pytest.raises(ValueError, match="at least two trials"):
+            studies.hermitization_ratio(4, 1, stream)

@@ -42,7 +42,8 @@ __all__ = [
     "alt_trace_gap", "nonhermitian_phi_gap",
     "hermitian_part_dominance", "lieb_triple_gap", "lieb_rhs_closed",
     "lieb_rhs_quadrature", "triple_gt_scan",
-    "abc_trace_scan", "pauli_reduce_gap", "pauli_law_gap",
+    "abc_trace_scan", "pauli_reduce_gap", "pauli_route_discrepancy",
+    "pauli_law_gap",
     "equality_order_scan", "oscillator_bound",
 ]
 
@@ -543,6 +544,20 @@ def pauli_reduce_gap(a, b) -> GapReport:
     :mod:`gtlab.pauli`."""
     return GapReport.from_sides(0.5 * pauli.trace_exp_sum(a, b),
                                 0.5 * pauli.trace_exp_product(a, b))
+
+
+def pauli_route_discrepancy(a, b, lhs, rhs) -> float:
+    """Largest relative discrepancy between the sides ``lhs`` and ``rhs``
+    of ``pauli_reduce_gap(a, b)`` and the same halved traces computed from
+    batched eigendecompositions of the represented matrices."""
+    sides = np.stack([lhs, rhs])
+    matrix_sides = 0.5 * np.stack([
+        trace_expm(pauli.to_matrix(a + b)),
+        trace_of_product(expm_herm(pauli.to_matrix(a)),
+                         expm_herm(pauli.to_matrix(b)),
+                         "product trace in the 2x2 reduction")])
+    return float(np.max(np.abs(sides - matrix_sides)
+                        / np.maximum(1.0, np.abs(sides))))
 
 
 def pauli_law_gap(a, b) -> GapReport:

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import inequalities as ineq
 from . import pauli
-from .linalg import (expm_herm, gauss_legendre, pin_blas_to_one_thread,
-                     trace_expm, trace_of_product)
-from .reports import RatioEstimate, inequality_tol
+from .linalg import gauss_legendre, pin_blas_to_one_thread
+from .reports import RatioEstimate
 from .samplers import RngStream, ginibre
 
 __all__ = [
@@ -101,7 +101,9 @@ def pauli_ratio_mc(trials: int, stream: RngStream) -> RatioEstimate:
     check, and the trace factor 2 cancels in the ratio.  Trials are drawn
     chunk-wise, chunk ``b`` from ``stream.child(b)``.  The first
     ``MATRIX_CHECK`` trials are re-evaluated through matrix exponentials
-    and the worst relative discrepancy is reported.
+    and the worst relative discrepancy is reported; the violations count
+    the pairs whose 2x2 reduction
+    (:func:`~gtlab.inequalities.pauli_reduce_gap`) fails.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -115,22 +117,16 @@ def pauli_ratio_mc(trials: int, stream: RngStream) -> RatioEstimate:
         rb = np.linalg.norm(b, axis=1)
         num = np.cosh(ra) * np.cosh(rb)
         cross = np.sum(a * b, axis=1) * pauli.sinhc(ra) * pauli.sinhc(rb)
-        den = np.cosh(np.linalg.norm(a + b, axis=1))
-        full = num + cross
-        violations += int(np.count_nonzero(full < den - inequality_tol(full, den)))
+        # the 2x2 reduction's sides: cosh|a+b| and num + cross
+        report = ineq.pauli_reduce_gap(a, b)
+        den = report.lhs
+        violations += int(np.count_nonzero(~report.passed))
         sums += [num.sum(), (num ** 2).sum(), den.sum(), (den ** 2).sum(),
                  (num * den).sum(), cross.sum(), (cross ** 2).sum()]
         if done < MATRIX_CHECK:
-            # the same draws through batched matrix exponentials
             take = min(MATRIX_CHECK - done, count)
-            A, B = pauli.to_matrix(a[:take]), pauli.to_matrix(b[:take])
-            full_m = 0.5 * trace_of_product(expm_herm(A), expm_herm(B),
-                                            "matrix route in pauli_ratio_mc")
-            den_m = 0.5 * trace_expm(A + B)
-            disc = np.maximum(
-                np.abs(full_m - full[:take]) / np.maximum(1.0, np.abs(full[:take])),
-                np.abs(den_m - den[:take]) / np.maximum(1.0, np.abs(den[:take])))
-            matrix_disc = max(matrix_disc, float(disc.max()))
+            matrix_disc = max(matrix_disc, ineq.pauli_route_discrepancy(
+                a[:take], b[:take], den[:take], report.rhs[:take]))
     t = float(trials)
     num_mean = sums[0] / t
     den_mean = sums[2] / t

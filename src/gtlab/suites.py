@@ -61,7 +61,7 @@ from . import inequalities as ineq
 from . import pauli, studies
 from .linalg import (expm_herm, frobenius_norm, hermitize, operator_norm,
                      singular_values, lie_trotter_product, distance_delta2,
-                     trace_expm, trace_of_product)
+                     trace_of_product)
 from .reports import REL_TOL, GapReport, TailReport
 from .samplers import RngStream, ginibre, gue, standard_complex
 
@@ -376,8 +376,8 @@ _PAULI_CHUNK = 65536
 def _run_pauli_reduce(params, stream, tag):
     """Both forms of the 2x2 reduction over Gaussian coefficient pairs, each
     block drawing its ``a`` rows, then its ``b`` rows.  The cosh form's
-    sides are checked against the matrix traces, computed from batched
-    eigendecompositions of the represented matrices; a relative
+    sides are checked against the matrix traces
+    (:func:`~gtlab.inequalities.pauli_route_discrepancy`); a relative
     discrepancy above 1e-10 fails its case."""
     cosh, law = [], []
     discrepancy = 0.0
@@ -387,14 +387,8 @@ def _run_pauli_reduce(params, stream, tag):
         report = ineq.pauli_reduce_gap(a, b)
         cosh.append(report)
         law.append(ineq.pauli_law_gap(a, b))
-        sides = np.stack([report.lhs, report.rhs])
-        matrix_sides = 0.5 * np.stack([
-            trace_expm(pauli.to_matrix(a + b)),
-            trace_of_product(expm_herm(pauli.to_matrix(a)),
-                             expm_herm(pauli.to_matrix(b)),
-                             "product trace in the 2x2 reduction")])
-        discrepancy = max(discrepancy, float(np.max(
-            np.abs(sides - matrix_sides) / np.maximum(1.0, np.abs(sides)))))
+        discrepancy = max(discrepancy, ineq.pauli_route_discrepancy(
+            a, b, report.lhs, report.rhs))
     case = _worst_case("pauli-2x2-cosh", tag, cosh,
                        extra={"max_route_discrepancy": discrepancy})
     if discrepancy > 1e-10:

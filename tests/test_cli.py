@@ -692,8 +692,8 @@ class TestRegistry:
 
     def test_a_matrix_route_off_the_closed_form_fails_eq_1a(self,
                                                            monkeypatch):
-        trace_expm = suites.trace_expm
-        monkeypatch.setattr(suites, "trace_expm",
+        trace_expm = ineq.trace_expm
+        monkeypatch.setattr(ineq, "trace_expm",
                             lambda M: trace_expm(M) * (1 + 1e-9))
         params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
         cosh, law = suites._run_pauli_reduce(params, _tag_stream(1, "Eq.1a"),
@@ -702,6 +702,10 @@ class TestRegistry:
         assert (cosh.status, cosh.extra["violations"]) == ("fail", 0)
         assert cosh.extra["max_route_discrepancy"] > 1e-10
         assert law.status == "pass"
+        # Eq.R's matrix route is the same check
+        est = studies.pauli_ratio_mc(20, _tag_stream(1, "Eq.R"))
+        assert est.extras["trialwise_violations"] == 0
+        assert est.extras["matrix_route_max_discrepancy"] > 1e-10
 
     @pytest.mark.parametrize("tag, name, perturb", RESIDUAL_INJECTIONS,
                              ids=[name for _, name, _ in RESIDUAL_INJECTIONS])

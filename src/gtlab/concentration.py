@@ -44,7 +44,7 @@ import numpy as np
 from .linalg import (adjoint, hermitian_args, hermitize, require_hermitian,
                      trace_of_product)
 from .reports import GapReport, TailReport, binomial_ci
-from .samplers import RngStream, standard_complex
+from .samplers import RngStream, block_instances, standard_complex
 
 __all__ = [
     "covariance",
@@ -55,15 +55,6 @@ __all__ = [
     "mgf_factor_check", "oliveira_vs_aw", "scalar_chernoff",
     "exp_trace_dominance", "trace_product_dominance",
 ]
-
-#: Trials per stream block in the tail experiments; the block size fixes
-#: the draw order.
-_TAIL_CHUNK = 4096
-
-#: Sign patterns evaluated per stack in the Monte Carlo sign series.  The
-#: chunks draw from one generator in turn, which yields the same signs as a
-#: single draw, so the chunk size bounds memory and fixes no draw.
-_SIGN_CHUNK = 65536
 
 #: The scalar baseline sums N two-point variables of total variance sigma^2.
 _CHERNOFF_VARS = 20
@@ -167,7 +158,7 @@ def empirical_tail(n: int, k: int, epsilons, trials: int,
     upper = np.zeros_like(two_sided)
     lower = np.zeros_like(two_sided)
     assume = 0
-    for _, count, rng in stream.blocks(trials, _TAIL_CHUNK):
+    for _, count, rng in stream.blocks(trials, n * k):
         X, w = _deviation_draw(rng, count, n, k)
         lam_max, lam_min = w[:, -1:], w[:, :1]
         two_sided += (np.maximum(lam_max, -lam_min) > eps).sum(axis=0)
@@ -341,8 +332,11 @@ def oliveira_mgf_montecarlo(terms, stream: RngStream,
         raise ValueError("trials must be positive")
     rng = stream.generator()
     samples = np.empty(trials)
-    for start in range(0, trials, _SIGN_CHUNK):
-        count = min(_SIGN_CHUNK, trials - start)
+    # a sign row or one Z per instance; as one generator draws the chunks
+    # in turn, the chunk bounds memory and fixes no sign
+    chunk = block_instances(max(terms.shape[0], terms[0].size))
+    for start in range(0, trials, chunk):
+        count = min(chunk, trials - start)
         signs = rng.standard_normal((count, terms.shape[0]))
         w = np.linalg.eigvalsh(np.einsum('sp,pij->sij', signs, terms))
         samples[start:start + count] = np.exp(w).sum(axis=1)
@@ -424,8 +418,10 @@ def scalar_chernoff(eps: float, stream: RngStream, trials: int) -> TailReport:
     scale = math.sqrt(sigma2 / n)
     bound = max(math.exp(-eps * eps / 4.0),
                 math.exp(-eps * math.sqrt(sigma2) / 2.0))
-    signs = 2.0 * stream.generator().integers(0, 2, size=(trials, n)) - 1.0
-    exceed = int((scale * signs.sum(axis=1) >= eps).sum())
+    exceed = 0
+    for _, count, rng in stream.blocks(trials, n):
+        signs = 2.0 * rng.integers(0, 2, size=(count, n)) - 1.0
+        exceed += int((scale * signs.sum(axis=1) >= eps).sum())
     return TailReport.from_counts(exceed, trials, bound, extras={})
 
 

@@ -11,6 +11,14 @@ reserves index ranges, so two callers cannot hand out the same key.
 Draws within one generator follow a documented fixed order, which keeps
 results independent of how work is scheduled.
 
+Blocks: many instances are drawn in blocks, one generator each, block
+``b`` from ``child(b)`` (:meth:`RngStream.blocks`).  One rule sizes every
+block (:func:`block_instances`): as many instances as fit in
+``BLOCK_ENTRIES`` entries, at least one, an instance's entries being the
+size of one drawn matrix or vector (a complex entry counts once).  Memory
+is thus bounded whatever the trial count, and the rule is part of the
+draw order.
+
 Ensemble conventions: ``ginibre`` draws independent entries with unit
 complex variance (real and imaginary parts each N(0, 1/2), drawn
 interleaved: each entry's real part, then its imaginary part); ``gue`` is
@@ -30,6 +38,9 @@ from .linalg import adjoint
 
 DEFAULT_MASTER_SEED = 20650901
 
+#: Entries one stream block draws at most (:func:`block_instances`).
+BLOCK_ENTRIES = 65536
+
 _UINT64 = 1 << 64
 #: Labels are single 32-bit words: ``SeedSequence`` spreads a larger integer
 #: over several words, so the paths ``(2**32,)`` and ``(0, 1)`` would share
@@ -43,6 +54,12 @@ def _checked_int(value, limit: int, what: str) -> int:
         raise ValueError(f"{what} must be an integer in [0, {limit:#x}), "
                          f"got {value!r}")
     return int(value)
+
+
+def block_instances(entries: int) -> int:
+    """Instances of ``entries`` entries each in one block: as many as fit
+    in ``BLOCK_ENTRIES``, and at least one."""
+    return max(1, BLOCK_ENTRIES // entries)
 
 
 @dataclass(frozen=True)
@@ -69,9 +86,10 @@ class RngStream:
         """The stream at ``path + labels`` under the same seed."""
         return RngStream(self.master_seed, self.path + labels)
 
-    def blocks(self, total: int, size: int):
-        """Split ``total`` draws into blocks of at most ``size``: yields
-        ``(start, count, generator)``, block ``b`` drawing from ``child(b)``."""
+    def blocks(self, total: int, entries: int):
+        """Split ``total`` instances of ``entries`` entries into blocks
+        (:func:`block_instances`): yields ``(start, count, generator)``."""
+        size = block_instances(entries)
         for b, start in enumerate(range(0, total, size)):
             yield start, min(size, total - start), self.child(b).generator()
 

@@ -38,10 +38,6 @@ __all__ = [
     "radial_cosh_moment", "hermitization_ratio",
 ]
 
-#: Pairs per stream block in the Monte Carlo ratio; the block size fixes
-#: the draw order.
-_MC_CHUNK = 65536
-
 #: Leading pairs of the Monte Carlo ratio re-evaluated through matrix
 #: exponentials.
 MATRIX_CHECK = 1000
@@ -99,18 +95,17 @@ def pauli_ratio_mc(trials: int, stream: RngStream) -> RatioEstimate:
     The numerator estimator averages ``cosh|a| cosh|b|``; the angular
     cross term (zero in expectation) is retained separately as a variance
     check, and the trace factor 2 cancels in the ratio.  Trials are drawn
-    chunk-wise, chunk ``b`` from ``stream.child(b)``.  The first
+    in blocks, block ``b`` from ``stream.child(b)``.  The first
     ``MATRIX_CHECK`` trials are re-evaluated through matrix exponentials
-    and the worst relative discrepancy is reported; the violations count
-    the pairs whose 2x2 reduction
-    (:func:`~gtlab.inequalities.pauli_reduce_gap`) fails.
+    and the worst relative discrepancy is reported.  The violations are the
+    pairs whose :func:`~gtlab.inequalities.pauli_reduce_gap` fails.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     sums = np.zeros(7)  # num, num^2, den, den^2, num*den, cross, cross^2
     violations = 0
     matrix_disc = 0.0
-    for done, count, rng in stream.blocks(trials, _MC_CHUNK):
+    for done, count, rng in stream.blocks(trials, 3):
         a = rng.standard_normal((count, 3))
         b = rng.standard_normal((count, 3))
         ra = np.linalg.norm(a, axis=1)

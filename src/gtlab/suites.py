@@ -28,9 +28,9 @@ over ``trials`` instances gives instance ``i`` the dimension
 ``dims[i % len(dims)]`` and the parameter ``cycle[i % len(cycle)]`` of its
 check (an order ``s``, ``k`` or ``p``, a pair ``(r, s)``, a word length).
 Instances sharing a (dimension, parameter) group are drawn and checked
-together, one stack per chunk of at most ``_SWEEP_ENTRIES // n^2``
-instances (at least one); each (group, chunk) stack comes from one
-generator, the ``b``-th in group-then-chunk order from child ``b`` of the
+together, one stack per block of :mod:`~gtlab.samplers`'s block rule at
+``n^2`` entries per instance; each (group, block) stack comes from one
+generator, the ``b``-th in group-then-block order from child ``b`` of the
 tag's path.  Eq.RU draws one sample per (N, k) experiment and reads all
 its thresholds from it; group ``g`` draws from child ``g``, through
 :func:`_escalating`.  A report is therefore a pure function of (config,
@@ -41,8 +41,7 @@ the shapes as the cycle: the sign series ``(m, d)`` of Eq.OB's
 enumeration, Eq.DDN and Eq.RUvsOB (:func:`_series_shapes`), and Eq.S3's
 ``N x k`` blocks, every N in 4..23 with k cycling through 1..min(N, 5).
 Eq.AB's coefficient vectors run on dimension ``1`` too.  Only Eq.OB's
-Monte Carlo series is drawn alone.  Eq.S draws its blocks in chunks of
-``_SWEEP_ENTRIES`` entries; Eq.J's blocks are ``4n x n``.
+Monte Carlo series is drawn alone.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ import numpy as np
 
 from . import concentration as conc
 from . import inequalities as ineq
-from . import pauli, studies
+from . import pauli, samplers, studies
 from .linalg import (expm_herm, frobenius_norm, hermitize, operator_norm,
                      singular_values, lie_trotter_product, distance_delta2,
                      trace_of_product)
@@ -69,12 +68,6 @@ __all__ = [
     "CaseRecord", "SuiteParams", "Sweep", "Residual", "Hunt", "RunnerError",
     "REGISTRY", "SUITE_TAGS", "SUITE_NAMES", "run_suite",
 ]
-
-#: Matrix entries per stack in a sweep: a group of ``n x n`` instances is
-#: drawn and checked in stacks of ``max(1, _SWEEP_ENTRIES // n^2)``, so a
-#: sweep's memory does not grow with its trial count.
-_SWEEP_ENTRIES = 4096 * 16
-
 
 @dataclass(frozen=True)
 class CaseRecord:
@@ -199,16 +192,16 @@ def _groups(trials: int, dims: tuple, cycle: tuple) -> dict:
 
 
 def _stacks(trials: int, dims: tuple, stream: RngStream, draw, cycle=(None,)):
-    """Yield ``((n, c), draw(rng, n, count, c))`` for each chunk of each
+    """Yield ``((n, c), draw(rng, n, count, c))`` for each block of each
     group of ``trials`` instances; the b-th stack overall is drawn from one
     generator on ``stream.child(b)``."""
-    block = 0
+    b = 0
     for (n, c), total in _groups(trials, dims, cycle).items():
-        chunk = max(1, _SWEEP_ENTRIES // n ** 2)
-        for start in range(0, total, chunk):
-            rng = stream.child(block).generator()
-            block += 1
-            yield (n, c), draw(rng, n, min(chunk, total - start), c)
+        size = samplers.block_instances(n ** 2)
+        for start in range(0, total, size):
+            rng = stream.child(b).generator()
+            b += 1
+            yield (n, c), draw(rng, n, min(size, total - start), c)
 
 
 @dataclass(frozen=True)
@@ -368,11 +361,6 @@ def _run_gt(params, stream, tag):
     return cases
 
 
-#: Coefficient pairs per stream block in the 2x2 reduction; the block size
-#: fixes the draw order.
-_PAULI_CHUNK = 65536
-
-
 def _run_pauli_reduce(params, stream, tag):
     """Both forms of the 2x2 reduction over Gaussian coefficient pairs, each
     block drawing its ``a`` rows, then its ``b`` rows.  The cosh form's
@@ -381,7 +369,7 @@ def _run_pauli_reduce(params, stream, tag):
     discrepancy above 1e-10 fails its case."""
     cosh, law = [], []
     discrepancy = 0.0
-    for _, count, rng in stream.blocks(params.trials, _PAULI_CHUNK):
+    for _, count, rng in stream.blocks(params.trials, 3):
         a = rng.standard_normal((count, 3))
         b = rng.standard_normal((count, 3))
         report = ineq.pauli_reduce_gap(a, b)
@@ -511,7 +499,7 @@ def _run_covariance_identity(params, stream, tag):
     trials = max(params.trials, 2000)
     sigmas = np.concatenate([
         conc.covariance(standard_complex(rng, (count, n, k)))
-        for _, count, rng in stream.blocks(trials, _SWEEP_ENTRIES // (n * k))])
+        for _, count, rng in stream.blocks(trials, n * k)])
     mean = sigmas.mean(axis=0)
     se = sigmas.std(axis=0, ddof=1) / math.sqrt(trials)
     dev_units = float((np.abs(mean - np.eye(k)) / np.maximum(se, 1e-30)).max())
@@ -580,7 +568,10 @@ def _tail_cells(n, k, trials, stream, epsilons):
 def _run_domination_grid(params, stream, tag):
     """One sample per (N, k) experiment, read at every threshold; group
     ``g`` draws from child ``g``, and its straddling cells rerun together
-    on one tenfold sample."""
+    on one tenfold sample.  On correct code no cell straddles: the k = 2
+    bounds exceed 1, and the closest cell, (8, 1) at eps 0.5, has a tail
+    near 0.137 (upper limit 0.147 at 1000 trials, seed 5) against 0.779.
+    The rerun decides a straddle under a wrong bound or a wrong tail."""
     cases = []
     trials = min(max(params.trials, 1000), 20000)
     epsilons = (0.5, 1.0, 2.0)

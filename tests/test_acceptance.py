@@ -28,8 +28,8 @@ class TestAcceptance:
         start = time.monotonic()
         base = stream_for(1)
         for j, n in enumerate(range(2, 9)):
-            # 10^4 GUE pairs per dimension, in stream blocks of 8192
-            for _, count, rng in base.child(j).blocks(10000, 8192):
+            # 10^4 GUE pairs per dimension, in stream blocks of n x n draws
+            for _, count, rng in base.child(j).blocks(10000, n * n):
                 # default tolerance: 1e-9 relative to max(1, |lhs|, |rhs|)
                 report = ineq.gt_gap(gue(rng, n, count), gue(rng, n, count))
                 assert report.passed.all(), (n, report.margin.min())

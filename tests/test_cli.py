@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import gtlab
-from gtlab import cli, linalg, pauli, studies, suites
+from gtlab import cli, linalg, pauli, samplers, studies, suites
 from gtlab import concentration as conc
 from gtlab import inequalities as ineq
 from gtlab.reports import GapReport, TailReport
@@ -341,8 +341,8 @@ class TestRunAndEmit:
         assert counts[0] == counts[1]
 
     def test_no_stream_key_is_handed_out_twice(self, monkeypatch):
-        # at trials=8000 the sample of each domination group spans two
-        # 4096-trial tail blocks
+        # at trials=8000 the samples of the (8, 2), (16, 1) and (16, 2)
+        # domination groups span two or more tail blocks
         keys = record_stream_keys(monkeypatch)
         params = suites.SuiteParams(seed=1, trials=8000, dims=(2,))
         for family in suites.SUITE_NAMES:
@@ -729,16 +729,6 @@ class TestRegistry:
                                              "Eq.Sn1")
         assert case.status == "pass" and case.lhs > 1e-10
 
-    def test_sweep_stacks_are_bounded_in_matrix_entries(self):
-        # a sweep's memory is set by the entries of one stack, not by the
-        # trial count: at n = 48, 3000 instances come in stacks of 28
-        params = suites.SuiteParams(seed=1, trials=3000, dims=(48,))
-        counts = [count for _, (count,) in suites._stacks(
-            params.trials, params.dims, RngStream(1),
-            lambda rng, n, count, c: (count,))]
-        assert sum(counts) == params.trials
-        assert max(counts) * 48 ** 2 <= suites._SWEEP_ENTRIES
-
     @pytest.mark.parametrize("tag", VERDICT_INJECTIONS)
     def test_a_broken_tail_or_hunt_fails_every_case(self, tag, monkeypatch):
         runner = injected(monkeypatch, tag, VERDICT_INJECTIONS[tag])
@@ -1099,9 +1089,10 @@ class TestTailEscalation:
             assert cases[j].status == "pass"
             self.assert_from(cases[j], rerun[j], escalated=True)
         self.assert_first_attempt_kept(cases, first, placed=(0, 2))
-        # one tenfold sample, in 4096-trial blocks, decides both cells
+        # one tenfold sample, in blocks of 8 x 1 draws, decides both cells
         rerun_keys = [path for path in keys if path[0] == 1]
-        assert len(rerun_keys) == math.ceil(10 * self.TRIALS / 4096)
+        assert len(rerun_keys) == math.ceil(
+            10 * self.TRIALS / samplers.block_instances(8 * 1))
 
     def test_second_straddle_is_indeterminate(self, monkeypatch):
         cases, first, rerun, _ = self.run_group(
@@ -1147,9 +1138,93 @@ class TestDominationGroups:
                                             "Eq.RU")
         assert len(cases) == 12
         assert not any(case.extra["escalated"] for case in cases)
-        # group g at child g, two 4096-trial blocks each
-        assert sorted(path[1:] for _, path in keys) == \
-            [(g, 0, b) for g in range(4) for b in (0, 1)]
+        # group g at child g, in blocks of N x k draws
+        shapes = ((8, 1), (8, 2), (16, 1), (16, 2))
+        assert sorted(path[1:] for _, path in keys) == [
+            (g, 0, b) for g, (n, k) in enumerate(shapes)
+            for b in range(math.ceil(8000 / samplers.block_instances(n * k)))]
+
+
+class _DrawRecorder:
+    """Stands in for the generator ``rng``: each draw is passed through and
+    its entries are appended to ``sizes``."""
+
+    def __init__(self, rng, sizes: list):
+        self.rng, self.sizes = rng, sizes
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def recorded(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.sizes.append(np.size(out))
+            return out
+
+        return recorded
+
+
+def _spend_budget(monkeypatch, scan):
+    """``scan`` with no tolerance to beat, so it spends its whole budget."""
+    monkeypatch.setattr(ineq, "inequality_tol", lambda lhs, rhs: np.inf)
+    return scan
+
+
+#: ``site -> (trials, entries drawn per instance, run(monkeypatch, trials))``
+#: at a trial count that needs two or more blocks.
+BLOCKED_SITES = {
+    "Eq.1a": (50000, 6, lambda mp, trials: suites._run_pauli_reduce(
+        suites.SuiteParams(seed=1, trials=trials), _tag_stream(1, "Eq.1a"),
+        "Eq.1a")),
+    "Eq.S": (5000, 64, lambda mp, trials: suites._run_covariance_identity(
+        suites.SuiteParams(seed=1, trials=trials), _tag_stream(1, "Eq.S"),
+        "Eq.S")),
+    "Eq.RU-8x1": (10000, 8, lambda mp, trials: conc.empirical_tail(
+        8, 1, (0.5,), trials, _tag_stream(1, "Eq.RU"))),
+    "Eq.rf-16x2": (5000, 32, lambda mp, trials: conc.empirical_tail(
+        16, 2, (0.5,), trials, _tag_stream(1, "Eq.rf"))),
+    "Eq.C": (10 ** 6, 20, lambda mp, trials: conc.scalar_chernoff(
+        3.0, _tag_stream(1, "Eq.C"), trials)),
+    "Eq.R": (50000, 6, lambda mp, trials: studies.pauli_ratio_mc(
+        trials, _tag_stream(1, "Eq.R"))),
+    "triple-hunt": (50000, 9, lambda mp, trials: _spend_budget(
+        mp, ineq.triple_gt_scan)(_tag_stream(1, "Eq.4.1d"), trials)),
+    "abc-hunt": (5000, 27, lambda mp, trials: _spend_budget(
+        mp, ineq.abc_trace_scan)(_tag_stream(1, "ABC.trace"), trials)),
+    "sweep-n48": (60, 2 * 48 ** 2, lambda mp, trials: suites._run_gt(
+        suites.SuiteParams(seed=1, trials=trials, dims=(48,)),
+        _tag_stream(1, "Eq.1"), "Eq.1")),
+}
+
+
+class TestBlockRule:
+    """Every blocked draw follows ``samplers.block_instances``: no array a
+    block draws has more than ``BLOCK_ENTRIES`` entries, a complex entry
+    counting once, so memory does not grow with the trial count."""
+
+    @pytest.mark.parametrize("site", BLOCKED_SITES)
+    def test_no_draw_exceeds_the_block_entries(self, site, monkeypatch):
+        sizes, generators = [], []
+        generator, standard_complex = RngStream.generator, \
+            samplers.standard_complex
+
+        def recording(stream):
+            generators.append(stream)
+            return _DrawRecorder(generator(stream), sizes)
+
+        def complex_draw(rng, shape):
+            out = standard_complex(rng.rng, shape)
+            rng.sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(RngStream, "generator", recording)
+        for module in (samplers, conc, suites):
+            monkeypatch.setattr(module, "standard_complex", complex_draw)
+        trials, entries, run = BLOCKED_SITES[site]
+        run(monkeypatch, trials)
+        assert len(generators) >= 2
+        # every instance is drawn once, and no array exceeds a block
+        assert sum(sizes) == trials * entries
+        assert max(sizes) <= samplers.BLOCK_ENTRIES
 
 
 class TestReachability:
@@ -1412,9 +1487,8 @@ class TestReachability:
 
 
 class TestCovarianceRunners:
-    """Eq.S and Eq.S3 compute their Gram matrices with ``covariance`` on
-    stacks: Eq.S in chunks of at most ``_SWEEP_ENTRIES`` entries, Eq.S3 one
-    stack per block shape of its cycle."""
+    """Eq.S3 computes its Gram matrices with ``covariance``, one stack per
+    block shape of its cycle."""
 
     @staticmethod
     def recorded_covariance(monkeypatch) -> list:
@@ -1428,16 +1502,6 @@ class TestCovarianceRunners:
 
         monkeypatch.setattr(conc, "covariance", recording)
         return blocks
-
-    def test_eq_s_chunks_are_bounded_in_entries(self, monkeypatch):
-        blocks = self.recorded_covariance(monkeypatch)
-        params = suites.SuiteParams(seed=1, trials=5000)
-        case, = suites._run_covariance_identity(params, _tag_stream(1, "Eq.S"),
-                                                "Eq.S")
-        stacked = [X for X in blocks if X.ndim == 3]
-        assert case.status == "pass" and case.trials == 5000
-        assert sum(len(X) for X in stacked) == 5000 and len(stacked) == 5
-        assert all(X.size <= suites._SWEEP_ENTRIES for X in stacked)
 
     def test_eq_s3_stacks_each_shape_from_one_generator(self, monkeypatch):
         blocks = self.recorded_covariance(monkeypatch)

@@ -566,8 +566,8 @@ class _ZeroThirdStream:
     def __init__(self, stream):
         self.stream = stream
 
-    def blocks(self, total, size):
-        for start, count, rng in self.stream.blocks(total, size):
+    def blocks(self, total, entries):
+        for start, count, rng in self.stream.blocks(total, entries):
             self.rng, self.draws = rng, 0
             yield start, count, self
 

@@ -26,11 +26,18 @@ class TestStreams:
         assert stream.child() == stream
 
     def test_blocks_draw_from_children(self):
+        # instances of a quarter of the block's entries: four per block
         stream = RngStream(9, (1,))
-        for b, (start, count, rng) in enumerate(stream.blocks(10, 4)):
+        blocks = stream.blocks(10, samplers.BLOCK_ENTRIES // 4)
+        for b, (start, count, rng) in enumerate(blocks):
             assert (start, count) == (4 * b, min(4, 10 - 4 * b))
             expected = stream.child(b).generator().standard_normal(3)
             assert np.array_equal(rng.standard_normal(3), expected)
+
+    def test_an_instance_larger_than_a_block_is_drawn_alone(self):
+        starts = [start for start, _, _ in RngStream(9).blocks(
+            3, samplers.BLOCK_ENTRIES + 1)]
+        assert starts == [0, 1, 2]
 
     def test_validation(self):
         with pytest.raises(ValueError):

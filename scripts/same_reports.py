@@ -6,11 +6,13 @@ Usage, from the root of a checkout::
     python3 scripts/same_reports.py REV
 
 ``src/`` at REV is extracted with ``git archive`` into a temporary
-directory.  Both trees then write the same 56 reports: ``verify``,
+directory.  Both trees then write the same 60 reports: ``verify``,
 ``tail`` and ``ratio`` at the sizes of ``perfbench/workloads.py`` and
-``hunt`` on ``{"suites": ["counterexamples"]}``, at seeds 1001-1003, and
-the two :data:`RERUNS` configs, at which a Monte Carlo case reruns a
-chance miss; each is written fresh as JSON and as CSV and its JSON
+``hunt`` on ``{"suites": ["counterexamples"]}``, at seeds 1001-1003, the
+two :data:`RERUNS` configs, at which a Monte Carlo case reruns a chance
+miss, and the :data:`BLOCKS` config, at which the blocked draws of
+``verify`` leave their first block; each is written fresh as JSON and as
+CSV and its JSON
 re-emitted by ``report`` as JSON and as CSV.  Every run has
 ``OPENBLAS_NUM_THREADS=1`` and no ``SOURCE_DATE_EPOCH``.  The script
 lists each report whose bytes or exit code differ, and for a JSON
@@ -20,9 +22,9 @@ no such case), so a verdict that moved shows at a glance.  It ends with
 one line per differing case: its name, the number of JSON reports it
 differs in and its status changes, as in
 ``rank-one-decomposition: 6 JSON reports, pass -> pass``, followed by one
-line per seed at which it differs with its old and new ``lhs`` and
-``margin``, as in ``  seed 1001: lhs 0.0125 -> 0.0104, margin 0.594 ->
-0.596``, so how far a case moved shows too.  It exits 0 only when no
+line per run (its name, ending in its seed) in which it differs with its
+old and new ``lhs`` and ``margin``, as in ``  verify-1001: lhs 0.0125 ->
+0.0104, margin 0.594 -> 0.596``, so how far a case moved shows too.  It exits 0 only when no
 report differs, and writes nothing inside the checkout.
 """
 
@@ -49,6 +51,13 @@ RERUNS = {
                             "seed": 154}),
     "ratio-rerun": ("ratio", {"suites": ["studies"], "dims": [16],
                               "trials": 10000, "seed": 193}),
+}
+#: ``name -> (subcommand, config)``: a ``verify`` at which Eq.1a, Eq.1aA and
+#: the n = 2 sweeps each draw two or more blocks; the benchmark sizes stay
+#: in the first block of each.
+BLOCKS = {
+    "verify-blocks": ("verify", {"suites": ["inequalities"], "dims": [2],
+                                 "trials": 30000, "seed": 1001}),
 }
 
 
@@ -89,12 +98,12 @@ def runs() -> list[tuple[str, str, dict]]:
     found = [(f"{command}-{seed}", command, {**config, "seed": seed})
              for command, config in configs().items() for seed in SEEDS]
     found += [(f"{name}-{config['seed']}", command, config)
-              for name, (command, config) in RERUNS.items()]
+              for name, (command, config) in {**RERUNS, **BLOCKS}.items()]
     return found
 
 
 def reports(src: Path, work: Path) -> dict:
-    """``report name -> (exit code, bytes)`` for the 56 reports of ``src``."""
+    """``report name -> (exit code, bytes)`` for the 60 reports of ``src``."""
     found = {}
     for name, command, config in runs():
         cfg = work / f"{name}.config.json"
@@ -148,26 +157,26 @@ def main(argv: list[str]) -> int:
         new = reports(ROOT / "src", tmp / "new")
     differ = sorted(name for name in old if old[name] != new[name])
     changes: dict[str, list[str]] = {}
-    # case -> seed -> its lhs and margin line; a JSON report and its
+    # case -> run -> its lhs and margin line; a JSON report and its
     # re-emission carry the same records
     values: dict[str, dict[str, str]] = {}
     for name in differ:
         print(f"differs: {name}")
         if name.endswith(".json"):
-            seed = name.split(".")[0].rsplit("-", 1)[1]
+            run = name.split(".")[0]
             for case, was, now in differing_cases(old[name][1], new[name][1]):
                 change = f"{status(was)} -> {status(now)}"
                 print(f"  case: {case}  status: {change}")
                 changes.setdefault(case, []).append(change)
-                values.setdefault(case, {})[seed] = (
+                values.setdefault(case, {})[run] = (
                     f"lhs {moved(was, now, 'lhs')}, "
                     f"margin {moved(was, now, 'margin')}")
     print(f"{len(old) - len(differ)} of {len(old)} reports identical")
     for case, found in sorted(changes.items()):
         print(f"{case}: {len(found)} JSON reports, "
               f"{', '.join(sorted(set(found)))}")
-        for seed, line in sorted(values[case].items()):
-            print(f"  seed {seed}: {line}")
+        for run, line in sorted(values[case].items()):
+            print(f"  {run}: {line}")
     return 1 if differ else 0
 
 

@@ -10,6 +10,3 @@ random matrix sums), ``studies`` (ensemble averages), and
 """
 
 __version__ = "0.1.0"
-
-from .reports import GapReport, RatioEstimate, TailReport  # noqa: F401
-from .samplers import RngStream  # noqa: F401

@@ -535,8 +535,8 @@ def pauli_reduce_gap(a, b) -> GapReport:
     (each ``(..., 3)``): ``cosh|a+b| <= cosh|a| cosh|b| - cos(theta) sinh|a|
     sinh|b|``, both sides half the closed-form traces of
     :mod:`gtlab.pauli`."""
-    return GapReport.from_sides(0.5 * pauli.trace_exp_sum(a, b),
-                                0.5 * pauli.trace_exp_product(a, b))
+    num, cross = pauli.product_terms(a, b)
+    return GapReport.from_sides(0.5 * pauli.trace_exp_sum(a, b), num + cross)
 
 
 def pauli_route_discrepancy(a, b, lhs, rhs) -> float:
@@ -553,12 +553,13 @@ def pauli_route_discrepancy(a, b, lhs, rhs) -> float:
                         / np.maximum(1.0, np.abs(sides))))
 
 
-def pauli_law_gap(a, b) -> GapReport:
+def pauli_law_gap(a, b, rhs) -> GapReport:
     """:func:`pauli_reduce_gap` restated as the hyperbolic law of cosines:
     ``|a+b|^2 <= |c|^2``, where ``|c|`` is the arccosh of the reduction's
-    right side, so that ``|c|^2 >= |a|^2 + |b|^2 - 2|a||b| cos(theta)``."""
+    right side ``rhs``, so that ``|c|^2 >= |a|^2 + |b|^2 - 2|a||b|
+    cos(theta)``."""
     v = pauli.as_vector(a) + pauli.as_vector(b)
-    c = np.arccosh(np.maximum(0.5 * pauli.trace_exp_product(a, b), 1.0))
+    c = np.arccosh(np.maximum(rhs, 1.0))
     return GapReport.from_sides(np.sum(v ** 2, axis=-1), c * c)
 
 

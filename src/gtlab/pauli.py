@@ -4,7 +4,9 @@ A vector ``a = (a1, a2, a3)`` represents ``A = a1*s1 + a2*s2 + a3*s3`` in
 the standard Pauli basis.  Because ``A^2 = |a|^2 I``, exponentials and
 trace products have closed forms in the vector data; every function here
 accepts batched input of shape ``(..., 3)`` and returns one value per
-vector (0-d for a single vector).
+vector (0-d for a single vector), except :func:`product_terms`, which
+returns the two terms of ``Tr(e^A e^B) / 2``, the one place that product
+form is written.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ def trace_exp_sum(a, b):
     return 2.0 * np.cosh(np.linalg.norm(v, axis=-1))
 
 
-def trace_exp_product(a, b):
-    """``Tr(e^A e^B) = 2 (cosh|a| cosh|b| + (a.b) sinhc|a| sinhc|b|)``.
+def product_terms(a, b):
+    """The two terms of ``Tr(e^A e^B) / 2``, batched:
+    ``(cosh|a| cosh|b|, (a.b) sinhc|a| sinhc|b|)``.
 
     The dot-product term equals ``-cos(theta) sinh|a| sinh|b|`` in the
     angle convention ``cos(theta) = -(a.b)/(|a||b|)``, written divisionless
@@ -60,8 +63,8 @@ def trace_exp_product(a, b):
     va, vb = as_vector(a), as_vector(b)
     ra = np.linalg.norm(va, axis=-1)
     rb = np.linalg.norm(vb, axis=-1)
-    dot = np.sum(va * vb, axis=-1)
-    return 2.0 * (np.cosh(ra) * np.cosh(rb) + dot * sinhc(ra) * sinhc(rb))
+    return (np.cosh(ra) * np.cosh(rb),
+            np.sum(va * vb, axis=-1) * sinhc(ra) * sinhc(rb))
 
 
 def trace_exp_triple(a, b, c):

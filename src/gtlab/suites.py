@@ -374,7 +374,7 @@ def _run_pauli_reduce(params, stream, tag):
         b = rng.standard_normal((count, 3))
         report = ineq.pauli_reduce_gap(a, b)
         cosh.append(report)
-        law.append(ineq.pauli_law_gap(a, b))
+        law.append(ineq.pauli_law_gap(a, b, report.rhs))
         discrepancy = max(discrepancy, ineq.pauli_route_discrepancy(
             a, b, report.lhs, report.rhs))
     case = _worst_case("pauli-2x2-cosh", tag, cosh,

@@ -800,6 +800,13 @@ class TestStartup:
                               text=True, check=True)
         return done.stdout.strip()
 
+    def test_package_import_loads_no_numpy(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, gtlab; print('numpy' in sys.modules)"],
+            env=subprocess_env(), capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_cli_import_loads_no_scipy(self, tmp_path):
         assert self.probe(tmp_path, (), SCIPY_MODULES) == "[]"
 
@@ -1225,6 +1232,27 @@ class TestBlockRule:
         # every instance is drawn once, and no array exceeds a block
         assert sum(sizes) == trials * entries
         assert max(sizes) <= samplers.BLOCK_ENTRIES
+
+
+class TestPauliProductTerms:
+    """Eq.1a and Eq.R evaluate the 2x2 product form once per pair: one
+    :func:`~gtlab.pauli.product_terms` call per block."""
+
+    @pytest.mark.parametrize("site", ("Eq.1a", "Eq.R"))
+    def test_one_call_per_block(self, site, monkeypatch):
+        calls = []
+        product_terms = pauli.product_terms
+
+        def counted(a, b):
+            calls.append(len(a))
+            return product_terms(a, b)
+
+        monkeypatch.setattr(pauli, "product_terms", counted)
+        trials, _, run = BLOCKED_SITES[site]
+        run(monkeypatch, trials)
+        size = samplers.block_instances(3)
+        assert calls == [min(size, trials - start)
+                         for start in range(0, trials, size)]
 
 
 class TestReachability:

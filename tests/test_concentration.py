@@ -426,6 +426,8 @@ class TestScalarChernoff:
         assert report.ci_low <= exact <= report.ci_high
         assert report.ci_high <= math.exp(-1.5)
         assert report.status == "pass"
+        # max(e^(-eps^2/4), e^(-eps sigma/2)) at eps = 3, sigma = 1
+        assert report.bound_value == max(math.exp(-9 / 4), math.exp(-3 / 2))
 
 
 class TestTraceProductDominance:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 from scipy.stats import unitary_group
 
 from gtlab import inequalities as ineq
@@ -77,6 +78,12 @@ class TestWordBounds:
         for _ in range(200):
             report = ineq.cauchy_trace_gap(ginibre(rng, 3), ginibre(rng, 3))
             assert report.passed
+
+    def test_cauchy_equality_at_adjoint(self, rng):
+        # Y = X† is Cauchy-Schwarz's equality case: |Tr XX†|^2 = (Tr X†X)^2
+        X = ginibre(rng, 3, 5)
+        report = ineq.cauchy_trace_gap(X, linalg.adjoint(X))
+        assert np.all(np.abs(report.margin) <= report.tol)
 
     def test_alternating_word_equality(self, rng):
         X = ginibre(rng, 3)
@@ -306,6 +313,21 @@ class TestNormVariants:
         for _ in range(200):
             n = int(rng.integers(2, 6))
             assert ineq.weak_majorization_gap(gue(rng, n), gue(rng, n)).passed
+
+    def test_weak_majorization_margin_is_the_worst_partial_sum(self):
+        # recomputed through scipy's Pade exponential and numpy's SVD; at
+        # this stack the worst partial sum falls past k = 1 for hundreds of
+        # pairs, so a margin read at the wrong index differs there
+        rng = RngStream(5).generator()
+        A, B = gue(rng, 4, 2000), gue(rng, 4, 2000)
+        mu = np.cumsum(np.linalg.svd(expm(A) @ expm(B), compute_uv=False),
+                       axis=-1)
+        lam = np.cumsum(np.exp(np.linalg.eigvalsh(A + B))[..., ::-1], axis=-1)
+        gaps = mu - lam
+        assert np.count_nonzero(np.argmin(gaps, axis=-1) > 0) >= 100
+        report = ineq.weak_majorization_gap(A, B)
+        assert np.all(np.abs(report.margin - gaps.min(axis=-1))
+                      <= 1e-10 * lam[:, -1])
 
     def test_phi_exponential_sweep(self, rng):
         for _ in range(200):
@@ -541,6 +563,9 @@ class TestCounterexamples:
         lhs = linalg.trace_expm(A + B + C)
         rhs = abs(np.trace(linalg.expm_herm(A) @ linalg.expm_herm(B)
                            @ linalg.expm_herm(C)))
+        # the recorded sides are those of the recorded matrices
+        assert (witness.lhs, witness.rhs) == pytest.approx((lhs, rhs),
+                                                           rel=1e-12)
         assert lhs > rhs
 
     def test_abc_witness_found(self, stream):
@@ -577,17 +602,23 @@ class _ZeroThirdStream:
             else self.rng.standard_normal(shape)
 
 
+def law_gap(a, b):
+    """:func:`~gtlab.inequalities.pauli_law_gap` on the right side of
+    ``pauli_reduce_gap(a, b)``."""
+    return ineq.pauli_law_gap(a, b, ineq.pauli_reduce_gap(a, b).rhs)
+
+
 class TestPauliReduce:
     def test_opposite_vectors_equality(self):
         a = np.array([0.3, -1.2, 0.5])
-        cosh, law = ineq.pauli_reduce_gap(a, -a), ineq.pauli_law_gap(a, -a)
+        cosh, law = ineq.pauli_reduce_gap(a, -a), law_gap(a, -a)
         assert cosh.lhs == pytest.approx(1.0, abs=1e-12)
         assert cosh.rhs == pytest.approx(1.0, abs=1e-12)
         assert cosh.passed and law.passed and law.lhs == 0.0
 
     def test_orthogonal_frozen_values(self):
         a, b = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
-        cosh, law = ineq.pauli_reduce_gap(a, b), ineq.pauli_law_gap(a, b)
+        cosh, law = ineq.pauli_reduce_gap(a, b), law_gap(a, b)
         assert cosh.lhs == pytest.approx(math.cosh(math.sqrt(2.0)), abs=1e-12)
         assert cosh.rhs == pytest.approx(math.cosh(1.0) ** 2, abs=1e-12)
         assert law.lhs == pytest.approx(2.0, abs=1e-12)
@@ -598,13 +629,13 @@ class TestPauliReduce:
     def test_sweep_vectorized(self, rng):
         a = rng.standard_normal((100000, 3))
         b = rng.standard_normal((100000, 3))
-        for check in (ineq.pauli_reduce_gap, ineq.pauli_law_gap):
+        for check in (ineq.pauli_reduce_gap, law_gap):
             assert check(a, b).passed.all()
 
     def test_one_row_sweeps_pass(self, rng):
         # one pair at a time agrees with the stacked call, and passes
         a, b = rng.standard_normal((2, 200, 3))
-        for check in (ineq.pauli_reduce_gap, ineq.pauli_law_gap):
+        for check in (ineq.pauli_reduce_gap, law_gap):
             assert_stack_matches_single(check, a, b)
             assert check(a, b).passed.all()
 

@@ -199,7 +199,8 @@ class TestPauliClosedForms:
         a, b, c = rng.standard_normal((3, 6, 3))
         for fn, args in ((pauli.squared_norm_identity_residual, (a,)),
                          (pauli.trace_exp_sum, (a, b)),
-                         (pauli.trace_exp_product, (a, b)),
+                         (lambda a, b: pauli.product_terms(a, b)[0], (a, b)),
+                         (lambda a, b: pauli.product_terms(a, b)[1], (a, b)),
                          (pauli.trace_exp_triple, (a, b, c))):
             assert_stack_matches_single(fn, *args)
             assert fn(*args).shape == (6,)

@@ -43,7 +43,10 @@ def sinhc(r):
     r = np.asarray(r, dtype=np.float64)
     small = np.abs(r) < _SINHC_SERIES_CUTOFF
     safe = np.where(small, 1.0, r)
-    return np.where(small, 1.0 + r * r / 6.0 + r**4 / 120.0, np.sinh(safe) / safe)
+    out = np.asarray(np.sinh(safe) / safe)
+    s = r[small]
+    out[small] = 1.0 + s * s / 6.0 + s**4 / 120.0
+    return out
 
 
 def trace_exp_sum(a, b):

@@ -7,7 +7,7 @@ from scipy.stats import binom
 
 from gtlab import concentration as conc
 from gtlab import linalg, pauli
-from gtlab.reports import TailReport, binomial_ci
+from gtlab.reports import TailReport, binomial_ci, inequality_tol
 from gtlab.samplers import RngStream, standard_complex
 from conftest import assert_stack_matches_single, gue
 
@@ -156,9 +156,19 @@ class TestBernsteinStep:
         report = conc.bernstein_tail_check(5000, stream)
         assert report.passed
 
-    def test_optimizer_returns_interior_point(self, stream):
-        c = conc.optimal_bernstein_c(stream)
-        assert 0.0 < c < 16.0
+    def test_sides_recomputed_under_the_exact_rule(self, stream):
+        # the frequency of lambda_max > eps and the mean of
+        # e^(-c eps) Tr e^(c (Sigma - I)) over the draws of stream.child(0),
+        # recomputed with eigvalsh, judged with an exact inequality's
+        # rounding tolerance
+        trials, c, eps = 2000, 6.0, 1.0
+        report = conc.bernstein_tail_check(trials, stream)
+        X = standard_complex(stream.child(0).generator(), (trials, 16, 2))
+        w = np.linalg.eigvalsh(conc.covariance(X) - np.eye(2))
+        assert report.lhs == (w[:, -1] > eps).mean()
+        assert report.rhs == pytest.approx(
+            np.exp(c * (w - eps)).sum(axis=1).mean(), rel=1e-12)
+        assert report.tol == inequality_tol(report.lhs, report.rhs)
 
 
 class TestMgfLemma:
@@ -413,15 +423,10 @@ class TestSeriesVsDirectBound:
 
 
 class TestScalarChernoff:
-    def test_zero_threshold_vacuous(self, stream):
-        report = conc.scalar_chernoff(0.0, stream, trials=20000)
-        assert report.bound_value == 1.0
-        assert 0.3 <= report.empirical_tail <= 0.8
-
     def test_exact_binomial_oracle(self, stream):
         # sum >= 3 with 20 steps of size 1/sqrt(20) means at least 17 heads
         trials = 100000
-        report = conc.scalar_chernoff(3.0, stream, trials=trials)
+        report = conc.scalar_chernoff(stream, trials=trials)
         exact = float(1.0 - binom.cdf(16, 20, 0.5))
         assert report.ci_low <= exact <= report.ci_high
         assert report.ci_high <= math.exp(-1.5)

@@ -111,7 +111,7 @@ class TestHermitizationRatio:
         scaled = studies.hermitization_ratio(8, 50, stream)
         assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
 
-    def test_reports_dimension_and_retries(self, stream):
+    def test_reports_dimension(self, stream):
         est = studies.hermitization_ratio(4, 20, stream)
         assert est.extras["dim"] == 4
 

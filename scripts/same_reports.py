@@ -6,12 +6,13 @@ Usage, from the root of a checkout::
     python3 scripts/same_reports.py REV
 
 ``src/`` at REV is extracted with ``git archive`` into a temporary
-directory.  Both trees then write the same 60 reports: ``verify``,
+directory.  Both trees then write the same 64 reports: ``verify``,
 ``tail`` and ``ratio`` at the sizes of ``perfbench/workloads.py`` and
 ``hunt`` on ``{"suites": ["counterexamples"]}``, at seeds 1001-1003, the
 two :data:`RERUNS` configs, at which a Monte Carlo case reruns a chance
-miss, and the :data:`BLOCKS` config, at which the blocked draws of
-``verify`` leave their first block; each is written fresh as JSON and as
+miss, and the two :data:`BLOCKS` configs, at which the blocked draws of
+``verify`` and of ``tail`` leave their first block; each is written
+fresh as JSON and as
 CSV and its JSON
 re-emitted by ``report`` as JSON and as CSV.  Every run has
 ``OPENBLAS_NUM_THREADS=1`` and no ``SOURCE_DATE_EPOCH``.  The script
@@ -53,11 +54,14 @@ RERUNS = {
                               "trials": 10000, "seed": 193}),
 }
 #: ``name -> (subcommand, config)``: a ``verify`` at which Eq.1a, Eq.1aA and
-#: the n = 2 sweeps each draw two or more blocks; the benchmark sizes stay
-#: in the first block of each.
+#: the n = 2 sweeps each draw two or more blocks, and a ``tail`` at which
+#: Eq.rf1 (10 blocks), Eq.GTE (5 each), Eq.S, Eq.C and the Eq.J and Eq.4.29
+#: sweeps do; the benchmark sizes stay in the first block of many of them.
 BLOCKS = {
     "verify-blocks": ("verify", {"suites": ["inequalities"], "dims": [2],
                                  "trials": 30000, "seed": 1001}),
+    "tail-blocks": ("tail", {"suites": ["concentration"], "trials": 40000,
+                             "seed": 1001}),
 }
 
 
@@ -103,7 +107,7 @@ def runs() -> list[tuple[str, str, dict]]:
 
 
 def reports(src: Path, work: Path) -> dict:
-    """``report name -> (exit code, bytes)`` for the 60 reports of ``src``."""
+    """``report name -> (exit code, bytes)`` for the 64 reports of ``src``."""
     found = {}
     for name, command, config in runs():
         cfg = work / f"{name}.config.json"

@@ -10,10 +10,13 @@ self-consistent corrected form
 Rademacher signs, by enumeration, and for Gaussian signs by Monte Carlo),
 and the scalar Chernoff baseline the matrix results generalize.
 
-Monte Carlo experiments draw all trials from one stream generator in a
-fixed, documented order (trial data is row ``i`` of the draw), so results
-are reproducible and independent of scheduling; sub-experiments draw from
-child streams of the experiment's stream.  A tail experiment is one
+Monte Carlo experiments draw their trials in the blocks of
+:meth:`~gtlab.samplers.RngStream.blocks`, block ``b`` from child ``b`` of
+the stream they are given (the Gaussian sign series draws its chunks from
+one generator), in a fixed, documented order, so results are reproducible
+and independent of scheduling.  Each reduces block by block (counts, sums
+and :func:`~gtlab.reports.merge_moments`), so its memory is one block's
+whatever the trial count; only the sign series keeps one float per draw.  A tail experiment is one
 attempt on the stream it is given: one sample of ``N x k`` Gaussian
 blocks, whose deviation spectra are counted against each of its
 thresholds, each count decided by
@@ -46,7 +49,7 @@ import numpy as np
 
 from .linalg import (adjoint, hermitian_args, hermitize, require_hermitian,
                      trace_of_product)
-from .reports import GapReport, TailReport
+from .reports import GapReport, TailReport, merge_moments
 from .samplers import RngStream, block_instances, standard_complex
 
 __all__ = [
@@ -69,7 +72,7 @@ _CHERNOFF_EPS = 3.0
 #: one exponent ``c``; the moment-generating-function lemma on blocks small
 #: enough that both its sides are estimable to adequate precision.
 _BERNSTEIN_SHAPE, _BERNSTEIN_EPS, _BERNSTEIN_C = (16, 2), 1.0, 6.0
-_MGF_SHAPE = (4, 2)
+_MGF_SHAPE, _MGF_BATCHES = (4, 2), 10
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +184,8 @@ def empirical_tail(n: int, k: int, epsilons, trials: int,
 def bernstein_tail_check(trials: int, stream: RngStream) -> GapReport:
     """Monte Carlo check of the exponentiated Chebyshev step:
     ``Pr(lambda_max(Sigma - I) > eps) <= e^(-c eps) E Tr e^(c (Sigma - I))``
-    over ``trials`` draws of ``16 x 2`` blocks from ``stream.child(0)``, at
-    ``eps = 1`` and ``c = 6``.
+    over ``trials`` draws of ``16 x 2`` blocks, in the blocks of
+    ``stream.child(0).blocks``, at ``eps = 1`` and ``c = 6``.
 
     The step holds draw by draw,
     ``1{lambda_max > eps} <= e^(c (lambda_max - eps))
@@ -195,56 +198,78 @@ def bernstein_tail_check(trials: int, stream: RngStream) -> GapReport:
     99th percentile below 0.10, and ``c = 8`` lets it reach 0.36.
     """
     eps, c = _BERNSTEIN_EPS, _BERNSTEIN_C
-    _, w = _deviation_draw(stream.child(0).generator(), trials, *_BERNSTEIN_SHAPE)
-    lhs = int((w[:, -1] > eps).sum()) / trials
-    rhs = float((math.exp(-c * eps) * np.exp(c * w).sum(axis=1)).mean())
-    return GapReport.from_sides(lhs, rhs)
+    n, k = _BERNSTEIN_SHAPE
+    exceed, rhs_sum = 0, 0.0
+    for _, count, rng in stream.child(0).blocks(trials, n * k):
+        _, w = _deviation_draw(rng, count, n, k)
+        exceed += int((w[:, -1] > eps).sum())
+        rhs_sum += float((math.exp(-c * eps)
+                          * np.exp(c * w).sum(axis=1)).sum())
+    return GapReport.from_sides(exceed / trials, rhs_sum / trials)
 
 
 # ---------------------------------------------------------------------------
 # moment-generating-function lemma for the covariance experiment
 
-def _rank_one_factor_means(rows: np.ndarray, mu: float, n: int,
-                           batches: int) -> list[np.ndarray]:
-    """Means of ``e^(mu S_p)``, ``S_p = (x_p† x_p - I)/n``, over the rows
-    ``x_p`` of each of ``batches`` ``array_split`` parts of ``rows``, by
-    the closed form of :func:`aw_mgf_lemma_check`: a part's mean is
-    ``e^(-mu/n) (I + rows† (c · rows)/len)`` with
-    ``c = expm1(mu |x|^2/n)/|x|^2`` (any finite value at ``x = 0``, where
-    ``x† x`` vanishes)."""
+def _rank_one_weights(rows: np.ndarray, mu: float, n: int) -> np.ndarray:
+    """The weight ``c = expm1(mu |x|^2/n)/|x|^2`` of each row ``x`` of
+    ``rows``, for which ``e^(mu S) = e^(-mu/n) (I + c x† x)`` with
+    ``S = (x† x - I)/n`` (0 at ``x = 0``, where ``x† x`` vanishes)."""
     sq = _row_norms_sq(rows)
-    c = np.divide(np.expm1(mu * sq / n), sq, out=np.zeros_like(sq),
-                  where=sq > 0)
-    scale, eye = math.exp(-mu / n), np.eye(rows.shape[-1])
-    return [scale * (eye + adjoint(part) @ (cp[:, None] * part) / len(part))
-            for part, cp in zip(np.array_split(rows, batches),
-                                np.array_split(c, batches))]
+    return np.divide(np.expm1(mu * sq / n), sq, out=np.zeros_like(sq),
+                     where=sq > 0)
+
+
+def _factor_mean(weighted_sum: np.ndarray, count: int, mu: float,
+                 n: int) -> np.ndarray:
+    """The mean of ``e^(mu S)`` over ``count`` rows whose
+    ``sum c x† x`` (:func:`_rank_one_weights`) is ``weighted_sum``."""
+    eye = np.eye(weighted_sum.shape[-1])
+    return math.exp(-mu / n) * (eye + weighted_sum / count)
 
 
 def aw_mgf_lemma_check(mu: float, trials: int,
                        stream: RngStream) -> GapReport:
     """``E Tr e^(mu (Sigma - I)) <= k ||E e^(mu S)||_op^N`` with both sides
-    estimated by Monte Carlo over ``trials`` draws of ``4 x 2`` blocks.
+    estimated by Monte Carlo over ``trials`` draws of ``4 x 2`` blocks,
+    drawn in the blocks of ``stream.blocks``.
 
     Each row ``x`` of a draw gives the summand ``S = (x† x - I)/N``; since
     ``x† x`` has the one nonzero eigenvalue ``|x|^2``, its exponential is
     ``e^(mu S) = e^(-mu/N) (I + expm1(mu |x|^2/N)/|x|^2 · x† x)``.  The
     right side's expectation is the mean of those over all rows, and its
-    standard error comes from the means of 10 ``array_split`` batches.
-    The report's tolerance carries the combined confidence radius, so
-    ``passed`` is CI-aware; the per-term expectations reuse the identical
-    row draws, which tightens the comparison near equality.
+    standard error comes from the means of 10 ``array_split`` batches of
+    the rows in draw order; each block adds its rows to their batches by
+    global row index.  The report's tolerance carries the combined
+    confidence radius, so ``passed`` is CI-aware; the per-term expectations
+    reuse the identical row draws, which tightens the comparison near
+    equality.
     """
     n, k = _MGF_SHAPE
-    X, w = _deviation_draw(stream.generator(), trials, n, k)
-    lhs_samples = np.exp(mu * w).sum(axis=1)
-    lhs = float(lhs_samples.mean())
-    lhs_se = float(lhs_samples.std(ddof=1) / math.sqrt(trials))
+    rows_total = trials * n
+    q, r = divmod(rows_total, _MGF_BATCHES)
+    edges = [j * q + min(j, r) for j in range(_MGF_BATCHES + 1)]
+    sums = np.zeros((_MGF_BATCHES, k, k), dtype=np.complex128)
+    moments = (0, 0.0, 0.0)
+    for start, count, rng in stream.blocks(trials, n * k):
+        X, w = _deviation_draw(rng, count, n, k)
+        moments = merge_moments(moments, np.exp(mu * w).sum(axis=1))
+        rows = X.reshape(count * n, k)
+        weighted = _rank_one_weights(rows, mu, n)[:, None] * rows
+        first = start * n
+        for j in range(_MGF_BATCHES):
+            lo = max(edges[j] - first, 0)
+            hi = min(edges[j + 1] - first, len(rows))
+            if lo < hi:
+                sums[j] += adjoint(rows[lo:hi]) @ weighted[lo:hi]
+    _, lhs_mean, lhs_m2 = moments
+    lhs = float(lhs_mean)
+    lhs_se = math.sqrt(lhs_m2 / (trials - 1)) / math.sqrt(trials)
 
-    rows = X.reshape(trials * n, k)
-    batch_norms = [float(np.linalg.norm(m, ord=2))
-                   for m in _rank_one_factor_means(rows, mu, n, 10)]
-    mean, = _rank_one_factor_means(rows, mu, n, 1)
+    batch_norms = [
+        float(np.linalg.norm(_factor_mean(s, hi - lo, mu, n), ord=2))
+        for s, lo, hi in zip(sums, edges, edges[1:])]
+    mean = _factor_mean(sums.sum(axis=0), rows_total, mu, n)
     factor_norm = float(np.linalg.norm(mean, ord=2))
     factor_se = float(np.std(batch_norms, ddof=1) / math.sqrt(len(batch_norms)))
     rhs = k * factor_norm ** n

@@ -75,7 +75,9 @@ def as_complex_matrix(M, what: str) -> np.ndarray:
 def hermitize(M) -> np.ndarray:
     """Construct a Hermitian carrier: ``(M + M†)/2`` of a square matrix."""
     A = as_complex_matrix(M, "hermitize input")
-    return (A + adjoint(A)) / 2.0
+    H = A + adjoint(A)
+    H /= 2.0
+    return H
 
 
 def is_hermitian(M):
@@ -83,8 +85,10 @@ def is_hermitian(M):
     matrix at its own scale: a bool array over the stack."""
     A = np.asarray(M)
     scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0))
-    return np.abs(A - adjoint(A)).max(axis=(-2, -1), initial=0.0) \
-        <= HERMITIAN_ATOL * scale
+    # the moduli overwrite the difference they are taken of
+    gap = A - adjoint(A)
+    np.abs(gap, out=gap)
+    return gap.real.max(axis=(-2, -1), initial=0.0) <= HERMITIAN_ATOL * scale
 
 
 def require_hermitian(M, what: str) -> np.ndarray:
@@ -92,7 +96,9 @@ def require_hermitian(M, what: str) -> np.ndarray:
     A = as_complex_matrix(M, what)
     if not np.all(is_hermitian(A)):
         raise ValueError(f"{what} must be Hermitian")
-    return (A + adjoint(A)) / 2.0
+    H = A + adjoint(A)
+    H /= 2.0
+    return H
 
 
 def hermitian_args(what: str, *matrices) -> tuple[np.ndarray, ...]:
@@ -136,7 +142,11 @@ def singular_values(M) -> np.ndarray:
 def herm_fn(M, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum."""
     w, U = herm_eigen(M)
-    return (U * fn(w)[..., None, :]) @ adjoint(U)
+    scaled = U * fn(w)[..., None, :]
+    # U is herm_eigen's own copy: conjugated in place, its transpose is U†
+    # with the strides adjoint(U) would give
+    np.conj(U, out=U)
+    return scaled @ np.swapaxes(U, -1, -2)
 
 
 def expm_herm(M) -> np.ndarray:

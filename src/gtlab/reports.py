@@ -120,6 +120,24 @@ class RatioEstimate:
                    extras=dict(extras))
 
 
+def merge_moments(moments, block):
+    """The moments ``(count, mean, m2)`` of the samples seen so far, taken
+    over axis 0 (``m2`` the sum of ``|x - mean|^2``), merged with those of
+    the samples ``block`` by Chan's pairwise update; ``(0, 0.0, 0.0)``
+    before the first block.  One block gives numpy's ``mean`` and the sum
+    behind its ``std`` bit for bit: the sample variance is
+    ``m2 / (count - 1)``."""
+    count, mean, m2 = moments
+    size = len(block)
+    block_mean = block.mean(axis=0)
+    dev = block - block_mean
+    block_m2 = (dev.real ** 2 + dev.imag ** 2).sum(axis=0)
+    total = count + size
+    delta = block_mean - mean
+    spread = (delta.real ** 2 + delta.imag ** 2) * (count * size / total)
+    return total, mean + delta * (size / total), m2 + block_m2 + spread
+
+
 def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
     """Clopper-Pearson (exact) two-sided 95% binomial confidence interval.
 

@@ -14,10 +14,14 @@ results independent of how work is scheduled.
 Blocks: many instances are drawn in blocks, one generator each, block
 ``b`` from ``child(b)`` (:meth:`RngStream.blocks`).  One rule sizes every
 block (:func:`block_instances`): as many instances as fit in
-``BLOCK_ENTRIES`` entries, at least one, an instance's entries being the
-size of one drawn matrix or vector (a complex entry counts once).  Memory
-is thus bounded whatever the trial count, and the rule is part of the
-draw order.
+``BLOCK_ENTRIES`` entries, at least one, an instance's entries being those
+its draw actually takes (``n^2`` for one ``n x n`` matrix, ``N k`` for one
+``N x k`` Gaussian block, ``m d^2`` for a series of ``m`` terms of
+``d x d``; a complex entry counts once).  Every runner reduces block by
+block, keeping counts, sums, moments or its worst instance so far rather
+than every instance, so memory is bounded whatever the trial count (but
+for the one float per draw that Eq.OB's Monte Carlo case keeps), and the
+rule is part of the draw order.
 
 Ensemble conventions: ``ginibre`` draws independent entries with unit
 complex variance (real and imaginary parts each N(0, 1/2), drawn
@@ -115,4 +119,6 @@ def gue(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarra
     """GUE draws ``(X + X†)/2`` of complex Ginibre ``X``, shaped as in
     :func:`ginibre`; exactly Hermitian."""
     X = ginibre(rng, n, count)
-    return (X + adjoint(X)) / 2.0
+    H = X + adjoint(X)
+    H /= 2.0
+    return H

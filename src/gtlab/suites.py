@@ -29,11 +29,15 @@ over ``trials`` instances gives instance ``i`` the dimension
 check (an order ``s``, ``k`` or ``p``, a pair ``(r, s)``, a word length).
 Instances sharing a (dimension, parameter) group are drawn and checked
 together, one stack per block of :mod:`~gtlab.samplers`'s block rule at
-``n^2`` entries per instance; each (group, block) stack comes from one
+the entries one instance of the row's draw takes (``n^2`` for an ``n x n``
+matrix, ``4 n^2`` for Eq.J's ``4n x n`` blocks, ``m d^2`` for a series of
+shape ``(m, d)``); each (group, block) stack comes from one
 generator, the ``b``-th in group-then-block order from child ``b`` of the
-tag's path.  Eq.RU draws one sample per (N, k) experiment and reads all
-its thresholds from it; group ``g`` draws from child ``g``, through
-:func:`_escalating`.  A report is therefore a pure function of (config,
+tag's path.  Every runner reduces its stacks one at a time, keeping the
+worst instance so far (:class:`_Worst`), counts, sums or moments, so
+memory holds one stack whatever the trial count.  Eq.RU draws one sample
+per (N, k) experiment and reads all its thresholds from it; group ``g``
+draws from child ``g``, through :func:`_escalating`.  A report is therefore a pure function of (config,
 seed).
 
 Rows whose instances differ in shape run on the one dimension ``1`` with
@@ -61,7 +65,7 @@ from . import pauli, samplers, studies
 from .linalg import (expm_herm, frobenius_norm, hermitize, operator_norm,
                      singular_values, lie_trotter_product, distance_delta2,
                      trace_of_product)
-from .reports import REL_TOL, GapReport, TailReport
+from .reports import REL_TOL, GapReport, TailReport, merge_moments
 from .samplers import RngStream, ginibre, gue, standard_complex
 
 __all__ = [
@@ -137,21 +141,59 @@ def _residual_case(name: str, tag: str, residual: float, threshold: float,
                  residual <= threshold, trials, extra=extra)
 
 
-def _worst_case(name: str, tag: str, reports: list[GapReport],
+class _Worst:
+    """The worst instance of a sweep whose stacks are checked one at a
+    time, so that memory holds one stack whatever the trial count.
+
+    :meth:`add` takes one stack's scores and the sides to record, broadcast
+    together and raveled.  The kept instance is the one ``pick``
+    (``np.argmin`` or ``np.argmax``) chooses over the concatenated scores
+    of every stack: the first extreme wins, and so does the first NaN.
+    ``instances`` counts the scores, ``violations`` the failing instances
+    of the GapReports given to :meth:`add_gap`.
+    """
+
+    def __init__(self, pick=np.argmin):
+        self.pick, self.score, self.sides = pick, None, ()
+        self.instances = self.violations = 0
+
+    def add(self, scores, *sides):
+        scores, *sides = map(np.ravel, np.broadcast_arrays(scores, *sides))
+        i = int(self.pick(scores))
+        # pick over the pair prefers the candidate exactly when pick over
+        # the concatenation would: strictly more extreme, or a NaN against
+        # a number
+        if self.score is None or self.pick((self.score, scores[i])) == 1:
+            self.score, self.sides = scores[i], tuple(side[i] for side in sides)
+        self.instances += scores.size
+
+    def add_gap(self, report: GapReport) -> GapReport:
+        """Add one stack's GapReport, scored by ``margin / tol``."""
+        self.violations += int(np.count_nonzero(~report.passed))
+        self.add(report.margin / report.tol, report.lhs, report.rhs,
+                 report.margin)
+        return report
+
+    def gap_case(self, name: str, tag: str,
+                 extra: dict | None = None) -> CaseRecord:
+        """The sweep case of the GapReports added: the sides of the
+        instance with the smallest ``margin / tol`` and the violation
+        count (pass means zero violations)."""
+        lhs, rhs, margin = self.sides
+        return _case(name, tag, lhs, rhs, margin, self.violations == 0,
+                     self.instances,
+                     extra={"violations": self.violations, **(extra or {})})
+
+
+def _worst_case(name: str, tag: str, reports,
                 extra: dict | None = None) -> CaseRecord:
     """Aggregate sweep case over the instances of ``reports`` (single or
-    stacked, raveled), its trials: records the sides of the instance with
-    the smallest ``margin / tol`` and the violation count, the instances
-    whose report fails (pass means zero violations)."""
-    def joined(field):
-        return np.concatenate([np.ravel(getattr(r, field)) for r in reports])
-
-    lhs, rhs, margin, tol, passed = map(joined, ("lhs", "rhs", "margin", "tol",
-                                                 "passed"))
-    i = int(np.argmin(margin / tol))
-    violations = int(np.count_nonzero(~passed))
-    return _case(name, tag, lhs[i], rhs[i], margin[i], violations == 0,
-                 lhs.size, extra={"violations": violations, **(extra or {})})
+    stacked, raveled), an iterable read one report at a time
+    (:meth:`_Worst.gap_case`)."""
+    worst = _Worst()
+    for report in reports:
+        worst.add_gap(report)
+    return worst.gap_case(name, tag, extra)
 
 
 def _escalating(attempt, trials, stream, cells):
@@ -191,13 +233,20 @@ def _groups(trials: int, dims: tuple, cycle: tuple) -> dict:
     return counts
 
 
-def _stacks(trials: int, dims: tuple, stream: RngStream, draw, cycle=(None,)):
+def _matrix_entries(n: int, c) -> int:
+    """The entries of one ``n x n`` matrix: an instance of most draws."""
+    return n * n
+
+
+def _stacks(trials: int, dims: tuple, stream: RngStream, draw, cycle=(None,),
+            entries=_matrix_entries):
     """Yield ``((n, c), draw(rng, n, count, c))`` for each block of each
-    group of ``trials`` instances; the b-th stack overall is drawn from one
-    generator on ``stream.child(b)``."""
+    group of ``trials`` instances, a block holding
+    ``block_instances(entries(n, c))`` instances; the b-th stack overall is
+    drawn from one generator on ``stream.child(b)``."""
     b = 0
     for (n, c), total in _groups(trials, dims, cycle).items():
-        size = samplers.block_instances(n ** 2)
+        size = samplers.block_instances(entries(n, c))
         for start in range(0, total, size):
             rng = stream.child(b).generator()
             b += 1
@@ -210,7 +259,9 @@ class Sweep:
     instances (default all) of the dimensions ``dims`` (default the
     config's), each stack drawn by ``draw(rng, n, count, c)`` with ``c`` from
     ``cycle`` and judged by ``check(*drawn)``, which returns its GapReport.
-    The case records the worst instance and the violation count."""
+    ``entries(n, c)`` is the entries one instance of the draw takes, which
+    size its blocks.  The case records the worst instance and the violation
+    count."""
 
     name: str
     draw: Callable
@@ -218,12 +269,15 @@ class Sweep:
     cycle: tuple = (None,)
     size: Callable | None = None
     dims: tuple | None = None
+    entries: Callable = _matrix_entries
 
-    def _results(self, params: SuiteParams, stream: RngStream) -> list:
-        """``check(*drawn)`` of each stack of the row's instances."""
+    def _results(self, params: SuiteParams, stream: RngStream):
+        """``check(*drawn)`` of each stack of the row's instances, one stack
+        at a time."""
         trials = params.trials if self.size is None else self.size(params.trials)
-        return [self.check(*drawn) for _, drawn in _stacks(
-            trials, self.dims or params.dims, stream, self.draw, self.cycle)]
+        return (self.check(*drawn) for _, drawn in _stacks(
+            trials, self.dims or params.dims, stream, self.draw, self.cycle,
+            self.entries))
 
     def __call__(self, params: SuiteParams, stream: RngStream, tag: str):
         return [_worst_case(self.name, tag, self._results(params, stream))]
@@ -236,10 +290,10 @@ class Residual(Sweep):
     instance with the largest ratio of the two."""
 
     def __call__(self, params: SuiteParams, stream: RngStream, tag: str):
-        sides = [np.broadcast_arrays(*r) for r in self._results(params, stream)]
-        res, thr = (np.concatenate(side) for side in zip(*sides))
-        i = int(np.argmax(res / thr))
-        return [_residual_case(self.name, tag, res[i], thr[i], res.size)]
+        worst = _Worst(np.argmax)
+        for res, thr in self._results(params, stream):
+            worst.add(np.divide(res, thr), res, thr)
+        return [_residual_case(self.name, tag, *worst.sides, worst.instances)]
 
 
 @dataclass(frozen=True)
@@ -339,6 +393,13 @@ def _series_shapes(max_len: int) -> tuple:
                  for i in range(4 * max_len))
 
 
+def _series_entries(n, shape) -> int:
+    """The entries of one series of the cycle's shape ``(m, d)``: its ``m``
+    terms of ``d x d``, drawn as one GUE stack."""
+    m, d = shape
+    return m * d * d
+
+
 def _series_draw(draw_mus):
     """A draw of GUE series of the cycle's shape ``(m, d)``: the terms as one
     GUE stack, then ``draw_mus(rng, count)``, the mus they are checked at."""
@@ -367,21 +428,20 @@ def _run_pauli_reduce(params, stream, tag):
     sides are checked against the matrix traces
     (:func:`~gtlab.inequalities.pauli_route_discrepancy`); a relative
     discrepancy above 1e-10 fails its case."""
-    cosh, law = [], []
+    cosh, law = _Worst(), _Worst()
     discrepancy = 0.0
     for _, count, rng in stream.blocks(params.trials, 3):
         a = rng.standard_normal((count, 3))
         b = rng.standard_normal((count, 3))
-        report = ineq.pauli_reduce_gap(a, b)
-        cosh.append(report)
-        law.append(ineq.pauli_law_gap(a, b, report.rhs))
+        report = cosh.add_gap(ineq.pauli_reduce_gap(a, b))
+        law.add_gap(ineq.pauli_law_gap(a, b, report.rhs))
         discrepancy = max(discrepancy, ineq.pauli_route_discrepancy(
             a, b, report.lhs, report.rhs))
-    case = _worst_case("pauli-2x2-cosh", tag, cosh,
-                       extra={"max_route_discrepancy": discrepancy})
+    case = cosh.gap_case("pauli-2x2-cosh", tag,
+                         extra={"max_route_discrepancy": discrepancy})
     if discrepancy > 1e-10:
         case = dataclasses.replace(case, passed=False, status="fail")
-    return [case, _worst_case("pauli-law-of-cosines", "Eq.1aA", law)]
+    return [case, law.gap_case("pauli-law-of-cosines", "Eq.1aA")]
 
 
 _BETAS = (1e-6, 0.5, 1.0, 2.0, 10.0, 100.0)
@@ -439,13 +499,12 @@ _LIEB_CROSS_CHECKS = 20
 
 def _run_lieb(params, stream, tag):
     dims = tuple(n for n in params.dims if n <= 5) or (min(params.dims),)
-    reports = []
+    worst = _Worst()
     cross = _groups(min(params.trials, _LIEB_CROSS_CHECKS), dims, (None,))
     agreement = 0.0
     reduction = 0.0
     for key, (A, B, C) in _stacks(params.trials, dims, stream, _draw(gue, 3)):
-        report = ineq.lieb_triple_gap(A, B, C)
-        reports.append(report)
+        report = worst.add_gap(ineq.lieb_triple_gap(A, B, C))
         m = cross.pop(key, 0)
         if not m:
             continue
@@ -458,7 +517,7 @@ def _run_lieb(params, stream, tag):
         reduction = max(reduction, float(
             (np.abs(reduced - direct) / np.maximum(1.0, direct)).max()))
     extra = {"closed_vs_quadrature": agreement, "c_zero_reduction": reduction}
-    case = _worst_case("lieb-triple", tag, reports, extra=extra)
+    case = worst.gap_case("lieb-triple", tag, extra=extra)
     if agreement > 1e-8 or reduction > 1e-10:
         case = dataclasses.replace(case, passed=False, status="fail")
     return [case]
@@ -497,11 +556,12 @@ def _run_covariance_identity(params, stream, tag):
     X = np.sqrt(n) * np.eye(n, k, dtype=np.complex128)
     exact_residual = float(np.abs(conc.covariance(X) - np.eye(k)).max())
     trials = max(params.trials, 2000)
-    sigmas = np.concatenate([
-        conc.covariance(standard_complex(rng, (count, n, k)))
-        for _, count, rng in stream.blocks(trials, n * k)])
-    mean = sigmas.mean(axis=0)
-    se = sigmas.std(axis=0, ddof=1) / math.sqrt(trials)
+    moments = (0, 0.0, 0.0)
+    for _, count, rng in stream.blocks(trials, n * k):
+        moments = merge_moments(moments, conc.covariance(
+            standard_complex(rng, (count, n, k))))
+    _, mean, m2 = moments
+    se = np.sqrt(m2 / (trials - 1)) / math.sqrt(trials)
     dev_units = float((np.abs(mean - np.eye(k)) / np.maximum(se, 1e-30)).max())
     return [_case("covariance-mean", tag, dev_units, 4.0, 4.0 - dev_units,
                   exact_residual <= 1e-12 and dev_units <= 4.0, trials,
@@ -588,7 +648,7 @@ def _run_oliveira(params, stream, tag):
     enumeration = Sweep("sign-series-enumerate", _series_draw(
         lambda rng, count: np.array((0.5, 1.0, 2.0))[:, None]),
         conc.oliveira_mgf_check, _series_shapes(10),
-        lambda trials: min(max(trials // 20, 10), 100), (1,))
+        lambda trials: min(max(trials // 20, 10), 100), (1,), _series_entries)
     enum_case, = enumeration(params, stream.child(0), tag)
     rng = stream.child(1).generator()
     m, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
@@ -724,7 +784,7 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
         "rank-one-decomposition", lambda rng, n, count, shape: (
             standard_complex(rng, (count, *shape)),), _rank_one_residual,
         tuple((n, (n - 4) % min(n, 5) + 1) for n in range(4, 24)),
-        partial(min, 200), (1,))),
+        partial(min, 200), (1,), lambda n, shape: shape[0] * shape[1])),
     "Eq.SP": ("concentration", "linalg.operator_norm", Residual(
         "operator-norm-identity", _draw(gue, 1), _opnorm_residual,
         size=partial(min, 300))),
@@ -732,7 +792,8 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
     "Eq.rf": ("concentration", "concentration.empirical_tail", _run_union_bound),
     "Eq.rf1": ("concentration", "concentration.bernstein_tail_check", _run_bernstein),
     "Eq.J": _sweep_row("concentration", "per-trial-exponential-dominance",
-                       _deviation_draw, conc.exp_trace_dominance, (0.5, 2.0)),
+                       _deviation_draw, conc.exp_trace_dominance, (0.5, 2.0),
+                       entries=lambda n, c: 4 * n * n),
     "Eq.GTE": ("concentration", "concentration.aw_mgf_lemma_check", _run_mgf_lemma),
     "Eq.4.29": _sweep_row("concentration", "trace-product-dominance",
                           _trace_product_draw, conc.trace_product_dominance),
@@ -742,14 +803,16 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
                Residual("recursion-non-increasing", _series_draw(
                    lambda rng, count: rng.choice((0.5, 1.0, 2.0), size=count)),
                    _recursion_residual, _series_shapes(8),
-                   lambda trials: min(20, max(trials // 100, 5)), (1,))),
+                   lambda trials: min(20, max(trials // 100, 5)), (1,),
+                   _series_entries)),
     "Eq.DD1": _sweep_row("concentration", "mgf-factor-bound", _mgf_factor_draw,
                          conc.mgf_factor_check, size=partial(min, 300)),
     "Eq.RUvsOB": _sweep_row(
         "concentration", "series-vs-direct-bound", _series_draw(
             lambda rng, count: rng.choice((0.5, 2.0), size=count)),
         conc.oliveira_vs_aw, _series_shapes(6),
-        size=lambda trials: min(max(trials, 200), 1000), dims=(1,)),
+        size=lambda trials: min(max(trials, 200), 1000), dims=(1,),
+        entries=_series_entries),
     "Eq.R": ("studies", "studies.pauli_ratio_mc", _run_ratio_mc),
     "Eq.R.quadrature": ("studies", "studies.pauli_ratio_quadrature",
                         _run_ratio_quadrature),

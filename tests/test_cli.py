@@ -11,11 +11,13 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gtlab
 from gtlab import cli, linalg, pauli, samplers, studies, suites
@@ -1214,6 +1216,20 @@ BLOCKED_SITES = {
     "sweep-n48": (60, 2 * 48 ** 2, lambda mp, trials: suites._run_gt(
         suites.SuiteParams(seed=1, trials=trials, dims=(48,)),
         _tag_stream(1, "Eq.1"), "Eq.1")),
+    "Eq.rf1": (5000, 16 * 2, lambda mp, trials: conc.bernstein_tail_check(
+        trials, _tag_stream(1, "Eq.rf1"))),
+    "Eq.GTE-mu+1": (20000, 4 * 2, lambda mp, trials: conc.aw_mgf_lemma_check(
+        1.0, trials, _tag_stream(1, "Eq.GTE").child(0))),
+    "Eq.GTE-mu-1": (20000, 4 * 2, lambda mp, trials: conc.aw_mgf_lemma_check(
+        -1.0, trials, _tag_stream(1, "Eq.GTE").child(1))),
+    # a 4n x n block per instance, two groups (one per exponent) of two or
+    # more blocks each
+    "Eq.J-n2": (10000, 4 * 2 * 2, lambda mp, trials: suites.REGISTRY["Eq.J"][2](
+        suites.SuiteParams(seed=1, trials=trials, dims=(2,)),
+        _tag_stream(1, "Eq.J"), "Eq.J")),
+    "Eq.J-n4": (3000, 4 * 4 * 4, lambda mp, trials: suites.REGISTRY["Eq.J"][2](
+        suites.SuiteParams(seed=1, trials=trials, dims=(4,)),
+        _tag_stream(1, "Eq.J"), "Eq.J")),
 }
 
 
@@ -1246,6 +1262,88 @@ class TestBlockRule:
         # every instance is drawn once, and no array exceeds a block
         assert sum(sizes) == trials * entries
         assert max(sizes) <= samplers.BLOCK_ENTRIES
+
+
+class TestMemoryIsBoundedByTheBlock:
+    """A runner's peak traced memory at ten times the trials stays within
+    1.25x of its peak at ``T``: it reduces block by block and keeps no
+    result per instance.  ``T`` spans two or more blocks."""
+
+    #: ``runner -> (T, run(trials))``; Eq.SP's row is capped at 300
+    #: instances, so its runner is taken without the cap.
+    RUNS = {
+        "Sweep-Eq.4.29": (8192, lambda trials: suites.REGISTRY["Eq.4.29"][2](
+            suites.SuiteParams(seed=1, trials=trials, dims=(4,)),
+            _tag_stream(1, "Eq.4.29"), "Eq.4.29")),
+        "Residual-Eq.SP": (32768, lambda trials: dataclasses.replace(
+            suites.REGISTRY["Eq.SP"][2], size=None)(
+            suites.SuiteParams(seed=1, trials=trials, dims=(2,)),
+            _tag_stream(1, "Eq.SP"), "Eq.SP")),
+        "Eq.S": (4096, lambda trials: suites._run_covariance_identity(
+            suites.SuiteParams(seed=1, trials=trials), _tag_stream(1, "Eq.S"),
+            "Eq.S")),
+        "Eq.rf1": (4096, lambda trials: conc.bernstein_tail_check(
+            trials, _tag_stream(1, "Eq.rf1"))),
+        "Eq.GTE": (16384, lambda trials: conc.aw_mgf_lemma_check(
+            1.0, trials, _tag_stream(1, "Eq.GTE").child(0))),
+    }
+
+    @staticmethod
+    def peak(run, trials) -> int:
+        tracemalloc.start()
+        try:
+            run(trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("runner", RUNS)
+    def test_peak_does_not_grow_with_the_trials(self, runner):
+        trials, run = self.RUNS[runner]
+        assert self.peak(run, 10 * trials) <= 1.25 * self.peak(run, trials)
+
+
+class TestWorstInstance:
+    """A sweep's running worst instance is the one ``np.argmin`` (a gap
+    case) or ``np.argmax`` (a residual case) picks over the concatenated
+    scores of every stack, whatever the split into stacks, with ties and
+    NaN scores."""
+
+    MARGINS = (0.0, -0.0, 1.0, -1.0, 2.5, math.nan)
+    SCORES = st.lists(st.sampled_from((*MARGINS, math.inf, -math.inf)),
+                      min_size=1, max_size=40)
+
+    @staticmethod
+    def cuts(data, size):
+        """Random positions that cut ``size`` values into non-empty stacks."""
+        return sorted(data.draw(st.sets(st.integers(1, size - 1)))) \
+            if size > 1 else []
+
+    @given(SCORES, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_running_pick_matches_the_concatenation(self, scores, data):
+        cuts = self.cuts(data, len(scores))
+        for pick in (np.argmin, np.argmax):
+            worst = suites._Worst(pick)
+            for block, index in zip(np.split(np.array(scores), cuts),
+                                    np.split(np.arange(len(scores)), cuts)):
+                worst.add(block, index)
+            assert worst.sides == (pick(np.array(scores)),)
+            assert worst.instances == len(scores)
+
+    @given(st.lists(st.sampled_from(MARGINS), min_size=1, max_size=40),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_case_matches_one_report(self, margins, data):
+        # rhs = lhs + margin: a NaN margin is a NaN right side
+        lhs = np.arange(len(margins), dtype=np.float64)
+        rhs = lhs + np.array(margins)
+        cuts = self.cuts(data, len(margins))
+        whole = suites._worst_case("w", "T", [GapReport.from_sides(lhs, rhs)])
+        split = suites._worst_case("w", "T", (
+            GapReport.from_sides(a, b)
+            for a, b in zip(np.split(lhs, cuts), np.split(rhs, cuts))))
+        assert repr(split) == repr(whole)
 
 
 class TestPauliProductTerms:
@@ -1602,6 +1700,8 @@ class TestSignSeriesRunners:
         worst_case = suites._worst_case
 
         def recording(name, tag, reports, *args, **kwargs):
+            # a sweep hands its reports over one at a time
+            reports = list(reports)
             sides[name] = [(float(lhs), float(rhs)) for r in reports
                            for lhs, rhs in zip(np.ravel(r.lhs),
                                                np.ravel(r.rhs))]

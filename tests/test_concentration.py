@@ -158,12 +158,14 @@ class TestBernsteinStep:
 
     def test_sides_recomputed_under_the_exact_rule(self, stream):
         # the frequency of lambda_max > eps and the mean of
-        # e^(-c eps) Tr e^(c (Sigma - I)) over the draws of stream.child(0),
-        # recomputed with eigvalsh, judged with an exact inequality's
-        # rounding tolerance
-        trials, c, eps = 2000, 6.0, 1.0
+        # e^(-c eps) Tr e^(c (Sigma - I)) over the draws of the blocks of
+        # stream.child(0), three at these trials, recomputed with eigvalsh,
+        # judged with an exact inequality's rounding tolerance
+        trials, c, eps = 5000, 6.0, 1.0
         report = conc.bernstein_tail_check(trials, stream)
-        X = standard_complex(stream.child(0).generator(), (trials, 16, 2))
+        X = np.concatenate([
+            standard_complex(rng, (count, 16, 2))
+            for _, count, rng in stream.child(0).blocks(trials, 16 * 2)])
         w = np.linalg.eigvalsh(conc.covariance(X) - np.eye(2))
         assert report.lhs == (w[:, -1] > eps).mean()
         assert report.rhs == pytest.approx(
@@ -188,6 +190,36 @@ class TestMgfLemma:
     @pytest.mark.parametrize("mu", [1.0, -1.0])
     def test_small_instance_passes(self, mu, stream):
         assert conc.aw_mgf_lemma_check(mu, 20000, stream).passed
+
+    @pytest.mark.parametrize("mu", [1.0, -1.0])
+    def test_blocked_sides_match_the_whole_draw(self, mu, stream):
+        # three blocks of 8192 draws whose edges fall inside the ten
+        # batches of the 80004 rows (four of 8001 rows, six of 8000); the
+        # sides and the tolerance recomputed from the concatenated draw
+        trials, n, k = 20001, 4, 2
+        report = conc.aw_mgf_lemma_check(mu, trials, stream)
+        X = np.concatenate([standard_complex(rng, (count, n, k))
+                            for _, count, rng in stream.blocks(trials, n * k)])
+        samples = np.exp(mu * np.linalg.eigvalsh(
+            conc.covariance(X) - np.eye(k))).sum(axis=1)
+        lhs_se = samples.std(ddof=1) / math.sqrt(trials)
+        rows = X.reshape(trials * n, k)
+        weights = conc._rank_one_weights(rows, mu, n)
+
+        def factor_norm(part, cp):
+            mean = conc._factor_mean(part.conj().T @ (cp[:, None] * part),
+                                     len(part), mu, n)
+            return np.linalg.norm(mean, ord=2)
+
+        norm = factor_norm(rows, weights)
+        batches = [factor_norm(part, cp) for part, cp in zip(
+            np.array_split(rows, 10), np.array_split(weights, 10))]
+        rhs = k * norm ** n
+        rhs_se = k * n * norm ** (n - 1) * np.std(batches, ddof=1) / math.sqrt(10)
+        assert report.lhs == pytest.approx(samples.mean(), rel=1e-12)
+        assert report.rhs == pytest.approx(rhs, rel=1e-12)
+        assert report.tol == pytest.approx(
+            2.0 * math.sqrt(lhs_se ** 2 + rhs_se ** 2), rel=1e-9)
 
 
 class TestClosedFormKernels:
@@ -236,9 +268,13 @@ class TestClosedFormKernels:
         S = np.einsum('ri,rj->rij', rows.conj(), rows) / n
         S[:, np.arange(k), np.arange(k)] -= 1.0 / n
         factors = linalg.herm_fn(S, lambda w: np.exp(mu * w))
-        means = conc._rank_one_factor_means(rows, mu, n, 10)
-        for mean, part in zip(means, np.array_split(factors, 10)):
-            ref = part.mean(axis=0)
+        weights = conc._rank_one_weights(rows, mu, n)
+        for part, cp, ref_part in zip(np.array_split(rows, 10),
+                                      np.array_split(weights, 10),
+                                      np.array_split(factors, 10)):
+            mean = conc._factor_mean(
+                part.conj().T @ (cp[:, None] * part), len(part), mu, n)
+            ref = ref_part.mean(axis=0)
             assert np.linalg.norm(mean - ref, ord=2) \
                 <= 1e-13 * np.linalg.norm(ref, ord=2)
 

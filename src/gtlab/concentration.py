@@ -15,11 +15,11 @@ Monte Carlo experiments draw their trials in the blocks of
 the stream they are given (the Gaussian sign series draws its chunks from
 one generator), in a fixed, documented order, so results are reproducible
 and independent of scheduling.  Each reduces block by block (counts, sums
-and :func:`~gtlab.reports.merge_moments`), so its memory is one block's
-whatever the trial count; only the sign series keeps one float per draw.  A tail experiment is one
-attempt on the stream it is given: one sample of ``N x k`` Gaussian
-blocks, whose deviation spectra are counted against each of its
-thresholds, each count decided by
+and :func:`~gtlab.reports.merge_moments`, whose means and standard errors
+:func:`~gtlab.reports.mean_and_se` reads), so its memory is one block's
+whatever the trial count.  A tail experiment is one attempt on the stream
+it is given: one sample of ``N x k`` Gaussian blocks, whose deviation
+spectra are counted against each of its thresholds, each count decided by
 :meth:`~gtlab.reports.TailReport.from_counts`; whether a straddling
 interval reruns is the caller's policy.  The Chebyshev step and the
 moment-generating-function lemma each run on one fixed block shape.  The
@@ -49,7 +49,7 @@ import numpy as np
 
 from .linalg import (adjoint, hermitian_args, hermitize, require_hermitian,
                      trace_of_product)
-from .reports import GapReport, TailReport, merge_moments
+from .reports import GapReport, TailReport, mean_and_se, merge_moments
 from .samplers import RngStream, block_instances, standard_complex
 
 __all__ = [
@@ -253,7 +253,7 @@ def aw_mgf_lemma_check(mu: float, trials: int,
     moments = (0, 0.0, 0.0)
     for start, count, rng in stream.blocks(trials, n * k):
         X, w = _deviation_draw(rng, count, n, k)
-        moments = merge_moments(moments, np.exp(mu * w).sum(axis=1))
+        moments = merge_moments(moments, [np.exp(mu * w).sum(axis=1)])
         rows = X.reshape(count * n, k)
         weighted = _rank_one_weights(rows, mu, n)[:, None] * rows
         first = start * n
@@ -262,16 +262,14 @@ def aw_mgf_lemma_check(mu: float, trials: int,
             hi = min(edges[j + 1] - first, len(rows))
             if lo < hi:
                 sums[j] += adjoint(rows[lo:hi]) @ weighted[lo:hi]
-    _, lhs_mean, lhs_m2 = moments
-    lhs = float(lhs_mean)
-    lhs_se = math.sqrt(lhs_m2 / (trials - 1)) / math.sqrt(trials)
+    (lhs,), (lhs_se,) = mean_and_se(moments)
 
     batch_norms = [
-        float(np.linalg.norm(_factor_mean(s, hi - lo, mu, n), ord=2))
+        np.linalg.norm(_factor_mean(s, hi - lo, mu, n), ord=2)
         for s, lo, hi in zip(sums, edges, edges[1:])]
+    _, (factor_se,) = mean_and_se(merge_moments((0, 0.0, 0.0), [batch_norms]))
     mean = _factor_mean(sums.sum(axis=0), rows_total, mu, n)
     factor_norm = float(np.linalg.norm(mean, ord=2))
-    factor_se = float(np.std(batch_norms, ddof=1) / math.sqrt(len(batch_norms)))
     rhs = k * factor_norm ** n
     rhs_se = k * n * factor_norm ** (n - 1) * factor_se
     tol = 2.0 * math.sqrt(lhs_se ** 2 + rhs_se ** 2) + 1e-12 * max(1.0, lhs, rhs)
@@ -333,20 +331,16 @@ def oliveira_mgf_montecarlo(terms, stream: RngStream,
     draws on ``stream``, and the tolerance is two standard errors (plus
     rounding slack)."""
     terms = _checked_terms(terms)
-    if trials < 1:
-        raise ValueError("trials must be positive")
     rng = stream.generator()
-    samples = np.empty(trials)
+    moments = (0, 0.0, 0.0)
     # a sign row or one Z per instance; as one generator draws the chunks
     # in turn, the chunk bounds memory and fixes no sign
     chunk = block_instances(max(terms.shape[0], terms[0].size))
     for start in range(0, trials, chunk):
-        count = min(chunk, trials - start)
-        signs = rng.standard_normal((count, terms.shape[0]))
+        signs = rng.standard_normal((min(chunk, trials - start), terms.shape[0]))
         w = np.linalg.eigvalsh(np.einsum('sp,pij->sij', signs, terms))
-        samples[start:start + count] = np.exp(w).sum(axis=1)
-    lhs = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(trials))
+        moments = merge_moments(moments, [np.exp(w).sum(axis=1)])
+    (lhs,), (se,) = mean_and_se(moments)
     rhs = series_rhs(terms, 1.0)
     tol = 2.0 * se + 1e-12 * max(1.0, lhs, rhs)
     return GapReport.from_sides(lhs, rhs, tol=tol)

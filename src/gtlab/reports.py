@@ -8,7 +8,8 @@ fields are arrays with one entry per instance.  Monte
 Carlo tail comparisons produce :class:`TailReport`, whose one verdict rule
 (:meth:`TailReport.from_counts`) turns an exact binomial interval into a
 pass/fail/indeterminate status, and ensemble-average experiments a
-:class:`RatioEstimate`.
+:class:`RatioEstimate`.  Every Monte Carlo mean is reduced by
+:func:`merge_moments` and its standard error read by :func:`mean_and_se`.
 """
 
 from __future__ import annotations
@@ -106,10 +107,12 @@ class RatioEstimate:
     extras: dict[str, Any]
 
     @classmethod
-    def from_moments(cls, num_mean, num_se, den_mean, den_se, cov,
-                     extras: dict) -> "RatioEstimate":
-        """Build the estimate from means, standard errors and the covariance
-        of the two mean estimators (not of the per-trial values)."""
+    def from_moments(cls, moments, extras: dict) -> "RatioEstimate":
+        """Build the estimate from the moments of the samples ``(numerator,
+        denominator)`` (:func:`merge_moments`)."""
+        count, _, comoment = moments
+        (num_mean, den_mean), (num_se, den_se) = mean_and_se(moments)
+        cov = comoment[0, 1] / ((count - 1) * count)
         ratio = num_mean / den_mean
         var = (num_se / den_mean) ** 2 \
             + (num_mean * den_se / den_mean**2) ** 2 \
@@ -121,21 +124,34 @@ class RatioEstimate:
 
 
 def merge_moments(moments, block):
-    """The moments ``(count, mean, m2)`` of the samples seen so far, taken
-    over axis 0 (``m2`` the sum of ``|x - mean|^2``), merged with those of
-    the samples ``block`` by Chan's pairwise update; ``(0, 0.0, 0.0)``
-    before the first block.  One block gives numpy's ``mean`` and the sum
-    behind its ``std`` bit for bit: the sample variance is
-    ``m2 / (count - 1)``."""
-    count, mean, m2 = moments
-    size = len(block)
-    block_mean = block.mean(axis=0)
-    dev = block - block_mean
-    block_m2 = (dev.real ** 2 + dev.imag ** 2).sum(axis=0)
+    """The moments ``(count, mean, comoment)`` of the samples seen so far
+    merged with those of ``block`` by Chan, Golub and LeVeque's pairwise
+    update; ``(0, 0.0, 0.0)`` before the first block.  ``block`` holds
+    ``p`` components of the same samples, one row each (a ``(p, size)``
+    array or ``p`` arrays of ``size`` values); ``comoment`` is the ``p x
+    p`` sum of ``(x - mean_x) conj(y - mean_y)`` that ``np.cov`` divides by
+    ``count - 1``."""
+    count, mean, comoment = moments
+    # one floating copy of the block, centred in place
+    dev = np.array(block, dtype=np.result_type(np.asarray(block[0]), 1.0))
+    size = dev.shape[-1]
+    block_mean = dev.mean(axis=-1)
+    dev -= block_mean[:, None]
     total = count + size
     delta = block_mean - mean
-    spread = (delta.real ** 2 + delta.imag ** 2) * (count * size / total)
-    return total, mean + delta * (size / total), m2 + block_m2 + spread
+    spread = np.outer(delta, delta.conj()) * (count * size / total)
+    return (total, mean + delta * (size / total),
+            comoment + dev @ dev.conj().T + spread)
+
+
+def mean_and_se(moments):
+    """The means of the components merged into ``moments`` and the
+    standard errors of those means, the variance divided by ``count - 1``;
+    fewer than two samples raise."""
+    count, mean, comoment = moments
+    if count < 2:
+        raise ValueError("a standard error needs at least two trials")
+    return mean, np.sqrt(np.diagonal(comoment).real / ((count - 1) * count))
 
 
 def binomial_ci(successes: int, trials: int) -> tuple[float, float]:

@@ -19,9 +19,8 @@ its draw actually takes (``n^2`` for one ``n x n`` matrix, ``N k`` for one
 ``N x k`` Gaussian block, ``m d^2`` for a series of ``m`` terms of
 ``d x d``; a complex entry counts once).  Every runner reduces block by
 block, keeping counts, sums, moments or its worst instance so far rather
-than every instance, so memory is bounded whatever the trial count (but
-for the one float per draw that Eq.OB's Monte Carlo case keeps), and the
-rule is part of the draw order.
+than every instance, so memory is bounded whatever the trial count, and
+the rule is part of the draw order.
 
 Ensemble conventions: ``ginibre`` draws independent entries with unit
 complex variance (real and imaginary parts each N(0, 1/2), drawn

@@ -30,7 +30,7 @@ import numpy as np
 from . import inequalities as ineq
 from . import pauli
 from .linalg import gauss_legendre, pin_blas_to_one_thread
-from .reports import GapReport, RatioEstimate
+from .reports import GapReport, RatioEstimate, mean_and_se, merge_moments
 from .samplers import RngStream, ginibre
 
 __all__ = [
@@ -101,9 +101,7 @@ def pauli_ratio_mc(trials: int, stream: RngStream) -> RatioEstimate:
     pairs whose 2x2 reduction fails, judged on the averaged sides, which are
     those of :func:`~gtlab.inequalities.pauli_reduce_gap`.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    sums = np.zeros(7)  # num, num^2, den, den^2, num*den, cross, cross^2
+    ratio = cross_moments = (0, 0.0, 0.0)
     violations = 0
     matrix_disc = 0.0
     for done, count, rng in stream.blocks(trials, 3):
@@ -113,30 +111,21 @@ def pauli_ratio_mc(trials: int, stream: RngStream) -> RatioEstimate:
         den = 0.5 * pauli.trace_exp_sum(a, b)
         report = GapReport.from_sides(den, num + cross)
         violations += int(np.count_nonzero(~report.passed))
-        sums += [num.sum(), (num ** 2).sum(), den.sum(), (den ** 2).sum(),
-                 (num * den).sum(), cross.sum(), (cross ** 2).sum()]
+        ratio = merge_moments(ratio, (num, den))
+        cross_moments = merge_moments(cross_moments, (cross,))
         if done < MATRIX_CHECK:
             take = min(MATRIX_CHECK - done, count)
             matrix_disc = max(matrix_disc, ineq.pauli_route_discrepancy(
                 a[:take], b[:take], den[:take], report.rhs[:take]))
-    t = float(trials)
-    num_mean = sums[0] / t
-    den_mean = sums[2] / t
-    num_var = max(sums[1] / t - num_mean ** 2, 0.0)
-    den_var = max(sums[3] / t - den_mean ** 2, 0.0)
-    cov = (sums[4] / t - num_mean * den_mean) / t
-    cross_mean = sums[5] / t
-    cross_var = max(sums[6] / t - cross_mean ** 2, 0.0)
+    (cross_mean,), (cross_se,) = mean_and_se(cross_moments)
     extras = {
         "cross_term_mean": cross_mean,
-        "cross_term_se": math.sqrt(cross_var / t),
+        "cross_term_se": cross_se,
         "trialwise_violations": violations,
         "matrix_route_max_discrepancy": matrix_disc,
         "matrix_route_trials": min(MATRIX_CHECK, trials),
     }
-    return RatioEstimate.from_moments(num_mean, math.sqrt(num_var / t),
-                                      den_mean, math.sqrt(den_var / t),
-                                      cov, extras=extras)
+    return RatioEstimate.from_moments(ratio, extras=extras)
 
 
 def _worker_count(trials: int) -> int:
@@ -189,12 +178,5 @@ def hermitization_ratio(n: int, trials: int, stream: RngStream) -> RatioEstimate
                 workers, initializer=pin_blas_to_one_thread) as pool:
             results = pool.map(_hermitization_trial, tasks,
                                chunksize=math.ceil(trials / (4 * workers)))
-    num = np.array([r[0] for r in results])
-    den = np.array([r[1] for r in results])
-    t = float(trials)
-    num_mean, den_mean = float(num.mean()), float(den.mean())
-    num_se = float(num.std(ddof=1) / math.sqrt(t))
-    den_se = float(den.std(ddof=1) / math.sqrt(t))
-    cov = float(((num - num_mean) * (den - den_mean)).sum() / (t - 1) / t)
-    return RatioEstimate.from_moments(num_mean, num_se, den_mean, den_se,
-                                      cov, extras={"dim": n})
+    moments = merge_moments((0, 0.0, 0.0), np.transpose(results))
+    return RatioEstimate.from_moments(moments, extras={"dim": n})

@@ -30,7 +30,8 @@ check (an order ``s``, ``k`` or ``p``, a pair ``(r, s)``, a word length).
 Instances sharing a (dimension, parameter) group are drawn and checked
 together, one stack per block of :mod:`~gtlab.samplers`'s block rule at
 the entries one instance of the row's draw takes (``n^2`` for an ``n x n``
-matrix, ``4 n^2`` for Eq.J's ``4n x n`` blocks, ``m d^2`` for a series of
+matrix, ``4 n^2`` for Eq.J's ``4n x n`` blocks, ``n^2 + 2 half`` for
+Lemma.2's matrix and word, 3 for Eq.AB's vector, ``m d^2`` for a series of
 shape ``(m, d)``); each (group, block) stack comes from one
 generator, the ``b``-th in group-then-block order from child ``b`` of the
 tag's path.  Every runner reduces its stacks one at a time, keeping the
@@ -65,7 +66,7 @@ from . import pauli, samplers, studies
 from .linalg import (expm_herm, frobenius_norm, hermitize, operator_norm,
                      singular_values, lie_trotter_product, distance_delta2,
                      trace_of_product)
-from .reports import REL_TOL, GapReport, TailReport, merge_moments
+from .reports import REL_TOL, GapReport, TailReport, mean_and_se, merge_moments
 from .samplers import RngStream, ginibre, gue, standard_complex
 
 __all__ = [
@@ -558,11 +559,11 @@ def _run_covariance_identity(params, stream, tag):
     trials = max(params.trials, 2000)
     moments = (0, 0.0, 0.0)
     for _, count, rng in stream.blocks(trials, n * k):
-        moments = merge_moments(moments, conc.covariance(
-            standard_complex(rng, (count, n, k))))
-    _, mean, m2 = moments
-    se = np.sqrt(m2 / (trials - 1)) / math.sqrt(trials)
-    dev_units = float((np.abs(mean - np.eye(k)) / np.maximum(se, 1e-30)).max())
+        sigma = conc.covariance(standard_complex(rng, (count, n, k)))
+        moments = merge_moments(moments, sigma.reshape(count, k * k).T)
+    mean, se = mean_and_se(moments)
+    dev_units = float((np.abs(mean - np.eye(k).ravel())
+                       / np.maximum(se, 1e-30)).max())
     return [_case("covariance-mean", tag, dev_units, 4.0, 4.0 - dev_units,
                   exact_residual <= 1e-12 and dev_units <= 4.0, trials,
                   extra={"constructed_identity_residual": exact_residual})]
@@ -730,7 +731,8 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
     "Eq.AB": ("inequalities", "pauli.squared_norm_identity_residual", Residual(
         "pauli-parametrization", lambda rng, n, count, c: (
             rng.standard_normal((count, 3)),),
-        lambda a: (pauli.squared_norm_identity_residual(a), 1e-12), dims=(1,))),
+        lambda a: (pauli.squared_norm_identity_residual(a), 1e-12), dims=(1,),
+        entries=lambda n, c: 3)),
     "Eq.1": ("inequalities", "inequalities.gt_gap", _run_gt),
     "Eq.1a": ("inequalities", "inequalities.pauli_reduce_gap", _run_pauli_reduce),
     "Eq.1aA": ("inequalities", "inequalities.pauli_law_gap", None),
@@ -739,7 +741,8 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
     "Lemma.1": _sweep_row("inequalities", "cauchy-trace", _draw(ginibre, 2),
                           ineq.cauchy_trace_gap),
     "Lemma.2": _sweep_row("inequalities", "word-trace", _word_draw,
-                          ineq.word_trace_bound, (1, 2, 3, 4)),
+                          ineq.word_trace_bound, (1, 2, 3, 4),
+                          entries=lambda n, half: n * n + 2 * half),
     "Lemma.3": _sweep_row("inequalities", "dyadic-power", _draw(gue, 2),
                           ineq.dyadic_power_gap, (1, 2, 3)),
     "Eq.2.6": _sweep_row("inequalities", "weyl-dominance", _weyl_draw,

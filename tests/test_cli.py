@@ -1195,6 +1195,14 @@ def _spend_budget(monkeypatch, scan):
 #: ``site -> (trials, entries drawn per instance, run(monkeypatch, trials))``
 #: at a trial count that needs two or more blocks.
 BLOCKED_SITES = {
+    "Eq.AB": (30000, 3, lambda mp, trials: suites.REGISTRY["Eq.AB"][2](
+        suites.SuiteParams(seed=1, trials=trials), _tag_stream(1, "Eq.AB"),
+        "Eq.AB")),
+    # a 2x2 Ginibre matrix and a word of 2, 4, 6 or 8 letters per instance,
+    # 9 entries on average; the 8-letter group needs two blocks
+    "Lemma.2": (40000, 9, lambda mp, trials: suites.REGISTRY["Lemma.2"][2](
+        suites.SuiteParams(seed=1, trials=trials, dims=(2,)),
+        _tag_stream(1, "Lemma.2"), "Lemma.2")),
     "Eq.1a": (50000, 6, lambda mp, trials: suites._run_pauli_reduce(
         suites.SuiteParams(seed=1, trials=trials), _tag_stream(1, "Eq.1a"),
         "Eq.1a")),
@@ -1286,6 +1294,10 @@ class TestMemoryIsBoundedByTheBlock:
             trials, _tag_stream(1, "Eq.rf1"))),
         "Eq.GTE": (16384, lambda trials: conc.aw_mgf_lemma_check(
             1.0, trials, _tag_stream(1, "Eq.GTE").child(0))),
+        # four 2x2 terms: 16384 sign draws per chunk
+        "Eq.OB": (32768, lambda trials: conc.oliveira_mgf_montecarlo(
+            gue(RngStream(1).generator(), 2, 4), _tag_stream(1, "Eq.OB"),
+            trials)),
     }
 
     @staticmethod

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy.stats import binom
 
 from gtlab import concentration as conc
 from gtlab import linalg, pauli
-from gtlab.reports import TailReport, binomial_ci, inequality_tol
+from gtlab.reports import (RatioEstimate, TailReport, binomial_ci,
+                           inequality_tol, mean_and_se, merge_moments)
 from gtlab.samplers import RngStream, standard_complex
 from conftest import assert_stack_matches_single, gue
 
@@ -302,6 +304,13 @@ class TestSignSeries:
         terms = 0.7 * np.stack([gue(rng, 3) for _ in range(5)])
         report = conc.oliveira_mgf_montecarlo(terms, stream, 20000)
         assert report.passed
+
+    def test_one_draw_has_no_standard_error(self, stream, rng):
+        terms = np.stack([gue(rng, 2) for _ in range(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least two trials"):
+                conc.oliveira_mgf_montecarlo(terms, stream, 1)
 
     def test_random_enumerated_sweep(self, rng):
         for _ in range(30):
@@ -605,3 +614,85 @@ class TestTailVerdict:
             == (0.03, 1000, 0.01)
         assert (report.ci_low, report.ci_high) == binomial_ci(30, 1000)
         assert report.extras == {"a": 1.0}
+
+
+def _merged(sample, cuts):
+    """The moments of the rows of ``sample`` (a ``(count, p)`` array),
+    merged block by block over the blocks that ``cuts`` splits it into,
+    each block given as its ``p`` columns."""
+    moments = (0, 0.0, 0.0)
+    for block in np.split(sample, cuts):
+        moments = merge_moments(moments, block.T)
+    return moments
+
+
+class TestMergeMoments:
+    """Chan's pairwise update over any split of a sample gives the means,
+    the ``n - 1`` variances and the covariances of the whole sample."""
+
+    @staticmethod
+    def sample(seed, count, p):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-3, 3, p) + rng.uniform(0.5, 2, p) \
+            * rng.standard_normal((count, p))
+
+    @staticmethod
+    def assert_matches_whole(moments, sample):
+        count, mean, comoment = moments
+        cov = np.cov(sample.T, ddof=1).reshape(mean.size, mean.size)
+        scale = np.sqrt(np.outer(np.diagonal(cov), np.diagonal(cov)))
+        assert count == len(sample)
+        np.testing.assert_allclose(mean, sample.mean(axis=0), rtol=1e-12,
+                                   atol=1e-12 * np.abs(sample).max())
+        np.testing.assert_allclose(comoment / (count - 1), cov, rtol=1e-12,
+                                   atol=1e-12 * scale.max())
+        m, se = mean_and_se(moments)
+        np.testing.assert_allclose(se, np.sqrt(sample.var(axis=0, ddof=1)
+                                               / count), rtol=1e-12)
+        assert np.array_equal(m, mean)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60),
+           st.integers(1, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_splits_match_the_whole_sample(self, seed, count, p, data):
+        sample = self.sample(seed, count, p)
+        cuts = sorted(data.draw(st.sets(st.integers(1, count - 1))))
+        self.assert_matches_whole(_merged(sample, cuts), sample)
+
+    def test_blocks_of_one_sample(self):
+        sample = self.sample(7, 50, 3)
+        self.assert_matches_whole(_merged(sample, range(1, 50)), sample)
+
+    def test_complex_components(self):
+        # Eq.S's components are complex: the co-moment is np.cov's
+        # Hermitian one, its diagonal the sums of |x - mean|^2
+        rng = np.random.default_rng(3)
+        sample = standard_complex(rng, (40, 2)) + 1.0
+        count, mean, comoment = _merged(sample, [7, 8, 30])
+        np.testing.assert_allclose(mean, sample.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(comoment / (count - 1), np.cov(sample.T),
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_fewer_than_two_samples_have_no_standard_error(self):
+        with pytest.raises(ValueError, match="at least two trials"):
+            mean_and_se(merge_moments((0, 0.0, 0.0), [[1.5]]))
+        with pytest.raises(ValueError, match="at least two trials"):
+            mean_and_se((0, 0.0, 0.0))
+
+
+class TestRatioFromMoments:
+    def test_matches_the_two_pass_delta_method(self):
+        rng = np.random.default_rng(11)
+        den = rng.exponential(size=5000) + 1.0
+        num = 1.3 * den + rng.standard_normal(5000)
+        est = RatioEstimate.from_moments(_merged(np.stack((num, den), axis=1),
+                                                 [1, 999, 2500, 2501]), {})
+        n = len(num)
+        (vn, c), (_, vd) = np.cov(num, den, ddof=1) / n
+        r = num.mean() / den.mean()
+        se = math.sqrt(vn / den.mean() ** 2 + r ** 2 * vd / den.mean() ** 2
+                       - 2.0 * r * c / den.mean() ** 2)
+        assert est.ratio == pytest.approx(r, rel=1e-12)
+        assert est.ratio_se == pytest.approx(se, rel=1e-10)
+        assert (est.ci_low, est.ci_high) == pytest.approx(
+            (r - 1.96 * se, r + 1.96 * se), rel=1e-12)

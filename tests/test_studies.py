@@ -63,6 +63,10 @@ class TestMonteCarloRatio:
         est = studies.pauli_ratio_mc(200000, stream)
         assert est.ci_low <= quad_ratio <= est.ci_high
 
+    def test_one_pair_has_no_standard_error(self, stream):
+        with pytest.raises(ValueError, match="at least two trials"):
+            studies.pauli_ratio_mc(1, stream)
+
     def test_deterministic(self, stream):
         a = studies.pauli_ratio_mc(20000, stream)
         b = studies.pauli_ratio_mc(20000, stream)

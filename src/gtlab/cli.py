@@ -34,7 +34,9 @@ Reports are deterministic for a fixed (config, seed): the timestamp field
 is populated from SOURCE_DATE_EPOCH when set and left null otherwise, so
 repeated runs are byte-identical; a malformed SOURCE_DATE_EPOCH is a
 config error, raised before any suite runs.  :func:`main`, not import,
-pins BLAS to one thread (:func:`~gtlab.linalg.pin_blas_to_one_thread`).
+pins BLAS to one thread (:func:`~gtlab.linalg.pin_blas_to_one_thread`)
+and sets glibc's heap thresholds (:func:`keep_block_memory_on_the_heap`);
+neither moves a report bit.
 A non-finite number (a side of a hunt that finds no witness) is written
 as null in JSON and as ``nan`` in CSV.
 """
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import io
 import json
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import pin_blas_to_one_thread
-from .samplers import DEFAULT_MASTER_SEED
+from .samplers import BLOCK_ENTRIES, DEFAULT_MASTER_SEED
 from .suites import (SUITE_NAMES, CaseRecord, RunnerError, SuiteParams,
                      run_suite)
 
@@ -246,6 +249,23 @@ def emit(report: dict, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def keep_block_memory_on_the_heap():
+    """Let freed block arrays be reused from the heap: below 4 blocks of
+    ``BLOCK_ENTRIES`` complex entries an array is not mapped on its own,
+    and the heap's top goes back to the kernel only above 8.  glibc's
+    dynamic thresholds would trim it after every block, and the next block
+    would fault in fresh zeroed pages.  Both are set, since either alone
+    switches the dynamic ones off.  Without ``mallopt`` it does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    block = BLOCK_ENTRIES * np.dtype(np.complex128).itemsize
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+    mallopt(-3, 4 * block)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 * block)  # M_TRIM_THRESHOLD
+
+
 def _write_output(payload: str, out: str | None):
     if out is None:
         sys.stdout.write(payload)
@@ -277,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
                        "when omitted)")
     args = parser.parse_args(argv)
     pin_blas_to_one_thread()
+    keep_block_memory_on_the_heap()
 
     try:
         try:

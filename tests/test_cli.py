@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import dataclasses
 import importlib
 import inspect
@@ -870,6 +871,77 @@ class TestBlasPin:
         assert done.stdout.split() \
             == [str(min(2, len(os.sched_getaffinity(0)))), "1"]
         assert reports[0] == reports[1]
+
+
+class FakeLibc:
+    """A C library whose ``mallopt`` records each ``(param, value)`` call and
+    returns ``answer`` (glibc returns 0 when it refuses a value)."""
+
+    def __init__(self, answer: int = 1):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return answer
+        self.mallopt = mallopt
+
+
+def fake_c_library(monkeypatch, library):
+    """``ctypes.CDLL(None)`` returns ``library``, or raises it when it is an
+    exception; every named library still loads."""
+    real = ctypes.CDLL
+
+    def cdll(name, *args, **kwargs):
+        if name is not None:
+            return real(name, *args, **kwargs)
+        if isinstance(library, Exception):
+            raise library
+        return library
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+
+
+class TestHeapPolicy:
+    TAIL = {"suites": ["concentration"], "trials": 5, "seed": 1}
+
+    def test_main_sets_both_thresholds_from_the_block(self, tmp_path,
+                                                       monkeypatch):
+        libc = FakeLibc()
+        fake_c_library(monkeypatch, libc)
+        code, _ = run_cli(tmp_path, self.TAIL, command="tail")
+        assert code == 0
+        # a block of complex128 entries is 1 MiB: M_MMAP_THRESHOLD (-3) at
+        # 4 blocks, M_TRIM_THRESHOLD (-1) at 8
+        block = samplers.BLOCK_ENTRIES * 16
+        assert libc.calls == [(-3, 4 * block), (-1, 8 * block)]
+        assert block == 2 ** 20
+
+    def test_import_sets_nothing(self, tmp_path):
+        # the same fake in a fresh interpreter, installed before the import;
+        # main on a missing config (exit 2) shows that the fake is seen
+        code = ("import ctypes, sys, types\n"
+                "calls, real = [], ctypes.CDLL\n"
+                "libc = types.SimpleNamespace(\n"
+                "    mallopt=lambda param, value: calls.append(param) or 1)\n"
+                "ctypes.CDLL = lambda name, *a, **k: "
+                "libc if name is None else real(name, *a, **k)\n"
+                "import gtlab.cli\n"
+                "print(len(calls))\n"
+                "assert gtlab.cli.main(['tail', '--config', sys.argv[1]]) == 2\n"
+                "print(len(calls))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "missing.json")],
+            env=subprocess_env(), capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["0", "2"]
+
+    @pytest.mark.parametrize("library", [
+        OSError("no C library"), types.SimpleNamespace(), FakeLibc(answer=0)],
+        ids=["no-library", "no-mallopt", "refused"])
+    def test_main_runs_without_the_policy(self, tmp_path, monkeypatch,
+                                          library):
+        expected = run_cli(tmp_path, self.TAIL, command="tail")
+        fake_c_library(monkeypatch, library)
+        assert run_cli(tmp_path, self.TAIL, command="tail") == expected
+        assert expected[0] == 0
 
 
 def operation_of(tag: str):

@@ -17,15 +17,15 @@ one generator), in a fixed, documented order, so results are reproducible
 and independent of scheduling.  Each reduces block by block (counts, sums
 and :func:`~gtlab.reports.merge_moments`, whose means and standard errors
 :func:`~gtlab.reports.mean_and_se` reads), so its memory is one block's
-whatever the trial count.  A tail experiment is one attempt on the stream
-it is given: one sample of ``N x k`` Gaussian blocks, whose deviation
-spectra are counted against each of its thresholds, each count decided by
-:meth:`~gtlab.reports.TailReport.from_counts`; whether a straddling
-interval reruns is the caller's policy.  The Chebyshev step and the
-moment-generating-function lemma each run on one fixed block shape.  The
-Chebyshev step holds draw by draw, so the means of its two sides over the
-same draws obey it exactly: it is judged with the rounding tolerance of
-an exact inequality at one fixed exponent ``c``, which sets only its slack.
+whatever the trial count.  A tail experiment is one sample of ``N x k``
+Gaussian blocks, whose deviation spectra are counted against each of its
+thresholds; :meth:`~gtlab.reports.TailReport.from_counts` judges each
+exact tail (:func:`exact_tail`) against its bound and the count against
+the exact tail.  The Chebyshev step and the moment-generating-function
+lemma each run on one fixed block shape.  The Chebyshev step holds draw
+by draw, so the means of its two sides over the same draws obey it
+exactly: it is judged with the rounding tolerance of an exact inequality
+at one fixed exponent ``c``, which sets only its slack.
 
 A sign series is given by its Hermitian terms: an array of shape
 ``(m, d, d)``, or ``(..., m, d, d)`` for a stack of series sharing a
@@ -55,7 +55,7 @@ from .samplers import RngStream, block_instances, standard_complex
 __all__ = [
     "covariance",
     "covariance_deviations", "gaussian_row_sigma2",
-    "aw_bound", "empirical_tail", "bernstein_tail_check",
+    "aw_bound", "exact_tail", "empirical_tail", "bernstein_tail_check",
     "aw_mgf_lemma_check", "oliveira_mgf_check",
     "oliveira_mgf_montecarlo", "oliveira_recursion_profile",
     "mgf_factor_check", "oliveira_vs_aw", "scalar_chernoff",
@@ -150,16 +150,66 @@ def aw_bound(k: int, eps: float, sigma2: float) -> float:
     return k * max(math.exp(-eps * eps / (4.0 * sigma2)), math.exp(-eps / 2.0))
 
 
+def _determinant(rows):
+    """The determinant of a positive semidefinite matrix given as rows, by
+    elimination without pivoting: a zero pivot of such a matrix leaves a
+    zero row in its Schur complement, hence a zero determinant."""
+    product = 1
+    while rows:
+        (pivot, *head), *rest = rows
+        product *= pivot
+        if not pivot:
+            break
+        rows = [[x - first / pivot * y for x, y in zip(row, head)]
+                for first, *row in rest]
+    return product
+
+
+def exact_tail(n: int, k: int, eps: float) -> float:
+    """``Pr(||Sigma - I||_op > eps)`` for ``Sigma = X†X/n`` of an ``n x k``
+    standard complex Gaussian block, exactly.
+
+    The eigenvalues of ``X†X`` form the Laguerre unitary ensemble, so by
+    Andreief's identity (Forrester, *Log-gases and Random Matrices*, 2010,
+    ch. 3) all lie in ``[a, b] = [max(n (1 - eps), 0), n (1 + eps)]`` with
+    probability ``det[int_a^b x^m e^(-x) dx] / det[m!]``, ``m = i+j+n-k``
+    over ``i, j < k``; each integral is ``Gamma(m+1, a) - Gamma(m+1, b)``.
+    Both run in 50-digit decimals, so a tail near 1e-8 keeps its digits
+    through ``1 - ratio``.
+    """
+    import decimal
+
+    with decimal.localcontext(prec=50):
+        zero, eps = decimal.Decimal(0), decimal.Decimal(eps)
+
+        def upper_gamma(x):
+            # Gamma(m + 1, x) = m Gamma(m, x) + x^m e^(-x), m = 0..n+k-2
+            term, value, values = (-x).exp(), zero, []
+            for m in range(n + k - 1):
+                value = m * value + term
+                values.append(value)
+                term *= x
+            return values
+
+        lower = upper_gamma(max(n * (1 - eps), zero))
+        upper, full = upper_gamma(n * (1 + eps)), upper_gamma(zero)
+        orders = [range(i + n - k, i + n) for i in range(k)]
+        inside = _determinant([[lower[m] - upper[m] for m in row]
+                               for row in orders])
+        return float(1 - inside / _determinant([[full[m] for m in row]
+                                                 for row in orders]))
+
+
 def empirical_tail(n: int, k: int, epsilons, trials: int,
                    stream: RngStream) -> list[TailReport]:
     """Monte Carlo frequencies of ``||Sigma - I||_op > eps`` for ``n x k``
     Gaussian blocks, one report per threshold of ``epsilons``, all read
-    from the same ``trials`` draws from ``stream``.  Each is judged against
-    the analytic tail bound at its threshold with the closed-form Gaussian
-    variance proxy by :meth:`TailReport.from_counts`; one-sided frequencies
-    and the rate of trials with a row outside the summand normalization
-    are reported alongside.  A report depends only on its own threshold,
-    so it has the bits of the one-threshold call on the same stream.
+    from the same ``trials`` draws from ``stream``.  Each judges its exact
+    tail against the analytic bound with the closed-form Gaussian variance
+    proxy, and its count against the exact tail; one-sided frequencies and
+    the rate of trials with a row outside the summand normalization are
+    reported alongside.  A report depends only on its own threshold, so it
+    has the bits of the one-threshold call on the same stream.
     """
     eps = np.array(epsilons, dtype=np.float64)
     two_sided = np.zeros(len(eps), dtype=np.int64)
@@ -175,7 +225,8 @@ def empirical_tail(n: int, k: int, epsilons, trials: int,
         assume += int((_row_norms_sq(X) > n + 1).any(axis=1).sum())
     sigma2 = gaussian_row_sigma2(n, k)
     return [TailReport.from_counts(
-        int(two_sided[j]), trials, aw_bound(k, e, sigma2),
+        int(two_sided[j]), trials, exact_tail(n, k, e),
+        aw_bound(k, e, sigma2),
         {"upper_tail": int(upper[j]) / trials, "lower_tail": int(lower[j]) / trials,
          "assumption_violation_rate": assume / trials, "sigma2": sigma2})
         for j, e in enumerate(epsilons)]
@@ -405,11 +456,12 @@ def oliveira_vs_aw(terms, mu) -> GapReport:
 # scalar baseline
 
 def scalar_chernoff(stream: RngStream, trials: int) -> TailReport:
-    """Monte Carlo tail ``Pr(S >= eps)`` at ``eps = 3`` over ``trials``
-    draws against ``max(e^(-eps^2/4), e^(-eps sigma/2))``, where ``S`` sums
-    ``N = 20`` symmetric two-point variables ``+-sqrt(sigma^2/N)``,
-    ``sigma^2 = 1``: each is mean zero and confined to [-1, 1], and ``S``
-    has variance ``sigma^2``.
+    """The tail ``Pr(S >= eps)`` at ``eps = 3`` against ``max(e^(-eps^2/4),
+    e^(-eps sigma/2))``, where ``S`` sums ``N = 20`` symmetric two-point
+    variables ``+-sqrt(sigma^2/N)``, ``sigma^2 = 1``: each is mean zero and
+    confined to [-1, 1], and ``S`` has variance ``sigma^2``.  The exact tail
+    sums ``C(N, j) / 2^N`` over the ``j`` positive signs whose event holds in
+    the sampler's float arithmetic (1351/2^20); ``trials`` draws count it.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -421,7 +473,9 @@ def scalar_chernoff(stream: RngStream, trials: int) -> TailReport:
     for _, count, rng in stream.blocks(trials, n):
         signs = 2.0 * rng.integers(0, 2, size=(count, n)) - 1.0
         exceed += int((scale * signs.sum(axis=1) >= eps).sum())
-    return TailReport.from_counts(exceed, trials, bound, extras={})
+    exact = sum(math.comb(n, j) for j in range(n + 1)
+                if scale * (2 * j - n) >= eps) / 2**n
+    return TailReport.from_counts(exceed, trials, exact, bound, extras={})
 
 
 # ---------------------------------------------------------------------------

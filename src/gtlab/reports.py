@@ -4,12 +4,13 @@ Each inequality evaluation produces a :class:`GapReport` carrying both
 sides, the signed margin ``rhs - lhs`` and a pass verdict, so that a
 violation is always attributable to a concrete numeric instance; a
 checker evaluated on a stack of instances returns one report whose
-fields are arrays with one entry per instance.  Monte
-Carlo tail comparisons produce :class:`TailReport`, whose one verdict rule
-(:meth:`TailReport.from_counts`) turns an exact binomial interval into a
-pass/fail/indeterminate status, and ensemble-average experiments a
-:class:`RatioEstimate`.  Every Monte Carlo mean is reduced by
-:func:`merge_moments` and its standard error read by :func:`mean_and_se`.
+fields are arrays with one entry per instance.  A tail whose probability
+is known exactly produces a :class:`TailReport`, whose one verdict rule
+(:meth:`TailReport.from_counts`) compares the exact tail with its bound
+and checks the Monte Carlo count of the same event against it, and an
+ensemble-average experiment a :class:`RatioEstimate`.  Every Monte Carlo
+mean is reduced by :func:`merge_moments` and its standard error read by
+:func:`mean_and_se`.
 """
 
 from __future__ import annotations
@@ -63,37 +64,45 @@ class GapReport:
                    tol=tol)
 
 
+#: The chance that a correct sampler's tail count leaves its band.
+TAIL_ALPHA = 1e-6
+
+
 @dataclass(frozen=True)
 class TailReport:
-    """Empirical tail probability against an analytic bound, with the
-    three-valued ``status`` of :meth:`from_counts`."""
+    """An exact tail probability against an analytic bound, and the Monte
+    Carlo count of the same event: the verdict of :meth:`from_counts`."""
 
-    empirical_tail: float
-    ci_low: float
-    ci_high: float
+    exact_tail: float
     bound_value: float
-    status: str
+    exceed: int
     trials: int
+    band: float
+    passed: bool
     extras: dict[str, Any]
 
+    @property
+    def empirical_tail(self) -> float:
+        return self.exceed / self.trials
+
     @classmethod
-    def from_counts(cls, exceed: int, trials: int, bound: float,
+    def from_counts(cls, exceed: int, trials: int, exact: float, bound: float,
                     extras: dict) -> "TailReport":
-        """Verdict on ``exceed`` exceedances in ``trials`` against ``bound``,
-        from the 95% Clopper-Pearson interval of the tail: ``"pass"`` when
-        the bound is vacuous (>= 1) or the interval lies at or below it,
-        ``"fail"`` when the interval lies above it, and ``"indeterminate"``
-        when it straddles the bound."""
-        ci_low, ci_high = binomial_ci(exceed, trials)
-        if bound >= 1.0 or ci_high <= bound:
-            status = "pass"
-        elif ci_low > bound:
-            status = "fail"
-        else:
-            status = "indeterminate"
-        return cls(empirical_tail=exceed / trials, ci_low=ci_low,
-                   ci_high=ci_high, bound_value=bound, status=status,
-                   trials=trials, extras=dict(extras))
+        """Pass when ``exact <= bound`` within :func:`inequality_tol` and the
+        ``exceed`` exceedances in ``trials`` draws lie within the band
+        ``|exceed - trials exact| <= L/3 + sqrt(L^2/9 + 2 L trials exact (1
+        - exact))``, ``L = ln(2/TAIL_ALPHA)``, which Bernstein's inequality
+        for a binomial count (Boucheron, Lugosi and Massart, *Concentration
+        Inequalities*, 2013, Thm 2.10) leaves with probability at most
+        :data:`TAIL_ALPHA`."""
+        log_term = math.log(2.0 / TAIL_ALPHA)
+        band = log_term / 3.0 + math.sqrt(
+            log_term**2 / 9.0 + 2.0 * log_term * trials * exact * (1.0 - exact))
+        passed = (bound - exact >= -inequality_tol(exact, bound)
+                  and abs(exceed - trials * exact) <= band)
+        return cls(exact_tail=exact, bound_value=bound, exceed=exceed,
+                   trials=trials, band=band, passed=bool(passed),
+                   extras=dict(extras))
 
 
 @dataclass(frozen=True)
@@ -152,150 +161,6 @@ def mean_and_se(moments):
     if count < 2:
         raise ValueError("a standard error needs at least two trials")
     return mean, np.sqrt(np.diagonal(comoment).real / ((count - 1) * count))
-
-
-def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
-    """Clopper-Pearson (exact) two-sided 95% binomial confidence interval.
-
-    For ``k`` successes in ``N`` trials and ``X ~ Bin(N, p)``, ``high`` is
-    the ``p`` at which ``P(X <= k) = alpha/2`` and ``low`` the ``p`` at
-    which ``P(X >= k) = alpha/2`` (the beta quantiles ``B^-1(1-alpha/2;
-    k+1, N-k)`` and ``B^-1(alpha/2; k, N-k+1)``).  ``k = 0`` and ``k = N``
-    have closed forms; otherwise :func:`_tail_root` solves the equation by
-    Newton steps inside a bisection bracket, on binomial tails summed from
-    C. Loader's saddle-point point probabilities ("Fast and accurate
-    computation of binomial probabilities", 2000).  Each bound lies within
-    ``8 * 2**-52`` of the exact quantile, relative (tested up to ``N =
-    10**6``).
-    """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if not 0 <= successes <= trials:
-        raise ValueError("successes outside [0, trials]")
-    alpha = 1.0 - 0.95
-    log_target = math.log(alpha / 2)
-    if successes == 0:
-        low = 0.0
-    elif successes == trials:
-        low = math.exp(log_target / trials)
-    else:
-        low = _tail_root(successes, trials, False, log_target)
-    if successes == trials:
-        high = 1.0
-    elif successes == 0:
-        high = -math.expm1(log_target / trials)
-    else:
-        high = _tail_root(successes, trials, True, log_target)
-    return low, high
-
-
-#: ``log(n!) - log(sqrt(2 pi n) (n/e)^n)`` for ``n = 1..15`` (entry 0 is
-#: unused), rounded from 40-digit mpmath values.
-_STIRLERR = (
-    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
-    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
-    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-)
-
-
-def _stirlerr(n: int) -> float:
-    """Error of Stirling's formula for ``log(n!)``, ``n >= 1``: the table
-    up to 15, then Loader's truncations of the asymptotic series."""
-    if n < len(_STIRLERR):
-        return _STIRLERR[n]
-    nn = float(n) * n
-    if n > 500:
-        return (1 / 12 - 1 / 360 / nn) / n
-    if n > 80:
-        return (1 / 12 - (1 / 360 - 1 / 1260 / nn) / nn) / n
-    if n > 35:
-        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / 1680 / nn) / nn) / nn) / n
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn)
-                                 / nn) / nn) / nn) / n
-
-
-def _bd0(x: float, m: float) -> float:
-    """Loader's deviance term ``x log(x/m) + m - x``, by its series in
-    ``(x - m)/(x + m)`` when ``x`` is near ``m``, where the closed form
-    cancels."""
-    d = x - m
-    if abs(d) >= 0.1 * (x + m):
-        return x * math.log(x / m) + m - x
-    v = d / (x + m)
-    s = d * v
-    term = 2.0 * x * v
-    v *= v
-    j = 1
-    while True:
-        term *= v
-        j += 2
-        s_next = s + term / j
-        if s_next == s:
-            return s
-        s = s_next
-
-
-def _log_cdf(k: int, n: int, p: float, q: float) -> tuple[float, float]:
-    """``(log P(X <= k), S)`` for ``X ~ Bin(n, p)`` and ``0 < k < n``,
-    where ``S`` is ``P(X <= k)`` over ``P(X = k)``.
-
-    ``q = 1 - p`` comes separately, so that ``P(X >= k)``, which is
-    ``_log_cdf(n - k, n, q, p)``, rounds no ``1 - q``.  ``P(X = k)`` is
-    Loader's saddle-point form.  The tail is summed from ``k`` down by the
-    ratio of successive terms, until a term falls below ``2**-60`` of the
-    sum.  The ratio is below 1 and falls away from ``k`` when ``p >=
-    k/n``: the only points where :func:`_tail_root` evaluates it.
-    """
-    s = t = 1.0
-    r = q / p
-    for j in range(k, 0, -1):
-        t *= j * r / (n - j + 1)
-        s += t
-        if t <= s * 2**-60:
-            break
-    log_pmf = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
-               - _bd0(k, n * p) - _bd0(n - k, n * q)
-               + 0.5 * math.log(n / (2.0 * math.pi * k * (n - k))))
-    return log_pmf + math.log(s), s
-
-
-def _tail_root(k: int, n: int, below: bool, log_target: float) -> float:
-    """The ``p`` at which ``log P(X <= k)`` (``below``; ``p > k/n``) or
-    ``log P(X >= k)`` (``p < k/n``) equals ``log_target``, for ``X ~
-    Bin(n, p)`` and ``0 < k < n``.
-
-    Newton steps on the log of the tail start at ``k/n`` and are taken in
-    ``log(1-p)`` (``below``) or ``log p``, where the tail is close to a
-    power of the variable.  Their slopes are exact: ``dF/dp = -(n-k)/(1-p)
-    P(X = k)`` below and ``k/p P(X = k)`` above give ``(n-k)/S`` and
-    ``k/S`` with :func:`_log_cdf`'s ``S``.  A step that leaves the bracket
-    of points known to lie on either side of the root bisects it instead.
-    The iteration ends on a Newton step shorter than ``2**-40 p``, whose
-    error is of the order of its square, below rounding.
-    """
-    lo, hi = (k / n, 1.0) if below else (0.0, k / n)
-    p = k / n
-    for _ in range(100):
-        q = 1.0 - p
-        log_tail, s = _log_cdf(k, n, p, q) if below \
-            else _log_cdf(n - k, n, q, p)
-        g = log_tail - log_target
-        if (g > 0) == below:
-            lo = p
-        else:
-            hi = p
-        if below:
-            new = p - q * math.expm1(-g * s / (n - k))
-        else:
-            new = p * math.exp(-g * s / k)
-        if abs(new - p) <= 2**-40 * new:
-            return new
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        p = new
-    raise ArithmeticError(f"no Clopper-Pearson bound for {k} of {n}")
 
 
 def checked_real(value, context: str):

@@ -2,7 +2,7 @@
 
 Each suite is an ordered list of equation-tagged cases; a case runs one
 checker (or a Monte Carlo sweep of it) and records both sides, the margin
-and a three-valued status.  The registry below maps every equation tag to
+and a pass/fail status.  The registry below maps every equation tag to
 one row, ``(suite, checker operation, runner)``, and the suite lists are
 the exhaustive in-scope coverage the report document is built from.
 ``run_suite`` calls each runner as ``runner(params, stream, tag)``, so a
@@ -37,8 +37,8 @@ generator, the ``b``-th in group-then-block order from child ``b`` of the
 tag's path.  Every runner reduces its stacks one at a time, keeping the
 worst instance so far (:class:`_Worst`), counts, sums or moments, so
 memory holds one stack whatever the trial count.  Eq.RU draws one sample
-per (N, k) experiment and reads all its thresholds from it; group ``g``
-draws from child ``g``, through :func:`_escalating`.  A report is therefore a pure function of (config,
+per (N, k) experiment and reads all its thresholds from it, group ``g``
+from child ``(g, 0)``.  A report is therefore a pure function of (config,
 seed).
 
 Rows whose instances differ in shape run on the one dimension ``1`` with
@@ -108,15 +108,14 @@ class RunnerError(RuntimeError):
 
 
 def _case(name: str, tag: str, lhs, rhs, margin, passed, trials: int,
-          ci: tuple[float, float] | None = None, extra: dict | None = None,
-          status: str | None = None) -> CaseRecord:
+          ci: tuple[float, float] | None = None,
+          extra: dict | None = None) -> CaseRecord:
     """The one constructor of a case record: ``status`` is ``"pass"`` or
-    ``"fail"`` as ``passed`` says unless a three-valued verdict is given,
-    and ``extra`` is copied."""
+    ``"fail"`` as ``passed`` says, and ``extra`` is copied."""
     passed = bool(passed)
     return CaseRecord(name=name, equation=tag, lhs=float(lhs), rhs=float(rhs),
                       margin=float(margin), passed=passed,
-                      status=status or ("pass" if passed else "fail"),
+                      status="pass" if passed else "fail",
                       trials=trials, ci=ci, extra=dict(extra or {}))
 
 
@@ -126,14 +125,16 @@ def _gap_case(name: str, tag: str, report: GapReport, trials: int,
                  report.passed, trials, extra=extra)
 
 
-def _tail_case(name: str, tag: str, report: TailReport, extra: dict) -> CaseRecord:
-    """Case of a tail report: the upper confidence limit against the bound,
-    with the report's three-valued verdict."""
-    return _case(name, tag, report.ci_high, report.bound_value,
-                 report.bound_value - report.ci_high,
-                 report.status == "pass", report.trials,
-                 ci=(report.ci_low, report.ci_high), extra=extra,
-                 status=report.status)
+def _tail_case(name: str, tag: str, report: TailReport) -> CaseRecord:
+    """Case of a tail report: the exact tail against the bound; the count
+    of the same event and its band lead ``extra``."""
+    return _case(name, tag, report.exact_tail, report.bound_value,
+                 report.bound_value - report.exact_tail, report.passed,
+                 report.trials,
+                 extra={"exact_tail": report.exact_tail,
+                        "empirical_tail": report.empirical_tail,
+                        "exceedances": report.exceed, "band": report.band,
+                        **report.extras})
 
 
 def _residual_case(name: str, tag: str, residual: float, threshold: float,
@@ -197,26 +198,19 @@ def _worst_case(name: str, tag: str, reports,
     return worst.gap_case(name, tag, extra)
 
 
-def _escalating(attempt, trials, stream, cells):
-    """Run a Monte Carlo check on ``cells``, rerunning its chance misses
-    once.
+def _escalating(attempt, trials, stream):
+    """Run a Monte Carlo check, rerunning a chance miss once.
 
-    ``attempt(trials, stream, cells)`` returns one ``(result, verdict)``
-    per cell, the verdict ``"pass"``, ``"fail"`` or ``"chance"``, a miss
-    that may be a chance miss of a statistical bound.  The first attempt
-    draws from ``stream.child(0)``.  The chance cells rerun together on
-    tenfold trials drawn from ``stream.child(1)``, and the rerun decides;
-    the other cells keep their first attempt.  Returns one ``(result,
-    verdict, escalated)`` per cell.
+    ``attempt(trials, stream)`` returns ``(result, verdict)``, the verdict
+    ``"pass"``, ``"fail"`` or ``"chance"`` (a miss of a statistical bound).
+    The first attempt draws from ``stream.child(0)``; a chance miss reruns
+    on tenfold trials from ``stream.child(1)``, and the rerun decides.
+    Returns ``(result, verdict, escalated)``.
     """
-    results = attempt(trials, stream.child(0), cells)
-    chance = [j for j, (_, verdict) in enumerate(results) if verdict == "chance"]
-    if chance:
-        reruns = attempt(10 * trials, stream.child(1), [cells[j] for j in chance])
-        for j, rerun in zip(chance, reruns):
-            results[j] = rerun
-    return [(result, verdict, j in chance)
-            for j, (result, verdict) in enumerate(results)]
+    result, verdict = attempt(trials, stream.child(0))
+    if verdict != "chance":
+        return result, verdict, False
+    return (*attempt(10 * trials, stream.child(1)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -587,19 +581,16 @@ def _opnorm_residual(M):
 def _run_scalar_chernoff(params, stream, tag):
     trials = max(params.trials, 10000)
     report = conc.scalar_chernoff(stream.child(0), trials=trials)
-    return [_tail_case("scalar-chernoff", tag, report,
-                       extra={"empirical": report.empirical_tail})]
+    return [_tail_case("scalar-chernoff", tag, report)]
 
 
 def _run_union_bound(params, stream, tag):
-    # the bound of this cell, 2 e^(-1/4), is vacuous: it never reruns
     report, = conc.empirical_tail(16, 2, (0.5,), min(params.trials, 4000),
                                   stream.child(0))
     lhs = report.empirical_tail
     rhs = report.extras["upper_tail"] + report.extras["lower_tail"]
     return [_case("tail-union-bound", tag, lhs, rhs, rhs - lhs,
-                  lhs <= rhs + 1e-15, report.trials,
-                  extra={**report.extras, "escalated": False})]
+                  lhs <= rhs + 1e-15, report.trials, extra=report.extras)]
 
 
 def _run_bernstein(params, stream, tag):
@@ -615,30 +606,19 @@ def _run_mgf_lemma(params, stream, tag):
             for j, mu in enumerate((1.0, -1.0))]
 
 
-def _tail_cells(n, k, trials, stream, epsilons):
-    """The tail reports of one ``N x k`` experiment at ``epsilons``, each
-    with its verdict: an interval that straddles its bound is a chance
-    miss."""
-    return [(r, "chance" if r.status == "indeterminate" else r.status)
-            for r in conc.empirical_tail(n, k, epsilons, trials, stream)]
-
-
 def _run_domination_grid(params, stream, tag):
-    """One sample per (N, k) experiment, read at every threshold; group
-    ``g`` draws from child ``g``, and its straddling cells rerun together
-    on one tenfold sample.  On correct code no cell straddles: the k = 2
-    bounds exceed 1, and the closest cell, (8, 1) at eps 0.5, has a tail
-    near 0.137 (upper limit 0.147 at 1000 trials, seed 5) against 0.779.
-    The rerun decides a straddle under a wrong bound or a wrong tail."""
+    """One sample per (N, k) experiment, read at every threshold, group
+    ``g`` from child ``(g, 0)``.  The k = 2 bounds exceed 1; the closest
+    informative cell, (8, 1) at eps 0.5, has the exact tail 0.1406 against
+    0.779."""
     cases = []
     trials = min(max(params.trials, 1000), 20000)
     epsilons = (0.5, 1.0, 2.0)
     for g, (n, k) in enumerate(((8, 1), (8, 2), (16, 1), (16, 2))):
-        cells = _escalating(partial(_tail_cells, n, k), trials, stream.child(g),
-                            epsilons)
+        reports = conc.empirical_tail(n, k, epsilons, trials, stream.child(g, 0))
         cases.extend(_tail_case(f"tail-domination-N{n}-k{k}-eps{eps:g}", tag,
-                                report, {**report.extras, "escalated": escalated})
-                     for eps, (report, _, escalated) in zip(epsilons, cells))
+                                report)
+                     for eps, report in zip(epsilons, reports))
     return cases
 
 
@@ -655,12 +635,12 @@ def _run_oliveira(params, stream, tag):
     m, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
     gaussian = np.stack([gue(rng, d) for _ in range(m)])
 
-    def attempt(trials, signs, cells):
+    def attempt(trials, signs):
         report = conc.oliveira_mgf_montecarlo(gaussian, signs, trials)
-        return [(report, "pass" if report.passed else "chance")]
+        return report, "pass" if report.passed else "chance"
 
     trials = max(params.trials, 10000)
-    (mc, _, escalated), = _escalating(attempt, trials, stream.child(2), (None,))
+    mc, _, escalated = _escalating(attempt, trials, stream.child(2))
     mc_case = _gap_case("sign-series-montecarlo", tag, mc,
                         10 * trials if escalated else trials,
                         extra={"escalated": escalated})
@@ -689,7 +669,7 @@ def _run_ratio_quadrature(params, stream, tag):
 def _run_ratio_mc(params, stream, tag):
     target = 4.0 / 3.0
 
-    def attempt(trials, pairs, cells):
+    def attempt(trials, pairs):
         est = studies.pauli_ratio_mc(trials, pairs)
         extras = est.extras
         within = (abs(est.ratio - target) <= 3.0 * est.ratio_se
@@ -697,10 +677,10 @@ def _run_ratio_mc(params, stream, tag):
         exact = (extras["matrix_route_max_discrepancy"] <= 1e-10
                  and extras["trialwise_violations"] == 0)
         # a violated exact identity is no chance miss: it fails at once
-        return [(est, "fail" if not exact else "pass" if within else "chance")]
+        return est, "fail" if not exact else "pass" if within else "chance"
 
     trials = max(params.trials, 10000)
-    (est, verdict, escalated), = _escalating(attempt, trials, stream, (None,))
+    est, verdict, escalated = _escalating(attempt, trials, stream)
     allowed = 3.0 * est.ratio_se
     return [_case("pauli-ratio-montecarlo", tag, est.ratio, target,
                   allowed - abs(est.ratio - target), verdict == "pass",

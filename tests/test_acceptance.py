@@ -91,9 +91,11 @@ class TestAcceptance:
             reports = conc.empirical_tail(n, k, epsilons, 10000,
                                           base.child(g, 0))
             for eps, report in zip(epsilons, reports):
+                # every count lies within its band around the exact tail
+                assert report.passed, (n, k, eps, report)
                 if report.bound_value < 1.0:
                     informative += 1
-                    assert report.ci_high <= report.bound_value, \
+                    assert report.exact_tail <= report.bound_value, \
                         (n, k, eps, report)
         elapsed = time.monotonic() - start
         assert elapsed < 300.0

@@ -24,7 +24,7 @@ import gtlab
 from gtlab import cli, linalg, pauli, samplers, studies, suites
 from gtlab import concentration as conc
 from gtlab import inequalities as ineq
-from gtlab.reports import GapReport, TailReport
+from gtlab.reports import GapReport, TailReport, inequality_tol
 from gtlab.samplers import DEFAULT_MASTER_SEED, RngStream, gue
 from gtlab.suites import _tag_stream
 
@@ -504,13 +504,18 @@ RESIDUAL_INJECTIONS = [
 ]
 
 
-def bound_below_interval(report: TailReport) -> TailReport:
-    """``report``'s counts judged against a bound just below their
-    interval."""
-    exceed = round(report.empirical_tail * report.trials)
-    return TailReport.from_counts(exceed, report.trials,
-                                  np.nextafter(report.ci_low, -1.0),
-                                  report.extras)
+def just_below(exact: float) -> float:
+    """A bound below the tail ``exact`` by twice the rounding tolerance of
+    an exact inequality."""
+    return exact - 2.0 * float(inequality_tol(exact, exact))
+
+
+def bound_below_exact(report: TailReport) -> TailReport:
+    """``report``'s count and exact tail judged against a bound just below
+    the exact tail."""
+    return TailReport.from_counts(report.exceed, report.trials,
+                                  report.exact_tail,
+                                  just_below(report.exact_tail), report.extras)
 
 
 def without_one_sided_tails(report: TailReport) -> TailReport:
@@ -526,10 +531,12 @@ VERDICT_INJECTIONS = {
     # a hunt that finds no witness
     "Eq.4.1d": lambda scan: lambda stream, budget: None,
     "ABC.trace": lambda scan: lambda stream, budget: None,
-    # a tail bound below the interval; each interval starts at 0 or above
-    "Eq.C": lambda chernoff: lambda *args, **kwargs: bound_below_interval(
+    # a tail bound just below the exact tail; Eq.RU's variance proxy k/N
+    # gives back the N of its cell
+    "Eq.C": lambda chernoff: lambda *args, **kwargs: bound_below_exact(
         chernoff(*args, **kwargs)),
-    "Eq.RU": lambda bound: lambda k, eps, sigma2: np.nextafter(0.0, -1.0),
+    "Eq.RU": lambda bound: lambda k, eps, sigma2: just_below(
+        conc.exact_tail(round(k / sigma2), k, eps)),
     # one-sided tails that miss every two-sided exceedance
     "Eq.rf": lambda tail: lambda *args: [
         without_one_sided_tails(report) for report in tail(*args)],
@@ -755,6 +762,24 @@ class TestRegistry:
         cases = runner(params, _tag_stream(1, tag), tag)
         assert cases and all(c.status == "fail" for c in cases)
 
+    @pytest.mark.parametrize("tag", ["Eq.C", "Eq.RU"])
+    def test_a_count_beyond_its_band_fails_every_case(self, tag, monkeypatch):
+        # each count moves to one past the upper edge of its band; the
+        # exact tails and the bounds are untouched
+        from_counts = TailReport.from_counts
+
+        def moved(exceed, trials, exact, bound, extras):
+            band = from_counts(exceed, trials, exact, bound, extras).band
+            return from_counts(math.floor(trials * exact + band) + 1, trials,
+                               exact, bound, extras)
+
+        monkeypatch.setattr(TailReport, "from_counts", staticmethod(moved))
+        _, _, runner = suites.REGISTRY[tag]
+        params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
+        cases = runner(params, _tag_stream(1, tag), tag)
+        assert cases and all(c.status == "fail" and c.margin > 0
+                             for c in cases)
+
     def test_every_runnable_tag_has_an_injection_test(self):
         for cls, test in OWN_INJECTION_TESTS.values():
             assert callable(getattr(globals()[cls], test, None)), (cls, test)
@@ -834,10 +859,20 @@ class TestStartup:
                     ("hunt", "counterexamples"))
         assert self.probe(tmp_path, commands, SCIPY_MODULES) == "[]"
 
+    def test_only_tail_loads_decimal(self, tmp_path):
+        # exact_tail imports decimal when it runs, so start-up and the
+        # other subcommands leave it unloaded
+        loaded = "'decimal' in sys.modules"
+        assert self.probe(tmp_path, (), loaded) == "False"
+        commands = (("verify", "inequalities"), ("ratio", "studies"),
+                    ("hunt", "counterexamples"))
+        assert self.probe(tmp_path, commands, loaded) == "False"
+        assert self.probe(tmp_path, (("tail", "concentration"),),
+                          loaded) == "True"
+
     def test_no_subcommand_loads_scipy_beyond_special(self, tmp_path):
-        # all four subcommands in one interpreter: tail's binomial intervals
-        # run too, and now load no scipy module at all, scipy.special
-        # included
+        # all four subcommands in one interpreter: tail's exact laws run
+        # too, and load no scipy module at all, scipy.special included
         commands = (("verify", "inequalities"), ("tail", "concentration"),
                     ("ratio", "studies"), ("hunt", "counterexamples"))
         assert self.probe(tmp_path, commands, SCIPY_MODULES) == "[]"
@@ -1113,102 +1148,6 @@ class TestMonteCarloEscalation:
         assert len(set(keys)) == len(keys), "the escalation reused a stream key"
 
 
-class TestTailEscalation:
-    """The Eq.RU cells of one (N, k) experiment whose intervals straddle
-    their bounds rerun once, together, on one sample of tenfold trials from
-    ``child(1)`` of the experiment's stream; a fail stands, and the other
-    cells keep their first attempt.  The bounds of the (8, 1) cells under
-    test are placed on the intervals the two attempts draw; every other
-    cell's bound is vacuous."""
-
-    SEED, TRIALS = 7, 1000
-    EPSILONS = (0.5, 1.0, 2.0)
-
-    def attempts(self, stream):
-        """The (8, 1) experiment's reports from the first sample and from
-        the tenfold one, every cell read from each."""
-        return [conc.empirical_tail(8, 1, self.EPSILONS, trials, source)
-                for trials, source in ((self.TRIALS, stream.child(0)),
-                                       (10 * self.TRIALS, stream.child(1)))]
-
-    def run_group(self, monkeypatch, place, placed=(0,)):
-        """The (8, 1) cases of the grid, the experiment's two attempts and
-        the stream keys the grid drew from, with the bound of each cell
-        ``j`` in ``placed`` at ``place(first[j], rerun[j])``."""
-        stream = _tag_stream(self.SEED, "Eq.RU")
-        first, rerun = self.attempts(stream.child(0))
-        sigma2 = conc.gaussian_row_sigma2(8, 1)
-        bounds = {(1, self.EPSILONS[j], sigma2): place(first[j], rerun[j])
-                  for j in placed}
-        monkeypatch.setattr(conc, "aw_bound",
-                            lambda k, eps, sigma2: bounds.get((k, eps, sigma2),
-                                                              1.0))
-        keys = record_stream_keys(monkeypatch)
-        params = suites.SuiteParams(seed=self.SEED, trials=self.TRIALS)
-        cases = suites._run_domination_grid(params, stream, "Eq.RU")
-        assert len(set(keys)) == len(keys), "the escalation reused a stream key"
-        assert all(list(case.extra)[-1] == "escalated" for case in cases)
-        assert all(case.status == "pass" for case in cases[3:])
-        # the (8, 1) experiment is group 0: its keys lie under child(0)
-        keys = [path[2:] for _, path in keys if path[1] == 0]
-        return cases[:3], first, rerun, keys
-
-    @staticmethod
-    def assert_from(case, report: TailReport, escalated: bool):
-        """``case`` reads the sample of ``report``."""
-        assert (case.lhs, case.ci, case.trials) \
-            == (report.ci_high, (report.ci_low, report.ci_high), report.trials)
-        assert case.extra == {**report.extras, "escalated": escalated}
-
-    def assert_first_attempt_kept(self, cases, first, placed=(0,)):
-        for j, case in enumerate(cases):
-            if j not in placed:
-                assert case.status == "pass"
-                self.assert_from(case, first[j], escalated=False)
-
-    def test_straddle_reruns_on_tenfold_trials_and_passes(self, monkeypatch):
-        cases, first, rerun, keys = self.run_group(
-            monkeypatch, lambda first, rerun: rerun.ci_high)
-        assert first[0].ci_low < rerun[0].ci_high < first[0].ci_high
-        assert cases[0].status == "pass"
-        self.assert_from(cases[0], rerun[0], escalated=True)
-        assert cases[0].trials == 10 * self.TRIALS
-        self.assert_first_attempt_kept(cases, first)
-        assert {path[0] for path in keys} == {0, 1}
-
-    def test_straddles_of_one_group_share_one_rerun(self, monkeypatch):
-        cases, first, rerun, keys = self.run_group(
-            monkeypatch, lambda first, rerun: rerun.ci_high, placed=(0, 2))
-        for j in (0, 2):
-            assert first[j].ci_low < rerun[j].ci_high < first[j].ci_high
-            assert cases[j].status == "pass"
-            self.assert_from(cases[j], rerun[j], escalated=True)
-        self.assert_first_attempt_kept(cases, first, placed=(0, 2))
-        # one tenfold sample, in blocks of 8 x 1 draws, decides both cells
-        rerun_keys = [path for path in keys if path[0] == 1]
-        assert len(rerun_keys) == math.ceil(
-            10 * self.TRIALS / samplers.block_instances(8 * 1))
-
-    def test_second_straddle_is_indeterminate(self, monkeypatch):
-        cases, first, rerun, _ = self.run_group(
-            monkeypatch, lambda first, rerun: 0.5 * (rerun.ci_low + rerun.ci_high))
-        case = cases[0]
-        assert first[0].ci_low < case.rhs < first[0].ci_high
-        assert case.status == "indeterminate"
-        self.assert_from(case, rerun[0], escalated=True)
-        assert case.trials == 10 * self.TRIALS
-        self.assert_first_attempt_kept(cases, first)
-
-    def test_first_attempt_fail_does_not_rerun(self, monkeypatch):
-        cases, first, _, keys = self.run_group(
-            monkeypatch, lambda first, rerun: np.nextafter(first.ci_low, 0.0))
-        case = cases[0]
-        assert case.status == "fail"
-        self.assert_from(case, first[0], escalated=False)
-        self.assert_first_attempt_kept(cases, first)
-        assert {path[0] for path in keys} == {0}
-
-
 class TestDominationGroups:
     """Eq.RU reads each (N, k) experiment's thresholds from one sample."""
 
@@ -1219,12 +1158,7 @@ class TestDominationGroups:
         grouped = conc.empirical_tail(8, 2, epsilons, 2000, stream)
         for eps, report in zip(epsilons, grouped):
             single, = conc.empirical_tail(8, 2, (eps,), 2000, stream)
-            assert round(report.empirical_tail * report.trials) \
-                == round(single.empirical_tail * single.trials)
-            assert (report.ci_low, report.ci_high, report.bound_value,
-                    report.extras, report.status, report.trials) \
-                == (single.ci_low, single.ci_high, single.bound_value,
-                    single.extras, single.status, single.trials)
+            assert report == single
 
     def test_grid_draws_one_sample_per_experiment(self, monkeypatch):
         keys = record_stream_keys(monkeypatch)
@@ -1232,7 +1166,7 @@ class TestDominationGroups:
         cases = suites.REGISTRY["Eq.RU"][2](params, _tag_stream(1001, "Eq.RU"),
                                             "Eq.RU")
         assert len(cases) == 12
-        assert not any(case.extra["escalated"] for case in cases)
+        assert all(case.status == "pass" for case in cases)
         # group g at child g, in blocks of N x k draws
         shapes = ((8, 1), (8, 2), (16, 1), (16, 2))
         assert sorted(path[1:] for _, path in keys) == [

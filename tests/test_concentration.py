@@ -8,8 +8,8 @@ from scipy.stats import binom
 
 from gtlab import concentration as conc
 from gtlab import linalg, pauli
-from gtlab.reports import (RatioEstimate, TailReport, binomial_ci,
-                           inequality_tol, mean_and_se, merge_moments)
+from gtlab.reports import (RatioEstimate, TailReport, inequality_tol,
+                           mean_and_se, merge_moments)
 from gtlab.samplers import RngStream, standard_complex
 from conftest import assert_stack_matches_single, gue
 
@@ -104,7 +104,7 @@ class TestEmpiricalTail:
     def test_huge_threshold_tail_zero(self, stream):
         report = self.tail(2, 2, 1000.0, 500, stream.child(0))
         assert report.empirical_tail == 0.0
-        assert report.status != "fail"
+        assert report.passed
 
     def test_union_bound_frequencies(self, stream):
         report = self.tail(8, 2, 0.5, 3000, stream.child(0))
@@ -112,8 +112,9 @@ class TestEmpiricalTail:
                                          + report.extras["lower_tail"] + 1e-15)
 
     def test_domination_small_grid(self, stream):
-        # informative-bound cells must dominate the empirical upper limit;
-        # the (16, 1) experiment is one sample read at two thresholds
+        # informative-bound cells dominate their exact tails, and each
+        # count lies within its band; the (16, 1) experiment is one sample
+        # read at two thresholds
         groups = [(8, 1, (0.5,)), (16, 1, (1.0, 2.0)), (16, 2, (2.0,)),
                   (32, 1, (2.0,))]
         for i, (n, k, epsilons) in enumerate(groups):
@@ -121,8 +122,8 @@ class TestEmpiricalTail:
                                           stream.child(i, 0))
             assert len(reports) == len(epsilons)
             for report in reports:
-                assert report.bound_value < 1.0
-                assert report.status == "pass"
+                assert report.exact_tail < report.bound_value < 1.0
+                assert report.passed
 
     def test_assumption_rate_reported(self, stream):
         report = self.tail(8, 4, 1.0, 1000, stream.child(0))
@@ -472,10 +473,12 @@ class TestScalarChernoff:
         # sum >= 3 with 20 steps of size 1/sqrt(20) means at least 17 heads
         trials = 100000
         report = conc.scalar_chernoff(stream, trials=trials)
-        exact = float(1.0 - binom.cdf(16, 20, 0.5))
-        assert report.ci_low <= exact <= report.ci_high
-        assert report.ci_high <= math.exp(-1.5)
-        assert report.status == "pass"
+        assert report.exact_tail == 1351 / 2**20
+        assert report.exact_tail == pytest.approx(binom.sf(16, 20, 0.5),
+                                                  rel=1e-14)
+        assert report.exact_tail <= math.exp(-1.5)
+        assert abs(report.exceed - trials * report.exact_tail) <= report.band
+        assert report.passed
         # max(e^(-eps^2/4), e^(-eps sigma/2)) at eps = 3, sigma = 1
         assert report.bound_value == max(math.exp(-9 / 4), math.exp(-3 / 2))
 
@@ -502,118 +505,119 @@ class TestTraceProductDominance:
                                     gue(rng, 3, 6))
 
 
-#: The (exceedances, trials) pairs of the binomial intervals of one
-#: ``tail`` run on ``{"suites": ["concentration"], "trials": 8000,
-#: "seed": 1001}``.
-TAIL_BULK_COUNTS = (
-    (7, 10000), (1131, 2000), (1133, 4000), (61, 8000), (1163, 8000),
-    (81, 8000), (1, 8000), (4901, 8000), (542, 8000), (7, 8000), (324, 8000),
-    (7, 8000), (0, 8000), (2107, 8000), (48, 8000), (0, 8000))
+def hankel_tail(mp, n, k, eps, moment):
+    """``1 - det[int_a^b x^(i+j+n-k) e^(-x) dx] / det[(i+j+n-k)!]`` at
+    mpmath's working precision, each integral ``int_a^b x^m e^(-x) dx``
+    given by ``moment(m, a, b)``."""
+    a, b = max(n * (1 - mp.mpf(eps)), 0), n * (1 + mp.mpf(eps))
+    orders = [[i + j + n - k for j in range(k)] for i in range(k)]
+    inside = mp.matrix([[moment(m, a, b) for m in row] for row in orders])
+    total = mp.matrix([[mp.factorial(m) for m in row] for row in orders])
+    return 1 - mp.det(inside) / mp.det(total)
 
 
-def exact_binomial_tail(mp, k, N, p, below):
-    """``P(X <= k)`` (``below``) or ``P(X >= k)`` for ``X ~ Bin(N, p)`` at
-    mpmath's working precision, summed from ``k`` outward by the ratio of
-    successive terms (``mpmath.betainc`` does not converge at ``N =
-    10**6``, ``k = N/2``)."""
-    q = 1 - p
-    term = total = mp.binomial(N, k) * p**k * q**(N - k)
-    cutoff = mp.mpf(10) ** -40
-    js = range(k, 0, -1) if below else range(k, N)
-    for j in js:
-        term *= j * q / ((N - j + 1) * p) if below \
-            else (N - j) * p / ((j + 1) * q)
-        total += term
-        if term < total * cutoff:
-            break
-    return total
+def quadrature_moment(mp):
+    """``int_a^b x^m e^(-x) dx`` by 1-D quadrature, split at the peak of
+    the integrand."""
+    return lambda m, a, b: mp.quad(lambda x: x**m * mp.exp(-x),
+                                   [a, *(p for p in (m,) if a < p < b), b])
 
 
-class TestBinomialCi:
-    def test_edge_cases(self):
-        low, high = binomial_ci(0, 100)
-        assert low == 0.0 and 0.0 < high < 0.05
-        low, high = binomial_ci(100, 100)
-        assert high == 1.0 and low > 0.95
+class TestExactTail:
+    """``exact_tail`` against mpmath: the regularized incomplete gamma
+    function for one column, and the moment determinant of
+    :func:`hankel_tail` for more."""
 
-    def test_coverage_shape(self):
-        low, high = binomial_ci(50, 100)
-        assert low < 0.5 < high
+    GRID = [(n, eps) for n in (2, 4, 8, 16) for eps in (0.25, 0.5, 1.0, 2.0)]
 
-    def test_closed_forms_at_the_edges(self):
-        log_target = math.log((1.0 - 0.95) / 2)
-        for N in (1, 2, 10, 100, 8000, 80000, 10**6):
-            assert binomial_ci(0, N) == (0.0, -math.expm1(log_target / N))
-            assert binomial_ci(N, N) == (math.exp(log_target / N), 1.0)
-
-    def test_bounds_bracket_the_exact_quantiles(self):
-        # each bound v is within 8 * 2**-52 * v of the exact quantile: the
-        # 50-digit tail at v * (1 -+ 8 * 2**-52) lies on both sides of
-        # alpha/2
+    @pytest.mark.parametrize("n, eps", GRID)
+    def test_one_column_is_the_incomplete_gamma(self, n, eps):
         mp = pytest.importorskip("mpmath")
-        grid = {(k, N) for N in (1, 2, 10, 100, 8000, 80000, 10**6)
-                for k in (0, 1, 2, N // 2, N - 1, N) if k <= N}
-        with mp.workdps(50):
-            target = mp.mpf((1.0 - 0.95) / 2)
-            for k, N in sorted(grid | set(TAIL_BULK_COUNTS)):
-                low, high = binomial_ci(k, N)
-                # P(X >= k) rises with p through alpha/2 at low, and
-                # P(X <= k) falls through it at high
-                for v, below, sign in ((low, False, 1), (high, True, -1)):
-                    if v in (0.0, 1.0):
-                        continue
-                    for side in (-1, 1):
-                        p = mp.mpf(v) * (1 + side * 8 * mp.mpf(2) ** -52)
-                        tail = exact_binomial_tail(mp, k, N, p, below)
-                        assert sign * side * (tail - target) > 0, \
-                            (k, N, "high" if below else "low", side)
+        with mp.workdps(40):
+            a, b = max(n * (1 - mp.mpf(eps)), 0), n * (1 + mp.mpf(eps))
+            expected = 1 - mp.gammainc(n, a, b, regularized=True)
+            assert conc.exact_tail(n, 1, eps) == pytest.approx(float(expected),
+                                                               rel=1e-12)
 
-    @given(st.integers(1, 10**5).flatmap(
-        lambda N: st.tuples(st.integers(0, N - 1), st.just(N))))
-    @settings(max_examples=100, deadline=None)
-    def test_bounds_hold_the_estimate_and_rise_with_successes(self, case):
-        k, N = case
-        low, high = binomial_ci(k, N)
-        next_low, next_high = binomial_ci(k + 1, N)
-        assert low <= k / N <= high
-        assert next_low <= (k + 1) / N <= next_high
-        assert low <= next_low and high <= next_high
+    @pytest.mark.parametrize("n, eps", GRID)
+    def test_two_columns_match_the_moment_determinant(self, n, eps):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            expected = hankel_tail(mp, n, 2, eps, quadrature_moment(mp))
+            assert conc.exact_tail(n, 2, eps) == pytest.approx(float(expected),
+                                                               rel=1e-12)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            binomial_ci(5, 0)
-        with pytest.raises(ValueError):
-            binomial_ci(7, 5)
+    @pytest.mark.parametrize("n, eps", [(8, 0.5), (32, 2.0)])
+    def test_four_columns_match_the_moment_determinant(self, n, eps):
+        # the general elimination, down to a tail of 1.6e-10; the moments
+        # are incomplete gamma functions, as quadrature at n = 32 is slow
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            expected = hankel_tail(mp, n, 4, eps, lambda m, a, b: mp.gammainc(
+                m + 1, a, b))
+            assert conc.exact_tail(n, 4, eps) == pytest.approx(float(expected),
+                                                               rel=1e-12)
+
+    def test_known_values(self):
+        assert conc.exact_tail(8, 1, 0.5) == pytest.approx(0.140638, rel=1e-5)
+        assert conc.exact_tail(16, 1, 2.0) == pytest.approx(2.58954e-8,
+                                                            rel=1e-5)
+        assert conc.exact_tail(4, 1, 0.25) == pytest.approx(0.6178, rel=1e-4)
+
+    def test_zero_and_huge_thresholds(self):
+        # at eps = 0 the interval is a point, whose moment matrix is zero
+        assert conc.exact_tail(8, 2, 0.0) == 1.0
+        assert abs(conc.exact_tail(2, 2, 1000.0)) < 1e-40
+
+    def test_tail_falls_with_the_threshold(self):
+        tails = [conc.exact_tail(16, 2, eps) for eps in (0.25, 0.5, 1.0, 2.0)]
+        assert all(x > y > 0 for x, y in zip(tails, tails[1:]))
 
 
 class TestTailVerdict:
-    """``TailReport.from_counts`` decides every tail case from the 95%
-    Clopper-Pearson interval of the counts."""
+    """``TailReport.from_counts`` passes when the exact tail lies at or
+    below the bound, within rounding, and the count within its Bernstein
+    band around ``trials * exact``."""
 
     @staticmethod
-    def verdict(exceed, trials, bound):
-        return TailReport.from_counts(exceed, trials, bound, {}).status
+    def verdict(exceed, trials, exact, bound=1.0):
+        return TailReport.from_counts(exceed, trials, exact, bound, {}).passed
 
-    def test_vacuous_bound_passes_with_the_interval_at_the_top(self):
-        low, high = binomial_ci(100, 100)
-        assert (low, high) == (pytest.approx(0.9638, abs=1e-4), 1.0)
-        assert self.verdict(100, 100, 1.0) == "pass"
-        assert self.verdict(100, 100, 2.0 * math.exp(-0.25)) == "pass"
+    @pytest.mark.parametrize("trials, exact", [(8000, 0.14063811263302317),
+                                               (10000, 1351 / 2**20),
+                                               (8000, 2.5895371076543046e-08),
+                                               (1000, 0.5)])
+    def test_the_band_edges(self, trials, exact):
+        band = TailReport.from_counts(0, trials, exact, 1.0, {}).band
+        log_term = math.log(2 / 1e-6)
+        assert band == pytest.approx(log_term / 3 + math.sqrt(
+            log_term**2 / 9 + 2 * log_term * trials * exact * (1 - exact)))
+        high = math.floor(trials * exact + band)
+        assert self.verdict(high, trials, exact)
+        assert not self.verdict(high + 1, trials, exact)
+        low = math.ceil(trials * exact - band)
+        if low > 0:
+            assert self.verdict(low, trials, exact)
+            assert not self.verdict(low - 1, trials, exact)
 
-    def test_boundaries(self):
-        low, high = binomial_ci(30, 1000)
-        assert self.verdict(30, 1000, high) == "pass"
-        assert self.verdict(30, 1000, np.nextafter(high, 0.0)) == "indeterminate"
-        assert self.verdict(30, 1000, 0.5 * (low + high)) == "indeterminate"
-        assert self.verdict(30, 1000, low) == "indeterminate"
-        assert self.verdict(30, 1000, np.nextafter(low, 0.0)) == "fail"
+    def test_a_bound_below_the_exact_tail_by_more_than_rounding_fails(self):
+        exact, trials = 0.25, 8000
+        exceed = round(trials * exact)
+        tol = float(inequality_tol(exact, exact))
+        assert self.verdict(exceed, trials, exact, exact)
+        assert self.verdict(exceed, trials, exact, exact - 0.5 * tol)
+        assert not self.verdict(exceed, trials, exact, exact - 2 * tol)
+
+    def test_a_vacuous_bound_passes(self):
+        assert self.verdict(4834, 8000, 0.6117834257700744,
+                            2 * math.exp(-0.25))
 
     def test_report_fields(self):
-        report = TailReport.from_counts(30, 1000, 0.01, {"a": 1.0})
-        assert (report.empirical_tail, report.trials, report.bound_value) \
-            == (0.03, 1000, 0.01)
-        assert (report.ci_low, report.ci_high) == binomial_ci(30, 1000)
-        assert report.extras == {"a": 1.0}
+        report = TailReport.from_counts(30, 1000, 0.02, 0.05, {"a": 1.0})
+        assert (report.exact_tail, report.bound_value, report.exceed,
+                report.trials, report.empirical_tail) \
+            == (0.02, 0.05, 30, 1000, 0.03)
+        assert report.passed and report.extras == {"a": 1.0}
 
 
 def _merged(sample, cuts):

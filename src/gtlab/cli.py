@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import pin_blas_to_one_thread
-from .samplers import BLOCK_ENTRIES, DEFAULT_MASTER_SEED
+from .samplers import BLOCK_ENTRIES, DEFAULT_MASTER_SEED, SEED_LIMIT
 from .suites import (SUITE_NAMES, CaseRecord, RunnerError, SuiteParams,
                      run_suite)
 
@@ -73,8 +73,6 @@ _SUBCOMMAND_FAMILY = {
 #: The config settings, the fields of :class:`SuiteParams`, each with the
 #: least value it admits.
 _SETTINGS = {"trials": 1, "dims": 1, "seed": 0}
-#: Master seeds are 64-bit (:class:`~gtlab.samplers.RngStream`).
-_SEED_LIMIT = 2 ** 64
 
 
 class ConfigError(ValueError):
@@ -125,7 +123,7 @@ def _setting(key: str, value):
     _expect(key in _SETTINGS, key, "unknown config key")
     if key != "dims":
         _expect_integer(value, key, _SETTINGS[key])
-        _expect(key != "seed" or value < _SEED_LIMIT, key,
+        _expect(key != "seed" or value < SEED_LIMIT, key,
                 "must be below 2**64")
         return value
     _expect(isinstance(value, list) and value, key,

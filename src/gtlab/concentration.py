@@ -348,11 +348,10 @@ def _checked_terms(terms) -> np.ndarray:
     return require_hermitian(terms, "series term")
 
 
-def series_rhs(terms, mu) -> np.ndarray:
-    """Deterministic right side ``Tr e^((mu^2/2) sum_p A_p^2)``: an array
-    over the series stack broadcast against ``mu`` (0-d for one series at
-    one mu)."""
-    terms = _checked_terms(terms)
+def _series_rhs(terms: np.ndarray, mu) -> np.ndarray:
+    """Deterministic right side ``Tr e^((mu^2/2) sum_p A_p^2)`` of terms
+    :func:`_checked_terms` admitted: an array over the series stack
+    broadcast against ``mu`` (0-d for one series at one mu)."""
     sq = np.einsum('...pij,...pjk->...ik', terms, terms)
     w = np.linalg.eigvalsh(hermitize(sq))
     return np.exp(0.5 * np.asarray(mu)[..., None] ** 2 * w).sum(axis=-1)
@@ -371,7 +370,7 @@ def oliveira_mgf_check(terms, mu) -> GapReport:
     w = np.linalg.eigvalsh(np.einsum('sp,...pij->...sij', signs, terms))
     mu = np.asarray(mu, dtype=np.float64)
     lhs = np.cosh(mu[..., None, None] * w).sum(axis=-1).mean(axis=-1)
-    return GapReport.from_sides(lhs, series_rhs(terms, mu))
+    return GapReport.from_sides(lhs, _series_rhs(terms, mu))
 
 
 def oliveira_mgf_montecarlo(terms, stream: RngStream,
@@ -392,7 +391,7 @@ def oliveira_mgf_montecarlo(terms, stream: RngStream,
         w = np.linalg.eigvalsh(np.einsum('sp,pij->sij', signs, terms))
         moments = merge_moments(moments, [np.exp(w).sum(axis=1)])
     (lhs,), (se,) = mean_and_se(moments)
-    rhs = series_rhs(terms, 1.0)
+    rhs = _series_rhs(terms, 1.0)
     tol = 2.0 * se + 1e-12 * max(1.0, lhs, rhs)
     return GapReport.from_sides(lhs, rhs, tol=tol)
 
@@ -443,7 +442,7 @@ def oliveira_vs_aw(terms, mu) -> GapReport:
     ``d e^(mu^2 sum_p ||A_p^2||_op)`` of the covariance-lemma argument
     (one series, or a stack of series with their mu)."""
     terms = _checked_terms(terms)
-    lhs = series_rhs(terms, mu)
+    lhs = _series_rhs(terms, mu)
     norms = (np.abs(np.linalg.eigvalsh(terms)).max(axis=-1) ** 2).sum(axis=-1)
     # math.exp, member by member: numpy's vectorized exp can differ from it
     # in the last bit, and a stacked call must give the single call's bits

@@ -455,10 +455,10 @@ def lieb_rhs_quadrature(A, B, C) -> float:
 
 def lieb_triple_gap(A, B, C) -> GapReport:
     """``Tr e^(A+B+C)`` against the resolvent-kernel upper bound for three
-    Hermitian matrices; reduces to the two-matrix bound at ``C = 0``.
-    :func:`lieb_rhs_closed` validates the three."""
-    rhs = lieb_rhs_closed(A, B, C)
-    return GapReport.from_sides(trace_expm(np.add(A, B) + C), rhs)
+    Hermitian matrices; reduces to the two-matrix bound at ``C = 0``."""
+    Ah, Bh, Ch = hermitian_args("lieb_triple_gap", A, B, C)
+    return GapReport.from_sides(trace_expm(Ah + Bh + Ch),
+                                lieb_rhs_closed(Ah, Bh, Ch))
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,18 @@ Every routine takes a single square ``complex128`` matrix of shape
 ``(n, n)`` or a stack of them of shape ``(..., n, n)`` and works on each
 matrix of the stack independently: a stack call returns what the single
 calls would return, stacked along the leading axes, so a single call
-returns a 0-d value wherever a scalar is meant.  Validation is per
-matrix too: each member is checked against its own scale, and one
-invalid member rejects the whole stack with a message naming the
-argument, such as ``gt_gap argument 1``.  A Hermitian argument is within
-``HERMITIAN_ATOL`` of its adjoint and is used symmetrized
-(:func:`require_hermitian`); the Hermitian arguments of one call also
-share one shape, unbroadcast (:func:`hermitian_args`).  Exponentials are
-taken of Hermitian matrices only, by eigendecomposition.  A
-factorization that does not converge raises numpy's ``LinAlgError``.
+returns a 0-d value wherever a scalar is meant.  A matrix is admitted
+once, by the checker that receives it from its caller: a square one by
+:func:`as_complex_matrix`, a Hermitian one by :func:`require_hermitian`
+(within ``HERMITIAN_ATOL`` of its adjoint, then symmetrized), and the
+Hermitian arguments of one call by :func:`hermitian_args`, which also
+requires one shape, unbroadcast.  Each member of a stack is checked at
+its own scale, and one invalid member rejects the stack with a message
+naming the argument, such as ``gt_gap argument 1``.  The other routines
+compute on admitted arrays, cast to ``complex128``, and check nothing
+again; the Hermitian ones read the lower triangle, as LAPACK does.
+Exponentials are taken of Hermitian matrices only, by eigendecomposition.
+A factorization that does not converge raises numpy's ``LinAlgError``.
 One scalar routine rides along: :func:`gauss_legendre`, the adaptive
 quadrature rule behind every integral a checker compares with a closed form.
 
@@ -74,7 +77,7 @@ def as_complex_matrix(M, what: str) -> np.ndarray:
 
 def hermitize(M) -> np.ndarray:
     """Construct a Hermitian carrier: ``(M + M†)/2`` of a square matrix."""
-    A = as_complex_matrix(M, "hermitize input")
+    A = np.asarray(M, dtype=np.complex128)
     H = A + adjoint(A)
     H /= 2.0
     return H
@@ -96,9 +99,7 @@ def require_hermitian(M, what: str) -> np.ndarray:
     A = as_complex_matrix(M, what)
     if not np.all(is_hermitian(A)):
         raise ValueError(f"{what} must be Hermitian")
-    H = A + adjoint(A)
-    H /= 2.0
-    return H
+    return hermitize(A)
 
 
 def hermitian_args(what: str, *matrices) -> tuple[np.ndarray, ...]:
@@ -118,7 +119,7 @@ def herm_eigen(M) -> tuple[np.ndarray, np.ndarray]:
     The basis ``U`` satisfies ``U diag(values) U† = M`` up to rounding
     (columns are eigenvectors in the same order as ``values``).
     """
-    w, U = np.linalg.eigh(require_hermitian(M, "herm_eigen input"))
+    w, U = np.linalg.eigh(np.asarray(M, dtype=np.complex128))
     # eigh's ascending order flipped: herm_fn's products sum in this order
     return w[..., ::-1].copy(), U[..., ::-1].copy()
 
@@ -126,7 +127,7 @@ def herm_eigen(M) -> tuple[np.ndarray, np.ndarray]:
 def general_eigen(M) -> np.ndarray:
     """All complex eigenvalues of a square matrix (no eigenvectors), sorted
     descending by real part, then by absolute value."""
-    w = np.linalg.eigvals(as_complex_matrix(M, "general_eigen input"))
+    w = np.linalg.eigvals(np.asarray(M, dtype=np.complex128))
     order = np.lexsort((-np.abs(w), -w.real), axis=-1)
     return np.take_along_axis(w, order, axis=-1)
 
@@ -135,8 +136,7 @@ def singular_values(M) -> np.ndarray:
     """Singular values ``mu_1 >= ... >= mu_N >= 0`` of a square matrix, by
     the SVD of ``M`` itself: the eigenvalues of ``M†M`` would square its
     condition number and lose the small singular values."""
-    return np.linalg.svd(as_complex_matrix(M, "singular_values input"),
-                         compute_uv=False)
+    return np.linalg.svd(np.asarray(M, dtype=np.complex128), compute_uv=False)
 
 
 def herm_fn(M, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -162,7 +162,7 @@ def psd_power(M, p: float) -> np.ndarray:
 
 def trace_expm(M):
     """``Tr exp(M)`` for Hermitian ``M``, summed over the spectrum."""
-    A = require_hermitian(M, "trace_expm input")
+    A = np.asarray(M, dtype=np.complex128)
     return np.exp(np.linalg.eigvalsh(A)).sum(axis=-1)
 
 
@@ -182,8 +182,7 @@ def operator_norm(M):
 
 
 def frobenius_norm(M):
-    A = as_complex_matrix(M, "frobenius_norm input")
-    return np.linalg.norm(A, axis=(-2, -1))
+    return np.linalg.norm(np.asarray(M, dtype=np.complex128), axis=(-2, -1))
 
 
 def distance_delta2(A, B):

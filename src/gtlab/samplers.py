@@ -44,7 +44,8 @@ DEFAULT_MASTER_SEED = 20650901
 #: Entries one stream block draws at most (:func:`block_instances`).
 BLOCK_ENTRIES = 65536
 
-_UINT64 = 1 << 64
+#: Master seeds are 64-bit: each lies in [0, SEED_LIMIT).
+SEED_LIMIT = 1 << 64
 #: Labels are single 32-bit words: ``SeedSequence`` spreads a larger integer
 #: over several words, so the paths ``(2**32,)`` and ``(0, 1)`` would share
 #: one key.
@@ -76,7 +77,7 @@ class RngStream:
         if not isinstance(self.path, tuple):
             raise ValueError(f"path must be a tuple of labels, got {self.path!r}")
         object.__setattr__(self, "master_seed",
-                           _checked_int(self.master_seed, _UINT64, "master_seed"))
+                           _checked_int(self.master_seed, SEED_LIMIT, "master_seed"))
         object.__setattr__(self, "path", tuple(
             _checked_int(label, _LABEL_LIMIT, "stream label") for label in self.path))
 

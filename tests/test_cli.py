@@ -860,11 +860,19 @@ class TestStartup:
         assert self.probe(tmp_path, (("tail", "concentration"),),
                           loaded) == "True"
 
-    def test_no_subcommand_loads_scipy(self, tmp_path):
-        # import gtlab.cli, then all four subcommands in one interpreter: a
-        # module once loaded stays in sys.modules, so an empty list at the
-        # end covers the import and every subcommand; both quadrature routes
-        # (Eq.4.1c under verify, Eq.R under ratio) and tail's exact laws run
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        assert self.probe(tmp_path, (), SCIPY_MODULES) == "[]"
+
+    def test_verify_ratio_and_hunt_load_no_scipy(self, tmp_path):
+        # both quadrature routes run (Eq.4.1c under verify, Eq.R under
+        # ratio)
+        commands = (("verify", "inequalities"), ("ratio", "studies"),
+                    ("hunt", "counterexamples"))
+        assert self.probe(tmp_path, commands, SCIPY_MODULES) == "[]"
+
+    def test_no_subcommand_loads_scipy_beyond_special(self, tmp_path):
+        # all four subcommands in one interpreter: tail's exact laws run
+        # too, and load no scipy module at all, scipy.special included
         commands = (("verify", "inequalities"), ("tail", "concentration"),
                     ("ratio", "studies"), ("hunt", "counterexamples"))
         assert self.probe(tmp_path, commands, SCIPY_MODULES) == "[]"

@@ -24,7 +24,7 @@ studies, ``hunt`` the counter-example searches), once, when ``suites``
 names it or ``all``; a config whose suites name none of that family is a
 config error.  Exit codes: 0 all cases passed, 1 at least one violation,
 2 config error (a bad config, saved report or SOURCE_DATE_EPOCH), 3 a
-runner raised (one line on stderr names its tag; no report is written).
+runner raised or a worker died (one stderr line says which; no report).
 
 This module owns the report document: :func:`run` builds it as one
 strict JSON-native dict (``schema_version``, ``seed``, ``timestamp``,

@@ -17,7 +17,8 @@ again; the Hermitian ones read the lower triangle, as LAPACK does.
 Exponentials are taken of Hermitian matrices only, by eigendecomposition.
 A factorization that does not converge raises numpy's ``LinAlgError``.
 One scalar routine rides along: :func:`gauss_legendre`, the adaptive
-quadrature rule behind every integral a checker compares with a closed form.
+quadrature rule behind every integral a checker compares with a closed form,
+and one process routine: :func:`fork_map`, which maps tasks over every core.
 
 Conventions:
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
 from typing import Callable
 
 import numpy as np
@@ -46,7 +48,7 @@ __all__ = [
     "herm_fn", "expm_herm", "psd_power",
     "schatten_norm", "operator_norm", "frobenius_norm",
     "distance_delta2", "lie_trotter_product", "trace_expm", "trace_of_product",
-    "gauss_legendre", "pin_blas_to_one_thread",
+    "gauss_legendre", "pin_blas_to_one_thread", "fork_map",
 ]
 
 #: Tolerance on ``|M - M†|`` accepted when a Hermitian argument is required.
@@ -297,3 +299,34 @@ def pin_blas_to_one_thread():
     lib = _bundled_openblas()
     if hasattr(lib, "scipy_openblas_set_num_threads64_"):
         lib.scipy_openblas_set_num_threads64_(1)
+
+
+def _worker_count(tasks: int) -> int:
+    """One worker per core this process may run on, at most one per task;
+    one (this process) in a daemonic one, which may not start children."""
+    import multiprocessing
+    if not hasattr(os, "sched_getaffinity") \
+            or multiprocessing.current_process().daemon:
+        return 1
+    return min(tasks, len(os.sched_getaffinity(0)))
+
+
+def fork_map(fn: Callable, tasks: list) -> list:
+    """``[fn(task) for task in tasks]`` in :func:`_worker_count` forked,
+    non-daemonic worker processes (in this one when that is one), each with
+    one BLAS thread, in chunks of ``ceil(len(tasks) / (16 * workers))``.
+    Results come in task order, so they are the same bits at any worker
+    count, and the first task in that order that raises raises here; a
+    worker that dies raises ``BrokenProcessPool``."""
+    workers = _worker_count(len(tasks))
+    if workers == 1:
+        return list(map(fn, tasks))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # fork, not spawn, which re-imports numpy in each worker; the executor
+    # forks its workers before it starts its manager thread, and OpenBLAS
+    # parks its threads at fork
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=pin_blas_to_one_thread) as pool:
+        return list(pool.map(fn, tasks, chunksize=math.ceil(
+            len(tasks) / (16 * workers))))

@@ -13,23 +13,21 @@ The Monte Carlo ratio draws its pairs in blocks, block ``b`` from child
 
 The Hermitization trials are independent and bound by LAPACK ``zgeev``,
 which OpenBLAS does not run in parallel across threads of one process, so
-they run in ``min(trials, cores)`` forked worker processes, ``cores``
-being this process's CPU affinity, each with BLAS pinned to one thread
-(:func:`~gtlab.linalg.pin_blas_to_one_thread`).  Results are gathered in
+they run on every core, one forked worker process per core, each with one
+BLAS thread (:func:`~gtlab.linalg.fork_map`).  Results are gathered in
 trial order, so the report is the same bits for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import inequalities as ineq
 from . import pauli
-from .linalg import gauss_legendre, pin_blas_to_one_thread
+from .linalg import fork_map, gauss_legendre
 from .reports import GapReport, RatioEstimate, mean_and_se, merge_moments
 from .samplers import RngStream, ginibre
 
@@ -128,18 +126,6 @@ def pauli_ratio_mc(trials: int, stream: RngStream) -> RatioEstimate:
     return RatioEstimate.from_moments(ratio, extras=extras)
 
 
-def _worker_count(trials: int) -> int:
-    """Worker processes for the Hermitization trials: one per core this
-    process may run on, at most one per trial.  A daemonic process, such
-    as a pool worker, may not start children, so it runs the trials
-    itself."""
-    import multiprocessing
-    if not hasattr(os, "sched_getaffinity") \
-            or multiprocessing.current_process().daemon:
-        return 1
-    return min(trials, len(os.sched_getaffinity(0)))
-
-
 def _hermitization_trial(task: tuple[int, RngStream]) -> tuple[float, float]:
     """One Hermitization trial of size ``n`` on ``stream`` (``task = (n,
     stream)``): ``(top Hermitian eigenvalue, max real eigenvalue part)``."""
@@ -157,26 +143,14 @@ def hermitization_ratio(n: int, trials: int, stream: RngStream) -> RatioEstimate
     the estimate is reported with its confidence interval and dimension,
     never as the limit itself.  Trial ``i`` draws from ``stream.child(i)``;
     an eigensolve that fails raises numpy's ``LinAlgError``.  The trials
-    run in :func:`_worker_count` forked processes, each with one BLAS
-    thread; the results are the same bits for any worker count.
+    run on every core (:func:`~gtlab.linalg.fork_map`); the results are
+    the same bits for any worker count.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
     if trials < 2:
         raise ValueError("a standard error needs at least two trials")
-    tasks = [(n, stream.child(i)) for i in range(trials)]
-    workers = _worker_count(trials)
-    if workers == 1:
-        results = list(map(_hermitization_trial, tasks))
-    else:
-        import multiprocessing
-        # fork, not spawn: two spawned workers re-import numpy and scipy in
-        # ~1.7 s, more than 200 trials at n=16 take in-process.  gtlab runs
-        # no threads of its own, and OpenBLAS parks its pool at fork.  Two
-        # workers at two BLAS threads each would oversubscribe the cores.
-        with multiprocessing.get_context("fork").Pool(
-                workers, initializer=pin_blas_to_one_thread) as pool:
-            results = pool.map(_hermitization_trial, tasks,
-                               chunksize=math.ceil(trials / (4 * workers)))
+    results = fork_map(_hermitization_trial,
+                       [(n, stream.child(i)) for i in range(trials)])
     moments = merge_moments((0, 0.0, 0.0), np.transpose(results))
     return RatioEstimate.from_moments(moments, extras={"dim": n})

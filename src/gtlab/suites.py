@@ -38,8 +38,9 @@ tag's path.  Every runner reduces its stacks one at a time, keeping the
 worst instance so far (:class:`_Worst`), counts, sums or moments, so
 memory holds one stack whatever the trial count.  Eq.RU draws one sample
 per (N, k) experiment and reads all its thresholds from it, group ``g``
-from child ``(g, 0)``.  A report is therefore a pure function of (config,
-seed).
+from child ``(g, 0)``.  The tags run in forked workers, one per core
+(:func:`~gtlab.linalg.fork_map`), and draw the same bits at any worker
+count.  A report is therefore a pure function of (config, seed).
 
 Rows whose instances differ in shape run on the one dimension ``1`` with
 the shapes as the cycle: the sign series ``(m, d)`` of Eq.OB's
@@ -63,9 +64,9 @@ import numpy as np
 from . import concentration as conc
 from . import inequalities as ineq
 from . import pauli, samplers, studies
-from .linalg import (expm_herm, frobenius_norm, hermitize, operator_norm,
-                     singular_values, lie_trotter_product, distance_delta2,
-                     trace_of_product)
+from .linalg import (expm_herm, fork_map, frobenius_norm, hermitize,
+                     operator_norm, singular_values, lie_trotter_product,
+                     distance_delta2, trace_of_product)
 from .reports import REL_TOL, GapReport, TailReport, mean_and_se, merge_moments
 from .samplers import RngStream, ginibre, gue, standard_complex
 
@@ -104,7 +105,8 @@ class SuiteParams:
 
 
 class RunnerError(RuntimeError):
-    """A tag's runner raised: the message names the tag and the exception."""
+    """A tag's runner raised, or a worker died: the message names the tag,
+    or the suite, and the exception."""
 
 
 def _case(name: str, tag: str, lhs, rhs, margin, passed, trials: int,
@@ -821,19 +823,30 @@ def _tag_stream(seed: int, tag: str) -> RngStream:
     return RngStream(seed, (zlib.crc32(tag.encode()),))
 
 
+def _run_tag(task: tuple[str, SuiteParams]) -> list[CaseRecord]:
+    """The cases of one tag (``task = (tag, params)``): its runner on
+    :func:`_tag_stream` under the seed, handed the tag.  A runner that
+    raises raises a :class:`RunnerError` naming the tag."""
+    tag, params = task
+    _, _, runner = REGISTRY[tag]
+    try:
+        return list(runner(params, _tag_stream(params.seed, tag), tag))
+    except Exception as exc:
+        raise RunnerError(f"{tag}: {type(exc).__name__}: {exc}") from exc
+
+
 def run_suite(name: str, params: SuiteParams) -> list[CaseRecord]:
-    """Execute one named suite; each tag's runner draws from
-    :func:`_tag_stream` under the seed, making the output deterministic,
-    and is handed the tag.  A runner that raises ends the run with a
-    :class:`RunnerError`."""
+    """Execute one named suite: :func:`_run_tag` over its tags on every core,
+    their cases joined in registry order.  The first tag in that order that
+    raises, or a worker that dies, ends the run with a :class:`RunnerError`
+    naming the tag, or the suite."""
     if name not in SUITE_TAGS:
         raise ValueError(f"unknown suite {name!r}")
-    cases: list[CaseRecord] = []
-    for tag in SUITE_TAGS[name]:
-        _, _, runner = REGISTRY[tag]
-        stream = _tag_stream(params.seed, tag)
-        try:
-            cases.extend(runner(params, stream, tag))
-        except Exception as exc:
-            raise RunnerError(f"{tag}: {type(exc).__name__}: {exc}") from exc
-    return cases
+    try:
+        per_tag = fork_map(_run_tag, [(t, params) for t in SUITE_TAGS[name]])
+    except RunnerError:
+        raise
+    except Exception as exc:  # the pool broke, as when a worker dies
+        raise RunnerError(f"suite {name}: {type(exc).__name__}: {exc}") \
+            from exc
+    return [case for cases in per_tag for case in cases]

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,16 @@ def stream():
 @pytest.fixture
 def rng():
     return RngStream(TEST_SEED).generator()
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """``cores(count)`` pretends this process, and the processes it forks,
+    may run on ``count`` cores: ``fork_map`` starts that many workers."""
+    def pretend(count):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)))
+    return pretend
 
 
 def _parts(result):

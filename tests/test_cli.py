@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import ctypes
 import dataclasses
@@ -33,6 +34,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 BASE_CONFIG = {"suites": ["inequalities"], "trials": 40, "dims": [2, 3],
                "seed": 1}
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Run the block on one CPU of this process's affinity, so that
+    ``fork_map`` runs its tasks in this process, where a test observes
+    them; the affinity is restored afterwards."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 def run_cli(tmp_path, config, command="verify", fmt="json", out_name="report"):
@@ -826,16 +840,22 @@ class TestStartup:
     def probe(tmp_path, commands, report: str) -> str:
         """What ``report`` evaluates to in a fresh interpreter (the test
         modules themselves import scipy) after ``import gtlab.cli`` and a
-        small config of each ``(subcommand, suite)`` of ``commands``."""
+        small config of each ``(subcommand, suite)`` of ``commands``, run on
+        one CPU."""
         code = (
-            "import json, sys, gtlab.cli\n"
+            "import json, os, sys, gtlab.cli\n"
             "tmp = sys.argv[1]\n"
+            # on one CPU the tags run in this process, whose modules are
+            # reported
+            "cpus = os.sched_getaffinity(0)\n"
+            "os.sched_setaffinity(0, {min(cpus)})\n"
             f"for cmd, suite in {commands!r}:\n"
             "    cfg = f'{tmp}/{cmd}.json'\n"
             "    with open(cfg, 'w') as fh:\n"
             "        json.dump({'suites': [suite], 'trials': 5, 'seed': 1}, fh)\n"
             "    assert gtlab.cli.main([cmd, '--config', cfg, '--out', "
             "f'{tmp}/{cmd}.out']) == 0, cmd\n"
+            "os.sched_setaffinity(0, cpus)\n"
             f"print({report})\n")
         done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                               env=subprocess_env(), capture_output=True,
@@ -862,6 +882,12 @@ class TestStartup:
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
         assert self.probe(tmp_path, (), SCIPY_MODULES) == "[]"
+
+    def test_cli_import_loads_no_process_pool(self, tmp_path):
+        # fork_map imports both when it runs
+        loaded = ("sorted(m for m in sys.modules if m.split('.')[0] in "
+                  "('multiprocessing', 'concurrent'))")
+        assert self.probe(tmp_path, (), loaded) == "[]"
 
     def test_verify_ratio_and_hunt_load_no_scipy(self, tmp_path):
         # both quadrature routes run (Eq.4.1c under verify, Eq.R under
@@ -906,6 +932,75 @@ class TestBlasPin:
         assert done.stdout.split() \
             == [str(min(2, len(os.sched_getaffinity(0)))), "1"]
         assert reports[0] == reports[1]
+
+
+class TestWorkerProcesses:
+    """A suite's tags run in forked worker processes, one per core."""
+
+    CONFIGS = {
+        "verify": BASE_CONFIG,
+        "tail": {"suites": ["concentration"], "trials": 200, "seed": 1},
+        "ratio": {"suites": ["studies"], "dims": [8], "trials": 200,
+                  "seed": 1},
+        "hunt": {"suites": ["counterexamples"], "trials": 40, "seed": 1},
+    }
+
+    #: Runners that a fresh interpreter puts in place of a tag's.
+    RUNNERS = (
+        "import os, sys, time, gtlab.cli\n"
+        "from gtlab import suites\n"
+        "def dies(params, stream, tag):\n"
+        "    os._exit(9)\n"
+        "def raises(params, stream, tag):\n"
+        "    raise ValueError(tag)\n"
+        "def raises_late(params, stream, tag):\n"
+        "    time.sleep(0.5)\n"
+        "    raise ValueError(tag)\n")
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_reports_do_not_depend_on_the_worker_count(self, tmp_path,
+                                                       cores, command):
+        # the tags, and the Hermitization trials, are gathered in order
+        reports = []
+        for count in (1, 3):
+            cores(count)
+            reports.append(run_cli(tmp_path, self.CONFIGS[command], command))
+        assert reports[0] == reports[1] and reports[0][0] == 0
+
+    def failing_run(self, tmp_path, workers: int, runners: dict):
+        """Exit code and stderr lines of ``gtlab verify`` on
+        ``BASE_CONFIG`` in a fresh interpreter that pretends to run on
+        ``workers`` cores, with each tag of ``runners`` run by the runner
+        of :attr:`RUNNERS` it names; a run that hangs fails after 60 s."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(BASE_CONFIG))
+        code = self.RUNNERS + (
+            f"os.sched_getaffinity = lambda pid: set(range({workers}))\n"
+            f"for tag, runner in {runners!r}.items():\n"
+            "    suite, operation, _ = suites.REGISTRY[tag]\n"
+            "    suites.REGISTRY[tag] = (suite, operation, globals()[runner])\n"
+            "sys.exit(gtlab.cli.main(sys.argv[1:]))\n")
+        out = tmp_path / "report"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "verify", "--config", str(cfg),
+             "--out", str(out)],
+            env=subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert not out.exists()
+        return done.returncode, done.stderr.splitlines()
+
+    def test_a_dead_worker_exits_three(self, tmp_path):
+        # not exit 1, which says that a case failed
+        code, err = self.failing_run(tmp_path, 2, {"Eq.1b": "dies"})
+        assert code == 3 and len(err) == 1, err
+        assert err[0].startswith(
+            "gtlab: error: suite inequalities: BrokenProcessPool: ")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_first_tag_that_raises_is_named(self, tmp_path, workers):
+        # on two workers Eq.LT, three tags later, raises first
+        code, err = self.failing_run(
+            tmp_path, workers, {"Eq.1": "raises_late", "Eq.LT": "raises"})
+        assert (code, err) == (3, ["gtlab: error: Eq.1: ValueError: Eq.1"])
 
 
 class FakeLibc:
@@ -1568,7 +1663,8 @@ class TestReachability:
                 else:
                     values[label] = None
 
-        with pytest.MonkeyPatch.context() as monkeypatch:
+        # on one CPU the tags run in this process, which the hook profiles
+        with pytest.MonkeyPatch.context() as monkeypatch, one_cpu():
             for klass in self.gtlab_dataclasses().values():
                 monkeypatch.setattr(klass, "__getattribute__",
                                     self.field_reader(klass, read))

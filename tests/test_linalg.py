@@ -1,5 +1,7 @@
 import importlib
 import inspect
+import multiprocessing
+import os
 import pkgutil
 
 import numpy as np
@@ -515,3 +517,44 @@ class TestGaussLegendre:
         with pytest.raises(linalg.QuadratureError, match="finite"):
             linalg.gauss_legendre(lambda x: np.where(x > 0.5, np.nan, x),
                                   1.0, 1e-10, 1e-10)
+
+
+def _pid(task):
+    return os.getpid()
+
+
+def _pids_of_a_map(tasks):
+    """This process's pid, and those of the processes that ran ``tasks``."""
+    return os.getpid(), linalg.fork_map(_pid, tasks)
+
+
+class TestForkMap:
+    def test_worker_rule(self, monkeypatch, cores):
+        # one worker per core, whatever the BLAS thread setting, and at
+        # most one per task
+        cores(4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert (linalg._worker_count(200), linalg._worker_count(3),
+                linalg._worker_count(1)) == (4, 3, 1)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(linalg._worker_count,
+                                    (200,)).get(60) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert linalg._worker_count(200) == 1
+
+    def test_runs_inside_a_daemonic_pool_worker(self, cores):
+        # a daemonic worker may not start children: the tasks run in the
+        # worker itself
+        cores(2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            worker, pids = pool.apply_async(_pids_of_a_map,
+                                            ([0, 1, 2],)).get(60)
+        assert pids == [worker] * 3
+
+    def test_workers_may_start_workers(self, cores):
+        # fork_map's workers are not daemonic, so a task that maps again
+        # (a Hermitization study inside a tag's worker) forks workers too
+        cores(2)
+        for worker, pids in linalg.fork_map(_pids_of_a_map, [[0, 1], [2, 3]]):
+            assert worker != os.getpid()
+            assert worker not in pids and os.getpid() not in pids

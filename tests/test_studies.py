@@ -1,6 +1,5 @@
 import math
 import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -73,15 +72,6 @@ class TestMonteCarloRatio:
         assert a.ratio == b.ratio
 
 
-def _cores(monkeypatch, count):
-    """Pretend this process may run on ``count`` cores."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _ratio_in_worker(stream):
-    return studies.hermitization_ratio(16, 20, stream)
-
-
 def _thread_count_trial(task):
     """A Hermitization trial that returns its process's BLAS thread count."""
     return linalg._bundled_openblas().scipy_openblas_get_num_threads64_(), 1
@@ -119,51 +109,30 @@ class TestHermitizationRatio:
         est = studies.hermitization_ratio(4, 20, stream)
         assert est.extras["dim"] == 4
 
-    def test_pool_matches_in_process(self, monkeypatch, stream, forks):
-        _cores(monkeypatch, 1)
+    def test_pool_matches_in_process(self, stream, forks, cores):
+        cores(1)
         in_process = studies.hermitization_ratio(16, 40, stream)
-        _cores(monkeypatch, 2)
+        cores(2)
         pooled = studies.hermitization_ratio(16, 40, stream)
         assert forks == ["fork"]
         # means, standard errors, the covariance (through ratio_se and the
         # interval) and the extras, bit for bit
         assert pooled == in_process
 
-    def test_worker_rule(self, monkeypatch):
-        # one worker per core, whatever the BLAS thread setting, and at
-        # most one per trial
-        _cores(monkeypatch, 4)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert (studies._worker_count(200), studies._worker_count(3),
-                studies._worker_count(1)) == (4, 3, 1)
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            assert pool.apply_async(studies._worker_count,
-                                    (200,)).get(60) == 1
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert studies._worker_count(200) == 1
-
-    def test_pool_workers_run_one_blas_thread(self, monkeypatch, stream):
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch, stream,
+                                              cores):
         lib = linalg._bundled_openblas()
         if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
             pytest.skip("numpy carries no bundled OpenBLAS")
         monkeypatch.setattr(studies, "_hermitization_trial",
                             _thread_count_trial)
-        _cores(monkeypatch, 2)
+        cores(2)
         before = lib.scipy_openblas_get_num_threads64_()
         lib.scipy_openblas_set_num_threads64_(2)  # a caller that never pinned
         try:
             assert studies.hermitization_ratio(4, 8, stream).ratio == 1.0
         finally:
             lib.scipy_openblas_set_num_threads64_(before)
-
-    def test_runs_inside_a_daemonic_pool_worker(self, monkeypatch, stream):
-        # a pool worker may not start a pool of its own: the study must
-        # run its trials in the worker itself
-        _cores(monkeypatch, 2)
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            in_worker = pool.map_async(_ratio_in_worker, [stream]).get(60)[0]
-        _cores(monkeypatch, 1)
-        assert in_worker == _ratio_in_worker(stream)
 
     def test_validation(self, stream):
         with pytest.raises(ValueError):

@@ -61,7 +61,7 @@ from .samplers import BLOCK_ENTRIES, DEFAULT_MASTER_SEED, SEED_LIMIT
 from .suites import (SUITE_NAMES, CaseRecord, RunnerError, SuiteParams,
                      run_suite)
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _SUBCOMMAND_FAMILY = {
     "verify": "inequalities",

@@ -175,11 +175,12 @@ def exact_tail(n: int, k: int, eps: float) -> float:
     probability ``det[int_a^b x^m e^(-x) dx] / det[m!]``, ``m = i+j+n-k``
     over ``i, j < k``; each integral is ``Gamma(m+1, a) - Gamma(m+1, b)``.
     Both run in 50-digit decimals, so a tail near 1e-8 keeps its digits
-    through ``1 - ratio``.
+    through ``1 - ratio``, in a context of their own, whatever the
+    caller's decimal context.
     """
     import decimal
 
-    with decimal.localcontext(prec=50):
+    with decimal.localcontext(decimal.Context(prec=50)):
         zero, eps = decimal.Decimal(0), decimal.Decimal(eps)
 
         def upper_gamma(x):

@@ -302,13 +302,17 @@ def pin_blas_to_one_thread():
 
 
 def _worker_count(tasks: int) -> int:
-    """One worker per core this process may run on, at most one per task;
-    one (this process) in a daemonic one, which may not start children."""
-    import multiprocessing
-    if not hasattr(os, "sched_getaffinity") \
-            or multiprocessing.current_process().daemon:
+    """One worker per core this process may run on, at most one per task
+    and at least one; one (this process) in a daemonic one, which may not
+    start children.  ``multiprocessing`` is imported only to ask that, when
+    the count is above one."""
+    if not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(tasks, len(os.sched_getaffinity(0)))
+    workers = min(tasks, len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return 1
+    import multiprocessing
+    return 1 if multiprocessing.current_process().daemon else workers
 
 
 def fork_map(fn: Callable, tasks: list) -> list:

@@ -8,15 +8,18 @@ the exhaustive in-scope coverage the report document is built from.
 ``run_suite`` calls each runner as ``runner(params, stream, tag)``, so a
 runner emits the tag it is given instead of spelling it.
 
-Most rows are their own runner, of one of three kinds.  A :class:`Sweep`
-case counts the instances whose GapReport fails (each against its
-report's ``tol``) and records the one with the smallest ``margin / tol``;
-a :class:`Residual` case records the instance with the largest ratio of
-residual to threshold; a :class:`Hunt` passes when its scan finds a
-witness.  Adding such a checker takes one batched function and one row.
-A hand-written runner remains where a tag has a second route (the matrix
-traces behind the 2x2 reduction, quadrature behind the three-matrix
-kernel), several cases, or a statistical verdict.
+Every exact check is judged by one rule, its GapReport's ``margin >=
+-tol``.  An identity is the gap ``residual <= 0`` within its threshold
+(:func:`_residual`), so its case's ``lhs`` is the residual, its ``rhs``
+0 and its ``extra.tol`` the threshold.  Most rows are their own runner,
+of one of two kinds.  A :class:`Sweep` case counts the instances whose
+GapReport fails and records the one with the smallest ``margin / tol``;
+a :class:`Hunt` passes when its scan finds a witness.  Adding such a
+checker takes one batched function and one row.  A hand-written runner
+remains where a tag has a second route (the matrix traces behind the 2x2
+reduction, quadrature behind the three-matrix kernel), several cases, or
+a statistical verdict; a second route's agreement is an exact side
+condition, ``holds``, of the case's constructor.
 
 Randomness: each tag draws from its own stream, the path ``(label,)``
 under the seed, where ``label`` is the CRC-32 of the tag's name
@@ -52,7 +55,6 @@ Monte Carlo series is drawn alone.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import zlib
 from dataclasses import dataclass
@@ -71,7 +73,7 @@ from .reports import REL_TOL, GapReport, TailReport, mean_and_se, merge_moments
 from .samplers import RngStream, ginibre, gue, standard_complex
 
 __all__ = [
-    "CaseRecord", "SuiteParams", "Sweep", "Residual", "Hunt", "RunnerError",
+    "CaseRecord", "SuiteParams", "Sweep", "Hunt", "RunnerError",
     "REGISTRY", "SUITE_TAGS", "SUITE_NAMES", "run_suite",
 ]
 
@@ -121,10 +123,20 @@ def _case(name: str, tag: str, lhs, rhs, margin, passed, trials: int,
                       trials=trials, ci=ci, extra=dict(extra or {}))
 
 
+def _residual(residual, threshold) -> GapReport:
+    """An identity's residuals as the gap ``residual <= 0`` within
+    ``threshold``: it passes exactly when ``residual <= threshold``."""
+    return GapReport.from_sides(residual, 0.0, tol=threshold)
+
+
 def _gap_case(name: str, tag: str, report: GapReport, trials: int,
-              extra: dict | None = None) -> CaseRecord:
+              holds: bool = True, extra: dict | None = None) -> CaseRecord:
+    """The case of one GapReport, which passes when the report does and
+    the exact side condition ``holds``; ``extra`` leads with the ``tol``
+    the report was judged by."""
     return _case(name, tag, report.lhs, report.rhs, report.margin,
-                 report.passed, trials, extra=extra)
+                 report.passed and holds, trials,
+                 extra={"tol": float(report.tol), **(extra or {})})
 
 
 def _tail_case(name: str, tag: str, report: TailReport) -> CaseRecord:
@@ -139,35 +151,29 @@ def _tail_case(name: str, tag: str, report: TailReport) -> CaseRecord:
                         **report.extras})
 
 
-def _residual_case(name: str, tag: str, residual: float, threshold: float,
-                   trials: int, extra: dict | None = None) -> CaseRecord:
-    return _case(name, tag, residual, threshold, threshold - residual,
-                 residual <= threshold, trials, extra=extra)
-
-
 class _Worst:
     """The worst instance of a sweep whose stacks are checked one at a
     time, so that memory holds one stack whatever the trial count.
 
     :meth:`add` takes one stack's scores and the sides to record, broadcast
-    together and raveled.  The kept instance is the one ``pick``
-    (``np.argmin`` or ``np.argmax``) chooses over the concatenated scores
-    of every stack: the first extreme wins, and so does the first NaN.
-    ``instances`` counts the scores, ``violations`` the failing instances
-    of the GapReports given to :meth:`add_gap`.
+    together and raveled.  The kept instance is the one ``np.argmin``
+    chooses over the concatenated scores of every stack: the first least
+    wins, and so does the first NaN.  ``instances`` counts the scores,
+    ``violations`` the failing instances of the GapReports given to
+    :meth:`add_gap`, which score each instance by ``margin / tol``.
     """
 
-    def __init__(self, pick=np.argmin):
-        self.pick, self.score, self.sides = pick, None, ()
+    def __init__(self):
+        self.score, self.sides = None, ()
         self.instances = self.violations = 0
 
     def add(self, scores, *sides):
         scores, *sides = map(np.ravel, np.broadcast_arrays(scores, *sides))
-        i = int(self.pick(scores))
-        # pick over the pair prefers the candidate exactly when pick over
-        # the concatenation would: strictly more extreme, or a NaN against
-        # a number
-        if self.score is None or self.pick((self.score, scores[i])) == 1:
+        i = int(np.argmin(scores))
+        # argmin over the pair prefers the candidate exactly when argmin
+        # over the concatenation would: strictly less, or a NaN against a
+        # number
+        if self.score is None or np.argmin((self.score, scores[i])) == 1:
             self.score, self.sides = scores[i], tuple(side[i] for side in sides)
         self.instances += scores.size
 
@@ -175,29 +181,30 @@ class _Worst:
         """Add one stack's GapReport, scored by ``margin / tol``."""
         self.violations += int(np.count_nonzero(~report.passed))
         self.add(report.margin / report.tol, report.lhs, report.rhs,
-                 report.margin)
+                 report.margin, report.tol)
         return report
 
-    def gap_case(self, name: str, tag: str,
+    def gap_case(self, name: str, tag: str, holds: bool = True,
                  extra: dict | None = None) -> CaseRecord:
         """The sweep case of the GapReports added: the sides of the
-        instance with the smallest ``margin / tol`` and the violation
-        count (pass means zero violations)."""
-        lhs, rhs, margin = self.sides
-        return _case(name, tag, lhs, rhs, margin, self.violations == 0,
-                     self.instances,
-                     extra={"violations": self.violations, **(extra or {})})
+        instance with the smallest ``margin / tol``, the violation count
+        and the ``tol`` that instance was judged by; it passes when no
+        instance fails and the exact side condition ``holds``."""
+        lhs, rhs, margin, tol = self.sides
+        return _case(name, tag, lhs, rhs, margin,
+                     self.violations == 0 and holds, self.instances,
+                     extra={"violations": self.violations, "tol": tol,
+                            **(extra or {})})
 
 
-def _worst_case(name: str, tag: str, reports,
-                extra: dict | None = None) -> CaseRecord:
+def _worst_case(name: str, tag: str, reports) -> CaseRecord:
     """Aggregate sweep case over the instances of ``reports`` (single or
     stacked, raveled), an iterable read one report at a time
     (:meth:`_Worst.gap_case`)."""
     worst = _Worst()
     for report in reports:
         worst.add_gap(report)
-    return worst.gap_case(name, tag, extra)
+    return worst.gap_case(name, tag)
 
 
 def _escalating(attempt, trials, stream):
@@ -255,10 +262,10 @@ class Sweep:
     """The runner of a sweep row: case ``name`` over ``size(trials)``
     instances (default all) of the dimensions ``dims`` (default the
     config's), each stack drawn by ``draw(rng, n, count, c)`` with ``c`` from
-    ``cycle`` and judged by ``check(*drawn)``, which returns its GapReport.
-    ``entries(n, c)`` is the entries one instance of the draw takes, which
-    size its blocks.  The case records the worst instance and the violation
-    count."""
+    ``cycle`` and judged by ``check(*drawn)``, which returns its GapReport
+    (a residual identity's from :func:`_residual`).  ``entries(n, c)`` is
+    the entries one instance of the draw takes, which size its blocks.  The
+    case records the worst instance and the violation count."""
 
     name: str
     draw: Callable
@@ -268,29 +275,12 @@ class Sweep:
     dims: tuple | None = None
     entries: Callable = _matrix_entries
 
-    def _results(self, params: SuiteParams, stream: RngStream):
-        """``check(*drawn)`` of each stack of the row's instances, one stack
-        at a time."""
+    def __call__(self, params: SuiteParams, stream: RngStream, tag: str):
         trials = params.trials if self.size is None else self.size(params.trials)
-        return (self.check(*drawn) for _, drawn in _stacks(
-            trials, self.dims or params.dims, stream, self.draw, self.cycle,
-            self.entries))
-
-    def __call__(self, params: SuiteParams, stream: RngStream, tag: str):
-        return [_worst_case(self.name, tag, self._results(params, stream))]
-
-
-@dataclass(frozen=True)
-class Residual(Sweep):
-    """The runner of a residual row: a :class:`Sweep` whose ``check(*drawn)``
-    returns each instance's residual and threshold; the case records the
-    instance with the largest ratio of the two."""
-
-    def __call__(self, params: SuiteParams, stream: RngStream, tag: str):
-        worst = _Worst(np.argmax)
-        for res, thr in self._results(params, stream):
-            worst.add(np.divide(res, thr), res, thr)
-        return [_residual_case(self.name, tag, *worst.sides, worst.instances)]
+        stacks = _stacks(trials, self.dims or params.dims, stream, self.draw,
+                         self.cycle, self.entries)
+        return [_worst_case(self.name, tag,
+                            (self.check(*drawn) for _, drawn in stacks))]
 
 
 @dataclass(frozen=True)
@@ -423,8 +413,8 @@ def _run_pauli_reduce(params, stream, tag):
     """Both forms of the 2x2 reduction over Gaussian coefficient pairs, each
     block drawing its ``a`` rows, then its ``b`` rows.  The cosh form's
     sides are checked against the matrix traces
-    (:func:`~gtlab.inequalities.pauli_route_discrepancy`); a relative
-    discrepancy above 1e-10 fails its case."""
+    (:func:`~gtlab.inequalities.pauli_route_discrepancy`); the cosh case
+    holds when no relative discrepancy exceeds 1e-10."""
     cosh, law = _Worst(), _Worst()
     discrepancy = 0.0
     for _, count, rng in stream.blocks(params.trials, 3):
@@ -434,11 +424,9 @@ def _run_pauli_reduce(params, stream, tag):
         law.add_gap(ineq.pauli_law_gap(a, b, report.rhs))
         discrepancy = max(discrepancy, ineq.pauli_route_discrepancy(
             a, b, report.lhs, report.rhs))
-    case = cosh.gap_case("pauli-2x2-cosh", tag,
-                         extra={"max_route_discrepancy": discrepancy})
-    if discrepancy > 1e-10:
-        case = dataclasses.replace(case, passed=False, status="fail")
-    return [case, law.gap_case("pauli-law-of-cosines", "Eq.1aA")]
+    return [cosh.gap_case("pauli-2x2-cosh", tag, holds=discrepancy <= 1e-10,
+                          extra={"max_route_discrepancy": discrepancy}),
+            law.gap_case("pauli-law-of-cosines", "Eq.1aA")]
 
 
 _BETAS = (1e-6, 0.5, 1.0, 2.0, 10.0, 100.0)
@@ -460,11 +448,11 @@ def _run_lie_trotter(params, stream, tag):
     D1, D2 = np.diag([0.7, -0.3, 0.1]), np.diag([1.1, 0.2, -0.5])
     comm_dev = max(operator_norm(lie_trotter_product(D1, D2, n)
                                  - expm_herm(D1 + D2)) for n in (1, 3, 8))
-    residual = abs(slope + 1.0)
-    return [_case("lie-trotter-order", tag, residual, 0.1, 0.1 - residual,
-                  residual <= 0.1 and comm_dev <= 1e-12, len(ns),
-                  extra={"fitted_slope": float(slope),
-                         "commuting_deviation": comm_dev})]
+    return [_gap_case("lie-trotter-order", tag,
+                      _residual(abs(slope + 1.0), 0.1), len(ns),
+                      holds=comm_dev <= 1e-12,
+                      extra={"fitted_slope": float(slope),
+                             "commuting_deviation": comm_dev})]
 
 
 def _top_k_residual(A):
@@ -472,7 +460,7 @@ def _top_k_residual(A):
     P = expm_herm(A)
     top = ineq.top_k_abs_eigensum(P, P.shape[-1])
     s1 = singular_values(P).sum(axis=-1)
-    return np.abs(top - s1) / np.maximum(1.0, s1), REL_TOL
+    return _residual(np.abs(top - s1) / np.maximum(1.0, s1), REL_TOL)
 
 
 def _delta2_residual(A):
@@ -486,7 +474,8 @@ def _delta2_residual(A):
     w = np.linalg.eigvalsh(A)
     unit = A.shape[-1] * np.finfo(np.float64).eps * np.exp(w[..., -1:] - w)
     scale = np.maximum(1.0, f)
-    return np.abs(d - f) / scale, 1e-10 + np.linalg.norm(unit, axis=-1) / scale
+    return _residual(np.abs(d - f) / scale,
+                     1e-10 + np.linalg.norm(unit, axis=-1) / scale)
 
 
 #: Leading instances of the three-matrix sweep that are re-evaluated one by
@@ -513,11 +502,10 @@ def _run_lieb(params, stream, tag):
         reduced = ineq.lieb_rhs_closed(A[:m], B[:m], np.zeros_like(C[:m]))
         reduction = max(reduction, float(
             (np.abs(reduced - direct) / np.maximum(1.0, direct)).max()))
-    extra = {"closed_vs_quadrature": agreement, "c_zero_reduction": reduction}
-    case = worst.gap_case("lieb-triple", tag, extra=extra)
-    if agreement > 1e-8 or reduction > 1e-10:
-        case = dataclasses.replace(case, passed=False, status="fail")
-    return [case]
+    return [worst.gap_case("lieb-triple", tag,
+                           holds=agreement <= 1e-8 and reduction <= 1e-10,
+                           extra={"closed_vs_quadrature": agreement,
+                                  "c_zero_reduction": reduction})]
 
 
 def _run_equality_order(params, stream, tag):
@@ -526,10 +514,10 @@ def _run_equality_order(params, stream, tag):
     d1 = np.diag(rng.standard_normal(n))
     d2 = np.diag(rng.standard_normal(n))
     comm = ineq.equality_order_scan(d1, d2)
-    comm_residual = float(np.max(np.abs(comm.gaps)))
-    cases = [_residual_case("equality-commuting", tag, comm_residual, 1e-12,
-                            comm.gaps.size,
-                            extra={"commuting_flag": comm.commuting})]
+    cases = [_gap_case("equality-commuting", tag,
+                       _residual(np.max(np.abs(comm.gaps)), 1e-12),
+                       comm.gaps.size,
+                       extra={"commuting_flag": comm.commuting})]
     worst_slope = 0.0
     details = {}
     # a 1x1 pair always commutes and has no slope to fit
@@ -540,8 +528,8 @@ def _run_equality_order(params, stream, tag):
         worst_slope = max(worst_slope, abs(scan.slope - 4.0))
         details[f"slope_{label}"] = scan.slope
         details[f"coefficient_{label}"] = scan.coefficient
-    cases.append(_residual_case("equality-order-fit", tag, worst_slope, 0.1, 2,
-                                extra=details))
+    cases.append(_gap_case("equality-order-fit", tag,
+                           _residual(worst_slope, 0.1), 2, extra=details))
     return cases
 
 
@@ -569,7 +557,8 @@ def _rank_one_residual(X):
     """The average of the rank-one row contributions against the Gram
     product of :func:`~gtlab.concentration.covariance`."""
     rank_one = np.einsum('...pi,...pj->...ij', X.conj(), X) / X.shape[-2]
-    return np.abs(rank_one - conc.covariance(X)).max(axis=(-2, -1)), 1e-12
+    return _residual(np.abs(rank_one - conc.covariance(X)).max(axis=(-2, -1)),
+                     1e-12)
 
 
 def _opnorm_residual(M):
@@ -577,7 +566,8 @@ def _opnorm_residual(M):
     w = np.linalg.eigvalsh(M)
     eig_route = np.maximum(-w[..., 0], w[..., -1])
     sv_route = operator_norm(M)
-    return np.abs(eig_route - sv_route) / np.maximum(1.0, sv_route), 1e-12
+    return _residual(np.abs(eig_route - sv_route) / np.maximum(1.0, sv_route),
+                     1e-12)
 
 
 def _run_scalar_chernoff(params, stream, tag):
@@ -591,8 +581,9 @@ def _run_union_bound(params, stream, tag):
                                   stream.child(0))
     lhs = report.empirical_tail
     rhs = report.extras["upper_tail"] + report.extras["lower_tail"]
-    return [_case("tail-union-bound", tag, lhs, rhs, rhs - lhs,
-                  lhs <= rhs + 1e-15, report.trials, extra=report.extras)]
+    return [_gap_case("tail-union-bound", tag,
+                      GapReport.from_sides(lhs, rhs, tol=1e-15), report.trials,
+                      extra=report.extras)]
 
 
 def _run_bernstein(params, stream, tag):
@@ -653,7 +644,7 @@ def _recursion_residual(terms, mus):
     """The largest relative rise along each series' recursion profile."""
     profile = conc.oliveira_recursion_profile(terms, mus)
     increases = np.diff(profile) / np.maximum(1.0, profile[..., :-1])
-    return increases.max(axis=-1), 1e-12
+    return _residual(increases.max(axis=-1), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -661,11 +652,11 @@ def _recursion_residual(terms, mus):
 
 def _run_ratio_quadrature(params, stream, tag):
     result = studies.pauli_ratio_quadrature()
-    residual = abs(result.ratio - 4.0 / 3.0)
-    return [_residual_case("pauli-ratio-quadrature", tag, residual, 1e-8, 1,
-                           extra={"ratio": result.ratio,
-                                  "numerator": result.numerator,
-                                  "denominator": result.denominator})]
+    return [_gap_case("pauli-ratio-quadrature", tag,
+                      _residual(abs(result.ratio - 4.0 / 3.0), 1e-8), 1,
+                      extra={"ratio": result.ratio,
+                             "numerator": result.numerator,
+                             "denominator": result.denominator})]
 
 
 def _run_ratio_mc(params, stream, tag):
@@ -710,11 +701,11 @@ def _run_hermitization(params, stream, tag):
 #: stream, tag)`` returns the tag's cases, each judged against a fixed
 #: slack.  A row without a runner names a tag another row's runner emits.
 REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
-    "Eq.AB": ("inequalities", "pauli.squared_norm_identity_residual", Residual(
+    "Eq.AB": ("inequalities", "pauli.squared_norm_identity_residual", Sweep(
         "pauli-parametrization", lambda rng, n, count, c: (
             rng.standard_normal((count, 3)),),
-        lambda a: (pauli.squared_norm_identity_residual(a), 1e-12), dims=(1,),
-        entries=lambda n, c: 3)),
+        lambda a: _residual(pauli.squared_norm_identity_residual(a), 1e-12),
+        dims=(1,), entries=lambda n, c: 3)),
     "Eq.1": ("inequalities", "inequalities.gt_gap", _run_gt),
     "Eq.1a": ("inequalities", "inequalities.pauli_reduce_gap", _run_pauli_reduce),
     "Eq.1aA": ("inequalities", "inequalities.pauli_law_gap", None),
@@ -741,7 +732,7 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
     "Eq.4": _sweep_row("inequalities", "phi-power-premise", _phi_premise_draw,
                        ineq.phi_power_premise_gap,
                        ((1, True), (2, True), (1, False), (2, False))),
-    "Eq.4.2": ("inequalities", "inequalities.top_k_abs_eigensum", Residual(
+    "Eq.4.2": ("inequalities", "inequalities.top_k_abs_eigensum", Sweep(
         "top-k-functional-consistency", _draw(gue, 1), _top_k_residual,
         size=partial(min, 500))),
     "Eq.4.1": _sweep_row("inequalities", "phi-exponential", _phi_exp_draw,
@@ -754,7 +745,7 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
                         ineq.symmetrized_gap, (1.0, 2.0, 4.0)),
     "Eq.Sn": _sweep_row("inequalities", "log-metric", _draw(gue, 2),
                         ineq.log_metric_gap),
-    "Eq.Sn1": ("inequalities", "linalg.distance_delta2", Residual(
+    "Eq.Sn1": ("inequalities", "linalg.distance_delta2", Sweep(
         "delta2-identity", _draw(gue, 1), _delta2_residual,
         size=partial(min, 500))),
     "Eq.4.1a": _sweep_row("inequalities", "nonhermitian-phi", _nonhermitian_draw,
@@ -765,12 +756,12 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
     "EqualityOrder": ("inequalities", "inequalities.equality_order_scan",
                       _run_equality_order),
     "Eq.S": ("concentration", "concentration.covariance", _run_covariance_identity),
-    "Eq.S3": ("concentration", "concentration.covariance", Residual(
+    "Eq.S3": ("concentration", "concentration.covariance", Sweep(
         "rank-one-decomposition", lambda rng, n, count, shape: (
             standard_complex(rng, (count, *shape)),), _rank_one_residual,
         tuple((n, (n - 4) % min(n, 5) + 1) for n in range(4, 24)),
         partial(min, 200), (1,), lambda n, shape: shape[0] * shape[1])),
-    "Eq.SP": ("concentration", "linalg.operator_norm", Residual(
+    "Eq.SP": ("concentration", "linalg.operator_norm", Sweep(
         "operator-norm-identity", _draw(gue, 1), _opnorm_residual,
         size=partial(min, 300))),
     "Eq.C": ("concentration", "concentration.scalar_chernoff", _run_scalar_chernoff),
@@ -785,7 +776,7 @@ REGISTRY: dict[str, tuple[str, str, Callable | None]] = {
     "Eq.RU": ("concentration", "concentration.aw_bound", _run_domination_grid),
     "Eq.OB": ("concentration", "concentration.oliveira_mgf_check", _run_oliveira),
     "Eq.DDN": ("concentration", "concentration.oliveira_recursion_profile",
-               Residual("recursion-non-increasing", _series_draw(
+               Sweep("recursion-non-increasing", _series_draw(
                    lambda rng, count: rng.choice((0.5, 1.0, 2.0), size=count)),
                    _recursion_residual, _series_shapes(8),
                    lambda trials: min(20, max(trials // 100, 5)), (1,),

@@ -421,6 +421,16 @@ class TestReportSubcommand:
             assert (tmp_path / "re").read_text() == \
                 (tmp_path / out).read_text()
 
+    def test_reemits_a_schema_1_report_byte_for_byte(self, tmp_path, saved):
+        # schema "1" judged residual identities by threshold (rhs) rather
+        # than as gaps; a report saved then re-emits as it was saved
+        text = cli.emit({**saved, "schema_version": "1"}, "json")
+        path = tmp_path / "saved.json"
+        path.write_text(text)
+        assert cli.main(["report", "--config", str(path), "--out",
+                         str(tmp_path / "re")]) == 0
+        assert (tmp_path / "re").read_text() == text
+
     DAMAGE = {
         "no-schema-version": lambda d: d.pop("schema_version"),
         "no-seed": lambda d: d.pop("seed"),
@@ -478,9 +488,9 @@ def document_of(monkeypatch, cases) -> dict:
                                    selected=True))
 
 
-#: Tags whose cases are all judged by ``_worst_case``: the Sweep rows (a
-#: Residual row judges residuals, not GapReports), and the runners that
-#: call their row's operation for the GapReports.
+#: Tags whose cases are all judged by ``_worst_case``: the Sweep rows,
+#: residual identities among them, and the runners that call their row's
+#: operation for the GapReports.
 SWEEP_CASE_TAGS = [
     tag for tag, (_, _, runner) in suites.REGISTRY.items()
     if type(runner) is suites.Sweep
@@ -498,7 +508,7 @@ def raised_last_step(profiles):
 
 #: Residual cases: ``(tag, case name, perturbation)``, where the
 #: perturbation of the result of the tag's operation puts the case's
-#: residual at 10x its threshold.
+#: residual, its ``lhs``, at 10x its threshold, its ``extra.tol``.
 RESIDUAL_INJECTIONS = [
     ("Eq.AB", "pauli-parametrization", lambda residual: residual + 1e-11),
     ("Eq.4.2", "top-k-functional-consistency",
@@ -659,7 +669,7 @@ class TestRegistry:
         params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
         case, = suites.REGISTRY["Eq.S3"][2](params, _tag_stream(1, "Eq.S3"),
                                             "Eq.S3")
-        assert case.status == "fail" and case.lhs > case.rhs
+        assert case.status == "fail" and case.lhs > case.extra["tol"]
 
     def test_a_biased_stacked_covariance_fails_eq_s(self, monkeypatch):
         # only the Monte Carlo half passes stacks: the constructed identity
@@ -686,8 +696,8 @@ class TestRegistry:
         params = suites.SuiteParams(seed=1, trials=20, dims=(2,))
         case, = suites._run_lie_trotter(params, _tag_stream(1, "Eq.LT"),
                                         "Eq.LT")
-        # the fitted order still passes; the commuting deviation fails
-        assert case.status == "fail" and case.lhs <= case.rhs
+        # the fitted order's gap still passes; the commuting deviation fails
+        assert case.status == "fail" and case.margin >= -case.extra["tol"]
         assert case.extra["commuting_deviation"] > 1e-12
 
     def test_a_right_side_below_the_left_fails_eq_gte(self, monkeypatch):
@@ -758,8 +768,31 @@ class TestRegistry:
         cases = {c.name: c for c in runner(params, _tag_stream(1, tag), tag)}
         case = cases.pop(name)
         assert case.status == "fail"
-        assert case.lhs == pytest.approx(10 * case.rhs, rel=0.02)
+        assert case.lhs == pytest.approx(10 * case.extra["tol"], rel=0.02)
         assert all(c.status == "pass" for c in cases.values())
+
+    def test_every_gap_case_records_the_tol_it_was_judged_by(self, tmp_path):
+        configs = {"verify": BASE_CONFIG,
+                   "tail": {"suites": ["concentration"], "trials": 200,
+                            "seed": 1},
+                   "ratio": {"suites": ["studies"], "dims": [8],
+                             "trials": 200, "seed": 1}}
+        judged = []
+        for command, config in configs.items():
+            _, text = run_cli(tmp_path, config, command)
+            judged += [c for c in json.loads(text)["cases"]
+                       if "tol" in c["extra"]]
+        by_name = {c["name"]: c for c in judged}
+        assert "tail-union-bound" in by_name
+        # a residual identity is the gap residual <= 0 within its threshold
+        for name in ("lie-trotter-order", "rank-one-decomposition",
+                     "pauli-ratio-quadrature"):
+            assert by_name[name]["rhs"] == 0.0
+        for case in judged:
+            tol = case["extra"]["tol"]
+            assert isinstance(tol, float) and math.isfinite(tol) and tol > 0
+            if case["status"] == "pass":
+                assert case["margin"] >= -tol, case["name"]
 
     def test_delta2_identity_passes_at_dimension_64(self):
         # the worst residual is rounding of about cond(e^A) ulps, above the
@@ -884,10 +917,14 @@ class TestStartup:
         assert self.probe(tmp_path, (), SCIPY_MODULES) == "[]"
 
     def test_cli_import_loads_no_process_pool(self, tmp_path):
-        # fork_map imports both when it runs
+        # fork_map imports both when it runs on two or more workers; on one
+        # CPU every subcommand maps in this process and imports neither
         loaded = ("sorted(m for m in sys.modules if m.split('.')[0] in "
                   "('multiprocessing', 'concurrent'))")
         assert self.probe(tmp_path, (), loaded) == "[]"
+        commands = (("verify", "inequalities"), ("tail", "concentration"),
+                    ("ratio", "studies"), ("hunt", "counterexamples"))
+        assert self.probe(tmp_path, commands, loaded) == "[]"
 
     def test_verify_ratio_and_hunt_load_no_scipy(self, tmp_path):
         # both quadrature routes run (Eq.4.1c under verify, Eq.R under
@@ -1417,10 +1454,9 @@ class TestMemoryIsBoundedByTheBlock:
 
 
 class TestWorstInstance:
-    """A sweep's running worst instance is the one ``np.argmin`` (a gap
-    case) or ``np.argmax`` (a residual case) picks over the concatenated
-    scores of every stack, whatever the split into stacks, with ties and
-    NaN scores."""
+    """A sweep's running worst instance is the one ``np.argmin`` picks over
+    the concatenated scores of every stack, whatever the split into
+    stacks, with ties and NaN scores."""
 
     MARGINS = (0.0, -0.0, 1.0, -1.0, 2.5, math.nan)
     SCORES = st.lists(st.sampled_from((*MARGINS, math.inf, -math.inf)),
@@ -1436,13 +1472,12 @@ class TestWorstInstance:
     @settings(max_examples=200, deadline=None)
     def test_running_pick_matches_the_concatenation(self, scores, data):
         cuts = self.cuts(data, len(scores))
-        for pick in (np.argmin, np.argmax):
-            worst = suites._Worst(pick)
-            for block, index in zip(np.split(np.array(scores), cuts),
-                                    np.split(np.arange(len(scores)), cuts)):
-                worst.add(block, index)
-            assert worst.sides == (pick(np.array(scores)),)
-            assert worst.instances == len(scores)
+        worst = suites._Worst()
+        for block, index in zip(np.split(np.array(scores), cuts),
+                                np.split(np.arange(len(scores)), cuts)):
+            worst.add(block, index)
+        assert worst.sides == (np.argmin(np.array(scores)),)
+        assert worst.instances == len(scores)
 
     @given(st.lists(st.sampled_from(MARGINS), min_size=1, max_size=40),
            st.data())
@@ -1776,9 +1811,9 @@ class TestCovarianceRunners:
         row = suites.REGISTRY["Eq.S3"][2]
 
         def recorded(X):
-            res, thr = row.check(X)
-            residuals.extend(zip(X, res))
-            return res, thr
+            report = row.check(X)
+            residuals.extend(zip(X, report.lhs))
+            return report
 
         params = suites.SuiteParams(seed=5, trials=200)
         case, = dataclasses.replace(row, check=recorded)(

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -568,6 +569,21 @@ class TestExactTail:
     def test_tail_falls_with_the_threshold(self):
         tails = [conc.exact_tail(16, 2, eps) for eps in (0.25, 0.5, 1.0, 2.0)]
         assert all(x > y > 0 for x, y in zip(tails, tails[1:]))
+
+    #: Caller decimal contexts, each altering one setting of the default.
+    AMBIENT = {
+        "traps": dict(traps=[decimal.Inexact, decimal.Rounded]),
+        "emax": dict(Emax=10),
+        "rounding": dict(rounding=decimal.ROUND_FLOOR),
+        "prec": dict(prec=5),
+    }
+
+    @pytest.mark.parametrize("setting", sorted(AMBIENT))
+    def test_the_callers_decimal_context_moves_no_bit(self, setting):
+        cells = [(8, 1, 0.5), (16, 2, 2.0), (32, 4, 2.0), (4, 3, 0.25)]
+        default = [conc.exact_tail(*cell) for cell in cells]
+        with decimal.localcontext(decimal.Context(**self.AMBIENT[setting])):
+            assert [conc.exact_tail(*cell) for cell in cells] == default
 
 
 class TestTailVerdict:

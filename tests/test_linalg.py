@@ -542,6 +542,11 @@ class TestForkMap:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert linalg._worker_count(200) == 1
 
+    def test_no_tasks_give_no_results(self, cores):
+        for count in (1, 3):
+            cores(count)
+            assert linalg.fork_map(abs, []) == []
+
     def test_runs_inside_a_daemonic_pool_worker(self, cores):
         # a daemonic worker may not start children: the tasks run in the
         # worker itself

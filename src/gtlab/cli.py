@@ -62,6 +62,9 @@ from .suites import (SUITE_NAMES, CaseRecord, RunnerError, SuiteParams,
                      run_suite)
 
 SCHEMA_VERSION = "2"
+#: The schema versions ``report`` re-emits: "1", whose residual identities
+#: were judged against ``rhs`` rather than as gaps, and this one.
+READABLE_SCHEMAS = ("1", "2")
 
 _SUBCOMMAND_FAMILY = {
     "verify": "inequalities",
@@ -205,17 +208,21 @@ def run(config: SuiteConfig) -> dict:
 
 def _load_report(text: str, path: str) -> dict:
     """A saved report document, checked before it is re-emitted: it has a
-    schema version, a seed and ``summary.failed``, and each case exactly
-    the fields of a :class:`CaseRecord`, with a null or two-sided ``ci``."""
+    schema version of :data:`READABLE_SCHEMAS`, a seed and
+    ``summary.failed``, and each case exactly the fields of a
+    :class:`CaseRecord`, with a null or two-sided ``ci``."""
     try:
         report = _json(json.loads(text))
         if not isinstance(report["summary"]["failed"], int) \
                 or not {"schema_version", "seed"} <= report.keys():
             raise KeyError("schema_version, seed or summary.failed")
+        if report["schema_version"] not in READABLE_SCHEMAS:
+            raise ValueError(f"schema_version {report['schema_version']!r} "
+                             f"is not one of {READABLE_SCHEMAS}")
         for case in report["cases"]:
             if CaseRecord(**case).ci is not None and len(case["ci"]) != 2:
                 raise TypeError("ci is not a pair")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"--config {path}: not a report document "
                           f"({type(exc).__name__}: {exc})") from exc
     return report

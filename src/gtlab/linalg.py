@@ -18,7 +18,8 @@ Exponentials are taken of Hermitian matrices only, by eigendecomposition.
 A factorization that does not converge raises numpy's ``LinAlgError``.
 One scalar routine rides along: :func:`gauss_legendre`, the adaptive
 quadrature rule behind every integral a checker compares with a closed form,
-and one process routine: :func:`fork_map`, which maps tasks over every core.
+and one process routine: :func:`fork_map`, which maps tasks over every core
+in workers it forks itself, which return their results through pipes.
 
 Conventions:
 
@@ -34,6 +35,8 @@ import functools
 import math
 import numbers
 import os
+import pickle
+import sys
 from typing import Callable
 
 import numpy as np
@@ -41,7 +44,7 @@ import numpy as np
 from .reports import checked_real
 
 __all__ = [
-    "QuadratureError",
+    "QuadratureError", "WorkerDied",
     "as_complex_matrix", "hermitize", "is_hermitian", "require_hermitian",
     "hermitian_args",
     "adjoint", "herm_eigen", "general_eigen", "singular_values",
@@ -303,34 +306,107 @@ def pin_blas_to_one_thread():
 
 def _worker_count(tasks: int) -> int:
     """One worker per core this process may run on, at most one per task
-    and at least one; one (this process) in a daemonic one, which may not
-    start children.  ``multiprocessing`` is imported only to ask that, when
-    the count is above one."""
+    and at least one; one (this process) in a daemonic ``multiprocessing``
+    worker, which may not start children.  Only a process that has loaded
+    ``multiprocessing`` can be such a worker, so only then is it asked."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
     workers = min(tasks, len(os.sched_getaffinity(0)))
-    if workers <= 1:
+    multiprocessing = sys.modules.get("multiprocessing")
+    if workers <= 1 or (multiprocessing is not None
+                        and multiprocessing.current_process().daemon):
         return 1
-    import multiprocessing
-    return 1 if multiprocessing.current_process().daemon else workers
+    return workers
+
+
+class WorkerDied(RuntimeError):
+    """A :func:`fork_map` worker ended before it returned its results."""
+
+
+def _work(fn: Callable, tasks: list, chunk: int, queue: int, into: int):
+    """The body of one :func:`fork_map` worker, which never returns: with
+    one BLAS thread, it takes chunk starts from the ``queue`` pipe until it
+    is empty, runs each chunk's tasks, and writes ``(index, ok, value)`` of
+    each, the exception as the value of a task that raised, as one pickle
+    to the ``into`` pipe.  It exits 0 only once that is written."""
+    code = 1
+    try:
+        pin_blas_to_one_thread()
+        done = []
+        while start := os.read(queue, 4):
+            start = int.from_bytes(start, "little")
+            for index in range(start, min(start + chunk, len(tasks))):
+                try:
+                    done.append((index, True, fn(tasks[index])))
+                except Exception as exc:
+                    done.append((index, False, exc))
+        with open(into, "wb") as pipe:
+            pickle.dump(done, pipe)
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(code)
 
 
 def fork_map(fn: Callable, tasks: list) -> list:
-    """``[fn(task) for task in tasks]`` in :func:`_worker_count` forked,
-    non-daemonic worker processes (in this one when that is one), each with
-    one BLAS thread, in chunks of ``ceil(len(tasks) / (16 * workers))``.
-    Results come in task order, so they are the same bits at any worker
-    count, and the first task in that order that raises raises here; a
-    worker that dies raises ``BrokenProcessPool``."""
+    """``[fn(task) for task in tasks]`` in :func:`_worker_count` forked
+    worker processes (in this one when that is one), each with one BLAS
+    thread.  The workers take chunks of ``ceil(len(tasks) / (16 *
+    workers))`` tasks from a shared queue, so a slow task holds up only its
+    own worker; this process only hands out the chunks and gathers the
+    results.  Results come in task order, so they are the same bits at any
+    worker count, and the first task in that order that raises raises here;
+    a worker that dies raises :class:`WorkerDied`.  Every worker is reaped
+    before this returns or raises, and on an interrupt here killed first."""
     workers = _worker_count(len(tasks))
     if workers == 1:
         return list(map(fn, tasks))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # fork, not spawn, which re-imports numpy in each worker; the executor
-    # forks its workers before it starts its manager thread, and OpenBLAS
-    # parks its threads at fork
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=pin_blas_to_one_thread) as pool:
-        return list(pool.map(fn, tasks, chunksize=math.ceil(
-            len(tasks) / (16 * workers))))
+    chunk = math.ceil(len(tasks) / (16 * workers))
+    queue, starts = os.pipe()
+    # at most 16 starts of 4 bytes per worker (up to 1024 workers fit the
+    # pipe's 64 KiB), all in the pipe before any worker reads, so each
+    # 4-byte read takes one whole start, and no start goes to two workers
+    os.write(starts, b"".join(start.to_bytes(4, "little")
+                              for start in range(0, len(tasks), chunk)))
+    os.close(starts)
+    children = {}  # each worker not yet reaped: its result pipe's read end
+    results, died = [None] * len(tasks), []
+    try:
+        for _ in range(workers):
+            out, into = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, tasks, chunk, queue, into)
+            os.close(into)
+            children[pid] = open(out, "rb")
+        for pid, pipe in list(children.items()):
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            # a worker exits 0 only once its results are written, but a
+            # task that calls os._exit(0) leaves none
+            if status or not payload:
+                died.append((pid, os.waitstatus_to_exitcode(status)))
+                continue
+            for index, ok, value in pickle.loads(payload):
+                results[index] = ok, value
+    except BaseException:
+        import signal
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(queue)
+    if died:
+        pid, code = died[0]
+        how = (f"was killed by signal {-code}" if code < 0
+               else f"exited with code {code}")
+        raise WorkerDied(f"worker {pid} {how} before returning its results")
+    for ok, value in results:
+        if not ok:
+            raise value
+    return [value for _, value in results]

@@ -13,9 +13,11 @@ The Monte Carlo ratio draws its pairs in blocks, block ``b`` from child
 
 The Hermitization trials are independent and bound by LAPACK ``zgeev``,
 which OpenBLAS does not run in parallel across threads of one process, so
-they run on every core, one forked worker process per core, each with one
-BLAS thread (:func:`~gtlab.linalg.fork_map`).  Results are gathered in
-trial order, so the report is the same bits for any worker count.
+they run on every core (:func:`~gtlab.linalg.fork_map`): one forked worker
+process per core, each with one BLAS thread, takes chunks of trials from a
+shared queue, and under ``gtlab ratio`` the tag's own worker forks them.
+Results are gathered in trial order, so the report is the same bits for
+any worker count.
 """
 
 from __future__ import annotations

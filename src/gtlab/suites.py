@@ -107,8 +107,9 @@ class SuiteParams:
 
 
 class RunnerError(RuntimeError):
-    """A tag's runner raised, or a worker died: the message names the tag,
-    or the suite, and the exception."""
+    """A tag's runner raised, or a worker died (``fork_map``'s
+    ``WorkerDied``): the message names the tag, or the suite, and the
+    exception."""
 
 
 def _case(name: str, tag: str, lhs, rhs, margin, passed, trials: int,
@@ -837,7 +838,7 @@ def run_suite(name: str, params: SuiteParams) -> list[CaseRecord]:
         per_tag = fork_map(_run_tag, [(t, params) for t in SUITE_TAGS[name]])
     except RunnerError:
         raise
-    except Exception as exc:  # the pool broke, as when a worker dies
+    except Exception as exc:  # no runner's: a worker died (WorkerDied)
         raise RunnerError(f"suite {name}: {type(exc).__name__}: {exc}") \
             from exc
     return [case for cases in per_tag for case in cases]

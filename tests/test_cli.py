@@ -442,6 +442,8 @@ class TestReportSubcommand:
         "ci-not-a-pair": lambda d: d["cases"][0].update(ci=[0.5]),
         "case-not-an-object": lambda d: d["cases"].append("case"),
         "empty-object": lambda d: d.clear(),
+        "schema-99-int": lambda d: d.update(schema_version=99),
+        "schema-3": lambda d: d.update(schema_version="3"),
     }
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -870,25 +872,26 @@ SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 class TestStartup:
     @staticmethod
-    def probe(tmp_path, commands, report: str) -> str:
+    def probe(tmp_path, commands, report: str, pooled: bool = False) -> str:
         """What ``report`` evaluates to in a fresh interpreter (the test
         modules themselves import scipy) after ``import gtlab.cli`` and a
         small config of each ``(subcommand, suite)`` of ``commands``, run on
-        one CPU."""
+        one CPU, or ``pooled`` on two pretended cores."""
         code = (
             "import json, os, sys, gtlab.cli\n"
             "tmp = sys.argv[1]\n"
-            # on one CPU the tags run in this process, whose modules are
-            # reported
             "cpus = os.sched_getaffinity(0)\n"
-            "os.sched_setaffinity(0, {min(cpus)})\n"
+            # on one CPU the tags run in this process, whose modules are
+            # reported; pooled, they run in two forked workers
+            + ("os.sched_getaffinity = lambda pid: {0, 1}\n" if pooled else
+               "os.sched_setaffinity(0, {min(cpus)})\n") +
             f"for cmd, suite in {commands!r}:\n"
             "    cfg = f'{tmp}/{cmd}.json'\n"
             "    with open(cfg, 'w') as fh:\n"
             "        json.dump({'suites': [suite], 'trials': 5, 'seed': 1}, fh)\n"
             "    assert gtlab.cli.main([cmd, '--config', cfg, '--out', "
             "f'{tmp}/{cmd}.out']) == 0, cmd\n"
-            "os.sched_setaffinity(0, cpus)\n"
+            + ("" if pooled else "os.sched_setaffinity(0, cpus)\n") +
             f"print({report})\n")
         done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                               env=subprocess_env(), capture_output=True,
@@ -917,14 +920,14 @@ class TestStartup:
         assert self.probe(tmp_path, (), SCIPY_MODULES) == "[]"
 
     def test_cli_import_loads_no_process_pool(self, tmp_path):
-        # fork_map imports both when it runs on two or more workers; on one
-        # CPU every subcommand maps in this process and imports neither
+        # fork_map forks its workers itself, on one CPU and pooled alike
         loaded = ("sorted(m for m in sys.modules if m.split('.')[0] in "
                   "('multiprocessing', 'concurrent'))")
         assert self.probe(tmp_path, (), loaded) == "[]"
         commands = (("verify", "inequalities"), ("tail", "concentration"),
                     ("ratio", "studies"), ("hunt", "counterexamples"))
         assert self.probe(tmp_path, commands, loaded) == "[]"
+        assert self.probe(tmp_path, commands, loaded, pooled=True) == "[]"
 
     def test_verify_ratio_and_hunt_load_no_scipy(self, tmp_path):
         # both quadrature routes run (Eq.4.1c under verify, Eq.R under
@@ -984,10 +987,12 @@ class TestWorkerProcesses:
 
     #: Runners that a fresh interpreter puts in place of a tag's.
     RUNNERS = (
-        "import os, sys, time, gtlab.cli\n"
+        "import os, signal, sys, time, gtlab.cli\n"
         "from gtlab import suites\n"
         "def dies(params, stream, tag):\n"
         "    os._exit(9)\n"
+        "def killed(params, stream, tag):\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
         "def raises(params, stream, tag):\n"
         "    raise ValueError(tag)\n"
         "def raises_late(params, stream, tag):\n"
@@ -1026,11 +1031,13 @@ class TestWorkerProcesses:
         return done.returncode, done.stderr.splitlines()
 
     def test_a_dead_worker_exits_three(self, tmp_path):
-        # not exit 1, which says that a case failed
-        code, err = self.failing_run(tmp_path, 2, {"Eq.1b": "dies"})
-        assert code == 3 and len(err) == 1, err
-        assert err[0].startswith(
-            "gtlab: error: suite inequalities: BrokenProcessPool: ")
+        # not exit 1, which says that a case failed; a worker that exits
+        # and one that a signal kills
+        for runner in ("dies", "killed"):
+            code, err = self.failing_run(tmp_path, 2, {"Eq.1b": runner})
+            assert code == 3 and len(err) == 1, (runner, err)
+            assert err[0].startswith(
+                "gtlab: error: suite inequalities: WorkerDied: "), err
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_first_tag_that_raises_is_named(self, tmp_path, workers):

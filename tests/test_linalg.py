@@ -1,8 +1,12 @@
 import importlib
 import inspect
+import math
 import multiprocessing
 import os
 import pkgutil
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -563,3 +567,39 @@ class TestForkMap:
         for worker, pids in linalg.fork_map(_pids_of_a_map, [[0, 1], [2, 3]]):
             assert worker != os.getpid()
             assert worker not in pids and os.getpid() not in pids
+
+    def test_leaves_no_process_behind(self, cores):
+        # each worker is reaped whether the map returns, a task raises or
+        # a worker dies, here by os._exit(0), which writes no results, and
+        # os._exit(5); an interrupt while the workers run kills them first
+        def reaped():
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        cores(2)
+        assert linalg.fork_map(abs, [-1, 2, -3]) == [1, 2, 3]
+        reaped()
+        with pytest.raises(ValueError, match="math domain error"):
+            linalg.fork_map(math.sqrt, [4.0, -1.0, 9.0])
+        reaped()
+        with pytest.raises(linalg.WorkerDied, match="exited with code"):
+            linalg.fork_map(os._exit, [0, 5])
+        reaped()
+        # a result that cannot be pickled after 128 KiB that could: the
+        # worker dies with part of its results written
+        with pytest.raises(linalg.WorkerDied, match="exited with code 1"):
+            linalg.fork_map(lambda task: (bytes(1 << 17), threading.Lock()),
+                            [0, 1])
+        reaped()
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                linalg.fork_map(time.sleep, [60, 60])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        reaped()
